@@ -325,11 +325,13 @@ def describe_method_plan(function: FunctionInfo, program: Program) -> str:
 def disassemble_jit(program: Program) -> str:
     """Render the template JIT's generated host code for every method.
 
-    Compiles each body exactly as the plain-run manager would at attach
-    time — quickened stream, IC guards from the *unexecuted* cache
-    (sites still raw quicken at run time and show as interpreter
-    exits), leaf inlining on — and prints the generated Python
-    alongside entry-arm and call-site statistics.  Debugging aid for
+    Compiles every body from an *unexecuted* cache — quickened stream,
+    leaf inlining on, but no IC guards yet: sites still raw show as
+    interpreter exits.  A run compiles only the methods that get hot,
+    and by then their call sites have quickened, so the code a run
+    generates for the same method bakes receiver guards where this
+    view shows exits.  Prints the generated Python alongside entry-arm
+    and call-site statistics.  Debugging aid for
     the JIT (``repro-mini disasm --jit``); not assembler
     round-trippable.
     """

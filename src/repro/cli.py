@@ -128,8 +128,8 @@ def _profiler_for(args):
 def _cmd_run(args) -> int:
     program = _load(args.file)
     # Adaptive runs promote to the template JIT from the controller
-    # (path-hot level-2 methods first) instead of the plain-run eager
-    # manager, so the config flag stays off there.
+    # (path-hot level-2 methods first) instead of the plain-run
+    # counting trampoline, so the config flag stays off there.
     adaptive_mode = args.adaptive or args.warm_start
     config = config_named(
         args.vm,
@@ -456,8 +456,11 @@ def _cmd_run(args) -> int:
         if args.no_jit:
             print("-- jit: disabled (--no-jit)", file=sys.stderr)
         else:
+            compiled, eligible = vm.code_cache.jit_methods()
             print(
                 f"-- jit: compiles={vm.jit_compiles} "
+                f"methods={compiled}/{eligible} "
+                f"compile_s={vm.jit_compile_s:.4f} "
                 f"entries={vm.jit_entries} osr={vm.jit_osr_entries} "
                 f"deopts={vm.jit_deopts} guard_exits={vm.jit_guard_exits} "
                 f"call_exits={vm.jit_call_exits} "

@@ -44,6 +44,7 @@ from repro.fuzz.specexec import (
 from repro.vm.config import config_named
 from repro.vm.errors import VMError
 from repro.vm.interpreter import Interpreter
+from repro.vm.jit import JitManager
 
 #: Profiler groups, in comparison order ("none" is the cross-group
 #: baseline).  Factories return a fresh profiler (or None) per run.
@@ -88,6 +89,12 @@ class MatrixCell:
     #: cell must match the group reference exactly like any other
     #: host-level rewrite (fusion, ICs).
     jit: bool = False
+    #: With ``jit``: promote at the product threshold instead of at
+    #: first entry, so methods are compiled mid-run — warm inline
+    #: caches, live frames — and the interpreted → compiled hand-off is
+    #: compared too.  The first-entry cells keep generated code covered
+    #: on programs too small to get anything hot.
+    lazy_jit: bool = False
 
     def describe(self) -> str:
         parts = [
@@ -102,7 +109,7 @@ class MatrixCell:
         if self.paths:
             parts.append(f"paths-{self.paths}")
         if self.jit:
-            parts.append("jit")
+            parts.append("jit-lazy" if self.lazy_jit else "jit")
         return "+".join(parts)
 
 
@@ -118,9 +125,10 @@ def matrix_cells(profiler: str) -> list[MatrixCell]:
     per program.  The template JIT joins as two more cells per group —
     the fully-featured corner with the JIT on, silent and with
     telemetry (generated code must neither perturb observables nor
-    emit events) — plus a JIT×paths cell in the ``none`` group for the
-    path-instrumented code templates.  Ten runs per group (thirteen
-    for ``none``)."""
+    emit events), both promoting at first entry, and a third at the
+    product promotion threshold — plus a JIT×paths cell in the ``none``
+    group for the path-instrumented code templates.  Eleven runs per
+    group (fourteen for ``none``)."""
     cells = [
         MatrixCell(fuse, ic, profiler, False)
         for fuse in (False, True)
@@ -132,6 +140,7 @@ def matrix_cells(profiler: str) -> list[MatrixCell]:
     cells.append(MatrixCell(True, True, profiler, False, paths="exhaustive"))
     cells.append(MatrixCell(True, True, profiler, False, jit=True))
     cells.append(MatrixCell(True, True, profiler, True, jit=True))
+    cells.append(MatrixCell(True, True, profiler, False, jit=True, lazy_jit=True))
     if profiler == "none":
         cells.append(MatrixCell(True, True, profiler, False, paths="mincov"))
         cells.append(MatrixCell(True, True, profiler, False, paths="cbs"))
@@ -167,6 +176,10 @@ class RunRecord:
     flight: object = None
     #: ``{(function, path_id): count}`` when the cell had a path tracker.
     paths: dict | None = None
+    #: JIT entries minus counted exits; anything but 0 means generated
+    #: code was entered (or the promotion trampoline bounced) without
+    #: leaving through exactly one exit.
+    jit_unpaired: int = 0
 
 
 @dataclass
@@ -246,6 +259,11 @@ def run_cell(
             vm.attach_telemetry(tracer)
         if flight is not None:
             vm.attach_flight(flight)
+        if cell.jit and not cell.lazy_jit:
+            # After the hooks, which decide the compile signature;
+            # run() leaves an attached manager alone.
+            vm.jit_manager = JitManager(vm, threshold=1)
+            vm.jit_manager.attach()
         vm.run()
     except VMError as error:
         record.outcome = "error"
@@ -261,6 +279,11 @@ def run_cell(
     record.ticks = vm.ticks
     record.calls = vm.call_count
     record.methods = vm.methods_executed
+    record.jit_unpaired = (
+        vm.jit_entries + vm.jit_osr_entries
+        - vm.jit_deopts - vm.jit_guard_exits
+        - vm.jit_call_exits - vm.jit_return_exits
+    )
     record.dcg = profiler.dcg.edges() if profiler is not None else None
     if tracker is not None:
         record.paths = dict(tracker.profile.counts)
@@ -389,6 +412,18 @@ def check_program(
                             f"loop-local counters)"
                         ),
                         error_type=record.error[0] if record.error else None,
+                    )
+                )
+            if record.jit_unpaired:
+                violations.append(
+                    Violation(
+                        invariant="jit-exits",
+                        cell=cell.describe(),
+                        reference=cell.describe(),
+                        detail=(
+                            f"jit entries - exits = {record.jit_unpaired} "
+                            f"(every entry must leave through one counted exit)"
+                        ),
                     )
                 )
         if any(r.outcome == "host-crash" for r in records.values()):

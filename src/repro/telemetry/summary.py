@@ -93,6 +93,16 @@ def pipeline_rows(trace: LoadedTrace) -> list[list[object]]:
         rows.append(["jit compiles", jit_compiles])
         rows.append(
             [
+                "jit methods compiled/eligible",
+                f"{_metric_value(trace, 'jit.methods_compiled') or 0}"
+                f"/{_metric_value(trace, 'jit.methods_eligible') or 0}",
+            ]
+        )
+        rows.append(
+            ["jit compile_s", f"{_metric_value(trace, 'jit.compile_s') or 0:.4f}"]
+        )
+        rows.append(
+            [
                 "jit entries",
                 (_metric_value(trace, "jit.entries") or 0)
                 + (_metric_value(trace, "jit.osr_entries") or 0),
@@ -238,6 +248,9 @@ def summary_dict(trace: LoadedTrace, histograms: bool = True) -> dict:
             "call_exits": _metric_value(trace, "jit.call_exits") or 0,
             "return_exits": _metric_value(trace, "jit.return_exits") or 0,
             "leaf_calls": _metric_value(trace, "jit.leaf_calls") or 0,
+            "methods_compiled": _metric_value(trace, "jit.methods_compiled") or 0,
+            "methods_eligible": _metric_value(trace, "jit.methods_eligible") or 0,
+            "compile_s": _metric_value(trace, "jit.compile_s") or 0,
         }
     shard_rows = fleet_shard_rows(trace)
     if shard_rows:

@@ -158,6 +158,16 @@ class Tracer:
         self._jit_leaf_calls = metrics.counter(
             "jit.leaf_calls", "leaf-template calls inlined inside compiled bodies"
         )
+        self._jit_methods_compiled = metrics.gauge(
+            "jit.methods_compiled", "methods running a compiled body at run end"
+        )
+        self._jit_methods_eligible = metrics.gauge(
+            "jit.methods_eligible",
+            "methods compiled or still counting on the promotion trampoline",
+        )
+        self._jit_compile_s = metrics.counter(
+            "jit.compile_s", "host wall seconds spent in the template compiler"
+        )
         self._paths_total = metrics.counter(
             "paths.total", "Ball-Larus path records collected"
         )
@@ -267,15 +277,21 @@ class Tracer:
         call_exits: int,
         return_exits: int,
         leaf_calls: int,
+        methods_compiled: int,
+        methods_eligible: int,
+        compile_s: float,
     ) -> None:
         """Record one run's template-JIT statistics.
 
         Same shape and rationale as :meth:`on_fusion_summary`: metrics
         only, never events, so a JIT-on run's event stream stays
-        byte-identical to the JIT-off run.  All figures are per-run
+        byte-identical to the JIT-off run.  The counters are per-run
         deltas; every entry pairs with exactly one exit, so
         ``entries + osr_entries == deopts + guard_exits + call_exits +
-        return_exits`` for any completed run.
+        return_exits`` for any completed run.  The method counts are the
+        code cache's population at run end and land in gauges;
+        ``compile_s`` is host wall time, the one figure here that does
+        not repeat from run to run.
         """
         self._jit_compiles.inc(compiles)
         self._jit_entries.inc(entries)
@@ -285,6 +301,9 @@ class Tracer:
         self._jit_call_exits.inc(call_exits)
         self._jit_return_exits.inc(return_exits)
         self._jit_leaf_calls.inc(leaf_calls)
+        self._jit_methods_compiled.set(methods_compiled)
+        self._jit_methods_eligible.set(methods_eligible)
+        self._jit_compile_s.inc(compile_s)
 
     def on_paths_summary(self, tracker) -> None:
         """Record one run's Ball-Larus path-profiling statistics.

@@ -128,6 +128,9 @@ class Interpreter:
         #: with exactly one exit: entries + osr_entries ==
         #: deopts + guard_exits + call_exits + return_exits.
         self.jit_compiles = 0
+        #: Host seconds spent in the template compiler (wall clock, so
+        #: it never repeats exactly; no virtual-time effect).
+        self.jit_compile_s = 0.0
         self.jit_entries = 0
         self.jit_osr_entries = 0
         self.jit_deopts = 0
@@ -651,6 +654,7 @@ class Interpreter:
             self.jit_call_exits,
             self.jit_return_exits,
             self.jit_leaf_calls,
+            self.jit_compile_s,
         )
         cache = self.code_cache
         ic_calls_before = cache.receiver_cell_total() if cache.ic else 0
@@ -692,6 +696,8 @@ class Interpreter:
                     self.jit_call_exits - jit_before[5],
                     self.jit_return_exits - jit_before[6],
                     self.jit_leaf_calls - jit_before[7],
+                    *cache.jit_methods(),
+                    self.jit_compile_s - jit_before[8],
                 )
 
 

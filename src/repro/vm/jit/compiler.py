@@ -54,6 +54,8 @@ are picked up by the manager's recompile-on-IC-growth policy.
 
 from __future__ import annotations
 
+from time import perf_counter
+
 from repro.bytecode.opcodes import STACK_EFFECT, Op
 from repro.vm import fuse
 from repro.vm import ic as icmod
@@ -172,7 +174,11 @@ def ic_signature(method) -> tuple:
 
 
 class JitCode:
-    """One compiled body, installed on ``CompiledMethod.jit``."""
+    """One compiled body, installed on ``CompiledMethod.jit``.
+
+    ``source`` is None on exactly one kind of record: the plain-run
+    manager's counting trampoline (repro.vm.jit.manager), which sits
+    where a body would until the method proves hot."""
 
     __slots__ = (
         "fn",
@@ -1209,8 +1215,10 @@ def compile_method(
 def compile_into(vm, method) -> bool:
     """Compile ``method`` for the running interpreter's hook
     configuration and install the body on the method; bumps
-    ``vm.jit_compiles`` on success."""
+    ``vm.jit_compiles`` on success and adds the host seconds spent,
+    successful or not, to ``vm.jit_compile_s``."""
     sig = vm_jit_sig(vm)
+    started = perf_counter()
     code = compile_method(
         method,
         vm.program,
@@ -1219,6 +1227,7 @@ def compile_into(vm, method) -> bool:
         inline_leaves=sig & 1 != 0,
         emit_paths=sig & 2 != 0,
     )
+    vm.jit_compile_s += perf_counter() - started
     if code is None:
         return False
     method.jit = code

@@ -327,6 +327,19 @@ class CodeCache:
                 total += cell[0]
         return total
 
+    def jit_methods(self) -> tuple[int, int]:
+        """``(compiled, eligible)``: current methods running a level-3
+        body, and those plus the ones still counting on the plain-run
+        trampoline (a method the compiler refused holds neither)."""
+        compiled = eligible = 0
+        for method in self.methods:
+            jrec = method.jit
+            if jrec is not None:
+                eligible += 1
+                if jrec.source is not None:
+                    compiled += 1
+        return compiled, eligible
+
     def current(self, index: int) -> CompiledMethod:
         return self.methods[index]
 

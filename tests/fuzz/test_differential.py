@@ -37,7 +37,7 @@ end
 
 def test_matrix_shape():
     cells = matrix_cells("none")
-    assert len(cells) == 13
+    assert len(cells) == 14
     assert sum(1 for c in cells if c.telemetry) == 4
     assert {
         (c.fuse, c.ic)
@@ -60,13 +60,16 @@ def test_matrix_shape():
     paths_cell = next(c for c in cells if c.paths == "mincov")
     assert paths_cell.describe().endswith("paths-mincov")
     # JIT cells ride the fully-featured corner: silent, with telemetry,
-    # and (in this group) with a CBS path tracker.
+    # and (in this group) with a CBS path tracker, all promoting at
+    # first entry; one more, silent, at the product threshold.
     jit_cells = [c for c in cells if c.jit]
-    assert len(jit_cells) == 3
+    assert len(jit_cells) == 4
     assert all(c.fuse and c.ic for c in jit_cells)
     assert sum(1 for c in jit_cells if c.telemetry) == 1
     assert sum(1 for c in jit_cells if c.paths == "cbs") == 1
     assert jit_cells[0].describe().endswith("+jit")
+    lazy = [c for c in jit_cells if c.lazy_jit]
+    assert len(lazy) == 1 and lazy[0].describe().endswith("+jit-lazy")
 
 
 def test_clean_program_has_no_violations():

@@ -5,6 +5,7 @@ from __future__ import annotations
 from repro.frontend.codegen import compile_source
 from repro.vm.config import VMConfig, jikes_config
 from repro.vm.interpreter import Interpreter
+from repro.vm.jit import JitManager
 
 
 def run_source(source: str, config: VMConfig | None = None) -> list[int]:
@@ -26,3 +27,16 @@ def run_main_expr(expr: str, prelude: str = "") -> int:
 def vm_for(source: str, config: VMConfig | None = None) -> Interpreter:
     program = compile_source(source)
     return Interpreter(program, config if config is not None else jikes_config())
+
+
+def force_jit(vm: Interpreter) -> Interpreter:
+    """Attach a plain-run JIT manager that promotes at first entry.
+
+    Identity suites on tiny programs use this so they keep proving
+    generated code against the interpreter; at the product threshold
+    most of their methods would never get hot.  Call it after every
+    hook is attached (hooks decide the compile signature) and before
+    ``run()``, which leaves an attached manager alone."""
+    vm.jit_manager = JitManager(vm, threshold=1)
+    vm.jit_manager.attach()
+    return vm

@@ -25,6 +25,11 @@ The deopt paths are the dangerous part, so they get targeted tests:
 The only permitted difference is the JIT bookkeeping itself: the
 ``jit_*`` counters on the VM and the ``jit.*`` metric keys in
 telemetry snapshots.
+
+JIT runs here promote at first entry (``tests.helpers.force_jit``):
+the subject is the generated code, and at the product threshold most
+methods of these small programs would stay interpreted.  Promotion
+policy itself is covered by ``test_jit_lazy.py``.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from repro.profiling.timer_sampler import TimerProfiler
 from repro.vm.config import config_named
 from repro.vm.errors import DivisionByZeroError, NullPointerError
 from repro.vm.interpreter import Interpreter
+from tests.helpers import force_jit
 
 PROFILERS = {
     "none": lambda: None,
@@ -56,6 +62,8 @@ def _run(program, config, make_profiler):
         profiler.install(vm)  # call observer, not a sampling profiler
     elif profiler is not None:
         vm.attach_profiler(profiler)
+    if config.jit:
+        force_jit(vm)
     vm.run()
     return vm, profiler
 
@@ -303,6 +311,8 @@ def main() {
 
 def _fail(program, exc_type, jit, **overrides):
     vm = Interpreter(program, config_named("jikes", jit=jit, **overrides))
+    if jit:
+        force_jit(vm)
     with pytest.raises(exc_type) as excinfo:
         vm.run()
     error = excinfo.value
