@@ -14,7 +14,7 @@ Usage::
                                 [--metrics-port P] [--flight-dump PATH]
                                 [--no-flight]
     repro-mini serve [--host H] [--port P] [--root DIR] [--decay F]
-                     [--workers N] [--coalesce] [--rate R] [--burst B]
+                     [--workers N] [--rate R] [--burst B]
                      [--http-port P] [--trace FILE]
     repro-mini fleet-bench [--publishers N] [--batches B] [--edges E]
                            [--workers N] [--jobs J] [--quick] [--json]
@@ -553,7 +553,6 @@ def _cmd_serve(args) -> int:
                 port=args.port,
                 decay=args.decay,
                 max_edges=args.max_edges,
-                persist_every=args.persist_every,
                 rate=args.rate,
                 burst=args.burst,
                 ready=ready,
@@ -568,17 +567,17 @@ def _cmd_serve(args) -> int:
                 port=args.port,
                 decay=args.decay,
                 max_edges=args.max_edges,
-                persist_every=args.persist_every,
                 ready=ready,
                 http_port=args.http_port,
                 http_ready=http_ready if args.http_port is not None else None,
                 telemetry=tracer,
-                coalesce=args.coalesce,
                 rate=args.rate,
                 burst=args.burst,
             )
         asyncio.run(serve_coro)
-    except KeyboardInterrupt:
+    except (KeyboardInterrupt, asyncio.CancelledError):
+        # SIGINT / SIGTERM: the serve coroutine was cancelled and has
+        # already stopped the service (drain, persist) on its way out.
         print("-- fleet service stopped", file=sys.stderr)
     except (OSError, ValueError, RepositoryError) as error:
         raise SystemExit(f"cannot start fleet service: {error}")
@@ -630,8 +629,9 @@ def _cmd_top(args) -> int:
         totals = status.get("totals", {})
         blocks.append(
             render_table(
-                ["Merges", "Rejected", "Connections", "Drops", "Quarantined"],
+                ["Programs", "Merges", "Rejected", "Connections", "Drops", "Quarantined"],
                 [[
+                    len(status.get("programs", {})),
                     totals.get("merges", 0),
                     totals.get("rejected", 0),
                     totals.get("connections", 0),
@@ -1206,13 +1206,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="prune persisted snapshots to the N heaviest edges",
     )
     serve.add_argument(
-        "--persist-every",
-        type=int,
-        default=1,
-        metavar="N",
-        help="write a snapshot every N merges per program (default 1)",
-    )
-    serve.add_argument(
         "--workers",
         type=int,
         default=1,
@@ -1221,18 +1214,12 @@ def build_parser() -> argparse.ArgumentParser:
         "routing frontend (default 1: single process)",
     )
     serve.add_argument(
-        "--coalesce",
-        action="store_true",
-        help="stage publishes and merge them in coalesced lumps off the "
-        "accept path (always on for --workers > 1)",
-    )
-    serve.add_argument(
         "--rate",
         type=float,
         default=None,
         metavar="R",
         help="per-client token-bucket limit: R publishes/sec (busy replies "
-        "with retry_after above it; coalescing modes only)",
+        "with retry_after above it)",
     )
     serve.add_argument(
         "--burst",

@@ -39,8 +39,8 @@ Client → server:
 * ``fetch`` — request the aggregated snapshot for a fingerprint.
 * ``stats`` — request server-wide counters.
 * ``flush`` — force staged deltas to merge and dirty aggregates to
-  persist before the reply (used by benchmarks and tests that need a
-  read-your-writes barrier against a coalescing service).
+  persist before the reply: the durability barrier (everything acked
+  before it is on disk when the ``stats`` reply arrives).
 * ``status`` — request the full ``/status`` document over the framed
   protocol (what the sharded frontend uses to poll its workers).
 * ``shutdown`` — ask the service to stop serving (honored only by
@@ -49,11 +49,12 @@ Client → server:
 
 Server → client:
 
-* ``ack`` — publish accepted: ``{"runs", "edges", "total_weight"}``.
-  A coalescing service acks as soon as the delta is validated and
-  staged (``"staged": true`` plus the staging queue depth) — merge
-  commutativity guarantees the eventual aggregate is identical, so
-  early acks are safe.
+* ``ack`` — publish accepted: validated and staged (``"staged":
+  true`` plus the staging queue depth), visible to every later
+  ``fetch``.  The merge and the snapshot write happen behind the ack —
+  merge commutativity guarantees the eventual aggregate is identical,
+  so early acks are safe; ``flush``, connection close and service
+  shutdown are the durability barriers.
 * ``busy`` — publish rejected for load, not content:
   ``{"retry_after": seconds}``.  The client must back off and retry;
   the delta was *not* staged.  Emitted when a per-client token bucket
@@ -156,18 +157,8 @@ def shutdown_message() -> dict:
     return {"v": PROTOCOL_VERSION, "type": "shutdown"}
 
 
-def ack_message(runs: int, edges: int, total_weight: float) -> dict:
-    return {
-        "v": PROTOCOL_VERSION,
-        "type": "ack",
-        "runs": runs,
-        "edges": edges,
-        "total_weight": total_weight,
-    }
-
-
 def staged_ack_message(depth: int) -> dict:
-    """The coalescing ack: validated and staged, merge pending."""
+    """The publish ack: validated and staged, merge pending."""
     return {
         "v": PROTOCOL_VERSION,
         "type": "ack",

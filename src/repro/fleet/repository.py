@@ -83,7 +83,10 @@ class ProfileRepository:
         )
         try:
             with os.fdopen(fd, "w") as handle:
-                json.dump(aggregate.to_dict(), handle, separators=(",", ":"))
+                # dumps, not dump: dump streams through the pure-Python
+                # encoder, dumps uses the C one — same bytes, under half
+                # the time for the whole store.
+                handle.write(json.dumps(aggregate.to_dict(), separators=(",", ":")))
             os.replace(tmp_path, path)
         except BaseException:
             try:

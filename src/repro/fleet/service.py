@@ -6,35 +6,31 @@ connection is a sequence of frames (see :mod:`repro.fleet.protocol`);
 :class:`~repro.fleet.merge.AggregateProfile` instances (loaded lazily
 from the repository).
 
-The service runs in one of two publish modes:
+There is one publish path.  The accept path only validates the delta,
+appends it to a bounded :class:`~repro.fleet.staging.StagingBuffer`,
+and acks (``staged: true``).  A background drain task coalesces each
+fingerprint's staged deltas into per-epoch lumps
+(:func:`~repro.fleet.merge.coalesce_validated`) and merges them in one
+pass — by merge commutativity the eventual aggregate is identical to
+one-at-a-time merging, so early acks are safe.  A ``fetch`` merges that
+fingerprint's staged deltas first, so every ack is visible to every
+later fetch.
 
-* **Eager** (the default): each delta is validated and merged inline
-  before its ``ack``, and snapshots persist synchronously every
-  ``persist_every`` merges per program.  Acks carry post-merge totals
-  — the semantics every pre-sharding client observed.
-* **Coalescing** (``coalesce=True``, what ``serve --workers N`` shard
-  workers and ``serve --coalesce`` run): the accept path only
-  validates the delta, appends it to a bounded
-  :class:`~repro.fleet.staging.StagingBuffer`, and acks immediately
-  (``staged: true``).  A background drain task later coalesces each
-  fingerprint's staged deltas into per-epoch lumps
-  (:func:`~repro.fleet.merge.coalesce_validated`) and merges them in
-  one pass — by merge commutativity the eventual aggregate is
-  identical to one-at-a-time merging, so early acks are safe.  A
-  ``fetch`` drains that fingerprint first (read-your-writes) and a
-  ``flush`` is a full drain-and-persist barrier.
+Snapshots are written behind the ack, off the event loop: a second
+background task clones dirty aggregates on-loop
+(:meth:`~repro.fleet.merge.AggregateProfile.clone_for_snapshot`) and
+serializes + atomically writes them in a worker thread, then rests for
+:data:`SNAPSHOT_PACE` times what the pass cost, so the writer thread's
+share of the interpreter lock stays bounded however many aggregates are
+dirty.  What is *durable* when: a ``flush`` reply, a closed connection,
+and a stopped service (SIGINT, SIGTERM, :meth:`FleetService.stop`) each
+mean everything acked before them is merged and on disk
+(:meth:`FleetService.drain`, which bypasses the pacing).
 
 Backpressure: with a per-client rate limit configured (``rate``), or
 when the staging buffer hits its high-water mark, a publish is answered
 with ``busy`` and a ``retry_after`` the client honors with backoff —
 load never silently drops deltas and never kills connections.
-
-Snapshot persistence for the coalescing path — and for every
-end-of-connection / shutdown flush (see :meth:`FleetService.drain`) —
-happens off the event loop: aggregates are cloned on-loop
-(:meth:`~repro.fleet.merge.AggregateProfile.clone_for_snapshot`) and
-serialized + atomically written in a worker thread, so a large
-repository flush cannot stall concurrent publishes.
 
 Because merging is synchronous (no ``await`` between taking deltas and
 folding them in) the event loop serializes merges per process, and
@@ -59,6 +55,8 @@ on the same event loop, exposing the registry at ``/metrics`` and
 from __future__ import annotations
 
 import asyncio
+import contextlib
+import signal
 
 from repro.fleet.merge import (
     AggregateProfile,
@@ -68,7 +66,6 @@ from repro.fleet.merge import (
 )
 from repro.fleet.protocol import (
     ProtocolError,
-    ack_message,
     busy_message,
     error_message,
     read_message,
@@ -84,6 +81,11 @@ from repro.telemetry.metrics import MetricsRegistry
 #: the buckets resolve the interesting low end.
 DELTA_EDGE_BUCKETS = (1, 4, 16, 64, 256, 1024)
 
+#: After a background snapshot pass the writer rests this many times the
+#: pass's own wall-clock cost, which bounds the writer thread to
+#: 1/(1 + SNAPSHOT_PACE) of the process however large the repository is.
+SNAPSHOT_PACE = 9
+
 
 class FleetService:
     """Aggregates published DCG deltas and serves snapshots."""
@@ -91,10 +93,8 @@ class FleetService:
     def __init__(
         self,
         repository: ProfileRepository,
-        persist_every: int = 1,
         telemetry=None,
         registry: MetricsRegistry | None = None,
-        coalesce: bool = False,
         rate: float | None = None,
         burst: float | None = None,
         max_staged_rows: int = 200_000,
@@ -102,10 +102,7 @@ class FleetService:
         allow_shutdown: bool = False,
         shard_id: int | None = None,
     ):
-        if persist_every < 1:
-            raise ValueError("persist_every must be >= 1")
         self.repository = repository
-        self.persist_every = persist_every
         self.telemetry = telemetry
         self.aggregates: dict[str, AggregateProfile] = {}
         self.merges = 0
@@ -114,11 +111,12 @@ class FleetService:
         self.connections = 0
         #: Per-run publish accounting, keyed by the client's ``run_id``.
         self.clients: dict[str, dict] = {}
-        self._unpersisted: dict[str, int] = {}
+        #: Fingerprints seen: on disk when the service was built, plus
+        #: every one aggregated since (the ``fleet.programs`` gauge).
+        self._programs: set[str] = set(repository.fingerprints())
         self._server: asyncio.AbstractServer | None = None
         self.address: tuple[str, int] | None = None
 
-        self.coalesce = coalesce
         self.drain_interval = drain_interval
         self.allow_shutdown = allow_shutdown
         self.shard_id = shard_id
@@ -128,6 +126,8 @@ class FleetService:
         self._dirty: set[str] = set()
         self._drain_task: asyncio.Task | None = None
         self._drain_wakeup = asyncio.Event()
+        self._snapshot_task: asyncio.Task | None = None
+        self._snapshot_wakeup = asyncio.Event()
         self._persist_lock = asyncio.Lock()
         #: Set by a permitted ``shutdown`` message; the shard worker
         #: main loop waits on it instead of ``serve_forever``.
@@ -137,7 +137,7 @@ class FleetService:
         #: e.g. ``fleet.publishes`` → ``fleet_publishes_total``).
         self.registry = registry if registry is not None else MetricsRegistry()
         self._m_publishes = self.registry.counter(
-            "fleet.publishes", "publish deltas accepted and merged"
+            "fleet.publishes", "publish deltas accepted (validated and staged)"
         )
         self._m_rejected = self.registry.counter(
             "fleet.rejected", "publish deltas rejected (malformed or unmergeable)"
@@ -160,6 +160,7 @@ class FleetService:
         self._m_programs = self.registry.gauge(
             "fleet.programs", "distinct program fingerprints aggregated"
         )
+        self._m_programs.set(len(self._programs))
         self._m_delta_edges = self.registry.histogram(
             "fleet.delta_edges", DELTA_EDGE_BUCKETS, "edges per published delta"
         )
@@ -192,8 +193,9 @@ class FleetService:
         self._server = await asyncio.start_server(self._handle, host, port)
         sockname = self._server.sockets[0].getsockname()
         self.address = (sockname[0], sockname[1])
-        if self.coalesce and self._drain_task is None:
+        if self._drain_task is None:
             self._drain_task = asyncio.ensure_future(self._drain_loop())
+            self._snapshot_task = asyncio.ensure_future(self._snapshot_loop())
         return self.address
 
     async def stop(self) -> None:
@@ -201,13 +203,15 @@ class FleetService:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        if self._drain_task is not None:
-            self._drain_task.cancel()
-            try:
-                await self._drain_task
-            except asyncio.CancelledError:
-                pass
-            self._drain_task = None
+        tasks = [t for t in (self._drain_task, self._snapshot_task) if t is not None]
+        # Cancel under the persist lock: a snapshot pass holds it, so the
+        # writer is never cancelled with a store still running in its
+        # thread (which could land after, and over, the final drain's).
+        async with self._persist_lock:
+            for task in tasks:
+                task.cancel()
+        await asyncio.gather(*tasks, return_exceptions=True)
+        self._drain_task = self._snapshot_task = None
         await self.drain()
 
     async def serve_forever(self) -> None:
@@ -215,51 +219,19 @@ class FleetService:
         async with self._server:
             await self._server.serve_forever()
 
-    def persist_all(self) -> None:
-        """Synchronously flush every dirty aggregate to the repository.
-
-        The legacy blocking flush — still correct, but the serving path
-        uses :meth:`drain`, which moves the atomic writes off the event
-        loop.  Coalesced-but-unstaged deltas are merged first so a sync
-        flush can never lose staged state.
-        """
-        if self.coalesce:
-            self._merge_staged()
-        for fingerprint in list(self._dirty):
-            self._unpersisted[fingerprint] = max(
-                1, self._unpersisted.get(fingerprint, 0)
-            )
-        self._dirty.clear()
-        for fingerprint, pending in list(self._unpersisted.items()):
-            if pending:
-                self.repository.store(self.aggregates[fingerprint])
-                self._m_persist_writes.inc()
-                self._unpersisted[fingerprint] = 0
-        self._m_persist_pending.set(0)
-
     async def drain(self) -> None:
         """Merge everything staged and persist every dirty aggregate.
 
-        The read-your-writes / durability barrier: serialization and
-        the atomic file writes run in a worker thread on a detached
-        clone, so the event loop keeps serving while a large repository
-        flushes.  Used at connection close, on ``flush`` messages, and
-        at shutdown.
+        The durability barrier behind ``flush`` messages, connection
+        close and shutdown; it does not wait out the writer's pacing.
         """
-        if self.coalesce:
-            self._merge_staged()
-        for fingerprint, pending in self._unpersisted.items():
-            if pending:
-                self._dirty.add(fingerprint)
+        self._merge_staged()
         await self._write_dirty()
 
-    # -- coalesced draining -------------------------------------------------------
-
-    def _kick_drain(self) -> None:
-        self._drain_wakeup.set()
+    # -- background draining ------------------------------------------------------
 
     async def _drain_loop(self) -> None:
-        """Background task: wake on staged deltas, merge, persist.
+        """Background task: wake on staged deltas and merge them.
 
         The short sleep after a wakeup is the coalescing window — it
         lets a burst of publishes accumulate so one lump absorbs many
@@ -271,7 +243,16 @@ class FleetService:
                 await asyncio.sleep(self.drain_interval)
             self._drain_wakeup.clear()
             self._merge_staged()
+
+    async def _snapshot_loop(self) -> None:
+        """Background task: write dirty aggregates, paced by their cost."""
+        loop = asyncio.get_running_loop()
+        while True:
+            await self._snapshot_wakeup.wait()
+            self._snapshot_wakeup.clear()
+            started = loop.time()
             await self._write_dirty()
+            await asyncio.sleep(SNAPSHOT_PACE * (loop.time() - started))
 
     def _merge_staged(self) -> None:
         """Coalesce and merge every staged delta (synchronous, on-loop)."""
@@ -288,47 +269,45 @@ class FleetService:
             self._m_queue_depth.set(len(self.staging))
 
     def _merge_lump(self, fingerprint: str, deltas, run_ids, count: int) -> None:
-        try:
-            aggregate = self._aggregate_for(fingerprint)
-        except RepositoryError:
-            # The repository refused the fingerprint (e.g. unsafe name
-            # that slipped past staging); count the loss explicitly.
-            self.publishes_rejected += count
-            self._m_rejected.inc(count)
-            return
+        aggregate = self._aggregate_for(fingerprint)
         aggregate.merge_coalesced(
             coalesce_validated(deltas), run_ids=run_ids, publishes=count
         )
         self.merges += count
         self._m_lumps.inc()
         self._m_coalesced.inc(count)
-        self._unpersisted[fingerprint] = self._unpersisted.get(fingerprint, 0) + count
         self._dirty.add(fingerprint)
         self._m_persist_pending.set(len(self._dirty))
-        if self.telemetry is not None:
-            self.telemetry.on_fleet_merge(
-                fingerprint, count, aggregate.runs, aggregate.total_weight
-            )
+        self._snapshot_wakeup.set()
+        spans = self.staging.take_spans(fingerprint)
+        if spans:
+            # One merge event per absorbed delta, each closing the flow
+            # its publisher opened; totals are the lump's, post-merge.
+            runs, total_weight = aggregate.runs, aggregate.total_weight
+            for trace_id, span_id, edge_count in spans:
+                self.telemetry.on_fleet_merge(
+                    fingerprint, edge_count, runs, total_weight,
+                    trace_id=trace_id, span_id=span_id,
+                )
 
     async def _write_dirty(self) -> None:
-        """Snapshot every dirty aggregate off the event loop.
+        """Snapshot the aggregates that are dirty now, off the event loop.
 
-        Clones are taken on-loop (cheap shallow dict copies) and the
-        sort/serialize/atomic-rename runs in a thread; the lock keeps
-        concurrent drains (connection close vs. the drain task) from
-        writing the same fingerprint twice in flight.
+        One sweep: what a merge re-dirties behind the sweep waits for
+        the next pass, so a pass ends under any load.  Clones are taken
+        on-loop (cheap shallow dict copies) and the sort/serialize/
+        atomic-rename runs in a thread; the lock keeps concurrent
+        passes (a barrier vs. the snapshot task) from writing the same
+        fingerprint twice in flight, and makes a barrier wait out a
+        pass that already holds part of what it must see written.
         """
         async with self._persist_lock:
-            while self._dirty:
-                fingerprint = self._dirty.pop()
+            for fingerprint in list(self._dirty):
+                self._dirty.discard(fingerprint)
                 self._m_persist_pending.set(len(self._dirty))
-                aggregate = self.aggregates.get(fingerprint)
-                if aggregate is None:
-                    continue
-                clone = aggregate.clone_for_snapshot()
+                clone = self.aggregates[fingerprint].clone_for_snapshot()
                 await asyncio.to_thread(self.repository.store, clone)
                 self._m_persist_writes.inc()
-                self._unpersisted[fingerprint] = 0
 
     # -- connection handling ------------------------------------------------------
 
@@ -356,8 +335,8 @@ class FleetService:
             # handlers mid-read; exit quietly — stop() already drained.
             pass
         finally:
-            # A dead client must not leave merged-but-unpersisted state;
-            # the writes themselves run off-loop (see drain()).
+            # Connection close is a durability barrier: a client that
+            # dies must not leave acked state only in memory.
             self._m_active.dec()
             await self.drain()
             writer.close()
@@ -395,7 +374,8 @@ class FleetService:
             if aggregate is None:
                 aggregate = AggregateProfile(fingerprint, self.repository.policy)
             self.aggregates[fingerprint] = aggregate
-            self._unpersisted.setdefault(fingerprint, 0)
+            self._programs.add(fingerprint)
+            self._m_programs.set(len(self._programs))
         return aggregate
 
     def _reject(self, reason: str) -> dict:
@@ -437,6 +417,14 @@ class FleetService:
         client["epoch"] = epoch
 
     def _on_publish(self, message: dict) -> dict:
+        """The accept path: admit, validate, stage, ack.
+
+        Validation happens here — synchronously, so a malformed delta
+        is rejected in its own reply — but the merge is deferred to the
+        drain task.  Both backpressure checks precede row validation: a
+        ``busy`` reply means the delta was *not* staged and the client
+        must retry it.
+        """
         fingerprint = message.get("fingerprint")
         edges = message.get("edges")
         receivers = message.get("receivers")
@@ -451,57 +439,11 @@ class FleetService:
             epoch = int(message.get("epoch", 0))
         except (TypeError, ValueError):
             return self._reject("epoch must be an integer")
-        if self.coalesce:
-            return self._on_publish_staged(
-                message, fingerprint, epoch, edges, receivers, paths
-            )
         try:
-            aggregate = self._aggregate_for(fingerprint)
+            # An ack promises a snapshot; refuse what cannot be stored.
+            self.repository.path_for(fingerprint)
         except RepositoryError as error:
             return self._reject(str(error))
-        try:
-            aggregate.merge_delta(
-                edges,
-                epoch=epoch,
-                run_id=message.get("run_id"),
-                receivers=receivers,
-                paths=paths,
-            )
-        except MergeError as error:
-            return self._reject(str(error))
-        self.merges += 1
-        self._m_publishes.inc()
-        self._m_edges.inc(len(edges))
-        self._m_delta_edges.observe(len(edges))
-        self._m_programs.set(len(set(self.aggregates) | set(self.repository.fingerprints())))
-        self._account_client(message, len(edges), epoch)
-        self._unpersisted[fingerprint] = self._unpersisted.get(fingerprint, 0) + 1
-        if self._unpersisted[fingerprint] >= self.persist_every:
-            self.repository.store(aggregate)
-            self._m_persist_writes.inc()
-            self._unpersisted[fingerprint] = 0
-        if self.telemetry is not None:
-            self.telemetry.on_fleet_merge(
-                fingerprint,
-                len(edges),
-                aggregate.runs,
-                aggregate.total_weight,
-                trace_id=message.get("trace_id"),
-                span_id=message.get("span_id"),
-            )
-        return ack_message(aggregate.runs, len(aggregate), aggregate.total_weight)
-
-    def _on_publish_staged(
-        self, message: dict, fingerprint: str, epoch: int, edges, receivers, paths
-    ) -> dict:
-        """The coalescing accept path: admit, validate, stage, ack.
-
-        Validation happens here — synchronously, so a malformed delta
-        is rejected in its own reply exactly like eager mode — but the
-        merge is deferred to the drain task.  Both backpressure checks
-        precede validation: a ``busy`` reply means the delta was *not*
-        staged and the client must retry it.
-        """
         if self.limiter is not None:
             retry_after = self.limiter.check(message.get("run_id"))
             if retry_after > 0.0:
@@ -509,7 +451,7 @@ class FleetService:
                 self._m_busy.inc()
                 return busy_message(retry_after)
         if self.staging.full:
-            self._kick_drain()
+            self._drain_wakeup.set()
             self.busy_rejections += 1
             self._m_busy.inc()
             return busy_message(0.05)
@@ -539,6 +481,9 @@ class FleetService:
             ]
         except MergeError as error:
             return self._reject(str(error))
+        span = None
+        if self.telemetry is not None:
+            span = (message.get("trace_id"), message.get("span_id"), len(edges))
         depth = self.staging.stage(
             fingerprint,
             epoch,
@@ -546,6 +491,7 @@ class FleetService:
             validated_receivers,
             validated_paths,
             message.get("run_id"),
+            span,
         )
         self._m_publishes.inc()
         self._m_staged.inc()
@@ -553,7 +499,7 @@ class FleetService:
         self._m_delta_edges.observe(len(edges))
         self._m_queue_depth.set(depth)
         self._account_client(message, len(edges), epoch)
-        self._kick_drain()
+        self._drain_wakeup.set()
         return staged_ack_message(depth)
 
     def _on_fetch(self, message: dict) -> dict:
@@ -561,10 +507,9 @@ class FleetService:
         fingerprint = message.get("fingerprint")
         if not isinstance(fingerprint, str):
             return error_message("fetch needs a fingerprint")
-        if self.coalesce:
-            # Read-your-writes: a fetch observes everything this
-            # service has acked for the fingerprint, staged or merged.
-            self._merge_one(fingerprint)
+        # Read-your-writes: a fetch observes everything this service
+        # has acked for the fingerprint, staged or merged.
+        self._merge_one(fingerprint)
         try:
             aggregate = self.aggregates.get(fingerprint) or self.repository.load(
                 fingerprint
@@ -639,7 +584,6 @@ class FleetService:
                 "client_drops": sum(c["dropped"] for c in self.clients.values()),
             },
             "staging": {
-                "coalesce": self.coalesce,
                 "queue_depth": len(self.staging),
                 "staged_rows": self.staging.staged_rows,
                 "coalesce_ratio": self.staging.coalesce_ratio(),
@@ -652,18 +596,38 @@ class FleetService:
         return document
 
 
+@contextlib.contextmanager
+def sigterm_cancels_task():
+    """While active, SIGTERM cancels the calling task.
+
+    ``asyncio.run`` already turns SIGINT into a cancellation of the main
+    task; this gives ``kill <pid>`` the same graceful path, so a serve
+    loop's ``finally`` (stop → drain) runs either way.  A no-op where
+    signal handlers cannot be installed (off the main thread, Windows).
+    """
+    loop = asyncio.get_running_loop()
+    try:
+        loop.add_signal_handler(signal.SIGTERM, asyncio.current_task().cancel)
+        installed = True
+    except (NotImplementedError, RuntimeError, ValueError):
+        installed = False
+    try:
+        yield
+    finally:
+        if installed:
+            loop.remove_signal_handler(signal.SIGTERM)
+
+
 async def run_service(
     root: str,
     host: str = "127.0.0.1",
     port: int = 0,
     decay: float = 1.0,
     max_edges: int | None = None,
-    persist_every: int = 1,
     ready=None,
     http_port: int | None = None,
     http_ready=None,
     telemetry=None,
-    coalesce: bool = False,
     rate: float | None = None,
     burst: float | None = None,
 ) -> None:
@@ -676,38 +640,32 @@ async def run_service(
     tests.  ``http_port``, if given, additionally mounts the
     observability listener (``/metrics``, ``/healthz``, ``/status``) on
     the same event loop; ``http_ready`` is called with its bound
-    address.  ``coalesce`` switches the publish path to staged acks
-    with background coalesced merging; ``rate``/``burst`` enable the
-    per-client token-bucket backpressure.
+    address.  ``rate``/``burst`` enable the per-client token-bucket
+    backpressure.  Cancellation (SIGINT, SIGTERM) stops the service
+    through :meth:`FleetService.stop`, so nothing acked is lost.
     """
     from repro.telemetry.httpapi import ObservabilityHTTP
 
     repository = ProfileRepository(
         root, MergePolicy(decay=decay, max_edges=max_edges)
     )
-    service = FleetService(
-        repository,
-        persist_every=persist_every,
-        telemetry=telemetry,
-        coalesce=coalesce,
-        rate=rate,
-        burst=burst,
-    )
+    service = FleetService(repository, telemetry=telemetry, rate=rate, burst=burst)
     http = None
     await service.start(host, port)
     if ready is not None:
         ready(service.address)
     try:
-        if http_port is not None:
-            http = ObservabilityHTTP(
-                registry=service.registry,
-                status_fn=service.status,
-                health_fn=lambda: {"status": "ok", "service": "repro-fleet"},
-            )
-            await http.start(host, http_port)
-            if http_ready is not None:
-                http_ready(http.address)
-        await service.serve_forever()
+        with sigterm_cancels_task():
+            if http_port is not None:
+                http = ObservabilityHTTP(
+                    registry=service.registry,
+                    status_fn=service.status,
+                    health_fn=lambda: {"status": "ok", "service": "repro-fleet"},
+                )
+                await http.start(host, http_port)
+                if http_ready is not None:
+                    http_ready(http.address)
+            await service.serve_forever()
     finally:
         if http is not None:
             await http.stop()

@@ -1,7 +1,7 @@
 """Sharded fleet service: a routing frontend over N worker processes.
 
 ``serve --workers N`` splits the aggregation work by program
-fingerprint.  Each worker is a full coalescing
+fingerprint.  Each worker is a full
 :class:`~repro.fleet.service.FleetService` in its own process (its own
 event loop, its own GIL); the frontend is a thin asyncio acceptor that
 routes every client frame to the worker owning its fingerprint
@@ -55,7 +55,7 @@ from repro.fleet.protocol import (
     status_message,
 )
 from repro.fleet.repository import ProfileRepository
-from repro.fleet.service import FleetService
+from repro.fleet.service import FleetService, sigterm_cancels_task
 from repro.telemetry.metrics import MetricsRegistry
 
 #: How long to wait for a spawned worker to report its port.
@@ -71,24 +71,17 @@ def _worker_main(
     conn,
     decay: float,
     max_edges: int | None,
-    persist_every: int,
     rate: float | None,
     burst: float | None,
 ) -> None:
     """Entry point of one shard worker process (spawn-safe, module level)."""
-    asyncio.run(
-        _worker_async(index, root, conn, decay, max_edges, persist_every, rate, burst)
-    )
+    asyncio.run(_worker_async(index, root, conn, decay, max_edges, rate, burst))
 
 
-async def _worker_async(
-    index, root, conn, decay, max_edges, persist_every, rate, burst
-) -> None:
+async def _worker_async(index, root, conn, decay, max_edges, rate, burst) -> None:
     repository = ProfileRepository(root, MergePolicy(decay=decay, max_edges=max_edges))
     service = FleetService(
         repository,
-        persist_every=persist_every,
-        coalesce=True,
         rate=rate,
         burst=burst,
         allow_shutdown=True,
@@ -272,6 +265,7 @@ class FleetFrontend:
     async def _handle(self, reader, writer) -> None:
         self.connections += 1
         self._m_connections.inc()
+        served = False
         try:
             while True:
                 try:
@@ -280,6 +274,7 @@ class FleetFrontend:
                     break
                 if payload is None:
                     break
+                served = True
                 try:
                     reply = await self._route(payload)
                 except ProtocolError:
@@ -292,6 +287,10 @@ class FleetFrontend:
                 except (ConnectionError, OSError):
                     break
         finally:
+            # Connection close is a durability barrier here as in the
+            # single-process service; the workers only see the links.
+            if served:
+                await self._fan_out(flush_message())
             writer.close()
             try:
                 await writer.wait_closed()
@@ -474,7 +473,6 @@ async def start_sharded_fleet(
     port: int = 0,
     decay: float = 1.0,
     max_edges: int | None = None,
-    persist_every: int = 1,
     rate: float | None = None,
     burst: float | None = None,
     telemetry=None,
@@ -497,7 +495,6 @@ async def start_sharded_fleet(
                     child_conn,
                     decay,
                     max_edges,
-                    persist_every,
                     rate,
                     burst,
                 ),
@@ -535,7 +532,6 @@ async def run_sharded_service(
     port: int = 0,
     decay: float = 1.0,
     max_edges: int | None = None,
-    persist_every: int = 1,
     rate: float | None = None,
     burst: float | None = None,
     ready=None,
@@ -543,7 +539,11 @@ async def run_sharded_service(
     http_ready=None,
     telemetry=None,
 ) -> None:
-    """Run a sharded fleet until cancelled (``serve --workers N``)."""
+    """Run a sharded fleet until cancelled (``serve --workers N``).
+
+    Cancellation (SIGINT, SIGTERM) flushes every worker before it is
+    shut down (:meth:`FleetFrontend.stop`), so nothing acked is lost.
+    """
     from repro.telemetry.httpapi import ObservabilityHTTP
 
     frontend = await start_sharded_fleet(
@@ -553,7 +553,6 @@ async def run_sharded_service(
         port=port,
         decay=decay,
         max_edges=max_edges,
-        persist_every=persist_every,
         rate=rate,
         burst=burst,
         telemetry=telemetry,
@@ -562,20 +561,21 @@ async def run_sharded_service(
         ready(frontend.address)
     http = None
     try:
-        if http_port is not None:
-            http = ObservabilityHTTP(
-                registry=frontend.registry,
-                status_fn=frontend.status,
-                health_fn=lambda: {
-                    "status": "ok",
-                    "service": "repro-fleet",
-                    "workers": workers,
-                },
-            )
-            await http.start(host, http_port)
-            if http_ready is not None:
-                http_ready(http.address)
-        await frontend.serve_forever()
+        with sigterm_cancels_task():
+            if http_port is not None:
+                http = ObservabilityHTTP(
+                    registry=frontend.registry,
+                    status_fn=frontend.status,
+                    health_fn=lambda: {
+                        "status": "ok",
+                        "service": "repro-fleet",
+                        "workers": workers,
+                    },
+                )
+                await http.start(host, http_port)
+                if http_ready is not None:
+                    http_ready(http.address)
+            await frontend.serve_forever()
     finally:
         if http is not None:
             await http.stop()

@@ -1,7 +1,7 @@
 """Delta staging and per-client rate accounting for the fleet service.
 
-The coalescing service's hot accept path does only three things with a
-publish frame: validate its rows, append them to this staging buffer,
+The service's hot accept path does only three things with a publish
+frame: validate its rows, append them to this staging buffer,
 and ack.  A background drain task later takes whole fingerprints out of
 the buffer, coalesces their deltas into per-epoch lumps
 (:func:`repro.fleet.merge.coalesce_validated`) and merges each lump in
@@ -99,6 +99,8 @@ class StagingBuffer:
         self._deltas: dict[str, list] = {}
         #: fingerprint -> {run_id} staged since the last drain
         self._run_ids: dict[str, set] = {}
+        #: fingerprint -> [span] for deltas staged with trace coordinates
+        self._spans: dict[str, list] = {}
         self.staged_rows = 0
         self.staged_deltas = 0
         #: Lifetime counters (survive drains) for the coalesce ratio.
@@ -112,13 +114,23 @@ class StagingBuffer:
     def full(self) -> bool:
         return self.staged_rows >= self.max_staged_rows
 
-    def stage(self, fingerprint: str, epoch: int, edges, receivers, paths, run_id) -> int:
-        """Append one validated delta; returns the new queue depth."""
+    def stage(
+        self, fingerprint: str, epoch: int, edges, receivers, paths, run_id, span=None
+    ) -> int:
+        """Append one validated delta; returns the new queue depth.
+
+        ``span`` is whatever the caller wants back from
+        :meth:`take_spans` when the delta merges — the service stages
+        the publish's trace coordinates so its telemetry can emit one
+        merge event per absorbed delta.
+        """
         self._deltas.setdefault(fingerprint, []).append(
             (epoch, edges, receivers, paths)
         )
         if run_id is not None:
             self._run_ids.setdefault(fingerprint, set()).add(str(run_id))
+        if span is not None:
+            self._spans.setdefault(fingerprint, []).append(span)
         self.staged_rows += len(edges) + len(receivers) + len(paths)
         self.staged_deltas += 1
         self.total_staged += 1
@@ -158,6 +170,10 @@ class StagingBuffer:
         self.staged_deltas -= len(deltas)
         self.total_lumps += 1
         return deltas, run_ids, len(deltas)
+
+    def take_spans(self, fingerprint: str) -> list:
+        """The spans staged for ``fingerprint`` since they were last taken."""
+        return self._spans.pop(fingerprint, [])
 
     def coalesce_ratio(self) -> float:
         """Mean deltas absorbed per coalesced merge lump (>= 1.0)."""

@@ -17,6 +17,12 @@ import threading
 import pytest
 
 from repro.cli import main
+from repro.fleet.protocol import (
+    flush_message,
+    publish_message,
+    recv_message,
+    send_message,
+)
 from tests.fleet._service_thread import ServiceThread
 
 
@@ -28,11 +34,25 @@ def _free_port() -> int:
 
 def test_top_renders_live_status(tmp_path, capsys):
     with ServiceThread(str(tmp_path), http=True) as service:
+        with socket.create_connection(service.address, timeout=5.0) as sock:
+            for index in range(2):
+                send_message(
+                    sock,
+                    publish_message(
+                        f"{index:02x}" * 32, [["main", 0, "A.f", 1.0]], run_id="r"
+                    ),
+                )
+                assert recv_message(sock)["type"] == "ack"
+            send_message(sock, flush_message())
+            assert recv_message(sock)["merges"] == 2
         host, port = service.http_address
         assert main(["top", f"{host}:{port}", "--once"]) == 0
     out = capsys.readouterr().out
     assert "fleet service @" in out
-    assert "Merges" in out
+    totals = out.splitlines()
+    header = next(line for line in totals if "Merges" in line)
+    assert header.split()[:2] == ["Programs", "Merges"]
+    assert totals[totals.index(header) + 2].split()[:2] == ["2", "2"]
 
 
 def test_top_connection_refused_is_one_line(capsys):

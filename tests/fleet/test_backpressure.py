@@ -96,7 +96,7 @@ async def start_service(tmp_path, **kwargs):
 def test_rate_limited_publish_gets_busy_with_retry_after(tmp_path):
     async def go():
         # burst of 2: the third rapid-fire publish from one run_id is busy.
-        service = await start_service(tmp_path, coalesce=True, rate=5.0, burst=2.0)
+        service = await start_service(tmp_path, rate=5.0, burst=2.0)
         reader, writer = await asyncio.open_connection(*service.address)
         replies = []
         for seq in range(3):
@@ -121,7 +121,7 @@ def test_rate_limited_publish_gets_busy_with_retry_after(tmp_path):
 
 def test_staging_high_water_answers_busy(tmp_path):
     async def go():
-        service = await start_service(tmp_path, coalesce=True, max_staged_rows=2)
+        service = await start_service(tmp_path, max_staged_rows=2)
         # Stall the drain loop so staged rows accumulate.
         service._drain_task.cancel()
         try:
@@ -153,7 +153,7 @@ def test_staging_high_water_answers_busy(tmp_path):
 
 def test_busy_reflected_in_stats_and_status(tmp_path):
     async def go():
-        service = await start_service(tmp_path, coalesce=True, rate=5.0, burst=1.0)
+        service = await start_service(tmp_path, rate=5.0, burst=1.0)
         reader, writer = await asyncio.open_connection(*service.address)
         for seq in range(2):
             await write_message(
@@ -172,7 +172,6 @@ def test_busy_reflected_in_stats_and_status(tmp_path):
     assert stats["busy"] == 1
     assert status["totals"]["busy"] == 1
     assert status["staging"]["busy_rejections"] == 1
-    assert status["staging"]["coalesce"] is True
 
 
 # -- client honors backpressure --------------------------------------------------------
@@ -182,9 +181,7 @@ def test_publisher_retries_busy_and_stays_alive(tmp_path):
     """A busy reply is honored (bounded sleep + resend) and the server
     is never declared dead over backpressure."""
     program = compile_source(SOURCE)
-    with ServiceThread(
-        str(tmp_path / "repo"), coalesce=True, rate=4.0, burst=1.0
-    ) as server:
+    with ServiceThread(str(tmp_path / "repo"), rate=4.0, burst=1.0) as server:
         publisher = FleetPublisher(
             server.address, program, every_ticks=1, run_id="hot",
             backoff_base=0.01, max_failures=2,

@@ -1,6 +1,9 @@
 """Coalesced-merge equivalence: staging must never change the answer.
 
-The tentpole's correctness argument rests on one algebraic fact: the
+The service has one publish path — stage, ack, merge coalesced lumps
+behind the ack — and its correctness is held against a *library*
+reference: :meth:`AggregateProfile.merge_delta` applied one delta at a
+time (``eager_merge`` below).  The argument rests on one algebraic fact: the
 scale a delta receives depends only on its own epoch stamp and the
 final maximum epoch, never on arrival order, so summing same-epoch
 rows *before* scaling distributes over the merge.  These tests hold
@@ -153,33 +156,70 @@ async def publish_all(address, stream, flush=False):
 
 
 def test_coalescing_service_persists_byte_identical_snapshots(tmp_path):
-    """End to end: eager service and coalescing service, same stream,
-    byte-identical snapshot files on disk."""
+    """End to end: the snapshot the service persists for a stream is
+    byte-identical to storing the one-delta-at-a-time library merge."""
 
     async def go():
         stream = random_stream(random.Random(3), 24)
-        eager = await start_service(tmp_path, "eager")
-        staged = await start_service(tmp_path, "staged", coalesce=True)
-        await publish_all(eager.address, stream)
-        replies = await publish_all(staged.address, stream, flush=True)
-        await eager.stop()
-        await staged.stop()
-        return replies
+        service = await start_service(tmp_path, "staged")
+        replies = await publish_all(service.address, stream, flush=True)
+        await service.stop()
+        return stream, replies
 
-    replies = run(go())
+    stream, replies = run(go())
     acks = [r for r in replies if r.get("type") == "ack"]
-    assert acks and all(r.get("staged") for r in acks)
+    assert len(acks) == 24 and all(r.get("staged") for r in acks)
     assert replies[-1]["type"] == "stats"  # the flush barrier's reply
-    eager_bytes = (tmp_path / "eager" / f"{FP}.json").read_bytes()
+    assert replies[-1]["merges"] == 24 and replies[-1]["staged"] == 0
+    policy = MergePolicy(decay=0.5)
+    reference = ProfileRepository(str(tmp_path / "reference"), policy)
+    reference.store(eager_merge(stream, policy))
+    reference_bytes = (tmp_path / "reference" / f"{FP}.json").read_bytes()
     staged_bytes = (tmp_path / "staged" / f"{FP}.json").read_bytes()
-    assert eager_bytes == staged_bytes
+    assert reference_bytes == staged_bytes
+
+
+def test_every_service_partition_persists_the_reference_bytes(tmp_path):
+    """Every partition of a stream into drain lumps, driven through the
+    service itself (drain task stalled, a flush at each cut): the
+    persisted snapshot never differs from the library reference."""
+    stream = random_stream(random.Random(17), 6)
+    policy = MergePolicy(decay=0.5)
+    reference = ProfileRepository(str(tmp_path / "reference"), policy)
+    with open(reference.store(eager_merge(stream, policy)), "rb") as handle:
+        reference_bytes = handle.read()
+
+    async def go(mask):
+        # An hour-long coalescing window: only the flushes below merge.
+        service = await start_service(tmp_path, f"p{mask}", drain_interval=3600.0)
+        reader, writer = await asyncio.open_connection(*service.address)
+        for seq, (edges, receivers, paths, epoch, run_id) in enumerate(stream):
+            await write_message(
+                writer,
+                publish_message(
+                    FP, edges, run_id=run_id, seq=seq, epoch=epoch,
+                    receivers=receivers, paths=paths,
+                ),
+            )
+            assert (await read_message(reader))["staged"] is True
+            if mask & (1 << seq):
+                await write_message(writer, flush_message())
+                assert (await read_message(reader))["staged"] == 0
+        writer.close()
+        await writer.wait_closed()
+        await service.stop()
+
+    for mask in range(2 ** (len(stream) - 1)):
+        run(go(mask))
+        persisted = (tmp_path / f"p{mask}" / f"{FP}.json").read_bytes()
+        assert persisted == reference_bytes, f"partition mask {mask:05b} diverged"
 
 
 def test_staged_fetch_reads_its_own_writes(tmp_path):
     """A fetch right after a staged ack must see the staged delta."""
 
     async def go():
-        service = await start_service(tmp_path, "repo", coalesce=True)
+        service = await start_service(tmp_path, "repo")
         reader, writer = await asyncio.open_connection(*service.address)
         await write_message(
             writer, publish_message(FP, [["main", 0, "A.f", 8.0]], run_id="r1")
@@ -202,24 +242,29 @@ def test_staged_fetch_reads_its_own_writes(tmp_path):
 
 
 def test_connection_close_drains_staged_state(tmp_path):
-    """A client that publishes and disconnects (no flush) loses nothing."""
+    """A client that publishes and disconnects (no flush) loses nothing:
+    connection close merges and persists without waiting for the drain
+    task's window or the snapshot writer's pacing."""
 
     async def go():
-        service = await start_service(tmp_path, "repo", coalesce=True)
-        await publish_all(
-            service.address, random_stream(random.Random(5), 6)
-        )
+        service = await start_service(tmp_path, "repo", drain_interval=3600.0)
+        stream = random_stream(random.Random(5), 6)
+        await publish_all(service.address, stream)
         # The connection's finally-drain runs once the server observes
         # EOF — poll briefly rather than racing it.
-        for _ in range(200):
-            if service.merges == 6:
+        snapshot = tmp_path / "repo" / f"{FP}.json"
+        for _ in range(500):
+            if service.merges == 6 and not service._dirty and snapshot.exists():
                 break
             await asyncio.sleep(0.01)
         merges = service.merges
         staged_left = len(service.staging)
+        on_disk = ProfileRepository(str(tmp_path / "repo")).load(FP).total_weight
+        expected = eager_merge(stream, MergePolicy(decay=0.5)).total_weight
         await service.stop()
-        return merges, staged_left
+        return merges, staged_left, on_disk, expected
 
-    merges, staged_left = run(go())
+    merges, staged_left, on_disk, expected = run(go())
     assert merges == 6
     assert staged_left == 0
+    assert on_disk == expected

@@ -8,7 +8,12 @@ import urllib.error
 import urllib.request
 
 from repro.fleet.client import FleetPublisher
-from repro.fleet.protocol import publish_message, recv_message, send_message
+from repro.fleet.protocol import (
+    flush_message,
+    publish_message,
+    recv_message,
+    send_message,
+)
 from repro.frontend.codegen import compile_source
 from repro.profiling.cbs import CBSProfiler
 from repro.telemetry import Tracer
@@ -69,6 +74,11 @@ def test_metrics_endpoint_advances_under_concurrent_publishers(tmp_path):
             thread.start()
         for thread in threads:
             thread.join(30)
+        # Acks run ahead of merges; flush is the barrier that settles
+        # the counters compared below.
+        with socket.create_connection(server.address, timeout=5.0) as sock:
+            send_message(sock, flush_message())
+            assert recv_message(sock)["staged"] == 0
 
         status, headers, body = http_get(server.http_address, "/metrics")
         assert status == 200
@@ -79,6 +89,8 @@ def test_metrics_endpoint_advances_under_concurrent_publishers(tmp_path):
         assert "fleet_delta_edges" in families
         assert families["fleet_delta_edges"]["type"] == "histogram"
         assert "fleet_active_connections" in families
+        # One program, three runs: the gauge counts fingerprints.
+        assert families["fleet_programs"]["samples"][0][2] == 1.0
 
         status, _headers, body = http_get(server.http_address, "/status")
         assert status == 200

@@ -26,6 +26,31 @@ def test_store_load_roundtrip(tmp_path):
     assert repo.fingerprints() == [FP]
 
 
+def test_store_bytes_match_the_streaming_encoder(tmp_path):
+    """``store`` serialises with ``json.dumps`` (the C encoder); the
+    file must stay byte-identical to the ``json.dump`` form it replaced,
+    on a snapshot with edges, receivers, paths and non-integral floats."""
+    import io
+
+    aggregate = AggregateProfile(FP, MergePolicy(decay=0.5))
+    aggregate.merge_delta(
+        [["main", 0, "A.f", 4.0], ["A.f", 3, "B.g", 0.1], ["é", 1, 'q"uote', 1e-9]],
+        epoch=0,
+        run_id="r1",
+        receivers=[["main", 0, "A", 3.0], ["main", 0, "B", 1.5]],
+        paths=[["main", 2, 7.0], ["A.f", 0, 1.0]],
+    )
+    aggregate.merge_delta([["main", 0, "A.f", 1e16]], epoch=2, run_id="r2")
+    repo = ProfileRepository(str(tmp_path))
+    with open(repo.store(aggregate), newline="") as handle:
+        stored = handle.read()
+    streamed = io.StringIO()
+    json.dump(aggregate.to_dict(), streamed, separators=(",", ":"))
+    assert stored == streamed.getvalue()
+    snapshot = json.loads(stored)
+    assert snapshot["receivers"] and snapshot["paths"] and len(snapshot["edges"]) == 3
+
+
 def test_load_absent_returns_none(tmp_path):
     repo = ProfileRepository(str(tmp_path))
     assert repo.load(FP) is None

@@ -6,6 +6,7 @@ import struct
 from repro.fleet.merge import AggregateProfile, MergePolicy
 from repro.fleet.protocol import (
     fetch_message,
+    flush_message,
     publish_message,
     read_message,
     stats_message,
@@ -69,13 +70,14 @@ def test_publish_then_fetch(tmp_path):
             publish_message(FP, [["main", 0, "A.f", 8.0]], run_id="r1"),
         )
         assert ack["type"] == "ack"
-        assert ack["runs"] == 1
+        assert ack["staged"] is True  # acked on validate + stage, merge pending
         reply = await request(service.address, fetch_message(FP))
         await service.stop()
         return reply
 
     reply = run(go())
     assert reply["found"]
+    assert reply["snapshot"]["fleet"]["runs"] == 1
     assert reply["snapshot"]["edges"] == [
         {"caller": "main", "pc": 0, "callee": "A.f", "weight": 8.0}
     ]
@@ -180,19 +182,42 @@ def test_bad_weights_rejected_by_service(tmp_path):
     assert service.merges == 0
 
 
+def test_unstorable_fingerprint_rejected_in_its_own_reply(tmp_path):
+    """An ack promises a snapshot, so a fingerprint the repository
+    cannot name a file after is refused before it is staged."""
+
+    async def go():
+        service = await start_service(tmp_path)
+        reply = await request(
+            service.address,
+            publish_message("../escape", [["main", 0, "A.f", 1.0]], run_id="r"),
+        )
+        await service.stop()
+        return reply, service
+
+    reply, service = run(go())
+    assert reply["type"] == "error"
+    assert service.publishes_rejected == 1
+    assert service.merges == 0 and len(service.staging) == 0
+
+
 def test_stats(tmp_path):
     async def go():
         service = await start_service(tmp_path)
         await request(
             service.address, publish_message(FP, [["main", 0, "A.f", 1.0]], run_id="r")
         )
+        # flush is the barrier (its reply is the stats document); a plain
+        # stats request after it reads the same settled counters.
+        flushed = await request(service.address, flush_message())
         reply = await request(service.address, stats_message())
         await service.stop()
-        return reply
+        return flushed, reply
 
-    reply = run(go())
-    assert reply["type"] == "stats"
-    assert reply["merges"] == 1
+    flushed, reply = run(go())
+    assert flushed["type"] == reply["type"] == "stats"
+    assert flushed["merges"] == reply["merges"] == 1
+    assert flushed["staged"] == 0
     assert FP in reply["programs"]
 
 
