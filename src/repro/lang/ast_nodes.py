@@ -128,9 +128,21 @@ class UnaryOp(Expr):
     operand: Expr = None  # type: ignore[assignment]
 
 
+#: Binding power of every binary operator; all are left-associative.  The
+#: parser climbs this table and the printer parenthesises by it.
+BINARY_PRECEDENCE: dict[str, int] = {
+    "||": 1,
+    "&&": 2,
+    "==": 3, "!=": 3,
+    "<": 4, "<=": 4, ">": 4, ">=": 4,
+    "+": 5, "-": 5,
+    "*": 6, "/": 6, "%": 6,
+}  # fmt: skip
+
+
 @dataclass
 class BinaryOp(Expr):
-    op: str = ""  # + - * / % == != < <= > >= && ||
+    op: str = ""  # a key of BINARY_PRECEDENCE
     left: Expr = None  # type: ignore[assignment]
     right: Expr = None  # type: ignore[assignment]
 

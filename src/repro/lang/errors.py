@@ -6,11 +6,10 @@ Every front-end error carries a :class:`SourceLocation` so that tooling
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class SourceLocation:
+class SourceLocation(NamedTuple):
     """A position in a source file: 1-based line and column."""
 
     line: int

@@ -1,152 +1,78 @@
-"""Hand-written lexer for the Mini language.
+"""Lexer for the Mini language: one master regex driven by ``finditer``.
 
-The lexer is a simple single-pass scanner.  It supports ``//`` line
-comments and ``/* ... */`` block comments (non-nesting), decimal integer
-literals, and the operators and keywords listed in
-:mod:`repro.lang.tokens`.
+Each match is optional blanks followed by exactly one lexeme — an
+identifier, keyword or operator, an integer, a newline, a comment, or a
+single offending character — so ``finditer`` can skip nothing but
+trailing blanks.  Lines and columns are derived from match offsets: only
+newline and block-comment matches move the line bookkeeping.
+
+Identifiers and integer literals are ASCII (``[A-Za-z_][A-Za-z0-9_]*``
+and ``[0-9]+``); ``//`` line comments and non-nesting ``/* ... */``
+block comments are skipped; the keywords and operators are the values
+of :class:`repro.lang.tokens.TokenKind`.
 """
 
 from __future__ import annotations
 
+import re
+
 from repro.lang.errors import LexError, SourceLocation
-from repro.lang.tokens import KEYWORDS, Token, TokenKind
+from repro.lang.tokens import FIXED_TOKENS, Token, TokenKind
 
-_TWO_CHAR_OPS: dict[str, TokenKind] = {
-    "==": TokenKind.EQ,
-    "!=": TokenKind.NE,
-    "<=": TokenKind.LE,
-    ">=": TokenKind.GE,
-    "&&": TokenKind.AND,
-    "||": TokenKind.OR,
-}
-
-_ONE_CHAR_OPS: dict[str, TokenKind] = {
-    "(": TokenKind.LPAREN,
-    ")": TokenKind.RPAREN,
-    "{": TokenKind.LBRACE,
-    "}": TokenKind.RBRACE,
-    "[": TokenKind.LBRACKET,
-    "]": TokenKind.RBRACKET,
-    ",": TokenKind.COMMA,
-    ";": TokenKind.SEMI,
-    ":": TokenKind.COLON,
-    ".": TokenKind.DOT,
-    "=": TokenKind.ASSIGN,
-    "+": TokenKind.PLUS,
-    "-": TokenKind.MINUS,
-    "*": TokenKind.STAR,
-    "/": TokenKind.SLASH,
-    "%": TokenKind.PERCENT,
-    "<": TokenKind.LT,
-    ">": TokenKind.GT,
-    "!": TokenKind.NOT,
-}
-
-
-class Lexer:
-    """Converts Mini source text into a list of tokens."""
-
-    def __init__(self, source: str, filename: str = "<string>"):
-        self._source = source
-        self._filename = filename
-        self._pos = 0
-        self._line = 1
-        self._col = 1
-
-    def tokenize(self) -> list[Token]:
-        """Lex the entire input, returning tokens ending with ``EOF``."""
-        tokens: list[Token] = []
-        while True:
-            token = self._next_token()
-            tokens.append(token)
-            if token.kind is TokenKind.EOF:
-                return tokens
-
-    def _location(self) -> SourceLocation:
-        return SourceLocation(self._line, self._col, self._filename)
-
-    def _peek(self, offset: int = 0) -> str:
-        index = self._pos + offset
-        if index < len(self._source):
-            return self._source[index]
-        return ""
-
-    def _advance(self) -> str:
-        ch = self._source[self._pos]
-        self._pos += 1
-        if ch == "\n":
-            self._line += 1
-            self._col = 1
-        else:
-            self._col += 1
-        return ch
-
-    def _skip_trivia(self) -> None:
-        """Skip whitespace and comments."""
-        while self._pos < len(self._source):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while self._pos < len(self._source) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                start = self._location()
-                self._advance()
-                self._advance()
-                while True:
-                    if self._pos >= len(self._source):
-                        raise LexError("unterminated block comment", start)
-                    if self._peek() == "*" and self._peek(1) == "/":
-                        self._advance()
-                        self._advance()
-                        break
-                    self._advance()
-            else:
-                return
-
-    def _next_token(self) -> Token:
-        self._skip_trivia()
-        location = self._location()
-        if self._pos >= len(self._source):
-            return Token(TokenKind.EOF, None, location)
-
-        ch = self._peek()
-        if ch.isdigit():
-            return self._lex_int(location)
-        if ch.isalpha() or ch == "_":
-            return self._lex_ident(location)
-
-        two = self._source[self._pos : self._pos + 2]
-        if two in _TWO_CHAR_OPS:
-            self._advance()
-            self._advance()
-            return Token(_TWO_CHAR_OPS[two], None, location)
-        if ch in _ONE_CHAR_OPS:
-            self._advance()
-            return Token(_ONE_CHAR_OPS[ch], None, location)
-        raise LexError(f"unexpected character {ch!r}", location)
-
-    def _lex_int(self, location: SourceLocation) -> Token:
-        start = self._pos
-        while self._pos < len(self._source) and self._peek().isdigit():
-            self._advance()
-        if self._pos < len(self._source) and (self._peek().isalpha() or self._peek() == "_"):
-            raise LexError("identifier may not start with a digit", location)
-        text = self._source[start : self._pos]
-        return Token(TokenKind.INT, int(text), location)
-
-    def _lex_ident(self, location: SourceLocation) -> Token:
-        start = self._pos
-        while self._pos < len(self._source) and (self._peek().isalnum() or self._peek() == "_"):
-            self._advance()
-        text = self._source[start : self._pos]
-        keyword = KEYWORDS.get(text)
-        if keyword is not None:
-            return Token(keyword, None, location)
-        return Token(TokenKind.IDENT, text, location)
+_TOKEN_RE = re.compile(
+    r"""[ \t\r]*(?:
+      (?P<fixed_or_ident> [A-Za-z_][A-Za-z0-9_]*
+                        | [=!<>]=? | && | \|\| | [-+*%(){}\[\],;:.] | /(?![/*]) )
+    | (?P<newline>        \n )
+    | (?P<int>            [0-9]+ (?![A-Za-z0-9_]) )
+    | (?P<comment>        //[^\n]* | /\*(?s:.*?)\*/ )
+    | (?P<unterminated>   /\* )
+    | (?P<digit_prefix>   [0-9] )
+    | (?P<unexpected>     [^ \t\r] )
+    )""",
+    re.VERBOSE,
+)
 
 
 def tokenize(source: str, filename: str = "<string>") -> list[Token]:
-    """Convenience wrapper: lex ``source`` into a token list."""
-    return Lexer(source, filename).tokenize()
+    """Lex ``source`` into a token list ending with ``EOF``."""
+    tokens: list[Token] = []
+    append = tokens.append
+    fixed = FIXED_TOKENS.get
+    ident, integer = TokenKind.IDENT, TokenKind.INT
+    # tuple.__new__ is what the NamedTuple constructors call; going to it
+    # directly saves a Python frame per record, two records per token.
+    new = tuple.__new__
+    line = 1
+    line_start = 0  # offset of the first character of the current line
+    for match in _TOKEN_RE.finditer(source):
+        group = match.lastgroup
+        if group == "newline":
+            line += 1
+            line_start = match.end()
+            continue
+        location = new(
+            SourceLocation, (line, match.start(group) - line_start + 1, filename)
+        )
+        if group == "fixed_or_ident":
+            text = match[group]
+            kind = fixed(text)
+            if kind is None:
+                append(new(Token, (ident, text, location)))
+            else:
+                append(new(Token, (kind, None, location)))
+        elif group == "int":
+            append(new(Token, (integer, int(match[group]), location)))
+        elif group == "comment":
+            newlines = match[group].count("\n")
+            if newlines:
+                line += newlines
+                line_start = source.rindex("\n", 0, match.end()) + 1
+        elif group == "unterminated":
+            raise LexError("unterminated block comment", location)
+        elif group == "digit_prefix":
+            raise LexError("identifier may not start with a digit", location)
+        else:
+            raise LexError(f"unexpected character {match[group]!r}", location)
+    append(Token(TokenKind.EOF, None, SourceLocation(line, len(source) - line_start + 1, filename)))
+    return tokens

@@ -1,4 +1,5 @@
-"""Recursive-descent parser for the Mini language.
+"""Parser for the Mini language: recursive descent over declarations and
+statements, precedence climbing over expressions.
 
 Grammar (EBNF):
 
@@ -33,6 +34,15 @@ Grammar (EBNF):
                  | IDENT ('(' args? ')')? | 'new' newtail | '(' expr ')'
     newtail     := IDENT '(' args? ')' | ('int'|'bool'|IDENT) '[' expr ']'
 
+The EBNF is the grammar of record, not a map of the methods.  The six
+binary levels ``or`` … ``multiplicative`` are one loop:
+:meth:`Parser.parse_expr` climbs
+:data:`repro.lang.ast_nodes.BINARY_PRECEDENCE` (every binary operator is
+left-associative).  ``unary``, ``postfix`` and ``primary`` are one method,
+so a parenthesised expression costs two Python frames per nesting level;
+nesting beyond what the host stack holds is a :class:`ParseError`, not a
+``RecursionError``.
+
 ``for`` loops are desugared into ``while`` loops during parsing so the
 rest of the pipeline only sees the core statement forms.
 """
@@ -42,11 +52,21 @@ from __future__ import annotations
 from repro.lang import ast_nodes as ast
 from repro.lang.errors import ParseError, SourceLocation
 from repro.lang.lexer import tokenize
-from repro.lang.tokens import Token, TokenKind
+from repro.lang.tokens import FIXED_TOKENS, Token, TokenKind
+
+#: Binary operator token → (binding power, operator text).
+_BINARY: dict[TokenKind, tuple[int, str]] = {
+    FIXED_TOKENS[op]: (power, op) for op, power in ast.BINARY_PRECEDENCE.items()
+}
 
 
 class Parser:
-    """Recursive-descent parser over a pre-lexed token list."""
+    """Parser over a pre-lexed token list, which must end with ``EOF``.
+
+    The helpers consume only a token of the kind the caller names, and no
+    caller names ``EOF``, so ``_pos`` never moves past the final token and
+    ``self._tokens[self._pos]`` is always in range.
+    """
 
     def __init__(self, tokens: list[Token]):
         self._tokens = tokens
@@ -54,50 +74,60 @@ class Parser:
 
     # -- token helpers ------------------------------------------------------
 
-    def _peek(self, offset: int = 0) -> Token:
-        index = min(self._pos + offset, len(self._tokens) - 1)
-        return self._tokens[index]
+    def _peek(self) -> Token:
+        return self._tokens[self._pos]
 
     def _at(self, kind: TokenKind) -> bool:
-        return self._peek().kind is kind
-
-    def _advance(self) -> Token:
-        token = self._tokens[self._pos]
-        if token.kind is not TokenKind.EOF:
-            self._pos += 1
-        return token
+        return self._tokens[self._pos].kind is kind
 
     def _expect(self, kind: TokenKind) -> Token:
-        token = self._peek()
+        token = self._tokens[self._pos]
         if token.kind is not kind:
             raise ParseError(
                 f"expected {kind.value!r}, found {token}", token.location
             )
-        return self._advance()
+        self._pos += 1
+        return token
 
     def _match(self, kind: TokenKind) -> Token | None:
-        if self._at(kind):
-            return self._advance()
-        return None
+        token = self._tokens[self._pos]
+        if token.kind is not kind:
+            return None
+        self._pos += 1
+        return token
+
+    def _match_empty_brackets(self) -> bool:
+        """Consume ``'[' ']'``, an array-type suffix, if next."""
+        tokens, pos = self._tokens, self._pos
+        if (
+            tokens[pos].kind is TokenKind.LBRACKET  # so tokens[pos + 1] exists
+            and tokens[pos + 1].kind is TokenKind.RBRACKET
+        ):
+            self._pos += 2
+            return True
+        return False
 
     def _loc(self) -> SourceLocation:
-        return self._peek().location
+        return self._tokens[self._pos].location
 
     # -- top level ----------------------------------------------------------
 
     def parse_program(self) -> ast.Program:
         classes: list[ast.ClassDecl] = []
         functions: list[ast.FunctionDecl] = []
-        while not self._at(TokenKind.EOF):
-            if self._at(TokenKind.KW_CLASS):
-                classes.append(self._parse_class())
-            elif self._at(TokenKind.KW_DEF):
-                functions.append(self._parse_function())
-            else:
-                raise ParseError(
-                    f"expected 'class' or 'def' at top level, found {self._peek()}",
-                    self._loc(),
-                )
+        try:
+            while not self._at(TokenKind.EOF):
+                if self._at(TokenKind.KW_CLASS):
+                    classes.append(self._parse_class())
+                elif self._at(TokenKind.KW_DEF):
+                    functions.append(self._parse_function())
+                else:
+                    raise ParseError(
+                        f"expected 'class' or 'def' at top level, found {self._peek()}",
+                        self._loc(),
+                    )
+        except RecursionError:
+            raise ParseError("expression nested too deeply", self._loc()) from None
         return ast.Program(classes=classes, functions=functions)
 
     def _parse_class(self) -> ast.ClassDecl:
@@ -180,7 +210,7 @@ class Parser:
         return params
 
     def _parse_type(self, allow_void: bool = False) -> ast.TypeExpr:
-        token = self._advance()
+        token = self._peek()
         base: ast.TypeExpr
         if token.kind is TokenKind.KW_INT:
             base = ast.INT
@@ -194,9 +224,8 @@ class Parser:
             base = ast.ClassType(token.value)
         else:
             raise ParseError(f"expected a type, found {token}", token.location)
-        while self._at(TokenKind.LBRACKET) and self._peek(1).kind is TokenKind.RBRACKET:
-            self._advance()
-            self._advance()
+        self._pos += 1
+        while self._match_empty_brackets():
             if base is ast.VOID:
                 raise ParseError("array of void is not a type", token.location)
             base = ast.ArrayType(base)
@@ -336,100 +365,80 @@ class Parser:
 
     # -- expressions ---------------------------------------------------------
 
-    def parse_expr(self) -> ast.Expr:
-        return self._parse_or()
-
-    def _parse_or(self) -> ast.Expr:
-        left = self._parse_and()
-        while self._at(TokenKind.OR):
-            location = self._loc()
-            self._advance()
-            right = self._parse_and()
-            left = ast.BinaryOp(location=location, op="||", left=left, right=right)
-        return left
-
-    def _parse_and(self) -> ast.Expr:
-        left = self._parse_equality()
-        while self._at(TokenKind.AND):
-            location = self._loc()
-            self._advance()
-            right = self._parse_equality()
-            left = ast.BinaryOp(location=location, op="&&", left=left, right=right)
-        return left
-
-    _EQUALITY_OPS = {TokenKind.EQ: "==", TokenKind.NE: "!="}
-    _RELATIONAL_OPS = {
-        TokenKind.LT: "<",
-        TokenKind.LE: "<=",
-        TokenKind.GT: ">",
-        TokenKind.GE: ">=",
-    }
-    _ADDITIVE_OPS = {TokenKind.PLUS: "+", TokenKind.MINUS: "-"}
-    _MULTIPLICATIVE_OPS = {
-        TokenKind.STAR: "*",
-        TokenKind.SLASH: "/",
-        TokenKind.PERCENT: "%",
-    }
-
-    def _parse_binary_level(self, ops: dict, next_level) -> ast.Expr:
-        left = next_level()
-        while self._peek().kind in ops:
-            location = self._loc()
-            op = ops[self._advance().kind]
-            right = next_level()
-            left = ast.BinaryOp(location=location, op=op, left=left, right=right)
-        return left
-
-    def _parse_equality(self) -> ast.Expr:
-        return self._parse_binary_level(self._EQUALITY_OPS, self._parse_relational)
-
-    def _parse_relational(self) -> ast.Expr:
-        return self._parse_binary_level(self._RELATIONAL_OPS, self._parse_additive)
-
-    def _parse_additive(self) -> ast.Expr:
-        return self._parse_binary_level(self._ADDITIVE_OPS, self._parse_multiplicative)
-
-    def _parse_multiplicative(self) -> ast.Expr:
-        return self._parse_binary_level(self._MULTIPLICATIVE_OPS, self._parse_unary)
-
-    def _parse_unary(self) -> ast.Expr:
-        if self._at(TokenKind.MINUS):
-            location = self._loc()
-            self._advance()
-            operand = self._parse_unary()
-            return ast.UnaryOp(location=location, op="-", operand=operand)
-        if self._at(TokenKind.NOT):
-            location = self._loc()
-            self._advance()
-            operand = self._parse_unary()
-            return ast.UnaryOp(location=location, op="!", operand=operand)
-        return self._parse_postfix()
-
-    def _parse_postfix(self) -> ast.Expr:
-        expr = self._parse_primary()
+    def parse_expr(self, min_power: int = 1) -> ast.Expr:
+        """Parse an operand, then fold in, left to right, every binary
+        operator that binds at least as tightly as ``min_power``."""
+        left = self._parse_operand()
         while True:
-            if self._at(TokenKind.DOT):
-                location = self._loc()
-                self._advance()
+            token = self._tokens[self._pos]
+            binding = _BINARY.get(token.kind)
+            if binding is None or binding[0] < min_power:
+                return left
+            self._pos += 1
+            power, op = binding
+            right = self.parse_expr(power + 1)
+            left = ast.BinaryOp(location=token.location, op=op, left=left, right=right)
+
+    def _parse_operand(self) -> ast.Expr:
+        """``unary``: a prefix operator and its operand, or a primary
+        followed by its postfix chain."""
+        token = self._tokens[self._pos]
+        kind = token.kind
+        location = token.location
+        if kind is TokenKind.IDENT:
+            self._pos += 1
+            if self._at(TokenKind.LPAREN):
+                args = self._parse_args()
+                expr: ast.Expr = ast.CallExpr(location=location, name=token.value, args=args)
+            else:
+                expr = ast.NameExpr(location=location, name=token.value)
+        elif kind is TokenKind.INT:
+            self._pos += 1
+            expr = ast.IntLiteral(location=location, value=token.value)
+        elif kind is TokenKind.LPAREN:
+            self._pos += 1
+            expr = self.parse_expr()
+            self._expect(TokenKind.RPAREN)
+        elif kind is TokenKind.MINUS or kind is TokenKind.NOT:
+            self._pos += 1
+            operand = self._parse_operand()
+            return ast.UnaryOp(location=location, op=kind.value, operand=operand)
+        elif kind is TokenKind.KW_THIS:
+            self._pos += 1
+            expr = ast.ThisExpr(location=location)
+        elif kind is TokenKind.KW_TRUE or kind is TokenKind.KW_FALSE:
+            self._pos += 1
+            expr = ast.BoolLiteral(location=location, value=kind is TokenKind.KW_TRUE)
+        elif kind is TokenKind.KW_NULL:
+            self._pos += 1
+            expr = ast.NullLiteral(location=location)
+        elif kind is TokenKind.KW_NEW:
+            expr = self._parse_new()
+        else:
+            raise ParseError(f"expected an expression, found {token}", location)
+
+        while True:
+            token = self._tokens[self._pos]
+            if token.kind is TokenKind.DOT:
+                self._pos += 1
                 name = self._expect(TokenKind.IDENT).value
                 if self._at(TokenKind.LPAREN):
                     args = self._parse_args()
                     expr = ast.MethodCall(
-                        location=location,
+                        location=token.location,
                         receiver=expr,
                         method_name=name,
                         args=args,
                     )
                 else:
                     expr = ast.FieldAccess(
-                        location=location, receiver=expr, field_name=name
+                        location=token.location, receiver=expr, field_name=name
                     )
-            elif self._at(TokenKind.LBRACKET):
-                location = self._loc()
-                self._advance()
+            elif token.kind is TokenKind.LBRACKET:
+                self._pos += 1
                 index = self.parse_expr()
                 self._expect(TokenKind.RBRACKET)
-                expr = ast.IndexExpr(location=location, array=expr, index=index)
+                expr = ast.IndexExpr(location=token.location, array=expr, index=index)
             else:
                 return expr
 
@@ -444,46 +453,13 @@ class Parser:
         self._expect(TokenKind.RPAREN)
         return args
 
-    def _parse_primary(self) -> ast.Expr:
-        token = self._peek()
-        location = token.location
-        if token.kind is TokenKind.INT:
-            self._advance()
-            return ast.IntLiteral(location=location, value=token.value)
-        if token.kind is TokenKind.KW_TRUE:
-            self._advance()
-            return ast.BoolLiteral(location=location, value=True)
-        if token.kind is TokenKind.KW_FALSE:
-            self._advance()
-            return ast.BoolLiteral(location=location, value=False)
-        if token.kind is TokenKind.KW_NULL:
-            self._advance()
-            return ast.NullLiteral(location=location)
-        if token.kind is TokenKind.KW_THIS:
-            self._advance()
-            return ast.ThisExpr(location=location)
-        if token.kind is TokenKind.KW_NEW:
-            return self._parse_new()
-        if token.kind is TokenKind.IDENT:
-            self._advance()
-            if self._at(TokenKind.LPAREN):
-                args = self._parse_args()
-                return ast.CallExpr(location=location, name=token.value, args=args)
-            return ast.NameExpr(location=location, name=token.value)
-        if token.kind is TokenKind.LPAREN:
-            self._advance()
-            expr = self.parse_expr()
-            self._expect(TokenKind.RPAREN)
-            return expr
-        raise ParseError(f"expected an expression, found {token}", location)
-
     def _parse_new(self) -> ast.Expr:
         location = self._loc()
         self._expect(TokenKind.KW_NEW)
         token = self._peek()
         if token.kind in (TokenKind.KW_INT, TokenKind.KW_BOOL):
             base: ast.TypeExpr = ast.INT if token.kind is TokenKind.KW_INT else ast.BOOL
-            self._advance()
+            self._pos += 1
             return self._parse_new_array(location, base)
         name = self._expect(TokenKind.IDENT).value
         if self._at(TokenKind.LBRACKET):
@@ -498,9 +474,7 @@ class Parser:
         length = self.parse_expr()
         self._expect(TokenKind.RBRACKET)
         element: ast.TypeExpr = base
-        while self._at(TokenKind.LBRACKET) and self._peek(1).kind is TokenKind.RBRACKET:
-            self._advance()
-            self._advance()
+        while self._match_empty_brackets():
             element = ast.ArrayType(element)
         return ast.NewArray(location=location, element_type=element, length=length)
 

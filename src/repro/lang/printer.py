@@ -12,22 +12,6 @@ from repro.lang import ast_nodes as ast
 
 _INDENT = "  "
 
-#: Binding strength for parenthesization, mirroring the parser's levels.
-_PRECEDENCE = {
-    "||": 1,
-    "&&": 2,
-    "==": 3,
-    "!=": 3,
-    "<": 4,
-    "<=": 4,
-    ">": 4,
-    ">=": 4,
-    "+": 5,
-    "-": 5,
-    "*": 6,
-    "/": 6,
-    "%": 6,
-}
 _UNARY_PRECEDENCE = 7
 
 
@@ -141,7 +125,7 @@ def _expr_parts(expr: ast.Expr) -> tuple[str, int]:
         operand = print_expr(expr.operand, _UNARY_PRECEDENCE + 1)
         return f"{expr.op}{operand}", _UNARY_PRECEDENCE
     if isinstance(expr, ast.BinaryOp):
-        precedence = _PRECEDENCE[expr.op]
+        precedence = ast.BINARY_PRECEDENCE[expr.op]
         left = print_expr(expr.left, precedence)
         # Left-associative grammar: the right operand needs one more level.
         right = print_expr(expr.right, precedence + 1)

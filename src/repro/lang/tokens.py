@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.lang.errors import SourceLocation
 
@@ -66,29 +66,15 @@ class TokenKind(enum.Enum):
     EOF = "<eof>"
 
 
-KEYWORDS: dict[str, TokenKind] = {
-    "class": TokenKind.KW_CLASS,
-    "extends": TokenKind.KW_EXTENDS,
-    "def": TokenKind.KW_DEF,
-    "var": TokenKind.KW_VAR,
-    "if": TokenKind.KW_IF,
-    "else": TokenKind.KW_ELSE,
-    "while": TokenKind.KW_WHILE,
-    "for": TokenKind.KW_FOR,
-    "return": TokenKind.KW_RETURN,
-    "new": TokenKind.KW_NEW,
-    "this": TokenKind.KW_THIS,
-    "true": TokenKind.KW_TRUE,
-    "false": TokenKind.KW_FALSE,
-    "null": TokenKind.KW_NULL,
-    "int": TokenKind.KW_INT,
-    "bool": TokenKind.KW_BOOL,
-    "void": TokenKind.KW_VOID,
+#: Source text of every keyword, operator and punctuation mark → its kind.
+FIXED_TOKENS: dict[str, TokenKind] = {
+    kind.value: kind
+    for kind in TokenKind
+    if kind not in (TokenKind.INT, TokenKind.IDENT, TokenKind.EOF)
 }
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """A single lexed token.
 
     ``value`` holds the identifier text for :data:`TokenKind.IDENT` and the

@@ -51,13 +51,22 @@ from repro.telemetry.exporters import (
     load_trace,
     stitch_chrome_traces,
 )
-from repro.telemetry.httpapi import HttpServerThread, ObservabilityHTTP
 from repro.telemetry.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.telemetry.promfmt import PromFormatError, render_registry, validate_text
 from repro.telemetry.ring import FlightRecorder
 from repro.telemetry.scopes import ScopeTimer, trace_scope
 from repro.telemetry.summary import summarize_trace
 from repro.telemetry.tracer import Tracer
+
+
+def __getattr__(name: str):
+    # httpapi imports asyncio (~45 ms); only processes that serve HTTP pay.
+    if name in ("HttpServerThread", "ObservabilityHTTP"):
+        from repro.telemetry import httpapi
+
+        return getattr(httpapi, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "EVENT_TYPES",

@@ -201,3 +201,63 @@ def test_verifier_pops_derive_from_specs():
     from repro.bytecode import verifier
 
     assert verifier._POPS is POPS
+
+
+# -- cost: the virtual-call return convention is resolved once per program ------
+
+
+class CountingList(list):
+    """A function table that counts every FunctionInfo handed out."""
+
+    touched = 0
+
+    def __iter__(self):
+        for item in list.__iter__(self):
+            self.touched += 1
+            yield item
+
+    def __getitem__(self, index):
+        self.touched += 1
+        return list.__getitem__(self, index)
+
+
+def wide_program(width: int, calls_each: int):
+    """``width`` classes with one distinct selector each, and a ``main``
+    that calls every one of them ``calls_each`` times."""
+    classes = "".join(
+        f"class C{i} {{ def m{i}(): int {{ return {i}; }} }}\n" for i in range(width)
+    )
+    calls = "".join(
+        f"var c{i} = new C{i}(); " + f"t = t + c{i}.m{i}(); " * calls_each
+        for i in range(width)
+    )
+    return compile_source(f"{classes}def main() {{ var t = 0; {calls} print(t); }}")
+
+
+@pytest.mark.parametrize("width", [20, 80])
+def test_verifying_touches_functions_linearly_not_sites_times_functions(width):
+    calls_each = 5
+    program = wide_program(width, calls_each)
+    sites = sum(
+        instr.op is Op.CALL_VIRTUAL for f in program.functions for instr in f.code
+    )
+    assert sites == width * calls_each
+    program.functions = CountingList(program.functions)
+    verify_program(program)
+    # A few passes over the table plus one lookup per static call site;
+    # scanning the table at every virtual site costs about sites * width / 2.
+    assert program.functions.touched <= 4 * len(program.functions) + sites
+
+
+def test_void_and_value_virtual_calls_use_their_own_convention():
+    # One selector of each kind, the void one declared *after* many
+    # value-returning methods: its sites must still pop without pushing.
+    source = """
+    class A { def get(): int { return 1; } def poke() { } }
+    class B extends A { def get(): int { return 2; } def poke() { } }
+    def main() { var a: A = new B(); a.poke(); print(a.get()); a.poke(); }
+    """
+    program = compile_source(source)
+    verify_program(program)
+    for function in program.functions:
+        verify_function(function, program)  # the optimizer's entry point

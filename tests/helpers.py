@@ -2,10 +2,25 @@
 
 from __future__ import annotations
 
+import functools
+
+from repro.benchsuite.generator import GeneratorConfig, generate_source
+from repro.benchsuite.suite import benchmark_names, get_benchmark
 from repro.frontend.codegen import compile_source
 from repro.vm.config import VMConfig, jikes_config
 from repro.vm.interpreter import Interpreter
 from repro.vm.jit import JitManager
+
+
+@functools.cache
+def front_end_corpus() -> dict[str, str]:
+    """Name → source of every benchsuite program (``tiny``) plus 50
+    generated ones: what the reference-free front-end properties run over."""
+    corpus = {name: get_benchmark(name).source("tiny") for name in benchmark_names()}
+    for seed in range(50):
+        config = GeneratorConfig(seed=seed, loop_iterations=5)
+        corpus[f"generated-{seed}"] = generate_source(config)
+    return corpus
 
 
 def run_source(source: str, config: VMConfig | None = None) -> list[int]:

@@ -4,7 +4,9 @@ import pytest
 
 from repro.lang import ast_nodes as ast
 from repro.lang.errors import ParseError
-from repro.lang.parser import parse
+from repro.lang.lexer import tokenize
+from repro.lang.parser import Parser, parse
+from repro.lang.tokens import TokenKind
 
 
 def parse_main_body(body: str) -> list:
@@ -263,3 +265,142 @@ def test_error_message_includes_location():
     with pytest.raises(ParseError) as exc_info:
         parse("def main() {\n  var = 1;\n}")
     assert "2:" in str(exc_info.value)
+
+
+# -- precedence climbing: exact shape and operator location ----------------------
+
+
+def shape(expr):
+    """S-expression of an AST: operators carry the 1-based column of the
+    token their ``location`` must point at."""
+    column = expr.location.column
+    if isinstance(expr, ast.BinaryOp):
+        return (expr.op, column, shape(expr.left), shape(expr.right))
+    if isinstance(expr, ast.UnaryOp):
+        return (expr.op, column, shape(expr.operand))
+    if isinstance(expr, ast.FieldAccess):
+        return (".", column, shape(expr.receiver), expr.field_name)
+    if isinstance(expr, ast.MethodCall):
+        return (".()", column, shape(expr.receiver), expr.method_name, [shape(a) for a in expr.args])
+    if isinstance(expr, ast.IndexExpr):
+        return ("[]", column, shape(expr.array), shape(expr.index))
+    if isinstance(expr, ast.NameExpr):
+        return expr.name
+    if isinstance(expr, ast.IntLiteral):
+        return expr.value
+    raise AssertionError(f"unexpected node {expr!r}")
+
+
+PRECEDENCE_TABLE = [
+    # Left-associative at every level.
+    ("a - b - c", ("-", 7, ("-", 3, "a", "b"), "c")),
+    ("a / b * c % d", ("%", 11, ("*", 7, ("/", 3, "a", "b"), "c"), "d")),
+    ("a && b && c", ("&&", 8, ("&&", 3, "a", "b"), "c")),
+    ("a || b || c", ("||", 8, ("||", 3, "a", "b"), "c")),
+    ("a == b != c", ("!=", 8, ("==", 3, "a", "b"), "c")),
+    ("a < b >= c", (">=", 7, ("<", 3, "a", "b"), "c")),
+    # Each level binds tighter than the one before it.
+    ("a < b == c", ("==", 7, ("<", 3, "a", "b"), "c")),
+    ("a == b < c", ("==", 3, "a", ("<", 8, "b", "c"))),
+    ("a + b * c % d", ("+", 3, "a", ("%", 11, ("*", 7, "b", "c"), "d"))),
+    ("a * b + c", ("+", 7, ("*", 3, "a", "b"), "c")),
+    ("a + b < c - d", ("<", 7, ("+", 3, "a", "b"), ("-", 11, "c", "d"))),
+    ("a == b && c != d", ("&&", 8, ("==", 3, "a", "b"), ("!=", 13, "c", "d"))),
+    ("!a && b || c", ("||", 9, ("&&", 4, ("!", 1, "a"), "b"), "c")),
+    ("a || b && c", ("||", 3, "a", ("&&", 8, "b", "c"))),
+    (
+        "a || b && c == d < e + f * g",
+        ("||", 3, "a", ("&&", 8, "b", ("==", 13, "c", ("<", 18, "d", ("+", 22, "e", ("*", 26, "f", "g")))))),
+    ),
+    (
+        "a * b + c < d == e && f || g",
+        ("||", 25, ("&&", 20, ("==", 15, ("<", 11, ("+", 7, ("*", 3, "a", "b"), "c"), "d"), "e"), "f"), "g"),
+    ),
+    # Unary binds tighter than any binary operator and chains.
+    ("-a * b", ("*", 4, ("-", 1, "a"), "b")),
+    ("a * -b", ("*", 3, "a", ("-", 5, "b"))),
+    ("a - -b", ("-", 3, "a", ("-", 5, "b"))),
+    ("- - ! a", ("-", 1, ("-", 3, ("!", 5, "a")))),
+    ("!!a == b", ("==", 5, ("!", 1, ("!", 2, "a")), "b")),
+    # Postfix binds tighter than unary, and chains after parentheses.
+    ("-a.f", ("-", 1, (".", 3, "a", "f"))),
+    ("-a[1]", ("-", 1, ("[]", 3, "a", 1))),
+    ("(a + b).f", (".", 8, ("+", 4, "a", "b"), "f")),
+    ("(a + b)[c * 2].m(d - 1).g", (
+        ".", 24,
+        (".()", 15, ("[]", 8, ("+", 4, "a", "b"), ("*", 11, "c", 2)), "m", [("-", 20, "d", 1)]),
+        "g",
+    )),
+    ("((a)).f[0]", ("[]", 8, (".", 6, "a", "f"), 0)),
+    # Parentheses override and leave no node behind.
+    ("a - (b - c)", ("-", 3, "a", ("-", 8, "b", "c"))),
+    ("(a + b) * c", ("*", 9, ("+", 4, "a", "b"), "c")),
+    ("((a))", "a"),
+]
+
+
+@pytest.mark.parametrize("text,expected", PRECEDENCE_TABLE, ids=[row[0] for row in PRECEDENCE_TABLE])
+def test_precedence_table_shape_and_operator_location(text, expected):
+    parser = Parser(tokenize(text))
+    assert shape(parser.parse_expr()) == expected
+    assert parser._peek().kind is TokenKind.EOF
+
+
+def test_binary_operator_location_spans_lines():
+    expr = Parser(tokenize("a\n  +\n    b")).parse_expr()
+    assert (expr.location.line, expr.location.column) == (2, 3)
+    assert (expr.right.location.line, expr.right.location.column) == (3, 5)
+
+
+def test_parse_expr_stops_at_the_first_token_it_cannot_use():
+    parser = Parser(tokenize("a + b ) c"))
+    assert shape(parser.parse_expr()) == ("+", 3, "a", "b")
+    assert parser._peek().kind is TokenKind.RPAREN
+
+
+@pytest.mark.parametrize(
+    "text,message,column",
+    [
+        ("a +", "expected an expression, found <eof>", 4),
+        ("a + * b", "expected an expression, found *", 5),
+        ("(a + b", "expected ')', found <eof>", 7),
+        ("a[1", "expected ']', found <eof>", 4),
+        ("a.1", "expected 'identifier', found int-literal(1)", 3),
+        ("f(a,)", "expected an expression, found )", 5),
+    ],
+)
+def test_expression_errors_point_at_the_offending_token(text, message, column):
+    with pytest.raises(ParseError) as info:
+        Parser(tokenize(text)).parse_expr()
+    assert (info.value.message, info.value.location.column) == (message, column)
+
+
+# -- deep nesting is a diagnostic, not a host crash -------------------------------
+
+
+def nested(depth: int) -> str:
+    return "def main(): int { return " + "(" * depth + "1" + ")" * depth + "; }"
+
+
+def test_400_nested_parentheses_parse():
+    value = parse(nested(400)).functions[0].body[0].value
+    assert isinstance(value, ast.IntLiteral) and value.value == 1
+
+
+def test_nesting_beyond_the_host_stack_is_a_parse_error():
+    with pytest.raises(ParseError) as info:
+        parse(nested(100_000), "deep.mini")
+    assert info.value.message == "expression nested too deeply"
+    location = info.value.location
+    # Somewhere inside the run of opening parentheses on line 1.
+    assert location.filename == "deep.mini" and location.line == 1
+    assert 26 < location.column <= 26 + 100_000
+    assert str(info.value).startswith("deep.mini:1:")
+
+
+def test_deeply_nested_unary_and_else_if_chains_are_parse_errors_too():
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse("def main(): int { return " + "-" * 100_000 + "1; }")
+    chain = " else ".join(["if (x == 1) { x = 2; }"] * 20_000)
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse("def main() { var x = 1; " + chain + " }")

@@ -1,6 +1,8 @@
 """AST pretty-printer tests: parse∘print is a fixpoint, and printed
 programs behave identically."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,7 +11,7 @@ from repro.benchsuite.suite import benchmark_names, get_benchmark
 from repro.lang.parser import parse
 from repro.lang.printer import print_expr, print_program
 
-from tests.helpers import run_source
+from tests.helpers import front_end_corpus, run_source
 
 
 def reprint(source: str) -> str:
@@ -73,6 +75,31 @@ def test_fixpoint_on_benchmark_suite(name):
     once = print_program(parse(source))
     twice = print_program(parse(once))
     assert once == twice
+
+
+def without_locations(node):
+    """An AST as nested tuples, every ``location`` dropped."""
+    if isinstance(node, list):
+        return [without_locations(child) for child in node]
+    if not dataclasses.is_dataclass(node):
+        return node
+    return (type(node).__name__,) + tuple(
+        (field.name, without_locations(getattr(node, field.name)))
+        for field in dataclasses.fields(node)
+        if field.name != "location"
+    )
+
+
+CORPUS = front_end_corpus()
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_reparsing_printed_program_gives_the_same_ast(name):
+    """``parse(print(parse(src)))`` equals ``parse(src)`` node for node —
+    stronger than the text fixpoint, which a printer that drops a needed
+    pair of parentheses still reaches after one round."""
+    tree = parse(CORPUS[name])
+    assert without_locations(parse(print_program(tree))) == without_locations(tree)
 
 
 @pytest.mark.parametrize("name", ["jess", "mtrt", "javac"])

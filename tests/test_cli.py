@@ -91,6 +91,54 @@ def test_compile_error_reported(tmp_path):
         main(["run", str(path)])
 
 
+@pytest.mark.parametrize(
+    "source,diagnostic",
+    [
+        (
+            "def main(): int { return " + "(" * 100_000 + "1" + ")" * 100_000 + "; }",
+            "expression nested too deeply",
+        ),
+        ("def main() { var x = ²; }", "1:22: unexpected character '²'"),
+    ],
+    ids=["deep-nesting", "non-ascii-digit"],
+)
+def test_hostile_source_is_a_one_line_diagnostic_not_a_traceback(tmp_path, source, diagnostic):
+    """Both used to escape as host exceptions (RecursionError, ValueError)."""
+    path = tmp_path / "hostile.mini"
+    path.write_text(source, encoding="utf-8")
+    with pytest.raises(SystemExit) as info:
+        main(["run", str(path)])
+    message = str(info.value.code)
+    assert message.startswith(f"compile error: {path}:1:") and "\n" not in message
+    assert message.endswith(diagnostic)
+
+
+def test_importing_the_cli_does_not_import_asyncio():
+    """Only ``serve``/``--metrics-port`` need it; a plain run must not pay."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    code = "import sys, repro.cli; sys.exit('asyncio' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src), timeout=60
+    )
+    assert done.returncode == 0
+
+
+def test_http_classes_stay_reachable_from_the_telemetry_package():
+    import repro.telemetry
+    from repro.telemetry import httpapi
+
+    assert repro.telemetry.ObservabilityHTTP is httpapi.ObservabilityHTTP
+    assert repro.telemetry.HttpServerThread is httpapi.HttpServerThread
+    with pytest.raises(AttributeError):
+        repro.telemetry.no_such_name
+
+
 def test_missing_file_reported():
     with pytest.raises(SystemExit, match="cannot read"):
         main(["check", "/nonexistent/x.mini"])
