@@ -134,10 +134,9 @@ def disassemble_ic(program: Program) -> str:
     execution: which call sites quicken (lazily, on first execution) to
     IC dispatch opcodes, how many targets each virtual selector can
     reach through the flat dispatch tables, and which bodies qualify as
-    leaf templates (frameless IC fast paths — ``compiled`` means a
-    straight-line body was specialized to a host closure).  Debugging
-    aid for the IC pass (``repro-mini disasm --ic``); not assembler
-    round-trippable.
+    leaf templates (frameless IC fast paths: jump-free bodies
+    specialized to host closures).  Debugging aid for the IC pass
+    (``repro-mini disasm --ic``); not assembler round-trippable.
     """
     # Imported lazily, like disassemble_fused: a debugging view over the
     # vm layer, not part of the assembler round-trip.
@@ -151,22 +150,13 @@ def disassemble_ic(program: Program) -> str:
     virtual_sites = 0
     static_sites = 0
     leaves = 0
-    compiled = 0
     for function in program.functions:
         method = CompiledMethod(function, cost_model, opt_level=0, ic=True)
         leaf = method.leaf
         tag = ""
         if leaf is not None:
             leaves += 1
-            if leaf[icache.L_FN] is not None:
-                compiled += 1
-                kind = "compiled"
-            else:
-                kind = "interpreted"
-            tag = (
-                f"  [leaf template: {kind}, "
-                f"worst-case cost {leaf[icache.L_COST]}]"
-            )
+            tag = f"  [leaf template: cost {leaf[icache.L_COST]}]"
         lines.append(f"{function.qualified_name}/{function.num_params}:{tag}")
         for pc, instr in enumerate(function.code):
             if instr.op is Op.CALL_VIRTUAL:
@@ -190,8 +180,7 @@ def disassemble_ic(program: Program) -> str:
         lines.append("")
     lines.append(
         f"total: {virtual_sites} virtual sites, {static_sites} static "
-        f"sites, {leaves} leaf templates ({compiled} compiled to host "
-        f"closures)"
+        f"sites, {leaves} leaf templates"
     )
     return "\n".join(lines) + "\n"
 
@@ -279,7 +268,6 @@ def describe_method_plan(function: FunctionInfo, program: Program) -> str:
     can be inspected without grepping the whole-program views.
     """
     from repro.vm.costmodel import jikes_cost_model
-    from repro.vm import ic as icache
     from repro.vm.config import jikes_config
     from repro.vm.jit.compiler import compile_method
     from repro.vm.runtime import CodeCache
@@ -299,10 +287,8 @@ def describe_method_plan(function: FunctionInfo, program: Program) -> str:
         if instr.op in (Op.CALL_VIRTUAL, Op.CALL_STATIC)
     )
     parts.append(f"ic {ic_sites} sites" if ic_sites else "no call sites")
-    leaf = method.leaf
-    if leaf is not None:
-        kind = "compiled" if leaf[icache.L_FN] is not None else "interpreted"
-        parts.append(f"leaf template ({kind})")
+    if method.leaf is not None:
+        parts.append("leaf template")
     code = compile_method(
         method,
         program,

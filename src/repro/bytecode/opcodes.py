@@ -17,7 +17,10 @@ budget must bind.  Consumers:
   (:mod:`repro.vm.dispatchgen` writes :mod:`repro.vm._dispatch`),
 * the verifier derives its pop counts and stack effects here instead of
   keeping a second hand-written table,
-* the template JIT derives its depth-analysis effects here,
+* the template JIT derives its depth-analysis effects here, and every
+  data opcode it or the inline caches' leaf closures turn into host text
+  goes through one evaluator keyed by ``kind``/``arg``/``faults``
+  (:mod:`repro.vm.optemplates`; control kinds stay with their consumer),
 * the superinstruction fuser checks its patterns against ``fusable``,
 * the disassembler's ``--spec`` view prints the rows next to the
   stream, and the fuzzer's spec-conformance cell replays programs on a
@@ -175,7 +178,7 @@ def _null(message: str) -> FaultSpec:
 
 #: The instruction set, one row per opcode.  Order is the enum order;
 #: dispatch-arm ordering (hot ops first) is a generator concern, not a
-#: spec concern (see repro.vm.dispatchgen.DISPATCH_ORDER).
+#: spec concern (see repro.vm.dispatchgen.RAW_ORDER / FUSED_ORDER).
 OPCODE_SPECS: tuple[OpSpec, ...] = (
     OpSpec(Op.PUSH, 2, 0, 1, "push_const", fusable=True),
     OpSpec(Op.PUSH_NULL, 1, 0, 1, "push_null"),

@@ -14,7 +14,11 @@ shapes can never reach the interpreter through :mod:`repro.fuzz.genprog`:
 * **raw guest faults with hand-placed pcs** — ``PUSH 0; MOD`` (the
   fuse-time guard must keep it unfused and the raw handler must fault),
   null field reads, out-of-range array indexing, unbounded recursion
-  into the frame limit, and runaway loops into the step budget.
+  into the frame limit, and runaway loops into the step budget;
+* **a leaf that writes, then faults** — a jump-free setter whose
+  divisor argument walks down to zero, so the frameless closure bails
+  with its field write still deferred and the generic replay has to
+  fault exactly like a never-quickened call.
 
 Each generated program is a ``func main/0`` whose body concatenates a
 few randomly chosen *shapes*.  Every shape is stack-neutral, owns its
@@ -46,6 +50,7 @@ FAULT_SHAPES = (
     "missing_selector",
     "deep_recursion",
     "runaway_loop",
+    "setter_leaf_fault",
 )
 
 
@@ -290,6 +295,44 @@ class _AsmGen:
             f"NEW {bad}", f"STORE {obj}",
             f"LOAD {i}", "PUSH 1", "ADD", f"STORE {i}",
             f"LOAD {i}", "PUSH 3", "LT", f"JUMP_IF_TRUE {top}",
+        ]
+
+    def _setter_leaf_fault(self) -> None:
+        """A jump-free leaf that updates a field and then divides by an
+        argument walking down to zero.  On the last call the IC closure
+        returns LEAF_FAIL before its deferred write lands (the JIT exits
+        at the call pc) and the generic replay faults inside the callee,
+        at the same pc and counters as a run that never had a leaf."""
+        cls = f"S{self.uniq}"
+        self.uniq += 1
+        virtual = self.rng.random() < 0.5
+        header = f"method {cls}.bump/3" if virtual else f"func bump{cls}/3"
+        call = "CALL_VIRTUAL bump 2" if virtual else f"CALL_STATIC bump{cls} 3"
+        self.decls += [
+            f"class {cls} fields v",
+            header,
+            "  LOAD 0",
+            "  LOAD 0",
+            f"  GETFIELD {cls}.v",
+            "  LOAD 1",
+            "  ADD",
+            f"  PUTFIELD {cls}.v",
+            f"  PUSH {self.rng.randint(50, 999)}",
+            "  LOAD 2",
+            f"  {self.rng.choice(['DIV', 'MOD'])}",
+            "  RETURN_VAL",
+            "end",
+        ]
+        obj, d = self.local(), self.local()
+        top = self.label("bump")
+        self.body += [
+            f"NEW {cls}", f"STORE {obj}",
+            f"PUSH {self.rng.randint(3, 40)}", f"STORE {d}",
+            f"label {top}",
+            f"LOAD {obj}", f"PUSH {self.rng.randint(1, 9)}", f"LOAD {d}", call, "PRINT",
+            f"LOAD {obj}", f"GETFIELD {cls}.v", "PRINT",
+            f"LOAD {d}", "PUSH 1", "SUB", f"STORE {d}",
+            f"JUMP {top}",
         ]
 
     def _deep_recursion(self) -> None:

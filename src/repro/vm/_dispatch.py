@@ -139,7 +139,6 @@ def _loop(self):  # noqa: C901 - deliberately one flat hot loop
     POLY_LIMIT = icache.POLY_LIMIT
     locals_pad = icache.locals_pad
     flat_vtables = self.flat_vtables
-    eval_leaf = self._eval_leaf
 
     # Superinstruction constants (see repro.vm.fuse).
     FUSE_BASE = fusion.FUSE_BASE
@@ -330,12 +329,12 @@ def _loop(self):  # noqa: C901 - deliberately one flat hot loop
                             )
                 if cell is not None:
                     # Cache hit: try the leaf calling sequence — run
-                    # accessor-like bodies on a scratch stack with no
+                    # accessor-like bodies as a host closure with no
                     # frame.  Only when no observation point (tick,
                     # yieldpoint, observer, telemetry) could land
-                    # inside the body; _eval_leaf returns None (and
-                    # undoes its writes) on a would-be fault, and the
-                    # generic sequence below re-executes it.
+                    # inside the body; the closure returns LEAF_FAIL
+                    # before changing anything on a would-be fault, and
+                    # the generic sequence below re-executes it.
                     leaf = callee.leaf
                     if (
                         leaf is not None
@@ -347,32 +346,17 @@ def _loop(self):  # noqa: C901 - deliberately one flat hot loop
                         and len(frames) < max_frames
                     ):
                         base = len(stack) - nargs
-                        fn = leaf[6]
-                        if fn is not None:
-                            value = fn(stack, base)
-                            if value is not LEAF_FAIL:
-                                cell[0] += 1
-                                time += call_virtual_cost + leaf[7]
-                                steps += leaf[8]
-                                call_count += 1
-                                del stack[base:]
-                                if value is not LEAF_VOID:
-                                    stack.append(value)
-                                pc += 1
-                                continue
-                        else:
-                            res = eval_leaf(leaf, stack, base)
-                            if res is not None:
-                                cell[0] += 1
-                                time += call_virtual_cost + res[1]
-                                steps += res[2]
-                                call_count += 1
-                                del stack[base:]
-                                value = res[0]
-                                if value is not LEAF_VOID:
-                                    stack.append(value)
-                                pc += 1
-                                continue
+                        value = leaf[4](stack, base)
+                        if value is not LEAF_FAIL:
+                            cell[0] += 1
+                            time += call_virtual_cost + leaf[0]
+                            steps += leaf[5]
+                            call_count += 1
+                            del stack[base:]
+                            if value is not LEAF_VOID:
+                                stack.append(value)
+                            pc += 1
+                            continue
                     cell[0] += 1
                 time += call_virtual_cost
                 call_count += 1
@@ -496,30 +480,16 @@ def _loop(self):  # noqa: C901 - deliberately one flat hot loop
                     and len(frames) < max_frames
                 ):
                     base = len(stack) - entry[4]
-                    fn = leaf[6]
-                    if fn is not None:
-                        value = fn(stack, base)
-                        if value is not LEAF_FAIL:
-                            time += call_static_cost + leaf[7]
-                            steps += leaf[8]
-                            call_count += 1
-                            del stack[base:]
-                            if value is not LEAF_VOID:
-                                stack.append(value)
-                            pc += 1
-                            continue
-                    else:
-                        res = eval_leaf(leaf, stack, base)
-                        if res is not None:
-                            time += call_static_cost + res[1]
-                            steps += res[2]
-                            call_count += 1
-                            del stack[base:]
-                            value = res[0]
-                            if value is not LEAF_VOID:
-                                stack.append(value)
-                            pc += 1
-                            continue
+                    value = leaf[4](stack, base)
+                    if value is not LEAF_FAIL:
+                        time += call_static_cost + leaf[0]
+                        steps += leaf[5]
+                        call_count += 1
+                        del stack[base:]
+                        if value is not LEAF_VOID:
+                            stack.append(value)
+                        pc += 1
+                        continue
                 callee_index = entry[1]
                 views = entry[2]
                 pad = entry[3]

@@ -38,6 +38,7 @@ from pathlib import Path
 
 from repro.bytecode.opcodes import OPCODE_SPECS, FaultSpec, Op, spec_of
 from repro.vm import fuse as fusion
+from repro.vm import ic as icache
 
 #: Where the generated module lives.
 TARGET = Path(__file__).resolve().parent / "_dispatch.py"
@@ -336,7 +337,6 @@ LEAF_FAIL = icache.LEAF_FAIL
 POLY_LIMIT = icache.POLY_LIMIT
 locals_pad = icache.locals_pad
 flat_vtables = self.flat_vtables
-eval_leaf = self._eval_leaf
 """
 
 _PREAMBLE_JIT = """
@@ -733,45 +733,25 @@ def _emit_leaf_fastpath(
         em("and telemetry is None")
         em("and paths is None")
         em("and self.yieldpoint_flag == 0")
-        em(f"and time + {call_cost} + leaf[0] < next_tick")
+        em(f"and time + {call_cost} + leaf[{icache.L_COST}] < next_tick")
         em("and len(frames) < max_frames")
     em("):")
     with em.indent():
         em(f"base = len(stack) - {nargs_expr}")
-        em("fn = leaf[6]")
-        em("if fn is not None:")
+        em(f"value = leaf[{icache.L_FN}](stack, base)")
+        em("if value is not LEAF_FAIL:")
         with em.indent():
-            em("value = fn(stack, base)")
-            em("if value is not LEAF_FAIL:")
+            if cell:
+                em("cell[0] += 1")
+            em(f"time += {call_cost} + leaf[{icache.L_COST}]")
+            em(f"steps += leaf[{icache.L_STEPS}]")
+            em("call_count += 1")
+            em("del stack[base:]")
+            em("if value is not LEAF_VOID:")
             with em.indent():
-                if cell:
-                    em("cell[0] += 1")
-                em(f"time += {call_cost} + leaf[7]")
-                em("steps += leaf[8]")
-                em("call_count += 1")
-                em("del stack[base:]")
-                em("if value is not LEAF_VOID:")
-                with em.indent():
-                    em("stack.append(value)")
-                em("pc += 1")
-                em("continue")
-        em("else:")
-        with em.indent():
-            em("res = eval_leaf(leaf, stack, base)")
-            em("if res is not None:")
-            with em.indent():
-                if cell:
-                    em("cell[0] += 1")
-                em(f"time += {call_cost} + res[1]")
-                em("steps += res[2]")
-                em("call_count += 1")
-                em("del stack[base:]")
-                em("value = res[0]")
-                em("if value is not LEAF_VOID:")
-                with em.indent():
-                    em("stack.append(value)")
-                em("pc += 1")
-                em("continue")
+                em("stack.append(value)")
+            em("pc += 1")
+            em("continue")
 
 
 def _emit_call_arm(em: Emitter) -> None:
@@ -988,12 +968,12 @@ def _emit_ic_virtual_arm(em: Emitter) -> None:
     em("if cell is not None:")
     with em.indent():
         em("# Cache hit: try the leaf calling sequence — run")
-        em("# accessor-like bodies on a scratch stack with no")
+        em("# accessor-like bodies as a host closure with no")
         em("# frame.  Only when no observation point (tick,")
         em("# yieldpoint, observer, telemetry) could land")
-        em("# inside the body; _eval_leaf returns None (and")
-        em("# undoes its writes) on a would-be fault, and the")
-        em("# generic sequence below re-executes it.")
+        em("# inside the body; the closure returns LEAF_FAIL")
+        em("# before changing anything on a would-be fault, and")
+        em("# the generic sequence below re-executes it.")
         _emit_leaf_fastpath(
             em, call_cost="call_virtual_cost", nargs_expr="nargs", cell=True
         )

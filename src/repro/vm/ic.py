@@ -44,7 +44,8 @@ families apart.
 
 from __future__ import annotations
 
-from repro.bytecode.opcodes import Op
+from repro.bytecode.opcodes import SPEC_BY_OP, Op
+from repro.vm import optemplates
 from repro.vm.fuse import FUSE_BASE
 
 #: Base of the inline-cache quickened opcode range.
@@ -183,22 +184,23 @@ def describe_state(entry: list) -> str:
 # calling sequence: frame allocation, argument shuffling, and the view
 # switch.  Real VMs point their inline caches at specialized entry
 # stubs for accessor-like methods (HotSpot's fast entries); the
-# equivalent here is a *leaf template* — a verified, small, straight-
-# line-or-forward-branching body the IC arms can evaluate on a scratch
-# stack without materializing a frame.
+# equivalent here is a *leaf template* — a small jump-free body compiled
+# once into a host closure the IC arms call without materializing a
+# frame.
 #
 # Eligibility is decided once per CompiledMethod by ``analyze_leaf``:
-# every opcode must be in the side-effect-analyzable subset below, all
-# branches forward (no backedge ⇒ no backedge yieldpoints and no
-# step-limit checks inside the body, matching the raw execution), and
-# the body must end in a return.  At dispatch time the interpreter
+# every opcode must be leaf-eligible in repro.vm.optemplates (no jump,
+# so no backedge yieldpoints and no step-limit checks inside the body,
+# matching the raw execution) and the body must end in a return.
+# Branching accessors take the generic calling sequence and, once hot,
+# are promoted like any other method.  At dispatch time the interpreter
 # additionally requires: no observer/telemetry hooks, yieldpoint flag
-# clear, no timer tick inside the body's worst-case cost, and stack
-# headroom — otherwise it falls back to the generic calling sequence.
-# Evaluation is transactional: field writes keep an undo log and any
-# potential fault (null field access, division by zero) rolls back and
-# re-executes the call generically, which re-raises with the exact
-# frame state the raw interpreter would have had.
+# clear, no timer tick inside the body's cost, and stack headroom —
+# otherwise it falls back to the generic calling sequence.  A closure
+# changes nothing before its last fault guard has passed (heap writes
+# are deferred), so a potential fault (null field access, division by
+# zero) just re-executes the call generically, which re-raises with the
+# exact frame state the raw interpreter would have had.
 
 #: Sentinel distinguishing a void return from returning ``None``
 #: (``PUSH_NULL; RETURN_VAL`` must still push).
@@ -212,60 +214,54 @@ LEAF_FAIL = object()
 #: Bodies longer than this are cheaper through the generic path anyway.
 LEAF_MAX_OPS = 24
 
-#: Template slots: worst-case virtual-time cost (body + returns),
-#: opcode list, ``a`` operands, per-op costs (returns pre-charged with
-#: ``return_cost``), direct-arg flag, locals count, then the compiled
-#: form for jump-free bodies: host closure (or None) plus its constant
-#: virtual-time cost and step count.
+#: Template slots: constant virtual-time cost of the executed prefix
+#: (through the first return, ``return_cost`` included), the opcodes and
+#: ``a`` operands before that return, locals count, the host closure,
+#: and the prefix's step count (return included).
 L_COST = 0
 L_OPS = 1
 L_A = 2
-L_COSTS = 3
-L_DIRECT = 4
-L_NUM_LOCALS = 5
-L_FN = 6
-L_FN_COST = 7
-L_FN_STEPS = 8
+L_NUM_LOCALS = 3
+L_FN = 4
+L_STEPS = 5
 
-_LEAF_OPS = frozenset(
-    int(op)
-    for op in (
-        Op.PUSH,
-        Op.PUSH_NULL,
-        Op.POP,
-        Op.DUP,
-        Op.LOAD,
-        Op.STORE,
-        Op.ADD,
-        Op.SUB,
-        Op.MUL,
-        Op.DIV,
-        Op.MOD,
-        Op.NEG,
-        Op.NOT,
-        Op.LT,
-        Op.LE,
-        Op.GT,
-        Op.GE,
-        Op.EQ,
-        Op.NE,
-        Op.JUMP,
-        Op.JUMP_IF_FALSE,
-        Op.JUMP_IF_TRUE,
-        Op.GETFIELD,
-        Op.PUTFIELD,
-        Op.IS_EXACT,
-        Op.NOP,
-        Op.RETURN,
-        Op.RETURN_VAL,
-    )
-)
 
-_JUMP_OPS = frozenset(
-    int(op) for op in (Op.JUMP, Op.JUMP_IF_FALSE, Op.JUMP_IF_TRUE)
-)
-_RETURN_OPS = frozenset(int(op) for op in (Op.RETURN, Op.RETURN_VAL))
-_OP_STORE = int(Op.STORE)
+class _LeafClosure(optemplates.EmitContext):
+    """Emit context of a leaf closure: locals are ``aN`` (arguments
+    read in place off the caller's stack), a fault precondition returns
+    ``FAIL`` before any state change, and heap writes wait for the
+    return so they land after the last guard."""
+
+    local_prefix = "a"
+
+    def __init__(self):
+        self.lines: list[str] = []
+        self.writes: list[str] = []
+        self.used: set[int] = set()
+        self.tmp = 0
+
+    def w(self, line):
+        self.lines.append("    " + line)
+
+    def new_tmp(self):
+        self.tmp += 1
+        return f"t{self.tmp - 1}"
+
+    def fault(self, cond, vstack, operands):
+        self.w(f"if {cond}: return FAIL")
+
+    def load(self, slot):
+        self.used.add(slot)
+        return super().load(slot)
+
+    def store(self, slot, value, vstack):
+        self.used.add(slot)
+        super().store(slot, value, vstack)
+
+    def heap_write(self, fmt, *atoms):
+        # A later STORE must not change what a deferred write denotes.
+        stable = [self.pin_force(atom) if atom.deps else atom for atom in atoms]
+        self.writes.append(fmt.format(*(atom.expr for atom in stable)))
 
 
 def analyze_leaf(
@@ -273,281 +269,64 @@ def analyze_leaf(
     a: list,
     costs: list[int],
     num_locals: int,
-    nargs_hint: int,
+    nargs: int,
     return_cost: int,
 ) -> tuple | None:
     """Build a leaf template for a method body, or None if ineligible.
 
-    ``nargs_hint`` is the declared parameter count (receiver included
-    for virtual methods); ``direct`` templates read arguments straight
-    off the caller's stack, which is only safe when the body never
-    stores a local.
+    ``nargs`` is the declared parameter count (receiver included for
+    virtual methods).  The closure reads its arguments in place on the
+    caller's stack (``stack[base + i]``) and returns the result value,
+    :data:`LEAF_VOID` for a void return, or :data:`LEAF_FAIL` before
+    any state change when the body would fault.  A body that reads a
+    field it previously wrote is rejected: the deferred write would be
+    invisible to the read.
     """
     n = len(ops)
-    if n == 0 or n > LEAF_MAX_OPS:
+    if n == 0 or n > LEAF_MAX_OPS or ops[-1] not in optemplates.RETURN_OPS:
         return None
-    if ops[-1] not in _RETURN_OPS:
+    if not optemplates.LEAF_OPS.issuperset(
+        op for op in ops if op not in optemplates.RETURN_OPS
+    ):
         return None
-    has_store = False
-    for pc, op in enumerate(ops):
-        if op not in _LEAF_OPS:
-            return None
-        if op in _JUMP_OPS:
-            target = a[pc]
-            if target <= pc or target >= n:
-                return None
-        elif op == _OP_STORE:
-            has_store = True
-    leaf_costs = list(costs[:n])
-    bound = 0
-    for pc, op in enumerate(ops):
-        if op in _RETURN_OPS:
-            leaf_costs[pc] += return_cost
-        bound += leaf_costs[pc]
-    direct = not has_store and num_locals <= nargs_hint
-    compiled = compile_leaf(ops, a, costs, nargs_hint, return_cost)
-    if compiled is None:
-        fn, fn_cost, fn_steps = None, 0, 0
-    else:
-        fn, fn_cost, fn_steps = compiled
-    return (
-        bound,
-        list(ops),
-        list(a),
-        leaf_costs,
-        direct,
-        num_locals,
-        fn,
-        fn_cost,
-        fn_steps,
-    )
+    end = next(pc for pc, op in enumerate(ops) if op in optemplates.RETURN_OPS)
 
-
-_LOCAL_ATOM_HEAD = "a"
-
-
-def compile_leaf(
-    ops: list[int],
-    a: list,
-    costs: list[int],
-    nargs: int,
-    return_cost: int,
-) -> tuple | None:
-    """Compile a jump-free leaf body into a specialized host closure.
-
-    This is template quickening for the calling sequence: the symbolic
-    stack is evaluated at compile time, so the emitted closure is
-    straight-line three-address code with no dispatch loop at all.  The
-    closure reads its arguments in place on the caller's stack
-    (``stack[base + i]``) and returns the result value,
-    :data:`LEAF_VOID` for a void return, or :data:`LEAF_FAIL` before
-    any state change when the body would fault (null field access,
-    division by zero) — the interpreter then re-executes the call
-    generically so the fault carries a real frame.
-
-    Field writes are deferred until after every fault guard has passed;
-    a body that reads a field it previously wrote is rejected (the
-    deferred write would be invisible to the read), as is anything with
-    a branch — those fall back to the transactional loop evaluator.
-
-    Returns ``(fn, cost, steps)`` with the constant virtual-time cost
-    (including ``return_cost``) and step count of the straight-line
-    body, or None if the body is not compilable.
-    """
-    iload = int(Op.LOAD)
-    istore = int(Op.STORE)
-    ipush = int(Op.PUSH)
-    ipush_null = int(Op.PUSH_NULL)
-    ipop = int(Op.POP)
-    idup = int(Op.DUP)
-    igetfield = int(Op.GETFIELD)
-    iputfield = int(Op.PUTFIELD)
-    iis_exact = int(Op.IS_EXACT)
-    inop = int(Op.NOP)
-    ineg = int(Op.NEG)
-    inot = int(Op.NOT)
-    idiv = int(Op.DIV)
-    imod = int(Op.MOD)
-    ieq = int(Op.EQ)
-    ine = int(Op.NE)
-    binops = {
-        int(Op.ADD): "+",
-        int(Op.SUB): "-",
-        int(Op.MUL): "*",
-    }
-    cmpops = {
-        int(Op.LT): "<",
-        int(Op.LE): "<=",
-        int(Op.GT): ">",
-        int(Op.GE): ">=",
-    }
-
-    # The executed prefix: everything up to the first return.  Any jump
-    # or unsupported opcode before it disqualifies the body.
-    end = None
-    for pc, op in enumerate(ops):
-        if op in _RETURN_OPS:
-            end = pc
-            break
-        if op in _JUMP_OPS or op not in _LEAF_OPS:
-            return None
-    if end is None:
-        return None
-
-    # Reject read-after-deferred-write; collect the locals in use.
+    ctx = _LeafClosure()
+    vstack: list = []
     written: set = set()
-    wrote = False
-    used: set = set()
-    for pc in range(end + 1):
-        op = ops[pc]
-        if op == iputfield:
-            wrote = True
+    for pc in range(end):
+        kind = SPEC_BY_OP[ops[pc]].kind
+        if kind == "putfield":
             written.add(a[pc])
-        elif op == igetfield and wrote and a[pc] in written:
+        elif kind == "getfield" and a[pc] in written:
             return None
-        elif op == iload or op == istore:
-            used.add(a[pc])
-
-    lines: list[str] = []
-    for i in sorted(used):
-        if i < nargs:
-            lines.append(f"    a{i} = stack[base + {i}]")
-        else:
-            lines.append(f"    a{i} = 0")
-
-    sym: list[str] = []
-    writes: list[tuple[str, int, str]] = []
-    counter = [0]
-
-    def temp() -> str:
-        name = f"t{counter[0]}"
-        counter[0] += 1
-        return name
-
-    def materialize(expr: str) -> str:
-        # Pin a local atom to a temp so a later STORE (for deferred
-        # writes) cannot change what it denotes.
-        if expr.startswith(_LOCAL_ATOM_HEAD):
-            name = temp()
-            lines.append(f"    {name} = {expr}")
-            return name
-        return expr
-
-    terminal = None
-    for pc in range(end + 1):
-        op = ops[pc]
-        arg = a[pc]
-        if op == iload:
-            sym.append(f"a{arg}")
-        elif op == ipush:
-            sym.append(repr(arg))
-        elif op == igetfield:
-            obj = sym.pop()
-            name = temp()
-            lines.append(f"    if {obj} is None: return FAIL")
-            lines.append(f"    {name} = {obj}.fields[{arg}]")
-            sym.append(name)
-        elif op in cmpops:
-            right = sym.pop()
-            left = sym.pop()
-            name = temp()
-            lines.append(f"    {name} = 1 if {left} {cmpops[op]} {right} else 0")
-            sym.append(name)
-        elif op in binops:
-            right = sym.pop()
-            left = sym.pop()
-            name = temp()
-            lines.append(f"    {name} = {left} {binops[op]} {right}")
-            sym.append(name)
-        elif op == ieq or op == ine:
-            right = sym.pop()
-            left = sym.pop()
-            # Pin literals to temps: the identity branch would otherwise
-            # emit ``x is 5`` and trip CPython's SyntaxWarning.
-            if right[0].isdigit() or right[0] == "-":
-                pin = temp()
-                lines.append(f"    {pin} = {right}")
-                right = pin
-            if left[0].isdigit() or left[0] == "-":
-                pin = temp()
-                lines.append(f"    {pin} = {left}")
-                left = pin
-            name = temp()
-            eq, ident = ("==", "is") if op == ieq else ("!=", "is not")
-            lines.append(f"    if isinstance({left}, int) and isinstance({right}, int):")
-            lines.append(f"        {name} = 1 if {left} {eq} {right} else 0")
-            lines.append("    else:")
-            lines.append(f"        {name} = 1 if {left} {ident} {right} else 0")
-            sym.append(name)
-        elif op == idiv or op == imod:
-            right = sym.pop()
-            left = sym.pop()
-            name = temp()
-            lines.append(f"    if {right} == 0: return FAIL")
-            lines.append(f"    {name} = abs({left}) // abs({right})")
-            lines.append(f"    if ({left} < 0) != ({right} < 0): {name} = -{name}")
-            if op == imod:
-                lines.append(f"    {name} = {left} - {name} * {right}")
-            sym.append(name)
-        elif op == iputfield:
-            value = materialize(sym.pop())
-            obj = materialize(sym.pop())
-            lines.append(f"    if {obj} is None: return FAIL")
-            writes.append((obj, arg, value))
-        elif op == istore:
-            value = sym.pop()
-            target = f"a{arg}"
-            for k, expr in enumerate(sym):
-                if expr == target:
-                    name = temp()
-                    lines.append(f"    {name} = {target}")
-                    sym[k] = name
-            lines.append(f"    {target} = {value}")
-        elif op == idup:
-            sym.append(sym[-1])
-        elif op == ipop:
-            sym.pop()
-        elif op == ipush_null:
-            sym.append("None")
-        elif op == ineg:
-            operand = sym.pop()
-            name = temp()
-            lines.append(f"    {name} = -({operand})")
-            sym.append(name)
-        elif op == inot:
-            operand = sym.pop()
-            name = temp()
-            lines.append(f"    {name} = 0 if {operand} != 0 else 1")
-            sym.append(name)
-        elif op == iis_exact:
-            obj = sym.pop()
-            name = temp()
-            lines.append(
-                f"    {name} = 1 if {obj} is not None"
-                f" and {obj}.class_index == {arg} else 0"
-            )
-            sym.append(name)
-        elif op == inop:
-            pass
-        else:  # RETURN / RETURN_VAL — terminal by construction
-            for obj, offset, value in writes:
-                lines.append(f"    {obj}.fields[{offset}] = {value}")
-            if op == int(Op.RETURN_VAL):
-                lines.append(f"    return {sym.pop()}")
-            else:
-                lines.append("    return VOID")
-            terminal = pc
-    assert terminal == end
-
-    source = (
-        "def _leaf(stack, base,"
-        " FAIL=FAIL, VOID=VOID, isinstance=isinstance, abs=abs):\n"
-        + "\n".join(lines)
-        + "\n"
+        optemplates.emit(ctx, ops[pc], a[pc], None, vstack)
+    returns_value = SPEC_BY_OP[ops[end]].arg == "value"
+    result = vstack.pop().expr if returns_value else "VOID"
+    preamble = [
+        f"    a{i} = stack[base + {i}]" if i < nargs else f"    a{i} = 0"
+        for i in sorted(ctx.used)
+    ]
+    source = "\n".join(
+        [
+            "def _leaf(stack, base,"
+            " FAIL=FAIL, VOID=VOID, isinstance=isinstance, abs=abs):",
+            *preamble,
+            *ctx.lines,
+            *("    " + write for write in ctx.writes),
+            f"    return {result}",
+            "",
+        ]
     )
     namespace = {"FAIL": LEAF_FAIL, "VOID": LEAF_VOID}
     exec(source, namespace)  # noqa: S102 — host-level template quickening
     fn = namespace["_leaf"]
     fn.__doc__ = source
-    cost = sum(costs[pc] for pc in range(end + 1)) + return_cost
-    return fn, cost, end + 1
+    return (
+        sum(costs[: end + 1]) + return_cost,
+        ops[:end],
+        a[:end],
+        num_locals,
+        fn,
+        end + 1,
+    )

@@ -42,7 +42,6 @@ a local for the per-call check, like the observer).
 
 from __future__ import annotations
 
-from repro.bytecode.opcodes import Op
 from repro.bytecode.program import Program
 from repro.vm import ic as icache
 from repro.vm.config import VMConfig, jikes_config
@@ -406,189 +405,6 @@ class Interpreter:
             rest.append([rclass, callee, callee_index, callee.views, pad, cell])
         cache.ic_deps.setdefault(callee_index, []).append(entry)
         return callee, callee_index, callee.views, pad
-
-    def _eval_leaf(
-        self,
-        leaf,
-        stack,
-        base,
-        # Opcode ints bound as defaults so the hot loop below pays
-        # LOAD_FAST, not module lookups, per dispatched instruction.
-        LOAD=int(Op.LOAD),
-        PUSH=int(Op.PUSH),
-        PUSH_NULL=int(Op.PUSH_NULL),
-        POP=int(Op.POP),
-        DUP=int(Op.DUP),
-        STORE=int(Op.STORE),
-        ADD=int(Op.ADD),
-        SUB=int(Op.SUB),
-        MUL=int(Op.MUL),
-        DIV=int(Op.DIV),
-        MOD=int(Op.MOD),
-        NEG=int(Op.NEG),
-        NOT=int(Op.NOT),
-        LT=int(Op.LT),
-        LE=int(Op.LE),
-        GT=int(Op.GT),
-        GE=int(Op.GE),
-        EQ=int(Op.EQ),
-        NE=int(Op.NE),
-        JUMP=int(Op.JUMP),
-        JIF=int(Op.JUMP_IF_FALSE),
-        JIT=int(Op.JUMP_IF_TRUE),
-        GETFIELD=int(Op.GETFIELD),
-        PUTFIELD=int(Op.PUTFIELD),
-        IS_EXACT=int(Op.IS_EXACT),
-        RETURN=int(Op.RETURN),
-        RETURN_VAL=int(Op.RETURN_VAL),
-        VOID=icache.LEAF_VOID,
-    ):
-        """Evaluate a leaf template against arguments still on the
-        caller's stack (``stack[base:]``), without building a frame.
-
-        This is the IC-patched calling sequence for accessor-like
-        methods (the interpreter analogue of a JIT's fast entry stubs).
-        Returns ``(value, cost, steps)`` on success, where ``value`` is
-        :data:`repro.vm.ic.LEAF_VOID` for a void return and ``cost``
-        already includes the return cost.  Returns ``None`` on any
-        potential fault — null field access, division by zero — after
-        rolling back completed field writes, so the caller re-executes
-        through the generic calling sequence and faults with exactly
-        the frame state the raw interpreter would have had.  The caller
-        guarantees no observation point (tick, yieldpoint, observer,
-        telemetry) can land inside the body, which is what makes the
-        batched cost/step commit bit-identical to raw execution.
-        """
-        lops = leaf[1]
-        la = leaf[2]
-        lcosts = leaf[3]
-        if leaf[4]:
-            lcl = None
-        else:
-            lcl = stack[base:]
-            extra = leaf[5] - len(lcl)
-            if extra > 0:
-                lcl.extend([0] * extra)
-        ts = []
-        undo = None
-        value = None
-        ok = True
-        cost = 0
-        steps = 0
-        j = 0
-        while True:
-            op = lops[j]
-            cost += lcosts[j]
-            steps += 1
-            if op == LOAD:
-                ts.append(stack[base + la[j]] if lcl is None else lcl[la[j]])
-            elif op == GETFIELD:
-                obj = ts[-1]
-                if obj is None:
-                    ok = False
-                    break
-                ts[-1] = obj.fields[la[j]]
-            elif op == PUSH:
-                ts.append(la[j])
-            elif op == RETURN_VAL:
-                value = ts[-1]
-                break
-            elif op == RETURN:
-                value = VOID
-                break
-            elif op == GT:
-                right = ts.pop()
-                ts[-1] = 1 if ts[-1] > right else 0
-            elif op == LT:
-                right = ts.pop()
-                ts[-1] = 1 if ts[-1] < right else 0
-            elif op == GE:
-                right = ts.pop()
-                ts[-1] = 1 if ts[-1] >= right else 0
-            elif op == LE:
-                right = ts.pop()
-                ts[-1] = 1 if ts[-1] <= right else 0
-            elif op == ADD:
-                right = ts.pop()
-                ts[-1] += right
-            elif op == SUB:
-                right = ts.pop()
-                ts[-1] -= right
-            elif op == MUL:
-                right = ts.pop()
-                ts[-1] *= right
-            elif op == EQ:
-                right = ts.pop()
-                left = ts[-1]
-                if isinstance(left, int) and isinstance(right, int):
-                    ts[-1] = 1 if left == right else 0
-                else:
-                    ts[-1] = 1 if left is right else 0
-            elif op == NE:
-                right = ts.pop()
-                left = ts[-1]
-                if isinstance(left, int) and isinstance(right, int):
-                    ts[-1] = 1 if left != right else 0
-                else:
-                    ts[-1] = 1 if left is not right else 0
-            elif op == JIF:
-                if ts.pop() == 0:
-                    j = la[j]
-                    continue
-            elif op == JIT:
-                if ts.pop() != 0:
-                    j = la[j]
-                    continue
-            elif op == JUMP:
-                j = la[j]
-                continue
-            elif op == PUTFIELD:
-                value = ts.pop()
-                obj = ts.pop()
-                if obj is None:
-                    ok = False
-                    break
-                fields = obj.fields
-                offset = la[j]
-                if undo is None:
-                    undo = []
-                undo.append((fields, offset, fields[offset]))
-                fields[offset] = value
-            elif op == DIV or op == MOD:
-                right = ts.pop()
-                left = ts[-1]
-                if right == 0:
-                    ok = False
-                    break
-                quotient = abs(left) // abs(right)
-                if (left < 0) != (right < 0):
-                    quotient = -quotient
-                ts[-1] = quotient if op == DIV else left - quotient * right
-            elif op == STORE:
-                lcl[la[j]] = ts.pop()
-            elif op == DUP:
-                ts.append(ts[-1])
-            elif op == POP:
-                ts.pop()
-            elif op == PUSH_NULL:
-                ts.append(None)
-            elif op == NEG:
-                ts[-1] = -ts[-1]
-            elif op == NOT:
-                ts[-1] = 0 if ts[-1] != 0 else 1
-            elif op == IS_EXACT:
-                obj = ts.pop()
-                ts.append(
-                    1 if obj is not None and obj.class_index == la[j] else 0
-                )
-            # else: NOP — nothing to do.
-            j += 1
-        if ok:
-            return (value, cost, steps)
-        if undo is not None:
-            for fields, offset, old in reversed(undo):
-                fields[offset] = old
-        return None
 
     # -- timer -------------------------------------------------------------------
 

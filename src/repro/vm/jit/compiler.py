@@ -37,8 +37,8 @@ run.  The exit taxonomy:
   body bailed with ``LEAF_FAIL``.  The interpreter re-executes the
   instruction and raises (or takes its slow path) with exact counters.
 * **call exit** (``vm.jit_call_exits``) — a call site the template
-  cannot inline (no leaf, branching leaf body, frame-budget exhausted,
-  unquickened virtual, or any observation hook attached).
+  cannot inline (no leaf template, frame-budget exhausted, unquickened
+  virtual, or any observation hook attached).
 * **return exit** (``vm.jit_return_exits``) — execution reached a
   ``RETURN``/``RETURN_VAL``; the interpreter dispatches the return
   itself (return cost, epilogue yieldpoint, path record, frame pop).
@@ -56,9 +56,11 @@ from __future__ import annotations
 
 from time import perf_counter
 
-from repro.bytecode.opcodes import STACK_EFFECT, Op
+from repro.bytecode.opcodes import SPEC_BY_OP, STACK_EFFECT, Op
 from repro.vm import fuse
 from repro.vm import ic as icmod
+from repro.vm import optemplates
+from repro.vm.optemplates import Atom
 from repro.vm.values import HeapArray, HeapObject
 
 #: Bail out of compiling methods longer than this many instructions.
@@ -71,25 +73,8 @@ _STACK_EFFECT: dict[int, int] = {
     int(op): effect for op, effect in STACK_EFFECT.items() if effect is not None
 }
 
-_OP_PUSH = int(Op.PUSH)
-_OP_PUSH_NULL = int(Op.PUSH_NULL)
-_OP_POP = int(Op.POP)
-_OP_DUP = int(Op.DUP)
-_OP_LOAD = int(Op.LOAD)
-_OP_STORE = int(Op.STORE)
-_OP_ADD = int(Op.ADD)
-_OP_SUB = int(Op.SUB)
-_OP_MUL = int(Op.MUL)
-_OP_DIV = int(Op.DIV)
-_OP_MOD = int(Op.MOD)
-_OP_NEG = int(Op.NEG)
-_OP_NOT = int(Op.NOT)
-_OP_LT = int(Op.LT)
-_OP_LE = int(Op.LE)
-_OP_GT = int(Op.GT)
-_OP_GE = int(Op.GE)
-_OP_EQ = int(Op.EQ)
-_OP_NE = int(Op.NE)
+# Control opcodes: the compiler owns block structure, call sites and
+# exits; every other opcode goes through repro.vm.optemplates.
 _OP_JUMP = int(Op.JUMP)
 _OP_JIF = int(Op.JUMP_IF_FALSE)
 _OP_JIT = int(Op.JUMP_IF_TRUE)
@@ -97,41 +82,9 @@ _OP_CALL_STATIC = int(Op.CALL_STATIC)
 _OP_CALL_VIRTUAL = int(Op.CALL_VIRTUAL)
 _OP_RETURN = int(Op.RETURN)
 _OP_RETURN_VAL = int(Op.RETURN_VAL)
-_OP_NEW = int(Op.NEW)
-_OP_GETFIELD = int(Op.GETFIELD)
-_OP_PUTFIELD = int(Op.PUTFIELD)
-_OP_IS_EXACT = int(Op.IS_EXACT)
-_OP_GUARD_METHOD = int(Op.GUARD_METHOD)
-_OP_NEW_ARRAY = int(Op.NEW_ARRAY)
-_OP_ALOAD = int(Op.ALOAD)
-_OP_ASTORE = int(Op.ASTORE)
-_OP_ARRAY_LEN = int(Op.ARRAY_LEN)
-_OP_PRINT = int(Op.PRINT)
-_OP_NOP = int(Op.NOP)
 
-_CMP = {
-    _OP_LT: ("<", ">="),
-    _OP_LE: ("<=", ">"),
-    _OP_GT: (">", "<="),
-    _OP_GE: (">=", "<"),
-}
-_BINOP = {_OP_ADD: "+", _OP_SUB: "-", _OP_MUL: "*"}
-
-#: Leaf-body opcodes the compiler can expand *textually* into the
-#: caller's generated code: side-effect-free (heap reads but no heap
-#: writes), so any fault precondition can exit at the call pc with
-#: nothing to roll back.  PUTFIELD (a deferred write the closure would
-#: have to undo) keeps the closure path; branches never reach here
-#: because only bodies with a compiled closure — jump-free by
-#: construction — are considered.
-_PURE_LEAF_OPS = frozenset(
-    {
-        _OP_PUSH, _OP_PUSH_NULL, _OP_POP, _OP_DUP, _OP_LOAD, _OP_STORE,
-        _OP_ADD, _OP_SUB, _OP_MUL, _OP_DIV, _OP_MOD, _OP_NEG, _OP_NOT,
-        _OP_LT, _OP_LE, _OP_GT, _OP_GE, _OP_EQ, _OP_NE,
-        _OP_GETFIELD, _OP_IS_EXACT, _OP_NOP, _OP_RETURN, _OP_RETURN_VAL,
-    }
-)
+#: Heap classes generated code instantiates, baked in by name.
+_HEAP_CLASSES = {"HeapObject": HeapObject, "HeapArray": HeapArray}
 
 
 def jit_sig(inline_leaves: bool, emit_paths: bool) -> int:
@@ -211,36 +164,43 @@ class _Bail(Exception):
     """Internal: this method cannot be template-compiled."""
 
 
-class _Atom:
-    """One symbolic operand-stack slot: a pure Python expression.
+class _InlineLeaf(optemplates.EmitContext):
+    """Emit context for a pure leaf body expanded at its call site.
 
-    ``expr`` is parenthesized whenever compound, so atoms compose by
-    plain interpolation.  ``deps`` are the local slots the expression
-    reads (a ``STORE`` to one of them pins the atom to a temp first).
-    ``cond``/``ncond`` carry a boolean form and its negation for
-    comparison results, so branches test the comparison directly instead
-    of materializing 0/1.  ``lit`` holds a compile-time int constant,
-    ``isnull`` marks the ``null`` literal — both feed the ``EQ``/``NE``
-    int-vs-identity specialization."""
+    Callee parameters are the caller's (already pinned) argument atoms
+    and extra callee locals start at 0, like a fresh frame; statements
+    go to the caller's arm.  A fault precondition — null field access,
+    division by zero — exits at the call pc with the caller's stack and
+    nothing to roll back, so the interpreter replays the call
+    generically and faults with a real frame, exactly as the closure's
+    LEAF_FAIL path does."""
 
-    __slots__ = ("expr", "deps", "simple", "cond", "ncond", "lit", "isnull")
+    def __init__(self, compiler, pc, vstack, args, num_locals):
+        self.compiler = compiler
+        self.w = compiler.w
+        self.new_tmp = compiler.new_tmp
+        self.pc = pc
+        self.caller_vstack = vstack
+        self.locals = list(args)
+        self.locals += [optemplates.lit_atom(0)] * (num_locals - len(args))
 
-    def __init__(self, expr, deps=frozenset(), simple=False, cond=None,
-                 ncond=None, lit=None, isnull=False):
-        self.expr = expr
-        self.deps = deps
-        self.simple = simple
-        self.cond = cond
-        self.ncond = ncond
-        self.lit = lit
-        self.isnull = isnull
+    def load(self, slot):
+        return self.locals[slot]
+
+    def store(self, slot, value, vstack):
+        # Simulation state only; pin so a reloaded slot never
+        # re-evaluates a compound value.
+        self.locals[slot] = self.pin(value)
+
+    def fault(self, cond, vstack, operands):
+        self.compiler._exit_if(cond, self.pc, self.caller_vstack, "jit_guard_exits")
 
 
-def _lit_atom(value: int) -> _Atom:
-    return _Atom(repr(value), simple=True, lit=value)
+class _Compiler(optemplates.EmitContext):
+    """One method's compilation; also the emit context of its own body:
+    locals are ``lN`` and a fault precondition is a guard exit at the
+    faulting pc with the op's operands back on the stack."""
 
-
-class _Compiler:
     def __init__(self, method, program, cache, config, inline_leaves, emit_paths):
         self.method = method
         self.program = program
@@ -272,43 +232,34 @@ class _Compiler:
         self.zero_progress: set[int] = set()
         self.cur_leader = 0
         self.arm_progress = False
-        self._branch_atom: _Atom | None = None
+        self._branch_atom: Atom | None = None
+        #: (pc, giveback) of the op being templated, for ``fault``.
+        self._site: tuple = (0, None)
 
     # -- small emission helpers -------------------------------------------------
 
-    def _w(self, line: str) -> None:
+    def w(self, line: str) -> None:
         self.lines.append("    " * self.indent + line)
 
-    def _new_tmp(self) -> str:
+    def new_tmp(self) -> str:
         name = f"t{self.tmp}"
         self.tmp += 1
         return name
 
-    def _pin(self, atom: _Atom) -> _Atom:
-        """Bind a compound atom to a fresh temp so it can be used more
-        than once; simple atoms (names/literals) pass through."""
-        if atom.simple:
-            return atom
-        t = self._new_tmp()
-        self._w(f"{t} = {atom.expr}")
-        return _Atom(t, simple=True, lit=atom.lit, isnull=atom.isnull)
+    def fault(self, cond, vstack, operands) -> None:
+        pc, giveback = self._site
+        self._exit_if(
+            cond, pc, vstack + list(operands), "jit_guard_exits", giveback
+        )
 
-    def _pin_force(self, atom: _Atom) -> _Atom:
-        """Bind unconditionally (used when a local in ``deps`` is about
-        to be overwritten — even a bare ``lN`` name must be captured)."""
-        t = self._new_tmp()
-        self._w(f"{t} = {atom.expr}")
-        return _Atom(t, simple=True, lit=atom.lit, isnull=atom.isnull)
+    def name(self, what: str) -> str:
+        if what in _HEAP_CLASSES:
+            return self._bake(what, _HEAP_CLASSES[what])
+        self.uses.add(what)
+        return "_" + what
 
-    def _invalidate_local(self, vstack: list[_Atom], slot: int) -> None:
-        replaced: dict[int, _Atom] = {}
-        for i, atom in enumerate(vstack):
-            if slot in atom.deps:
-                pinned = replaced.get(id(atom))
-                if pinned is None:
-                    pinned = self._pin_force(atom)
-                    replaced[id(atom)] = pinned
-                vstack[i] = pinned
+    def charge(self, expr: str) -> None:
+        self.w(f"time += {expr}")
 
     def _bake(self, name: str, value) -> str:
         self.baked[name] = value
@@ -323,20 +274,26 @@ class _Compiler:
         if giveback is not None:
             gcost, gsteps = giveback
             if gcost:
-                self._w(f"time -= {gcost}")
-            self._w(f"steps -= {gsteps}")
+                self.w(f"time -= {gcost}")
+            self.w(f"steps -= {gsteps}")
         n = self.method.num_locals
         if n:
             names = ", ".join(f"l{i}" for i in range(n))
-            self._w(f"_L[:] = ({names},)")
-        self._w(f"frame.pc = {pc}")
+            self.w(f"_L[:] = ({names},)")
+        self.w(f"frame.pc = {pc}")
         if vstack:
             exprs = ", ".join(a.expr for a in vstack)
-            self._w(f"_stack.extend(({exprs},))")
-        self._w(f"vm.{counter} += 1")
+            self.w(f"_stack.extend(({exprs},))")
+        self.w(f"vm.{counter} += 1")
         if self.has_inline:
-            self._w("vm.jit_leaf_calls += _leaf")
-        self._w("return (time, steps, call_count)")
+            self.w("vm.jit_leaf_calls += _leaf")
+        self.w("return (time, steps, call_count)")
+
+    def _exit_if(self, cond: str, pc: int, vstack, counter: str, giveback=None) -> None:
+        self.w(f"if {cond}:")
+        self.indent += 1
+        self._exit(pc, vstack, counter, giveback)
+        self.indent -= 1
 
     def _goto(self, target: int, vstack) -> None:
         """Jump to another arm, materializing the symbolic stack into
@@ -347,9 +304,9 @@ class _Compiler:
         if depth and any(a.expr != f"s{i}" for i, a in enumerate(vstack)):
             slots = ", ".join(f"s{i}" for i in range(depth))
             exprs = ", ".join(a.expr for a in vstack)
-            self._w(f"{slots} = ({exprs},)" if depth > 1 else f"{slots} = {exprs}")
-        self._w(f"_b = {target}")
-        self._w("continue")
+            self.w(f"{slots} = ({exprs},)" if depth > 1 else f"{slots} = {exprs}")
+        self.w(f"_b = {target}")
+        self.w("continue")
 
     # -- analysis ---------------------------------------------------------------
 
@@ -463,7 +420,7 @@ class _Compiler:
         self.cur_leader = leader
         self.arm_progress = False
         vstack = [
-            _Atom(f"s{i}", simple=True) for i in range(self.depth[leader])
+            Atom(f"s{i}", simple=True) for i in range(self.depth[leader])
         ]
         seg: list[int] = []
         pc = leader
@@ -495,9 +452,9 @@ class _Compiler:
                 seg = []
                 if a <= pc and self.emit_paths:
                     self.uses.add("paths")
-                    self._w("vm.time = time")
-                    self._w(f"_p.on_jump_back({pc})")
-                    self._w("time = vm.time")
+                    self.w("vm.time = time")
+                    self.w(f"_p.on_jump_back({pc})")
+                    self.w("time = vm.time")
                 self._goto(a, vstack)
                 return
             if op == _OP_JIF or op == _OP_JIT:
@@ -509,22 +466,24 @@ class _Compiler:
                     taken = atom.ncond if atom.ncond else f"{atom.expr} == 0"
                 else:
                     taken = atom.cond if atom.cond else f"{atom.expr} != 0"
-                self._w(f"if {taken}:")
+                self.w(f"if {taken}:")
                 self.indent += 1
                 if self.emit_paths:
                     self.uses.add("paths")
-                    self._w("vm.time = time")
-                    self._w(f"_p.on_branch({pc}, True)")
-                    self._w("time = vm.time")
+                    self.w("vm.time = time")
+                    self.w(f"_p.on_branch({pc}, True)")
+                    self.w("time = vm.time")
                 self._goto(a, vstack)
                 self.indent -= 1
                 if self.emit_paths:
-                    self._w("vm.time = time")
-                    self._w(f"_p.on_branch({pc}, False)")
-                    self._w("time = vm.time")
+                    self.w("vm.time = time")
+                    self.w(f"_p.on_branch({pc}, False)")
+                    self.w("time = vm.time")
                 pc += 1
                 continue
-            if op == _OP_NEW_ARRAY:
+            if SPEC_BY_OP[op].dyn_cost is not None:
+                # A run-time charge ends the segment: the next lumped
+                # tick guard must see it.
                 self._flush(seg, vstack)
                 seg = []
             pc += 1
@@ -538,248 +497,28 @@ class _Compiler:
         recs = self.recs
         total_cost = sum(recs[p][3] for p in seg)
         total_steps = len(seg)
-        first = seg[0]
-        self._w(
-            f"if time + {total_cost} >= next_tick or "
-            f"steps + {total_steps} >= {self.max_steps}:"
+        self._exit_if(
+            f"time + {total_cost} >= next_tick or "
+            f"steps + {total_steps} >= {self.max_steps}",
+            seg[0], vstack, "jit_deopts",
         )
-        self.indent += 1
-        self._exit(first, vstack, "jit_deopts")
-        self.indent -= 1
         if total_cost:
-            self._w(f"time += {total_cost}")
-        self._w(f"steps += {total_steps}")
+            self.w(f"time += {total_cost}")
+        self.w(f"steps += {total_steps}")
         self.arm_progress = True
         suffix_cost = total_cost
         suffix_steps = total_steps
         for p in seg:
-            giveback = (suffix_cost, suffix_steps)
-            self._emit_op(p, vstack, giveback)
-            suffix_cost -= recs[p][3]
+            op, a, b, cost, _entry = recs[p]
+            if op == _OP_JIF or op == _OP_JIT:
+                self._branch_atom = vstack.pop()
+            elif op != _OP_JUMP:
+                # A fault exit refunds the pre-charged segment suffix.
+                self._site = (p, (suffix_cost, suffix_steps))
+                optemplates.emit(self, op, a, b, vstack)
+            suffix_cost -= cost
             suffix_steps -= 1
         del seg[:]
-
-    def _emit_op(self, pc: int, vstack, giveback) -> None:
-        op, a, b, cost, _entry = self.recs[pc]
-        w = self._w
-        if op == _OP_LOAD:
-            vstack.append(_Atom(f"l{a}", deps=frozenset((a,)), simple=True))
-        elif op == _OP_PUSH:
-            vstack.append(_lit_atom(a))
-        elif op == _OP_PUSH_NULL:
-            vstack.append(_Atom("None", simple=True, isnull=True))
-        elif op == _OP_STORE:
-            value = vstack.pop()
-            self._invalidate_local(vstack, a)
-            w(f"l{a} = {value.expr}")
-        elif op == _OP_POP:
-            vstack.pop()
-        elif op == _OP_DUP:
-            top = self._pin(vstack[-1])
-            vstack[-1] = top
-            vstack.append(top)
-        elif op in _BINOP:
-            r = vstack.pop()
-            l = vstack.pop()
-            if l.lit is not None and r.lit is not None:
-                folded = {
-                    _OP_ADD: l.lit + r.lit,
-                    _OP_SUB: l.lit - r.lit,
-                    _OP_MUL: l.lit * r.lit,
-                }[op]
-                vstack.append(_lit_atom(folded))
-            else:
-                vstack.append(
-                    _Atom(f"({l.expr} {_BINOP[op]} {r.expr})", deps=l.deps | r.deps)
-                )
-        elif op in _CMP:
-            r = vstack.pop()
-            l = vstack.pop()
-            sym, nsym = _CMP[op]
-            cond = f"({l.expr} {sym} {r.expr})"
-            ncond = f"({l.expr} {nsym} {r.expr})"
-            vstack.append(
-                _Atom(
-                    f"(1 if {cond} else 0)", deps=l.deps | r.deps,
-                    cond=cond, ncond=ncond,
-                )
-            )
-        elif op == _OP_EQ or op == _OP_NE:
-            r = self._pin(vstack.pop())
-            l = self._pin(vstack.pop())
-            cond, ncond = self._eq_conds(l, r)
-            if op == _OP_NE:
-                cond, ncond = ncond, cond
-            vstack.append(
-                _Atom(f"(1 if {cond} else 0)", cond=cond, ncond=ncond)
-            )
-        elif op == _OP_NEG:
-            x = vstack.pop()
-            if x.lit is not None:
-                vstack.append(_lit_atom(-x.lit))
-            else:
-                vstack.append(_Atom(f"(-{x.expr})", deps=x.deps))
-        elif op == _OP_NOT:
-            x = vstack.pop()
-            if x.lit is not None:
-                vstack.append(_lit_atom(0 if x.lit != 0 else 1))
-            else:
-                cond = f"({x.expr} == 0)"
-                vstack.append(
-                    _Atom(
-                        f"(0 if {x.expr} != 0 else 1)", deps=x.deps,
-                        cond=cond, ncond=f"({x.expr} != 0)",
-                    )
-                )
-        elif op == _OP_NEW:
-            self.uses.add("fd")
-            self._bake("HeapObject", HeapObject)
-            t = self._new_tmp()
-            w(f"{t} = HeapObject({a}, _fd[{a}])")
-            vstack.append(_Atom(t, simple=True))
-        elif op == _OP_GETFIELD:
-            obj = self._pin(vstack[-1])
-            vstack[-1] = obj
-            w(f"if {obj.expr} is None:")
-            self.indent += 1
-            self._exit(pc, vstack, "jit_guard_exits", giveback)
-            self.indent -= 1
-            t = self._new_tmp()
-            w(f"{t} = {obj.expr}.fields[{a}]")
-            vstack[-1] = _Atom(t, simple=True)
-        elif op == _OP_PUTFIELD:
-            value = vstack.pop()
-            obj = self._pin(vstack.pop())
-            w(f"if {obj.expr} is None:")
-            self.indent += 1
-            self._exit(
-                pc, vstack + [obj, value], "jit_guard_exits", giveback
-            )
-            self.indent -= 1
-            w(f"{obj.expr}.fields[{a}] = {value.expr}")
-        elif op == _OP_IS_EXACT:
-            obj = self._pin(vstack.pop())
-            cond = f"({obj.expr} is not None and {obj.expr}.class_index == {a})"
-            vstack.append(
-                _Atom(
-                    f"(1 if {cond} else 0)", cond=cond, ncond=f"not {cond}"
-                )
-            )
-        elif op == _OP_GUARD_METHOD:
-            self.uses.add("vt")
-            obj = self._pin(vstack.pop())
-            cond = (
-                f"({obj.expr} is not None"
-                f" and _vt[{obj.expr}.class_index].get({a}) == {b})"
-            )
-            vstack.append(
-                _Atom(
-                    f"(1 if {cond} else 0)", cond=cond, ncond=f"not {cond}"
-                )
-            )
-        elif op == _OP_DIV or op == _OP_MOD:
-            r = self._pin(vstack.pop())
-            l = self._pin(vstack.pop())
-            if not (r.lit is not None and r.lit != 0):
-                w(f"if {r.expr} == 0:")
-                self.indent += 1
-                self._exit(pc, vstack + [l, r], "jit_guard_exits", giveback)
-                self.indent -= 1
-            q = self._new_tmp()
-            w(f"{q} = abs({l.expr}) // abs({r.expr})")
-            w(f"if ({l.expr} < 0) != ({r.expr} < 0):")
-            w(f"    {q} = -{q}")
-            if op == _OP_DIV:
-                vstack.append(_Atom(q, simple=True))
-            else:
-                t = self._new_tmp()
-                w(f"{t} = {l.expr} - {q} * {r.expr}")
-                vstack.append(_Atom(t, simple=True))
-        elif op == _OP_NEW_ARRAY:
-            self._bake("HeapArray", HeapArray)
-            length = self._pin(vstack.pop())
-            w(f"if {length.expr} < 0:")
-            self.indent += 1
-            self._exit(pc, vstack + [length], "jit_guard_exits", giveback)
-            self.indent -= 1
-            w(f"time += {length.expr}")
-            t = self._new_tmp()
-            w(f"{t} = HeapArray({length.expr})")
-            vstack.append(_Atom(t, simple=True))
-        elif op == _OP_ALOAD:
-            index = self._pin(vstack.pop())
-            array = self._pin(vstack.pop())
-            w(
-                f"if {array.expr} is None or {index.expr} < 0"
-                f" or {index.expr} >= len({array.expr}.elements):"
-            )
-            self.indent += 1
-            self._exit(pc, vstack + [array, index], "jit_guard_exits", giveback)
-            self.indent -= 1
-            t = self._new_tmp()
-            w(f"{t} = {array.expr}.elements[{index.expr}]")
-            vstack.append(_Atom(t, simple=True))
-        elif op == _OP_ASTORE:
-            value = vstack.pop()
-            index = self._pin(vstack.pop())
-            array = self._pin(vstack.pop())
-            w(
-                f"if {array.expr} is None or {index.expr} < 0"
-                f" or {index.expr} >= len({array.expr}.elements):"
-            )
-            self.indent += 1
-            self._exit(
-                pc, vstack + [array, index, value], "jit_guard_exits", giveback
-            )
-            self.indent -= 1
-            w(f"{array.expr}.elements[{index.expr}] = {value.expr}")
-        elif op == _OP_ARRAY_LEN:
-            array = self._pin(vstack.pop())
-            w(f"if {array.expr} is None:")
-            self.indent += 1
-            self._exit(pc, vstack + [array], "jit_guard_exits", giveback)
-            self.indent -= 1
-            vstack.append(
-                _Atom(f"len({array.expr}.elements)")
-            )
-        elif op == _OP_PRINT:
-            self.uses.add("out")
-            value = vstack.pop()
-            w(f"_out.append({value.expr})")
-        elif op == _OP_NOP:
-            pass
-        elif op == _OP_JIF or op == _OP_JIT:
-            self._branch_atom = vstack.pop()
-        elif op == _OP_JUMP:
-            pass
-        else:  # pragma: no cover - verifier rejects unknown opcodes
-            raise _Bail(f"unknown opcode {op}")
-
-    def _eq_conds(self, l: _Atom, r: _Atom) -> tuple[str, str]:
-        """The interpreter's EQ: ``==`` when both sides are ints,
-        identity otherwise.  Literal operands let the type test fold."""
-        if l.lit is not None and r.lit is not None:
-            return ("True", "False") if l.lit == r.lit else ("False", "True")
-        if l.isnull and r.isnull:
-            return "True", "False"
-        for lit, other in ((l, r), (r, l)):
-            if lit.isnull:
-                return f"({other.expr} is None)", f"({other.expr} is not None)"
-            if lit.lit is not None:
-                eq = f"(isinstance({other.expr}, int) and {other.expr} == {lit.expr})"
-                ne = f"(not isinstance({other.expr}, int) or {other.expr} != {lit.expr})"
-                return eq, ne
-        eq = (
-            f"(({l.expr} == {r.expr})"
-            f" if (isinstance({l.expr}, int) and isinstance({r.expr}, int))"
-            f" else ({l.expr} is {r.expr}))"
-        )
-        ne = (
-            f"(({l.expr} != {r.expr})"
-            f" if (isinstance({l.expr}, int) and isinstance({r.expr}, int))"
-            f" else ({l.expr} is not {r.expr}))"
-        )
-        return eq, ne
 
     # -- call sites -------------------------------------------------------------
 
@@ -790,7 +529,7 @@ class _Compiler:
         interpreter's frame-free fast path) — and everything else exits
         to the interpreter.  Returns True when the arm continues past
         the site."""
-        w = self._w
+        w = self.w
         virtual = op == _OP_CALL_VIRTUAL
         nargs = b + 1 if virtual else b
         if virtual:
@@ -815,16 +554,13 @@ class _Compiler:
         # The interpreter's dispatch charges one step at the call pc and
         # its arm raises StepLimit on the incremented count; mirror the
         # check (uncharged de-opt → exact replay).
-        w(f"if steps + 1 >= {self.max_steps}:")
-        self.indent += 1
-        self._exit(pc, vstack, "jit_deopts")
-        self.indent -= 1
+        self._exit_if(f"steps + 1 >= {self.max_steps}", pc, vstack, "jit_deopts")
         # Pin compound argument atoms up front: every guard branch below
         # must see the same caller stack (a temp emitted inside one
         # branch would be unbound along the others).
         for i in range(len(vstack) - nargs, len(vstack)):
-            vstack[i] = self._pin(vstack[i])
-        tres = self._new_tmp() if rv else None
+            vstack[i] = self.pin(vstack[i])
+        tres = self.new_tmp() if rv else None
         if virtual:
             recv = vstack[-nargs]
             ename = self._bake(f"_e{pc}", entry)
@@ -833,10 +569,7 @@ class _Compiler:
                 self.exit_sites += 1
                 self._exit(pc, vstack, "jit_call_exits")
                 return False
-            w(f"if {recv.expr} is None:")
-            self.indent += 1
-            self._exit(pc, vstack, "jit_guard_exits")
-            self.indent -= 1
+            self._exit_if(f"{recv.expr} is None", pc, vstack, "jit_guard_exits")
             w(f"_rc = {recv.expr}.class_index")
             for i, (class_index, method_slot, cell) in enumerate(guards):
                 kw = "if" if i == 0 else "elif"
@@ -870,7 +603,7 @@ class _Compiler:
         if nargs:
             del vstack[len(vstack) - nargs:]
         if rv:
-            vstack.append(_Atom(tres, simple=True))
+            vstack.append(Atom(tres, simple=True))
         self.arm_progress = True
         return True
 
@@ -881,79 +614,55 @@ class _Compiler:
         """Emit the body of one guarded call target, leaving the result
         (if any) in ``tres``.
 
-        When the target's leaf template is pure — a compiled closure
-        exists and the executed prefix never writes the heap — the body
-        is expanded textually into the caller under an identity guard on
-        the baked leaf tuple, eliding the closure call (and its argument
-        tuple) entirely.  The identity guard also keeps adaptive
+        When the target's leaf template is pure — it never writes the
+        heap — the body is expanded textually into the caller (same
+        evaluator, :class:`_InlineLeaf` context) under an identity guard
+        on the baked leaf tuple, eliding the closure call (and its
+        argument tuple) entirely.  The identity guard also keeps adaptive
         recompiles honest: a replaced callee publishes a fresh leaf
         tuple, so the site exits until the manager re-jits the caller.
         Other targets go through the generic guarded leaf-template
         call."""
-        w = self._w
+        w = self.w
         w(f"_c = {resolver}")
         leaf = callee.leaf if callee is not None else None
         args = vstack[len(vstack) - nargs:] if nargs else []
-        if leaf is not None and self._leaf_pure(leaf):
+        if leaf is not None and optemplates.PURE_LEAF_OPS.issuperset(
+            leaf[icmod.L_OPS]
+        ):
             lname = self._bake(f"_lf{tag}", leaf)
-            w(f"if _c.leaf is not {lname} or not _room:")
-            self.indent += 1
-            self._exit(pc, vstack, "jit_call_exits")
-            self.indent -= 1
-            w(f"if time + {csc + leaf[icmod.L_COST]} >= next_tick:")
-            self.indent += 1
-            self._exit(pc, vstack, "jit_deopts")
-            self.indent -= 1
-            result = self._sim_leaf(pc, vstack, leaf, args)
+            self._exit_if(
+                f"_c.leaf is not {lname} or not _room", pc, vstack, "jit_call_exits"
+            )
+            self._exit_if(
+                f"time + {csc + leaf[icmod.L_COST]} >= next_tick",
+                pc, vstack, "jit_deopts",
+            )
+            ctx = _InlineLeaf(self, pc, vstack, args, leaf[icmod.L_NUM_LOCALS])
+            ts: list[Atom] = []
+            for lop, la in zip(leaf[icmod.L_OPS], leaf[icmod.L_A]):
+                optemplates.emit(ctx, lop, la, None, ts)
             if cellname is not None:
                 w(f"{cellname}[0] += 1")
-            w(f"time += {csc + leaf[icmod.L_FN_COST]}")
-            w(f"steps += {1 + leaf[icmod.L_FN_STEPS]}")
+            w(f"time += {csc + leaf[icmod.L_COST]}")
+            w(f"steps += {1 + leaf[icmod.L_STEPS]}")
             if rv:
-                w(f"{tres} = {result.expr}")
+                w(f"{tres} = {ts.pop().expr}")
         else:
             arglist = ", ".join(x.expr for x in args)
-            t = tres if rv else self._new_tmp()
+            t = tres if rv else self.new_tmp()
             w("_lf = _c.leaf")
-            w("if _lf is None or not _room:")
-            self.indent += 1
-            self._exit(pc, vstack, "jit_call_exits")
-            self.indent -= 1
-            w(f"if time + {csc} + _lf[0] >= next_tick:")
-            self.indent += 1
-            self._exit(pc, vstack, "jit_deopts")
-            self.indent -= 1
-            w("_fn = _lf[6]")
-            w("if _fn is not None:")
-            self.indent += 1
-            w(f"{t} = _fn(({arglist}{',' if args else ''}), 0)")
-            w(f"if {t} is _LF:")
-            self.indent += 1
-            self._exit(pc, vstack, "jit_guard_exits")
-            self.indent -= 1
+            self._exit_if("_lf is None or not _room", pc, vstack, "jit_call_exits")
+            self._exit_if(
+                f"time + {csc} + _lf[{icmod.L_COST}] >= next_tick",
+                pc, vstack, "jit_deopts",
+            )
+            w(f"{t} = _lf[{icmod.L_FN}](({arglist}{',' if args else ''}), 0)")
+            self._exit_if(f"{t} is _LF", pc, vstack, "jit_guard_exits")
             if cellname is not None:
                 w(f"{cellname}[0] += 1")
-            w(f"time += {csc} + _lf[7]")
-            w("steps += 1 + _lf[8]")
-            self.indent -= 1
-            w("else:")
-            self.indent += 1
-            # Branching leaf bodies have no compiled closure; evaluate
-            # the template like the interpreter's arm does (undoes its
-            # writes and returns None on a would-be fault → generic
-            # replay).
-            self.uses.add("ev")
-            w(f"_res = _ev(_lf, [{arglist}], 0)")
-            w("if _res is None:")
-            self.indent += 1
-            self._exit(pc, vstack, "jit_call_exits")
-            self.indent -= 1
-            w(f"{t} = _res[0]")
-            if cellname is not None:
-                w(f"{cellname}[0] += 1")
-            w(f"time += {csc} + _res[1]")
-            w("steps += 1 + _res[2]")
-            self.indent -= 1
+            w(f"time += {csc} + _lf[{icmod.L_COST}]")
+            w(f"steps += 1 + _lf[{icmod.L_STEPS}]")
         w("call_count += 1")
         w("_leaf += 1")
         if raw_static is not None:
@@ -963,161 +672,6 @@ class _Compiler:
             w(f"if not _seen[{raw_static}]:")
             w(f"    _seen[{raw_static}] = True")
             w("    vm.methods_executed += 1")
-
-    def _leaf_pure(self, leaf) -> bool:
-        """True when the leaf's executed prefix can expand textually: a
-        compiled closure exists (its charge constants are exact and the
-        prefix is jump-free) and every op before the first return is
-        side-effect-free."""
-        if leaf[icmod.L_FN] is None:
-            return False
-        for lop in leaf[icmod.L_OPS]:
-            if lop == _OP_RETURN or lop == _OP_RETURN_VAL:
-                return True
-            if lop not in _PURE_LEAF_OPS:
-                return False
-        return False  # pragma: no cover - leaf bodies end in a return
-
-    def _sim_leaf(self, pc, vstack, leaf, args) -> _Atom | None:
-        """Expand a pure leaf body textually at the call site.
-
-        Callee parameters map to the caller's (already pinned) argument
-        atoms; extra callee locals start at 0, like a fresh frame.
-        Fault preconditions — null field access, division by zero —
-        exit at the call pc with nothing to roll back, so the
-        interpreter replays the call generically and faults with a real
-        frame, exactly as the closure's LEAF_FAIL path does.  The check
-        order may differ from the closure's, but with no side effects
-        the completion predicate (and therefore every observable) is
-        identical.  Returns the result atom, or None for a void
-        return."""
-        w = self._w
-        lops = leaf[icmod.L_OPS]
-        la = leaf[icmod.L_A]
-        locals_ = list(args)
-        while len(locals_) < leaf[icmod.L_NUM_LOCALS]:
-            locals_.append(_lit_atom(0))
-        ts: list[_Atom] = []
-        for j, lop in enumerate(lops):
-            arg = la[j]
-            if lop == _OP_LOAD:
-                ts.append(locals_[arg])
-            elif lop == _OP_PUSH:
-                ts.append(_lit_atom(arg))
-            elif lop == _OP_PUSH_NULL:
-                ts.append(_Atom("None", simple=True, isnull=True))
-            elif lop == _OP_POP:
-                ts.pop()
-            elif lop == _OP_DUP:
-                top = self._pin(ts[-1])
-                ts[-1] = top
-                ts.append(top)
-            elif lop == _OP_STORE:
-                # Callee locals are simulation state only; pin compound
-                # values so a reloaded slot never re-evaluates.
-                locals_[arg] = self._pin(ts.pop())
-            elif lop in _BINOP:
-                r = ts.pop()
-                l = ts.pop()
-                if l.lit is not None and r.lit is not None:
-                    folded = {
-                        _OP_ADD: l.lit + r.lit,
-                        _OP_SUB: l.lit - r.lit,
-                        _OP_MUL: l.lit * r.lit,
-                    }[lop]
-                    ts.append(_lit_atom(folded))
-                else:
-                    ts.append(
-                        _Atom(
-                            f"({l.expr} {_BINOP[lop]} {r.expr})",
-                            deps=l.deps | r.deps,
-                        )
-                    )
-            elif lop in _CMP:
-                r = ts.pop()
-                l = ts.pop()
-                sym, nsym = _CMP[lop]
-                cond = f"({l.expr} {sym} {r.expr})"
-                ts.append(
-                    _Atom(
-                        f"(1 if {cond} else 0)", deps=l.deps | r.deps,
-                        cond=cond, ncond=f"({l.expr} {nsym} {r.expr})",
-                    )
-                )
-            elif lop == _OP_EQ or lop == _OP_NE:
-                r = self._pin(ts.pop())
-                l = self._pin(ts.pop())
-                cond, ncond = self._eq_conds(l, r)
-                if lop == _OP_NE:
-                    cond, ncond = ncond, cond
-                ts.append(
-                    _Atom(f"(1 if {cond} else 0)", cond=cond, ncond=ncond)
-                )
-            elif lop == _OP_NEG:
-                x = ts.pop()
-                if x.lit is not None:
-                    ts.append(_lit_atom(-x.lit))
-                else:
-                    ts.append(_Atom(f"(-{x.expr})", deps=x.deps))
-            elif lop == _OP_NOT:
-                x = ts.pop()
-                if x.lit is not None:
-                    ts.append(_lit_atom(0 if x.lit != 0 else 1))
-                else:
-                    ts.append(
-                        _Atom(
-                            f"(0 if {x.expr} != 0 else 1)", deps=x.deps,
-                            cond=f"({x.expr} == 0)", ncond=f"({x.expr} != 0)",
-                        )
-                    )
-            elif lop == _OP_GETFIELD:
-                obj = self._pin(ts.pop())
-                w(f"if {obj.expr} is None:")
-                self.indent += 1
-                self._exit(pc, vstack, "jit_guard_exits")
-                self.indent -= 1
-                t = self._new_tmp()
-                w(f"{t} = {obj.expr}.fields[{arg}]")
-                ts.append(_Atom(t, simple=True))
-            elif lop == _OP_IS_EXACT:
-                obj = self._pin(ts.pop())
-                cond = (
-                    f"({obj.expr} is not None"
-                    f" and {obj.expr}.class_index == {arg})"
-                )
-                ts.append(
-                    _Atom(
-                        f"(1 if {cond} else 0)", cond=cond,
-                        ncond=f"not {cond}",
-                    )
-                )
-            elif lop == _OP_DIV or lop == _OP_MOD:
-                r = self._pin(ts.pop())
-                l = self._pin(ts.pop())
-                if not (r.lit is not None and r.lit != 0):
-                    w(f"if {r.expr} == 0:")
-                    self.indent += 1
-                    self._exit(pc, vstack, "jit_guard_exits")
-                    self.indent -= 1
-                q = self._new_tmp()
-                w(f"{q} = abs({l.expr}) // abs({r.expr})")
-                w(f"if ({l.expr} < 0) != ({r.expr} < 0):")
-                w(f"    {q} = -{q}")
-                if lop == _OP_DIV:
-                    ts.append(_Atom(q, simple=True))
-                else:
-                    t = self._new_tmp()
-                    w(f"{t} = {l.expr} - {q} * {r.expr}")
-                    ts.append(_Atom(t, simple=True))
-            elif lop == _OP_NOP:
-                pass
-            elif lop == _OP_RETURN_VAL:
-                return ts.pop()
-            else:  # RETURN — terminal for the executed prefix
-                return None
-        raise AssertionError(
-            "pure leaf without terminal return"
-        )  # pragma: no cover
 
     # -- assembly ---------------------------------------------------------------
 
@@ -1134,12 +688,12 @@ class _Compiler:
         )
         for leader in sorted(self.leaders):
             prefix = "if" if leader == min(self.leaders) else "elif"
-            self._w(f"{prefix} _b == {leader}:")
+            self.w(f"{prefix} _b == {leader}:")
             self.indent += 1
             self._emit_arm(leader)
             self.indent -= 1
-        self._w("else:")
-        self._w("    raise RuntimeError('jit: no arm for pc %d' % _b)")
+        self.w("else:")
+        self.w("    raise RuntimeError('jit: no arm for pc %d' % _b)")
 
         entry0 = 0 not in self.zero_progress
         entries = frozenset(self.osr_targets - self.zero_progress)
@@ -1164,8 +718,6 @@ class _Compiler:
             preamble.append("    _p = vm.path_tracker")
         if "room" in self.uses:
             preamble.append(f"    _room = len(vm.frames) < {self.max_frames}")
-        if "ev" in self.uses:
-            preamble.append("    _ev = vm._eval_leaf")
         if self.has_inline:
             preamble.append("    _leaf = 0")
         preamble.append("    _b = frame.pc")

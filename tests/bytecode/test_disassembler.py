@@ -107,3 +107,28 @@ def test_spec_view_annotates_rows():
     assert "quicken=call_virtual" in text
     assert "yieldpoint=epilogue" in text
     assert text.rstrip().splitlines()[-1].startswith("total:")
+
+
+def test_ic_view_marks_jump_free_bodies_as_leaf_templates():
+    from repro.bytecode.disassembler import describe_method_plan, disassemble_ic
+
+    program = compile_source(
+        """
+        class Range {
+          var lo: int;
+          def low(): int { return this.lo; }
+          def below(v: int): int { if (v < this.lo) { return 1; } return 0; }
+        }
+        def main() { var r = new Range(); print(r.low() + r.below(3)); }
+        """
+    )
+    lines = disassemble_ic(program).splitlines()
+    low = next(line for line in lines if line.startswith("Range.low/"))
+    below = next(line for line in lines if line.startswith("Range.below/"))
+    # Every template is a host closure: one kind, one cost.
+    assert "[leaf template: cost " in low
+    assert "leaf template" not in below  # branches: generic calling sequence
+    assert lines[-1].endswith("1 leaf templates")
+    assert "compiled" not in lines[-1] and "interpreted" not in low
+    plan = describe_method_plan(program.function_named("Range.low"), program)
+    assert "leaf template" in plan and "leaf template (" not in plan

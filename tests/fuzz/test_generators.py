@@ -48,3 +48,5 @@ def test_asm_seeds_cover_fault_shapes():
     sources = "\n".join(generate_asm(seed) for seed in range(120))
     for marker in ("MOD", "DIV", "GETFIELD", "ALOAD", "CALL_VIRTUAL", "CALL_STATIC"):
         assert marker in sources
+    # setter_leaf_fault, through both the static and the virtual IC arm.
+    assert "CALL_VIRTUAL bump 2" in sources and "CALL_STATIC bumpS" in sources

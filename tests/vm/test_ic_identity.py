@@ -31,6 +31,7 @@ from repro.telemetry.exporters import export_jsonl
 from repro.telemetry.tracer import Tracer
 from repro.vm.config import config_named, jikes_config
 from repro.vm.interpreter import Interpreter
+from tests.helpers import force_jit
 
 #: Virtual-dispatch-heavy suite members plus one allocation-heavy and
 #: one recursion-heavy program; jess-tiny alone covers mono, poly and
@@ -113,13 +114,61 @@ def test_adversarial_identical():
     assert_ic_identical(program, "jikes", "cbs")
 
 
-@pytest.mark.parametrize("interval", [97, 523, 1009])
+#: Tiny prime intervals land timer ticks inside call sequences constantly.
+TICK_STRESS_INTERVALS = [97, 523, 1009]
+
+
+@pytest.mark.parametrize("interval", TICK_STRESS_INTERVALS)
 def test_small_timer_intervals_stress_tick_paths(interval):
     """Tiny prime intervals land timer ticks inside leaf-template
     bodies constantly, exercising the tick-aware leaf bailout."""
     assert_ic_identical(
         program_for("jess", "tiny"), "jikes", "cbs", timer_interval=interval
     )
+
+
+#: The soot/jess shape: a small accessor whose body branches forward.
+BRANCHING_ACCESSOR = """
+class Range {
+  var lo: int;
+  var hi: int;
+  def holds(v: int): int {
+    if (v < this.lo) { return 0; }
+    if (v > this.hi) { return 0; }
+    return 1;
+  }
+}
+def main() {
+  var r = new Range();
+  r.lo = 10;
+  r.hi = 50;
+  var t = 0;
+  for (var i = 0; i < 80; i = i + 1) { t = t + r.holds(i); }
+  print(t);
+}
+"""
+
+
+@pytest.mark.parametrize("interval", TICK_STRESS_INTERVALS)
+def test_branching_accessor_takes_the_generic_sequence(interval):
+    """A body with a jump gets no leaf template: its calls go through
+    the generic calling sequence (and, under the JIT, the callee is
+    compiled like any other method) with every observable unchanged."""
+    program = compile_source(BRANCHING_ACCESSOR)
+    ic_vm, raw_vm = assert_ic_identical(
+        program, "jikes", "cbs", timer_interval=interval
+    )
+    holds = program.function_index("Range.holds")
+    assert ic_vm.code_cache.methods[holds].leaf is None
+    assert ic_vm.output == [41]
+    jit_cfg = config_named("jikes", jit=True, timer_interval=interval)
+    jit_vm = Interpreter(program, jit_cfg)
+    profiler = PROFILERS["cbs"]()
+    jit_vm.attach_profiler(profiler)
+    force_jit(jit_vm)
+    jit_vm.run()
+    assert _state(jit_vm, profiler) == _state(raw_vm, raw_vm.profiler)
+    assert jit_vm.code_cache.methods[holds].jit.source is not None
 
 
 def test_large_size_spot_check():

@@ -229,7 +229,13 @@ def test_first_compile_bakes_warm_guards_on_jess(monkeypatch):
     assert baked[main] == [ic_signature(main)] != [()]
     promoted = vm.jit_manager.compiled
     assert list(promoted) == list(baked)
-    assert all(sigs[0] != () for sigs in baked.values())
+    # RangeNode.test, a branching accessor, has no call site to guard:
+    # it takes the generic calling sequence and is promoted like any
+    # other method once hot.
+    assert all(
+        sigs[0] != () for method, sigs in baked.items() if ic_signature(method)
+    )
+    assert baked[method_named(vm, "RangeNode.test")] == [()]
     assert vm.jit_compiles <= vm.methods_executed
     refreshes = vm.jit_compiles - len(promoted)
     assert refreshes <= 1
