@@ -136,17 +136,7 @@ class FleetPublisher:
     def install(self, vm) -> None:
         """Chain onto the VM's tick hook (after any adaptive system) and
         start the worker thread."""
-        previous = vm.tick_hook
-
-        if previous is None:
-            vm.tick_hook = self.on_tick
-        else:
-
-            def chained(vm, _previous=previous, _publish=self.on_tick):
-                _previous(vm)
-                _publish(vm)
-
-            vm.tick_hook = chained
+        vm.chain_tick_hook(self.on_tick)
         self._worker = threading.Thread(
             target=self._run_worker, name="fleet-publisher", daemon=True
         )

@@ -46,13 +46,22 @@ from repro.vm.errors import VMError
 from repro.vm.interpreter import Interpreter
 from repro.vm.jit import JitManager
 
+def _cbs() -> CBSProfiler:
+    return CBSProfiler(stride=3, samples_per_tick=16, seed=7)
+
+
 #: Profiler groups, in comparison order ("none" is the cross-group
-#: baseline).  Factories return a fresh profiler (or None) per run.
+#: baseline).  Factories return the fresh collectors of one run: call
+#: observers are installed, sampling profilers attached.  ``cbs+instr``
+#: is the ``harness.runner.measure_profiler`` shape — a sampler plus an
+#: observer, here one that *charges* virtual time on every call
+#: notification, which precedes the leaf-tier choice.
 PROFILERS = {
-    "none": lambda: None,
-    "exhaustive": ExhaustiveProfiler,
-    "timer": TimerProfiler,
-    "cbs": lambda: CBSProfiler(stride=3, samples_per_tick=16, seed=7),
+    "none": lambda: (),
+    "exhaustive": lambda: (ExhaustiveProfiler(),),
+    "timer": lambda: (TimerProfiler(),),
+    "cbs": lambda: (_cbs(),),
+    "cbs+instr": lambda: (_cbs(), ExhaustiveProfiler(charge_costs=True)),
 }
 
 #: Fields that must be identical *within* a profiler group.
@@ -128,12 +137,17 @@ def matrix_cells(profiler: str) -> list[MatrixCell]:
     emit events), both promoting at first entry, and a third at the
     product promotion threshold — plus a JIT×paths cell in the ``none``
     group for the path-instrumented code templates.  Eleven runs per
-    group (fourteen for ``none``)."""
+    group (fourteen for ``none``).  ``cbs+instr`` is reduced to six:
+    the square, the fully-featured telemetry corner and one JIT cell."""
     cells = [
         MatrixCell(fuse, ic, profiler, False)
         for fuse in (False, True)
         for ic in (False, True)
     ]
+    if profiler == "cbs+instr":
+        cells.append(MatrixCell(True, True, profiler, True))
+        cells.append(MatrixCell(True, True, profiler, False, jit=True))
+        return cells
     cells.append(MatrixCell(False, False, profiler, True))
     cells.append(MatrixCell(True, True, profiler, True))
     cells.append(MatrixCell(True, True, profiler, True, flight=True))
@@ -162,7 +176,8 @@ class RunRecord:
     ticks: int = 0
     calls: int = 0
     methods: int = 0
-    dcg: object = None
+    #: One edge-weight map per collector, in ``PROFILERS`` order.
+    dcg: list = field(default_factory=list)
     #: (type name, message, function, pc) for guest VMErrors.
     error: tuple | None = None
     #: JSONL lines (header + events, metrics footer excluded) when the
@@ -243,11 +258,12 @@ def run_cell(
             overrides = dict(overrides, jit=True)
         config = config_named(vm_name, fuse=cell.fuse, ic=cell.ic, **overrides)
         vm = Interpreter(program, config)
-        profiler = PROFILERS[cell.profiler]()
-        if isinstance(profiler, ExhaustiveProfiler):
-            profiler.install(vm)
-        elif profiler is not None:
-            vm.attach_profiler(profiler)
+        profilers = PROFILERS[cell.profiler]()
+        for profiler in profilers:
+            if isinstance(profiler, ExhaustiveProfiler):
+                profiler.install(vm)
+            else:
+                vm.attach_profiler(profiler)
         tracker = None
         if cell.paths:
             tracker = PathTracker(
@@ -284,7 +300,7 @@ def run_cell(
         - vm.jit_deopts - vm.jit_guard_exits
         - vm.jit_call_exits - vm.jit_return_exits
     )
-    record.dcg = profiler.dcg.edges() if profiler is not None else None
+    record.dcg = [profiler.dcg.edges() for profiler in profilers]
     if tracker is not None:
         record.paths = dict(tracker.profile.counts)
     if tracer is not None:

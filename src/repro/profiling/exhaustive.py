@@ -35,16 +35,9 @@ class ExhaustiveProfiler:
         an exhaustive profiler can run *alongside* a sampling profiler).
         Chains with any observer already installed."""
         self._vm = vm
-        observe = self._observe_charged if self.charge_costs else self._observe
-        existing = vm.call_observer
-        if existing is None:
-            vm.call_observer = observe
-        else:
-            def chained(caller, pc, callee, _first=existing, _second=observe):
-                _first(caller, pc, callee)
-                _second(caller, pc, callee)
-
-            vm.call_observer = chained
+        vm.add_call_observer(
+            self._observe_charged if self.charge_costs else self._observe
+        )
 
     def _observe(self, caller: int, callsite_pc: int, callee: int) -> None:
         self.dcg.record(caller, callsite_pc, callee)

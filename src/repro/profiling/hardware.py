@@ -69,15 +69,7 @@ class HardwareCallSampler:
     def install(self, vm) -> None:
         """Attach to the call-observer hook (chains with any existing)."""
         self._vm = vm
-        existing = vm.call_observer
-        if existing is None:
-            vm.call_observer = self._observe
-        else:
-            def chained(caller, pc, callee, _first=existing, _second=self._observe):
-                _first(caller, pc, callee)
-                _second(caller, pc, callee)
-
-            vm.call_observer = chained
+        vm.add_call_observer(self._observe)
 
     def _observe(self, caller: int, callsite_pc: int, callee: int) -> None:
         if self._skid_remaining is not None:

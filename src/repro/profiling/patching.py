@@ -55,15 +55,7 @@ class CodePatchingProfiler:
     # installed on the observer hook rather than the profiler slot.
     def install(self, vm) -> None:
         self._vm = vm
-        existing = vm.call_observer
-        if existing is None:
-            vm.call_observer = self._observe
-        else:
-            def chained(caller, pc, callee, _first=existing, _second=self._observe):
-                _first(caller, pc, callee)
-                _second(caller, pc, callee)
-
-            vm.call_observer = chained
+        vm.add_call_observer(self._observe)
 
     def _observe(self, caller: int, callsite_pc: int, callee: int) -> None:
         remaining = self._listening.get(callee)

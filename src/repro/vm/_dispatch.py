@@ -48,6 +48,7 @@ def _loop(self):  # noqa: C901 - deliberately one flat hot loop
     field_defaults = self.class_field_defaults
     observer = self.call_observer
     telemetry = self.telemetry
+    hooked = observer is not None or telemetry is not None
     paths = self.path_tracker
     seen = self._seen
     pool = self._frame_pool
@@ -328,58 +329,47 @@ def _loop(self):  # noqa: C901 - deliberately one flat hot loop
                                 )
                             )
                 if cell is not None:
-                    # Cache hit: try the leaf calling sequence — run
-                    # accessor-like bodies as a host closure with no
-                    # frame.  Only when no observation point (tick,
-                    # yieldpoint, observer, telemetry) could land
-                    # inside the body; the closure returns LEAF_FAIL
-                    # before changing anything on a would-be fault, and
-                    # the generic sequence below re-executes it.
-                    leaf = callee.leaf
-                    if (
-                        leaf is not None
-                        and observer is None
-                        and telemetry is None
-                        and paths is None
-                        and self.yieldpoint_flag == 0
-                        and time + call_virtual_cost + leaf[0] < next_tick
-                        and len(frames) < max_frames
-                    ):
-                        base = len(stack) - nargs
-                        value = leaf[4](stack, base)
-                        if value is not LEAF_FAIL:
-                            cell[0] += 1
-                            time += call_virtual_cost + leaf[0]
-                            steps += leaf[5]
-                            call_count += 1
-                            del stack[base:]
-                            if value is not LEAF_VOID:
-                                stack.append(value)
-                            pc += 1
-                            continue
                     cell[0] += 1
                 time += call_virtual_cost
                 call_count += 1
-                if observer is not None:
-                    # Observers may charge vm.time (instrumented modes),
-                    # so sync the cached counter around the call.  The
-                    # call site is reported in baseline coordinates via
-                    # the inline map (see Instr.origin).
-                    self.time = time
+                if hooked:
+                    # Both hooks see the call site in baseline coordinates via
+                    # the inline map (see Instr.origin), resolved once.
                     origin = origins[pc]
                     if origin is None:
-                        observer(method.index, pc, callee_index)
+                        caller_index = method.index
+                        site_pc = pc
                     else:
-                        observer(origin[0], origin[1], callee_index)
-                    time = self.time
-                if telemetry is not None:
-                    # Zero virtual cost; baseline coordinates like the
-                    # observer so traced calls line up with the DCG.
-                    origin = origins[pc]
-                    if origin is None:
-                        telemetry.on_call(time, method.index, pc, callee_index)
-                    else:
-                        telemetry.on_call(time, origin[0], origin[1], callee_index)
+                        caller_index, site_pc = origin
+                    if observer is not None:
+                        # Observers may charge vm.time (instrumented modes),
+                        # so sync the cached counter around the call.
+                        self.time = time
+                        observer(caller_index, site_pc, callee_index)
+                        time = self.time
+                    if telemetry is not None:
+                        # Zero virtual cost.
+                        telemetry.on_call(time, caller_index, site_pc, callee_index)
+                # Cache hits only: a freshly bound class takes the frame.
+                leaf = callee.leaf
+                if (
+                    leaf is not None
+                    and cell is not None
+                    and paths is None
+                    and self.yieldpoint_flag == 0
+                    and time + leaf[0] < next_tick
+                    and len(frames) < max_frames
+                ):
+                    base = len(stack) - nargs
+                    value = leaf[4](stack, base)
+                    if value is not LEAF_FAIL:
+                        time += leaf[0]
+                        steps += leaf[5]
+                        del stack[base:]
+                        if value is not LEAF_VOID:
+                            stack.append(value)
+                        pc += 1
+                        continue
                 if len(frames) >= max_frames:
                     raise self._fault(
                         StackOverflowError_, f"guest stack exceeded {max_frames} frames",
@@ -466,60 +456,52 @@ def _loop(self):  # noqa: C901 - deliberately one flat hot loop
                     )
                 entry = ics[pc]
                 callee = entry[0]
-                # Same leaf calling sequence as the virtual arm; the
-                # target is a constant so there is no cache hit to
-                # test first.
+                callee_index = entry[1]
+                time += call_static_cost
+                call_count += 1
+                if hooked:
+                    # Both hooks see the call site in baseline coordinates via
+                    # the inline map (see Instr.origin), resolved once.
+                    origin = origins[pc]
+                    if origin is None:
+                        caller_index = method.index
+                        site_pc = pc
+                    else:
+                        caller_index, site_pc = origin
+                    if observer is not None:
+                        # Observers may charge vm.time (instrumented modes),
+                        # so sync the cached counter around the call.
+                        self.time = time
+                        observer(caller_index, site_pc, callee_index)
+                        time = self.time
+                    if telemetry is not None:
+                        # Zero virtual cost.
+                        telemetry.on_call(time, caller_index, site_pc, callee_index)
                 leaf = callee.leaf
                 if (
                     leaf is not None
-                    and observer is None
-                    and telemetry is None
                     and paths is None
                     and self.yieldpoint_flag == 0
-                    and time + call_static_cost + leaf[0] < next_tick
+                    and time + leaf[0] < next_tick
                     and len(frames) < max_frames
                 ):
                     base = len(stack) - entry[4]
                     value = leaf[4](stack, base)
                     if value is not LEAF_FAIL:
-                        time += call_static_cost + leaf[0]
+                        time += leaf[0]
                         steps += leaf[5]
-                        call_count += 1
                         del stack[base:]
                         if value is not LEAF_VOID:
                             stack.append(value)
                         pc += 1
                         continue
-                callee_index = entry[1]
-                views = entry[2]
-                pad = entry[3]
-                time += call_static_cost
-                call_count += 1
-                if observer is not None:
-                    # Observers may charge vm.time (instrumented modes),
-                    # so sync the cached counter around the call.  The
-                    # call site is reported in baseline coordinates via
-                    # the inline map (see Instr.origin).
-                    self.time = time
-                    origin = origins[pc]
-                    if origin is None:
-                        observer(method.index, pc, callee_index)
-                    else:
-                        observer(origin[0], origin[1], callee_index)
-                    time = self.time
-                if telemetry is not None:
-                    # Zero virtual cost; baseline coordinates like the
-                    # observer so traced calls line up with the DCG.
-                    origin = origins[pc]
-                    if origin is None:
-                        telemetry.on_call(time, method.index, pc, callee_index)
-                    else:
-                        telemetry.on_call(time, origin[0], origin[1], callee_index)
                 if len(frames) >= max_frames:
                     raise self._fault(
                         StackOverflowError_, f"guest stack exceeded {max_frames} frames",
                         time, steps, call_count, fused_n, deopts, frame, method, pc
                     )
+                views = entry[2]
+                pad = entry[3]
                 base = len(stack) - entry[4]
                 new_locals = stack[base:]
                 del stack[base:]
@@ -739,26 +721,24 @@ def _loop(self):  # noqa: C901 - deliberately one flat hot loop
                 if not seen[callee_index]:
                     seen[callee_index] = True
                     self.methods_executed += 1
-                if observer is not None:
-                    # Observers may charge vm.time (instrumented modes),
-                    # so sync the cached counter around the call.  The
-                    # call site is reported in baseline coordinates via
-                    # the inline map (see Instr.origin).
-                    self.time = time
+                if hooked:
+                    # Both hooks see the call site in baseline coordinates via
+                    # the inline map (see Instr.origin), resolved once.
                     origin = origins[pc]
                     if origin is None:
-                        observer(method.index, pc, callee_index)
+                        caller_index = method.index
+                        site_pc = pc
                     else:
-                        observer(origin[0], origin[1], callee_index)
-                    time = self.time
-                if telemetry is not None:
-                    # Zero virtual cost; baseline coordinates like the
-                    # observer so traced calls line up with the DCG.
-                    origin = origins[pc]
-                    if origin is None:
-                        telemetry.on_call(time, method.index, pc, callee_index)
-                    else:
-                        telemetry.on_call(time, origin[0], origin[1], callee_index)
+                        caller_index, site_pc = origin
+                    if observer is not None:
+                        # Observers may charge vm.time (instrumented modes),
+                        # so sync the cached counter around the call.
+                        self.time = time
+                        observer(caller_index, site_pc, callee_index)
+                        time = self.time
+                    if telemetry is not None:
+                        # Zero virtual cost.
+                        telemetry.on_call(time, caller_index, site_pc, callee_index)
                 if len(frames) >= max_frames:
                     raise self._fault(
                         StackOverflowError_, f"guest stack exceeded {max_frames} frames",

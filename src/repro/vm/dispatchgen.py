@@ -287,6 +287,7 @@ vtables = self.vtables
 field_defaults = self.class_field_defaults
 observer = self.call_observer
 telemetry = self.telemetry
+hooked = observer is not None or telemetry is not None
 paths = self.path_tracker
 seen = self._seen
 pool = self._frame_pool
@@ -633,26 +634,24 @@ def _emit_branch_arm(em: Emitter, op: Op) -> None:
 # -- call machinery (shared by the raw and IC call arms) ----------------------
 
 _CALL_NOTIFY = """
-if observer is not None:
-    # Observers may charge vm.time (instrumented modes),
-    # so sync the cached counter around the call.  The
-    # call site is reported in baseline coordinates via
-    # the inline map (see Instr.origin).
-    self.time = time
+if hooked:
+    # Both hooks see the call site in baseline coordinates via
+    # the inline map (see Instr.origin), resolved once.
     origin = origins[pc]
     if origin is None:
-        observer(method.index, pc, callee_index)
+        caller_index = method.index
+        site_pc = pc
     else:
-        observer(origin[0], origin[1], callee_index)
-    time = self.time
-if telemetry is not None:
-    # Zero virtual cost; baseline coordinates like the
-    # observer so traced calls line up with the DCG.
-    origin = origins[pc]
-    if origin is None:
-        telemetry.on_call(time, method.index, pc, callee_index)
-    else:
-        telemetry.on_call(time, origin[0], origin[1], callee_index)
+        caller_index, site_pc = origin
+    if observer is not None:
+        # Observers may charge vm.time (instrumented modes),
+        # so sync the cached counter around the call.
+        self.time = time
+        observer(caller_index, site_pc, callee_index)
+        time = self.time
+    if telemetry is not None:
+        # Zero virtual cost.
+        telemetry.on_call(time, caller_index, site_pc, callee_index)
 """
 
 _PROLOGUE_AND_JIT = """
@@ -722,18 +721,22 @@ def _emit_frame_switch(em: Emitter, *, nargs_expr: str, pad: bool, views: str) -
     em.raw(_PROLOGUE_AND_JIT)
 
 
-def _emit_leaf_fastpath(
-    em: Emitter, *, call_cost: str, nargs_expr: str, cell: bool
-) -> None:
+def _emit_leaf_fastpath(em: Emitter, *, nargs_expr: str, cell: bool) -> None:
+    """Try the leaf calling sequence: run an accessor-like callee as a
+    host closure with no frame.  Emitted *after* the call is charged and
+    notified, so hooks fire once on either route and an observer's
+    charge is on the clock before the "could a tick land inside the
+    body" test.  The closure returns LEAF_FAIL before changing anything
+    on a would-be fault; the generic sequence that follows replays it."""
     em("leaf = callee.leaf")
     em("if (")
     with em.indent():
         em("leaf is not None")
-        em("and observer is None")
-        em("and telemetry is None")
+        if cell:
+            em("and cell is not None")
         em("and paths is None")
         em("and self.yieldpoint_flag == 0")
-        em(f"and time + {call_cost} + leaf[{icache.L_COST}] < next_tick")
+        em(f"and time + leaf[{icache.L_COST}] < next_tick")
         em("and len(frames) < max_frames")
     em("):")
     with em.indent():
@@ -741,11 +744,8 @@ def _emit_leaf_fastpath(
         em(f"value = leaf[{icache.L_FN}](stack, base)")
         em("if value is not LEAF_FAIL:")
         with em.indent():
-            if cell:
-                em("cell[0] += 1")
-            em(f"time += {call_cost} + leaf[{icache.L_COST}]")
+            em(f"time += leaf[{icache.L_COST}]")
             em(f"steps += leaf[{icache.L_STEPS}]")
-            em("call_count += 1")
             em("del stack[base:]")
             em("if value is not LEAF_VOID:")
             with em.indent():
@@ -967,20 +967,12 @@ def _emit_ic_virtual_arm(em: Emitter) -> None:
                 em(")")
     em("if cell is not None:")
     with em.indent():
-        em("# Cache hit: try the leaf calling sequence — run")
-        em("# accessor-like bodies as a host closure with no")
-        em("# frame.  Only when no observation point (tick,")
-        em("# yieldpoint, observer, telemetry) could land")
-        em("# inside the body; the closure returns LEAF_FAIL")
-        em("# before changing anything on a would-be fault, and")
-        em("# the generic sequence below re-executes it.")
-        _emit_leaf_fastpath(
-            em, call_cost="call_virtual_cost", nargs_expr="nargs", cell=True
-        )
         em("cell[0] += 1")
     em("time += call_virtual_cost")
     em("call_count += 1")
     em.raw(_CALL_NOTIFY)
+    em("# Cache hits only: a freshly bound class takes the frame.")
+    _emit_leaf_fastpath(em, nargs_expr="nargs", cell=True)
     _stack_overflow_fault(em, vspec)
     _emit_frame_switch(em, nargs_expr="entry[0]", pad=True, views="tuple")
 
@@ -994,19 +986,14 @@ def _emit_ic_static_arm(em: Emitter) -> None:
         _step_limit_raise(em)
     em("entry = ics[pc]")
     em("callee = entry[0]")
-    em("# Same leaf calling sequence as the virtual arm; the")
-    em("# target is a constant so there is no cache hit to")
-    em("# test first.")
-    _emit_leaf_fastpath(
-        em, call_cost="call_static_cost", nargs_expr="entry[4]", cell=False
-    )
     em("callee_index = entry[1]")
-    em("views = entry[2]")
-    em("pad = entry[3]")
     em("time += call_static_cost")
     em("call_count += 1")
     em.raw(_CALL_NOTIFY)
+    _emit_leaf_fastpath(em, nargs_expr="entry[4]", cell=False)
     _stack_overflow_fault(em, sspec)
+    em("views = entry[2]")
+    em("pad = entry[3]")
     _emit_frame_switch(em, nargs_expr="entry[4]", pad=True, views="tuple")
 
 

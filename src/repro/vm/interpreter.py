@@ -29,15 +29,22 @@ Profiling hook points:
   prologues/epilogues when the control word is non-zero and at backedges
   when it is positive,
 * **call observer** — ``call_observer(caller_index, callsite_pc,
-  callee_index)`` on *every* dynamic call, with zero virtual cost; this
-  is how the exhaustive (perfect) profiler is implemented.
+  callee_index)`` on *every* dynamic call, with zero virtual cost of
+  its own; this is how the exhaustive (perfect) profiler is
+  implemented.  Install with :meth:`Interpreter.add_call_observer`.
+  The notification comes after the call is resolved and charged and
+  *before* the calling sequence is chosen (frame push or frameless leaf
+  template), so an observer may charge ``vm.time`` — the charge is
+  accounted before the "could a tick land inside the body" test — but
+  may not assume a callee frame exists or will ever exist.
 
 A fourth, passive hook is telemetry: ``vm.telemetry`` (default None,
 set via :meth:`Interpreter.attach_telemetry`) receives tick,
-yieldpoint-transition, and call notifications.  Telemetry charges no
+yieldpoint-transition, and call notifications (the last at the same
+point as the observer, right after it).  Telemetry charges no
 virtual time — a traced run is bit-identical to an untraced one — and
-the disabled path costs one ``is not None`` check per site (cached in
-a local for the per-call check, like the observer).
+the disabled path costs one flag test per call site (observer and
+tracer share it) plus one ``is not None`` check per tick/yieldpoint.
 """
 
 from __future__ import annotations
@@ -53,6 +60,18 @@ from repro.vm.yieldpoint import YP_NONE
 #: frame doesn't pin its last activation's heap values alive.  The call
 #: path always assigns fresh locals before a recycled frame runs.
 _FREED_LOCALS: list = []
+
+
+def _after(previous, fn):
+    """``fn`` alone, or a hook that runs ``previous`` and then ``fn``."""
+    if previous is None:
+        return fn
+
+    def chained(*args):
+        previous(*args)
+        fn(*args)
+
+    return chained
 
 
 class Frame:
@@ -160,22 +179,24 @@ class Interpreter:
         self.telemetry = tracer
         tracer.attach(self)
 
+    def add_call_observer(self, fn) -> None:
+        """Install ``fn(caller_index, callsite_pc, callee_index)`` on the
+        call-observer hook (before ``run()``), after any observer already
+        there.  A lone observer is installed unwrapped, so the common
+        case pays no extra Python call per dynamic call."""
+        self.call_observer = _after(self.call_observer, fn)
+
+    def chain_tick_hook(self, fn) -> None:
+        """Run ``fn(vm)`` on each tick, after any hook already there."""
+        self.tick_hook = _after(self.tick_hook, fn)
+
     def attach_flight(self, recorder) -> None:
         """Install a flight recorder: a per-tick heartbeat on the tick
         hook chain (after any adaptive system and publisher — ring-buffer
         writes only, no I/O, no virtual-time charge) plus fault and
         run-end snapshots from ``run()``."""
         self.flight = recorder
-        previous = self.tick_hook
-        if previous is None:
-            self.tick_hook = recorder.on_tick
-        else:
-
-            def chained(vm, _previous=previous, _record=recorder.on_tick):
-                _previous(vm)
-                _record(vm)
-
-            self.tick_hook = chained
+        self.chain_tick_hook(recorder.on_tick)
 
     def attach_paths(self, tracker) -> None:
         """Install a Ball-Larus path tracker (before ``run()``).
@@ -195,16 +216,7 @@ class Interpreter:
         self.path_tracker = tracker
         tracker.attach(self)
         if tracker.mode == "cbs":
-            previous = self.tick_hook
-            if previous is None:
-                self.tick_hook = tracker.on_tick
-            else:
-
-                def chained(vm, _previous=previous, _tick=tracker.on_tick):
-                    _previous(vm)
-                    _tick(vm)
-
-                self.tick_hook = chained
+            self.chain_tick_hook(tracker.on_tick)
 
     def charge(self, units: int) -> None:
         """Advance virtual time (used by profiler handlers)."""

@@ -137,16 +137,7 @@ class JitManager:
             for entry0 in (False, True)
         )
         self._stub_cold_methods()
-        previous = self.vm.tick_hook
-        if previous is None:
-            self.vm.tick_hook = self.on_tick
-        else:
-
-            def chained(vm, _previous=previous, _jit=self.on_tick):
-                _previous(vm)
-                _jit(vm)
-
-            self.vm.tick_hook = chained
+        self.vm.chain_tick_hook(self.on_tick)
 
     def _stub_cold_methods(self) -> None:
         """Stub methods with no body, or one compiled under other

@@ -8,6 +8,7 @@ from repro.bytecode.assembler import assemble
 from repro.frontend.codegen import compile_source
 from repro.fuzz.campaign import CAMPAIGN_OVERRIDES, fuzz_one, spec_for_seed
 from repro.fuzz.differential import (
+    PROFILERS,
     MatrixCell,
     check_program,
     matrix_cells,
@@ -70,6 +71,41 @@ def test_matrix_shape():
     assert jit_cells[0].describe().endswith("+jit")
     lazy = [c for c in jit_cells if c.lazy_jit]
     assert len(lazy) == 1 and lazy[0].describe().endswith("+jit-lazy")
+    # The sampler-plus-charging-observer group is reduced: the square,
+    # the telemetry corner, one first-entry JIT cell.
+    reduced = matrix_cells("cbs+instr")
+    assert [c.describe() for c in reduced[4:]] == [
+        "fuse+ic+cbs+instr+telemetry", "fuse+ic+cbs+instr+jit",
+    ]
+    assert len(reduced) == 6
+    assert sum(len(matrix_cells(group)) for group in PROFILERS) == 53
+
+
+CALLS = """
+class Counter {
+  var n: int;
+  def bump(): int { this.n = this.n + 1; return this.n; }
+}
+def main() {
+  var c = new Counter();
+  var t = 0;
+  for (var i = 0; i < 400; i = i + 1) { t = c.bump(); }
+  print(t);
+}
+"""
+
+
+def test_instrumented_group_records_both_dcgs():
+    """``cbs+instr`` carries the sampler's DCG and the charging
+    observer's, so the group comparison covers both."""
+    program = compile_source(CALLS)
+    record = run_cell(
+        program, MatrixCell(True, True, "cbs+instr", False), **CAMPAIGN_OVERRIDES
+    )
+    sampled, exhaustive = record.dcg
+    assert sum(exhaustive.values()) == record.calls == 400
+    assert sampled and set(sampled) <= set(exhaustive)
+    assert check_program(program, **CAMPAIGN_OVERRIDES) == []
 
 
 def test_clean_program_has_no_violations():
@@ -105,7 +141,7 @@ def test_injected_divergence_is_detected():
     assert violations
     assert {v.invariant for v in violations} == {"synthetic-drift"}
     # One injection per profiler group.
-    assert len(violations) == 4
+    assert len(violations) == len(PROFILERS)
 
 
 def test_host_crash_is_a_violation():

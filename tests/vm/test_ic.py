@@ -15,6 +15,7 @@ from repro.bytecode.assembler import assemble
 from repro.frontend.codegen import compile_source
 from repro.opt.inline import InlinePlan
 from repro.opt.pipeline import optimize_function
+from repro.profiling.exhaustive import ExhaustiveProfiler
 from repro.profiling.receivers import ReceiverProfile
 from repro.vm import ic
 from repro.vm.config import jikes_config
@@ -342,36 +343,54 @@ def test_loopy_method_is_not_a_leaf():
     assert vm.output == [45]
 
 
-@pytest.mark.parametrize("use_ic", [True, False], ids=["ic", "raw"])
-def test_leaf_divide_by_zero_falls_back_identically(use_ic):
-    """A fault inside a leaf body (division by zero) rolls back and
-    re-executes generically — the error is indistinguishable from the
-    raw interpreter's."""
-    source = """
-    class Ratio {
-      var num: int;
-      def over(d: int): int { return this.num / d; }
-    }
-    def main() {
-      var r = new Ratio();
-      r.num = 100;
-      var t = 0;
-      for (var i = 4; i >= 0; i = i - 1) { t = t + r.over(i); }
-      print(t);
-    }
-    """
-    program = compile_source(source)
+LEAF_DIVIDES_BY_ZERO = """
+class Ratio {
+  var num: int;
+  def over(d: int): int { return this.num / d; }
+}
+def main() {
+  var r = new Ratio();
+  r.num = 100;
+  var t = 0;
+  for (var i = 4; i >= 0; i = i - 1) { t = t + r.over(i); }
+  print(t);
+}
+"""
+
+
+def _run_to_division_fault(use_ic, observed):
+    program = compile_source(LEAF_DIVIDES_BY_ZERO)
     vm = Interpreter(program, jikes_config(ic=use_ic))
+    profiler = ExhaustiveProfiler()
+    if observed:
+        profiler.install(vm)
     with pytest.raises(VMError) as excinfo:
         vm.run()
     assert "division by zero" in str(excinfo.value)
     assert excinfo.value.function == "Ratio.over"
+    return vm, profiler
 
 
-def test_leaf_putfield_rolls_back_on_fault():
-    """Transactional leaf evaluation: a PUTFIELD before the faulting op
-    is undone, then the generic re-execution redoes it — so the final
-    state matches the raw interpreter exactly (write applied once)."""
+@pytest.mark.parametrize("use_ic", [True, False], ids=["ic", "raw"])
+def test_leaf_divide_by_zero_falls_back_identically(use_ic):
+    """A fault inside a leaf body (division by zero) makes the closure
+    return LEAF_FAIL and the generic sequence re-executes the call — the
+    error is indistinguishable from the raw interpreter's."""
+    _run_to_division_fault(use_ic, observed=False)
+
+
+@pytest.mark.parametrize("use_ic", [True, False], ids=["ic", "raw"])
+def test_leaf_divide_by_zero_notifies_once_across_the_replay(use_ic):
+    """The call is notified before the leaf is tried, so the generic
+    re-execution after LEAF_FAIL must not notify again."""
+    vm, profiler = _run_to_division_fault(use_ic, observed=True)
+    assert vm.call_count == 5
+    assert sum(profiler.dcg.edges().values()) == 5
+
+
+def _run_bump_fault(observed):
+    """``ic`` and ``raw`` end states of a leaf whose PUTFIELD precedes
+    its faulting op: (receiver fields, exhaustive DCG)."""
     source = """
     class Box {
       var count: int;
@@ -387,6 +406,9 @@ def test_leaf_putfield_rolls_back_on_fault():
     states = {}
     for label, use_ic in (("ic", True), ("raw", False)):
         vm = Interpreter(program, jikes_config(ic=use_ic))
+        profiler = ExhaustiveProfiler()
+        if observed:
+            profiler.install(vm)
         with pytest.raises(VMError):
             vm.run()
         box = next(
@@ -395,5 +417,22 @@ def test_leaf_putfield_rolls_back_on_fault():
             for value in frame.locals
             if isinstance(value, HeapObject)
         )
-        states[label] = list(box.fields)
-    assert states["ic"] == states["raw"] == [2]
+        states[label] = (list(box.fields), profiler.dcg.edges())
+    return states
+
+
+def test_leaf_putfield_rolls_back_on_fault():
+    """A PUTFIELD before the faulting op is deferred past the last
+    guard, so the failed closure wrote nothing and the generic
+    re-execution applies it — the final state matches the raw
+    interpreter exactly (write applied once)."""
+    states = _run_bump_fault(observed=False)
+    assert states["ic"] == states["raw"] == ([2], {})
+
+
+def test_leaf_putfield_fault_records_the_edge_once():
+    states = _run_bump_fault(observed=True)
+    assert states["ic"] == states["raw"]
+    fields, edges = states["ic"]
+    assert fields == [2]
+    assert sum(edges.values()) == 2

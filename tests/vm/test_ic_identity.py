@@ -25,11 +25,16 @@ from repro.benchsuite.suite import ADVERSARIAL, program_for
 from repro.frontend.codegen import compile_source
 from repro.profiling.cbs import CBSProfiler
 from repro.profiling.exhaustive import ExhaustiveProfiler
+from repro.profiling.hardware import HardwareCallSampler
+from repro.profiling.patching import CodePatchingProfiler
+from repro.profiling.paths import PathTracker
 from repro.profiling.serialize import save_profile
 from repro.profiling.timer_sampler import TimerProfiler
 from repro.telemetry.exporters import export_jsonl
 from repro.telemetry.tracer import Tracer
+from repro.vm import ic
 from repro.vm.config import config_named, jikes_config
+from repro.vm.errors import VMError
 from repro.vm.interpreter import Interpreter
 from tests.helpers import force_jit
 
@@ -125,6 +130,154 @@ def test_small_timer_intervals_stress_tick_paths(interval):
     assert_ic_identical(
         program_for("jess", "tiny"), "jikes", "cbs", timer_interval=interval
     )
+
+
+#: Call observers that charge virtual time on the notification, which
+#: now precedes the leaf tier's "could a tick land inside the body" test.
+CHARGING_OBSERVERS = {
+    "charged": lambda: ExhaustiveProfiler(charge_costs=True),
+    "patching": lambda: CodePatchingProfiler(warmup_invocations=0),
+}
+
+
+def _run_observed(program, config, make_observer):
+    vm = Interpreter(program, config)
+    # A two-sample window closes well inside even a 523-unit interval,
+    # so the control word is back to zero (leaf tier engaged) when the
+    # next tick approaches; the suite's usual 3 x 16 window would stay
+    # open from one tick to the next.
+    cbs = CBSProfiler(stride=1, samples_per_tick=2, seed=7)
+    vm.attach_profiler(cbs)
+    observer = make_observer()
+    observer.install(vm)
+    vm.run()
+    state = _state(vm, observer)
+    state["cbs_dcg"] = cbs.dcg.edges()
+    state["samples"] = cbs.samples_taken
+    return vm, state
+
+
+@pytest.mark.parametrize("observer", sorted(CHARGING_OBSERVERS))
+@pytest.mark.parametrize("interval", TICK_STRESS_INTERVALS)
+def test_charging_observer_pushes_leaf_bodies_across_ticks(interval, observer):
+    """On a leaf-heavy program (92 % of jess's calls) the observer's
+    charge repeatedly moves ``time + leaf cost`` across ``next_tick``
+    after the call was already notified; the bailout must leave time,
+    ticks, steps, calls, both DCGs and the sample count exactly as the
+    never-quickened run has them."""
+    program = program_for("jess", "tiny")
+    make = CHARGING_OBSERVERS[observer]
+    ic_vm, with_ic = _run_observed(
+        program, jikes_config(ic=True, timer_interval=interval), make
+    )
+    _, without = _run_observed(
+        program, jikes_config(ic=False, timer_interval=interval), make
+    )
+    assert with_ic == without
+    assert with_ic["ticks"] > 10 and with_ic["samples"] > 10
+    assert ic_vm.code_cache.ic_sites > 0
+
+
+#: ``get`` is a leaf; ``down(p, k)`` calls it with ``k + 2`` frames live.
+LEAF_AT_DEPTH = """
+class P {
+  var x: int;
+  def get(): int { return this.x; }
+}
+def down(p: P, n: int): int {
+  if (n == 0) { return p.get(); }
+  return down(p, n - 1);
+}
+def main() {
+  var p = new P();
+  p.x = 3;
+  var t = 0;
+  for (var k = 0; k < 8; k = k + 1) { t = t + down(p, k); }
+  print(t);
+}
+"""
+
+
+def test_leaf_call_at_max_frames_notifies_once_then_faults():
+    """Notification precedes the tier choice, so the call that finds no
+    stack headroom is observed (once), skips the leaf sequence, and
+    faults with the transcript of the never-quickened run."""
+    program = compile_source(LEAF_AT_DEPTH)
+    transcripts = {}
+    for label, use_ic in (("ic", True), ("raw", False)):
+        vm = Interpreter(program, jikes_config(ic=use_ic, max_frames=6))
+        profiler = ExhaustiveProfiler()
+        profiler.install(vm)
+        with pytest.raises(VMError) as excinfo:
+            vm.run()
+        fault = excinfo.value
+        transcripts[label] = (
+            str(fault), fault.function, fault.pc, _state(vm, profiler)
+        )
+    assert transcripts["ic"] == transcripts["raw"]
+    message, function, _, state = transcripts["ic"]
+    assert "guest stack exceeded 6 frames" in message
+    assert function == "down"
+    get = program.function_index("P.get")
+    # k = 0..3 completed, k = 4 faulted at the get() site after notifying.
+    assert sum(w for (_, _, callee), w in state["dcg"].items() if callee == get) == 5
+
+
+#: A hot accessor: one raw execution quickens the site, then every call
+#: is a cache hit on a leaf callee.
+LEAF_LOOP = """
+class Point {
+  var x: int;
+  def getX(): int { return this.x; }
+}
+def main() {
+  var p = new Point();
+  p.x = 7;
+  var t = 0;
+  for (var i = 0; i < 200; i = i + 1) { t = t + p.getX(); }
+  print(t);
+}
+"""
+
+
+LEAF_HOOKS = {
+    "none": lambda vm: None,
+    "exhaustive": lambda vm: ExhaustiveProfiler().install(vm),
+    "charged": lambda vm: ExhaustiveProfiler(charge_costs=True).install(vm),
+    "patching": lambda vm: CodePatchingProfiler().install(vm),
+    "hardware": lambda vm: HardwareCallSampler().install(vm),
+    "tracer": lambda vm: vm.attach_telemetry(Tracer()),
+    "paths": lambda vm: vm.attach_paths(PathTracker(mode="exhaustive")),
+}
+
+
+@pytest.mark.parametrize("hook", sorted(LEAF_HOOKS))
+def test_leaf_tier_stays_engaged_under_hooks(hook):
+    """Deterministic engagement check (no wall clock): count executions
+    of the accessor's host closure.  Hooks are notified before the tier
+    is chosen, so none of them turns the leaf sequence off; only the
+    path tracker, which needs ``on_call``/``on_return`` per frame, does.
+    The timer never fires, so charged time cannot move a bailout."""
+    program = compile_source(LEAF_LOOP)
+    config = jikes_config(timer_interval=10**9, paths=(hook == "paths"))
+    vm = Interpreter(program, config)
+    method = vm.code_cache.methods[program.function_index("Point.getX")]
+    closure = method.leaf[ic.L_FN]
+    runs = []
+
+    def counting(stack, base):
+        runs.append(base)
+        return closure(stack, base)
+
+    leaf = list(method.leaf)
+    leaf[ic.L_FN] = counting
+    method.leaf = tuple(leaf)
+    LEAF_HOOKS[hook](vm)
+    vm.run()
+    assert vm.output == [1400]
+    assert vm.ticks == 0
+    # Every call but the first (which quickens the site) is a leaf call.
+    assert len(runs) == (0 if hook == "paths" else 199)
 
 
 #: The soot/jess shape: a small accessor whose body branches forward.
