@@ -86,6 +86,48 @@ DELTA_EDGE_BUCKETS = (1, 4, 16, 64, 256, 1024)
 #: 1/(1 + SNAPSHOT_PACE) of the process however large the repository is.
 SNAPSHOT_PACE = 9
 
+#: How long a stop gives open connections to finish at each step of
+#: :func:`close_server` (hang up, abort, cancel).
+HANGUP_TIMEOUT = 2.0
+
+
+def track_connection(handlers: dict, server, writer) -> None:
+    """Record the calling handler task's connection in ``handlers``
+    (task → writer) until the task ends, for :func:`close_server`."""
+    task = asyncio.current_task()
+    handlers[task] = writer
+    task.add_done_callback(handlers.pop)
+    if server is None or not server.is_serving():
+        writer.close()  # accepted while close_server() was hanging up
+
+
+async def close_server(server, handlers: dict) -> None:
+    """Close the listener, hang up on every tracked client, and wait —
+    for a bounded time — until each handler has read EOF and left
+    through its own ``finally`` (its durability barrier).  Python >=
+    3.12's ``wait_closed()`` waits for open connections, so without the
+    hang-up a stop lasts as long as the slowest client stays."""
+
+    async def stragglers():
+        if not handlers:
+            return ()
+        return (await asyncio.wait(list(handlers), timeout=HANGUP_TIMEOUT))[1]
+
+    server.close()
+    for writer in handlers.values():
+        writer.close()
+    # close() flushes buffered replies first, which a client that
+    # stopped reading never lets finish: abort those transports.
+    for task in await stragglers():
+        handlers[task].transport.abort()
+    # Still here: waiting on something other than its client (a frontend
+    # handler on a wedged worker).  Cancel it, and whatever survives
+    # that too is left to loop teardown — the caller's stop goes on.
+    for task in await stragglers():
+        task.cancel()
+    await stragglers()
+    await server.wait_closed()
+
 
 class FleetService:
     """Aggregates published DCG deltas and serves snapshots."""
@@ -116,6 +158,8 @@ class FleetService:
         self._programs: set[str] = set(repository.fingerprints())
         self._server: asyncio.AbstractServer | None = None
         self.address: tuple[str, int] | None = None
+        #: Open connections: each handler task and the writer it serves.
+        self._handlers: dict[asyncio.Task, asyncio.StreamWriter] = {}
 
         self.drain_interval = drain_interval
         self.allow_shutdown = allow_shutdown
@@ -200,8 +244,7 @@ class FleetService:
 
     async def stop(self) -> None:
         if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+            await close_server(self._server, self._handlers)
             self._server = None
         tasks = [t for t in (self._drain_task, self._snapshot_task) if t is not None]
         # Cancel under the persist lock: a snapshot pass holds it, so the
@@ -315,6 +358,7 @@ class FleetService:
         self.connections += 1
         self._m_connections.inc()
         self._m_active.inc()
+        track_connection(self._handlers, self._server, writer)
         try:
             while True:
                 try:
@@ -330,10 +374,6 @@ class FleetService:
                     await write_message(writer, reply)
                 except (ConnectionError, OSError):
                     break
-        except asyncio.CancelledError:
-            # Event-loop teardown (shard-worker shutdown) cancels open
-            # handlers mid-read; exit quietly — stop() already drained.
-            pass
         finally:
             # Connection close is a durability barrier: a client that
             # dies must not leave acked state only in memory.

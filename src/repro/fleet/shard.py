@@ -55,7 +55,12 @@ from repro.fleet.protocol import (
     status_message,
 )
 from repro.fleet.repository import ProfileRepository
-from repro.fleet.service import FleetService, sigterm_cancels_task
+from repro.fleet.service import (
+    FleetService,
+    close_server,
+    sigterm_cancels_task,
+    track_connection,
+)
 from repro.telemetry.metrics import MetricsRegistry
 
 #: How long to wait for a spawned worker to report its port.
@@ -191,6 +196,8 @@ class FleetFrontend:
         self._server: asyncio.AbstractServer | None = None
         self.address: tuple[str, int] | None = None
         self.connections = 0
+        #: Open connections: each handler task and the writer it serves.
+        self._handlers: dict[asyncio.Task, asyncio.StreamWriter] = {}
         self._m_connections = self.registry.counter(
             "fleet.frontend_connections", "client connections accepted"
         )
@@ -240,8 +247,8 @@ class FleetFrontend:
     async def stop(self) -> None:
         """Stop accepting, flush every shard, shut the workers down."""
         if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+            # Handlers run their flush barrier here, links still up.
+            await close_server(self._server, self._handlers)
             self._server = None
         for link in self.links:
             try:
@@ -265,6 +272,7 @@ class FleetFrontend:
     async def _handle(self, reader, writer) -> None:
         self.connections += 1
         self._m_connections.inc()
+        track_connection(self._handlers, self._server, writer)
         served = False
         try:
             while True:

@@ -1,6 +1,7 @@
 """Fleet service tests: concurrency, determinism, robustness."""
 
 import asyncio
+import socket
 import struct
 
 from repro.fleet.merge import AggregateProfile, MergePolicy
@@ -13,6 +14,7 @@ from repro.fleet.protocol import (
     write_message,
 )
 from repro.fleet.repository import ProfileRepository
+from repro.fleet import service as service_module
 from repro.fleet.service import FleetService
 
 FP = "ef" * 32
@@ -242,3 +244,86 @@ def test_aggregate_survives_service_restart(tmp_path):
     reply = run(round_two())
     assert reply["snapshot"]["fleet"]["total_weight"] == 5.0
     assert reply["snapshot"]["fleet"]["runs"] == 2
+
+
+def test_stop_hangs_up_on_idle_clients(tmp_path):
+    """``stop()`` with a publisher still connected: the client reads EOF
+    promptly, its handler has left through its own ``finally`` (no task
+    is left for loop teardown to cancel), and what it was acked is on
+    disk."""
+
+    async def go():
+        service = await start_service(tmp_path)
+        reader, writer = await asyncio.open_connection(*service.address)
+        await write_message(
+            writer, publish_message(FP, [["main", 0, "A.f", 4.0]], run_id="r1")
+        )
+        ack = await read_message(reader)
+        await asyncio.wait_for(service.stop(), 5)
+        tail = await asyncio.wait_for(reader.read(), 1)
+        pending = [
+            task for task in asyncio.all_tasks()
+            if not task.done() and task.get_coro().__name__ == "_handle"
+        ]
+        writer.close()
+        return ack, tail, pending
+
+    ack, tail, pending = run(go())
+    assert ack["type"] == "ack"
+    assert tail == b""
+    assert pending == []
+    stored = ProfileRepository(str(tmp_path / "repo")).load(FP)
+    assert stored is not None and stored.total_weight == 4.0
+
+
+def test_stop_is_bounded_when_a_client_never_reads(tmp_path, monkeypatch):
+    """A client that pipelines fetches and stops reading leaves its
+    handler in ``drain()`` with replies buffered, which ``close()``
+    alone never flushes: ``stop()`` aborts it after ``HANGUP_TIMEOUT``
+    and still makes the acked delta durable."""
+    monkeypatch.setattr(service_module, "HANGUP_TIMEOUT", 0.2)
+    edges = [[f"caller{i}", i, f"callee{i}", 1.0] for i in range(2000)]
+
+    async def go():
+        service = await start_service(tmp_path)
+        sock = socket.socket()
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        sock.setblocking(False)
+        await asyncio.get_running_loop().sock_connect(sock, service.address)
+        reader, writer = await asyncio.open_connection(sock=sock)
+        await write_message(writer, publish_message(FP, edges, run_id="r1"))
+        ack = await read_message(reader)
+        for _ in range(400):  # ~100 kB a reply, none of them read
+            await write_message(writer, fetch_message(FP))
+        (handler,) = service._handlers
+        while service._handlers[handler].transport.get_write_buffer_size() == 0:
+            await asyncio.sleep(0.01)
+        await asyncio.wait_for(service.stop(), 5)
+        done = handler.done()
+        writer.close()
+        return ack, done
+
+    ack, done = run(go())
+    assert ack["type"] == "ack"
+    assert done
+    stored = ProfileRepository(str(tmp_path / "repo")).load(FP)
+    assert stored is not None and stored.total_weight == 2000.0
+
+
+def test_connection_accepted_during_stop_is_hung_up(tmp_path):
+    """A connection whose handler first runs after the listener closed
+    (accepted in the same loop turn as the stop) is hung up on at once,
+    not served for as long as its client cares to stay."""
+
+    async def go():
+        service = await start_service(tmp_path)
+        await service.stop()
+        ours, theirs = socket.socketpair()
+        reader, writer = await asyncio.open_connection(sock=ours)
+        served = await asyncio.open_connection(sock=theirs)
+        await asyncio.wait_for(service._handle(*served), 1)
+        tail = await asyncio.wait_for(reader.read(), 1)
+        writer.close()
+        return tail
+
+    assert run(go()) == b""

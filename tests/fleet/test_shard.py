@@ -9,8 +9,11 @@ own event loop, so blocking socket calls on that loop would deadlock.
 
 import asyncio
 import json
+import os
+import signal
 import socket
 import struct
+import threading
 
 import pytest
 
@@ -25,6 +28,9 @@ from repro.fleet.protocol import (
     stats_message,
     status_message,
 )
+from repro.fleet import service as service_module
+from repro.fleet import shard as shard_module
+from repro.fleet.repository import ProfileRepository
 from repro.fleet.shard import start_sharded_fleet
 
 pytestmark = pytest.mark.slow
@@ -198,6 +204,69 @@ def test_sharded_routing_is_sticky_per_fingerprint(tmp_path):
     merges = {row["shard"]: row["merges"] for row in status["shards"]}
     assert merges[owner] == 20
     assert merges[1 - owner] == 0
+
+
+def test_frontend_stop_hangs_up_on_idle_clients(tmp_path):
+    """``stop()`` with a publisher still connected: the client reads EOF
+    promptly and its acked delta is on disk — the same contract as
+    ``FleetService.stop()``."""
+    fp = FPS[2]
+
+    def drive(host, port, stopping):
+        sock = socket.create_connection((host, port), timeout=30.0)
+        sock.settimeout(30.0)
+        try:
+            ack = rpc(sock, publish_message(fp, [["m", 0, "f", 4.0]], run_id="r1"))
+            stopping.set()
+            sock.settimeout(5.0)
+            return ack, sock.recv(1)
+        finally:
+            sock.close()
+
+    async def go():
+        frontend = await start_sharded_fleet(str(tmp_path / "fleet"), workers=2, port=0)
+        stopping = threading.Event()
+        client = asyncio.ensure_future(
+            asyncio.to_thread(drive, *frontend.address, stopping)
+        )
+        try:
+            await asyncio.to_thread(stopping.wait, 30)
+        finally:
+            await asyncio.wait_for(frontend.stop(), 30)
+        return await client
+
+    ack, tail = asyncio.run(go())
+    assert ack["type"] == "ack"
+    assert tail == b""
+    stored = ProfileRepository(str(tmp_path / "fleet")).load(fp)
+    assert stored is not None and stored.total_weight == 4.0
+
+
+def test_frontend_stop_is_bounded_when_a_worker_is_wedged(tmp_path, monkeypatch):
+    """A handler waiting on a worker that never answers must not keep
+    ``stop()`` from reaching the worker-terminate fallback."""
+    monkeypatch.setattr(service_module, "HANGUP_TIMEOUT", 0.2)
+    monkeypatch.setattr(shard_module, "WORKER_STOP_TIMEOUT", 0.5)
+    fp = FPS[2]
+
+    async def go():
+        frontend = await start_sharded_fleet(str(tmp_path / "fleet"), workers=2, port=0)
+        owner = shard_for(fp, 2)
+        wedged = frontend.processes[owner]
+        os.kill(wedged.pid, signal.SIGSTOP)
+        try:
+            _, writer = await asyncio.open_connection(*frontend.address)
+            writer.write(encode_message(publish_message(fp, [["m", 0, "f", 4.0]], "r1")))
+            while not frontend.links[owner]._pending:
+                await asyncio.sleep(0.01)
+            await asyncio.wait_for(frontend.stop(), 10)
+            writer.close()
+        finally:
+            wedged.kill()  # SIGTERM stays queued on a stopped process
+            wedged.join(10)
+        return [process.is_alive() for process in frontend.processes]
+
+    assert asyncio.run(go()) == [False, False]
 
 
 def test_start_sharded_fleet_requires_two_workers(tmp_path):
