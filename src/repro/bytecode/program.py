@@ -69,6 +69,7 @@ class Program:
         self.entry_index: int | None = None
         self._field_templates: list[list] | None = None
         self._flat_vtables: list[list[int]] | None = None
+        self._selector_returns: list[bool | None] | None = None
 
     # -- registration -------------------------------------------------------
 
@@ -165,6 +166,7 @@ class Program:
                 cls.vtable[sid] = func_index
         self._field_templates = None
         self._flat_vtables = None
+        self._selector_returns = None
 
     def field_default_templates(self) -> list[list]:
         """Per-class field-default lists, indexed by class index.
@@ -206,6 +208,30 @@ class Program:
             ]
             self._flat_vtables = tables
         return tables
+
+    def selector_return_shapes(self) -> list[bool | None]:
+        """Per selector id: whether every implementation returns a
+        value (True) or none does (False); None where implementations
+        disagree or no class understands the selector.
+
+        The template JIT needs a virtual site's stack effect before it
+        knows the receiver; it asks once per call site of every method
+        it compiles.  Cached; invalidated by :meth:`build_vtables`.
+        """
+        shapes = self._selector_returns
+        if shapes is None:
+            seen: dict[int, set[bool]] = {}
+            for cls in self.classes:
+                for sid, func_index in cls.vtable.items():
+                    seen.setdefault(sid, set()).add(
+                        self.functions[func_index].returns_value
+                    )
+            shapes = [
+                next(iter(seen[sid])) if len(seen.get(sid, ())) == 1 else None
+                for sid in range(len(self.selectors))
+            ]
+            self._selector_returns = shapes
+        return shapes
 
     def resolve_virtual(self, class_index: int, selector_id: int) -> int:
         """Resolve a virtual dispatch to a function index."""

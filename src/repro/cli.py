@@ -465,7 +465,9 @@ def _cmd_run(args) -> int:
                 f"deopts={vm.jit_deopts} guard_exits={vm.jit_guard_exits} "
                 f"call_exits={vm.jit_call_exits} "
                 f"return_exits={vm.jit_return_exits} "
-                f"leaf_calls={vm.jit_leaf_calls}",
+                f"leaf_calls={vm.jit_leaf_calls} "
+                f"direct_calls={vm.jit_direct_calls} "
+                f"unwinds={vm.jit_unwinds}",
                 file=sys.stderr,
             )
         if path_tracker is not None:
@@ -986,6 +988,8 @@ def _cmd_fuzz(args) -> int:
                     "checked": result.checked,
                     "ok": result.ok,
                     "violations": result.violations,
+                    "direct_call_seeds": result.direct_call_seeds,
+                    "unwind_seeds": result.unwind_seeds,
                     "wall_seconds": round(elapsed, 3),
                     "buckets": {
                         key: {
@@ -1003,6 +1007,10 @@ def _cmd_fuzz(args) -> int:
         print(
             f"-- fuzz: {result.checked} programs checked "
             f"({result.ok} clean) in {elapsed:.1f}s (jobs={args.jobs})"
+        )
+        print(
+            f"-- jit coverage: direct calls in {result.direct_call_seeds}, "
+            f"unwinds in {result.unwind_seeds} of {result.checked} programs"
         )
         for key, reports in sorted(result.buckets.items()):
             seeds = [r["seed"] for r in reports]

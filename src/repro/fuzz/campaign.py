@@ -65,7 +65,8 @@ def fuzz_one(spec: FuzzSpec) -> dict:
 
     Returns a plain dict (pmap workers must produce picklable values):
     ``{"seed", "kind", "status", "violations", "triage", "source"}``
-    where status is ``"ok"`` or ``"violations"``.  A generator or
+    where status is ``"ok"`` or ``"violations"``, plus the subject's
+    ``jit_direct_calls``/``jit_unwinds`` over the matrix.  A generator or
     frontend bug (the subject fails to build) is reported as a
     violation too — the generators promise valid programs.
     """
@@ -90,10 +91,14 @@ def fuzz_one(spec: FuzzSpec) -> dict:
             "invariants": f"generator|{type(error).__name__}",
             "source": text,
         }
-    violations = check_program(program, spec.vm_name, **CAMPAIGN_OVERRIDES)
+    coverage: dict = {}
+    violations = check_program(
+        program, spec.vm_name, coverage=coverage, **CAMPAIGN_OVERRIDES
+    )
     if not violations:
-        return {"seed": spec.seed, "kind": spec.kind, "status": "ok"}
+        return {"seed": spec.seed, "kind": spec.kind, "status": "ok", **coverage}
     return {
+        **coverage,
         "seed": spec.seed,
         "kind": spec.kind,
         "status": "violations",
@@ -119,6 +124,10 @@ class CampaignResult:
     buckets: dict = field(default_factory=dict)
     #: triage key → shrunk reproducer info for the bucket representative.
     reproducers: dict = field(default_factory=dict)
+    #: Seeds whose subject made a direct (body-to-body) call in some
+    #: cell, and seeds where a directly entered activation handed back.
+    direct_call_seeds: int = 0
+    unwind_seeds: int = 0
 
     @property
     def violations(self) -> int:
@@ -182,6 +191,8 @@ def run_campaign(
     result = CampaignResult()
     for report in pmap(fuzz_one, specs, jobs=jobs):
         result.checked += 1
+        result.direct_call_seeds += report.get("jit_direct_calls", 0) > 0
+        result.unwind_seeds += report.get("jit_unwinds", 0) > 0
         if report["status"] == "ok":
             result.ok += 1
         else:

@@ -195,6 +195,13 @@ class RunRecord:
     #: code was entered (or the promotion trampoline bounced) without
     #: leaving through exactly one exit.
     jit_unpaired: int = 0
+    #: Calls generated code made into generated code and got back from,
+    #: and directly entered activations it handed back to the
+    #: interpreter (jit and jit-lazy cells; 0 wherever a hook keeps
+    #: every call an exit).  Coverage, not an invariant: the campaign
+    #: reports how many seeds exercised each.
+    jit_direct_calls: int = 0
+    jit_unwinds: int = 0
 
 
 @dataclass
@@ -300,6 +307,8 @@ def run_cell(
         - vm.jit_deopts - vm.jit_guard_exits
         - vm.jit_call_exits - vm.jit_return_exits
     )
+    record.jit_direct_calls = vm.jit_direct_calls
+    record.jit_unwinds = vm.jit_unwinds
     record.dcg = [profiler.dcg.edges() for profiler in profilers]
     if tracker is not None:
         record.paths = dict(tracker.profile.counts)
@@ -380,10 +389,14 @@ def check_program(
     program,
     vm_name: str = "jikes",
     extra_checks=None,
+    coverage: dict | None = None,
     **overrides,
 ) -> list[Violation]:
     """Run ``program`` across the full matrix and return all invariant
     violations (empty list = the program is clean).
+
+    ``coverage``, if given, receives the program's ``jit_direct_calls``
+    and ``jit_unwinds`` summed over every cell.
 
     ``extra_checks``, if given, is called with the mapping of
     :class:`MatrixCell` → :class:`RunRecord` after each profiler group
@@ -399,6 +412,11 @@ def check_program(
         for cell in matrix_cells(profiler):
             records[cell] = run_cell(program, cell, vm_name, **overrides)
 
+        if coverage is not None:
+            for name in ("jit_direct_calls", "jit_unwinds"):
+                coverage[name] = coverage.get(name, 0) + sum(
+                    getattr(record, name) for record in records.values()
+                )
         for cell, record in records.items():
             if record.outcome == "host-crash":
                 violations.append(

@@ -158,6 +158,14 @@ class Tracer:
         self._jit_leaf_calls = metrics.counter(
             "jit.leaf_calls", "leaf-template calls inlined inside compiled bodies"
         )
+        self._jit_direct_calls = metrics.counter(
+            "jit.direct_calls",
+            "calls from one compiled body into another, returned in generated code",
+        )
+        self._jit_unwinds = metrics.counter(
+            "jit.unwinds",
+            "directly entered activations handed back to the interpreter",
+        )
         self._jit_methods_compiled = metrics.gauge(
             "jit.methods_compiled", "methods running a compiled body at run end"
         )
@@ -277,6 +285,8 @@ class Tracer:
         call_exits: int,
         return_exits: int,
         leaf_calls: int,
+        direct_calls: int,
+        unwinds: int,
         methods_compiled: int,
         methods_eligible: int,
         compile_s: float,
@@ -301,6 +311,8 @@ class Tracer:
         self._jit_call_exits.inc(call_exits)
         self._jit_return_exits.inc(return_exits)
         self._jit_leaf_calls.inc(leaf_calls)
+        self._jit_direct_calls.inc(direct_calls)
+        self._jit_unwinds.inc(unwinds)
         self._jit_methods_compiled.set(methods_compiled)
         self._jit_methods_eligible.set(methods_eligible)
         self._jit_compile_s.inc(compile_s)

@@ -156,6 +156,12 @@ class Interpreter:
         self.jit_call_exits = 0
         self.jit_return_exits = 0
         self.jit_leaf_calls = 0
+        #: Calls a compiled caller made into a compiled callee's body
+        #: and got back from, all inside generated code; and directly
+        #: entered activations that handed back to the interpreter
+        #: instead (each then shows up as one replayed entry).
+        self.jit_direct_calls = 0
+        self.jit_unwinds = 0
         self.jit_manager = None
         self._frame_pool: list[Frame] = []
 
@@ -482,6 +488,8 @@ class Interpreter:
             self.jit_call_exits,
             self.jit_return_exits,
             self.jit_leaf_calls,
+            self.jit_direct_calls,
+            self.jit_unwinds,
             self.jit_compile_s,
         )
         cache = self.code_cache
@@ -524,8 +532,10 @@ class Interpreter:
                     self.jit_call_exits - jit_before[5],
                     self.jit_return_exits - jit_before[6],
                     self.jit_leaf_calls - jit_before[7],
+                    self.jit_direct_calls - jit_before[8],
+                    self.jit_unwinds - jit_before[9],
                     *cache.jit_methods(),
-                    self.jit_compile_s - jit_before[8],
+                    self.jit_compile_s - jit_before[10],
                 )
 
 

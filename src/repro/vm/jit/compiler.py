@@ -36,12 +36,33 @@ run.  The exit taxonomy:
   access, bad index, zero divisor, negative array length), or a leaf
   body bailed with ``LEAF_FAIL``.  The interpreter re-executes the
   instruction and raises (or takes its slow path) with exact counters.
-* **call exit** (``vm.jit_call_exits``) — a call site the template
-  cannot inline (no leaf template, frame-budget exhausted, unquickened
-  virtual, or any observation hook attached).
-* **return exit** (``vm.jit_return_exits``) — execution reached a
-  ``RETURN``/``RETURN_VAL``; the interpreter dispatches the return
-  itself (return cost, epilogue yieldpoint, path record, frame pop).
+* **call exit** (``vm.jit_call_exits``) — a call the interpreter has to
+  make: the callee has neither a leaf template nor a body to enter
+  directly, the frame budget or :data:`MAX_DIRECT_DEPTH` is exhausted,
+  the site is an unquickened virtual, an observation hook is attached,
+  or a directly entered callee handed back before it returned.
+* **return exit** (``vm.jit_return_exits``) — an activation the
+  interpreter entered reached a ``RETURN``/``RETURN_VAL``; the
+  interpreter dispatches the return itself (return cost, epilogue
+  yieldpoint, path record, frame pop).
+
+**Direct calls.**  A call site whose callee has a body of its own (no
+leaf template, same hook signature, enterable at pc 0) performs the
+interpreter's calling sequence in generated code — charge, pooled
+``Frame`` on ``vm.frames`` — and calls the callee's ``fn`` with
+``_d + 1``.  A body entered that way executes its ``RETURN`` itself and
+hands ``(time, steps, call_count, value, leaf calls, direct calls)``
+back to a caller that carries on in generated code.  The interpreter
+can only resume the frame it entered, so a nested activation that must
+hand back does not leave its frame for it: :func:`_hand_back` pops the
+frame and parks its state in ``method.jit`` as a one-shot resume
+record, the caller sees ``None`` and takes an ordinary call exit at
+the call pc with the counters it had *before* the call, and the
+interpreter re-executes that call — same charge, same frame push — and
+enters the resume record, which turns the fresh frame into the parked
+one.  Every frame on ``vm.frames`` is therefore one the interpreter
+built, and each replayed entry pairs with the exit its activation
+already counted.
 
 Inline-cache guards follow pixie's ``elidable_promote`` discipline: the
 receiver classes bound in an entry's inline slots at compile time are
@@ -60,11 +81,19 @@ from repro.bytecode.opcodes import SPEC_BY_OP, STACK_EFFECT, Op
 from repro.vm import fuse
 from repro.vm import ic as icmod
 from repro.vm import optemplates
+from repro.vm.interpreter import _FREED_LOCALS, Frame
 from repro.vm.optemplates import Atom
 from repro.vm.values import HeapArray, HeapObject
 
 #: Bail out of compiling methods longer than this many instructions.
 JIT_MAX_CODE = 2000
+
+#: Direct calls nest one host frame per guest frame, and the host stack
+#: is the shorter one (Python's default recursion limit is 1000, under
+#: whatever the embedding program already used; ``max_frames`` is 4096).
+#: A site this deep in a direct-call chain is an ordinary call exit; the
+#: chain hands back and the interpreter starts a new one from there.
+MAX_DIRECT_DEPTH = 128
 
 #: Net stack effect per straight-line opcode, keyed by int, derived
 #: from the declarative opcode specs (calls/branches/returns are
@@ -129,9 +158,16 @@ def ic_signature(method) -> tuple:
 class JitCode:
     """One compiled body, installed on ``CompiledMethod.jit``.
 
-    ``source`` is None on exactly one kind of record: the plain-run
-    manager's counting trampoline (repro.vm.jit.manager), which sits
-    where a body would until the method proves hot."""
+    ``source`` is None on the records that stand where a body would:
+    the plain-run manager's counting trampoline (repro.vm.jit.manager)
+    until the method proves hot, and the one-shot resume record of
+    :func:`_hand_back`.
+
+    ``direct`` is ``fn`` when a compiled caller may enter the body
+    itself (a real body for unhooked runs, enterable at pc 0, of a
+    method the interpreter would call through a frame), else None;
+    ``pad`` is the zero fill from the method's parameters to its
+    locals."""
 
     __slots__ = (
         "fn",
@@ -143,11 +179,15 @@ class JitCode:
         "fused_expanded",
         "inline_sites",
         "exit_sites",
+        "direct_sites",
+        "direct",
+        "pad",
     )
 
     def __init__(
-        self, fn, entry0, entries, sig, ic_sig, source, fused_expanded,
-        inline_sites, exit_sites,
+        self, fn, entry0, entries, sig, ic_sig=None, source=None,
+        fused_expanded=0, inline_sites=0, exit_sites=0, direct_sites=0,
+        direct=None, pad=(),
     ):
         self.fn = fn
         self.entry0 = entry0
@@ -158,6 +198,37 @@ class JitCode:
         self.fused_expanded = fused_expanded
         self.inline_sites = inline_sites
         self.exit_sites = exit_sites
+        self.direct_sites = direct_sites
+        self.direct = direct
+        self.pad = pad
+
+
+def _hand_back(vm, frame, time, steps, call_count) -> None:
+    """Exit of a directly entered activation: give ``frame`` to the
+    interpreter by way of the call that created it.
+
+    Pops the frame and leaves a resume record where the method's body
+    was.  The caller, seeing None, exits at its call pc with its
+    pre-call counters; the interpreter re-executes the call, pushes a
+    frame of its own and enters ``method.jit`` — this record — which
+    restores the body, copies the parked locals, operand stack and pc
+    into the interpreter's frame and returns the counters of the
+    hand-back.  Frames of one method hand back innermost first and are
+    replayed outermost first, so the records stack up in ``method.jit``
+    through ``body`` and unstack in order."""
+    method = frame.method
+    body = method.jit
+    vm.frames.pop()
+    vm.jit_unwinds += 1
+
+    def resume(vm, rebuilt, _time, _steps, _call_count, _next_tick):
+        method.jit = body
+        rebuilt.locals[:] = frame.locals
+        rebuilt.stack.extend(frame.stack)
+        rebuilt.pc = frame.pc
+        return (time, steps, call_count)
+
+    method.jit = JitCode(resume, True, (), body.sig)
 
 
 class _Bail(Exception):
@@ -217,6 +288,8 @@ class _Compiler(optemplates.EmitContext):
         )
         self.call_static_cost = cost_model.call_static_cost + entry_extra
         self.call_virtual_cost = cost_model.call_virtual_cost + entry_extra
+        self.return_cost = cost_model.return_cost
+        self._sel_rv = program.selector_return_shapes()
         self.max_steps = config.max_steps
         self.max_frames = config.max_frames
 
@@ -228,7 +301,8 @@ class _Compiler(optemplates.EmitContext):
         self.fused_expanded = 0
         self.inline_sites = 0
         self.exit_sites = 0
-        self.has_inline = False
+        self.direct_sites = 0
+        self.has_calls = False
         self.zero_progress: set[int] = set()
         self.cur_leader = 0
         self.arm_progress = False
@@ -270,24 +344,43 @@ class _Compiler(optemplates.EmitContext):
     def _exit(self, pc: int, vstack, counter: str, giveback=None) -> None:
         """Hand control back to the interpreter at instruction ``pc``
         with the counters charged exactly through the instructions that
-        completed (``giveback`` refunds a pre-charged segment suffix)."""
+        completed (``giveback`` refunds a pre-charged segment suffix).
+
+        The site names its resume pc and live operand stack and leaves
+        the arm loop; materializing them is the same for every exit of
+        a body and is emitted once, after the loop (:meth:`_exit_tail`)."""
         if giveback is not None:
             gcost, gsteps = giveback
             if gcost:
                 self.w(f"time -= {gcost}")
             self.w(f"steps -= {gsteps}")
+        self.w(f"vm.{counter} += 1")
+        exprs = "".join(f"{a.expr}, " for a in vstack)
+        self.w(f"_xp, _xs = {pc}, ({exprs})")
+        self.w("break")
+
+    def _exit_tail(self) -> list[str]:
+        """What every exit of the body runs after leaving the arm loop:
+        write the guest locals back, set the resume pc, push the live
+        operand stack, flush the call counters, and return the
+        interpreter's counters — through :func:`_hand_back` when the
+        activation was entered directly."""
+        tail = []
         n = self.method.num_locals
         if n:
             names = ", ".join(f"l{i}" for i in range(n))
-            self.w(f"_L[:] = ({names},)")
-        self.w(f"frame.pc = {pc}")
-        if vstack:
-            exprs = ", ".join(a.expr for a in vstack)
-            self.w(f"_stack.extend(({exprs},))")
-        self.w(f"vm.{counter} += 1")
-        if self.has_inline:
-            self.w("vm.jit_leaf_calls += _leaf")
-        self.w("return (time, steps, call_count)")
+            tail.append(f"    _L[:] = ({names},)")
+        tail.append("    frame.pc = _xp")
+        tail.append("    _stack.extend(_xs)")
+        if self.has_calls:
+            tail.append("    vm.jit_leaf_calls += _leaf")
+        if "direct" in self.uses:
+            tail.append("    vm.jit_direct_calls += _dc")
+        if self.inline_leaves:
+            tail.append("    if _d:")
+            tail.append("        return _hb(vm, frame, time, steps, call_count)")
+        tail.append("    return (time, steps, call_count)")
+        return tail
 
     def _exit_if(self, cond: str, pc: int, vstack, counter: str, giveback=None) -> None:
         self.w(f"if {cond}:")
@@ -350,21 +443,13 @@ class _Compiler(optemplates.EmitContext):
         self.recs = recs
 
     def _selector_returns(self, selector: int):
-        rvs = self._sel_rv.get(selector)
-        if rvs is None or len(rvs) != 1:
-            return None
-        return next(iter(rvs))
+        shapes = self._sel_rv
+        return shapes[selector] if selector < len(shapes) else None
 
     def _analyze(self) -> None:
         """Reachability + stack-depth pass; finds block leaders and the
         backward-jump targets eligible for OSR entry (depth 0)."""
         program = self.program
-        self._sel_rv: dict[int, set] = {}
-        for cls in program.classes:
-            for sid, fi in cls.vtable.items():
-                self._sel_rv.setdefault(sid, set()).add(
-                    program.functions[fi].returns_value
-                )
         recs = self.recs
         depth: dict[int, int] = {0: 0}
         work = [0]
@@ -435,12 +520,14 @@ class _Compiler(optemplates.EmitContext):
                 if not self.arm_progress:
                     self.zero_progress.add(leader)
                 self.exit_sites += 1
+                if self.inline_leaves:
+                    self._emit_direct_return(pc, op, cost, vstack)
                 self._exit(pc, vstack, "jit_return_exits")
                 return
             if op == _OP_CALL_STATIC or op == _OP_CALL_VIRTUAL:
                 self._flush(seg, vstack)
                 seg = []
-                if not self._emit_call(pc, op, a, b, entry, vstack):
+                if not self._emit_call(pc, op, a, b, cost, entry, vstack):
                     if not self.arm_progress:
                         self.zero_progress.add(leader)
                     return
@@ -522,13 +609,14 @@ class _Compiler(optemplates.EmitContext):
 
     # -- call sites -------------------------------------------------------------
 
-    def _emit_call(self, pc, op, a, b, entry, vstack) -> bool:
+    def _emit_call(self, pc, op, a, b, cost, entry, vstack) -> bool:
         """Emit one call site.  Leaf-eligible targets are inlined per
         guarded receiver slot — pure leaf bodies expand textually into
         the caller, the rest call the compiled leaf closure (the
-        interpreter's frame-free fast path) — and everything else exits
-        to the interpreter.  Returns True when the arm continues past
-        the site."""
+        interpreter's frame-free fast path) — targets without a leaf
+        template are entered directly when they have a body, and
+        everything else exits to the interpreter.  Returns True when
+        the arm continues past the site."""
         w = self.w
         virtual = op == _OP_CALL_VIRTUAL
         nargs = b + 1 if virtual else b
@@ -546,11 +634,9 @@ class _Compiler(optemplates.EmitContext):
             self.exit_sites += 1
             self._exit(pc, vstack, "jit_call_exits")
             return False
-        self.has_inline = True
-        self.inline_sites += 1
         self.uses.add("room")
         self._bake("_LF", icmod.LEAF_FAIL)
-        csc = self.call_virtual_cost if virtual else self.call_static_cost
+        csc = cost + (self.call_virtual_cost if virtual else self.call_static_cost)
         # The interpreter's dispatch charges one step at the call pc and
         # its arm raises StepLimit on the incremented count; mirror the
         # check (uncharged de-opt → exact replay).
@@ -571,16 +657,17 @@ class _Compiler(optemplates.EmitContext):
                 return False
             self._exit_if(f"{recv.expr} is None", pc, vstack, "jit_guard_exits")
             w(f"_rc = {recv.expr}.class_index")
+            direct = []
             for i, (class_index, method_slot, cell) in enumerate(guards):
                 kw = "if" if i == 0 else "elif"
                 cname = self._bake(f"_c{i}_{pc}", cell)
                 w(f"{kw} _rc == {class_index}:")
                 self.indent += 1
-                self._emit_callee(
+                direct.append(self._emit_callee(
                     pc, vstack, nargs, entry[method_slot],
                     f"{ename}[{method_slot}]", cname, csc, tres, rv,
                     raw_static=None, tag=f"{i}_{pc}",
-                )
+                ))
                 self.indent -= 1
             w("else:")
             self.indent += 1
@@ -588,18 +675,22 @@ class _Compiler(optemplates.EmitContext):
             self.indent -= 1
         elif entry is not None:
             ename = self._bake(f"_e{pc}", entry)
-            self._emit_callee(
+            direct = [self._emit_callee(
                 pc, vstack, nargs, entry[icmod.S_METHOD],
                 f"{ename}[{icmod.S_METHOD}]", None, csc, tres, rv,
                 raw_static=None, tag=f"s{pc}",
-            )
+            )]
         else:
             self.uses.add("m")
             self._bake("_m", self.cache.methods)
-            self._emit_callee(
+            direct = [self._emit_callee(
                 pc, vstack, nargs, self.cache.methods[a], f"_m[{a}]",
                 None, csc, tres, rv, raw_static=a, tag=f"s{pc}",
-            )
+            )]
+        # Counted per site: a two-guard site with one target of each
+        # kind is both an inlined and a direct call site.
+        self.direct_sites += any(direct)
+        self.inline_sites += not all(direct)
         if nargs:
             del vstack[len(vstack) - nargs:]
         if rv:
@@ -610,9 +701,9 @@ class _Compiler(optemplates.EmitContext):
     def _emit_callee(
         self, pc, vstack, nargs, callee, resolver, cellname, csc, tres, rv,
         raw_static, tag,
-    ) -> None:
+    ) -> bool:
         """Emit the body of one guarded call target, leaving the result
-        (if any) in ``tres``.
+        (if any) in ``tres``; True when the target is entered directly.
 
         When the target's leaf template is pure — it never writes the
         heap — the body is expanded textually into the caller (same
@@ -621,15 +712,16 @@ class _Compiler(optemplates.EmitContext):
         argument tuple) entirely.  The identity guard also keeps adaptive
         recompiles honest: a replaced callee publishes a fresh leaf
         tuple, so the site exits until the manager re-jits the caller.
-        Other targets go through the generic guarded leaf-template
-        call."""
+        Other leaf targets go through the generic guarded leaf-template
+        call, and a target with no template at all is entered directly
+        (:meth:`_emit_direct`)."""
         w = self.w
         w(f"_c = {resolver}")
-        leaf = callee.leaf if callee is not None else None
+        leaf = callee.leaf
         args = vstack[len(vstack) - nargs:] if nargs else []
-        if leaf is not None and optemplates.PURE_LEAF_OPS.issuperset(
-            leaf[icmod.L_OPS]
-        ):
+        if leaf is None:
+            self._emit_direct(pc, vstack, args, csc, tres)
+        elif optemplates.PURE_LEAF_OPS.issuperset(leaf[icmod.L_OPS]):
             lname = self._bake(f"_lf{tag}", leaf)
             self._exit_if(
                 f"_c.leaf is not {lname} or not _room", pc, vstack, "jit_call_exits"
@@ -642,8 +734,6 @@ class _Compiler(optemplates.EmitContext):
             ts: list[Atom] = []
             for lop, la in zip(leaf[icmod.L_OPS], leaf[icmod.L_A]):
                 optemplates.emit(ctx, lop, la, None, ts)
-            if cellname is not None:
-                w(f"{cellname}[0] += 1")
             w(f"time += {csc + leaf[icmod.L_COST]}")
             w(f"steps += {1 + leaf[icmod.L_STEPS]}")
             if rv:
@@ -659,12 +749,13 @@ class _Compiler(optemplates.EmitContext):
             )
             w(f"{t} = _lf[{icmod.L_FN}](({arglist}{',' if args else ''}), 0)")
             self._exit_if(f"{t} is _LF", pc, vstack, "jit_guard_exits")
-            if cellname is not None:
-                w(f"{cellname}[0] += 1")
             w(f"time += {csc} + _lf[{icmod.L_COST}]")
             w(f"steps += 1 + _lf[{icmod.L_STEPS}]")
-        w("call_count += 1")
-        w("_leaf += 1")
+        if leaf is not None:
+            w("call_count += 1")
+            w("_leaf += 1")
+        if cellname is not None:
+            w(f"{cellname}[0] += 1")
         if raw_static is not None:
             # Raw static site: the interpreter's raw arm would mark the
             # callee executed; the quickened arms never reach here first.
@@ -672,6 +763,71 @@ class _Compiler(optemplates.EmitContext):
             w(f"if not _seen[{raw_static}]:")
             w(f"    _seen[{raw_static}] = True")
             w("    vm.methods_executed += 1")
+        return leaf is None
+
+    def _emit_direct(self, pc, vstack, args, csc, tres) -> None:
+        """The interpreter's non-leaf calling sequence, then the
+        callee's body called as a host function (``_c`` is resolved).
+
+        Every guard comes before the first charge, so each is an exact
+        replay point, and the counters stay the caller's own until the
+        callee returns them: a callee that hands back (None, see
+        :func:`_hand_back`) leaves an ordinary call exit at this pc.
+        The callee's frame is popped here, on the side that pushed
+        it."""
+        w = self.w
+        self.uses.add("direct")
+        fl = self._bake("_FL", _FREED_LOCALS)
+        frame_cls = self._bake("_Frame", Frame)
+        w("_j = _c.jit")
+        self._exit_if(
+            "_j is None or _j.direct is None or not _go",
+            pc, vstack, "jit_call_exits",
+        )
+        # Past this guard the charged time is below the tick, which is
+        # what entering a body requires; a tick inside the call charge
+        # belongs to the callee's first instruction in a frame the
+        # interpreter pushes.
+        self._exit_if(f"time + {csc} >= next_tick", pc, vstack, "jit_deopts")
+        new_locals = "[" + "".join(f"{x.expr}, " for x in args) + "*_j.pad]"
+        w("if _pool:")
+        w("    _f = _pool.pop()")
+        w("    _f.method = _c")
+        w("    _f.pc = 0")
+        w(f"    _f.locals = {new_locals}")
+        w(f"    _f.callsite_pc = {pc}")
+        w("else:")
+        w(f"    _f = {frame_cls}(_c, {new_locals}, {pc})")
+        w("_frames.append(_f)")
+        w(
+            f"_r = _j.direct(vm, _f, time + {csc}, steps + 1, call_count + 1,"
+            " next_tick, _d + 1)"
+        )
+        self._exit_if("_r is None", pc, vstack, "jit_call_exits")
+        w("_frames.pop()")
+        w(f"_f.locals = {fl}")
+        w("_pool.append(_f)")
+        w(f"time, steps, call_count, {tres or '_'}, _nl, _nd = _r")
+        w("_leaf += _nl")
+        w("_dc += _nd + 1")
+
+    def _emit_direct_return(self, pc, op, cost, vstack) -> None:
+        """``RETURN`` of a directly entered activation: the dispatch
+        head's tick test, then the return charge and the value handed
+        to the caller together with this activation's call counts.
+        The interpreter checks no step limit at a return and the
+        yieldpoint flag is clear wherever generated code runs."""
+        self.w("if _d:")
+        self.indent += 1
+        head = f"time + {cost}" if cost else "time"
+        self._exit_if(f"{head} >= next_tick", pc, vstack, "jit_deopts")
+        value = vstack[-1].expr if op == _OP_RETURN_VAL else "None"
+        counts = "_leaf, _dc" if self.has_calls else "0, 0"
+        self.w(
+            f"return (time + {cost + self.return_cost}, steps + 1, call_count,"
+            f" {value}, {counts})"
+        )
+        self.indent -= 1
 
     # -- assembly ---------------------------------------------------------------
 
@@ -679,10 +835,10 @@ class _Compiler(optemplates.EmitContext):
         self._decode()
         self._analyze()
         method = self.method
-        # Decide up front whether any exit must flush the inline-leaf
-        # counter: a loop can run an inlined call and later leave
+        # Decide up front whether any exit must flush the call
+        # counters: a loop can run an inlined call and later leave
         # through an exit emitted *before* that call site.
-        self.has_inline = self.inline_leaves and any(
+        self.has_calls = self.inline_leaves and any(
             rec is not None and rec[0] in (_OP_CALL_STATIC, _OP_CALL_VIRTUAL)
             for rec in self.recs
         )
@@ -718,18 +874,30 @@ class _Compiler(optemplates.EmitContext):
             preamble.append("    _p = vm.path_tracker")
         if "room" in self.uses:
             preamble.append(f"    _room = len(vm.frames) < {self.max_frames}")
-        if self.has_inline:
-            preamble.append("    _leaf = 0")
+        if "direct" in self.uses:
+            preamble.append("    _frames = vm.frames")
+            preamble.append("    _pool = vm._frame_pool")
+            preamble.append(f"    _go = _room and _d < {MAX_DIRECT_DEPTH}")
+        if self.has_calls:
+            preamble.append("    _leaf = _dc = 0")
         preamble.append("    _b = frame.pc")
         preamble.append("    while True:")
 
         fname = f"_jit_{method.index}"
         params = "vm, frame, time, steps, call_count, next_tick"
+        if self.inline_leaves:
+            # Direct-entry depth; the interpreter's six-argument call
+            # leaves it 0.
+            params += ", _d=0"
+            self._bake("_hb", _hand_back)
         baked_names = sorted(self.baked)
         if baked_names:
             params += ", " + ", ".join(f"{b}={b}" for b in baked_names)
         source = "\n".join(
-            [f"def {fname}({params}):", *preamble, *self.lines, ""]
+            [
+                f"def {fname}({params}):", *preamble, *self.lines,
+                *self._exit_tail(), "",
+            ]
         )
         namespace = dict(self.baked)
         namespace["__builtins__"] = {
@@ -748,6 +916,13 @@ class _Compiler(optemplates.EmitContext):
             fused_expanded=self.fused_expanded,
             inline_sites=self.inline_sites,
             exit_sites=self.exit_sites,
+            direct_sites=self.direct_sites,
+            direct=(
+                fn
+                if entry0 and self.inline_leaves and method.leaf is None
+                else None
+            ),
+            pad=icmod.locals_pad(method.num_locals, method.function.num_params),
         )
 
 

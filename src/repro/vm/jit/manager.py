@@ -129,11 +129,7 @@ class JitManager:
         and hook the virtual timer."""
         sig = vm_jit_sig(self.vm)
         self._stubs = tuple(
-            JitCode(
-                fn=_trampoline, entry0=entry0, entries=_ANY_PC, sig=sig,
-                ic_sig=None, source=None, fused_expanded=0, inline_sites=0,
-                exit_sites=0,
-            )
+            JitCode(_trampoline, entry0, _ANY_PC, sig)
             for entry0 in (False, True)
         )
         self._stub_cold_methods()

@@ -20,7 +20,14 @@ The deopt paths are the dangerous part, so they get targeted tests:
 * **guest faults** — division by zero and null field access inside a
   JIT'd body must produce the same error, pc, and synced counters as
   the interpreter, including the segment-charge give-back for ops the
-  raw run never executed.
+  raw run never executed;
+* **direct calls** — a compiled caller enters a compiled callee's body
+  itself, so every one of the above can now happen several host frames
+  deep: the nested activations hand back through resume records and
+  the interpreter rebuilds the frames by replaying the calls.  Deep
+  recursion (past the host recursion limit, past ``max_frames``), ticks
+  inside directly entered callees under every sampling profiler, faults
+  and the step limit three calls down.
 
 The only permitted difference is the JIT bookkeeping itself: the
 ``jit_*`` counters on the VM and the ``jit.*`` metric keys in
@@ -43,7 +50,12 @@ from repro.profiling.cbs import CBSProfiler
 from repro.profiling.exhaustive import ExhaustiveProfiler
 from repro.profiling.timer_sampler import TimerProfiler
 from repro.vm.config import config_named
-from repro.vm.errors import DivisionByZeroError, NullPointerError
+from repro.vm.errors import (
+    DivisionByZeroError,
+    NullPointerError,
+    StackOverflowError_,
+    StepLimitExceeded,
+)
 from repro.vm.interpreter import Interpreter
 from tests.helpers import force_jit
 
@@ -52,6 +64,10 @@ PROFILERS = {
     "exhaustive": ExhaustiveProfiler,
     "timer": TimerProfiler,
     "cbs": lambda: CBSProfiler(stride=3, samples_per_tick=16, seed=7),
+    # A window that closes well inside one tick interval, so generated
+    # code (entered only while the yieldpoint flag is clear) runs
+    # between windows even at tiny intervals.
+    "cbs-brief": lambda: CBSProfiler(stride=2, samples_per_tick=2, seed=7),
 }
 
 
@@ -362,6 +378,144 @@ def test_fault_transcripts_synced_small_intervals(interval):
     assert jit_transcript == plain_transcript
 
 
+# -- direct calls: compiled caller -> compiled callee -----------------------------
+
+RECURSION = """
+def down(n: int): int {{
+  if (n == 0) {{ return 0; }}
+  return down(n - 1) + 1;
+}}
+def main() {{
+  print(down({depth}));
+  print(down({depth}));
+}}
+"""
+
+
+def test_deep_returning_recursion_outlives_the_host_stack():
+    """3000 guest frames is past Python's recursion limit and under
+    ``max_frames``: direct-call chains stop at ``MAX_DIRECT_DEPTH``,
+    hand back, and the interpreter starts the next chain from there."""
+    program = compile_source(RECURSION.format(depth=3000))
+    jit_vm, _ = assert_jit_identical(program)
+    assert jit_vm.jit_direct_calls > 0
+    assert jit_vm.jit_unwinds > 2000  # chains that hit the depth bound
+
+
+def test_recursion_past_max_frames_faults_identically():
+    program = compile_source(RECURSION.format(depth=5000))
+    jit_transcript, jit_vm = _fail(program, StackOverflowError_, jit=True)
+    plain_transcript, _ = _fail(program, StackOverflowError_, jit=False)
+    assert jit_transcript == plain_transcript
+    assert jit_transcript[1].startswith("guest stack exceeded 4096 frames")
+    assert jit_vm.jit_unwinds > 0
+    assert_exit_accounting(jit_vm)
+
+
+CHAIN = """
+class Node {
+  var v: int;
+}
+def inner(n: Node, d: int): int {
+  var r = n.v;
+  if (d != 1) { r = r + 600 / d; }
+  return r;
+}
+def middle(n: Node, d: int): int {
+  var t = inner(n, d);
+  if (t > 50) { t = t - inner(n, d + 1); }
+  return t + 1;
+}
+def outer(n: Node, d: int): int {
+  var t = middle(n, d);
+  if (t < 0) { t = 0 - t; }
+  return t + middle(n, d + 2);
+}
+def main() {
+  var n = new Node();
+  n.v = 7;
+  var total = 0;
+  for (var i = 0; i < LIMIT; i = i + 1) {
+    total = (total + outer(n, 1200 - i)) % 99991;
+    PHASE
+  }
+  print(total);
+}
+"""
+
+
+def _chain(limit=900, phase=""):
+    return compile_source(CHAIN.replace("LIMIT", str(limit)).replace("PHASE", phase))
+
+
+#: Cells of the matrix below in which no tick lands inside a nested
+#: body, in the interpreter as much as in generated code: at 97 a CBS
+#: window is still open when the next tick arrives, so generated code
+#: never gets a turn; and the timer sampler's own charge locks ticks at
+#: these two intervals onto ``main``'s part of the loop.
+NO_NESTED_TICKS = {("cbs-brief", 97), ("timer", 523), ("timer", 1009)}
+
+
+@pytest.mark.parametrize("interval", [97, 523, 1009])
+@pytest.mark.parametrize("profiler", ["none", "cbs-brief", "timer"])
+def test_ticks_inside_directly_entered_callees(interval, profiler):
+    """``main`` -> ``outer`` -> ``middle`` -> ``inner`` all run as
+    generated code calling generated code; tiny intervals put ticks
+    inside the nested bodies, where every live frame has to reach the
+    interpreter (and the profiler's stack walk) exactly as built."""
+    jit_vm, _ = assert_jit_identical(
+        _chain(), "jikes", profiler, timer_interval=interval
+    )
+    assert jit_vm.jit_deopts > 0
+    if (profiler, interval) not in NO_NESTED_TICKS:
+        assert jit_vm.jit_direct_calls > 0
+        assert jit_vm.jit_unwinds > 0
+
+
+@pytest.mark.parametrize(
+    "limit,phase,exc_type",
+    [
+        pytest.param(2000, "", DivisionByZeroError, id="div-zero"),
+        pytest.param(
+            2000, "if (i == 700) { n = null; }", NullPointerError, id="null-field"
+        ),
+    ],
+)
+def test_faults_three_direct_calls_deep(limit, phase, exc_type):
+    """``inner`` faults with ``middle``, ``outer`` and ``main`` above it
+    in generated code: the interpreter must raise from frames it built
+    itself, with the counters of the faulting instruction."""
+    program = _chain(limit, phase)
+    jit_transcript, jit_vm = _fail(program, exc_type, jit=True)
+    plain_transcript, _ = _fail(program, exc_type, jit=False)
+    assert jit_transcript == plain_transcript
+    assert jit_transcript[2] == "inner"
+    assert jit_vm.jit_direct_calls > 0
+    assert jit_vm.jit_unwinds >= 3
+    assert_exit_accounting(jit_vm)
+
+
+def test_step_limit_inside_a_nested_callee():
+    """The budget binds at calls and back-edges; over a run of budgets
+    that is ``outer``'s and ``middle``'s call sites — directly entered
+    bodies — as well as ``main``, and every time the JIT'd run must stop
+    on the interpreter's exact step."""
+    program = _chain()
+    stopped_in = set()
+    for max_steps in range(30000, 30040, 3):
+        jit_transcript, jit_vm = _fail(
+            program, StepLimitExceeded, jit=True, max_steps=max_steps
+        )
+        plain_transcript, _ = _fail(
+            program, StepLimitExceeded, jit=False, max_steps=max_steps
+        )
+        assert jit_transcript == plain_transcript
+        assert jit_vm.jit_direct_calls > 0
+        assert_exit_accounting(jit_vm)
+        stopped_in.add(jit_transcript[2])
+    assert stopped_in == {"main", "outer", "middle"}
+
+
 # -- benchsuite spot checks -------------------------------------------------------
 
 
@@ -377,7 +531,16 @@ def test_benchsuite_identical_j9():
 
 def test_large_size_spot_check():
     jit_vm, _ = assert_jit_identical(program_for("jess", "small"), "jikes", "cbs")
-    # A real workload exercises every exit class.
+    # A real workload exercises every exit class: ``main`` is entered
+    # by the interpreter and returns to it, and ``Network.assert``'s
+    # receiver guard misses with ``main`` above it in generated code,
+    # which makes ``main``'s site a call exit.
     assert jit_vm.jit_deopts > 0
+    assert jit_vm.jit_guard_exits > 0
     assert jit_vm.jit_call_exits > 0
     assert jit_vm.jit_return_exits > 0
+
+
+def test_call_heavy_workload_keeps_its_calls_in_generated_code():
+    jit_vm, _ = assert_jit_identical(program_for("mtrt", "small"))
+    assert jit_vm.jit_direct_calls > 10 * jit_vm.jit_call_exits

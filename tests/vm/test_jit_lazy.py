@@ -41,7 +41,7 @@ def jit_counters(vm):
     return (
         vm.jit_compiles, vm.jit_entries, vm.jit_osr_entries, vm.jit_deopts,
         vm.jit_guard_exits, vm.jit_call_exits, vm.jit_return_exits,
-        vm.jit_leaf_calls,
+        vm.jit_leaf_calls, vm.jit_direct_calls, vm.jit_unwinds,
     )
 
 
@@ -173,7 +173,7 @@ def test_bounces_leave_no_trace_in_the_counters():
     vm.jit_manager.attach()
     vm.run()
     assert sum(vm.jit_manager.heat.values()) > PROMOTE_THRESHOLD
-    assert jit_counters(vm) == (0,) * 8
+    assert jit_counters(vm) == (0,) * 10
 
 
 def test_ineligible_method_drops_its_stub_after_one_attempt(monkeypatch):
@@ -192,7 +192,7 @@ def test_ineligible_method_drops_its_stub_after_one_attempt(monkeypatch):
     assert sorted(attempts) == sorted([worker.index, main.index])
     assert worker.jit is None and main.jit is None
     assert vm.jit_manager.attempts[worker] == MAX_ATTEMPTS
-    assert jit_counters(vm) == (0,) * 8
+    assert jit_counters(vm) == (0,) * 10
     assert vm.code_cache.jit_methods() == (0, len(vm.code_cache.methods) - 2)
     assert observables(vm) == observables(run(program, PLAIN))
 
@@ -387,3 +387,42 @@ def test_installed_replacement_goes_back_on_the_trampoline(config):
         replaced.clear()
         jit_vm.run()
         assert observables(jit_vm) == observables(vm)
+
+
+def test_direct_call_site_never_enters_a_replaced_callees_body():
+    """``main`` calls ``work`` from generated code, body to body.  After
+    ``CodeCache.install`` replaces ``work`` the site resolves to the
+    fresh ``CompiledMethod`` — no body yet, so it is a call exit until
+    the replacement has been promoted — and never to the stale body."""
+    program = compile_source(REPLACED)
+    function = program.function_named("work")
+    seen = {}
+
+    def stale(*_args):
+        raise AssertionError("a call entered the replaced method's body")
+
+    def replace_once(vm):
+        if vm.ticks == 3:
+            old = vm.code_cache.methods[function.index]
+            assert compiled(old) and old.jit.direct is not None
+            seen["direct_calls"] = vm.jit_direct_calls
+            seen["call_exits"] = vm.jit_call_exits
+            # In-flight frames of the old version may still OSR into its
+            # body through ``fn``; a new call may not reach it.
+            old.jit.direct = stale
+            vm.code_cache.install(function, 0)
+
+    vm = Interpreter(program, JIT)
+    vm.tick_hook = replace_once
+    vm.run()
+    assert seen["direct_calls"] > 0
+    fresh = vm.code_cache.methods[function.index]
+    assert compiled(fresh) and fresh.jit.direct is not None
+    assert vm.jit_call_exits > seen["call_exits"]  # exits while it re-earned a body
+    assert vm.jit_direct_calls > seen["direct_calls"] + 1000  # then direct again
+    assert_exit_accounting(vm)
+
+    plain = Interpreter(program, PLAIN)
+    plain.tick_hook = lambda vm: vm.ticks == 3 and vm.code_cache.install(function, 0)
+    plain.run()
+    assert observables(vm) == observables(plain)
