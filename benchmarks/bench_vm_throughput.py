@@ -176,6 +176,13 @@ IC_SPEEDUP_FLOORS = {"jess": 1.25, "arith": 0.95, "calls": 0.95}
 #: a straight-line kernel and a call-heavy one.
 JIT_SPEEDUP_FLOORS = {"arith": 2.0, "calls": 2.0}
 
+#: ROADMAP item 2's floors for a call site past its two baked guards:
+#: overflow (4 classes) and megamorphic (16) receivers stay in generated
+#: code.  Full-size kernels only — ``--quick``'s 4 000 iterations end
+#: before the one compile they need has paid for itself (they read
+#: 2.2-2.4x / 2.0-2.1x).
+JIT_FULL_RUN_FLOORS = {"virtcalls4": 2.5, "virtcalls16": 2.0}
+
 #: Host-timing configurations measured per repeat, interleaved.
 _CONFIGS = (
     ("fused_ic", True, True, False),
@@ -253,7 +260,8 @@ def check_against_baseline(
       nothing about a full run);
     * the absolute :data:`IC_SPEEDUP_FLOORS` (jess ≥ 1.25x etc.) and
       :data:`JIT_SPEEDUP_FLOORS` (arith/calls ≥ 2x) hold regardless of
-      the baseline.
+      the baseline, and :data:`JIT_FULL_RUN_FLOORS` (virtcalls4 ≥ 2.5x,
+      virtcalls16 ≥ 2x) on a full run.
 
     Workload names are matched by kernel prefix so a ``--quick`` check
     (jess-tiny) can run against a full baseline (jess-small).
@@ -295,6 +303,8 @@ def check_against_baseline(
                 f"hard floor {hard_floor:.2f}x"
             )
         jit_hard_floor = JIT_SPEEDUP_FLOORS.get(prefix)
+        if jit_hard_floor is None and not summary.get("quick", False):
+            jit_hard_floor = JIT_FULL_RUN_FLOORS.get(prefix)
         if jit_hard_floor is not None and entry["jit_speedup"] < jit_hard_floor:
             failures.append(
                 f"{name}: JIT speedup {entry['jit_speedup']:.2f}x is below "

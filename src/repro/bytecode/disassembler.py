@@ -304,7 +304,8 @@ def describe_method_plan(function: FunctionInfo, program: Program) -> str:
         parts.append(
             f"jit {arms}+{len(code.entries)} osr arms, "
             f"{code.inline_sites} inlined call sites / "
-            f"{code.direct_sites} direct call sites / {code.exit_sites} exits"
+            f"{code.direct_sites} direct call sites / "
+            f"{code.poly_sites} polymorphic tails / {code.exit_sites} exits"
         )
     return "plan: " + ", ".join(parts)
 
@@ -358,7 +359,8 @@ def disassemble_jit(program: Program) -> str:
             f"{function.qualified_name}/{function.num_params}: "
             f"entry={'yes' if code.entry0 else 'no'} osr=[{osr}] "
             f"{code.inline_sites} inlined call sites / "
-            f"{code.direct_sites} direct call sites / {code.exit_sites} "
+            f"{code.direct_sites} direct call sites / "
+            f"{code.poly_sites} polymorphic tails / {code.exit_sites} "
             f"exits, {code.fused_expanded} fused heads expanded"
         )
         for line in code.source.rstrip("\n").split("\n"):

@@ -467,9 +467,16 @@ def _cmd_run(args) -> int:
                 f"return_exits={vm.jit_return_exits} "
                 f"leaf_calls={vm.jit_leaf_calls} "
                 f"direct_calls={vm.jit_direct_calls} "
+                f"poly_calls={vm.jit_poly_calls} "
                 f"unwinds={vm.jit_unwinds}",
                 file=sys.stderr,
             )
+            from repro.vm.jit import exit_sites
+
+            for name, pc, kind, count in exit_sites(vm)[:5]:
+                print(
+                    f"-- jit exit: {name}@{pc} {kind} x{count}", file=sys.stderr
+                )
         if path_tracker is not None:
             s = path_tracker.summary()
             print(
@@ -990,6 +997,7 @@ def _cmd_fuzz(args) -> int:
                     "violations": result.violations,
                     "direct_call_seeds": result.direct_call_seeds,
                     "unwind_seeds": result.unwind_seeds,
+                    "poly_tail_seeds": result.poly_tail_seeds,
                     "wall_seconds": round(elapsed, 3),
                     "buckets": {
                         key: {
@@ -1010,7 +1018,9 @@ def _cmd_fuzz(args) -> int:
         )
         print(
             f"-- jit coverage: direct calls in {result.direct_call_seeds}, "
-            f"unwinds in {result.unwind_seeds} of {result.checked} programs"
+            f"unwinds in {result.unwind_seeds}, "
+            f"polymorphic tails in {result.poly_tail_seeds} "
+            f"of {result.checked} programs"
         )
         for key, reports in sorted(result.buckets.items()):
             seeds = [r["seed"] for r in reports]

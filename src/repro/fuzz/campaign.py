@@ -66,9 +66,10 @@ def fuzz_one(spec: FuzzSpec) -> dict:
     Returns a plain dict (pmap workers must produce picklable values):
     ``{"seed", "kind", "status", "violations", "triage", "source"}``
     where status is ``"ok"`` or ``"violations"``, plus the subject's
-    ``jit_direct_calls``/``jit_unwinds`` over the matrix.  A generator or
-    frontend bug (the subject fails to build) is reported as a
-    violation too — the generators promise valid programs.
+    ``jit_direct_calls``/``jit_unwinds``/``jit_poly_calls`` over the
+    matrix.  A generator or frontend bug (the subject fails to build)
+    is reported as a violation too — the generators promise valid
+    programs.
     """
     text = generate(spec)
     try:
@@ -125,9 +126,11 @@ class CampaignResult:
     #: triage key → shrunk reproducer info for the bucket representative.
     reproducers: dict = field(default_factory=dict)
     #: Seeds whose subject made a direct (body-to-body) call in some
-    #: cell, and seeds where a directly entered activation handed back.
+    #: cell, seeds where a directly entered activation handed back, and
+    #: seeds where a polymorphic tail completed a call.
     direct_call_seeds: int = 0
     unwind_seeds: int = 0
+    poly_tail_seeds: int = 0
 
     @property
     def violations(self) -> int:
@@ -193,6 +196,7 @@ def run_campaign(
         result.checked += 1
         result.direct_call_seeds += report.get("jit_direct_calls", 0) > 0
         result.unwind_seeds += report.get("jit_unwinds", 0) > 0
+        result.poly_tail_seeds += report.get("jit_poly_calls", 0) > 0
         if report["status"] == "ok":
             result.ok += 1
         else:

@@ -191,6 +191,11 @@ class RunRecord:
     flight: object = None
     #: ``{(function, path_id): count}`` when the cell had a path tracker.
     paths: dict | None = None
+    #: The exact receiver profile, ``(caller, pc, class, count)`` rows
+    #: of the code cache's receiver cells in sorted order, when the cell
+    #: has inline caches on — what the > 40 % guarded-inlining rule
+    #: reads.  Generated code bumps these cells itself.
+    receivers: list | None = None
     #: JIT entries minus counted exits; anything but 0 means generated
     #: code was entered (or the promotion trampoline bounced) without
     #: leaving through exactly one exit.
@@ -198,10 +203,12 @@ class RunRecord:
     #: Calls generated code made into generated code and got back from,
     #: and directly entered activations it handed back to the
     #: interpreter (jit and jit-lazy cells; 0 wherever a hook keeps
-    #: every call an exit).  Coverage, not an invariant: the campaign
+    #: every call an exit); and calls completed through a site's
+    #: polymorphic tail.  Coverage, not an invariant: the campaign
     #: reports how many seeds exercised each.
     jit_direct_calls: int = 0
     jit_unwinds: int = 0
+    jit_poly_calls: int = 0
 
 
 @dataclass
@@ -309,6 +316,13 @@ def run_cell(
     )
     record.jit_direct_calls = vm.jit_direct_calls
     record.jit_unwinds = vm.jit_unwinds
+    record.jit_poly_calls = vm.jit_poly_calls
+    if cell.ic:
+        record.receivers = sorted(
+            (caller, pc, rclass, count[0])
+            for (caller, pc), cells in vm.code_cache.receiver_cells.items()
+            for rclass, count in cells.items()
+        )
     record.dcg = [profiler.dcg.edges() for profiler in profilers]
     if tracker is not None:
         record.paths = dict(tracker.profile.counts)
@@ -395,8 +409,8 @@ def check_program(
     """Run ``program`` across the full matrix and return all invariant
     violations (empty list = the program is clean).
 
-    ``coverage``, if given, receives the program's ``jit_direct_calls``
-    and ``jit_unwinds`` summed over every cell.
+    ``coverage``, if given, receives the program's ``jit_direct_calls``,
+    ``jit_unwinds`` and ``jit_poly_calls`` summed over every cell.
 
     ``extra_checks``, if given, is called with the mapping of
     :class:`MatrixCell` → :class:`RunRecord` after each profiler group
@@ -413,7 +427,7 @@ def check_program(
             records[cell] = run_cell(program, cell, vm_name, **overrides)
 
         if coverage is not None:
-            for name in ("jit_direct_calls", "jit_unwinds"):
+            for name in ("jit_direct_calls", "jit_unwinds", "jit_poly_calls"):
                 coverage[name] = coverage.get(name, 0) + sum(
                     getattr(record, name) for record in records.values()
                 )
@@ -469,6 +483,12 @@ def check_program(
             if cell == reference.cell:
                 continue
             violations.extend(_compare(record, reference, GROUP_FIELDS))
+        # Inline caches count receivers exactly under every tier above
+        # them, generated code included; IC-off cells have no profile.
+        ic_reference = records[MatrixCell(False, True, profiler, False)]
+        for cell, record in records.items():
+            if cell.ic and cell != ic_reference.cell:
+                violations.extend(_compare(record, ic_reference, ("receivers",)))
 
         if profiler == "none":
             # Spec-conformance invariant: an independent executor built

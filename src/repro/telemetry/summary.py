@@ -250,6 +250,7 @@ def summary_dict(trace: LoadedTrace, histograms: bool = True) -> dict:
             "leaf_calls": _metric_value(trace, "jit.leaf_calls") or 0,
             "direct_calls": _metric_value(trace, "jit.direct_calls") or 0,
             "unwinds": _metric_value(trace, "jit.unwinds") or 0,
+            "poly_calls": _metric_value(trace, "jit.poly_calls") or 0,
             "methods_compiled": _metric_value(trace, "jit.methods_compiled") or 0,
             "methods_eligible": _metric_value(trace, "jit.methods_eligible") or 0,
             "compile_s": _metric_value(trace, "jit.compile_s") or 0,

@@ -166,6 +166,10 @@ class Tracer:
             "jit.unwinds",
             "directly entered activations handed back to the interpreter",
         )
+        self._jit_poly_calls = metrics.counter(
+            "jit.poly_calls",
+            "overflow/megamorphic calls completed by a site's polymorphic tail",
+        )
         self._jit_methods_compiled = metrics.gauge(
             "jit.methods_compiled", "methods running a compiled body at run end"
         )
@@ -290,6 +294,7 @@ class Tracer:
         methods_compiled: int,
         methods_eligible: int,
         compile_s: float,
+        poly_calls: int,
     ) -> None:
         """Record one run's template-JIT statistics.
 
@@ -313,6 +318,7 @@ class Tracer:
         self._jit_leaf_calls.inc(leaf_calls)
         self._jit_direct_calls.inc(direct_calls)
         self._jit_unwinds.inc(unwinds)
+        self._jit_poly_calls.inc(poly_calls)
         self._jit_methods_compiled.set(methods_compiled)
         self._jit_methods_eligible.set(methods_eligible)
         self._jit_compile_s.inc(compile_s)

@@ -152,19 +152,24 @@ def virtual_entry_bindings(entry: list):
 
 def guard_classes(entry: list):
     """Inline-slot guards for the template JIT: ``(class_index,
-    method_slot, cell)`` per bound inline slot, in probe order.
+    method_slot, cell)`` per bound inline slot, hottest class first by
+    the cells' counts at the time of the call (bind order on a tie).
 
-    Only the two inline slots export guards — overflow and megamorphic
-    receivers take the JIT's guard-miss exit and replay through the
-    interpreter's full lookup (which also handles cell bookkeeping and
-    state promotion).  The class index is baked into generated code as
-    a constant and the cell preloaded; the method is re-read through
-    ``entry[method_slot]`` so in-place recompiles stay visible."""
+    Only the two inline slots export guards.  Overflow-bound and
+    megamorphic receivers are looked up at run time by the tail the
+    compiler emits after the guards at a site that has any
+    (``entry[V_STATE] >= 3``, see ``_emit_poly_tail``); a class the site
+    has yet to bind takes the guard-miss exit and replays through the
+    interpreter's bind slow path, which owns state promotion.  The
+    class index is baked into generated code as a constant and the cell
+    preloaded; the method is re-read through ``entry[method_slot]`` so
+    in-place recompiles stay visible."""
     guards = []
     if entry[V_CLASS0] >= 0:
         guards.append((entry[V_CLASS0], V_METHOD0, entry[V_CELL0]))
     if entry[V_CLASS1] >= 0:
         guards.append((entry[V_CLASS1], V_METHOD1, entry[V_CELL1]))
+    guards.sort(key=lambda guard: -guard[2][0])
     return guards
 
 

@@ -162,6 +162,13 @@ class Interpreter:
         #: instead (each then shows up as one replayed entry).
         self.jit_direct_calls = 0
         self.jit_unwinds = 0
+        #: Calls generated code completed through a site's polymorphic
+        #: tail: an overflow-bound or megamorphic receiver that stayed
+        #: in the tier (each is also one of ``ic_misses``).
+        self.jit_poly_calls = 0
+        #: ``(method, JitCode)`` for every body this VM compiled,
+        #: replaced ones included: the per-site exit counts.
+        self.jit_bodies: list = []
         self.jit_manager = None
         self._frame_pool: list[Frame] = []
 
@@ -491,6 +498,7 @@ class Interpreter:
             self.jit_direct_calls,
             self.jit_unwinds,
             self.jit_compile_s,
+            self.jit_poly_calls,
         )
         cache = self.code_cache
         ic_calls_before = cache.receiver_cell_total() if cache.ic else 0
@@ -536,6 +544,7 @@ class Interpreter:
                     self.jit_unwinds - jit_before[9],
                     *cache.jit_methods(),
                     self.jit_compile_s - jit_before[10],
+                    self.jit_poly_calls - jit_before[11],
                 )
 
 

@@ -13,6 +13,7 @@ from repro.vm.jit.compiler import (
     JitCode,
     compile_into,
     compile_method,
+    exit_sites,
     ic_signature,
     jit_sig,
     vm_jit_sig,
@@ -25,6 +26,7 @@ __all__ = [
     "JitManager",
     "compile_into",
     "compile_method",
+    "exit_sites",
     "ic_signature",
     "jit_sig",
     "vm_jit_sig",

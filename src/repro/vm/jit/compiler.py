@@ -31,11 +31,12 @@ run.  The exit taxonomy:
 * **deopt** (``vm.jit_deopts``) — a segment's lumped charge would cross
   the tick boundary or the step limit, or an inlined call's leaf-time
   gate failed.  Mirrors fusion's tick-boundary de-quickening.
-* **guard exit** (``vm.jit_guard_exits``) — an IC receiver-class guard
-  missed, a null receiver, a fault precondition (null field/array
-  access, bad index, zero divisor, negative array length), or a leaf
-  body bailed with ``LEAF_FAIL``.  The interpreter re-executes the
-  instruction and raises (or takes its slow path) with exact counters.
+* **guard exit** (``vm.jit_guard_exits``) — a receiver class the call
+  site has yet to bind (or one without the selector), a null receiver,
+  a fault precondition (null field/array access, bad index, zero
+  divisor, negative array length), or a leaf body bailed with
+  ``LEAF_FAIL``.  The interpreter re-executes the instruction and
+  raises (or takes its slow path) with exact counters.
 * **call exit** (``vm.jit_call_exits``) — a call the interpreter has to
   make: the callee has neither a leaf template nor a body to enter
   directly, the frame budget or :data:`MAX_DIRECT_DEPTH` is exhausted,
@@ -69,8 +70,19 @@ receiver classes bound in an entry's inline slots at compile time are
 baked into the generated code as integer constants and the entry's
 receiver cells as preloaded objects; only the callee ``CompiledMethod``
 is re-read through the (in-place refreshed) entry so adaptive
-recompilation stays visible.  Sites that grow new guards after compile
-are picked up by the manager's recompile-on-IC-growth policy.
+recompilation stays visible.  The guards are tested hottest class
+first, by the cells' counts when the body was compiled.  Sites that
+grow new guards after compile are picked up by the manager's
+recompile-on-IC-growth policy.
+
+**Polymorphic sites.**  A site with overflow bindings or gone
+megamorphic (``entry[V_STATE] >= 3`` in the snapshot) follows its two
+guards with a run-time tail, :meth:`_Compiler._emit_poly_tail`: the
+interpreter's inline-cache miss arm — overflow search, flat-table
+lookup — ending in the same leaf or direct calling sequence a guarded
+target gets, with the miss counted after the last exit.  It reads the
+live entry, so a class bound after compile needs no new code; sites
+below that state keep a plain guard exit and cost no extra source.
 """
 
 from __future__ import annotations
@@ -112,6 +124,16 @@ _OP_CALL_VIRTUAL = int(Op.CALL_VIRTUAL)
 _OP_RETURN = int(Op.RETURN)
 _OP_RETURN_VAL = int(Op.RETURN_VAL)
 
+#: Exit counter on the VM -> the kind its sites carry in
+#: :attr:`JitCode.exit_table`; a body's exit tail knows the kinds by
+#: their position here.
+_EXIT_KINDS = {
+    "jit_deopts": "deopt",
+    "jit_guard_exits": "guard",
+    "jit_call_exits": "call",
+    "jit_return_exits": "return",
+}
+
 #: Heap classes generated code instantiates, baked in by name.
 _HEAP_CLASSES = {"HeapObject": HeapObject, "HeapArray": HeapArray}
 
@@ -139,8 +161,11 @@ def vm_jit_sig(vm) -> int:
 def ic_signature(method) -> tuple:
     """Snapshot of the method's quickened call sites (pc, IC state).
 
-    The manager recompiles when this changes: a newly quickened site or
-    a mono→poly growth means new guards are worth baking."""
+    The manager recompiles when this changes: a newly quickened site, a
+    second receiver class (one more guard worth baking) or a third (the
+    site gets its polymorphic tail).  States from 3 up read alike — the
+    tail looks overflow and megamorphic receivers up at run time, so
+    further growth needs no new code."""
     ics = method.ics
     if ics is None:
         return ()
@@ -149,7 +174,7 @@ def ic_signature(method) -> tuple:
         if entry is None:
             continue
         if icmod.entry_is_virtual(entry):
-            sig.append((pc, entry[icmod.V_STATE]))
+            sig.append((pc, min(entry[icmod.V_STATE], 3)))
         else:
             sig.append((pc, -1))
     return tuple(sig)
@@ -167,7 +192,11 @@ class JitCode:
     itself (a real body for unhooked runs, enterable at pc 0, of a
     method the interpreter would call through a frame), else None;
     ``pad`` is the zero fill from the method's parameters to its
-    locals."""
+    locals.
+
+    ``exit_table`` names the body's exit sites as ``(pc, kind)`` and
+    ``exit_counts`` holds, index for index, how often each was taken
+    (the shared exit tail bumps it)."""
 
     __slots__ = (
         "fn",
@@ -180,14 +209,17 @@ class JitCode:
         "inline_sites",
         "exit_sites",
         "direct_sites",
+        "poly_sites",
         "direct",
         "pad",
+        "exit_table",
+        "exit_counts",
     )
 
     def __init__(
         self, fn, entry0, entries, sig, ic_sig=None, source=None,
         fused_expanded=0, inline_sites=0, exit_sites=0, direct_sites=0,
-        direct=None, pad=(),
+        poly_sites=0, direct=None, pad=(), exit_table=(), exit_counts=(),
     ):
         self.fn = fn
         self.entry0 = entry0
@@ -199,8 +231,11 @@ class JitCode:
         self.inline_sites = inline_sites
         self.exit_sites = exit_sites
         self.direct_sites = direct_sites
+        self.poly_sites = poly_sites
         self.direct = direct
         self.pad = pad
+        self.exit_table = exit_table
+        self.exit_counts = exit_counts
 
 
 def _hand_back(vm, frame, time, steps, call_count) -> None:
@@ -302,6 +337,10 @@ class _Compiler(optemplates.EmitContext):
         self.inline_sites = 0
         self.exit_sites = 0
         self.direct_sites = 0
+        self.poly_sites = 0
+        #: (pc, exit kind) -> index into the body's exit counts.
+        self.exit_index: dict[tuple, int] = {}
+        self.exit_counts: list[int] = []
         self.has_calls = False
         self.zero_progress: set[int] = set()
         self.cur_leader = 0
@@ -346,26 +385,37 @@ class _Compiler(optemplates.EmitContext):
         with the counters charged exactly through the instructions that
         completed (``giveback`` refunds a pre-charged segment suffix).
 
-        The site names its resume pc and live operand stack and leaves
-        the arm loop; materializing them is the same for every exit of
-        a body and is emitted once, after the loop (:meth:`_exit_tail`)."""
+        The site names its resume pc, live operand stack and index in
+        the body's exit table and leaves the arm loop; counting the
+        exit — against the site and in the VM's ``counter`` — and
+        materializing the frame is the same for every exit of a body
+        and is emitted once, after the loop (:meth:`_exit_tail`)."""
         if giveback is not None:
             gcost, gsteps = giveback
             if gcost:
                 self.w(f"time -= {gcost}")
             self.w(f"steps -= {gsteps}")
-        self.w(f"vm.{counter} += 1")
         exprs = "".join(f"{a.expr}, " for a in vstack)
-        self.w(f"_xp, _xs = {pc}, ({exprs})")
+        key = (pc, _EXIT_KINDS[counter])
+        index = self.exit_index.setdefault(key, len(self.exit_index))
+        self.w(f"_xp, _xs, _xk = {pc}, ({exprs}), {index}")
         self.w("break")
 
     def _exit_tail(self) -> list[str]:
         """What every exit of the body runs after leaving the arm loop:
-        write the guest locals back, set the resume pc, push the live
-        operand stack, flush the call counters, and return the
-        interpreter's counters — through :func:`_hand_back` when the
-        activation was entered directly."""
-        tail = []
+        count the exit against its site and in the VM's counter for the
+        site's kind, write the guest locals back, set the resume pc,
+        push the live operand stack, flush the call counters, and
+        return the interpreter's counters — through :func:`_hand_back`
+        when the activation was entered directly."""
+        kinds = list(_EXIT_KINDS.values())
+        self.exit_counts = [0] * len(self.exit_index)
+        self._bake("_xc", self.exit_counts)
+        self._bake("_xt", tuple(kinds.index(kind) for _pc, kind in self.exit_index))
+        tail = ["    _xc[_xk] += 1", "    _xn = _xt[_xk]"]
+        for number, counter in enumerate(_EXIT_KINDS):
+            tail.append(f"    {'elif' if number else 'if'} _xn == {number}:")
+            tail.append(f"        vm.{counter} += 1")
         n = self.method.num_locals
         if n:
             names = ", ".join(f"l{i}" for i in range(n))
@@ -614,9 +664,11 @@ class _Compiler(optemplates.EmitContext):
         guarded receiver slot — pure leaf bodies expand textually into
         the caller, the rest call the compiled leaf closure (the
         interpreter's frame-free fast path) — targets without a leaf
-        template are entered directly when they have a body, and
-        everything else exits to the interpreter.  Returns True when
-        the arm continues past the site."""
+        template are entered directly when they have a body, a virtual
+        site past its two guards resolves the rest at run time
+        (:meth:`_emit_poly_tail`), and everything else exits to the
+        interpreter.  Returns True when the arm continues past the
+        site."""
         w = self.w
         virtual = op == _OP_CALL_VIRTUAL
         nargs = b + 1 if virtual else b
@@ -671,7 +723,10 @@ class _Compiler(optemplates.EmitContext):
                 self.indent -= 1
             w("else:")
             self.indent += 1
-            self._exit(pc, vstack, "jit_guard_exits")
+            if entry[icmod.V_STATE] >= 3:
+                self._emit_poly_tail(pc, vstack, nargs, ename, a, csc, tres)
+            else:
+                self._exit(pc, vstack, "jit_guard_exits")
             self.indent -= 1
         elif entry is not None:
             ename = self._bake(f"_e{pc}", entry)
@@ -681,7 +736,6 @@ class _Compiler(optemplates.EmitContext):
                 raw_static=None, tag=f"s{pc}",
             )]
         else:
-            self.uses.add("m")
             self._bake("_m", self.cache.methods)
             direct = [self._emit_callee(
                 pc, vstack, nargs, self.cache.methods[a], f"_m[{a}]",
@@ -738,22 +792,13 @@ class _Compiler(optemplates.EmitContext):
             w(f"steps += {1 + leaf[icmod.L_STEPS]}")
             if rv:
                 w(f"{tres} = {ts.pop().expr}")
-        else:
-            arglist = ", ".join(x.expr for x in args)
-            t = tres if rv else self.new_tmp()
-            w("_lf = _c.leaf")
-            self._exit_if("_lf is None or not _room", pc, vstack, "jit_call_exits")
-            self._exit_if(
-                f"time + {csc} + _lf[{icmod.L_COST}] >= next_tick",
-                pc, vstack, "jit_deopts",
-            )
-            w(f"{t} = _lf[{icmod.L_FN}](({arglist}{',' if args else ''}), 0)")
-            self._exit_if(f"{t} is _LF", pc, vstack, "jit_guard_exits")
-            w(f"time += {csc} + _lf[{icmod.L_COST}]")
-            w(f"steps += 1 + _lf[{icmod.L_STEPS}]")
-        if leaf is not None:
             w("call_count += 1")
             w("_leaf += 1")
+        else:
+            w("_lf = _c.leaf")
+            self._emit_leaf_call(
+                pc, vstack, args, csc, tres, "_lf is None or not _room"
+            )
         if cellname is not None:
             w(f"{cellname}[0] += 1")
         if raw_static is not None:
@@ -764,6 +809,84 @@ class _Compiler(optemplates.EmitContext):
             w(f"    _seen[{raw_static}] = True")
             w("    vm.methods_executed += 1")
         return leaf is None
+
+    def _emit_leaf_call(self, pc, vstack, args, csc, tres, unfit) -> None:
+        """Call the leaf closure in ``_lf`` — the interpreter's
+        frame-free fast path — unless ``unfit`` (a call exit), a tick
+        falls inside the call (deopt) or the closure would fault (guard
+        exit; it has changed nothing)."""
+        w = self.w
+        arglist = "".join(f"{x.expr}, " for x in args)
+        t = tres or self.new_tmp()
+        self._exit_if(unfit, pc, vstack, "jit_call_exits")
+        self._exit_if(
+            f"time + {csc} + _lf[{icmod.L_COST}] >= next_tick",
+            pc, vstack, "jit_deopts",
+        )
+        w(f"{t} = _lf[{icmod.L_FN}](({arglist}), 0)")
+        self._exit_if(f"{t} is _LF", pc, vstack, "jit_guard_exits")
+        w(f"time += {csc} + _lf[{icmod.L_COST}]")
+        w(f"steps += 1 + _lf[{icmod.L_STEPS}]")
+        w("call_count += 1")
+        w("_leaf += 1")
+
+    def _emit_poly_tail(self, pc, vstack, nargs, ename, selector, csc, tres) -> None:
+        """A receiver class neither baked guard matched, at a site that
+        has overflow bindings or is megamorphic: the interpreter's
+        ``OP_IC_CALL_VIRTUAL`` miss arm in generated code.
+
+        Resolve the callee — the overflow row bound to the class, else
+        the flat dispatch table once the site is megamorphic — and call
+        it the way a guarded target is called, as a leaf closure or
+        directly.  A class the site could still bind is a guard exit
+        (binding changes IC state and belongs to the interpreter), and
+        so is a class without the selector (the interpreter raises).
+        What the arm counts for a miss is counted after the last exit,
+        so a call the interpreter replays is counted once, by it.  Only
+        the megamorphic receiver cell is created up front, where the
+        arm would, which keeps the site's cells in the interpreter's
+        order under nesting; an exit leaves it at zero for the replay
+        to bump, and every reader of the cells skips zeros."""
+        w = self.w
+        self.poly_sites += 1
+        self.uses.update(("seen", "fv"))
+        methods = self._bake("_m", self.cache.methods)
+        w(f"for _t in {ename}[{icmod.V_REST}]:")
+        w("    if _t[0] == _rc:")
+        w("        _c, _ci, _cell = _t[1], _t[2], _t[5]")
+        w("        break")
+        w("else:")
+        self.indent += 1
+        w("_row = _fv[_rc]")
+        w(f"_ci = _row[{selector}] if {selector} < len(_row) else -1")
+        self._exit_if(
+            f"{ename}[{icmod.V_STATE}] <= {icmod.POLY_LIMIT} or _ci < 0",
+            pc, vstack, "jit_guard_exits",
+        )
+        w(f"_c = {methods}[_ci]")
+        w(f"_cells = {ename}[{icmod.V_CELLS}]")
+        w("_cell = _cells.get(_rc)")
+        w("if _cell is None:")
+        w("    _cell = _cells[_rc] = [0]")
+        self.indent -= 1
+        args = vstack[len(vstack) - nargs:]
+        w("_lf = _c.leaf")
+        w("if _lf is None:")
+        self.indent += 1
+        self._emit_direct(pc, vstack, args, csc, tres)
+        self.indent -= 1
+        w("else:")
+        self.indent += 1
+        self._emit_leaf_call(pc, vstack, args, csc, tres, "not _room")
+        self.indent -= 1
+        w("vm.ic_misses += 1")
+        w("vm.jit_poly_calls += 1")
+        w("_cell[0] += 1")
+        # Overflow rows were marked when they were bound; the flat
+        # table can name a method nothing has called yet.
+        w("if not _seen[_ci]:")
+        w("    _seen[_ci] = True")
+        w("    vm.methods_executed += 1")
 
     def _emit_direct(self, pc, vstack, args, csc, tres) -> None:
         """The interpreter's non-leaf calling sequence, then the
@@ -868,6 +991,8 @@ class _Compiler(optemplates.EmitContext):
             preamble.append("    _out = vm.output")
         if "vt" in self.uses:
             preamble.append("    _vt = vm.vtables")
+        if "fv" in self.uses:
+            preamble.append("    _fv = vm.flat_vtables")
         if "fd" in self.uses:
             preamble.append("    _fd = vm.class_field_defaults")
         if "paths" in self.uses:
@@ -890,14 +1015,12 @@ class _Compiler(optemplates.EmitContext):
             # leaves it 0.
             params += ", _d=0"
             self._bake("_hb", _hand_back)
+        tail = self._exit_tail()
         baked_names = sorted(self.baked)
         if baked_names:
             params += ", " + ", ".join(f"{b}={b}" for b in baked_names)
         source = "\n".join(
-            [
-                f"def {fname}({params}):", *preamble, *self.lines,
-                *self._exit_tail(), "",
-            ]
+            [f"def {fname}({params}):", *preamble, *self.lines, *tail, ""]
         )
         namespace = dict(self.baked)
         namespace["__builtins__"] = {
@@ -917,6 +1040,9 @@ class _Compiler(optemplates.EmitContext):
             inline_sites=self.inline_sites,
             exit_sites=self.exit_sites,
             direct_sites=self.direct_sites,
+            poly_sites=self.poly_sites,
+            exit_table=tuple(self.exit_index),
+            exit_counts=self.exit_counts,
             direct=(
                 fn
                 if entry0 and self.inline_leaves and method.leaf is None
@@ -939,11 +1065,29 @@ def compile_method(
         return None
 
 
+def exit_sites(vm) -> list[tuple]:
+    """Where this VM's generated code left the tier: ``(method name,
+    pc, kind, count)`` per exit site taken at least once, most taken
+    first, summed over every body the VM compiled for the method."""
+    totals: dict[tuple, int] = {}
+    for method, code in vm.jit_bodies:
+        name = method.function.qualified_name
+        for (pc, kind), count in zip(code.exit_table, code.exit_counts):
+            if count:
+                key = (name, pc, kind)
+                totals[key] = totals.get(key, 0) + count
+    return sorted(
+        ((*site, count) for site, count in totals.items()),
+        key=lambda row: (-row[3], row),
+    )
+
+
 def compile_into(vm, method) -> bool:
     """Compile ``method`` for the running interpreter's hook
     configuration and install the body on the method; bumps
-    ``vm.jit_compiles`` on success and adds the host seconds spent,
-    successful or not, to ``vm.jit_compile_s``."""
+    ``vm.jit_compiles`` on success, keeps the body on ``vm.jit_bodies``
+    (its exit counts outlive a recompile) and adds the host seconds
+    spent, successful or not, to ``vm.jit_compile_s``."""
     sig = vm_jit_sig(vm)
     started = perf_counter()
     code = compile_method(
@@ -959,4 +1103,5 @@ def compile_into(vm, method) -> bool:
         return False
     method.jit = code
     vm.jit_compiles += 1
+    vm.jit_bodies.append((method, code))
     return True

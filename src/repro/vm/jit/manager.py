@@ -15,8 +15,9 @@ the current pc is one of its entries.  A method the compiler refuses
 loses its stub for good; a method nobody calls costs nothing.
 
 The tick hook keeps the refresh role only, over the methods actually
-compiled: a site that quickens (or grows a receiver class) after
-compile is recompiled against the fresh IC snapshot, and methods that
+compiled: a site that quickens (or grows its second or third receiver
+class) after compile is recompiled against the fresh IC snapshot, and
+methods that
 ``CodeCache.install`` replaced since the last tick go back on the
 trampoline.  All of it is host work on the host clock — like fusion
 planning it charges no virtual time and emits no events, so observables
@@ -45,7 +46,11 @@ from repro.vm.jit.compiler import JitCode, compile_into, ic_signature, vm_jit_si
 PROMOTE_THRESHOLD = 32
 
 #: Give up on a method after this many compile attempts (promotion + IC
-#: refreshes); bounds host-side work on megamorphic churn.
+#: refreshes).  One site asks for at most two refreshes — its second
+#: receiver class, then its third, which brings the polymorphic tail;
+#: ``ic_signature`` reads every later state alike — so the bound only
+#: binds on a method whose sites keep quickening or growing tick after
+#: tick, and bounds the host-side work spent on it.
 MAX_ATTEMPTS = 4
 
 _OP_JUMP = int(Op.JUMP)

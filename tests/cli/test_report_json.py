@@ -93,3 +93,17 @@ def test_json_is_valid_on_bad_file(tmp_path, capsys):
     bad.write_text("not a trace\n")
     with pytest.raises(SystemExit):
         main(["report", str(bad), "--json"])
+
+
+def test_jit_section_carries_every_counter(program_file, tmp_path, capsys):
+    """The tracer is an observation hook, so a traced run's calls all
+    exit and the in-tier call counters read 0 — but the keys are what
+    CI's jit-smoke reads, and they must all be there."""
+    trace = _trace(program_file, tmp_path)
+    capsys.readouterr()
+    jit = _report_json(capsys, trace)["jit"]
+    assert jit["compiles"] > 0
+    assert {"leaf_calls", "direct_calls", "poly_calls", "unwinds"} <= set(jit)
+    assert jit["entries"] + jit["osr_entries"] == (
+        jit["deopts"] + jit["guard_exits"] + jit["call_exits"] + jit["return_exits"]
+    )

@@ -14,6 +14,7 @@ from repro.fuzz.differential import (
     matrix_cells,
     run_cell,
 )
+from tests.helpers import receiver_mix_source
 
 CLEAN = """
 def main() {
@@ -142,6 +143,41 @@ def test_injected_divergence_is_detected():
     assert {v.invariant for v in violations} == {"synthetic-drift"}
     # One injection per profiler group.
     assert len(violations) == len(PROFILERS)
+
+
+POLYMORPHIC = receiver_mix_source(5, 900)
+
+
+def test_receiver_profile_is_recorded_where_inline_caches_run():
+    program = compile_source(POLYMORPHIC)
+    plain = run_cell(program, MatrixCell(False, True, "none", False), **CAMPAIGN_OVERRIDES)
+    jit = run_cell(
+        program, MatrixCell(True, True, "none", False, jit=True), **CAMPAIGN_OVERRIDES
+    )
+    no_ic = run_cell(program, MatrixCell(True, False, "none", False), **CAMPAIGN_OVERRIDES)
+    assert no_ic.receivers is None
+    assert [row[2:] for row in plain.receivers] == [(k, 180) for k in range(5)]
+    assert jit.receivers == plain.receivers
+    assert jit.jit_poly_calls > 0 == plain.jit_poly_calls
+    coverage: dict = {}
+    assert check_program(program, coverage=coverage, **CAMPAIGN_OVERRIDES) == []
+    assert coverage["jit_poly_calls"] > 0
+
+
+def test_receivers_invariant_catches_a_tail_that_forgets_to_count(monkeypatch):
+    """The DCG, output and clock are all untouched by a generated call
+    that skips its receiver cell; only the profile comparison sees it."""
+    from repro.vm.jit import compiler as jit_compiler
+
+    emit = jit_compiler._Compiler.w
+    monkeypatch.setattr(
+        jit_compiler._Compiler, "w",
+        lambda self, line: None if line == "_cell[0] += 1" else emit(self, line),
+    )
+    violations = check_program(compile_source(POLYMORPHIC), **CAMPAIGN_OVERRIDES)
+    assert violations
+    assert {v.invariant for v in violations} == {"receivers"}
+    assert all("+jit" in v.cell and "no-fuse+ic" in v.reference for v in violations)
 
 
 def test_host_crash_is_a_violation():

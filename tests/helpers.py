@@ -44,6 +44,31 @@ def vm_for(source: str, config: VMConfig | None = None) -> Interpreter:
     return Interpreter(program, config if config is not None else jikes_config())
 
 
+def receiver_mix_source(
+    classes: int, iterations: int, body: str = "return x + {k};"
+) -> str:
+    """Mini source with one virtual call site, in ``main``'s loop, whose
+    receivers rotate through ``classes`` classes: two is the inline
+    cache's inline slots, up to eight its overflow rows, more than that
+    megamorphic.  ``body`` is every ``f(x: int): int``, with ``{k}``
+    the class's number from 1."""
+    lines = []
+    for k in range(classes):
+        head = "class V0" if k == 0 else f"class V{k} extends V0"
+        method = body.replace("{k}", str(k + 1))
+        lines.append(f"{head} {{ def f(x: int): int {{ {method} }} }}")
+    lines += ["def main() {", f"  var objs = new V0[{classes}];"]
+    lines += [f"  objs[{k}] = new V{k}();" for k in range(classes)]
+    lines += [
+        "  var t = 0;",
+        f"  for (var i = 0; i < {iterations}; i = i + 1) "
+        f"{{ t = (t + objs[i % {classes}].f(t)) % 65521; }}",
+        "  print(t);",
+        "}",
+    ]
+    return "\n".join(lines)
+
+
 def force_jit(vm: Interpreter) -> Interpreter:
     """Attach a plain-run JIT manager that promotes at first entry.
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import main
+from tests.helpers import receiver_mix_source
 
 PROGRAM = """
 class Counter {
@@ -406,6 +407,34 @@ def test_stats_fusion_line(program_file, capsys):
     assert "sites=0 dispatches=0" in capsys.readouterr().err
 
 
+def test_stats_jit_line_counts_polymorphic_tails_and_names_exit_sites(tmp_path, capsys):
+    """A four-class site: two baked guards, two classes through the
+    tail.  The ``jit:`` line says how many calls the tail completed and
+    up to five ``jit exit:`` lines say where generated code still left
+    the tier; together they never claim more exits than were counted."""
+    import re
+
+    path = tmp_path / "poly.mini"
+    path.write_text(receiver_mix_source(4, 9000))
+    assert main(["run", str(path), "--stats"]) == 0
+    err = capsys.readouterr().err
+    jit = next(line for line in err.splitlines() if line.startswith("-- jit: "))
+    counts = {key: int(value) for key, value in re.findall(r"(\w+)=(\d+)\b(?!\.)", jit)}
+    assert counts["poly_calls"] > 4000
+    assert counts["guard_exits"] == 0
+    sites = re.findall(r"^-- jit exit: (\S+)@(\d+) (\w+) x(\d+)$", err, re.M)
+    assert 1 <= len(sites) <= 5
+    assert {kind for _, _, kind, _ in sites} <= {"deopt", "guard", "call", "return"}
+    taken = [int(count) for *_, count in sites]
+    assert taken == sorted(taken, reverse=True)
+    exits = sum(
+        counts[key] for key in ("deopts", "guard_exits", "call_exits", "return_exits")
+    )
+    assert sum(taken) <= exits == counts["entries"] + counts["osr"]
+    assert main(["run", str(path), "--stats", "--no-jit"]) == 0
+    assert "jit exit" not in capsys.readouterr().err
+
+
 def test_disasm_fused(program_file, capsys):
     assert main(["disasm", program_file, "--fused"]) == 0
     out = capsys.readouterr().out
@@ -489,7 +518,10 @@ def test_report_truncated_trace_one_line_diagnostic(program_file, tmp_path, caps
     capsys.readouterr()
     text = open(trace_path).read()
     truncated = tmp_path / "truncated.jsonl"
-    truncated.write_text(text[: int(len(text) * 0.7)])
+    cut = int(len(text) * 0.7)
+    if "\n" in text[cut - 1 : cut + 1]:
+        cut -= 5  # a cut on a record boundary would leave a well-formed trace
+    truncated.write_text(text[:cut])
     with pytest.raises(SystemExit, match="truncated or corrupt"):
         main(["report", str(truncated)])
 

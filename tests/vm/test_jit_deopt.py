@@ -28,6 +28,13 @@ The deopt paths are the dangerous part, so they get targeted tests:
   recursion (past the host recursion limit, past ``max_frames``), ticks
   inside directly entered callees under every sampling profiler, faults
   and the step limit three calls down.
+* **polymorphic tails** — a site with overflow bindings or gone
+  megamorphic resolves the receivers its two guards miss in generated
+  code and counts the inline-cache miss itself, so the miss counters
+  and the exact receiver profile join the compared state: every IC
+  state from 3 classes to 16, a class without the selector, a null
+  receiver, ticks on the tail's call charge, a tail callee that hands
+  back from three frames down, and the tail at ``max_frames``.
 
 The only permitted difference is the JIT bookkeeping itself: the
 ``jit_*`` counters on the VM and the ``jit.*`` metric keys in
@@ -48,6 +55,7 @@ from repro.bytecode.assembler import assemble
 from repro.frontend.codegen import compile_source
 from repro.profiling.cbs import CBSProfiler
 from repro.profiling.exhaustive import ExhaustiveProfiler
+from repro.profiling.receivers import ReceiverProfile
 from repro.profiling.timer_sampler import TimerProfiler
 from repro.vm.config import config_named
 from repro.vm.errors import (
@@ -55,8 +63,10 @@ from repro.vm.errors import (
     NullPointerError,
     StackOverflowError_,
     StepLimitExceeded,
+    VMError,
 )
 from repro.vm.interpreter import Interpreter
+from repro.vm.jit import exit_sites
 from tests.helpers import force_jit
 
 PROFILERS = {
@@ -95,6 +105,7 @@ def _state(vm, profiler):
         "methods": vm.methods_executed,
         "ic_misses": vm.ic_misses,
         "ic_transitions": vm.ic_transitions,
+        "receivers": ReceiverProfile.from_cache(vm.code_cache).sites,
         "dcg": dcg,
     }
 
@@ -342,6 +353,8 @@ def _fail(program, exc_type, jit, **overrides):
         vm.time,
         vm.ticks,
         vm.call_count,
+        vm.ic_misses,
+        ReceiverProfile.from_cache(vm.code_cache).sites,
     )
     return transcript, vm
 
@@ -516,6 +529,241 @@ def test_step_limit_inside_a_nested_callee():
     assert stopped_in == {"main", "outer", "middle"}
 
 
+# -- polymorphic tails: overflow and megamorphic receivers in generated code ------
+
+
+def _widening(classes, body="return x + {k};", step=150, extra=1500, null_at=-1):
+    """One call site in ``main``'s loop over a receiver mix that widens
+    by a class every ``step`` iterations: the site is compiled early
+    and then meets each IC state — second inline slot, overflow rows,
+    the last bind, the call that turns it megamorphic, flat-table
+    lookups of classes with no cell yet — after the tail is in place."""
+    lines = ["class Node { var v: int; }"]
+    for k in range(classes):
+        head = "class V0" if k == 0 else f"class V{k} extends V0"
+        method = body.replace("{k}", str(k + 1))
+        lines.append(f"{head} {{ def f(n: Node, x: int): int {{ {method} }} }}")
+    lines += ["def main() {", "  var n = new Node();", "  n.v = 7;"]
+    lines.append(f"  var objs = new V0[{classes}];")
+    lines += [f"  objs[{k}] = new V{k}();" for k in range(classes)]
+    lines += [
+        "  var t = 0;",
+        f"  for (var i = 0; i < {classes * step + extra}; i = i + 1) {{",
+        f"    var width = 1 + i / {step};",
+        f"    if (width > {classes}) {{ width = {classes}; }}",
+        "    var o = objs[i % width];",
+        f"    if (i == {null_at}) {{ o = null; }}",
+        "    t = (t + o.f(n, 1200 - i % 1100)) % 65521;",
+        "  }",
+        "  print(t);",
+        "}",
+    ]
+    return "\n".join(lines)
+
+
+#: Tail callees with no leaf template: ``f`` calls down the three-deep
+#: static chain of ``CHAIN``, so a tick (or fault) in ``inner`` hands
+#: back through ``middle``, ``outer``, ``f`` and the tail's direct call.
+_CHAIN_FUNCTIONS = CHAIN[CHAIN.index("def inner"):CHAIN.index("def main")]
+_CHAIN_BODY = "var r = outer(n, x) + {k}; if (r < 0) { r = 0 - r; } return r;"
+
+
+def _widening_chain(classes, **kwargs):
+    source = _widening(classes, body=_CHAIN_BODY, **kwargs)
+    return source.replace("def main()", _CHAIN_FUNCTIONS + "def main()")
+
+
+def _site_states(vm):
+    return sorted(
+        entry[15]
+        for method in vm.code_cache.methods
+        for entry in method.ics or ()
+        if entry is not None and len(entry) > 5
+    )
+
+
+@pytest.mark.parametrize(
+    "classes,state", [(3, 3), (4, 4), (8, 8), (9, 9), (16, 9)]
+)
+def test_polymorphic_tail_at_every_ic_state(classes, state):
+    """3 and 4 classes end on overflow hits, 8 on the last bind, 9 on
+    the call that makes the site megamorphic, 16 on steady flat-table
+    dispatch.  Misses, transitions, methods executed and the receiver
+    profile (all in ``_state``) match the interpreter's, and what is
+    left of the guard exits is one per class bound plus the calls
+    between the third class and the tick that brings the tail."""
+    program = compile_source(_widening(classes))
+    jit_vm, plain_vm = assert_jit_identical(program, timer_interval=2003)
+    assert _site_states(jit_vm) == _site_states(plain_vm) == [state]
+    assert jit_vm.jit_poly_calls > 500
+    assert jit_vm.jit_guard_exits < 100
+    assert jit_vm.jit_poly_calls + jit_vm.jit_guard_exits <= jit_vm.ic_misses
+    profile = ReceiverProfile.from_cache(jit_vm.code_cache)
+    (site,) = profile.sites
+    assert len(profile.sites[site]) == classes
+    assert profile.total_calls() == classes * 150 + 1500
+
+
+def test_third_class_before_the_refresh_is_a_guard_exit():
+    """``probe``'s site is compiled at poly(2) — two guards, no tail.
+    ``C`` arrives between ticks: each call until the next tick misses
+    both guards and exits, the interpreter binds ``C`` on the first,
+    and the tick's recompile adds the tail that keeps the rest in
+    generated code."""
+    program = compile_source(PHASE_CHANGE)
+    jit_vm, _ = assert_jit_identical(program, timer_interval=20011)
+    probe_exits = [
+        row for row in exit_sites(jit_vm) if row[0] == "probe" and row[2] == "guard"
+    ]
+    assert len(probe_exits) == 1
+    assert probe_exits[0][3] == jit_vm.jit_guard_exits > 0
+    assert jit_vm.jit_poly_calls > 0
+    # ``C`` made 999 calls; every one was a miss, by exit or by tail.
+    assert jit_vm.jit_guard_exits + jit_vm.jit_poly_calls == 999
+
+
+def _mega_missing_selector(good=10, rounds=60):
+    """A site megamorphic over ``good`` classes for ``rounds`` turns of
+    the receiver array, then handed a class without the selector."""
+    lines = []
+    for k in range(good):
+        lines += [f"class C{k}", f"method C{k}.f/1", f"  PUSH {k}", "  RETURN_VAL", "end"]
+    lines.append("class X")
+    lines += ["func main/0 locals=3 void", f"  PUSH {good + 1}", "  NEW_ARRAY", "  STORE 0"]
+    for k in range(good):
+        lines += ["  LOAD 0", f"  PUSH {k}", f"  NEW C{k}", "  ASTORE"]
+    lines += ["  LOAD 0", f"  PUSH {good}", "  NEW X", "  ASTORE"]
+    lines += [
+        "  PUSH 0", "  STORE 1", "  PUSH 0", "  STORE 2",
+        "label loop",
+        "  LOAD 0",
+        "  LOAD 1", f"  PUSH {good * rounds}", "  LT", "  JUMP_IF_FALSE bad",
+        "  LOAD 1", f"  PUSH {good}", "  MOD",
+        "  JUMP index",
+        "label bad",
+        f"  PUSH {good}",
+        "label index",
+        "  ALOAD",
+        "  CALL_VIRTUAL f 0",
+        "  LOAD 2", "  ADD", "  STORE 2",
+        "  LOAD 1", "  PUSH 1", "  ADD", "  STORE 1",
+        "  JUMP loop",
+        "end",
+    ]
+    return "\n".join(lines)
+
+
+def test_missing_selector_at_a_megamorphic_tail():
+    """The flat table has no row entry for the class: the tail exits
+    before it has counted anything and the interpreter raises, with the
+    miss it counts itself."""
+    program = assemble(_mega_missing_selector(), verify=False)
+    jit_transcript, jit_vm = _fail(program, VMError, jit=True, timer_interval=2003)
+    plain_transcript, _ = _fail(program, VMError, jit=False, timer_interval=2003)
+    assert jit_transcript == plain_transcript
+    assert jit_transcript[1].startswith("class 'X' does not understand f/0")
+    assert jit_vm.jit_poly_calls > 100
+    assert_exit_accounting(jit_vm)
+
+
+def test_null_receiver_at_a_polymorphic_tail():
+    program = compile_source(_widening(4, null_at=2000))
+    jit_transcript, jit_vm = _fail(
+        program, NullPointerError, jit=True, timer_interval=2003
+    )
+    plain_transcript, _ = _fail(
+        program, NullPointerError, jit=False, timer_interval=2003
+    )
+    assert jit_transcript == plain_transcript
+    assert jit_transcript[1].startswith("virtual call on null")
+    assert jit_vm.jit_poly_calls > 100
+    assert_exit_accounting(jit_vm)
+
+
+@pytest.mark.parametrize("interval", [97, 523, 1009])
+@pytest.mark.parametrize("profiler", ["none", "cbs-brief", "timer"])
+@pytest.mark.parametrize("callee", ["leaf", "chain"])
+def test_ticks_on_the_tails_call_charge(callee, profiler, interval):
+    """Tiny intervals put ticks on the tail's own charge (the deopt
+    before the closure call, or before the callee's frame is pushed)
+    and, with ``chain`` callees, inside ``inner`` four direct calls
+    below the tail — the hand-back then comes up through the tail's
+    ``_r is None`` exit.  DCG, samples, misses and receiver cells match
+    in every cell.  The tail completes calls wherever generated code
+    gets a turn (see ``NO_NESTED_TICKS``) and the call fits between two
+    ticks — a trip down the chain costs more than 97."""
+    source = _widening(16) if callee == "leaf" else _widening_chain(16, step=40)
+    jit_vm, _ = assert_jit_identical(
+        compile_source(source), "jikes", profiler, timer_interval=interval
+    )
+    assert jit_vm.jit_deopts > 0
+    if (profiler, interval) != ("cbs-brief", 97):
+        fits = callee == "leaf" or interval > 97
+        assert (jit_vm.jit_poly_calls > 0) == fits
+        if callee == "chain":
+            assert jit_vm.jit_unwinds > 0
+
+
+def test_fault_below_a_tail_callee():
+    """``inner`` divides by ``d``, which the widening loop walks down to
+    zero: the fault is raised from frames the interpreter rebuilt by
+    replaying the tail's call, which only then counts as a miss."""
+    source = _widening_chain(4).replace("1200 - i % 1100", "1200 - i")
+    program = compile_source(source)
+    jit_transcript, jit_vm = _fail(program, DivisionByZeroError, jit=True)
+    plain_transcript, _ = _fail(program, DivisionByZeroError, jit=False)
+    assert jit_transcript == plain_transcript
+    assert jit_transcript[2] == "inner"
+    assert jit_vm.jit_poly_calls > 0
+    assert jit_vm.jit_unwinds >= 4
+    assert_exit_accounting(jit_vm)
+
+
+RING = """
+class R0 {{
+  var next: R0;
+  def down(n: int): int {{
+    if (n == 0) {{ return 0; }}
+    return this.next.down(n - 1) + 1;
+  }}
+}}
+class R1 extends R0 {{ }}
+class R2 extends R0 {{ }}
+class R3 extends R0 {{ }}
+def main() {{
+  var a = new R0();
+  var b = new R1();
+  var c = new R2();
+  var d = new R3();
+  a.next = b; b.next = c; c.next = d; d.next = a;
+  print(a.down({warm}));
+  print(a.down({warm}));
+  print(a.down({depth}));
+}}
+"""
+
+
+def test_tail_recursion_outlives_the_host_stack():
+    """One site, four receiver classes, one recursive target: the
+    tail's direct calls nest until ``MAX_DIRECT_DEPTH`` (its ``not
+    _go`` call exit), hand the chain back and start the next one."""
+    program = compile_source(RING.format(warm=600, depth=3000))
+    jit_vm, _ = assert_jit_identical(program, timer_interval=2003)
+    assert jit_vm.jit_poly_calls > 0
+    assert jit_vm.jit_unwinds > 2000
+
+
+def test_tail_at_max_frames_faults_identically():
+    program = compile_source(RING.format(warm=600, depth=5000))
+    kwargs = {"timer_interval": 2003}
+    jit_transcript, jit_vm = _fail(program, StackOverflowError_, jit=True, **kwargs)
+    plain_transcript, _ = _fail(program, StackOverflowError_, jit=False, **kwargs)
+    assert jit_transcript == plain_transcript
+    assert jit_transcript[1].startswith("guest stack exceeded 4096 frames")
+    assert jit_vm.jit_poly_calls > 0
+    assert_exit_accounting(jit_vm)
+
+
 # -- benchsuite spot checks -------------------------------------------------------
 
 
@@ -531,12 +779,16 @@ def test_benchsuite_identical_j9():
 
 def test_large_size_spot_check():
     jit_vm, _ = assert_jit_identical(program_for("jess", "small"), "jikes", "cbs")
-    # A real workload exercises every exit class: ``main`` is entered
-    # by the interpreter and returns to it, and ``Network.assert``'s
-    # receiver guard misses with ``main`` above it in generated code,
-    # which makes ``main``'s site a call exit.
+    # A real workload exercises the exit classes: ``main`` is entered by
+    # the interpreter and returns to it, and a tick inside a directly
+    # entered callee makes the caller's site a call exit.  The third
+    # receiver class at ``Network.assert``'s site used to miss the
+    # baked guards 2 697 times; it now goes through the site's
+    # polymorphic tail, and a guard exit is left only for the few calls
+    # between a class being bound and the next tick's recompile.
     assert jit_vm.jit_deopts > 0
-    assert jit_vm.jit_guard_exits > 0
+    assert jit_vm.jit_guard_exits < 50
+    assert jit_vm.jit_poly_calls > 2000
     assert jit_vm.jit_call_exits > 0
     assert jit_vm.jit_return_exits > 0
 

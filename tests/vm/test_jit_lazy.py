@@ -24,6 +24,7 @@ from repro.vm.jit import compiler as jit_compiler
 from repro.vm.jit import manager as jit_manager
 from repro.vm.jit.manager import MAX_ATTEMPTS, PROMOTE_THRESHOLD
 from repro.vm.runtime import CodeCache
+from tests.helpers import receiver_mix_source
 from tests.vm.test_jit_deopt import assert_exit_accounting
 
 JIT = jikes_config(jit=True)
@@ -42,6 +43,7 @@ def jit_counters(vm):
         vm.jit_compiles, vm.jit_entries, vm.jit_osr_entries, vm.jit_deopts,
         vm.jit_guard_exits, vm.jit_call_exits, vm.jit_return_exits,
         vm.jit_leaf_calls, vm.jit_direct_calls, vm.jit_unwinds,
+        vm.jit_poly_calls,
     )
 
 
@@ -173,7 +175,7 @@ def test_bounces_leave_no_trace_in_the_counters():
     vm.jit_manager.attach()
     vm.run()
     assert sum(vm.jit_manager.heat.values()) > PROMOTE_THRESHOLD
-    assert jit_counters(vm) == (0,) * 10
+    assert jit_counters(vm) == (0,) * 11
 
 
 def test_ineligible_method_drops_its_stub_after_one_attempt(monkeypatch):
@@ -192,7 +194,7 @@ def test_ineligible_method_drops_its_stub_after_one_attempt(monkeypatch):
     assert sorted(attempts) == sorted([worker.index, main.index])
     assert worker.jit is None and main.jit is None
     assert vm.jit_manager.attempts[worker] == MAX_ATTEMPTS
-    assert jit_counters(vm) == (0,) * 10
+    assert jit_counters(vm) == (0,) * 11
     assert vm.code_cache.jit_methods() == (0, len(vm.code_cache.methods) - 2)
     assert observables(vm) == observables(run(program, PLAIN))
 
@@ -420,6 +422,77 @@ def test_direct_call_site_never_enters_a_replaced_callees_body():
     assert compiled(fresh) and fresh.jit.direct is not None
     assert vm.jit_call_exits > seen["call_exits"]  # exits while it re-earned a body
     assert vm.jit_direct_calls > seen["direct_calls"] + 1000  # then direct again
+    assert_exit_accounting(vm)
+
+    plain = Interpreter(program, PLAIN)
+    plain.tick_hook = lambda vm: vm.ticks == 3 and vm.code_cache.install(function, 0)
+    plain.run()
+    assert observables(vm) == observables(plain)
+
+
+# -- polymorphic tails: callees resolved at run time ------------------------------
+
+
+def _mix(classes, iterations):
+    """Every ``f`` branches, so none has a leaf template and the tail
+    calls it body to body."""
+    body = "if (x % 2 == 0) { return x + {k}; } return x - {k};"
+    return compile_source(receiver_mix_source(classes, iterations, body))
+
+
+def test_tail_callee_still_on_the_trampoline_is_a_call_exit():
+    """``main`` gets hot on its 32nd back-edge, by which time its site
+    is megamorphic, so its first body has the tail; each of the sixteen
+    callees has been entered twice.  Until a callee's own 32nd entry
+    the tail finds a stub where a body would be (``_j.direct is None``)
+    and leaves the call to the interpreter, whose entry is the bounce
+    that counts; afterwards the same site calls the fresh body."""
+    program = _mix(16, 2000)
+    vm = run(program)
+    (site,) = [row for row in jit_compiler.exit_sites(vm) if row[2] == "call"]
+    assert site[0] == "main"
+    # Entries 3 to 32 of each callee, plus a tick inside a direct call.
+    bounced = 16 * (PROMOTE_THRESHOLD - 2)
+    assert bounced <= site[3] <= bounced + vm.ticks
+    assert vm.jit_compiles == 17
+    assert vm.jit_poly_calls > 1000
+    assert vm.jit_guard_exits == 0
+    assert_exit_accounting(vm)
+    assert observables(vm) == observables(run(program, PLAIN))
+
+
+@pytest.mark.parametrize("classes", [4, 16], ids=["overflow-row", "flat-table"])
+def test_tail_sees_an_installed_replacement_on_the_next_call(classes):
+    """The tail reads its callee through the live overflow row
+    (refreshed in place by ``install``) or through ``cache.methods``,
+    never from the snapshot: after ``CodeCache.install`` replaces the
+    last class's ``f`` the very next call resolves to the fresh
+    ``CompiledMethod`` — no body yet, so a call exit until it has been
+    promoted again — and never enters the stale body."""
+    program = _mix(classes, 24000)
+    function = program.function_named(f"V{classes - 1}.f")
+    seen = {}
+
+    def stale(*_args):
+        raise AssertionError("the tail entered the replaced method's body")
+
+    def replace_once(vm):
+        if vm.ticks == 3:
+            old = vm.code_cache.methods[function.index]
+            assert compiled(old) and old.jit.direct is not None
+            seen["poly_calls"] = vm.jit_poly_calls
+            seen["call_exits"] = vm.jit_call_exits
+            old.jit.direct = stale
+            vm.code_cache.install(function, 0)
+
+    vm = Interpreter(program, JIT)
+    vm.tick_hook = replace_once
+    vm.run()
+    assert vm.ticks > 6 and seen["poly_calls"] > 0
+    fresh = vm.code_cache.methods[function.index]
+    assert compiled(fresh) and fresh.jit.direct is not None
+    assert vm.jit_call_exits > seen["call_exits"]
+    assert vm.jit_poly_calls > seen["poly_calls"] + 1000
     assert_exit_accounting(vm)
 
     plain = Interpreter(program, PLAIN)
