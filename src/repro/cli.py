@@ -14,10 +14,10 @@ Usage::
                                 [--metrics-port P] [--flight-dump PATH]
                                 [--no-flight]
     repro-mini serve [--host H] [--port P] [--root DIR] [--decay F]
-                     [--workers N] [--rate R] [--burst B]
+                     [--rate R] [--burst B]
                      [--http-port P] [--trace FILE]
     repro-mini fleet-bench [--publishers N] [--batches B] [--edges E]
-                           [--workers N] [--jobs J] [--quick] [--json]
+                           [--jobs J] [--quick] [--json]
                            [--write PATH] [--check PATH]
     repro-mini top HOST:PORT [--interval S] [--once]
     repro-mini report trace_file [--json] [--no-histograms]
@@ -523,12 +523,9 @@ def _cmd_serve(args) -> int:
     from repro.fleet.service import run_service
 
     def ready(address):
-        shape = (
-            f"{args.workers} shard workers" if args.workers > 1 else "single process"
-        )
         print(
             f"-- fleet service listening on {address[0]}:{address[1]} "
-            f"(repository {args.root}, {shape})",
+            f"(repository {args.root})",
             file=sys.stderr,
             flush=True,
         )
@@ -552,25 +549,8 @@ def _cmd_serve(args) -> int:
         tracer = Tracer(clock=lambda: (time.monotonic_ns() - started) // 1000)
 
     try:
-        if args.workers > 1:
-            from repro.fleet.shard import run_sharded_service
-
-            serve_coro = run_sharded_service(
-                args.root,
-                args.workers,
-                host=args.host,
-                port=args.port,
-                decay=args.decay,
-                max_edges=args.max_edges,
-                rate=args.rate,
-                burst=args.burst,
-                ready=ready,
-                http_port=args.http_port,
-                http_ready=http_ready if args.http_port is not None else None,
-                telemetry=tracer,
-            )
-        else:
-            serve_coro = run_service(
+        asyncio.run(
+            run_service(
                 args.root,
                 host=args.host,
                 port=args.port,
@@ -583,7 +563,7 @@ def _cmd_serve(args) -> int:
                 rate=args.rate,
                 burst=args.burst,
             )
-        asyncio.run(serve_coro)
+        )
     except (KeyboardInterrupt, asyncio.CancelledError):
         # SIGINT / SIGTERM: the serve coroutine was cancelled and has
         # already stopped the service (drain, persist) on its way out.
@@ -608,7 +588,7 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_fleet_bench(args) -> int:
-    """Load-test the fleet service: single process vs. sharded workers."""
+    """Load-test the fleet service: throughput, latency, zero edge loss."""
     from repro.fleet.bench import run_fleet_bench
 
     return run_fleet_bench(args)
@@ -650,36 +630,6 @@ def _cmd_top(args) -> int:
                 title=f"fleet service @ {args.address}",
             )
         )
-        shard_rows = [
-            [
-                entry.get("shard", "-"),
-                "up" if entry.get("alive", True) else "DOWN",
-                entry.get("routed", 0),
-                entry.get("merges", 0),
-                entry.get("queue_depth", 0),
-                entry.get("coalesce_ratio", 0.0),
-                entry.get("busy_rejections", 0),
-                entry.get("programs", 0),
-            ]
-            for entry in status.get("shards", [])
-        ]
-        if shard_rows:
-            blocks.append(
-                render_table(
-                    [
-                        "Shard",
-                        "State",
-                        "Routed",
-                        "Merges",
-                        "Queue",
-                        "Coalesce",
-                        "Busy",
-                        "Programs",
-                    ],
-                    shard_rows,
-                    title="shards",
-                )
-            )
         program_rows = [
             [
                 fingerprint[:16],
@@ -1224,14 +1174,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="prune persisted snapshots to the N heaviest edges",
     )
     serve.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="shard the repository across N worker processes behind a "
-        "routing frontend (default 1: single process)",
-    )
-    serve.add_argument(
         "--rate",
         type=float,
         default=None,
@@ -1286,8 +1228,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     fleet_bench = commands.add_parser(
         "fleet-bench",
-        help="replay synthetic publishers against single-process and "
-        "sharded fleet services; report throughput and latency",
+        help="replay synthetic publishers against a live fleet service; "
+        "report throughput, latency and edge loss",
     )
     fleet_bench.add_argument(
         "--publishers", type=int, default=1000, help="synthetic publishers"
@@ -1302,13 +1244,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--programs", type=int, default=32, help="distinct program fingerprints"
     )
     fleet_bench.add_argument(
-        "--workers", type=int, default=4, help="shard workers for the scaled mode"
-    )
-    fleet_bench.add_argument(
         "--jobs", type=int, default=8, help="concurrent load connections"
     )
     fleet_bench.add_argument(
-        "--quick", action="store_true", help="small fleet / fewer workers"
+        "--quick", action="store_true", help="small fleet, fewer connections"
     )
     fleet_bench.add_argument(
         "--json", action="store_true", help="print the summary as JSON"
@@ -1317,13 +1256,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--write", metavar="PATH", help="write the summary JSON to PATH"
     )
     fleet_bench.add_argument(
-        "--check", metavar="PATH", help="gate ratios against a baseline JSON"
+        "--check", metavar="PATH", help="gate the run against a baseline JSON"
     )
     fleet_bench.add_argument(
         "--max-regress",
         type=float,
         default=0.15,
-        help="allowed fractional ratio regression vs baseline (default 0.15)",
+        help="allowed fractional throughput / p99 regression vs a baseline "
+        "of the same shape (default 0.15)",
     )
     fleet_bench.set_defaults(handler=_cmd_fleet_bench)
 

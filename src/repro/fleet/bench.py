@@ -1,37 +1,22 @@
 """The fleet load harness (``repro-mini fleet-bench``).
 
-Replays thousands of synthetic publishers against a live fleet service
-and measures what the scaling tentpole promises: publish throughput,
-p50/p95/p99 publish latency, and — because the whole design rests on
-merge commutativity — **zero edge loss** (the sum of merged weights
-across all shards must equal the sum of published delta weights,
-exactly; the harness publishes integral weights so the comparison has
-no float slack).
+Replays thousands of synthetic publishers against a live ``serve``
+process (spawned, on a fresh repository root) and measures publish
+throughput, p50/p95/p99 publish latency, and — because the whole design
+rests on merge commutativity — **zero edge loss**: the sum of merged
+weights must equal the sum of published delta weights, exactly (the
+harness publishes integral weights so the comparison has no float
+slack).
 
-Two service topologies run back to back, each in its own process with
-its own fresh repository root:
+Throughput is end-to-end honest: the clock stops only after a ``flush``
+barrier confirms every staged delta is merged and every dirty aggregate
+persisted, so coalescing cannot win by deferring work past the finish
+line.
 
-* ``single`` — ``serve``: one asyncio process.
-* ``sharded`` — ``serve --workers N``: the routing frontend over N
-  worker processes.
-
-Both run the same publish path (staged acks, coalesced merges,
-write-behind snapshots), so the summary's headline figures —
-``scaling_ratio`` (sharded throughput over single throughput) and
-``p99_ratio`` (single p99 over sharded p99) — measure sharding and
-nothing else.  They are ratios measured on one host in one run, but
-what sharding buys depends on how many cores that host has: N workers,
-a frontend and the load generator on fewer cores than processes measure
-the scheduler, and the ratio is honestly below 1.  The summary therefore
-records ``cpus``, and the committed ``BENCH_fleet.json`` gates only
-runs of the same shape (see :func:`check_against_baseline`); absolute
-rates are recorded for the trajectory but never compared across
-machines.
-
-Throughput is end-to-end honest: the clock for a mode stops only after
-a ``flush`` barrier confirms every staged delta is merged and every
-dirty aggregate persisted, so coalescing cannot win by deferring work
-past the finish line.
+Absolute rates depend on the host, so the summary records ``cpus`` and
+``python`` and the committed ``BENCH_fleet.json`` gates ``throughput``
+and ``p99_ms`` only for runs of the same shape (see
+:func:`check_against_baseline`); zero loss is gated everywhere.
 """
 
 from __future__ import annotations
@@ -56,10 +41,11 @@ from repro.fleet.protocol import (
     send_message,
 )
 
-#: Floor on both ratios — sharding must not lose to one process — held
-#: only on hosts with more cores than shard workers; with fewer, the
-#: processes time-share and the ratio says nothing about the code.
-RATIO_FLOOR = 1.0
+BASELINE_VERSION = 3
+
+#: A run is compared with the baseline's rates only when these match
+#: (and the Python minor version): otherwise it measured something else.
+SHAPE_KEYS = ("cpus", "quick", "publishers", "batches", "edges", "programs", "jobs")
 
 SERVER_START_TIMEOUT = 60.0
 SERVER_STOP_TIMEOUT = 30.0
@@ -111,27 +97,21 @@ def build_workload(
     return per_publisher, expected, fingerprints
 
 
-# -- server processes -----------------------------------------------------------------
+# -- server process -------------------------------------------------------------------
 
 
-def _server_main(conn, root: str, workers: int):
+def _server_main(conn, root: str):
     """Entry point of the benched service process (spawn-safe)."""
-    asyncio.run(_server_async(conn, root, workers))
+    asyncio.run(_server_async(conn, root))
 
 
-async def _server_async(conn, root, workers) -> None:
+async def _server_async(conn, root) -> None:
+    from repro.fleet.service import run_service
+
     def ready(address):
         conn.send(address)
 
-    if workers > 1:
-        from repro.fleet.shard import run_sharded_service
-
-        serve = run_sharded_service(root, workers, ready=ready)
-    else:
-        from repro.fleet.service import run_service
-
-        serve = run_service(root, ready=ready)
-    task = asyncio.ensure_future(serve)
+    task = asyncio.ensure_future(run_service(root, ready=ready))
     # Block a worker thread on the pipe; the parent's "stop" unblocks it.
     await asyncio.to_thread(conn.recv)
     task.cancel()
@@ -145,15 +125,12 @@ async def _server_async(conn, root, workers) -> None:
 class _ServerProcess:
     """A benched fleet service in its own process, stopped in-band."""
 
-    def __init__(self, root: str, workers: int):
+    def __init__(self, root: str):
         ctx = multiprocessing.get_context("spawn")
         self._conn, child_conn = ctx.Pipe()
-        # NOT daemonic: the sharded frontend spawns its own worker
-        # children, which daemonic processes are forbidden to do.
-        # stop() joins with a terminate() backstop instead.
         self.process = ctx.Process(
             target=_server_main,
-            args=(child_conn, root, workers),
+            args=(child_conn, root),
             name="fleet-bench-server",
         )
         self.process.start()
@@ -245,14 +222,14 @@ def _percentile(sorted_values: list[float], q: float) -> float:
     return sorted_values[index]
 
 
-def _run_mode(
+def _replay(
     address,
     per_publisher: list[list[bytes]],
     expected: dict[str, int],
     fingerprints: list[str],
     jobs: int,
 ) -> dict:
-    """Replay the workload against one live service and measure it."""
+    """Replay the workload against the live service and measure it."""
     shares: list[list[list[bytes]]] = [[] for _ in range(jobs)]
     for index, frames in enumerate(per_publisher):
         shares[index % jobs].append(frames)
@@ -313,12 +290,11 @@ def collect_summary(
     batches: int = 4,
     edges: int = 20,
     programs: int = 32,
-    workers: int = 4,
     jobs: int = 8,
     quick: bool = False,
     root_dir: str | None = None,
 ) -> dict:
-    """Run both topologies and return the ``BENCH_fleet.json`` summary."""
+    """Boot a service, replay the workload, return the ``BENCH_fleet.json`` summary."""
     import tempfile
 
     if quick:
@@ -326,32 +302,18 @@ def collect_summary(
         batches = min(batches, 3)
         edges = min(edges, 10)
         programs = min(programs, 8)
-        workers = min(workers, 2)
         jobs = min(jobs, 4)
     per_publisher, expected, fingerprints = build_workload(
         publishers, batches, edges, programs
     )
-    modes = {}
-    with tempfile.TemporaryDirectory(dir=root_dir) as tmp:
-        for name, mode_workers in (("single", 1), ("sharded", workers)):
-            server = _ServerProcess(f"{tmp}/{name}", mode_workers)
-            try:
-                result = _run_mode(
-                    server.address, per_publisher, expected, fingerprints, jobs
-                )
-            finally:
-                server.stop()
-            result["workers"] = mode_workers
-            modes[name] = result
-            print(
-                f"-- {name} (workers={mode_workers}): "
-                f"{result['throughput']:,.0f} publishes/sec, "
-                f"p99 {result['p99_ms']}ms, lost {result['lost_edges']}",
-                file=sys.stderr,
-            )
-    single, sharded = modes["single"], modes["sharded"]
+    with tempfile.TemporaryDirectory(dir=root_dir) as root:
+        server = _ServerProcess(root)
+        try:
+            result = _replay(server.address, per_publisher, expected, fingerprints, jobs)
+        finally:
+            server.stop()
     return {
-        "version": 2,
+        "version": BASELINE_VERSION,
         "quick": quick,
         "python": sys.version.split()[0],
         "cpus": os.cpu_count(),
@@ -360,16 +322,19 @@ def collect_summary(
         "edges": edges,
         "programs": programs,
         "jobs": jobs,
-        "modes": modes,
-        "scaling_ratio": round(
-            sharded["throughput"] / single["throughput"], 3
-        )
-        if single["throughput"]
-        else 0.0,
-        "p99_ratio": round(single["p99_ms"] / sharded["p99_ms"], 3)
-        if sharded["p99_ms"]
-        else 0.0,
+        **result,
     }
+
+
+def same_shape(summary: dict, baseline: dict) -> bool:
+    """Whether ``summary``'s rates are comparable with ``baseline``'s."""
+
+    def python_minor(document):
+        return str(document.get("python", "")).split(".")[:2]
+
+    return python_minor(summary) == python_minor(baseline) and all(
+        summary.get(key) == baseline.get(key) for key in SHAPE_KEYS
+    )
 
 
 def check_against_baseline(
@@ -377,50 +342,44 @@ def check_against_baseline(
 ) -> list[str]:
     """Return failure messages (empty = pass).
 
-    Always enforced: zero publish failures and **zero lost edges** in
-    both modes — every published weight is found in the merged
-    aggregates.
+    Always enforced: zero publish failures and **zero lost edges** —
+    every published weight is found in the merged aggregates.
 
-    On a host with more cores than shard workers, additionally
-    :data:`RATIO_FLOOR` on ``scaling_ratio`` and ``p99_ratio``.
-
-    With a baseline file, additionally both ratios within
-    ``max_regress`` of the committed values — but only when the run has
-    the baseline's shape: the same sharded worker count and the same
-    ``cpus``.  A ``--quick`` 2-worker smoke against a 4-worker baseline,
-    or a 4-core runner against a 2-core baseline, measures a different
-    thing, and is gated by the checks above alone.
+    With a baseline file, additionally ``throughput`` and ``p99_ms``
+    within ``max_regress`` of the committed values — but only when the
+    run has the baseline's shape (:func:`same_shape`).  A ``--quick``
+    smoke against the full baseline, or a 4-core runner against a 2-core
+    baseline, measures a different thing and is gated by the checks
+    above alone.
     """
     failures = []
-    for name, mode in summary["modes"].items():
-        if mode.get("failures"):
-            failures.append(f"{name}: {mode['failures']} publishes failed")
-        if mode.get("lost_edges"):
+    if summary.get("failures"):
+        failures.append(f"{summary['failures']} publishes failed")
+    if summary.get("lost_edges"):
+        failures.append(
+            f"lost {summary['lost_edges']} of "
+            f"{summary['published_weight']} published edge weight"
+        )
+    if baseline is None:
+        return failures
+    if baseline.get("version") != BASELINE_VERSION:
+        return failures + [
+            f"baseline is version {baseline.get('version')}, not "
+            f"{BASELINE_VERSION}: regenerate it with fleet-bench --write"
+        ]
+    if same_shape(summary, baseline):
+        floor = baseline["throughput"] * (1.0 - max_regress)
+        if summary["throughput"] < floor:
             failures.append(
-                f"{name}: lost {mode['lost_edges']} of "
-                f"{mode['published_weight']} published edge weight"
+                f"throughput {summary['throughput']:,.0f}/s fell below {floor:,.0f}/s "
+                f"(baseline {baseline['throughput']:,.0f}/s - {max_regress:.0%})"
             )
-    workers = summary["modes"]["sharded"]["workers"]
-    cpus = summary.get("cpus") or 0
-    same_shape = (
-        baseline is not None
-        and baseline.get("modes", {}).get("sharded", {}).get("workers") == workers
-        and baseline.get("cpus") == cpus
-    )
-    for key, label in (("scaling_ratio", "scaling ratio"), ("p99_ratio", "p99 ratio")):
-        value = summary[key]
-        if cpus > workers and value < RATIO_FLOOR:
+        ceiling = baseline["p99_ms"] * (1.0 + max_regress)
+        if summary["p99_ms"] > ceiling:
             failures.append(
-                f"{label} {value:.2f}x is below {RATIO_FLOOR:.2f}x with "
-                f"{workers} workers on {cpus} cores"
+                f"p99 {summary['p99_ms']}ms rose above {ceiling:.3f}ms "
+                f"(baseline {baseline['p99_ms']}ms + {max_regress:.0%})"
             )
-        if same_shape and baseline.get(key):
-            bound = baseline[key] * (1.0 - max_regress)
-            if value < bound:
-                failures.append(
-                    f"{label} {value:.2f}x fell below {bound:.2f}x "
-                    f"(baseline {baseline[key]:.2f}x - {max_regress:.0%})"
-                )
     return failures
 
 
@@ -431,7 +390,6 @@ def run_fleet_bench(args) -> int:
         batches=args.batches,
         edges=args.edges,
         programs=args.programs,
-        workers=args.workers,
         jobs=args.jobs,
         quick=args.quick,
     )
@@ -443,20 +401,12 @@ def run_fleet_bench(args) -> int:
     elif args.json:
         print(text, end="")
     else:
-        single, sharded = summary["modes"]["single"], summary["modes"]["sharded"]
         print(
             f"fleet-bench: {summary['publishers']} publishers x "
             f"{summary['batches']} batches x {summary['edges']} edges\n"
-            f"  single  (1 worker):  {single['throughput']:>10,.0f}/s  "
-            f"p50 {single['p50_ms']}ms p95 {single['p95_ms']}ms "
-            f"p99 {single['p99_ms']}ms\n"
-            f"  sharded ({sharded['workers']} workers): "
-            f"{sharded['throughput']:>10,.0f}/s  "
-            f"p50 {sharded['p50_ms']}ms p95 {sharded['p95_ms']}ms "
-            f"p99 {sharded['p99_ms']}ms\n"
-            f"  scaling {summary['scaling_ratio']:.2f}x, "
-            f"p99 ratio {summary['p99_ratio']:.2f}x, "
-            f"lost edges {single['lost_edges']}+{sharded['lost_edges']}"
+            f"  {summary['throughput']:,.0f} publishes/s  "
+            f"p50 {summary['p50_ms']}ms p95 {summary['p95_ms']}ms "
+            f"p99 {summary['p99_ms']}ms  lost edges {summary['lost_edges']}"
         )
     baseline = None
     if args.check:
@@ -470,9 +420,11 @@ def run_fleet_bench(args) -> int:
     if failures:
         return 1
     if args.check:
-        print(
-            f"OK scaling {summary['scaling_ratio']:.2f}x and p99 ratio "
-            f"{summary['p99_ratio']:.2f}x within bounds, zero edge loss",
-            file=sys.stderr,
+        rates = (
+            f"{summary['throughput']:,.0f} publishes/s and p99 "
+            f"{summary['p99_ms']}ms within bounds"
+            if same_shape(summary, baseline)
+            else "rates not compared (run shape differs from the baseline's)"
         )
+        print(f"OK zero edge loss, {rates}", file=sys.stderr)
     return 0

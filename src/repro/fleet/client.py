@@ -16,7 +16,7 @@ declares the server dead and drops batches without further connection
 attempts, bounding wasted wall time for fire-and-forget runs against a
 down aggregator.  Dead is not forever: every ``revive_every`` dropped
 batches the worker spends one bounded connection probe, so a restarted
-shard regains its publishers within a few batches instead of losing
+server regains its publishers within a few batches instead of losing
 them for the life of the run.
 
 Backpressure is distinct from failure: a ``busy`` reply means the

@@ -3,8 +3,7 @@
 The fleet server receives deltas from many concurrent VM runs with no
 ordering guarantees, yet the aggregate must be a pure function of *what*
 was published, not *when* it arrived — otherwise two servers fed the
-same fleet would disagree, and tests (or shards) could never compare
-aggregates.
+same fleet would disagree, and tests could never compare aggregates.
 
 The trick is to make decay a function of the delta's **epoch** (an age
 stamp the client chooses — e.g. a build number or day counter), not of
@@ -119,6 +118,13 @@ class AggregateProfile:
         paths: list | None = None,
     ) -> None:
         """Fold one published delta into the aggregate.
+
+        No serving path calls this (the service stages and drains
+        through :meth:`merge_coalesced`); it stays as the
+        one-delta-at-a-time reference that ``test_coalesce.py`` /
+        ``test_service.py`` compare the staging/drain path against, that
+        the measurement spine times, and that the in-process
+        ``harness fleet`` experiment folds its runs with.
 
         ``edges`` is a list of ``[caller, pc, callee, weight]`` entries
         (the wire shape); ``receivers``, when present, is a list of

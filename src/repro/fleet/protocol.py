@@ -41,11 +41,6 @@ Client → server:
 * ``flush`` — force staged deltas to merge and dirty aggregates to
   persist before the reply: the durability barrier (everything acked
   before it is on disk when the ``stats`` reply arrives).
-* ``status`` — request the full ``/status`` document over the framed
-  protocol (what the sharded frontend uses to poll its workers).
-* ``shutdown`` — ask the service to stop serving (honored only by
-  shard workers, which are started with ``allow_shutdown=True``;
-  public-facing services reply with an error).
 
 Server → client:
 
@@ -63,22 +58,8 @@ Server → client:
   where the snapshot is a version-2 profile dict (see
   :mod:`repro.profiling.serialize`) plus a ``"fleet"`` metadata key.
 * ``stats`` — server counters.
-* ``status`` — the ``/status`` document: ``{"status": {...}}``.
-* ``error`` — the request was malformed: ``{"reason": "..."}``.
-
-Sharded routing
----------------
-
-``serve --workers N`` puts a routing frontend in front of N worker
-processes; every fingerprint maps to exactly one shard via
-:func:`shard_for` (first 8 hex digits, modulo worker count), so the
-order-independent epoch merge keeps each aggregate whole on its shard.
-The frontend never JSON-decodes publish frames on the hot path:
-:func:`extract_fingerprint` scans the raw payload for the
-``"fingerprint":"..."`` key (sound for canonically-encoded messages —
-a quote inside a JSON string value is always backslash-escaped, so the
-unescaped key bytes cannot occur inside a value) and falls back to a
-full parse when the scan fails.
+* ``error`` — the request was malformed or of an unknown kind:
+  ``{"reason": "..."}``.
 
 Both asyncio-stream and blocking-socket helpers are provided; the VM
 side publishes from a plain thread (it must never touch the VM's loop),
@@ -149,14 +130,6 @@ def flush_message() -> dict:
     return {"v": PROTOCOL_VERSION, "type": "flush"}
 
 
-def status_message() -> dict:
-    return {"v": PROTOCOL_VERSION, "type": "status"}
-
-
-def shutdown_message() -> dict:
-    return {"v": PROTOCOL_VERSION, "type": "shutdown"}
-
-
 def staged_ack_message(depth: int) -> dict:
     """The publish ack: validated and staged, merge pending."""
     return {
@@ -223,25 +196,7 @@ def _check_length(length: int) -> None:
         raise ProtocolError(f"frame too large ({length} bytes)")
 
 
-# -- sharded routing --------------------------------------------------------------
-
 _FP_MARKER = b'"fingerprint":"'
-
-
-def shard_for(fingerprint: str, shards: int) -> int:
-    """The shard owning ``fingerprint`` (first 8 hex digits mod N).
-
-    Any function of the fingerprint alone is a correct router — the
-    epoch merge is order-independent, so correctness only needs every
-    delta for one fingerprint to land on one shard.  Non-hex
-    fingerprints (which the shard will reject anyway) route to 0.
-    """
-    if shards <= 1:
-        return 0
-    try:
-        return int(fingerprint[:8], 16) % shards
-    except ValueError:
-        return 0
 
 
 def extract_fingerprint(payload: bytes) -> str | None:
@@ -253,9 +208,10 @@ def extract_fingerprint(payload: bytes) -> str | None:
     ``\\"`` — so the first hit is the first ``fingerprint`` key, which
     for every message our clients encode is the top-level one.  A
     candidate containing an escape, or a payload with no hit, falls
-    back to a full parse; undecodable payloads yield ``None`` (the
-    frontend forwards those to shard 0, whose decoder produces the
-    protocol error reply).
+    back to a full parse; undecodable payloads yield ``None``.
+
+    No serving path calls this: it stays because the measurement spine
+    (``benchmarks/perf``) times it, until that is re-cut.
     """
     start = payload.find(_FP_MARKER)
     if start >= 0:
@@ -276,35 +232,6 @@ def extract_fingerprint(payload: bytes) -> str | None:
 
 
 # -- asyncio streams (server side) ------------------------------------------------
-
-
-async def read_frame_payload(reader) -> bytes | None:
-    """Read one frame's raw payload bytes without decoding it.
-
-    The routing frontend's hot path: it forwards payloads verbatim and
-    never pays the JSON parse (the owning shard does).  Same EOF and
-    truncation semantics as :func:`read_message`.
-    """
-    import asyncio
-
-    try:
-        header = await reader.readexactly(_HEADER.size)
-    except asyncio.IncompleteReadError as error:
-        if not error.partial:
-            return None
-        raise ProtocolError("connection closed mid-header") from error
-    (length,) = _HEADER.unpack(header)
-    _check_length(length)
-    try:
-        return await reader.readexactly(length)
-    except asyncio.IncompleteReadError as error:
-        raise ProtocolError("connection closed mid-frame") from error
-
-
-def frame_payload(payload: bytes) -> bytes:
-    """Re-frame an already-encoded payload (the forwarding path)."""
-    _check_length(len(payload))
-    return _HEADER.pack(len(payload)) + payload
 
 
 async def read_message(reader) -> dict | None:

@@ -120,8 +120,8 @@ async def close_server(server, handlers: dict) -> None:
     # stopped reading never lets finish: abort those transports.
     for task in await stragglers():
         handlers[task].transport.abort()
-    # Still here: waiting on something other than its client (a frontend
-    # handler on a wedged worker).  Cancel it, and whatever survives
+    # Still here: waiting on something other than its client (a barrier
+    # whose snapshot write is stuck).  Cancel it, and whatever survives
     # that too is left to loop teardown — the caller's stop goes on.
     for task in await stragglers():
         task.cancel()
@@ -141,8 +141,6 @@ class FleetService:
         burst: float | None = None,
         max_staged_rows: int = 200_000,
         drain_interval: float = 0.005,
-        allow_shutdown: bool = False,
-        shard_id: int | None = None,
     ):
         self.repository = repository
         self.telemetry = telemetry
@@ -162,8 +160,6 @@ class FleetService:
         self._handlers: dict[asyncio.Task, asyncio.StreamWriter] = {}
 
         self.drain_interval = drain_interval
-        self.allow_shutdown = allow_shutdown
-        self.shard_id = shard_id
         self.staging = StagingBuffer(max_staged_rows)
         self.limiter = RateLimiter(rate, burst) if rate else None
         #: Fingerprints merged but not yet snapshotted by the writer.
@@ -173,9 +169,6 @@ class FleetService:
         self._snapshot_task: asyncio.Task | None = None
         self._snapshot_wakeup = asyncio.Event()
         self._persist_lock = asyncio.Lock()
-        #: Set by a permitted ``shutdown`` message; the shard worker
-        #: main loop waits on it instead of ``serve_forever``.
-        self.shutdown_requested = asyncio.Event()
 
         #: Registry behind ``/metrics`` (names render Prometheus-style,
         #: e.g. ``fleet.publishes`` → ``fleet_publishes_total``).
@@ -396,13 +389,6 @@ class FleetService:
         if kind == "flush":
             await self.drain()
             return self._on_stats()
-        if kind == "status":
-            return {"v": 1, "type": "status", "status": self.status()}
-        if kind == "shutdown":
-            if not self.allow_shutdown:
-                return error_message("shutdown not permitted on this service")
-            self.shutdown_requested.set()
-            return {"v": 1, "type": "ack", "stopping": True}
         return error_message(f"unknown message type {kind!r}")
 
     # -- message handlers ---------------------------------------------------------
@@ -611,7 +597,7 @@ class FleetService:
                 "dropped": entry["dropped"],
                 "drop_rate": round(entry["dropped"] / attempts, 6) if attempts else 0.0,
             }
-        document = {
+        return {
             "service": "repro-fleet",
             "programs": programs,
             "clients": clients,
@@ -631,9 +617,6 @@ class FleetService:
                 "persist_pending": len(self._dirty),
             },
         }
-        if self.shard_id is not None:
-            document["shard"] = self.shard_id
-        return document
 
 
 @contextlib.contextmanager
@@ -671,18 +654,16 @@ async def run_service(
     rate: float | None = None,
     burst: float | None = None,
 ) -> None:
-    """Run a single-process fleet service until cancelled.
+    """Run the fleet service until cancelled: the ``serve`` CLI backend.
 
-    The ``serve`` CLI backend for ``--workers 1`` (``--workers N``
-    routes through :func:`repro.fleet.shard.run_sharded_service`
-    instead).  ``ready``, if given, is called with the bound ``(host,
-    port)`` once the socket is listening — used for readiness lines and
-    tests.  ``http_port``, if given, additionally mounts the
-    observability listener (``/metrics``, ``/healthz``, ``/status``) on
-    the same event loop; ``http_ready`` is called with its bound
-    address.  ``rate``/``burst`` enable the per-client token-bucket
-    backpressure.  Cancellation (SIGINT, SIGTERM) stops the service
-    through :meth:`FleetService.stop`, so nothing acked is lost.
+    ``ready``, if given, is called with the bound ``(host, port)`` once
+    the socket is listening — used for readiness lines and tests.
+    ``http_port``, if given, additionally mounts the observability
+    listener (``/metrics``, ``/healthz``, ``/status``) on the same event
+    loop; ``http_ready`` is called with its bound address.
+    ``rate``/``burst`` enable the per-client token-bucket backpressure.
+    Cancellation (SIGINT, SIGTERM) stops the service through
+    :meth:`FleetService.stop`, so nothing acked is lost.
     """
     from repro.telemetry.httpapi import ObservabilityHTTP
 

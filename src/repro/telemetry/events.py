@@ -324,58 +324,6 @@ class FleetMerge(Event):
         return args
 
 
-class FleetShard(Event):
-    """Final per-shard accounting from a sharded fleet serve.
-
-    Emitted once per worker when ``serve --workers N --trace`` shuts
-    down, from the frontend's last ``/status`` fan-out — queue depth,
-    coalesce ratio, and busy rejections per shard, so an offline
-    ``report --json`` of the serve trace shows the topology's balance.
-    """
-
-    __slots__ = (
-        "shard",
-        "queue_depth",
-        "coalesce_ratio",
-        "busy_rejections",
-        "merges",
-        "routed",
-        "programs",
-    )
-    name = "fleet_shard"
-
-    def __init__(
-        self,
-        ts: int,
-        shard: int,
-        queue_depth: int = 0,
-        coalesce_ratio: float = 0.0,
-        busy_rejections: int = 0,
-        merges: int = 0,
-        routed: int = 0,
-        programs: int = 0,
-    ):
-        super().__init__(ts)
-        self.shard = shard
-        self.queue_depth = queue_depth
-        self.coalesce_ratio = coalesce_ratio
-        self.busy_rejections = busy_rejections
-        self.merges = merges
-        self.routed = routed
-        self.programs = programs
-
-    def args(self) -> dict:
-        return {
-            "shard": self.shard,
-            "queue_depth": self.queue_depth,
-            "coalesce_ratio": self.coalesce_ratio,
-            "busy_rejections": self.busy_rejections,
-            "merges": self.merges,
-            "routed": self.routed,
-            "programs": self.programs,
-        }
-
-
 class WarmStart(Event):
     """The adaptive controller was seeded from an aggregated profile."""
 
@@ -475,7 +423,6 @@ EVENT_TYPES = {
         CallTraced,
         FleetPublish,
         FleetMerge,
-        FleetShard,
         WarmStart,
         PathsSummary,
         ScopeBegin,

@@ -62,8 +62,7 @@ class ObservabilityHTTP:
     def __init__(self, registry=None, status_fn=None, health_fn=None):
         #: Registry (or zero-arg callable returning one) behind /metrics.
         self.registry = registry
-        #: Zero-arg callable (sync or async) returning the /status
-        #: JSON document.
+        #: Zero-arg callable returning the /status JSON document.
         self.status_fn = status_fn
         #: Zero-arg callable returning the /healthz JSON document.
         self.health_fn = health_fn
@@ -146,12 +145,7 @@ class ObservabilityHTTP:
                 return _json_response(
                     "503 Service Unavailable", {"error": "no status source wired"}
                 )
-            # status_fn may be a coroutine function (the sharded fleet
-            # frontend fans /status out to its workers).
-            document = self.status_fn()
-            if asyncio.iscoroutine(document):
-                document = await document
-            return _json_response("200 OK", document)
+            return _json_response("200 OK", self.status_fn())
         return _json_response(
             "404 Not Found",
             {"error": f"unknown path {path!r}", "paths": ["/metrics", "/healthz", "/status"]},

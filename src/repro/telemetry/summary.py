@@ -143,32 +143,6 @@ def pipeline_rows(trace: LoadedTrace) -> list[list[object]]:
     return rows
 
 
-def fleet_shard_rows(trace: LoadedTrace) -> list[list[object]]:
-    """Per-shard rows from ``fleet_shard`` events (sharded serve traces).
-
-    One row per shard — queue depth, coalesce ratio, busy rejections —
-    sourced from the frontend's final ``/status`` fan-out.  A shard that
-    emitted more than one event keeps only its last (latest-wins).
-    """
-    by_shard: dict[int, dict] = {}
-    for event in trace.events:
-        if event["name"] == "fleet_shard":
-            args = event["args"]
-            by_shard[args.get("shard", 0)] = args
-    return [
-        [
-            shard,
-            args.get("routed", 0),
-            args.get("merges", 0),
-            args.get("queue_depth", 0),
-            args.get("coalesce_ratio", 0.0),
-            args.get("busy_rejections", 0),
-            args.get("programs", 0),
-        ]
-        for shard, args in sorted(by_shard.items())
-    ]
-
-
 def window_rows(trace: LoadedTrace) -> list[list[object]]:
     """Per-window-statistic rows recomputed from window_close events."""
     samples = []
@@ -255,20 +229,6 @@ def summary_dict(trace: LoadedTrace, histograms: bool = True) -> dict:
             "methods_eligible": _metric_value(trace, "jit.methods_eligible") or 0,
             "compile_s": _metric_value(trace, "jit.compile_s") or 0,
         }
-    shard_rows = fleet_shard_rows(trace)
-    if shard_rows:
-        data["fleet_shards"] = [
-            {
-                "shard": row[0],
-                "routed": row[1],
-                "merges": row[2],
-                "queue_depth": row[3],
-                "coalesce_ratio": row[4],
-                "busy_rejections": row[5],
-                "programs": row[6],
-            }
-            for row in shard_rows
-        ]
     if histograms:
         data["histograms"] = {
             name: snapshot
@@ -291,15 +251,6 @@ def summarize_trace(trace: LoadedTrace, histograms: bool = True) -> str:
     if windows:
         parts.append(
             _render_table(["statistic", "min", "mean", "max"], windows, title="CBS windows")
-        )
-    shards = fleet_shard_rows(trace)
-    if shards:
-        parts.append(
-            _render_table(
-                ["shard", "routed", "merges", "queue", "coalesce", "busy", "programs"],
-                shards,
-                title="fleet shards",
-            )
         )
     if histograms:
         parts.extend(histogram_tables(trace))

@@ -22,7 +22,6 @@ from repro.telemetry.events import (
     CallTraced,
     FleetMerge,
     FleetPublish,
-    FleetShard,
     InlineDecisionEvent,
     PathsSummary,
     Recompilation,
@@ -444,21 +443,6 @@ class Tracer:
         self.events.append(
             FleetMerge(
                 self.clock(), fingerprint, edges, runs, total_weight, trace_id, span_id
-            )
-        )
-
-    def on_fleet_shard(self, row: dict) -> None:
-        """Record one shard's final ``/status`` row (sharded serve only)."""
-        self.events.append(
-            FleetShard(
-                self.clock(),
-                int(row.get("shard", 0)),
-                queue_depth=int(row.get("queue_depth", 0)),
-                coalesce_ratio=float(row.get("coalesce_ratio", 0.0)),
-                busy_rejections=int(row.get("busy_rejections", 0)),
-                merges=int(row.get("merges", 0)),
-                routed=int(row.get("routed", 0)),
-                programs=int(row.get("programs", 0)),
             )
         )
 

@@ -101,40 +101,6 @@ def misbehaving_server():
         thread.join(5)
 
 
-def test_top_renders_per_shard_rows(misbehaving_server, capsys):
-    """A sharded frontend's /status (with its ``shards`` list) gets a
-    dedicated table: one row per worker, DOWN shards flagged."""
-    _Misbehaving.payload = json.dumps(
-        {
-            "service": "repro-fleet",
-            "workers": 2,
-            "programs": {},
-            "clients": {},
-            "totals": {"merges": 9, "rejected": 0, "busy": 1, "connections": 1},
-            "shards": [
-                {
-                    "shard": 0,
-                    "alive": True,
-                    "queue_depth": 3,
-                    "coalesce_ratio": 4.5,
-                    "busy_rejections": 1,
-                    "merges": 9,
-                    "programs": 2,
-                    "routed": 18,
-                },
-                {"shard": 1, "alive": False},
-            ],
-        }
-    ).encode()
-    host, port = misbehaving_server.server_address
-    assert main(["top", f"{host}:{port}", "--once"]) == 0
-    out = capsys.readouterr().out
-    assert "shards" in out
-    assert "Queue" in out and "Coalesce" in out and "Busy" in out
-    assert "DOWN" in out  # the dead shard is visible at a glance
-    assert "4.5" in out
-
-
 def test_top_without_shards_has_no_shard_table(tmp_path, capsys):
     with ServiceThread(str(tmp_path), http=True) as service:
         host, port = service.http_address

@@ -4,10 +4,9 @@ An ack means *validated and staged*; the merge and the snapshot write
 happen behind it.  The contract (docs/FLEET.md) names the points at
 which everything acked so far is on disk — a ``flush`` reply, a closed
 connection, a stopped service — and these tests hold each of them from
-outside the process, for ``serve`` and ``serve --workers 2``: publish,
-read the acks, end the server the hard way, boot a fresh one on the
-same root and compare fetched weight with published weight, exactly
-(weights are small integers).
+outside the process: publish, read the acks, end the server the hard
+way, boot a fresh one on the same root and compare fetched weight with
+published weight, exactly (weights are small integers).
 """
 
 from __future__ import annotations
@@ -21,8 +20,6 @@ import subprocess
 import sys
 import time
 
-import pytest
-
 import repro
 from repro.fleet.protocol import (
     fetch_message,
@@ -35,24 +32,18 @@ from repro.fleet.repository import ProfileRepository
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
-#: Six programs whose first-8-hex prefixes split evenly across 2 shards.
 FPS = [format(i, "x").rjust(8, "0") + "0" * 56 for i in range(6)]
 DELTAS = 60
 
-TOPOLOGIES = [1, pytest.param(2, marks=pytest.mark.slow)]
-
 
 class Served:
-    """``repro-mini serve`` in its own session (so the sharded service's
-    worker processes can be killed with it)."""
+    """``repro-mini serve`` as a real process."""
 
-    def __init__(self, root, workers: int):
+    def __init__(self, root):
         command = [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
                    "--root", str(root)]
-        if workers > 1:
-            command += ["--workers", str(workers)]
         self.process = subprocess.Popen(
-            command, stderr=subprocess.PIPE, text=True, start_new_session=True,
+            command, stderr=subprocess.PIPE, text=True,
             env=dict(os.environ, PYTHONPATH=SRC),
         )
         deadline = time.monotonic() + 60.0
@@ -73,11 +64,8 @@ class Served:
             raise AssertionError("serve did not start listening")
 
     def kill(self) -> None:
-        """``kill -9`` the whole service: frontend and shard workers."""
-        try:
-            os.killpg(self.process.pid, signal.SIGKILL)
-        except ProcessLookupError:
-            pass
+        """``kill -9`` the service."""
+        self.process.kill()
         self.process.wait(30)
         if not self.process.stderr.closed:
             self.log = self.process.stderr.read()
@@ -109,9 +97,9 @@ def publish_burst(sock) -> dict[str, int]:
     return published
 
 
-def fetched_weights(root, workers: int) -> dict[str, int]:
+def fetched_weights(root) -> dict[str, int]:
     """Boot a fresh service on ``root`` and fetch every fingerprint."""
-    server = Served(root, workers)
+    server = Served(root)
     try:
         with server.connect() as sock:
             weights = {}
@@ -126,11 +114,10 @@ def fetched_weights(root, workers: int) -> dict[str, int]:
         server.kill()
 
 
-@pytest.mark.parametrize("workers", TOPOLOGIES)
-def test_sigterm_stops_gracefully_and_loses_nothing(tmp_path, workers):
+def test_sigterm_stops_gracefully_and_loses_nothing(tmp_path):
     """``kill <pid>`` right after the last ack, connection still open:
     the staged tail is merged and persisted on the way out."""
-    server = Served(tmp_path, workers)
+    server = Served(tmp_path)
     sock = server.connect()
     try:
         published = publish_burst(sock)
@@ -143,13 +130,12 @@ def test_sigterm_stops_gracefully_and_loses_nothing(tmp_path, workers):
     assert returncode == 0, server.log
     assert "fleet service stopped" in server.log
     assert "Exception in callback" not in server.log
-    assert fetched_weights(tmp_path, workers) == published
+    assert fetched_weights(tmp_path) == published
 
 
-@pytest.mark.parametrize("workers", TOPOLOGIES)
-def test_flush_reply_is_a_durability_barrier(tmp_path, workers):
+def test_flush_reply_is_a_durability_barrier(tmp_path):
     """``kill -9`` straight after a ``flush`` reply loses nothing."""
-    server = Served(tmp_path, workers)
+    server = Served(tmp_path)
     try:
         with server.connect() as sock:
             published = publish_burst(sock)
@@ -160,14 +146,13 @@ def test_flush_reply_is_a_durability_barrier(tmp_path, workers):
         server.kill()
     assert stats["type"] == "stats"
     assert stats["merges"] == DELTAS and stats["staged"] == 0
-    assert fetched_weights(tmp_path, workers) == published
+    assert fetched_weights(tmp_path) == published
 
 
-@pytest.mark.parametrize("workers", TOPOLOGIES)
-def test_connection_close_is_a_durability_barrier(tmp_path, workers):
+def test_connection_close_is_a_durability_barrier(tmp_path):
     """Publish, hang up without a flush: the snapshots on disk reach the
     published weight on their own, and survive a ``kill -9`` after."""
-    server = Served(tmp_path, workers)
+    server = Served(tmp_path)
     try:
         with server.connect() as sock:
             published = publish_burst(sock)
@@ -185,4 +170,4 @@ def test_connection_close_is_a_durability_barrier(tmp_path, workers):
         assert repository.quarantined == 0  # never saw a torn snapshot
     finally:
         server.kill()
-    assert fetched_weights(tmp_path, workers) == published
+    assert fetched_weights(tmp_path) == published

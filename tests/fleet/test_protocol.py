@@ -12,9 +12,11 @@ from repro.fleet.protocol import (
     ProtocolError,
     decode_payload,
     encode_message,
+    extract_fingerprint,
     fetch_message,
     publish_message,
     read_message,
+    stats_message,
 )
 
 
@@ -37,6 +39,21 @@ def test_messages_carry_version_and_type():
     ):
         assert message["v"] == PROTOCOL_VERSION
         assert isinstance(message["type"], str)
+
+
+def test_extract_fingerprint_without_full_parse():
+    fp = "ab" * 32
+    payload = encode_message(publish_message(fp, [["m", 0, "f", 1.0]], "r1"))[4:]
+    assert extract_fingerprint(payload) == fp
+    # A fingerprint-free frame yields None; junk yields None.
+    assert extract_fingerprint(encode_message(stats_message())[4:]) is None
+    assert extract_fingerprint(b"\xff\xfenot json") is None
+    # A quote-bearing string value before the key cannot fool the scan:
+    # quotes inside JSON strings are always escaped, forcing fallback.
+    tricky = json.dumps(
+        {"note": 'fake \\"fingerprint\\":\\"00\\" here', "fingerprint": fp}
+    ).encode()
+    assert extract_fingerprint(tricky) == fp
 
 
 def test_decode_rejects_garbage():

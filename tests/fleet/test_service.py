@@ -4,6 +4,8 @@ import asyncio
 import socket
 import struct
 
+import pytest
+
 from repro.fleet.merge import AggregateProfile, MergePolicy
 from repro.fleet.protocol import (
     fetch_message,
@@ -167,6 +169,30 @@ def test_malformed_publish_gets_error_not_disconnect(tmp_path):
     assert ack["type"] == "ack"
     assert service.publishes_rejected == 1
     assert service.merges == 1
+
+
+@pytest.mark.parametrize("kind", ["shutdown", "status"])
+def test_retired_worker_kinds_are_unknown_messages(tmp_path, kind):
+    """The two kinds only shard workers understood are outside input
+    now: an ``error`` reply, the service keeps serving, and the
+    connection stays usable."""
+
+    async def go():
+        service = await start_service(tmp_path)
+        reader, writer = await asyncio.open_connection(*service.address)
+        await write_message(writer, {"v": 1, "type": kind})
+        error = await read_message(reader)
+        await write_message(writer, stats_message())
+        stats = await read_message(reader)
+        writer.close()
+        await writer.wait_closed()
+        await service.stop()
+        return error, stats
+
+    error, stats = run(go())
+    assert error["type"] == "error"
+    assert error["reason"] == f"unknown message type {kind!r}"
+    assert stats["type"] == "stats"
 
 
 def test_bad_weights_rejected_by_service(tmp_path):

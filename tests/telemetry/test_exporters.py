@@ -1,6 +1,5 @@
 """Exporter formats: Chrome trace_event schema validity, JSONL round
-trip, auto-detection, and the report summarizer (including the
-sharded-serve ``fleet_shards`` section)."""
+trip, auto-detection, and the report summarizer."""
 
 import json
 
@@ -166,65 +165,32 @@ def test_load_trace_rejects_garbage(tmp_path):
         load_trace(str(missing_key))
 
 
-def test_fleet_shard_events_surface_in_summary_and_json():
-    """A sharded-serve trace (fleet_shard events at shutdown) yields a
-    per-shard table in the text report and a ``fleet_shards`` list in
-    the --json mirror — latest event per shard wins."""
-    from repro.telemetry.exporters import LoadedTrace
-    from repro.telemetry.summary import summarize_trace as render
-    from repro.telemetry.summary import summary_dict
-
-    def shard_event(shard, routed, merges):
-        return {
-            "name": "fleet_shard",
-            "ts": 0,
-            "args": {
-                "shard": shard,
-                "queue_depth": 0,
-                "coalesce_ratio": 3.25,
-                "busy_rejections": 1,
-                "merges": merges,
-                "routed": routed,
-                "programs": 2,
-            },
-        }
-
-    trace = LoadedTrace(
-        format="jsonl",
-        events=[
-            shard_event(0, 10, 4),
-            shard_event(1, 3, 1),
-            shard_event(1, 8, 5),  # later event for shard 1 supersedes
-        ],
-    )
-    text = render(trace)
-    assert "fleet shards" in text
-    assert "coalesce" in text
-
-    data = summary_dict(trace)
-    rows = data["fleet_shards"]
-    assert [row["shard"] for row in rows] == [0, 1]
-    assert rows[1]["routed"] == 8 and rows[1]["merges"] == 5
-    assert rows[0]["coalesce_ratio"] == 3.25
+OLD_SHARDED_SERVE_TRACE = """\
+{"record": "header", "format": "repro-telemetry", "version": 1, "clock": "virtual"}
+{"record": "event", "name": "fleet_merge", "ts": 5, "args": {"fingerprint": "ab", "edges": 2, "runs": 1, "total_weight": 3.0}}
+{"record": "event", "name": "fleet_shard", "ts": 9, "args": {"shard": 1, "queue_depth": 0, "coalesce_ratio": 3.25, "busy_rejections": 1, "merges": 5, "routed": 8, "programs": 2}}
+"""
 
 
-def test_tracer_records_fleet_shard_event():
-    from repro.telemetry import Tracer
+def test_old_sharded_serve_trace_still_loads(tmp_path, capsys):
+    """``serve --workers N --trace`` used to append ``fleet_shard``
+    events; the event type is gone, but such a file still loads and
+    reports, with those events ignored."""
+    from repro.cli import main
+    from repro.telemetry import EVENT_TYPES
 
-    tracer = Tracer()
-    tracer.on_fleet_shard(
-        {
-            "shard": 1,
-            "queue_depth": 2,
-            "coalesce_ratio": 1.5,
-            "busy_rejections": 0,
-            "merges": 7,
-            "routed": 20,
-            "programs": 3,
-        }
-    )
-    events = [e for e in tracer.events if e.name == "fleet_shard"]
-    assert len(events) == 1
-    assert events[0].shard == 1
-    assert events[0].merges == 7
-    assert events[0].coalesce_ratio == 1.5
+    assert "fleet_shard" not in EVENT_TYPES
+    path = tmp_path / "old-serve.jsonl"
+    path.write_text(OLD_SHARDED_SERVE_TRACE)
+    trace = load_trace(str(path))
+    assert [event["name"] for event in trace.events] == ["fleet_merge", "fleet_shard"]
+
+    assert main(["report", str(path)]) == 0
+    text = capsys.readouterr().out
+    assert "fleet deltas merged" in text
+    assert "fleet shards" not in text
+
+    assert main(["report", str(path), "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert "fleet_shards" not in data
+    assert ["fleet deltas merged", 1] in data["pipeline"]

@@ -281,6 +281,18 @@ def test_serve_rejects_bad_root(tmp_path):
         main(["serve", "--root", str(blocker / "sub"), "--port", "0"])
 
 
+@pytest.mark.parametrize("command", ["serve", "fleet-bench"])
+def test_workers_flag_is_gone(command, tmp_path, capsys):
+    """One fleet topology: ``--workers`` is an argparse usage error."""
+    argv = [command, "--workers", "2"]
+    if command == "serve":
+        argv[1:1] = ["--root", str(tmp_path), "--port", "0"]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
+
 def test_cbs_knobs_reach_the_profiler():
     """--skip-policy/--seed/--context-depth are plumbed into CBSProfiler."""
     from repro.cli import _profiler_for, build_parser
