@@ -179,9 +179,15 @@ JIT_SPEEDUP_FLOORS = {"arith": 2.0, "calls": 2.0}
 #: ROADMAP item 2's floors for a call site past its two baked guards:
 #: overflow (4 classes) and megamorphic (16) receivers stay in generated
 #: code.  Full-size kernels only — ``--quick``'s 4 000 iterations end
-#: before the one compile they need has paid for itself (they read
-#: 2.2-2.4x / 2.0-2.1x).
-JIT_FULL_RUN_FLOORS = {"virtcalls4": 2.5, "virtcalls16": 2.0}
+#: before the one compile they need has paid for itself.  They were
+#: 2.5 / 2.0 until the interpreter these ratios divide by got faster
+#: (PR 23, dispatch tree): in three alternating full runs
+#: ``fused_steps_per_sec`` rose 1.342x on virtcalls4 and 1.332x on
+#: virtcalls16 with ``jit_steps_per_sec`` at 1.00x / 1.04x, so each
+#: floor is the old one over that ratio (the kernels read 2.50-2.57x
+#: and 2.29-2.38x, from 3.41-3.45x and 2.92-3.22x).  The arith / calls
+#: floors above did not need it (4.2x and 2.8x against 2.0).
+JIT_FULL_RUN_FLOORS = {"virtcalls4": 1.86, "virtcalls16": 1.5}
 
 #: Host-timing configurations measured per repeat, interleaved.
 _CONFIGS = (
@@ -260,8 +266,8 @@ def check_against_baseline(
       nothing about a full run);
     * the absolute :data:`IC_SPEEDUP_FLOORS` (jess ≥ 1.25x etc.) and
       :data:`JIT_SPEEDUP_FLOORS` (arith/calls ≥ 2x) hold regardless of
-      the baseline, and :data:`JIT_FULL_RUN_FLOORS` (virtcalls4 ≥ 2.5x,
-      virtcalls16 ≥ 2x) on a full run.
+      the baseline, and :data:`JIT_FULL_RUN_FLOORS` (virtcalls4 ≥ 1.86x,
+      virtcalls16 ≥ 1.5x) on a full run.
 
     Workload names are matched by kernel prefix so a ``--quick`` check
     (jess-tiny) can run against a full baseline (jess-small).

@@ -177,8 +177,9 @@ def _null(message: str) -> FaultSpec:
 
 
 #: The instruction set, one row per opcode.  Order is the enum order;
-#: dispatch-arm ordering (hot ops first) is a generator concern, not a
-#: spec concern (see repro.vm.dispatchgen.RAW_ORDER / FUSED_ORDER).
+#: how the interpreter finds an arm (a comparison tree over the opcode
+#: numbers, laid out from measured counts) is a generator concern, not
+#: a spec concern (see repro.vm.dispatchgen.ARM_WEIGHTS / build_tree).
 OPCODE_SPECS: tuple[OpSpec, ...] = (
     OpSpec(Op.PUSH, 2, 0, 1, "push_const", fusable=True),
     OpSpec(Op.PUSH_NULL, 1, 0, 1, "push_null"),

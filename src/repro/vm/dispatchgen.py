@@ -4,7 +4,9 @@
 :mod:`repro.vm._dispatch` (the committed file holding ``_loop``);
 ``--check`` exits nonzero if the committed file differs from what the
 specs produce (the ``spec-smoke`` CI job runs this, so hand-edits to the
-generated loop or spec/loop drift cannot land silently).
+generated loop or spec/loop drift cannot land silently) and prints the
+expected comparisons per dispatch; ``--measure`` re-counts the
+dispatches :data:`ARM_WEIGHTS` records.
 
 The generator is the single place dispatch semantics are spelled out:
 
@@ -16,6 +18,12 @@ The generator is the single place dispatch semantics are spelled out:
   the fuser packs operands with, so handler and fuser cannot disagree,
 * **IC arms** reuse the call/return specs (fault modes, step-limit
   class) with the entry layouts from :mod:`repro.vm.ic`,
+* **arm selection** is a comparison tree laid out from measured dispatch
+  counts (:data:`ARM_WEIGHTS`, :func:`build_tree`): ``op < K`` splits
+  over the opcode numbers down to short ``op == X`` chains, so a
+  dispatch pays about four tests on ``op`` instead of a walk down 73
+  ``elif`` arms, and a new arm costs one more leaf entry, not one more
+  test on every arm behind it,
 * **every fault and step-limit raise site** is emitted by exactly one
   helper each (:func:`_fault_raise` / :func:`_step_limit_raise`), which
   is what keeps the error-parity invariant — sync
@@ -35,6 +43,7 @@ import argparse
 import difflib
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 from repro.bytecode.opcodes import OPCODE_SPECS, FaultSpec, Op, spec_of
 from repro.vm import fuse as fusion
@@ -48,86 +57,98 @@ TARGET = Path(__file__).resolve().parent / "_dispatch.py"
 VIEW_FIELDS = ("fops", "a", "b", "fcosts", "fa", "fb", "origins", "ics")
 VIEW_LOCALS = ("ops", "aarg", "barg", "costs", "faarg", "fbarg", "origins", "ics")
 
-#: Raw dispatch-arm order, hottest first (measured; IC call/return arms
-#: sit ahead of the cold object/array tail).  Tuples share one arm.
-RAW_ORDER = (
-    Op.LOAD,
-    Op.PUSH,
-    "IC_CALL_VIRTUAL",
-    ("IC_RETURN_VAL", "IC_RETURN"),
-    "IC_CALL_STATIC",
-    Op.GETFIELD,
-    Op.STORE,
-    Op.ADD,
-    Op.SUB,
-    Op.MUL,
-    Op.LT,
-    Op.LE,
-    Op.GT,
-    Op.GE,
-    Op.EQ,
-    Op.NE,
-    Op.JUMP,
-    Op.JUMP_IF_FALSE,
-    Op.JUMP_IF_TRUE,
-    (Op.CALL_STATIC, Op.CALL_VIRTUAL),
-    (Op.RETURN, Op.RETURN_VAL),
-    Op.PUTFIELD,
-    Op.DUP,
-    Op.POP,
-    Op.PUSH_NULL,
-    (Op.DIV, Op.MOD),
-    Op.NEG,
-    Op.NOT,
-    Op.NEW,
-    Op.IS_EXACT,
-    Op.GUARD_METHOD,
-    Op.NEW_ARRAY,
-    Op.ALOAD,
-    Op.ASTORE,
-    Op.ARRAY_LEN,
-    Op.PRINT,
-    Op.NOP,
-)
+#: Measured dispatch counts per opcode, in parts per million of all
+#: dispatches: the 13 benchsuite programs at ``tiny``, each run plain,
+#: hooked and profile-optimised and each given equal weight.  The tree
+#: is laid out from this table; re-measure (never hand-edit) with
+#: ``python -m repro.vm.dispatchgen --measure`` and paste its output.
+ARM_WEIGHTS = {
+    "PUSH": 32808,
+    "PUSH_NULL": 3066,
+    "POP": 13593,
+    "DUP": 23049,
+    "LOAD": 54325,
+    "STORE": 25021,
+    "ADD": 18632,
+    "SUB": 9183,
+    "MUL": 5628,
+    "DIV": 4843,
+    "MOD": 15140,
+    "NEG": 0,
+    "NOT": 93,
+    "LT": 11653,
+    "LE": 1237,
+    "GT": 2540,
+    "GE": 6653,
+    "EQ": 2644,
+    "NE": 1631,
+    "JUMP": 57179,
+    "JUMP_IF_FALSE": 39350,
+    "JUMP_IF_TRUE": 2249,
+    "CALL_STATIC": 33,
+    "CALL_VIRTUAL": 162,
+    "RETURN": 0,
+    "RETURN_VAL": 0,
+    "NEW": 3989,
+    "GETFIELD": 46280,
+    "PUTFIELD": 13225,
+    "IS_EXACT": 0,
+    "GUARD_METHOD": 4888,
+    "NEW_ARRAY": 380,
+    "ALOAD": 48375,
+    "ASTORE": 17840,
+    "ARRAY_LEN": 4015,
+    "PRINT": 21,
+    "NOP": 0,
+    "IC_CALL_VIRTUAL": 30059,
+    "IC_CALL_STATIC": 1924,
+    "IC_RETURN": 3862,
+    "IC_RETURN_VAL": 10409,
+    "F_LOAD_LOAD": 85929,
+    "F_LOAD_PUSH": 13482,
+    "F_LOAD_ADD": 11806,
+    "F_LOAD_SUB": 2362,
+    "F_LOAD_MUL": 1154,
+    "F_LOAD_GETFIELD": 92702,
+    "F_PUSH_STORE": 4566,
+    "F_PUSH_ADD": 12575,
+    "F_PUSH_SUB": 2799,
+    "F_PUSH_MUL": 4285,
+    "F_PUSH_MOD": 37863,
+    "F_STORE_LOAD": 60655,
+    "F_LT_JIF": 22203,
+    "F_LE_JIF": 0,
+    "F_GT_JIF": 106,
+    "F_GE_JIF": 2922,
+    "F_EQ_JIF": 7035,
+    "F_NE_JIF": 6987,
+    "F_LOAD_RET": 1741,
+    "F_LOAD_PUSH_ADD": 835,
+    "F_LOAD_PUSH_SUB": 6848,
+    "F_LOAD_PUSH_MUL": 15727,
+    "F_LOAD_LOAD_ADD": 2708,
+    "F_PUSH_ADD_STORE": 10948,
+    "F_LOAD_GETFIELD_STORE": 3726,
+    "F_LOAD_PUSH_ADD_STORE": 34617,
+    "F_LOAD_PUSH_ADD_RET": 99,
+    "F_LOAD_PUSH_LT_JIF": 8172,
+    "F_LOAD_PUSH_LE_JIF": 0,
+    "F_LOAD_PUSH_GT_JIF": 2951,
+    "F_LOAD_PUSH_GE_JIF": 624,
+    "F_LOAD_PUSH_EQ_JIF": 1421,
+    "F_LOAD_PUSH_NE_JIF": 0,
+    "F_LOAD_LOAD_LT_JIF": 22148,
+    "F_LOAD_LOAD_LE_JIF": 0,
+    "F_LOAD_LOAD_GT_JIF": 2028,
+    "F_LOAD_LOAD_GE_JIF": 0,
+}
 
-#: Fused dispatch-arm order, hottest first; tuples share one arm.
-FUSED_ORDER = (
-    "F_LOAD_PUSH_LT_JIF",
-    "F_LOAD_PUSH_ADD_STORE",
-    "F_PUSH_ADD_STORE",
-    "F_LOAD_PUSH_ADD",
-    "F_STORE_LOAD",
-    "F_LOAD_ADD",
-    "F_PUSH_MOD",
-    "F_LOAD_PUSH_MUL",
-    ("F_LOAD_PUSH_ADD_RET", "F_LOAD_RET"),
-    "F_LOAD_LOAD",
-    "F_LOAD_PUSH",
-    "F_LOAD_GETFIELD",
-    "F_LOAD_GETFIELD_STORE",
-    "F_PUSH_STORE",
-    "F_PUSH_ADD",
-    "F_PUSH_SUB",
-    "F_PUSH_MUL",
-    "F_LOAD_SUB",
-    "F_LOAD_MUL",
-    "F_LOAD_PUSH_SUB",
-    "F_LOAD_LOAD_ADD",
-    "F_LOAD_PUSH_LE_JIF",
-    "F_LOAD_PUSH_GT_JIF",
-    "F_LOAD_PUSH_GE_JIF",
-    "F_LOAD_PUSH_EQ_JIF",
-    "F_LOAD_PUSH_NE_JIF",
-    "F_LOAD_LOAD_LT_JIF",
-    "F_LOAD_LOAD_LE_JIF",
-    "F_LOAD_LOAD_GT_JIF",
-    "F_LOAD_LOAD_GE_JIF",
-    "F_LT_JIF",
-    "F_LE_JIF",
-    "F_GT_JIF",
-    "F_GE_JIF",
-    "F_EQ_JIF",
-    "F_NE_JIF",
+#: Opcodes that share one arm body (adjacent numbers, one ``or`` test).
+SHARED_ARMS = (
+    ("DIV", "MOD"),
+    ("CALL_STATIC", "CALL_VIRTUAL"),
+    ("RETURN", "RETURN_VAL"),
+    ("IC_RETURN", "IC_RETURN_VAL"),
 )
 
 #: fuse-module attribute name -> fused id, and back.
@@ -135,6 +156,17 @@ _F_BY_NAME = {
     name: value
     for name, value in vars(fusion).items()
     if name.startswith("F_") and isinstance(value, int)
+}
+
+#: Every dispatchable opcode number, by the name ARM_WEIGHTS keys it with.
+OPCODE_NUMBERS = {
+    **{spec.op.name: int(spec.op) for spec in OPCODE_SPECS},
+    **{
+        name[len("OP_") :]: value
+        for name, value in vars(icache).items()
+        if name.startswith("OP_IC_")
+    },
+    **_F_BY_NAME,
 }
 
 #: Fault-message template variables that are not literal handler locals.
@@ -1250,58 +1282,42 @@ def _emit_fused_branch_arm(em: Emitter, fid: int) -> None:
             _fused_branch_tail(em, arity, bind_target=False)
 
 
-def _emit_fused_return_arm(em: Emitter, fids: tuple[int, ...]) -> None:
-    """RETURN_VAL tails, merged into one arm: compute the value from the
-    prefix, then the shared epilogue/frame-pop sequence."""
-    for i, fid in enumerate(fids):
-        comps, opnd, _unpack = _operand_exprs(fid)
-        arity = len(comps)
-        sim: list[_Val] = []
-        for idx, comp in enumerate(comps[:-1]):
-            spec = spec_of(comp)
-            if spec.kind == "load":
-                sim.append(_Val(f"locals_[{opnd[idx]}]", "load"))
-            elif spec.kind == "push_const":
-                sim.append(_Val(opnd[idx], "push"))
-            elif spec.kind == "binop":
-                right = sim.pop()
-                left = sim.pop()
-                sim.append(
-                    _Val(
-                        f"{left.expr} {_BINOP_SYMS[spec.arg]} {right.expr}",
-                        "derived",
-                    )
+def _emit_fused_return_arm(em: Emitter, fid: int) -> None:
+    """RETURN_VAL tails: compute the value from the prefix, then the
+    shared epilogue/frame-pop sequence."""
+    comps, opnd, _unpack = _operand_exprs(fid)
+    arity = len(comps)
+    sim: list[_Val] = []
+    for idx, comp in enumerate(comps[:-1]):
+        spec = spec_of(comp)
+        if spec.kind == "load":
+            sim.append(_Val(f"locals_[{opnd[idx]}]", "load"))
+        elif spec.kind == "push_const":
+            sim.append(_Val(opnd[idx], "push"))
+        elif spec.kind == "binop":
+            right = sim.pop()
+            left = sim.pop()
+            sim.append(
+                _Val(
+                    f"{left.expr} {_BINOP_SYMS[spec.arg]} {right.expr}",
+                    "derived",
                 )
-            else:  # pragma: no cover - pattern audit
-                raise AssertionError(f"unexpected return prefix {comp.name}")
-        assert len(sim) == 1, "return tail must net one value"
-        header = f"if op == {_attr_name(fid)}:" if i == 0 else "else:"
-        if len(fids) == 1:
-            for line in _value_block(sim[0].expr, arity):
-                em(line)
-        else:
-            em(header)
-            with em.indent():
-                for line in _value_block(sim[0].expr, arity):
-                    em(line)
+            )
+        else:  # pragma: no cover - pattern audit
+            raise AssertionError(f"unexpected return prefix {comp.name}")
+    assert len(sim) == 1, "return tail must net one value"
+    em(f"steps += {arity}")
+    em(f"value = {sim[0].expr}")
     em("time += return_cost")
     em("if epilogue_yp and self.yieldpoint_flag != 0:")
     with em.indent():
         em("self.time = time")
         em("self.call_count = call_count")
-        em("frame.pc = epilogue_pc")
+        em(f"frame.pc = pc + {arity - 1}")
         em("self._take_yieldpoint(EPILOGUE)")
         em("time = self.time")
     _emit_frame_pop(em, views="longhand")
     em("stack.append(value)")
-
-
-def _value_block(value_expr: str, arity: int) -> list[str]:
-    return [
-        f"steps += {arity}",
-        f"value = {value_expr}",
-        f"epilogue_pc = pc + {arity - 1}",
-    ]
 
 
 # -- loop assembly ------------------------------------------------------------
@@ -1326,8 +1342,10 @@ time += cost
 fused_n += 1
 """
 
-#: The two can't-happen arms: the verifier (raw) and the fuse/loop
-#: agreement test (fused) keep them unreachable, but they still sync
+#: No arm owns the number.  Every tree leaf ends in ``else: break`` and
+#: the raise sits once per path after the loop, not once per leaf.  The
+#: verifier (raw) and the fuse/loop agreement test (fused) keep both
+#: unreachable from compiled programs; a hand-patched stream still syncs
 #: counters exactly like every other fault.
 _UNKNOWN_OPCODE = FaultSpec("unknown_opcode", "VMError", "unknown opcode {op}")
 _UNKNOWN_SUPER = FaultSpec(
@@ -1335,112 +1353,207 @@ _UNKNOWN_SUPER = FaultSpec(
 )
 
 
-def _op_const(entry) -> str:
-    return f"OP_{entry.name}" if isinstance(entry, Op) else f"OP_{entry}"
+class Leaf(NamedTuple):
+    """An ``if/elif`` chain of ``op == X`` tests, heaviest arm first,
+    whose ``else`` is the unknown-opcode exit.  An arm is the tuple of
+    opcode names that share its body."""
+
+    arms: tuple[tuple[str, ...], ...]
 
 
-def _arm_test(entry, names=None) -> str:
-    items = entry if isinstance(entry, tuple) else (entry,)
-    if names is None:
-        return " or ".join(f"op == {_op_const(e)}" for e in items)
-    return " or ".join(f"op == {e}" for e in items)
+class Split(NamedTuple):
+    """``if op < pivot:`` *below* ``else:`` *above*."""
+
+    pivot: int
+    below: "Split | Leaf"
+    above: "Split | Leaf"
 
 
-def _emit_raw_arm_body(em: Emitter, entry) -> None:
-    if entry == "IC_CALL_VIRTUAL":
+def _check_coverage() -> None:
+    """Every opcode and every superinstruction must own exactly one
+    weight, hence exactly one arm."""
+    assert set(ARM_WEIGHTS) == set(OPCODE_NUMBERS), (
+        "ARM_WEIGHTS does not cover the opcode set exactly: "
+        f"{set(ARM_WEIGHTS) ^ set(OPCODE_NUMBERS)}"
+    )
+    assert set(_F_BY_NAME.values()) == set(fusion.FUSED_COMPONENTS), (
+        "fuse-module names do not cover the fuse table exactly: "
+        f"{set(_F_BY_NAME.values()) ^ set(fusion.FUSED_COMPONENTS)}"
+    )
+    assert len(set(OPCODE_NUMBERS.values())) == len(OPCODE_NUMBERS), "opcode number clash"
+    for arm in SHARED_ARMS:
+        numbers = sorted(OPCODE_NUMBERS[name] for name in arm)
+        assert numbers == list(range(numbers[0], numbers[0] + len(arm))), (
+            f"shared arm {arm} is not a run of adjacent numbers"
+        )
+
+
+def _weight(*names: str) -> int:
+    """Tree weight of an arm.  A zero count weighs 1, so a run of
+    never-measured arms is split evenly, not chained without bound."""
+    return sum(max(ARM_WEIGHTS[name], 1) for name in names)
+
+
+def _arms(raw: bool) -> list[tuple[str, ...]]:
+    """The raw+IC or the fused arms in opcode-number order."""
+    shared = {}
+    for arm in SHARED_ARMS:
+        arm = tuple(sorted(arm, key=lambda name: (-_weight(name), OPCODE_NUMBERS[name])))
+        shared.update(dict.fromkeys(arm, arm))
+    arms: list[tuple[str, ...]] = []
+    for name in sorted(OPCODE_NUMBERS, key=OPCODE_NUMBERS.get):
+        arm = shared.get(name, (name,))
+        if (OPCODE_NUMBERS[name] < fusion.FUSE_BASE) == raw and arm not in arms:
+            arms.append(arm)
+    return arms
+
+
+def _chain(arms) -> tuple[int, Leaf]:
+    """``arms`` as one leaf, and the weighted ``op == X`` tests it costs."""
+    chain = sorted(arms, key=lambda arm: (-_weight(*arm), OPCODE_NUMBERS[arm[0]]))
+    tests = cost = 0
+    for arm in chain:
+        for name in arm:
+            tests += 1
+            cost += tests * _weight(name)
+    return cost, Leaf(tuple(chain))
+
+
+def build_tree(raw: bool) -> "Split | Leaf":
+    """The comparison tree over the raw+IC arms or over the fused arms.
+
+    Of all trees whose inner nodes split the number line at ``op < K``
+    and whose leaves are ``op == X`` chains, the one costing the fewest
+    expected comparisons under :data:`ARM_WEIGHTS` (the interval dynamic
+    programme of an optimal alphabetic tree; a tie goes to the chain,
+    then to the lowest pivot).
+    """
+    arms = _arms(raw)
+    best: dict[tuple[int, int], tuple[int, Split | Leaf]] = {}
+    for span in range(1, len(arms) + 1):
+        for lo in range(len(arms) - span + 1):
+            hi = lo + span
+            choice = _chain(arms[lo:hi])
+            entered = sum(_weight(*arm) for arm in arms[lo:hi])
+            for mid in range(lo + 1, hi):
+                cost = entered + best[lo, mid][0] + best[mid, hi][0]
+                if cost < choice[0]:
+                    pivot = min(OPCODE_NUMBERS[name] for name in arms[mid])
+                    choice = (cost, Split(pivot, best[lo, mid][1], best[mid, hi][1]))
+            best[lo, hi] = choice
+    return best[0, len(arms)][1]
+
+
+def tree_path(node: "Split | Leaf", number: int) -> tuple[tuple[str, ...] | None, int]:
+    """Walk ``node`` as the generated code does for opcode ``number``:
+    the arm reached (``None`` for the unknown-opcode exit) and the
+    comparisons on ``op`` spent getting there."""
+    tests = 0
+    while isinstance(node, Split):
+        tests += 1
+        node = node.below if number < node.pivot else node.above
+    for arm in node.arms:
+        for name in arm:
+            tests += 1
+            if OPCODE_NUMBERS[name] == number:
+                return arm, tests
+    return None, tests
+
+
+def expected_comparisons() -> float:
+    """Comparisons on ``op`` per dispatch below the ``op < FUSE_BASE``
+    root, averaged over :data:`ARM_WEIGHTS`."""
+    trees = {True: build_tree(raw=True), False: build_tree(raw=False)}
+    total = 0
+    for name, weight in ARM_WEIGHTS.items():
+        number = OPCODE_NUMBERS[name]
+        total += weight * tree_path(trees[number < fusion.FUSE_BASE], number)[1]
+    return total / sum(ARM_WEIGHTS.values())
+
+
+def _emit_raw_arm_body(em: Emitter, arm: tuple[str, ...]) -> None:
+    name = arm[0]
+    if name == "IC_CALL_VIRTUAL":
         _emit_ic_virtual_arm(em)
-    elif entry == "IC_CALL_STATIC":
+    elif name == "IC_CALL_STATIC":
         _emit_ic_static_arm(em)
-    elif entry == ("IC_RETURN_VAL", "IC_RETURN"):
+    elif name.startswith("IC_RETURN"):
         em("# Quickened return: identical to the raw handler but")
         em("# restores the caller's cached views in one unpack.")
         _emit_return_arm(em, valop="OP_IC_RETURN_VAL", views="tuple")
-    elif entry == (Op.CALL_STATIC, Op.CALL_VIRTUAL):
-        _emit_call_arm(em)
-    elif entry == (Op.RETURN, Op.RETURN_VAL):
-        _emit_return_arm(em, valop="OP_RETURN_VAL", views="longhand")
-    elif entry == (Op.DIV, Op.MOD):
-        _emit_divmod_arm(em)
-    elif isinstance(entry, Op):
-        spec = spec_of(entry)
-        if spec.kind == "jump":
+    else:
+        kind = spec_of(Op[name]).kind
+        if kind == "call":
+            _emit_call_arm(em)
+        elif kind == "return":
+            _emit_return_arm(em, valop="OP_RETURN_VAL", views="longhand")
+        elif kind == "divmod":
+            _emit_divmod_arm(em)
+        elif kind == "jump":
             _emit_jump_arm(em)
-        elif spec.kind == "branch":
-            _emit_branch_arm(em, entry)
+        elif kind == "branch":
+            _emit_branch_arm(em, Op[name])
         else:
-            _emit_simple_raw_arm(em, entry)
-    else:  # pragma: no cover - order-table audit
-        raise AssertionError(f"unhandled RAW_ORDER entry {entry!r}")
+            _emit_simple_raw_arm(em, Op[name])
 
 
-def _emit_fused_arm_body(em: Emitter, entry) -> None:
-    if isinstance(entry, tuple):
-        _emit_fused_return_arm(em, tuple(_F_BY_NAME[name] for name in entry))
-        return
-    fid = _F_BY_NAME[entry]
+def _emit_fused_arm_body(em: Emitter, arm: tuple[str, ...]) -> None:
+    (name,) = arm
+    fid = _F_BY_NAME[name]
     tail = Op(fusion.FUSED_COMPONENTS[fid][-1])
     if spec_of(tail).kind == "branch":
         _emit_fused_branch_arm(em, fid)
     elif spec_of(tail).kind == "return":
-        _emit_fused_return_arm(em, (fid,))
+        _emit_fused_return_arm(em, fid)
     else:
         _emit_fused_data_arm(em, fid)
 
 
-def _check_coverage() -> None:
-    """Every opcode and every superinstruction must own exactly one arm."""
-    raw: list = []
-    for entry in RAW_ORDER:
-        for item in entry if isinstance(entry, tuple) else (entry,):
-            if isinstance(item, Op):
-                raw.append(item)
-    assert len(raw) == len(set(raw)), "duplicate raw arm"
-    assert set(raw) == {spec.op for spec in OPCODE_SPECS}, (
-        "RAW_ORDER does not cover the opcode set exactly: "
-        f"{set(raw) ^ {spec.op for spec in OPCODE_SPECS}}"
-    )
-    fused: list = []
-    for entry in FUSED_ORDER:
-        for name in entry if isinstance(entry, tuple) else (entry,):
-            fused.append(_F_BY_NAME[name])
-    assert len(fused) == len(set(fused)), "duplicate fused arm"
-    assert set(fused) == set(fusion.FUSED_COMPONENTS), (
-        "FUSED_ORDER does not cover the fuse table exactly: "
-        f"{set(fused) ^ set(fusion.FUSED_COMPONENTS)}"
-    )
+def _emit_tree(em: Emitter, node: "Split | Leaf") -> None:
+    if isinstance(node, Split):
+        em(f"if op < {node.pivot}:")
+        with em.indent():
+            _emit_tree(em, node.below)
+        em("else:")
+        with em.indent():
+            _emit_tree(em, node.above)
+        return
+    for i, arm in enumerate(node.arms):
+        fused = arm[0] in _F_BY_NAME
+        test = " or ".join(f"op == {name if fused else 'OP_' + name}" for name in arm)
+        em(f"{'elif' if i else 'if'} {test}:")
+        with em.indent():
+            (_emit_fused_arm_body if fused else _emit_raw_arm_body)(em, arm)
+    em("else:")
+    with em.indent():
+        em("break")
 
 
-def _emit_loop(em: Emitter) -> None:
+def _emit_loop(em: Emitter, counting: bool) -> None:
     em("def _loop(self):  # noqa: C901 - deliberately one flat hot loop")
     with em.indent():
         _emit_preamble(em)
         em("while True:")
         with em.indent():
             em("op = ops[pc]")
+            if counting:
+                em("_hist[op] += 1")
             em("if op < FUSE_BASE:")
             with em.indent():
                 em.raw(_RAW_HEAD)
-                for i, entry in enumerate(RAW_ORDER):
-                    kw = "if" if i == 0 else "elif"
-                    em(f"{kw} {_arm_test(entry)}:")
-                    with em.indent():
-                        _emit_raw_arm_body(em, entry)
-                em("else:  # pragma: no cover - verifier rejects unknown opcodes")
-                with em.indent():
-                    _fault_raise(em, _UNKNOWN_OPCODE)
+                _emit_tree(em, build_tree(raw=True))
             em("else:")
             with em.indent():
                 em.raw(_FUSED_HEAD)
-                for i, entry in enumerate(FUSED_ORDER):
-                    names = entry if isinstance(entry, tuple) else (entry,)
-                    kw = "if" if i == 0 else "elif"
-                    em(f"{kw} {_arm_test(entry, names=names)}:")
-                    with em.indent():
-                        _emit_fused_arm_body(em, entry)
-                em("else:  # pragma: no cover - fuse table and loop agree by test")
-                with em.indent():
-                    _fault_raise(em, _UNKNOWN_SUPER)
+                _emit_tree(em, build_tree(raw=False))
         em()
+        em("if frames:")
+        with em.indent():
+            em("# A tree leaf's ``else: break``: no arm owns ``op``.")
+            em("if op < FUSE_BASE:")
+            with em.indent():
+                _fault_raise(em, _UNKNOWN_OPCODE)
+            _fault_raise(em, _UNKNOWN_SUPER)
         em("self.time = time")
         em("self.steps = steps")
         em("self.call_count = call_count")
@@ -1449,7 +1562,10 @@ def _emit_loop(em: Emitter) -> None:
         em("return result")
 
 
-def generate_source() -> str:
+def generate_source(*, counting: bool = False) -> str:
+    """The text of :mod:`repro.vm._dispatch`.  ``counting`` adds the one
+    ``_hist[op] += 1`` line ``--measure`` counts dispatches with; that
+    variant is exec'd from memory and never written anywhere."""
     _check_coverage()
     em = Emitter()
     em.raw(_MODULE_DOC)
@@ -1457,8 +1573,71 @@ def generate_source() -> str:
     em.raw(_MODULE_IMPORTS)
     em()
     em()
-    _emit_loop(em)
+    _emit_loop(em, counting)
     return "\n".join(em.lines).rstrip("\n") + "\n"
+
+
+# -- measuring the weights ----------------------------------------------------
+
+
+def measure_weights() -> tuple[dict[str, int], list[str]]:
+    """Count dispatches per opcode over the benchsuite and return the
+    table to commit as :data:`ARM_WEIGHTS` plus the arms nothing ran.
+
+    All 13 programs at ``tiny``, each three ways — plain
+    ``jikes_config()``, hooked as the harness's table cells are
+    (exhaustive + CBS(3, 16) on level-0 code) and the profile-optimised
+    rerun (``NewJikesInliner`` plans from that CBS profile) — on a
+    counting copy of the generated loop.  A program's three histograms
+    are summed and scaled to the same total, so a long-running program
+    weighs no more than a short one.
+    """
+    from repro.adaptive.modes import jit_only_cache
+    from repro.benchsuite import benchmark_names, program_for
+    from repro.inlining.new_inliner import NewJikesInliner
+    from repro.opt.pipeline import optimize_function
+    from repro.profiling.cbs import CBSProfiler
+    from repro.profiling.exhaustive import ExhaustiveProfiler
+    from repro.vm import interpreter
+    from repro.vm.config import jikes_config
+
+    hist = [0] * 256
+    namespace: dict = {}
+    exec(compile(generate_source(counting=True), "<dispatchgen --measure>", "exec"), namespace)
+    namespace.update(
+        Frame=interpreter.Frame, _FREED_LOCALS=interpreter._FREED_LOCALS, _hist=hist
+    )
+    config = jikes_config()
+
+    def counted(program, cache=None):
+        vm = interpreter.Interpreter(program, config, cache)
+        vm._loop = namespace["_loop"].__get__(vm)
+        return vm
+
+    names = sorted(OPCODE_NUMBERS, key=OPCODE_NUMBERS.get)
+    share = dict.fromkeys(names, 0.0)
+    for bench in benchmark_names():
+        program = program_for(bench, "tiny")
+        hist[:] = [0] * len(hist)
+        counted(program).run()
+        hooked = counted(program, jit_only_cache(program, config.cost_model, level=0))
+        ExhaustiveProfiler().install(hooked)
+        cbs = CBSProfiler(stride=3, samples_per_tick=16)
+        hooked.attach_profiler(cbs)
+        hooked.run()
+        rerun = counted(program, jit_only_cache(program, config.cost_model, level=0))
+        policy = NewJikesInliner(program)
+        for function in program.functions:
+            plan = policy.plan_for(function.index, cbs.dcg)
+            if not plan.is_empty():
+                rerun.code_cache.install(optimize_function(program, plan).function, 2)
+        rerun.run()
+        total = sum(hist)
+        for name in names:
+            share[name] += hist[OPCODE_NUMBERS[name]] / total
+    programs = len(benchmark_names())
+    weights = {name: round(1_000_000 * share[name] / programs) for name in names}
+    return weights, [name for name in names if share[name] == 0]
 
 
 def main(argv=None) -> int:
@@ -1475,15 +1654,29 @@ def main(argv=None) -> int:
         action="store_true",
         help="exit 1 with a diff if _dispatch.py is stale (default)",
     )
+    mode.add_argument(
+        "--measure",
+        action="store_true",
+        help="count dispatches per opcode over the benchsuite and print ARM_WEIGHTS",
+    )
     args = parser.parse_args(argv)
+    if args.measure:
+        weights, never = measure_weights()
+        print("ARM_WEIGHTS = {")
+        for name, weight in weights.items():
+            print(f'    "{name}": {weight},')
+        print("}")
+        print(f"# arms no benchsuite run dispatched ({len(never)}): {', '.join(never)}")
+        return 0
     text = generate_source()
+    comparisons = f"{expected_comparisons():.2f} expected comparisons per dispatch"
     if args.write:
         TARGET.write_text(text)
-        print(f"wrote {TARGET} ({len(text.splitlines())} lines)")
+        print(f"wrote {TARGET} ({len(text.splitlines())} lines, {comparisons})")
         return 0
     current = TARGET.read_text() if TARGET.exists() else ""
     if current == text:
-        print(f"{TARGET.name} is up to date")
+        print(f"{TARGET.name} is up to date ({comparisons})")
         return 0
     sys.stdout.writelines(
         difflib.unified_diff(
