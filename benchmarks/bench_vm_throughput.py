@@ -319,91 +319,11 @@ def check_against_baseline(
     return failures
 
 
-def check_paths_parity(
-    quick: bool, repeats: int | None = None, max_regress: float = 0.15
-) -> list[str]:
-    """Gate path-guided fusion against the greedy fuser (empty = pass).
-
-    Collects a Ball-Larus path profile of jess with a charge-free
-    exhaustive tracker, then measures two otherwise-identical caches
-    interleaved: the default greedy fuser and the path-DP fuser aimed
-    at the recorded hot paths (``run --fuse-paths``).  Gates:
-
-    * guest results must be identical — same output and same virtual
-      time (fusion is time-transparent whatever windows it picks);
-    * host throughput of the path-fused cache must stay within
-      ``max_regress`` of greedy's (a self-contained ratio, no baseline
-      file needed — both sides run on the same machine back to back).
-    """
-    from repro.profiling.paths import PathHeat, PathTracker
-    from repro.vm.runtime import CodeCache
-
-    size = "tiny" if quick else "small"
-    if repeats is None:
-        repeats = 3 if quick else 5
-    program = program_for("jess", size)
-
-    profile_vm = Interpreter(program, jikes_config(paths=True))
-    profile_vm.attach_paths(PathTracker(mode="exhaustive", charge=False))
-    profile_vm.run()
-    heat = PathHeat.from_profile(profile_vm.path_tracker.profile, program)
-
-    config = jikes_config()
-    variants = (("greedy", None), ("paths", heat))
-    best = {name: float("inf") for name, _ in variants}
-    outputs: dict[str, list] = {}
-    vtimes: dict[str, int] = {}
-    steps = 0
-    for _ in range(repeats):
-        for name, heat_arg in variants:
-            cache = CodeCache(
-                program, config.cost_model, fuse=True, ic=True, path_heat=heat_arg
-            )
-            vm = Interpreter(program, config, code_cache=cache)
-            started = time.perf_counter()
-            vm.run()
-            best[name] = min(best[name], time.perf_counter() - started)
-            outputs[name] = vm.output
-            vtimes[name] = vm.time
-            steps = vm.steps
-
-    failures = []
-    if outputs["paths"] != outputs["greedy"]:
-        failures.append("paths-fused jess output differs from greedy-fused")
-    if vtimes["paths"] != vtimes["greedy"]:
-        failures.append(
-            f"paths-fused jess virtual time {vtimes['paths']} differs from "
-            f"greedy-fused {vtimes['greedy']} (fusion must be time-transparent)"
-        )
-    ratio = best["greedy"] / best["paths"]
-    floor = 1.0 - max_regress
-    if ratio < floor:
-        failures.append(
-            f"paths-fused jess-{size} throughput is {ratio:.2f}x greedy's, "
-            f"below the {floor:.2f}x parity floor"
-        )
-    else:
-        greedy_sps = steps / best["greedy"]
-        paths_sps = steps / best["paths"]
-        print(
-            f"OK paths-fused jess-{size} at {ratio:.2f}x greedy "
-            f"({paths_sps:,.0f} vs {greedy_sps:,.0f} steps/sec)",
-            file=sys.stderr,
-        )
-    return failures
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description="VM throughput summary")
     parser.add_argument("--write", metavar="PATH", help="write the summary as JSON")
     parser.add_argument(
         "--check", metavar="PATH", help="gate against a baseline JSON file"
-    )
-    parser.add_argument(
-        "--check-paths",
-        action="store_true",
-        help="gate path-guided fusion (--fuse-paths) at >= parity with the "
-        "greedy fuser on jess (self-contained; skips the summary sweep)",
     )
     parser.add_argument(
         "--quick", action="store_true", help="smaller workloads / fewer repeats"
@@ -415,14 +335,6 @@ def main(argv: list[str] | None = None) -> int:
         help="allowed fractional speedup regression vs baseline (default 0.15)",
     )
     args = parser.parse_args(argv)
-
-    if args.check_paths:
-        failures = check_paths_parity(
-            quick=args.quick, max_regress=args.max_regress
-        )
-        for line in failures:
-            print(f"FAIL {line}", file=sys.stderr)
-        return 1 if failures else 0
 
     summary = collect_summary(quick=args.quick)
     text = json.dumps(summary, indent=2) + "\n"

@@ -24,7 +24,6 @@ def jit_only_cache(
     fuse: bool = True,
     ic: bool = True,
     paths: bool = False,
-    path_heat=None,
 ) -> CodeCache:
     """A code cache with every method precompiled at ``level``.
 
@@ -35,12 +34,9 @@ def jit_only_cache(
     ``fuse`` and ``ic`` control superinstruction fusion and inline
     caches (host-level dispatch only; never affect calling behavior or
     profiles).  ``paths`` compiles path-instrumentable code (see
-    :mod:`repro.profiling.paths`); ``path_heat`` switches the fuser to
-    path-profile-guided superinstruction selection.
+    :mod:`repro.profiling.paths`).
     """
-    cache = CodeCache(
-        program, cost_model, fuse=fuse, ic=ic, paths=paths, path_heat=path_heat
-    )
+    cache = CodeCache(program, cost_model, fuse=fuse, ic=ic, paths=paths)
     if level == 0:
         policy = TrivialOnlyPolicy(program)
     elif level == 1:

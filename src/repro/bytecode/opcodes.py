@@ -155,7 +155,7 @@ class OpSpec:
     fusable: bool = False
     #: Inline-cache quickening class: the interpreter rewrites the
     #: site's ``fops`` slot to the matching IC opcode.
-    quicken: str | None = None  # "call_virtual" | "call_static" | "return"
+    quicken: str | None = None  # "call_virtual" | "call_static"
     #: Where the instruction-budget check must bind even when no timer
     #: fires: "backward" (taken backward branch) or "call".
     step_limit: str | None = None
@@ -244,9 +244,8 @@ OPCODE_SPECS: tuple[OpSpec, ...] = (
         ),
         quicken="call_virtual", step_limit="call", yieldpoint="prologue",
     ),
-    OpSpec(Op.RETURN, 1, 0, 0, "return", "void", quicken="return",
-           yieldpoint="epilogue"),
-    OpSpec(Op.RETURN_VAL, 1, 1, 0, "return", "value", quicken="return",
+    OpSpec(Op.RETURN, 1, 0, 0, "return", "void", yieldpoint="epilogue"),
+    OpSpec(Op.RETURN_VAL, 1, 1, 0, "return", "value",
            yieldpoint="epilogue", fusable=True),
     OpSpec(Op.NEW, 3, 0, 1, "new"),
     OpSpec(Op.GETFIELD, 3, 1, 1, "getfield",

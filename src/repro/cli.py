@@ -6,7 +6,7 @@ Usage::
                                 [--stride N] [--samples N] [--skip-policy P]
                                 [--seed N] [--context-depth N] [--adaptive]
                                 [--opt {0,1}] [--no-fuse] [--no-ic] [--no-jit]
-                                [--paths exhaustive|mincov|cbs] [--fuse-paths]
+                                [--paths exhaustive|mincov|cbs]
                                 [--stats] [--dcg]
                                 [--trace FILE] [--trace-format jsonl|chrome]
                                 [--publish HOST:PORT] [--publish-every K]
@@ -57,8 +57,7 @@ generated code.  See docs/JIT.md.
 acyclic (back-edge-truncated) intraprocedural path is numbered and
 counted — exhaustively, with minimum-coverage counter placement
 (``mincov``), or sampled in CBS windows (``cbs``).  Path rows ride in
-saved profiles; ``--fuse-paths`` re-aims superinstruction fusion at the
-recorded hot paths.  See docs/PATHS.md.
+saved profiles.  See docs/PATHS.md.
 
 Live observability: ``serve --http-port`` and ``run --metrics-port``
 expose ``/metrics`` (Prometheus text), ``/healthz``, and ``/status``;
@@ -139,34 +138,9 @@ def _cmd_run(args) -> int:
         jit=not args.no_jit and not adaptive_mode,
     )
 
-    path_heat = None
-    if args.fuse_paths:
-        # Path-guided fusion consumes the path rows of a saved profile
-        # (collect one with ``run --paths MODE --save-profile``).
-        if not args.load_profile:
-            raise SystemExit(
-                "--fuse-paths needs --load-profile PATH (a profile saved "
-                "by a run with --paths)"
-            )
-        from repro.profiling.paths import PathHeat
-        from repro.profiling.serialize import load_profile_paths
-
-        try:
-            path_profile = load_profile_paths(
-                args.load_profile, program, strict=args.strict
-            )
-        except ProfileFormatError as error:
-            raise SystemExit(str(error))
-        if not len(path_profile):
-            raise SystemExit(
-                f"--fuse-paths: {args.load_profile} carries no path rows "
-                "(save one with --paths MODE --save-profile)"
-            )
-        path_heat = PathHeat.from_profile(path_profile, program)
-
     cache = jit_only_cache(
         program, config.cost_model, level=args.opt, fuse=config.fuse,
-        ic=config.ic, paths=config.paths, path_heat=path_heat,
+        ic=config.ic, paths=config.paths,
     )
     vm = Interpreter(program, config, cache)
 
@@ -1101,13 +1075,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="MODE",
         help="collect Ball-Larus path profiles (exhaustive, mincov, cbs); "
         "bit-identical program results, charged instrumentation overhead",
-    )
-    run.add_argument(
-        "--fuse-paths",
-        action="store_true",
-        help="pick superinstruction windows from the hottest recorded "
-        "paths instead of the greedy fuser (needs --load-profile with "
-        "path rows)",
     )
     run.add_argument(
         "--adaptive", action="store_true", help="enable adaptive recompilation"

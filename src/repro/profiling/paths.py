@@ -2,8 +2,8 @@
 
 A *path profile* counts, per method, how often each acyclic
 ENTRY→EXIT control-flow path executed — strictly more information than
-edge counts at a comparable cost, and the profile type the fusion and
-inlining layers exploit for path-aware decisions.
+edge counts at a comparable cost, and the profile type the inliner and
+the adaptive controller exploit for path-aware decisions.
 
 Numbering
 ---------
@@ -473,8 +473,8 @@ class PathHeat:
     """Per-pc execution heat decoded from a path profile.
 
     Decoding walks the *baseline* CFG (path ids are collected at opt
-    level 0), so the heat keys line up with the pcs the fuser and the
-    inlining policies reason about.
+    level 0), so the heat keys line up with the pcs the inlining
+    policies reason about.
     """
 
     __slots__ = ("heat", "totals")
@@ -503,9 +503,6 @@ class PathHeat:
                 per_pc[pc] = per_pc.get(pc, 0) + count
             totals[function] = totals.get(function, 0) + count
         return cls(heat, totals)
-
-    def function_heat(self, function: int) -> dict:
-        return self.heat.get(function, {})
 
     def pc_fraction(self, function: int, pc: int) -> float:
         """Fraction of the function's recorded paths covering ``pc``."""

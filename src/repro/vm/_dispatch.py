@@ -133,8 +133,6 @@ def _loop(self):  # noqa: C901 - deliberately one flat hot loop
     # which case none of these opcodes ever appear in ``fops``.
     OP_IC_CALL_VIRTUAL = icache.OP_IC_CALL_VIRTUAL
     OP_IC_CALL_STATIC = icache.OP_IC_CALL_STATIC
-    OP_IC_RETURN = icache.OP_IC_RETURN
-    OP_IC_RETURN_VAL = icache.OP_IC_RETURN_VAL
     LEAF_VOID = icache.LEAF_VOID
     LEAF_FAIL = icache.LEAF_FAIL
     POLY_LIMIT = icache.POLY_LIMIT
@@ -251,50 +249,36 @@ def _loop(self):  # noqa: C901 - deliberately one flat hot loop
                     else:
                         break
                 else:
-                    if op < 31:
-                        if op < 22:
-                            if op == OP_STORE:
-                                locals_[aarg[pc]] = stack.pop()
-                                pc += 1
-                            elif op == OP_ADD:
-                                right = stack.pop()
-                                stack[-1] += right
-                                pc += 1
-                            elif op == OP_SUB:
-                                right = stack.pop()
-                                stack[-1] -= right
-                                pc += 1
-                            else:
-                                break
+                    if op < 24:
+                        if op == OP_STORE:
+                            locals_[aarg[pc]] = stack.pop()
+                            pc += 1
+                        elif op == OP_ADD:
+                            right = stack.pop()
+                            stack[-1] += right
+                            pc += 1
+                        elif op == OP_SUB:
+                            right = stack.pop()
+                            stack[-1] -= right
+                            pc += 1
+                        elif op == OP_MUL:
+                            right = stack.pop()
+                            stack[-1] *= right
+                            pc += 1
+                        elif op == OP_DIV:
+                            right = stack.pop()
+                            t0 = stack[-1]
+                            if right == 0:
+                                raise self._fault(
+                                    DivisionByZeroError, "division by zero",
+                                    time, steps, call_count, fused_n, deopts, frame, method, pc
+                                )
+                            t1 = abs(t0) // abs(right)
+                            if (t0 < 0) != (right < 0): t1 = -t1
+                            stack[-1] = t1
+                            pc += 1
                         else:
-                            if op == OP_MOD or op == OP_DIV:
-                                right = stack.pop()
-                                left = stack[-1]
-                                if right == 0:
-                                    raise self._fault(
-                                        DivisionByZeroError, "division by zero",
-                                        time, steps, call_count, fused_n, deopts, frame, method, pc
-                                    )
-                                quotient = abs(left) // abs(right)
-                                if (left < 0) != (right < 0):
-                                    quotient = -quotient
-                                if op == OP_DIV:
-                                    stack[-1] = quotient
-                                else:
-                                    stack[-1] = left - quotient * right
-                                pc += 1
-                            elif op == OP_MUL:
-                                right = stack.pop()
-                                stack[-1] *= right
-                                pc += 1
-                            elif op == OP_NOT:
-                                stack[-1] = 0 if stack[-1] != 0 else 1
-                                pc += 1
-                            elif op == OP_NEG:
-                                stack[-1] = -stack[-1]
-                                pc += 1
-                            else:
-                                break
+                            break
                     else:
                         if op == OP_JUMP:
                             target = aarg[pc]
@@ -338,50 +322,62 @@ def _loop(self):  # noqa: C901 - deliberately one flat hot loop
                                     pc = frame.pc
                                     continue
                             pc = target
+                        elif op == OP_MOD:
+                            right = stack.pop()
+                            t0 = stack[-1]
+                            if right == 0:
+                                raise self._fault(
+                                    DivisionByZeroError, "division by zero",
+                                    time, steps, call_count, fused_n, deopts, frame, method, pc
+                                )
+                            t1 = abs(t0) // abs(right)
+                            if (t0 < 0) != (right < 0): t1 = -t1
+                            stack[-1] = t0 - t1 * right
+                            pc += 1
                         elif op == OP_LT:
                             right = stack.pop()
-                            stack[-1] = 1 if stack[-1] < right else 0
+                            stack[-1] = 1 if (stack[-1] < right) else 0
                             pc += 1
                         elif op == OP_GE:
                             right = stack.pop()
-                            stack[-1] = 1 if stack[-1] >= right else 0
+                            stack[-1] = 1 if (stack[-1] >= right) else 0
                             pc += 1
                         elif op == OP_EQ:
                             right = stack.pop()
-                            left = stack[-1]
-                            if isinstance(left, int) and isinstance(right, int):
-                                stack[-1] = 1 if left == right else 0
-                            else:
-                                stack[-1] = 1 if left is right else 0
+                            t0 = stack[-1]
+                            stack[-1] = 1 if ((t0 == right) if (isinstance(t0, int) and isinstance(right, int)) else (t0 is right)) else 0
                             pc += 1
                         elif op == OP_GT:
                             right = stack.pop()
-                            stack[-1] = 1 if stack[-1] > right else 0
+                            stack[-1] = 1 if (stack[-1] > right) else 0
                             pc += 1
                         elif op == OP_NE:
                             right = stack.pop()
-                            left = stack[-1]
-                            if isinstance(left, int) and isinstance(right, int):
-                                stack[-1] = 1 if left != right else 0
-                            else:
-                                stack[-1] = 1 if left is not right else 0
+                            t0 = stack[-1]
+                            stack[-1] = 1 if ((t0 != right) if (isinstance(t0, int) and isinstance(right, int)) else (t0 is not right)) else 0
                             pc += 1
                         elif op == OP_LE:
                             right = stack.pop()
-                            stack[-1] = 1 if stack[-1] <= right else 0
+                            stack[-1] = 1 if (stack[-1] <= right) else 0
+                            pc += 1
+                        elif op == OP_NOT:
+                            stack[-1] = 0 if stack[-1] != 0 else 1
+                            pc += 1
+                        elif op == OP_NEG:
+                            stack[-1] = -stack[-1]
                             pc += 1
                         else:
                             break
             else:
-                if op < 71:
+                if op < 62:
                     if op == OP_GETFIELD:
-                        obj = stack[-1]
-                        if obj is None:
+                        t0 = stack[-1]
+                        if t0 is None:
                             raise self._fault(
                                 NullPointerError, "field read on null",
                                 time, steps, call_count, fused_n, deopts, frame, method, pc
                             )
-                        stack[-1] = obj.fields[aarg[pc]]
+                        stack[-1] = t0.fields[aarg[pc]]
                         pc += 1
                     elif op == OP_JUMP_IF_FALSE:
                         if stack.pop() == 0:
@@ -401,27 +397,38 @@ def _loop(self):  # noqa: C901 - deliberately one flat hot loop
                                 paths.on_branch(pc, False)
                                 time = self.time
                             pc += 1
-                    elif op == OP_PUTFIELD:
-                        value = stack.pop()
-                        obj = stack.pop()
-                        if obj is None:
-                            raise self._fault(
-                                NullPointerError, "field write on null",
-                                time, steps, call_count, fused_n, deopts, frame, method, pc
-                            )
-                        obj.fields[aarg[pc]] = value
-                        pc += 1
-                    elif op == OP_GUARD_METHOD:
-                        obj = stack.pop()
-                        if obj is None:
-                            stack.append(0)
-                        else:
-                            target = vtables[obj.class_index].get(aarg[pc])
-                            stack.append(1 if target == barg[pc] else 0)
-                        pc += 1
+                    elif op == OP_RETURN_VAL or op == OP_RETURN:
+                        time += return_cost
+                        if epilogue_yp and self.yieldpoint_flag != 0:
+                            self.time = time
+                            self.call_count = call_count
+                            frame.pc = pc
+                            self._take_yieldpoint(EPILOGUE)
+                            time = self.time
+                        value = stack.pop() if op == OP_RETURN_VAL else None
+                        if paths is not None:
+                            # Record the completed path (may charge the
+                            # record cost) before the frame dies.
+                            self.time = time
+                            paths.on_return(pc)
+                            time = self.time
+                        dead = frames.pop()
+                        if not frames:
+                            result = value
+                            break
+                        del dead.stack[:]
+                        dead.locals = _FREED_LOCALS
+                        pool.append(dead)
+                        frame = frames[-1]
+                        method = frame.method
+                        ops, aarg, barg, costs, faarg, fbarg, origins, ics = method.views
+                        stack = frame.stack
+                        locals_ = frame.locals
+                        pc = frame.pc
+                        if value is not None or op == OP_RETURN_VAL:
+                            stack.append(value)
                     elif op == OP_NEW:
-                        class_index = aarg[pc]
-                        stack.append(HeapObject(class_index, field_defaults[class_index]))
+                        stack.append(HeapObject(aarg[pc], field_defaults[aarg[pc]]))
                         pc += 1
                     elif op == OP_JUMP_IF_TRUE:
                         if stack.pop() != 0:
@@ -441,16 +448,6 @@ def _loop(self):  # noqa: C901 - deliberately one flat hot loop
                                 paths.on_branch(pc, False)
                                 time = self.time
                             pc += 1
-                    elif op == OP_NEW_ARRAY:
-                        length = stack.pop()
-                        if length < 0:
-                            raise self._fault(
-                                VMError, "negative array length",
-                                time, steps, call_count, fused_n, deopts, frame, method, pc
-                            )
-                        time += length  # allocation cost scales with size
-                        stack.append(HeapArray(length))
-                        pc += 1
                     elif op == OP_CALL_VIRTUAL or op == OP_CALL_STATIC:
                         if steps >= max_steps:
                             # Calls are the other place the step limit must
@@ -519,6 +516,7 @@ def _loop(self):  # noqa: C901 - deliberately one flat hot loop
                                 StackOverflowError_, f"guest stack exceeded {max_frames} frames",
                                 time, steps, call_count, fused_n, deopts, frame, method, pc
                             )
+                        views = callee.views
                         base = len(stack) - nargs
                         new_locals = stack[base:]
                         del stack[base:]
@@ -537,14 +535,7 @@ def _loop(self):  # noqa: C901 - deliberately one flat hot loop
                         if paths is not None:
                             paths.on_call(callee)
                         method = callee
-                        ops = method.fops
-                        aarg = method.a
-                        barg = method.b
-                        costs = method.fcosts
-                        faarg = method.fa
-                        fbarg = method.fb
-                        origins = method.origins
-                        ics = method.ics
+                        ops, aarg, barg, costs, faarg, fbarg, origins, ics = views
                         stack = frame.stack
                         locals_ = frame.locals
                         pc = 0
@@ -566,67 +557,23 @@ def _loop(self):  # noqa: C901 - deliberately one flat hot loop
                                 self, frame, time, steps, call_count, next_tick
                             )
                             pc = frame.pc
-                    elif op == OP_RETURN or op == OP_RETURN_VAL:
-                        time += return_cost
-                        if epilogue_yp and self.yieldpoint_flag != 0:
-                            self.time = time
-                            self.call_count = call_count
-                            frame.pc = pc
-                            self._take_yieldpoint(EPILOGUE)
-                            time = self.time
-                        value = stack.pop() if op == OP_RETURN_VAL else None
-                        if paths is not None:
-                            # Record the completed path (may charge the
-                            # record cost) before the frame dies.
-                            self.time = time
-                            paths.on_return(pc)
-                            time = self.time
-                        dead = frames.pop()
-                        if not frames:
-                            result = value
-                            break
-                        del dead.stack[:]
-                        dead.locals = _FREED_LOCALS
-                        pool.append(dead)
-                        frame = frames[-1]
-                        method = frame.method
-                        ops = method.fops
-                        aarg = method.a
-                        barg = method.b
-                        costs = method.fcosts
-                        faarg = method.fa
-                        fbarg = method.fb
-                        origins = method.origins
-                        ics = method.ics
-                        stack = frame.stack
-                        locals_ = frame.locals
-                        pc = frame.pc
-                        if value is not None or op == OP_RETURN_VAL:
-                            stack.append(value)
-                    elif op == OP_IS_EXACT:
-                        obj = stack.pop()
-                        stack.append(
-                            1 if obj is not None and obj.class_index == aarg[pc] else 0
-                        )
-                        pc += 1
                     else:
                         break
                 else:
                     if op == OP_ALOAD:
-                        index = stack.pop()
-                        array = stack.pop()
-                        if array is None:
+                        right = stack.pop()
+                        t0 = stack[-1]
+                        if t0 is None:
                             raise self._fault(
                                 NullPointerError, "array read on null",
                                 time, steps, call_count, fused_n, deopts, frame, method, pc
                             )
-                        elements = array.elements
-                        if index < 0 or index >= len(elements):
+                        if right < 0 or right >= len(t0.elements):
                             raise self._fault(
-                                ArrayBoundsError, f"index {index} out of bounds (len={len(elements)})",
+                                ArrayBoundsError, f"index {right} out of bounds (len={len(t0.elements)})",
                                 time, steps, call_count, fused_n, deopts, frame, method, pc
                             )
-                        stack.append(elements[index])
+                        stack[-1] = t0.elements[right]
                         pc += 1
                     elif op == OP_IC_CALL_VIRTUAL:
                         # Quickened virtual call.  Entry layout (repro.vm.ic):
@@ -807,62 +754,43 @@ def _loop(self):  # noqa: C901 - deliberately one flat hot loop
                             )
                             pc = frame.pc
                     elif op == OP_ASTORE:
-                        value = stack.pop()
-                        index = stack.pop()
-                        array = stack.pop()
-                        if array is None:
+                        right = stack.pop()
+                        t0 = stack.pop()
+                        t1 = stack.pop()
+                        if t1 is None:
                             raise self._fault(
                                 NullPointerError, "array write on null",
                                 time, steps, call_count, fused_n, deopts, frame, method, pc
                             )
-                        elements = array.elements
-                        if index < 0 or index >= len(elements):
+                        if t0 < 0 or t0 >= len(t1.elements):
                             raise self._fault(
-                                ArrayBoundsError, f"index {index} out of bounds (len={len(elements)})",
+                                ArrayBoundsError, f"index {t0} out of bounds (len={len(t1.elements)})",
                                 time, steps, call_count, fused_n, deopts, frame, method, pc
                             )
-                        elements[index] = value
+                        t1.elements[t0] = right
                         pc += 1
-                    elif op == OP_IC_RETURN_VAL or op == OP_IC_RETURN:
-                        # Quickened return: identical to the raw handler but
-                        # restores the caller's cached views in one unpack.
-                        time += return_cost
-                        if epilogue_yp and self.yieldpoint_flag != 0:
-                            self.time = time
-                            self.call_count = call_count
-                            frame.pc = pc
-                            self._take_yieldpoint(EPILOGUE)
-                            time = self.time
-                        value = stack.pop() if op == OP_IC_RETURN_VAL else None
-                        if paths is not None:
-                            # Record the completed path (may charge the
-                            # record cost) before the frame dies.
-                            self.time = time
-                            paths.on_return(pc)
-                            time = self.time
-                        dead = frames.pop()
-                        if not frames:
-                            result = value
-                            break
-                        del dead.stack[:]
-                        dead.locals = _FREED_LOCALS
-                        pool.append(dead)
-                        frame = frames[-1]
-                        method = frame.method
-                        ops, aarg, barg, costs, faarg, fbarg, origins, ics = method.views
-                        stack = frame.stack
-                        locals_ = frame.locals
-                        pc = frame.pc
-                        if value is not None or op == OP_IC_RETURN_VAL:
-                            stack.append(value)
+                    elif op == OP_PUTFIELD:
+                        right = stack.pop()
+                        t0 = stack.pop()
+                        if t0 is None:
+                            raise self._fault(
+                                NullPointerError, "field write on null",
+                                time, steps, call_count, fused_n, deopts, frame, method, pc
+                            )
+                        t0.fields[aarg[pc]] = right
+                        pc += 1
+                    elif op == OP_GUARD_METHOD:
+                        t0 = stack[-1]
+                        stack[-1] = 1 if (t0 is not None and vtables[t0.class_index].get(aarg[pc]) == barg[pc]) else 0
+                        pc += 1
                     elif op == OP_ARRAY_LEN:
-                        array = stack.pop()
-                        if array is None:
+                        t0 = stack[-1]
+                        if t0 is None:
                             raise self._fault(
                                 NullPointerError, "len() of null",
                                 time, steps, call_count, fused_n, deopts, frame, method, pc
                             )
-                        stack.append(len(array.elements))
+                        stack[-1] = len(t0.elements)
                         pc += 1
                     elif op == OP_IC_CALL_STATIC:
                         # Quickened static call: [method, index, views, pad,
@@ -959,8 +887,22 @@ def _loop(self):  # noqa: C901 - deliberately one flat hot loop
                                 self, frame, time, steps, call_count, next_tick
                             )
                             pc = frame.pc
+                    elif op == OP_NEW_ARRAY:
+                        t0 = stack[-1]
+                        if t0 < 0:
+                            raise self._fault(
+                                VMError, "negative array length",
+                                time, steps, call_count, fused_n, deopts, frame, method, pc
+                            )
+                        time += t0
+                        stack[-1] = HeapArray(t0)
+                        pc += 1
                     elif op == OP_PRINT:
                         self.output.append(stack.pop())
+                        pc += 1
+                    elif op == OP_IS_EXACT:
+                        t0 = stack[-1]
+                        stack[-1] = 1 if (t0 is not None and t0.class_index == aarg[pc]) else 0
                         pc += 1
                     elif op == OP_NOP:
                         pc += 1
@@ -987,13 +929,13 @@ def _loop(self):  # noqa: C901 - deliberately one flat hot loop
             if op < 108:
                 if op == F_LOAD_GETFIELD:
                     steps += 2
-                    obj = locals_[faarg[pc]]
-                    if obj is None:
+                    t0 = locals_[faarg[pc]]
+                    if t0 is None:
                         raise self._fault(
                             NullPointerError, "field read on null",
                             time, steps, call_count, fused_n, deopts, frame, method, pc + 1
                         )
-                    stack.append(obj.fields[fbarg[pc]])
+                    stack.append(t0.fields[fbarg[pc]])
                     pc += 2
                 elif op == F_LOAD_LOAD:
                     steps += 2
@@ -1036,17 +978,16 @@ def _loop(self):  # noqa: C901 - deliberately one flat hot loop
                         pc += 2
                     elif op == F_PUSH_MOD:
                         steps += 2
-                        k = faarg[pc]
-                        left = stack[-1]
-                        if k == 0:
+                        t0 = faarg[pc]
+                        t1 = stack[-1]
+                        if t0 == 0:
                             raise self._fault(
                                 DivisionByZeroError, "division by zero",
                                 time, steps, call_count, fused_n, deopts, frame, method, pc + 1
                             )
-                        quotient = abs(left) // abs(k)
-                        if (left < 0) != (k < 0):
-                            quotient = -quotient
-                        stack[-1] = left - quotient * k
+                        t2 = abs(t1) // abs(t0)
+                        if (t1 < 0) != (t0 < 0): t2 = -t2
+                        stack[-1] = t1 - t2 * t0
                         pc += 2
                     elif op == F_LT_JIF:
                         steps += 2
@@ -1063,20 +1004,16 @@ def _loop(self):  # noqa: C901 - deliberately one flat hot loop
                     elif op == F_EQ_JIF:
                         steps += 2
                         right = stack.pop()
-                        left = stack.pop()
-                        if isinstance(left, int) and isinstance(right, int):
-                            taken = left != right
+                        t0 = stack.pop()
+                        if (t0 == right) if (isinstance(t0, int) and isinstance(right, int)) else (t0 is right):
+                            pc += 2
                         else:
-                            taken = left is not right
-                        if taken:
                             target = faarg[pc]
                             if target <= pc + 1 and steps >= max_steps:
                                 raise self._step_limit(
                                     time, steps, call_count, fused_n, deopts, frame, method, pc + 1
                                 )
                             pc = target
-                        else:
-                            pc += 2
                     elif op == F_PUSH_MUL:
                         steps += 2
                         stack[-1] *= faarg[pc]
@@ -1133,20 +1070,16 @@ def _loop(self):  # noqa: C901 - deliberately one flat hot loop
                             elif op == F_NE_JIF:
                                 steps += 2
                                 right = stack.pop()
-                                left = stack.pop()
-                                if isinstance(left, int) and isinstance(right, int):
-                                    taken = left == right
+                                t0 = stack.pop()
+                                if (t0 != right) if (isinstance(t0, int) and isinstance(right, int)) else (t0 is not right):
+                                    pc += 2
                                 else:
-                                    taken = left is right
-                                if taken:
                                     target = faarg[pc]
                                     if target <= pc + 1 and steps >= max_steps:
                                         raise self._step_limit(
                                             time, steps, call_count, fused_n, deopts, frame, method, pc + 1
                                         )
                                     pc = target
-                                else:
-                                    pc += 2
                             elif op == F_LOAD_PUSH_SUB:
                                 steps += 3
                                 stack.append(locals_[faarg[pc]] - fbarg[pc])
@@ -1170,14 +1103,7 @@ def _loop(self):  # noqa: C901 - deliberately one flat hot loop
                                 pool.append(dead)
                                 frame = frames[-1]
                                 method = frame.method
-                                ops = method.fops
-                                aarg = method.a
-                                barg = method.b
-                                costs = method.fcosts
-                                faarg = method.fa
-                                fbarg = method.fb
-                                origins = method.origins
-                                ics = method.ics
+                                ops, aarg, barg, costs, faarg, fbarg, origins, ics = method.views
                                 stack = frame.stack
                                 locals_ = frame.locals
                                 pc = frame.pc
@@ -1196,8 +1122,8 @@ def _loop(self):  # noqa: C901 - deliberately one flat hot loop
                             elif op == F_LOAD_GETFIELD_STORE:
                                 steps += 3
                                 offset, dst = fbarg[pc]
-                                obj = locals_[faarg[pc]]
-                                if obj is None:
+                                t0 = locals_[faarg[pc]]
+                                if t0 is None:
                                     # Fault mid-group: attribute the raw pc and
                                     # give back the trailing components' charge
                                     # (the raw run never reached them).
@@ -1205,7 +1131,7 @@ def _loop(self):  # noqa: C901 - deliberately one flat hot loop
                                         NullPointerError, "field read on null",
                                         time - costs[pc + 2], steps - 1, call_count, fused_n, deopts, frame, method, pc + 1
                                     )
-                                locals_[dst] = obj.fields[offset]
+                                locals_[dst] = t0.fields[offset]
                                 pc += 3
                             elif op == F_LOAD_LOAD_ADD:
                                 steps += 3
@@ -1266,8 +1192,8 @@ def _loop(self):  # noqa: C901 - deliberately one flat hot loop
                         elif op == F_LOAD_PUSH_EQ_JIF:
                             steps += 4
                             k, target = fbarg[pc]
-                            left = locals_[faarg[pc]]
-                            if isinstance(left, int) and left == k:
+                            t0 = locals_[faarg[pc]]
+                            if isinstance(t0, int) and t0 == k:
                                 pc += 4
                             else:
                                 if target <= pc + 3 and steps >= max_steps:
@@ -1305,14 +1231,7 @@ def _loop(self):  # noqa: C901 - deliberately one flat hot loop
                             pool.append(dead)
                             frame = frames[-1]
                             method = frame.method
-                            ops = method.fops
-                            aarg = method.a
-                            barg = method.b
-                            costs = method.fcosts
-                            faarg = method.fa
-                            fbarg = method.fb
-                            origins = method.origins
-                            ics = method.ics
+                            ops, aarg, barg, costs, faarg, fbarg, origins, ics = method.views
                             stack = frame.stack
                             locals_ = frame.locals
                             pc = frame.pc
@@ -1331,8 +1250,8 @@ def _loop(self):  # noqa: C901 - deliberately one flat hot loop
                         elif op == F_LOAD_PUSH_NE_JIF:
                             steps += 4
                             k, target = fbarg[pc]
-                            left = locals_[faarg[pc]]
-                            if not (isinstance(left, int) and left == k):
+                            t0 = locals_[faarg[pc]]
+                            if not isinstance(t0, int) or t0 != k:
                                 pc += 4
                             else:
                                 if target <= pc + 3 and steps >= max_steps:

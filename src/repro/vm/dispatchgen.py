@@ -10,14 +10,18 @@ dispatches :data:`ARM_WEIGHTS` records.
 
 The generator is the single place dispatch semantics are spelled out:
 
-* **raw arms** come from each opcode's :class:`~repro.bytecode.opcodes.OpSpec`
-  ``kind`` (one emitter per semantic family),
-* **fused arms** are derived by symbolically executing a
-  superinstruction's component specs, with operand expressions
-  substituted from :data:`repro.vm.fuse.FUSED_LAYOUT` — the same table
+* **data arms**, raw and fused, come from the one evaluator every other
+  tier uses: :func:`repro.vm.optemplates.emit`, keyed by each opcode's
+  :class:`~repro.bytecode.opcodes.OpSpec` row, run under
+  :class:`ArmContext` (operands read at run time, the symbolic stack
+  underflowing onto the real one).  A raw arm is the one-component
+  case; a fused arm runs its components in order, with operand
+  expressions from :data:`repro.vm.fuse.FUSED_LAYOUT` — the same table
   the fuser packs operands with, so handler and fuser cannot disagree,
-* **IC arms** reuse the call/return specs (fault modes, step-limit
-  class) with the entry layouts from :mod:`repro.vm.ic`,
+* **control and IC arms** (:data:`CONTROL_EMITTERS`) are spelled out
+  here: jump, branch, call and return from their specs (fault modes,
+  step-limit class), the IC call arms with the entry layouts from
+  :mod:`repro.vm.ic`,
 * **arm selection** is a comparison tree laid out from measured dispatch
   counts (:data:`ARM_WEIGHTS`, :func:`build_tree`): ``op < K`` splits
   over the opcode numbers down to short ``op == X`` chains, so a
@@ -41,6 +45,7 @@ from __future__ import annotations
 
 import argparse
 import difflib
+import re
 import sys
 from pathlib import Path
 from typing import NamedTuple
@@ -48,6 +53,8 @@ from typing import NamedTuple
 from repro.bytecode.opcodes import OPCODE_SPECS, FaultSpec, Op, spec_of
 from repro.vm import fuse as fusion
 from repro.vm import ic as icache
+from repro.vm import optemplates
+from repro.vm.optemplates import Atom
 
 #: Where the generated module lives.
 TARGET = Path(__file__).resolve().parent / "_dispatch.py"
@@ -87,8 +94,8 @@ ARM_WEIGHTS = {
     "JUMP_IF_TRUE": 2249,
     "CALL_STATIC": 33,
     "CALL_VIRTUAL": 162,
-    "RETURN": 0,
-    "RETURN_VAL": 0,
+    "RETURN": 3862,
+    "RETURN_VAL": 10409,
     "NEW": 3989,
     "GETFIELD": 46280,
     "PUTFIELD": 13225,
@@ -102,8 +109,6 @@ ARM_WEIGHTS = {
     "NOP": 0,
     "IC_CALL_VIRTUAL": 30059,
     "IC_CALL_STATIC": 1924,
-    "IC_RETURN": 3862,
-    "IC_RETURN_VAL": 10409,
     "F_LOAD_LOAD": 85929,
     "F_LOAD_PUSH": 13482,
     "F_LOAD_ADD": 11806,
@@ -145,10 +150,8 @@ ARM_WEIGHTS = {
 
 #: Opcodes that share one arm body (adjacent numbers, one ``or`` test).
 SHARED_ARMS = (
-    ("DIV", "MOD"),
     ("CALL_STATIC", "CALL_VIRTUAL"),
     ("RETURN", "RETURN_VAL"),
-    ("IC_RETURN", "IC_RETURN_VAL"),
 )
 
 #: fuse-module attribute name -> fused id, and back.
@@ -168,12 +171,6 @@ OPCODE_NUMBERS = {
     },
     **_F_BY_NAME,
 }
-
-#: Fault-message template variables that are not literal handler locals.
-_TEMPLATE_VARS = {"length": "len(elements)"}
-
-_BINOP_SYMS = {"+": "+", "-": "-", "*": "*"}
-_CMP_SYMS = {"<": "<", "<=": "<=", ">": ">", ">=": ">="}
 
 
 class Emitter:
@@ -211,15 +208,15 @@ class Emitter:
         return Emitter._Indent(self, n)
 
 
-def _message_literal(template: str) -> str:
+def _message_literal(template: str, names: dict | None) -> str:
     """Render a FaultSpec message as a source-code literal: plain string
-    when static, f-string when it references handler locals."""
+    when static, f-string when it has placeholders — ``names`` says what
+    each stands for; one it leaves out is a loop local of that name."""
     if "{" not in template:
         return f'"{template}"'
-    text = template
-    for var, expr in _TEMPLATE_VARS.items():
-        text = text.replace("{" + var + "}", "{" + expr + "}")
-    return f'f"{text}"'
+    for var, expr in (names or {}).items():
+        template = template.replace("{" + var + "}", "{" + expr + "}")
+    return f'f"{template}"'
 
 
 def _fault_raise(
@@ -228,6 +225,7 @@ def _fault_raise(
     pc_expr: str = "pc",
     time_expr: str = "time",
     steps_expr: str = "steps",
+    names: dict | None = None,
 ) -> None:
     """THE fault raise site.  Every guest fault in the generated loop is
     emitted here: one ``raise self._fault(...)`` carrying the spec's
@@ -235,7 +233,7 @@ def _fault_raise(
     (FAULT_SYNCED_COUNTERS — _fault writes them all back)."""
     em(f"raise self._fault(")
     with em.indent():
-        em(f"{fault.error}, {_message_literal(fault.message)},")
+        em(f"{fault.error}, {_message_literal(fault.message, names)},")
         em(
             f"{time_expr}, {steps_expr}, call_count, fused_n, deopts, "
             f"frame, method, {pc_expr}"
@@ -249,11 +247,6 @@ def _step_limit_raise(em: Emitter, pc_expr: str = "pc") -> None:
     with em.indent():
         em(f"time, steps, call_count, fused_n, deopts, frame, method, {pc_expr}")
     em(")")
-
-
-def _views_unpack_longhand(em: Emitter, source: str = "method") -> None:
-    for field, local in zip(VIEW_FIELDS, VIEW_LOCALS):
-        em(f"{local} = {source}.{field}")
 
 
 def _views_unpack_tuple(em: Emitter, source: str) -> None:
@@ -363,8 +356,6 @@ _PREAMBLE_IC = """
 # which case none of these opcodes ever appear in ``fops``.
 OP_IC_CALL_VIRTUAL = icache.OP_IC_CALL_VIRTUAL
 OP_IC_CALL_STATIC = icache.OP_IC_CALL_STATIC
-OP_IC_RETURN = icache.OP_IC_RETURN
-OP_IC_RETURN_VAL = icache.OP_IC_RETURN_VAL
 LEAF_VOID = icache.LEAF_VOID
 LEAF_FAIL = icache.LEAF_FAIL
 POLY_LIMIT = icache.POLY_LIMIT
@@ -429,7 +420,8 @@ if time >= next_tick:
 
 def _emit_preamble(em: Emitter) -> None:
     em.raw(_PREAMBLE_STATE)
-    _views_unpack_longhand(em)
+    for field, local in zip(VIEW_FIELDS, VIEW_LOCALS):
+        em(f"{local} = method.{field}")
     em.raw(_PREAMBLE_COUNTERS)
     em()
     em("# Opcode constants as plain ints (IntEnum comparison is slower).")
@@ -452,144 +444,10 @@ def _attr_name(fid: int) -> str:
     raise AssertionError(f"no fuse-module name for fused id {fid}")
 
 
-# -- raw arms ----------------------------------------------------------------
+# -- control arms ------------------------------------------------------------
 
 
-def _emit_simple_raw_arm(em: Emitter, op: Op) -> None:
-    """Arms whose body is a handful of statements ending in ``pc += 1``
-    (everything except jumps, calls, returns, and the IC arms)."""
-    spec = spec_of(op)
-    kind = spec.kind
-    if kind == "load":
-        em("stack.append(locals_[aarg[pc]])")
-    elif kind == "push_const":
-        em("stack.append(aarg[pc])")
-    elif kind == "push_null":
-        em("stack.append(None)")
-    elif kind == "pop":
-        em("stack.pop()")
-    elif kind == "dup":
-        em("stack.append(stack[-1])")
-    elif kind == "store":
-        em("locals_[aarg[pc]] = stack.pop()")
-    elif kind == "binop":
-        em("right = stack.pop()")
-        em(f"stack[-1] {_BINOP_SYMS[spec.arg]}= right")
-    elif kind == "cmp":
-        em("right = stack.pop()")
-        em(f"stack[-1] = 1 if stack[-1] {_CMP_SYMS[spec.arg]} right else 0")
-    elif kind == "eqcmp":
-        val_sym = "==" if spec.arg == "==" else "!="
-        id_sym = "is" if spec.arg == "==" else "is not"
-        em("right = stack.pop()")
-        em("left = stack[-1]")
-        em("if isinstance(left, int) and isinstance(right, int):")
-        with em.indent():
-            em(f"stack[-1] = 1 if left {val_sym} right else 0")
-        em("else:")
-        with em.indent():
-            em(f"stack[-1] = 1 if left {id_sym} right else 0")
-    elif kind == "neg":
-        em("stack[-1] = -stack[-1]")
-    elif kind == "not":
-        em("stack[-1] = 0 if stack[-1] != 0 else 1")
-    elif kind == "new":
-        em("class_index = aarg[pc]")
-        em("stack.append(HeapObject(class_index, field_defaults[class_index]))")
-    elif kind == "getfield":
-        em("obj = stack[-1]")
-        em("if obj is None:")
-        with em.indent():
-            _fault_raise(em, spec.faults[0])
-        em("stack[-1] = obj.fields[aarg[pc]]")
-    elif kind == "putfield":
-        em("value = stack.pop()")
-        em("obj = stack.pop()")
-        em("if obj is None:")
-        with em.indent():
-            _fault_raise(em, spec.faults[0])
-        em("obj.fields[aarg[pc]] = value")
-    elif kind == "is_exact":
-        em("obj = stack.pop()")
-        em("stack.append(")
-        with em.indent():
-            em("1 if obj is not None and obj.class_index == aarg[pc] else 0")
-        em(")")
-    elif kind == "guard_method":
-        em("obj = stack.pop()")
-        em("if obj is None:")
-        with em.indent():
-            em("stack.append(0)")
-        em("else:")
-        with em.indent():
-            em("target = vtables[obj.class_index].get(aarg[pc])")
-            em("stack.append(1 if target == barg[pc] else 0)")
-    elif kind == "new_array":
-        em("length = stack.pop()")
-        em("if length < 0:")
-        with em.indent():
-            _fault_raise(em, spec.faults[0])
-        em(f"time += {spec.dyn_cost}  # allocation cost scales with size")
-        em("stack.append(HeapArray(length))")
-    elif kind == "aload":
-        em("index = stack.pop()")
-        em("array = stack.pop()")
-        em("if array is None:")
-        with em.indent():
-            _fault_raise(em, spec.faults[0])
-        em("elements = array.elements")
-        em("if index < 0 or index >= len(elements):")
-        with em.indent():
-            _fault_raise(em, spec.faults[1])
-        em("stack.append(elements[index])")
-    elif kind == "astore":
-        em("value = stack.pop()")
-        em("index = stack.pop()")
-        em("array = stack.pop()")
-        em("if array is None:")
-        with em.indent():
-            _fault_raise(em, spec.faults[0])
-        em("elements = array.elements")
-        em("if index < 0 or index >= len(elements):")
-        with em.indent():
-            _fault_raise(em, spec.faults[1])
-        em("elements[index] = value")
-    elif kind == "array_len":
-        em("array = stack.pop()")
-        em("if array is None:")
-        with em.indent():
-            _fault_raise(em, spec.faults[0])
-        em("stack.append(len(array.elements))")
-    elif kind == "print":
-        em("self.output.append(stack.pop())")
-    elif kind == "nop":
-        pass
-    else:  # pragma: no cover - table/emitter mismatch
-        raise AssertionError(f"no simple-arm emitter for kind {kind!r}")
-    em("pc += 1")
-
-
-def _emit_divmod_arm(em: Emitter) -> None:
-    spec = spec_of(Op.DIV)
-    em("right = stack.pop()")
-    em("left = stack[-1]")
-    em("if right == 0:")
-    with em.indent():
-        _fault_raise(em, spec.faults[0])
-    em("quotient = abs(left) // abs(right)")
-    em("if (left < 0) != (right < 0):")
-    with em.indent():
-        em("quotient = -quotient")
-    em("if op == OP_DIV:")
-    with em.indent():
-        em("stack[-1] = quotient")
-    em("else:")
-    with em.indent():
-        em("stack[-1] = left - quotient * right")
-    em("pc += 1")
-
-
-def _emit_jump_arm(em: Emitter) -> None:
+def _emit_jump_arm(em: Emitter, _arm) -> None:
     em("target = aarg[pc]")
     em("if target <= pc:")
     with em.indent():
@@ -638,8 +496,8 @@ def _emit_jump_arm(em: Emitter) -> None:
     em("pc = target")
 
 
-def _emit_branch_arm(em: Emitter, op: Op) -> None:
-    spec = spec_of(op)
+def _emit_branch_arm(em: Emitter, arm) -> None:
+    spec = spec_of(Op[arm[0]])
     taken_test = "== 0" if spec.arg == "false" else "!= 0"
     em(f"if stack.pop() {taken_test}:")
     with em.indent():
@@ -715,7 +573,7 @@ def _stack_overflow_fault(em: Emitter, spec) -> None:
         _fault_raise(em, overflow)
 
 
-def _emit_frame_switch(em: Emitter, *, nargs_expr: str, pad: bool, views: str) -> None:
+def _emit_frame_switch(em: Emitter, *, nargs_expr: str, pad: bool) -> None:
     em(f"base = len(stack) - {nargs_expr}")
     em("new_locals = stack[base:]")
     em("del stack[base:]")
@@ -743,10 +601,7 @@ def _emit_frame_switch(em: Emitter, *, nargs_expr: str, pad: bool, views: str) -
     with em.indent():
         em("paths.on_call(callee)")
     em("method = callee")
-    if views == "tuple":
-        _views_unpack_tuple(em, "views")
-    else:
-        _views_unpack_longhand(em)
+    _views_unpack_tuple(em, "views")
     em("stack = frame.stack")
     em("locals_ = frame.locals")
     em("pc = 0")
@@ -786,7 +641,7 @@ def _emit_leaf_fastpath(em: Emitter, *, nargs_expr: str, cell: bool) -> None:
             em("continue")
 
 
-def _emit_call_arm(em: Emitter) -> None:
+def _emit_call_arm(em: Emitter, _arm) -> None:
     """The raw CALL_STATIC|CALL_VIRTUAL arm (un-quickened sites)."""
     vspec = spec_of(Op.CALL_VIRTUAL)
     em("if steps >= max_steps:")
@@ -842,10 +697,11 @@ def _emit_call_arm(em: Emitter) -> None:
         em("self.methods_executed += 1")
     em.raw(_CALL_NOTIFY)
     _stack_overflow_fault(em, vspec)
-    _emit_frame_switch(em, nargs_expr="nargs", pad=False, views="longhand")
+    em("views = callee.views")
+    _emit_frame_switch(em, nargs_expr="nargs", pad=False)
 
 
-def _emit_frame_pop(em: Emitter, *, views: str) -> None:
+def _emit_frame_pop(em: Emitter) -> None:
     em("dead = frames.pop()")
     em("if not frames:")
     with em.indent():
@@ -856,18 +712,13 @@ def _emit_frame_pop(em: Emitter, *, views: str) -> None:
     em("pool.append(dead)")
     em("frame = frames[-1]")
     em("method = frame.method")
-    if views == "tuple":
-        _views_unpack_tuple(em, "method.views")
-    else:
-        _views_unpack_longhand(em)
+    _views_unpack_tuple(em, "method.views")
     em("stack = frame.stack")
     em("locals_ = frame.locals")
     em("pc = frame.pc")
 
 
-def _emit_return_arm(em: Emitter, *, valop: str, views: str) -> None:
-    """The raw and IC return arms (``valop`` is the value-bearing opcode
-    local name; the IC variant restores views in one tuple unpack)."""
+def _emit_return_arm(em: Emitter, _arm) -> None:
     em("time += return_cost")
     em("if epilogue_yp and self.yieldpoint_flag != 0:")
     with em.indent():
@@ -876,7 +727,7 @@ def _emit_return_arm(em: Emitter, *, valop: str, views: str) -> None:
         em("frame.pc = pc")
         em("self._take_yieldpoint(EPILOGUE)")
         em("time = self.time")
-    em(f"value = stack.pop() if op == {valop} else None")
+    em("value = stack.pop() if op == OP_RETURN_VAL else None")
     em("if paths is not None:")
     with em.indent():
         em("# Record the completed path (may charge the")
@@ -884,13 +735,13 @@ def _emit_return_arm(em: Emitter, *, valop: str, views: str) -> None:
         em("self.time = time")
         em("paths.on_return(pc)")
         em("time = self.time")
-    _emit_frame_pop(em, views=views)
-    em(f"if value is not None or op == {valop}:")
+    _emit_frame_pop(em)
+    em("if value is not None or op == OP_RETURN_VAL:")
     with em.indent():
         em("stack.append(value)")
 
 
-def _emit_ic_virtual_arm(em: Emitter) -> None:
+def _emit_ic_virtual_arm(em: Emitter, _arm) -> None:
     vspec = spec_of(Op.CALL_VIRTUAL)
     em("# Quickened virtual call.  Entry layout (repro.vm.ic):")
     em("# [0]=nargs, [1..6]=slot0 (class, method, index,")
@@ -1006,10 +857,10 @@ def _emit_ic_virtual_arm(em: Emitter) -> None:
     em("# Cache hits only: a freshly bound class takes the frame.")
     _emit_leaf_fastpath(em, nargs_expr="nargs", cell=True)
     _stack_overflow_fault(em, vspec)
-    _emit_frame_switch(em, nargs_expr="entry[0]", pad=True, views="tuple")
+    _emit_frame_switch(em, nargs_expr="entry[0]", pad=True)
 
 
-def _emit_ic_static_arm(em: Emitter) -> None:
+def _emit_ic_static_arm(em: Emitter, _arm) -> None:
     sspec = spec_of(Op.CALL_STATIC)
     em("# Quickened static call: [method, index, views, pad,")
     em("# nargs] — the target is a constant.")
@@ -1026,22 +877,22 @@ def _emit_ic_static_arm(em: Emitter) -> None:
     _stack_overflow_fault(em, sspec)
     em("views = entry[2]")
     em("pad = entry[3]")
-    _emit_frame_switch(em, nargs_expr="entry[4]", pad=True, views="tuple")
+    _emit_frame_switch(em, nargs_expr="entry[4]", pad=True)
 
 
-# -- fused arms (derived from component specs + FUSED_LAYOUT) -----------------
+#: The arms this module spells out itself, by ``OpSpec.kind`` or IC
+#: opcode name; every other arm is data and comes from ``optemplates``.
+CONTROL_EMITTERS = {
+    "jump": _emit_jump_arm,
+    "branch": _emit_branch_arm,
+    "call": _emit_call_arm,
+    "return": _emit_return_arm,
+    "IC_CALL_VIRTUAL": _emit_ic_virtual_arm,
+    "IC_CALL_STATIC": _emit_ic_static_arm,
+}
 
 
-class _Val:
-    """One symbolic operand-stack slot during fused-arm derivation."""
-
-    __slots__ = ("expr", "src", "binop")
-
-    def __init__(self, expr: str, src: str, binop=None):
-        self.expr = expr
-        self.src = src  # "load" | "push" | "real" | "derived"
-        self.binop = binop  # (left_expr, sym, right_expr) when a binop result
-
+# -- data arms (optemplates under the interpreter's own context) --------------
 
 _ROLE_NAMES = {
     Op.PUSH: "k",
@@ -1084,240 +935,229 @@ def _mid_group_refund(idx: int, arity: int) -> tuple[str, str, str]:
     return time_expr, steps_expr, pc_expr
 
 
-def _substitute_real(lines: list[str], replacement: str, *, at_most_one: bool):
-    count = sum(line.count("__REAL__") for line in lines)
-    if at_most_one and count != 1:  # pragma: no cover - pattern audit
-        raise AssertionError(f"expected one real-stack use, found {count}")
-    return [line.replace("__REAL__", replacement) for line in lines]
+#: optemplates' names for VM tables, as the loop's preamble binds them.
+_HOST_NAMES = {"vt": "vtables", "fd": "field_defaults", "out": "self.output"}
+
+#: The deepest real operand of an arm that leaves nothing behind.
+_INLINE_POP = "stack.pop()"
 
 
-def _emit_fused_data_arm(em: Emitter, fid: int) -> None:
-    """Symbolically execute the group's components, then emit the
-    minimal statements: appends when nothing real is consumed, a
-    peek-replace (or augmented assignment) when the group nets a
-    one-for-one top-of-stack swap, a single ``stack.pop()`` when the
-    consumed value never comes back."""
-    comps, opnd, unpack = _operand_exprs(fid)
-    arity = len(comps)
-    em(f"steps += {arity}")
-    if unpack:
-        em(unpack)
-    bem = Emitter()
-    sim: list[_Val] = []
-    real = 0
+def _bare(expr: str) -> str:
+    """``expr`` without a pair of parentheses that encloses all of it."""
+    depth = 0
+    for i, ch in enumerate(expr):
+        depth += (ch == "(") - (ch == ")")
+        if depth == 0:
+            return expr[1:-1] if i and i == len(expr) - 1 else expr
+    return expr
 
-    def vpop() -> _Val:
-        nonlocal real
-        if sim:
-            return sim.pop()
-        if real:  # pragma: no cover - pattern audit
-            raise AssertionError("patterns pop at most one real value")
-        real += 1
-        return _Val("__REAL__", "real")
 
-    for idx, comp in enumerate(comps):
-        spec = spec_of(comp)
-        kind = spec.kind
-        if kind == "load":
-            sim.append(_Val(f"locals_[{opnd[idx]}]", "load"))
-        elif kind == "push_const":
-            sim.append(_Val(opnd[idx], "push"))
-        elif kind == "store":
-            val = vpop()
-            bem(f"locals_[{opnd[idx]}] = {val.expr}")
-        elif kind == "binop":
-            right = vpop()
-            left = vpop()
-            sym = _BINOP_SYMS[spec.arg]
-            sim.append(
-                _Val(
-                    f"{left.expr} {sym} {right.expr}",
-                    "derived",
-                    binop=(left.expr, sym, right.expr),
-                )
-            )
-        elif kind == "getfield":
-            obj = vpop()
-            bem(f"obj = {obj.expr}")
-            bem("if obj is None:")
-            with bem.indent():
-                time_expr, steps_expr, pc_expr = _mid_group_refund(idx, arity)
-                if idx + 1 < arity:
-                    bem("# Fault mid-group: attribute the raw pc and")
-                    bem("# give back the trailing components' charge")
-                    bem("# (the raw run never reached them).")
-                _fault_raise(
-                    bem,
-                    spec.faults[0],
-                    pc_expr=pc_expr,
-                    time_expr=time_expr,
-                    steps_expr=steps_expr,
-                )
-            sim.append(_Val(f"obj.fields[{opnd[idx]}]", "derived"))
-        elif kind == "divmod":
-            right = vpop()
-            left = vpop()
-            bem(f"k = {right.expr}")
-            bem(f"left = {left.expr}")
-            bem("if k == 0:")
-            with bem.indent():
-                time_expr, steps_expr, pc_expr = _mid_group_refund(idx, arity)
-                _fault_raise(
-                    bem,
-                    spec.faults[0],
-                    pc_expr=pc_expr,
-                    time_expr=time_expr,
-                    steps_expr=steps_expr,
-                )
-            bem("quotient = abs(left) // abs(k)")
-            bem("if (left < 0) != (k < 0):")
-            with bem.indent():
-                bem("quotient = -quotient")
-            result = "quotient" if spec.arg == "div" else "left - quotient * k"
-            sim.append(_Val(result, "derived"))
-        else:  # pragma: no cover - fusable audit in fuse.py
-            raise AssertionError(f"kind {kind!r} cannot appear mid-group")
+class _Operands(list):
+    """An arm's symbolic operand stack.  Empty, it underflows onto the
+    real ``stack``: the values beneath it are the ones the interpreter
+    pushed before this arm was dispatched."""
 
-    lines = bem.lines
-    if real == 0:
-        for line in lines:
-            em(line)
-        for val in sim:
-            em(f"stack.append({val.expr})")
-    elif len(sim) == 1:
-        top = sim[0]
-        final_expr = top.expr
-        for line in _substitute_real(lines, "stack[-1]", at_most_one=False):
-            em(line)
-        if top.binop is not None and top.binop[0] == "__REAL__":
-            em(f"stack[-1] {top.binop[1]}= {top.binop[2]}")
-        else:
-            em(f"stack[-1] = {final_expr.replace('__REAL__', 'stack[-1]')}")
+    def __init__(self, ctx: "ArmContext") -> None:
+        super().__init__()
+        self.ctx = ctx
+
+    def pop(self):
+        return super().pop() if self else self.ctx.underflow()
+
+    def __getitem__(self, index):
+        if not self:
+            self.append(self.ctx.underflow())
+        return super().__getitem__(index)
+
+
+class ArmContext(optemplates.EmitContext):
+    """One dispatch arm of the interpreter: ``comps`` run in order by
+    :func:`repro.vm.optemplates.emit`, a raw arm being the one-component
+    case.  Operands are expressions read at run time, locals live in
+    ``locals_[...]``, and a fault raises on the spot with the counters
+    synced and, mid-group, the trailing components' charge given back.
+
+    Real operands are taken top first.  The spec rows say how many the
+    arm consumes and whether it leaves a value behind, so every operand
+    but the deepest is popped into a name where it is asked for, and the
+    deepest is a ``stack[-1]`` peek the bottom result replaces in place —
+    or, when nothing comes back, an inline ``stack.pop()``."""
+
+    def __init__(self, em: Emitter, comps) -> None:
+        self.em = em
+        self.arity = len(comps)
+        self.idx = 0  # the component being emitted
+        depth = self.need = 0
+        for comp in comps:
+            spec = spec_of(comp)
+            self.need += max(spec.pops - depth, 0)
+            depth = max(depth - spec.pops, 0) + spec.pushes
+        self.results = depth
+        self.taken = self.tmps = 0
+        #: The atom that is what the real ``stack[-1]`` still holds.
+        self.inplace = None
+        self.vstack = _Operands(self)
+
+    def w(self, line: str) -> None:
+        self.em(line)
+
+    def new_tmp(self) -> str:
+        self.tmps += 1
+        return f"t{self.tmps - 1}"
+
+    def name(self, what: str) -> str:
+        return _HOST_NAMES.get(what, what)  # heap classes go by their own
+
+    def charge(self, expr: str) -> None:
+        self.w(f"time += {expr}")
+
+    def load(self, slot) -> Atom:
+        return Atom(f"locals_[{slot}]", deps=frozenset((slot,)))
+
+    def const(self, a) -> Atom:
+        return Atom(a, simple=a.isidentifier(), isint=True)
+
+    def underflow(self) -> Atom:
+        self.taken += 1
+        assert self.taken <= self.need, "an opcode popped more than its spec row says"
+        if self.taken < self.need:
+            name = "right" if self.taken == 1 else self.new_tmp()
+            self.w(f"{name} = stack.pop()")
+            return Atom(name, simple=True)
+        if self.results:
+            self.inplace = Atom("stack[-1]")
+            return self.inplace
+        return Atom(_INLINE_POP)
+
+    def drop(self, atom: Atom) -> None:
+        if atom.expr == _INLINE_POP:
+            self.w(_INLINE_POP)
+
+    def pin_force(self, atom: Atom) -> Atom:
+        pinned = super().pin_force(atom)
+        if atom is self.inplace:
+            self.inplace = pinned
+        return pinned
+
+    def _forward(self, atom: Atom, live) -> str:
+        """``atom``'s text for the statement about to be written.  When
+        the line just written only bound it to a temp nothing in ``live``
+        reads, that line is taken back and its right-hand side used (what
+        keeps ``stack[-1] = obj.fields[...]`` one statement)."""
+        lines = self.em.lines
+        bound = f"{atom.expr} = "
+        if lines[-1].lstrip().startswith(bound) and not any(
+            atom.expr in other.expr for other in live
+        ):
+            return lines.pop().lstrip()[len(bound) :]
+        return atom.expr
+
+    def store(self, slot, value: Atom, vstack) -> None:
+        # Slots are run-time values: any local still read from the
+        # symbolic stack may be the one overwritten.
+        for i, atom in enumerate(vstack):
+            if atom.deps:
+                vstack[i] = self.pin_force(atom)
+        self.w(f"locals_[{slot}] = {_bare(self._forward(value, vstack))}")
+
+    def guard(self, modes, vstack, operands) -> None:
+        time_expr, steps_expr, pc_expr = _mid_group_refund(self.idx, self.arity)
+        for fault, test, names in modes:
+            self.w(f"if {test}:")
+            with self.em.indent():
+                if self.idx + 1 < self.arity:
+                    self.w("# Fault mid-group: attribute the raw pc and")
+                    self.w("# give back the trailing components' charge")
+                    self.w("# (the raw run never reached them).")
+                _fault_raise(self.em, fault, pc_expr, time_expr, steps_expr, names)
+
+    def flush(self) -> None:
+        """Write the symbolic stack back: the bottom value over the
+        peeked ``stack[-1]`` (in place when it is that slot's own binop,
+        not at all when it is that slot, untouched), the rest appended."""
+        assert self.taken == self.need, "an opcode popped less than its spec row says"
+        values = list(self.vstack)
+        del self.vstack[:]
+        if self.inplace is not None:
+            bottom = values.pop(0)
+            if bottom is not self.inplace:
+                expr = self._forward(bottom, values)
+                inner = _bare(expr)
+                own = inner != expr and re.fullmatch(r"stack\[-1\] ([-+*]) (.+)", inner)
+                if own:
+                    self.w(f"stack[-1] {own[1]}= {own[2]}")
+                else:
+                    self.w(f"stack[-1] = {inner}")
+        for i, value in enumerate(values):
+            self.w(f"stack.append({_bare(self._forward(value, values[i + 1 :]))})")
+
+
+def _emit_components(em: Emitter, comps, opnd: dict, b=None) -> ArmContext:
+    """Run ``comps`` through the evaluator up to a control tail, which is
+    the caller's: it pops what the tail consumes off ``ctx.vstack``."""
+    ctx = ArmContext(em, comps)
+    for ctx.idx, comp in enumerate(comps):
+        if spec_of(comp).kind in optemplates.CONTROL_KINDS:
+            assert ctx.idx == len(comps) - 1, "control is fused only as a tail"
+            break
+        optemplates.emit(ctx, comp, opnd.get(ctx.idx), b, ctx.vstack)
+    return ctx
+
+
+def _emit_raw_arm_body(em: Emitter, arm: tuple[str, ...]) -> None:
+    name = arm[0]
+    key = name if name.startswith("IC_") else spec_of(Op[name]).kind
+    if key in CONTROL_EMITTERS:
+        CONTROL_EMITTERS[key](em, arm)
     else:
-        assert not sim, "net pop of more than the top is unsupported"
-        for line in _substitute_real(lines, "stack.pop()", at_most_one=True):
-            em(line)
-    em(f"pc += {arity}")
+        assert len(arm) == 1, "data arms are not shared"
+        _emit_components(em, [Op[name]], {0: "aarg[pc]"}, "barg[pc]").flush()
+        em("pc += 1")
 
 
-def _fused_branch_tail(em: Emitter, arity: int, *, bind_target: bool) -> None:
-    off = arity - 1
-    if bind_target:
-        em("target = faarg[pc]")
-    em(f"if target <= pc + {off} and steps >= max_steps:")
-    with em.indent():
-        _step_limit_raise(em, pc_expr=f"pc + {off}")
-    em("pc = target")
-
-
-def _emit_fused_branch_arm(em: Emitter, fid: int) -> None:
-    """cmp+JIF tails: the fall-through condition is the cmp's truth (the
-    JIF jumps when the popped result is zero)."""
-    comps, opnd, unpack = _operand_exprs(fid)
+def _emit_fused_arm_body(em: Emitter, arm: tuple[str, ...]) -> None:
+    (name,) = arm
+    comps, opnd, unpack = _operand_exprs(_F_BY_NAME[name])
     arity = len(comps)
-    cmp_spec = spec_of(comps[-2])
+    tail = spec_of(comps[-1])
     em(f"steps += {arity}")
     if unpack:
         em(unpack)
-    if arity == 2:
-        # Operands come off the real stack (right was pushed last).
-        if cmp_spec.kind == "cmp":
-            em("right = stack.pop()")
-            em(f"if stack.pop() {_CMP_SYMS[cmp_spec.arg]} right:")
-            with em.indent():
-                em(f"pc += {arity}")
-            em("else:")
-            with em.indent():
-                _fused_branch_tail(em, arity, bind_target=True)
-        else:  # eqcmp: int equality, identity for non-ints
-            taken_val = "!=" if cmp_spec.arg == "==" else "=="
-            taken_id = "is not" if cmp_spec.arg == "==" else "is"
-            em("right = stack.pop()")
-            em("left = stack.pop()")
-            em("if isinstance(left, int) and isinstance(right, int):")
-            with em.indent():
-                em(f"taken = left {taken_val} right")
-            em("else:")
-            with em.indent():
-                em(f"taken = left {taken_id} right")
-            em("if taken:")
-            with em.indent():
-                _fused_branch_tail(em, arity, bind_target=True)
-            em("else:")
-            with em.indent():
-                em(f"pc += {arity}")
+    ctx = _emit_components(em, comps, opnd)
+    if tail.kind not in optemplates.CONTROL_KINDS:
+        ctx.flush()
+        em(f"pc += {arity}")
         return
-    # Quad: the prefix components produce both operands symbolically.
-    sim: list[_Val] = []
-    for idx, comp in enumerate(comps[:-2]):
-        spec = spec_of(comp)
-        if spec.kind == "load":
-            sim.append(_Val(f"locals_[{opnd[idx]}]", "load"))
-        elif spec.kind == "push_const":
-            sim.append(_Val(opnd[idx], "push"))
-        else:  # pragma: no cover - pattern audit
-            raise AssertionError(f"unexpected branch prefix {comp.name}")
-    right = sim.pop()
-    left = sim.pop()
-    if cmp_spec.kind == "cmp":
-        em(f"if {left.expr} {_CMP_SYMS[cmp_spec.arg]} {right.expr}:")
+    top = ctx.vstack.pop()
+    assert not ctx.vstack, "a control tail leaves nothing on the symbolic stack"
+    ctx.flush()
+    if tail.kind == "branch":
+        # JUMP_IF_FALSE: fall through while the value is true.
+        assert tail.arg == "false"
+        em(f"if {_bare(top.cond or top.expr + ' != 0')}:")
         with em.indent():
             em(f"pc += {arity}")
         em("else:")
         with em.indent():
-            _fused_branch_tail(em, arity, bind_target=False)
+            if opnd[arity - 1] != "target":
+                em(f"target = {opnd[arity - 1]}")
+            em(f"if target <= pc + {arity - 1} and steps >= max_steps:")
+            with em.indent():
+                _step_limit_raise(em, pc_expr=f"pc + {arity - 1}")
+            em("pc = target")
     else:
-        # eqcmp against a PUSH operand: the constant is an int, so the
-        # raw EQ's identity fallback reduces to False for non-int left
-        # values.
-        assert right.src == "push", "fused eqcmp quads compare against PUSH"
-        em(f"left = {left.expr}")
-        eq = f"isinstance(left, int) and left == {right.expr}"
-        cond = eq if cmp_spec.arg == "==" else f"not ({eq})"
-        em(f"if {cond}:")
+        # RETURN_VAL: the shared epilogue / frame-pop sequence.
+        em(f"value = {_bare(top.expr)}")
+        em("time += return_cost")
+        em("if epilogue_yp and self.yieldpoint_flag != 0:")
         with em.indent():
-            em(f"pc += {arity}")
-        em("else:")
-        with em.indent():
-            _fused_branch_tail(em, arity, bind_target=False)
-
-
-def _emit_fused_return_arm(em: Emitter, fid: int) -> None:
-    """RETURN_VAL tails: compute the value from the prefix, then the
-    shared epilogue/frame-pop sequence."""
-    comps, opnd, _unpack = _operand_exprs(fid)
-    arity = len(comps)
-    sim: list[_Val] = []
-    for idx, comp in enumerate(comps[:-1]):
-        spec = spec_of(comp)
-        if spec.kind == "load":
-            sim.append(_Val(f"locals_[{opnd[idx]}]", "load"))
-        elif spec.kind == "push_const":
-            sim.append(_Val(opnd[idx], "push"))
-        elif spec.kind == "binop":
-            right = sim.pop()
-            left = sim.pop()
-            sim.append(
-                _Val(
-                    f"{left.expr} {_BINOP_SYMS[spec.arg]} {right.expr}",
-                    "derived",
-                )
-            )
-        else:  # pragma: no cover - pattern audit
-            raise AssertionError(f"unexpected return prefix {comp.name}")
-    assert len(sim) == 1, "return tail must net one value"
-    em(f"steps += {arity}")
-    em(f"value = {sim[0].expr}")
-    em("time += return_cost")
-    em("if epilogue_yp and self.yieldpoint_flag != 0:")
-    with em.indent():
-        em("self.time = time")
-        em("self.call_count = call_count")
-        em(f"frame.pc = pc + {arity - 1}")
-        em("self._take_yieldpoint(EPILOGUE)")
-        em("time = self.time")
-    _emit_frame_pop(em, views="longhand")
-    em("stack.append(value)")
+            em("self.time = time")
+            em("self.call_count = call_count")
+            em(f"frame.pc = pc + {arity - 1}")
+            em("self._take_yieldpoint(EPILOGUE)")
+            em("time = self.time")
+        _emit_frame_pop(em)
+        em("stack.append(value)")
 
 
 # -- loop assembly ------------------------------------------------------------
@@ -1469,44 +1309,6 @@ def expected_comparisons() -> float:
         number = OPCODE_NUMBERS[name]
         total += weight * tree_path(trees[number < fusion.FUSE_BASE], number)[1]
     return total / sum(ARM_WEIGHTS.values())
-
-
-def _emit_raw_arm_body(em: Emitter, arm: tuple[str, ...]) -> None:
-    name = arm[0]
-    if name == "IC_CALL_VIRTUAL":
-        _emit_ic_virtual_arm(em)
-    elif name == "IC_CALL_STATIC":
-        _emit_ic_static_arm(em)
-    elif name.startswith("IC_RETURN"):
-        em("# Quickened return: identical to the raw handler but")
-        em("# restores the caller's cached views in one unpack.")
-        _emit_return_arm(em, valop="OP_IC_RETURN_VAL", views="tuple")
-    else:
-        kind = spec_of(Op[name]).kind
-        if kind == "call":
-            _emit_call_arm(em)
-        elif kind == "return":
-            _emit_return_arm(em, valop="OP_RETURN_VAL", views="longhand")
-        elif kind == "divmod":
-            _emit_divmod_arm(em)
-        elif kind == "jump":
-            _emit_jump_arm(em)
-        elif kind == "branch":
-            _emit_branch_arm(em, Op[name])
-        else:
-            _emit_simple_raw_arm(em, Op[name])
-
-
-def _emit_fused_arm_body(em: Emitter, arm: tuple[str, ...]) -> None:
-    (name,) = arm
-    fid = _F_BY_NAME[name]
-    tail = Op(fusion.FUSED_COMPONENTS[fid][-1])
-    if spec_of(tail).kind == "branch":
-        _emit_fused_branch_arm(em, fid)
-    elif spec_of(tail).kind == "return":
-        _emit_fused_return_arm(em, fid)
-    else:
-        _emit_fused_data_arm(em, fid)
 
 
 def _emit_tree(em: Emitter, node: "Split | Leaf") -> None:

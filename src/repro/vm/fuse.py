@@ -36,9 +36,9 @@ step counts, DCG edges, telemetry).  Two rules guarantee that:
 
 Superinstruction opcodes occupy ``[FUSE_BASE, ...)`` — disjoint both
 from :class:`~repro.bytecode.opcodes.Op` and from the inline-cache
-quickened opcodes in ``[IC_BASE, IC_BASE + 4)`` = ``[90, 94)`` (see
-:mod:`repro.vm.ic`; calls and returns, which fusion never groups, so
-the two quickening layers rewrite disjoint pcs) — and exist only
+quickened opcodes in ``[IC_BASE, IC_BASE + 2)`` = ``[90, 92)`` (see
+:mod:`repro.vm.ic`; calls, which fusion never groups, so the two
+quickening layers rewrite disjoint pcs) — and exist only
 inside :class:`~repro.vm.runtime.CompiledMethod` arrays; bytecode on
 disk, the optimizer, the verifier, and the profilers never see them.
 
@@ -345,75 +345,4 @@ def fuse_method(code, ops, costs, control: bool = True):
             pc += 1
     if sites == 0:
         return None
-    return fops, fcosts, fa, fb, sites, span
-
-
-def fuse_method_paths(code, ops, costs, heat, control: bool = True):
-    """Path-profile-guided fusion: pick the group layout that maximizes
-    *observed* dispatch savings instead of greedy longest-first.
-
-    ``heat`` maps raw pc → execution weight decoded from a Ball-Larus
-    path profile (:class:`repro.profiling.paths.PathHeat`); a group
-    starting at ``pc`` saves ``len(group) - 1`` dispatches per
-    execution, so its score is ``(len - 1) * (1 + heat[pc])``.  A
-    right-to-left dynamic program maximizes the total score — with a
-    uniform (empty) heat this is exactly maximal static coverage, which
-    is ≥ what the greedy scan achieves, and with real heat it prefers
-    the groups hot paths actually execute (overlapping candidates in
-    cold code lose to hot alternatives the greedy scan would shadow).
-
-    Same return contract as :func:`fuse_method`.
-    """
-    n = len(ops)
-    targets = jump_targets(code)
-
-    def candidates_at(pc: int) -> list:
-        found = []
-        for seq, fid, build, guard in _BY_HEAD.get(ops[pc], ()):
-            if not control and fid in CONTROL_FUSED_IDS:
-                continue
-            end = pc + len(seq)
-            if end > n or tuple(ops[pc:end]) != seq:
-                continue
-            if any(p in targets for p in range(pc + 1, end)):
-                continue
-            if guard is not None and not guard(code[pc:end]):
-                continue
-            found.append((end, fid, build))
-        return found
-
-    best = [0] * (n + 1)
-    choice: list = [None] * n
-    for pc in range(n - 1, -1, -1):
-        best[pc] = best[pc + 1]
-        weight = 1 + heat.get(pc, 0)
-        for end, fid, build in candidates_at(pc):
-            score = (end - pc - 1) * weight + best[end]
-            if score > best[pc]:
-                best[pc] = score
-                choice[pc] = (end, fid, build)
-    if best[0] == 0:
-        return None
-
-    fops = list(ops)
-    fcosts = list(costs)
-    fa: list = [None] * n
-    fb: list = [None] * n
-    sites = 0
-    span = 0
-    pc = 0
-    while pc < n:
-        chosen = choice[pc]
-        if chosen is None:
-            pc += 1
-            continue
-        end, fid, build = chosen
-        fops[pc] = fid
-        fcosts[pc] = sum(costs[pc:end])
-        operands = build(code[pc:end])
-        fa[pc] = operands[0]
-        fb[pc] = operands[1]
-        sites += 1
-        span += end - pc
-        pc = end
     return fops, fcosts, fa, fb, sites, span

@@ -18,11 +18,11 @@ executions dispatch through the cache:
   :meth:`repro.bytecode.program.Program.flat_dispatch_tables`) instead
   of the dict vtables.
 
-``CALL_STATIC`` and ``RETURN``/``RETURN_VAL`` are quickened too (the
-call target is constant; returns just switch back to the caller's
-cached views), which is what lets an inline-cached call avoid the
-seven per-frame-switch attribute loads: every method carries a
-prebuilt ``views`` tuple the IC paths unpack in one go.
+``CALL_STATIC`` is quickened too (the call target is constant), and a
+cache entry carries the callee's prebuilt ``views`` tuple, so an
+inline-cached call switches frames with one unpack instead of eight
+attribute loads (returns restore the caller's the same way, cached or
+not: every method carries the tuple).
 
 All of this is **host-level only**.  Virtual time still charges
 ``call_virtual_cost`` per dispatch, steps/ticks/yieldpoints/DCG
@@ -53,10 +53,8 @@ IC_BASE = 90
 
 OP_IC_CALL_VIRTUAL = 90
 OP_IC_CALL_STATIC = 91
-OP_IC_RETURN = 92
-OP_IC_RETURN_VAL = 93
 
-assert max(int(op) for op in Op) < IC_BASE < IC_BASE + 4 <= FUSE_BASE
+assert max(int(op) for op in Op) < IC_BASE < IC_BASE + 2 <= FUSE_BASE
 
 #: Maximum distinct receiver classes a site binds before it goes
 #: megamorphic (2 inline slots + POLY_LIMIT - 2 overflow entries).

@@ -1,7 +1,7 @@
 """Opt-level-3 template JIT: compile one method to one Python function.
 
 The compiler walks a method's *quickened* stream (``fops``: fused heads,
-IC call opcodes, quickened returns), expands superinstruction heads back
+IC call opcodes), expands superinstruction heads back
 into their raw components through :data:`repro.vm.fuse.FUSED_COMPONENTS`
 (one template per component, operands and costs taken from the raw
 parallel arrays at the interior slots), and emits straight-line Python
@@ -484,10 +484,6 @@ class _Compiler(optemplates.EmitContext):
                 op, entry = _OP_CALL_VIRTUAL, m.ics[pc]
             elif f == icmod.OP_IC_CALL_STATIC:
                 op, entry = _OP_CALL_STATIC, m.ics[pc]
-            elif f == icmod.OP_IC_RETURN:
-                op = _OP_RETURN
-            elif f == icmod.OP_IC_RETURN_VAL:
-                op = _OP_RETURN_VAL
             recs[pc] = (op, a[pc], b[pc], costs[pc], entry)
             pc += 1
         self.recs = recs

@@ -2,13 +2,15 @@
 
 Every place the VM turns a data opcode into host Python *text* — the
 template JIT's method bodies, its textual expansion of a leaf callee at
-the call site, and the inline caches' frameless leaf closures — goes
-through :func:`emit`, which is keyed by the opcode's
-:class:`~repro.bytecode.opcodes.OpSpec` row (``kind``/``arg``/``faults``)
-and executes it against a list of :class:`Atom` operand-stack slots at
-code-generation time.  What differs between the three users is stated
-by an :class:`EmitContext`: how a local is read and written, where a
-statement goes, and what a fault precondition does.
+the call site, the inline caches' frameless leaf closures, and the
+interpreter's own raw and fused dispatch arms
+(:mod:`repro.vm.dispatchgen`) — goes through :func:`emit`, which is
+keyed by the opcode's :class:`~repro.bytecode.opcodes.OpSpec` row
+(``kind``/``arg``/``faults``) and executes it against a list of
+:class:`Atom` operand-stack slots at code-generation time.  What
+differs between the four users is stated by an :class:`EmitContext`:
+how a local is read and written, what an operand is, where a statement
+goes, and what a fault precondition does.
 
 Control opcodes (jumps, branches, calls, returns) are not data and stay
 with the consumer that owns the control flow.  The import-time check at
@@ -32,19 +34,23 @@ class Atom:
     ``cond``/``ncond`` carry a boolean form and its negation for
     comparison results, so branches test the comparison directly instead
     of materializing 0/1.  ``lit`` holds a compile-time int constant,
-    ``isnull`` marks the ``null`` literal — both feed the ``EQ``/``NE``
-    int-vs-identity specialization."""
+    ``isint`` marks a value known to be an int (a ``PUSH`` operand,
+    baked or read at run time), ``isnull`` marks the ``null`` literal —
+    all three feed the ``EQ``/``NE`` int-vs-identity specialization."""
 
-    __slots__ = ("expr", "deps", "simple", "cond", "ncond", "lit", "isnull")
+    __slots__ = (
+        "expr", "deps", "simple", "cond", "ncond", "lit", "isint", "isnull"
+    )
 
     def __init__(self, expr, deps=frozenset(), simple=False, cond=None,
-                 ncond=None, lit=None, isnull=False):
+                 ncond=None, lit=None, isint=False, isnull=False):
         self.expr = expr
         self.deps = deps
         self.simple = simple
         self.cond = cond
         self.ncond = ncond
         self.lit = lit
+        self.isint = isint or lit is not None
         self.isnull = isnull
 
 
@@ -76,6 +82,22 @@ class EmitContext:
         changed anything; ``vstack + operands`` is the operand stack the
         interpreter would see on re-executing the op."""
         raise NotImplementedError
+
+    def guard(self, modes, vstack, operands) -> None:
+        """The op's fault modes in the spec row's order, each a
+        ``(FaultSpec, precondition, message placeholders)`` triple.  One
+        merged exit serves every context that hands the op back to the
+        interpreter; the interpreter itself raises each mode's error."""
+        self.fault(" or ".join(test for _, test, _ in modes), vstack, operands)
+
+    def const(self, a) -> Atom:
+        """The ``PUSH`` operand: a baked int unless the context reads
+        its operands at run time."""
+        return lit_atom(a)
+
+    def drop(self, atom: Atom) -> None:
+        """``atom`` is discarded unread (``POP``); only a context whose
+        atoms can have effects cares."""
 
     def name(self, what: str) -> str:
         """Host name of a VM table or heap class (method bodies only)."""
@@ -112,7 +134,9 @@ class EmitContext:
     def pin_force(self, atom: Atom) -> Atom:
         t = self.new_tmp()
         self.w(f"{t} = {atom.expr}")
-        return Atom(t, simple=True, lit=atom.lit, isnull=atom.isnull)
+        return Atom(
+            t, simple=True, lit=atom.lit, isint=atom.isint, isnull=atom.isnull
+        )
 
 
 # -- the templates: one function per OpSpec.kind -------------------------------
@@ -136,6 +160,12 @@ _FAULT_TESTS = {
     "bounds": "{1} < 0 or {1} >= len({0}.elements)",
 }
 
+#: FaultSpec.kind -> the placeholders of its message, over the same
+#: subjects (read only by a context that raises the fault itself).
+_FAULT_MESSAGE_VARS = {
+    "bounds": {"index": "{1}", "length": "len({0}.elements)"},
+}
+
 _FOLD = {"+": int.__add__, "-": int.__sub__, "*": int.__mul__}
 _NEGATED = {"<": ">=", "<=": ">", ">": "<=", ">=": "<"}
 
@@ -149,11 +179,21 @@ def _template(kind: str, leaf: str | None = None):
 
 
 def _guard(ctx, spec: OpSpec, vstack, operands, *subjects: Atom) -> None:
-    """One exit covering every fault mode the spec row lists, tested in
-    the row's order (a null test short-circuits the bounds test)."""
+    """Every fault mode the spec row lists, tested in the row's order (a
+    null test short-circuits the bounds test)."""
     exprs = [atom.expr for atom in subjects]
-    ctx.fault(
-        " or ".join(_FAULT_TESTS[f.kind].format(*exprs) for f in spec.faults),
+    ctx.guard(
+        [
+            (
+                f,
+                _FAULT_TESTS[f.kind].format(*exprs),
+                {
+                    var: text.format(*exprs)
+                    for var, text in _FAULT_MESSAGE_VARS.get(f.kind, {}).items()
+                },
+            )
+            for f in spec.faults
+        ],
         vstack,
         operands,
     )
@@ -181,7 +221,7 @@ def _store(ctx, spec, a, b, vstack):
 
 @_template("push_const", "pure")
 def _push_const(ctx, spec, a, b, vstack):
-    vstack.append(lit_atom(a))
+    vstack.append(ctx.const(a))
 
 
 @_template("push_null", "pure")
@@ -191,7 +231,7 @@ def _push_null(ctx, spec, a, b, vstack):
 
 @_template("pop", "pure")
 def _pop(ctx, spec, a, b, vstack):
-    vstack.pop()
+    ctx.drop(vstack.pop())
 
 
 @_template("dup", "pure")
@@ -251,7 +291,7 @@ def _eq_conds(l: Atom, r: Atom) -> tuple[str, str]:
     for lit, other in ((l, r), (r, l)):
         if lit.isnull:
             return f"({other.expr} is None)", f"({other.expr} is not None)"
-        if lit.lit is not None:
+        if lit.isint:
             eq = f"(isinstance({other.expr}, int) and {other.expr} == {lit.expr})"
             ne = f"(not isinstance({other.expr}, int) or {other.expr} != {lit.expr})"
             return eq, ne

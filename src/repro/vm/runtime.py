@@ -18,13 +18,10 @@ mode check of its own.
 from __future__ import annotations
 
 from repro.bytecode.function import FunctionInfo
-from repro.bytecode.opcodes import Op
 from repro.bytecode.program import Program
 from repro.vm.costmodel import CostModel
-from repro.vm.fuse import fuse_method, fuse_method_paths
+from repro.vm.fuse import fuse_method
 from repro.vm.ic import (
-    OP_IC_RETURN,
-    OP_IC_RETURN_VAL,
     analyze_leaf,
     S_METHOD,
     S_NARGS,
@@ -43,9 +40,6 @@ from repro.vm.ic import (
     entry_is_virtual,
     locals_pad,
 )
-
-_OP_RETURN = int(Op.RETURN)
-_OP_RETURN_VAL = int(Op.RETURN_VAL)
 
 
 class CompiledMethod:
@@ -91,7 +85,6 @@ class CompiledMethod:
         fuse: bool = True,
         ic: bool = True,
         paths: bool = False,
-        path_heat: dict | None = None,
     ):
         self.function = function
         self.index = function.index
@@ -110,12 +103,6 @@ class CompiledMethod:
         self.jit = None
         if not fuse:
             fused = None
-        elif path_heat is not None:
-            # Path-profile-guided fusion (``--fuse-paths``): maximize
-            # observed dispatch savings instead of greedy coverage.
-            fused = fuse_method_paths(
-                function.code, self.ops, self.costs, path_heat, control=not paths
-            )
         else:
             # Path-instrumentable code excludes control-bearing
             # superinstructions so every branch/return dispatches
@@ -145,32 +132,10 @@ class CompiledMethod:
             # Call sites quicken lazily (the interpreter rewrites
             # ``fops[pc]`` on first execution), so ``fops`` must be a
             # list distinct from the pristine raw ``ops`` even when
-            # fusion found nothing.  Returns have no per-site state and
-            # quicken statically here; a RETURN slot interior to a
-            # fused group is safe to quicken because the IC handler is
-            # behaviourally identical to the raw one.
+            # fusion found nothing.
             if self.fops is self.ops:
                 self.fops = list(self.ops)
-            fops = self.fops
-            for pc, op in enumerate(fops):
-                if op == _OP_RETURN:
-                    fops[pc] = OP_IC_RETURN
-                elif op == _OP_RETURN_VAL:
-                    fops[pc] = OP_IC_RETURN_VAL
             self.ics: list | None = [None] * len(self.ops)
-            #: Everything a frame switch must load, prebuilt: the IC
-            #: call/return paths unpack this one tuple instead of doing
-            #: seven attribute loads.
-            self.views = (
-                self.fops,
-                self.a,
-                self.b,
-                self.fcosts,
-                self.fa,
-                self.fb,
-                self.origins,
-                self.ics,
-            )
             #: Leaf-call template (see repro.vm.ic.analyze_leaf): small
             #: fault-analyzable bodies that inline-cached call sites may
             #: evaluate without materializing a frame.
@@ -184,8 +149,20 @@ class CompiledMethod:
             )
         else:
             self.ics = None
-            self.views = None
             self.leaf = None
+        #: Everything a frame switch must load, prebuilt: every call and
+        #: return arm unpacks this one tuple instead of doing eight
+        #: attribute loads (``ics`` is ``None`` without inline caches).
+        self.views = (
+            self.fops,
+            self.a,
+            self.b,
+            self.fcosts,
+            self.fa,
+            self.fb,
+            self.origins,
+            self.ics,
+        )
 
     def __repr__(self) -> str:
         return (
@@ -212,7 +189,6 @@ class CodeCache:
         fuse: bool = True,
         ic: bool = True,
         paths: bool = False,
-        path_heat: "object | None" = None,
     ):
         self._program = program
         self._cost_model = cost_model
@@ -221,9 +197,6 @@ class CodeCache:
         #: True when compiled code is path-instrumentable (control-free
         #: fusion subset; ``Interpreter.attach_paths`` requires it).
         self.paths = paths
-        #: Optional :class:`repro.profiling.paths.PathHeat` driving
-        #: path-guided fusion for every compilation in this cache.
-        self.path_heat = path_heat
         self.compile_time = 0
         self.compile_count = 0
         #: Superinstruction sites / raw instructions covered, summed over
@@ -255,11 +228,6 @@ class CodeCache:
         per_byte = self._cost_model.compile_cost_per_byte.get(opt_level, 2)
         self.compile_time += per_byte * function.bytecode_size()
         self.compile_count += 1
-        heat = (
-            self.path_heat.function_heat(function.index)
-            if self.path_heat is not None
-            else None
-        )
         method = CompiledMethod(
             function,
             self._cost_model,
@@ -267,7 +235,6 @@ class CodeCache:
             fuse=self.fuse,
             ic=self.ic,
             paths=self.paths,
-            path_heat=heat,
         )
         self.fused_sites += method.fused_sites
         self.fused_span += method.fused_span

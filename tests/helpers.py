@@ -8,6 +8,7 @@ from repro.benchsuite.generator import GeneratorConfig, generate_source
 from repro.benchsuite.suite import benchmark_names, get_benchmark
 from repro.frontend.codegen import compile_source
 from repro.vm.config import VMConfig, jikes_config
+from repro.vm.errors import VMError
 from repro.vm.interpreter import Interpreter
 from repro.vm.jit import JitManager
 
@@ -80,3 +81,26 @@ def force_jit(vm: Interpreter) -> Interpreter:
     vm.jit_manager = JitManager(vm, threshold=1)
     vm.jit_manager.attach()
     return vm
+
+
+def run_transcript(program, config: VMConfig, prepare=None):
+    """Run ``program`` and return the VM with its transcript, field for
+    field what :func:`repro.fuzz.specexec.run_spec_reference` returns.
+    ``prepare(vm)`` runs before ``run()`` (attach a JIT, a tick hook)."""
+    vm = Interpreter(program, config)
+    if prepare is not None:
+        prepare(vm)
+    error = None
+    try:
+        vm.run()
+    except VMError as exc:
+        error = (type(exc).__name__, str(exc), exc.function, exc.pc)
+    return vm, {
+        "output": list(vm.output),
+        "time": vm.time,
+        "steps": vm.steps,
+        "ticks": vm.ticks,
+        "calls": vm.call_count,
+        "methods": vm.methods_executed,
+        "error": error,
+    }

@@ -636,35 +636,6 @@ def test_run_paths_output_identical_and_stats(program_file, capsys):
         assert f"-- paths: mode={mode} total=" in captured.err
 
 
-def test_paths_profile_roundtrip_drives_fusion(program_file, tmp_path, capsys):
-    profile = str(tmp_path / "paths.json")
-    assert main(
-        ["run", program_file, "--paths", "exhaustive", "--save-profile", profile]
-    ) == 0
-    baseline = capsys.readouterr().out
-    assert main(
-        ["run", program_file, "--load-profile", profile, "--fuse-paths", "--stats"]
-    ) == 0
-    captured = capsys.readouterr()
-    assert captured.out == baseline
-    assert "-- fusion: sites=" in captured.err
-
-
-def test_fuse_paths_requires_load_profile(program_file):
-    with pytest.raises(SystemExit, match="--fuse-paths needs --load-profile"):
-        main(["run", program_file, "--fuse-paths"])
-
-
-def test_fuse_paths_rejects_pathless_profile(program_file, tmp_path, capsys):
-    profile = str(tmp_path / "plain.json")
-    assert main(
-        ["run", program_file, "--profile", "cbs", "--save-profile", profile]
-    ) == 0
-    capsys.readouterr()
-    with pytest.raises(SystemExit, match="carries no path rows"):
-        main(["run", program_file, "--load-profile", profile, "--fuse-paths"])
-
-
 def test_disasm_paths_view(program_file, capsys):
     assert main(["disasm", program_file, "--paths"]) == 0
     out = capsys.readouterr().out

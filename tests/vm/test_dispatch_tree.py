@@ -4,18 +4,22 @@ The tree is laid out by :mod:`repro.vm.dispatchgen` from measured
 weights, so these tests check the generator's own account of it
 (``build_tree`` / ``tree_path``) rather than the text of ``_dispatch.py``
 — the ``--check`` test below ties the two together — and then drive the
-real loop into every number no arm owns.  Arm *bodies* are not this
-file's business: the identity suites, the corpus replay and the fuzz
-matrix (tests/fuzz, CI's ``fuzz-smoke``) hold those.
+real loop into every number no arm owns.  What an arm body *does* is
+not this file's business: ``test_fused_arms.py``, the identity suites,
+the corpus replay and the fuzz matrix (tests/fuzz, CI's ``fuzz-smoke``)
+hold that.  Where a body *comes from* is: the routing test below proves
+every data arm is written by ``optemplates.emit``.
 """
 
 from __future__ import annotations
 
 import pytest
 
+import re
+
 from repro.bytecode.assembler import assemble
-from repro.bytecode.opcodes import OPCODE_SPECS
-from repro.vm import dispatchgen, fuse, ic
+from repro.bytecode.opcodes import OPCODE_SPECS, spec_of
+from repro.vm import dispatchgen, fuse, ic, optemplates
 from repro.vm.config import jikes_config
 from repro.vm.errors import VMError
 from repro.vm.interpreter import Interpreter
@@ -31,11 +35,11 @@ def _tree_for(number: int):
 def test_weights_cover_every_opcode_exactly_once():
     expected = (
         [spec.op.name for spec in OPCODE_SPECS]
-        + ["IC_CALL_VIRTUAL", "IC_CALL_STATIC", "IC_RETURN", "IC_RETURN_VAL"]
+        + ["IC_CALL_VIRTUAL", "IC_CALL_STATIC"]
         + [dispatchgen._attr_name(fid) for fid in fuse.FUSED_COMPONENTS]
     )
     assert sorted(dispatchgen.ARM_WEIGHTS) == sorted(expected)
-    assert NUMBERS["IC_RETURN_VAL"] == ic.OP_IC_RETURN_VAL
+    assert NUMBERS["IC_CALL_STATIC"] == ic.OP_IC_CALL_STATIC
     assert all(isinstance(w, int) and w >= 0 for w in dispatchgen.ARM_WEIGHTS.values())
 
 
@@ -107,6 +111,69 @@ def test_check_prints_the_expected_comparisons(capsys):
     assert recomputed <= 6.5
     assert dispatchgen.main(["--check"]) == 0
     assert f"{recomputed:.2f} expected comparisons per dispatch" in capsys.readouterr().out
+
+
+# -- routing: every data arm is written by the one evaluator --------------------
+
+
+def _arm_bodies(source: str) -> dict[str, str]:
+    """Opcode name -> the text of the arm that owns it."""
+    lines = source.split("\n")
+    bodies: dict[str, str] = {}
+    for i, line in enumerate(lines):
+        test = re.fullmatch(r"( *)(?:el)?if (op == \w+(?: or op == \w+)*):", line)
+        if test is None:
+            continue
+        end = i + 1
+        while not lines[end].strip() or lines[end].startswith(test[1] + " "):
+            end += 1
+        for name in re.findall(r"op == (?:OP_)?(\w+)", test[2]):
+            # The first match is the arm; a later one is a test inside
+            # a shared arm's body.
+            bodies.setdefault(name, "\n".join(lines[i + 1 : end]))
+    return bodies
+
+
+@pytest.fixture
+def marked_templates(monkeypatch):
+    """Every template also writes a comment naming its kind."""
+    for kind, (template, leaf) in list(optemplates.TEMPLATES.items()):
+
+        def marked(ctx, spec, a, b, vstack, _template=template, _kind=kind):
+            ctx.w(f"# via optemplates: {_kind}.")
+            _template(ctx, spec, a, b, vstack)
+
+        monkeypatch.setitem(optemplates.TEMPLATES, kind, (marked, leaf))
+
+
+def test_every_data_arm_is_emitted_by_optemplates(marked_templates):
+    bodies = _arm_bodies(dispatchgen.generate_source())
+    assert set(bodies) == set(NUMBERS)
+    for spec in OPCODE_SPECS:
+        marks = re.findall(r"# via optemplates: (\w+)\.", bodies[spec.op.name])
+        expected = [spec.kind] if spec.kind in optemplates.TEMPLATES else []
+        assert marks == expected, spec.op.name
+    for fid, comps in fuse.FUSED_COMPONENTS.items():
+        marks = re.findall(
+            r"# via optemplates: (\w+)\.", bodies[dispatchgen._attr_name(fid)]
+        )
+        kinds = [spec_of(comp).kind for comp in comps]
+        assert marks == [k for k in kinds if k in optemplates.TEMPLATES], fid
+    for name in ("IC_CALL_VIRTUAL", "IC_CALL_STATIC"):
+        assert "# via optemplates" not in bodies[name]
+
+
+def test_the_generator_spells_out_only_control_and_ic_arms():
+    assert set(dispatchgen.CONTROL_EMITTERS) == optemplates.CONTROL_KINDS | {
+        name for name in NUMBERS if name.startswith("IC_")
+    }
+    for kind in optemplates.TEMPLATES:
+        assert kind not in dispatchgen.CONTROL_EMITTERS
+
+
+def test_generation_is_byte_identical_once_the_templates_are_restored():
+    """Runs after the marked fixture has been torn down (file order)."""
+    assert dispatchgen.generate_source() == dispatchgen.TARGET.read_text()
 
 
 # -- the fault leaves, on the real loop ----------------------------------------

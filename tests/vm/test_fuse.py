@@ -153,7 +153,7 @@ def test_benchsuite_methods_structurally_sound(name):
     cost_model = jikes_cost_model()
     for function in program.functions:
         # ic=False: this test checks the *fusion* structure of the quickened
-        # stream; IC quickening (repro.vm.ic) additionally rewrites returns.
+        # stream (with ICs ``fops`` is a copy the call sites quicken in).
         _structurally_sound(
             CompiledMethod(function, cost_model, opt_level=0, ic=False), function.code
         )

@@ -22,9 +22,7 @@ from repro.bytecode.opcodes import OPCODE_SPECS, Op
 from repro.fuzz.specexec import run_spec_reference
 from repro.vm import optemplates
 from repro.vm.config import config_named
-from repro.vm.errors import VMError
-from repro.vm.interpreter import Interpreter
-from tests.helpers import force_jit
+from tests.helpers import force_jit, run_transcript
 
 # main's locals: 0 = a Point with x == 5, 1 = a 3-element array with
 # [1] == 40, 2 = the call counter (0, 1, 2), 3 = int x (7), 4 = int y (2).
@@ -183,26 +181,6 @@ def _program(spec, args, late, leaf: bool):
     return assemble(text)
 
 
-def _transcript(program, config, jit: bool):
-    vm = Interpreter(program, config)
-    if jit:
-        force_jit(vm)
-    error = None
-    try:
-        vm.run()
-    except VMError as exc:
-        error = (type(exc).__name__, str(exc), exc.function, exc.pc)
-    return vm, {
-        "output": list(vm.output),
-        "time": vm.time,
-        "steps": vm.steps,
-        "ticks": vm.ticks,
-        "calls": vm.call_count,
-        "methods": vm.methods_executed,
-        "error": error,
-    }
-
-
 def _assert_conforms(spec, args, late, leaf, interval):
     program = _program(spec, args, late, leaf)
     overrides = {} if interval is None else {"timer_interval": interval}
@@ -214,8 +192,10 @@ def _assert_conforms(spec, args, late, leaf, interval):
     for label, flags in (
         ("no-ic", {"ic": False}), ("ic", {"ic": True}), ("jit", {"jit": True})
     ):
-        vm, got = _transcript(
-            program, config_named("jikes", **flags, **overrides), label == "jit"
+        vm, got = run_transcript(
+            program,
+            config_named("jikes", **flags, **overrides),
+            force_jit if label == "jit" else None,
         )
         assert got == expected, label
         method = vm.code_cache.methods[subject]
@@ -315,7 +295,9 @@ end
     assert expected["error"][0] == "DivisionByZeroError"
     assert expected["output"] == [5, 3, 10, 6]
     for flags, jit in (({"ic": False}, False), ({"ic": True}, False), ({"jit": True}, True)):
-        vm, got = _transcript(program, config_named("jikes", **flags), jit)
+        vm, got = run_transcript(
+            program, config_named("jikes", **flags), force_jit if jit else None
+        )
         assert got == expected
         point = vm.frames[0].locals[0]
         assert point.fields == [9]  # 3 + 3 + 3: the faulting call's write landed once

@@ -15,12 +15,11 @@ Three layers of identity, mirroring the fusion/IC identity suites:
 from __future__ import annotations
 
 from repro.benchsuite.suite import program_for
-from repro.profiling.paths import PATH_MODES, PathHeat, PathTracker
+from repro.profiling.paths import PATH_MODES, PathTracker
 from repro.telemetry.exporters import jsonl_lines
 from repro.telemetry.tracer import Tracer
 from repro.vm.config import jikes_config
 from repro.vm.interpreter import Interpreter
-from repro.vm.runtime import CodeCache
 
 PROGRAMS = ["compress", "jess", "javac"]
 
@@ -29,8 +28,8 @@ def _observables(vm):
     return (list(vm.output), vm.time, vm.steps, vm.ticks, vm.call_count)
 
 
-def _run(program, paths=False, tracker=None, tracer=None, code_cache=None):
-    vm = Interpreter(program, jikes_config(paths=paths), code_cache=code_cache)
+def _run(program, paths=False, tracker=None, tracer=None):
+    vm = Interpreter(program, jikes_config(paths=paths))
     if tracker is not None:
         vm.attach_paths(tracker)
     if tracer is not None:
@@ -119,19 +118,3 @@ def test_charged_tracker_emits_paths_summary_event():
     assert len(summaries) == 1
     assert summaries[0].args()["mode"] == "mincov"
     assert summaries[0].args()["total"] == tracker.records
-
-
-def test_path_guided_fusion_is_time_transparent():
-    program = program_for("jess", "tiny")
-    profile_tracker = PathTracker(mode="exhaustive", charge=False)
-    _run(program, paths=True, tracker=profile_tracker)
-    heat = PathHeat.from_profile(profile_tracker.profile, program)
-
-    plain = _run(program)
-    config = jikes_config()
-    cache = CodeCache(
-        program, config.cost_model, fuse=True, ic=True, path_heat=heat
-    )
-    fused = _run(program, code_cache=cache)
-    assert _observables(fused) == _observables(plain)
-    assert fused.fused_dispatches > 0
