@@ -164,11 +164,12 @@ def _workloads(quick: bool):
 
 
 #: Absolute floors on the IC-on/IC-off throughput ratio.  The jess floor
-#: is the tentpole acceptance criterion (inline caches must pay for
-#: themselves on real virtual-call-heavy code); arith/calls floors only
-#: bound the overhead IC quickening may impose on code with few or no
-#: virtual calls.
-IC_SPEEDUP_FLOORS = {"jess": 1.25, "arith": 0.95, "calls": 0.95}
+#: says inline caches pay for themselves on virtual-call-heavy code; the
+#: calls floor bounds what quickening may cost code whose calls are all
+#: static.  arith has none: it makes no call beyond ``main``'s own entry,
+#: so IC on and off run the same arms and the ratio measures only host
+#: noise (its relative ``ic_speedup`` gate against the baseline stays).
+IC_SPEEDUP_FLOORS = {"jess": 1.25, "calls": 0.95}
 
 #: Absolute floors on the JIT-on/JIT-off throughput ratio (both sides
 #: fused+IC).  The arith/calls floors are the level-3 acceptance

@@ -15,13 +15,15 @@ Invariants established here (and re-checked by the bytecode verifier):
 
 from __future__ import annotations
 
+from dataclasses import fields, is_dataclass
+
 from repro.bytecode.function import FunctionInfo
 from repro.bytecode.instr import Instr
 from repro.bytecode.opcodes import Op
 from repro.bytecode.program import ClassInfo, Program
 from repro.bytecode.verifier import verify_program
 from repro.lang import ast_nodes as ast
-from repro.lang.errors import TypeError_
+from repro.lang.errors import ParseError, SourceLocation, TypeError_
 from repro.lang.parser import parse
 from repro.frontend.typecheck import CheckedProgram, typecheck
 
@@ -35,8 +37,33 @@ def compile_program(checked: CheckedProgram) -> Program:
 
 
 def compile_source(source: str, filename: str = "<string>") -> Program:
-    """Front-to-back convenience: parse, typecheck, and compile ``source``."""
-    return compile_program(typecheck(parse(source, filename)))
+    """Front-to-back convenience: parse, typecheck, and compile ``source``.
+
+    The parser bounds nesting by the host stack it has left, but the
+    passes after it spend more host frames per level, so nesting the
+    parser admits can still exhaust the stack there.  That is reported
+    as the parser reports it, at the most deeply nested node."""
+    tree = parse(source, filename)
+    try:
+        return compile_program(typecheck(tree))
+    except RecursionError:
+        raise ParseError("expression nested too deeply", _deepest(tree)) from None
+
+
+def _deepest(tree) -> SourceLocation:
+    """The location of the most deeply nested node, found without
+    recursing."""
+    depth, location = -1, None
+    work = [(tree, 0)]
+    while work:
+        node, level = work.pop()
+        if isinstance(node, (list, tuple)):
+            work.extend((child, level) for child in node)
+        elif is_dataclass(node):
+            if level > depth and getattr(node, "location", None) is not None:
+                depth, location = level, node.location
+            work.extend((getattr(node, f.name), level + 1) for f in fields(node))
+    return location
 
 
 class _CodeGenerator:

@@ -135,7 +135,6 @@ def _loop(self):  # noqa: C901 - deliberately one flat hot loop
     OP_IC_CALL_STATIC = icache.OP_IC_CALL_STATIC
     LEAF_VOID = icache.LEAF_VOID
     LEAF_FAIL = icache.LEAF_FAIL
-    POLY_LIMIT = icache.POLY_LIMIT
     locals_pad = icache.locals_pad
     flat_vtables = self.flat_vtables
 
@@ -189,18 +188,10 @@ def _loop(self):  # noqa: C901 - deliberately one flat hot loop
 
     result = None
     jrec = method.jit
-    if (
-        jrec is not None
-        and jrec.entry0
-        and jrec.sig == jit_sig
-        and self.yieldpoint_flag == 0
-        and time < next_tick
-    ):
+    if jrec is not None and jrec.sig == jit_sig and self.yieldpoint_flag == 0 and time < next_tick and jrec.entry0:
         frame.pc = pc
         self.jit_entries += 1
-        time, steps, call_count = jrec.fn(
-            self, frame, time, steps, call_count, next_tick
-        )
+        time, steps, call_count = jrec.fn(self, frame, time, steps, call_count, next_tick)
         pc = frame.pc
     while True:
         op = ops[pc]
@@ -283,9 +274,6 @@ def _loop(self):  # noqa: C901 - deliberately one flat hot loop
                         if op == OP_JUMP:
                             target = aarg[pc]
                             if target <= pc:
-                                # Loop backedge: a yieldpoint site in the Jikes
-                                # scheme, and a step-limit check site (the limit
-                                # must bind even when no timer ever fires).
                                 if steps >= max_steps:
                                     raise self._step_limit(
                                         time, steps, call_count, fused_n, deopts, frame, method, pc
@@ -297,31 +285,18 @@ def _loop(self):  # noqa: C901 - deliberately one flat hot loop
                                     self._take_yieldpoint(BACKEDGE)
                                     time = self.time
                                 if paths is not None:
-                                    # Unconditional back edge: record the path
-                                    # and reset the register (may charge).
                                     self.time = time
                                     paths.on_jump_back(pc)
                                     time = self.time
-                                # On-stack replacement: hot loops whose frame
-                                # was entered before the body was compiled (or
-                                # that de-optimized earlier) re-enter generated
-                                # code at the loop head.
                                 jrec = method.jit
-                                if (
-                                    jrec is not None
-                                    and jrec.sig == jit_sig
-                                    and self.yieldpoint_flag == 0
-                                    and time < next_tick
-                                    and target in jrec.entries
-                                ):
+                                if jrec is not None and jrec.sig == jit_sig and self.yieldpoint_flag == 0 and time < next_tick and target in jrec.entries:
                                     frame.pc = target
                                     self.jit_osr_entries += 1
-                                    time, steps, call_count = jrec.fn(
-                                        self, frame, time, steps, call_count, next_tick
-                                    )
+                                    time, steps, call_count = jrec.fn(self, frame, time, steps, call_count, next_tick)
                                     pc = frame.pc
                                     continue
                             pc = target
+                            continue
                         elif op == OP_MOD:
                             right = stack.pop()
                             t0 = stack[-1]
@@ -369,7 +344,7 @@ def _loop(self):  # noqa: C901 - deliberately one flat hot loop
                         else:
                             break
             else:
-                if op < 62:
+                if op < 63:
                     if op == OP_GETFIELD:
                         t0 = stack[-1]
                         if t0 is None:
@@ -391,13 +366,23 @@ def _loop(self):  # noqa: C901 - deliberately one flat hot loop
                                 paths.on_branch(pc, True)
                                 time = self.time
                             pc = target
-                        else:
-                            if paths is not None:
-                                self.time = time
-                                paths.on_branch(pc, False)
-                                time = self.time
-                            pc += 1
-                    elif op == OP_RETURN_VAL or op == OP_RETURN:
+                            continue
+                        if paths is not None:
+                            self.time = time
+                            paths.on_branch(pc, False)
+                            time = self.time
+                        pc += 1
+                    elif op == OP_PUTFIELD:
+                        right = stack.pop()
+                        t0 = stack.pop()
+                        if t0 is None:
+                            raise self._fault(
+                                NullPointerError, "field write on null",
+                                time, steps, call_count, fused_n, deopts, frame, method, pc
+                            )
+                        t0.fields[aarg[pc]] = right
+                        pc += 1
+                    elif op == OP_RETURN_VAL:
                         time += return_cost
                         if epilogue_yp and self.yieldpoint_flag != 0:
                             self.time = time
@@ -405,13 +390,11 @@ def _loop(self):  # noqa: C901 - deliberately one flat hot loop
                             frame.pc = pc
                             self._take_yieldpoint(EPILOGUE)
                             time = self.time
-                        value = stack.pop() if op == OP_RETURN_VAL else None
                         if paths is not None:
-                            # Record the completed path (may charge the
-                            # record cost) before the frame dies.
                             self.time = time
                             paths.on_return(pc)
                             time = self.time
+                        value = stack.pop()
                         dead = frames.pop()
                         if not frames:
                             result = value
@@ -425,11 +408,35 @@ def _loop(self):  # noqa: C901 - deliberately one flat hot loop
                         stack = frame.stack
                         locals_ = frame.locals
                         pc = frame.pc
-                        if value is not None or op == OP_RETURN_VAL:
-                            stack.append(value)
+                        stack.append(value)
                     elif op == OP_NEW:
                         stack.append(HeapObject(aarg[pc], field_defaults[aarg[pc]]))
                         pc += 1
+                    elif op == OP_RETURN:
+                        time += return_cost
+                        if epilogue_yp and self.yieldpoint_flag != 0:
+                            self.time = time
+                            self.call_count = call_count
+                            frame.pc = pc
+                            self._take_yieldpoint(EPILOGUE)
+                            time = self.time
+                        if paths is not None:
+                            self.time = time
+                            paths.on_return(pc)
+                            time = self.time
+                        dead = frames.pop()
+                        if not frames:
+                            result = None
+                            break
+                        del dead.stack[:]
+                        dead.locals = _FREED_LOCALS
+                        pool.append(dead)
+                        frame = frames[-1]
+                        method = frame.method
+                        ops, aarg, barg, costs, faarg, fbarg, origins, ics = method.views
+                        stack = frame.stack
+                        locals_ = frame.locals
+                        pc = frame.pc
                     elif op == OP_JUMP_IF_TRUE:
                         if stack.pop() != 0:
                             target = aarg[pc]
@@ -442,150 +449,18 @@ def _loop(self):  # noqa: C901 - deliberately one flat hot loop
                                 paths.on_branch(pc, True)
                                 time = self.time
                             pc = target
-                        else:
-                            if paths is not None:
-                                self.time = time
-                                paths.on_branch(pc, False)
-                                time = self.time
-                            pc += 1
-                    elif op == OP_CALL_VIRTUAL or op == OP_CALL_STATIC:
-                        if steps >= max_steps:
-                            # Calls are the other place the step limit must
-                            # bind without a timer (recursion never crosses
-                            # a backedge).
-                            raise self._step_limit(
-                                time, steps, call_count, fused_n, deopts, frame, method, pc
-                            )
-                        if op == OP_CALL_VIRTUAL:
-                            argc = barg[pc]
-                            receiver = stack[-argc - 1]
-                            if receiver is None:
-                                raise self._fault(
-                                    NullPointerError, "virtual call on null",
-                                    time, steps, call_count, fused_n, deopts, frame, method, pc
-                                )
-                            try:
-                                callee_index = vtables[receiver.class_index][aarg[pc]]
-                            except KeyError:
-                                self._sync(
-                                    time, steps, call_count, fused_n, deopts, frame, pc
-                                )
-                                raise self._missing_selector(
-                                    receiver.class_index, aarg[pc], method, pc
-                                ) from None
-                            callee = cache_methods[callee_index]
-                            nargs = argc + 1
-                            time += call_virtual_cost
-                            if ics is not None:
-                                # First execution of this site under ICs:
-                                # build the cache entry and quicken it.
-                                self._quicken_virtual(
-                                    method, pc, receiver.class_index, callee, nargs
-                                )
-                        else:
-                            callee = cache_methods[aarg[pc]]
-                            callee_index = callee.index
-                            nargs = barg[pc]
-                            time += call_static_cost
-                            if ics is not None:
-                                self._quicken_static(method, pc, callee, nargs)
-                        call_count += 1
-                        if not seen[callee_index]:
-                            seen[callee_index] = True
-                            self.methods_executed += 1
-                        if hooked:
-                            # Both hooks see the call site in baseline coordinates via
-                            # the inline map (see Instr.origin), resolved once.
-                            origin = origins[pc]
-                            if origin is None:
-                                caller_index = method.index
-                                site_pc = pc
-                            else:
-                                caller_index, site_pc = origin
-                            if observer is not None:
-                                # Observers may charge vm.time (instrumented modes),
-                                # so sync the cached counter around the call.
-                                self.time = time
-                                observer(caller_index, site_pc, callee_index)
-                                time = self.time
-                            if telemetry is not None:
-                                # Zero virtual cost.
-                                telemetry.on_call(time, caller_index, site_pc, callee_index)
-                        if len(frames) >= max_frames:
-                            raise self._fault(
-                                StackOverflowError_, f"guest stack exceeded {max_frames} frames",
-                                time, steps, call_count, fused_n, deopts, frame, method, pc
-                            )
-                        views = callee.views
-                        base = len(stack) - nargs
-                        new_locals = stack[base:]
-                        del stack[base:]
-                        if callee.num_locals > nargs:
-                            new_locals.extend([0] * (callee.num_locals - nargs))
-                        frame.pc = pc + 1  # return address
-                        if pool:
-                            frame = pool.pop()
-                            frame.method = callee
-                            frame.pc = 0
-                            frame.locals = new_locals
-                            frame.callsite_pc = pc
-                        else:
-                            frame = Frame(callee, new_locals, pc)
-                        frames.append(frame)
+                            continue
                         if paths is not None:
-                            paths.on_call(callee)
-                        method = callee
-                        ops, aarg, barg, costs, faarg, fbarg, origins, ics = views
-                        stack = frame.stack
-                        locals_ = frame.locals
-                        pc = 0
-                        if prologue_yp and self.yieldpoint_flag != 0:
                             self.time = time
-                            self.call_count = call_count
-                            self._take_yieldpoint(PROLOGUE)
+                            paths.on_branch(pc, False)
                             time = self.time
-                        jrec = method.jit
-                        if (
-                            jrec is not None
-                            and jrec.entry0
-                            and jrec.sig == jit_sig
-                            and self.yieldpoint_flag == 0
-                            and time < next_tick
-                        ):
-                            self.jit_entries += 1
-                            time, steps, call_count = jrec.fn(
-                                self, frame, time, steps, call_count, next_tick
-                            )
-                            pc = frame.pc
-                    else:
-                        break
-                else:
-                    if op == OP_ALOAD:
-                        right = stack.pop()
-                        t0 = stack[-1]
-                        if t0 is None:
-                            raise self._fault(
-                                NullPointerError, "array read on null",
-                                time, steps, call_count, fused_n, deopts, frame, method, pc
-                            )
-                        if right < 0 or right >= len(t0.elements):
-                            raise self._fault(
-                                ArrayBoundsError, f"index {right} out of bounds (len={len(t0.elements)})",
-                                time, steps, call_count, fused_n, deopts, frame, method, pc
-                            )
-                        stack[-1] = t0.elements[right]
                         pc += 1
-                    elif op == OP_IC_CALL_VIRTUAL:
-                        # Quickened virtual call.  Entry layout (repro.vm.ic):
-                        # [0]=nargs, [1..6]=slot0 (class, method, index,
-                        # views, pad, cell), [7..12]=slot1, [13]=overflow,
-                        # [14]=selector, [15]=state, [16]=cells, [17]=site.
+                    elif op == OP_CALL_VIRTUAL:
+                        nargs = barg[pc] + 1
                         if steps >= max_steps:
                             raise self._step_limit(
                                 time, steps, call_count, fused_n, deopts, frame, method, pc
                             )
-                        entry = ics[pc]
-                        nargs = entry[0]
                         receiver = stack[-nargs]
                         if receiver is None:
                             raise self._fault(
@@ -593,86 +468,23 @@ def _loop(self):  # noqa: C901 - deliberately one flat hot loop
                                 time, steps, call_count, fused_n, deopts, frame, method, pc
                             )
                         rclass = receiver.class_index
-                        if rclass == entry[1]:
-                            cell = entry[6]
-                            callee = entry[2]
-                            callee_index = entry[3]
-                            views = entry[4]
-                            pad = entry[5]
-                        elif rclass == entry[7]:
-                            cell = entry[12]
-                            callee = entry[8]
-                            callee_index = entry[9]
-                            views = entry[10]
-                            pad = entry[11]
-                        else:
-                            # Both inline slots missed.  Overflow-bound
-                            # classes and megamorphic flat-table resolution
-                            # are handled here in the arm (not in the slow
-                            # path) so their callees still reach the leaf
-                            # fast path below; only binding a new class
-                            # leaves the loop.
-                            cell = None
-                            rest = entry[13]
-                            if rest is not None:
-                                for r in rest:
-                                    if r[0] == rclass:
-                                        self.ic_misses += 1
-                                        callee = r[1]
-                                        callee_index = r[2]
-                                        views = r[3]
-                                        pad = r[4]
-                                        cell = r[5]
-                                        break
-                            if cell is None:
-                                if entry[15] > POLY_LIMIT:
-                                    # Megamorphic: resolve through the flat
-                                    # selector-indexed tables, never growing
-                                    # the cache.
-                                    self.ic_misses += 1
-                                    selector = entry[14]
-                                    row = flat_vtables[rclass]
-                                    callee_index = (
-                                        row[selector] if selector < len(row) else -1
-                                    )
-                                    if callee_index < 0:
-                                        self._sync(
-                                            time, steps, call_count, fused_n,
-                                            deopts, frame, pc,
-                                        )
-                                        raise self._missing_selector(
-                                            rclass, selector, method, pc
-                                        )
-                                    callee = cache_methods[callee_index]
-                                    cells = entry[16]
-                                    cell = cells.get(rclass)
-                                    if cell is None:
-                                        cell = cells[rclass] = [0]
-                                    if not seen[callee_index]:
-                                        seen[callee_index] = True
-                                        self.methods_executed += 1
-                                    views = callee.views
-                                    pad = locals_pad(callee.num_locals, nargs)
-                                else:
-                                    # May raise (missing selector): sync the
-                                    # counters first so the transcript is
-                                    # exact; it's the bind slow path anyway.
-                                    self._sync(
-                                        time, steps, call_count, fused_n,
-                                        deopts, frame, pc,
-                                    )
-                                    callee, callee_index, views, pad = (
-                                        self._ic_virtual_slow(
-                                            entry, rclass, method, pc
-                                        )
-                                    )
-                        if cell is not None:
-                            cell[0] += 1
+                        selector = aarg[pc]
+                        row = flat_vtables[rclass]
+                        callee_index = row[selector] if selector < len(row) else -1
+                        if callee_index < 0:
+                            self._sync(time, steps, call_count, fused_n, deopts, frame, pc)
+                            raise self._missing_selector(rclass, selector, method, pc)
+                        callee = cache_methods[callee_index]
+                        views = callee.views
+                        pad = locals_pad(callee.num_locals, nargs)
+                        if ics is not None:
+                            self._quicken_virtual(method, pc, rclass, callee, nargs)
+                        if not seen[callee_index]:
+                            seen[callee_index] = True
+                            self.methods_executed += 1
                         time += call_virtual_cost
                         call_count += 1
                         if hooked:
-                            # Both hooks see the call site in baseline coordinates via
-                            # the inline map (see Instr.origin), resolved once.
                             origin = origins[pc]
                             if origin is None:
                                 caller_index = method.index
@@ -680,40 +492,17 @@ def _loop(self):  # noqa: C901 - deliberately one flat hot loop
                             else:
                                 caller_index, site_pc = origin
                             if observer is not None:
-                                # Observers may charge vm.time (instrumented modes),
-                                # so sync the cached counter around the call.
                                 self.time = time
                                 observer(caller_index, site_pc, callee_index)
                                 time = self.time
                             if telemetry is not None:
-                                # Zero virtual cost.
                                 telemetry.on_call(time, caller_index, site_pc, callee_index)
-                        # Cache hits only: a freshly bound class takes the frame.
-                        leaf = callee.leaf
-                        if (
-                            leaf is not None
-                            and cell is not None
-                            and paths is None
-                            and self.yieldpoint_flag == 0
-                            and time + leaf[0] < next_tick
-                            and len(frames) < max_frames
-                        ):
-                            base = len(stack) - nargs
-                            value = leaf[4](stack, base)
-                            if value is not LEAF_FAIL:
-                                time += leaf[0]
-                                steps += leaf[5]
-                                del stack[base:]
-                                if value is not LEAF_VOID:
-                                    stack.append(value)
-                                pc += 1
-                                continue
                         if len(frames) >= max_frames:
                             raise self._fault(
                                 StackOverflowError_, f"guest stack exceeded {max_frames} frames",
                                 time, steps, call_count, fused_n, deopts, frame, method, pc
                             )
-                        base = len(stack) - entry[0]
+                        base = len(stack) - nargs
                         new_locals = stack[base:]
                         del stack[base:]
                         if pad:
@@ -741,17 +530,225 @@ def _loop(self):  # noqa: C901 - deliberately one flat hot loop
                             self._take_yieldpoint(PROLOGUE)
                             time = self.time
                         jrec = method.jit
-                        if (
-                            jrec is not None
-                            and jrec.entry0
-                            and jrec.sig == jit_sig
-                            and self.yieldpoint_flag == 0
-                            and time < next_tick
-                        ):
+                        if jrec is not None and jrec.sig == jit_sig and self.yieldpoint_flag == 0 and time < next_tick and jrec.entry0:
                             self.jit_entries += 1
-                            time, steps, call_count = jrec.fn(
-                                self, frame, time, steps, call_count, next_tick
+                            time, steps, call_count = jrec.fn(self, frame, time, steps, call_count, next_tick)
+                            pc = frame.pc
+                    elif op == OP_CALL_STATIC:
+                        if steps >= max_steps:
+                            raise self._step_limit(
+                                time, steps, call_count, fused_n, deopts, frame, method, pc
                             )
+                        callee = cache_methods[aarg[pc]]
+                        callee_index = aarg[pc]
+                        views = callee.views
+                        pad = locals_pad(callee.num_locals, barg[pc])
+                        if ics is not None:
+                            self._quicken_static(method, pc, callee, barg[pc])
+                        if not seen[callee_index]:
+                            seen[callee_index] = True
+                            self.methods_executed += 1
+                        time += call_static_cost
+                        call_count += 1
+                        if hooked:
+                            origin = origins[pc]
+                            if origin is None:
+                                caller_index = method.index
+                                site_pc = pc
+                            else:
+                                caller_index, site_pc = origin
+                            if observer is not None:
+                                self.time = time
+                                observer(caller_index, site_pc, callee_index)
+                                time = self.time
+                            if telemetry is not None:
+                                telemetry.on_call(time, caller_index, site_pc, callee_index)
+                        if len(frames) >= max_frames:
+                            raise self._fault(
+                                StackOverflowError_, f"guest stack exceeded {max_frames} frames",
+                                time, steps, call_count, fused_n, deopts, frame, method, pc
+                            )
+                        base = len(stack) - barg[pc]
+                        new_locals = stack[base:]
+                        del stack[base:]
+                        if pad:
+                            new_locals.extend(pad)
+                        frame.pc = pc + 1  # return address
+                        if pool:
+                            frame = pool.pop()
+                            frame.method = callee
+                            frame.pc = 0
+                            frame.locals = new_locals
+                            frame.callsite_pc = pc
+                        else:
+                            frame = Frame(callee, new_locals, pc)
+                        frames.append(frame)
+                        if paths is not None:
+                            paths.on_call(callee)
+                        method = callee
+                        ops, aarg, barg, costs, faarg, fbarg, origins, ics = views
+                        stack = frame.stack
+                        locals_ = frame.locals
+                        pc = 0
+                        if prologue_yp and self.yieldpoint_flag != 0:
+                            self.time = time
+                            self.call_count = call_count
+                            self._take_yieldpoint(PROLOGUE)
+                            time = self.time
+                        jrec = method.jit
+                        if jrec is not None and jrec.sig == jit_sig and self.yieldpoint_flag == 0 and time < next_tick and jrec.entry0:
+                            self.jit_entries += 1
+                            time, steps, call_count = jrec.fn(self, frame, time, steps, call_count, next_tick)
+                            pc = frame.pc
+                    else:
+                        break
+                else:
+                    if op == OP_ALOAD:
+                        right = stack.pop()
+                        t0 = stack[-1]
+                        if t0 is None:
+                            raise self._fault(
+                                NullPointerError, "array read on null",
+                                time, steps, call_count, fused_n, deopts, frame, method, pc
+                            )
+                        if right < 0 or right >= len(t0.elements):
+                            raise self._fault(
+                                ArrayBoundsError, f"index {right} out of bounds (len={len(t0.elements)})",
+                                time, steps, call_count, fused_n, deopts, frame, method, pc
+                            )
+                        stack[-1] = t0.elements[right]
+                        pc += 1
+                    elif op == OP_IC_CALL_VIRTUAL:
+                        entry = ics[pc]
+                        nargs = entry[0]
+                        if steps >= max_steps:
+                            raise self._step_limit(
+                                time, steps, call_count, fused_n, deopts, frame, method, pc
+                            )
+                        receiver = stack[-nargs]
+                        if receiver is None:
+                            raise self._fault(
+                                NullPointerError, "virtual call on null",
+                                time, steps, call_count, fused_n, deopts, frame, method, pc
+                            )
+                        rclass = receiver.class_index
+                        if rclass == entry[1]:
+                            callee = entry[2]
+                            callee_index = entry[3]
+                            views = entry[4]
+                            pad = entry[5]
+                            cell = entry[6]
+                        elif rclass == entry[7]:
+                            callee = entry[8]
+                            callee_index = entry[9]
+                            views = entry[10]
+                            pad = entry[11]
+                            cell = entry[12]
+                        else:
+                            for r in entry[13] or ():
+                                if r[0] == rclass:
+                                    self.ic_misses += 1
+                                    callee = r[1]
+                                    callee_index = r[2]
+                                    views = r[3]
+                                    pad = r[4]
+                                    cell = r[5]
+                                    break
+                            else:
+                                if entry[15] <= 8:
+                                    cell = None
+                                    self._sync(time, steps, call_count, fused_n, deopts, frame, pc)
+                                    callee, callee_index, views, pad = self._ic_virtual_slow(entry, rclass, method, pc)
+                                else:
+                                    self.ic_misses += 1
+                                    selector = aarg[pc]
+                                    row = flat_vtables[rclass]
+                                    callee_index = row[selector] if selector < len(row) else -1
+                                    if callee_index < 0:
+                                        self._sync(time, steps, call_count, fused_n, deopts, frame, pc)
+                                        raise self._missing_selector(rclass, selector, method, pc)
+                                    callee = cache_methods[callee_index]
+                                    cells = entry[16]
+                                    cell = cells.get(rclass)
+                                    if cell is None:
+                                        cell = cells[rclass] = [0]
+                                    if not seen[callee_index]:
+                                        seen[callee_index] = True
+                                        self.methods_executed += 1
+                                    views = callee.views
+                                    pad = locals_pad(callee.num_locals, nargs)
+                        if cell is not None:
+                            cell[0] += 1
+                        time += call_virtual_cost
+                        call_count += 1
+                        if hooked:
+                            origin = origins[pc]
+                            if origin is None:
+                                caller_index = method.index
+                                site_pc = pc
+                            else:
+                                caller_index, site_pc = origin
+                            if observer is not None:
+                                self.time = time
+                                observer(caller_index, site_pc, callee_index)
+                                time = self.time
+                            if telemetry is not None:
+                                telemetry.on_call(time, caller_index, site_pc, callee_index)
+                        leaf = callee.leaf
+                        if (
+                            leaf is not None
+                            and cell is not None
+                            and paths is None
+                            and self.yieldpoint_flag == 0
+                            and time + leaf[0] < next_tick
+                            and len(frames) < max_frames
+                        ):
+                            base = len(stack) - nargs
+                            value = leaf[4](stack, base)
+                            if value is not LEAF_FAIL:
+                                time += leaf[0]
+                                steps += leaf[5]
+                                del stack[base:]
+                                if value is not LEAF_VOID:
+                                    stack.append(value)
+                                pc += 1
+                                continue
+                        if len(frames) >= max_frames:
+                            raise self._fault(
+                                StackOverflowError_, f"guest stack exceeded {max_frames} frames",
+                                time, steps, call_count, fused_n, deopts, frame, method, pc
+                            )
+                        base = len(stack) - nargs
+                        new_locals = stack[base:]
+                        del stack[base:]
+                        if pad:
+                            new_locals.extend(pad)
+                        frame.pc = pc + 1  # return address
+                        if pool:
+                            frame = pool.pop()
+                            frame.method = callee
+                            frame.pc = 0
+                            frame.locals = new_locals
+                            frame.callsite_pc = pc
+                        else:
+                            frame = Frame(callee, new_locals, pc)
+                        frames.append(frame)
+                        if paths is not None:
+                            paths.on_call(callee)
+                        method = callee
+                        ops, aarg, barg, costs, faarg, fbarg, origins, ics = views
+                        stack = frame.stack
+                        locals_ = frame.locals
+                        pc = 0
+                        if prologue_yp and self.yieldpoint_flag != 0:
+                            self.time = time
+                            self.call_count = call_count
+                            self._take_yieldpoint(PROLOGUE)
+                            time = self.time
+                        jrec = method.jit
+                        if jrec is not None and jrec.sig == jit_sig and self.yieldpoint_flag == 0 and time < next_tick and jrec.entry0:
+                            self.jit_entries += 1
+                            time, steps, call_count = jrec.fn(self, frame, time, steps, call_count, next_tick)
                             pc = frame.pc
                     elif op == OP_ASTORE:
                         right = stack.pop()
@@ -769,16 +766,6 @@ def _loop(self):  # noqa: C901 - deliberately one flat hot loop
                             )
                         t1.elements[t0] = right
                         pc += 1
-                    elif op == OP_PUTFIELD:
-                        right = stack.pop()
-                        t0 = stack.pop()
-                        if t0 is None:
-                            raise self._fault(
-                                NullPointerError, "field write on null",
-                                time, steps, call_count, fused_n, deopts, frame, method, pc
-                            )
-                        t0.fields[aarg[pc]] = right
-                        pc += 1
                     elif op == OP_GUARD_METHOD:
                         t0 = stack[-1]
                         stack[-1] = 1 if (t0 is not None and vtables[t0.class_index].get(aarg[pc]) == barg[pc]) else 0
@@ -793,20 +780,18 @@ def _loop(self):  # noqa: C901 - deliberately one flat hot loop
                         stack[-1] = len(t0.elements)
                         pc += 1
                     elif op == OP_IC_CALL_STATIC:
-                        # Quickened static call: [method, index, views, pad,
-                        # nargs] — the target is a constant.
+                        entry = ics[pc]
                         if steps >= max_steps:
                             raise self._step_limit(
                                 time, steps, call_count, fused_n, deopts, frame, method, pc
                             )
-                        entry = ics[pc]
                         callee = entry[0]
                         callee_index = entry[1]
+                        views = entry[2]
+                        pad = entry[3]
                         time += call_static_cost
                         call_count += 1
                         if hooked:
-                            # Both hooks see the call site in baseline coordinates via
-                            # the inline map (see Instr.origin), resolved once.
                             origin = origins[pc]
                             if origin is None:
                                 caller_index = method.index
@@ -814,13 +799,10 @@ def _loop(self):  # noqa: C901 - deliberately one flat hot loop
                             else:
                                 caller_index, site_pc = origin
                             if observer is not None:
-                                # Observers may charge vm.time (instrumented modes),
-                                # so sync the cached counter around the call.
                                 self.time = time
                                 observer(caller_index, site_pc, callee_index)
                                 time = self.time
                             if telemetry is not None:
-                                # Zero virtual cost.
                                 telemetry.on_call(time, caller_index, site_pc, callee_index)
                         leaf = callee.leaf
                         if (
@@ -845,8 +827,6 @@ def _loop(self):  # noqa: C901 - deliberately one flat hot loop
                                 StackOverflowError_, f"guest stack exceeded {max_frames} frames",
                                 time, steps, call_count, fused_n, deopts, frame, method, pc
                             )
-                        views = entry[2]
-                        pad = entry[3]
                         base = len(stack) - entry[4]
                         new_locals = stack[base:]
                         del stack[base:]
@@ -875,17 +855,9 @@ def _loop(self):  # noqa: C901 - deliberately one flat hot loop
                             self._take_yieldpoint(PROLOGUE)
                             time = self.time
                         jrec = method.jit
-                        if (
-                            jrec is not None
-                            and jrec.entry0
-                            and jrec.sig == jit_sig
-                            and self.yieldpoint_flag == 0
-                            and time < next_tick
-                        ):
+                        if jrec is not None and jrec.sig == jit_sig and self.yieldpoint_flag == 0 and time < next_tick and jrec.entry0:
                             self.jit_entries += 1
-                            time, steps, call_count = jrec.fn(
-                                self, frame, time, steps, call_count, next_tick
-                            )
+                            time, steps, call_count = jrec.fn(self, frame, time, steps, call_count, next_tick)
                             pc = frame.pc
                     elif op == OP_NEW_ARRAY:
                         t0 = stack[-1]
@@ -992,28 +964,28 @@ def _loop(self):  # noqa: C901 - deliberately one flat hot loop
                     elif op == F_LT_JIF:
                         steps += 2
                         right = stack.pop()
-                        if stack.pop() < right:
-                            pc += 2
-                        else:
+                        if stack.pop() >= right:
                             target = faarg[pc]
                             if target <= pc + 1 and steps >= max_steps:
                                 raise self._step_limit(
                                     time, steps, call_count, fused_n, deopts, frame, method, pc + 1
                                 )
                             pc = target
+                            continue
+                        pc += 2
                     elif op == F_EQ_JIF:
                         steps += 2
                         right = stack.pop()
                         t0 = stack.pop()
-                        if (t0 == right) if (isinstance(t0, int) and isinstance(right, int)) else (t0 is right):
-                            pc += 2
-                        else:
+                        if (t0 != right) if (isinstance(t0, int) and isinstance(right, int)) else (t0 is not right):
                             target = faarg[pc]
                             if target <= pc + 1 and steps >= max_steps:
                                 raise self._step_limit(
                                     time, steps, call_count, fused_n, deopts, frame, method, pc + 1
                                 )
                             pc = target
+                            continue
+                        pc += 2
                     elif op == F_PUSH_MUL:
                         steps += 2
                         stack[-1] *= faarg[pc]
@@ -1021,15 +993,15 @@ def _loop(self):  # noqa: C901 - deliberately one flat hot loop
                     elif op == F_GE_JIF:
                         steps += 2
                         right = stack.pop()
-                        if stack.pop() >= right:
-                            pc += 2
-                        else:
+                        if stack.pop() < right:
                             target = faarg[pc]
                             if target <= pc + 1 and steps >= max_steps:
                                 raise self._step_limit(
                                     time, steps, call_count, fused_n, deopts, frame, method, pc + 1
                                 )
                             pc = target
+                            continue
+                        pc += 2
                     elif op == F_PUSH_SUB:
                         steps += 2
                         stack[-1] -= faarg[pc]
@@ -1037,27 +1009,27 @@ def _loop(self):  # noqa: C901 - deliberately one flat hot loop
                     elif op == F_GT_JIF:
                         steps += 2
                         right = stack.pop()
-                        if stack.pop() > right:
-                            pc += 2
-                        else:
+                        if stack.pop() <= right:
                             target = faarg[pc]
                             if target <= pc + 1 and steps >= max_steps:
                                 raise self._step_limit(
                                     time, steps, call_count, fused_n, deopts, frame, method, pc + 1
                                 )
                             pc = target
+                            continue
+                        pc += 2
                     elif op == F_LE_JIF:
                         steps += 2
                         right = stack.pop()
-                        if stack.pop() <= right:
-                            pc += 2
-                        else:
+                        if stack.pop() > right:
                             target = faarg[pc]
                             if target <= pc + 1 and steps >= max_steps:
                                 raise self._step_limit(
                                     time, steps, call_count, fused_n, deopts, frame, method, pc + 1
                                 )
                             pc = target
+                            continue
+                        pc += 2
                     else:
                         break
                 else:
@@ -1071,22 +1043,21 @@ def _loop(self):  # noqa: C901 - deliberately one flat hot loop
                                 steps += 2
                                 right = stack.pop()
                                 t0 = stack.pop()
-                                if (t0 != right) if (isinstance(t0, int) and isinstance(right, int)) else (t0 is not right):
-                                    pc += 2
-                                else:
+                                if (t0 == right) if (isinstance(t0, int) and isinstance(right, int)) else (t0 is right):
                                     target = faarg[pc]
                                     if target <= pc + 1 and steps >= max_steps:
                                         raise self._step_limit(
                                             time, steps, call_count, fused_n, deopts, frame, method, pc + 1
                                         )
                                     pc = target
+                                    continue
+                                pc += 2
                             elif op == F_LOAD_PUSH_SUB:
                                 steps += 3
                                 stack.append(locals_[faarg[pc]] - fbarg[pc])
                                 pc += 3
                             elif op == F_LOAD_RET:
                                 steps += 2
-                                value = locals_[faarg[pc]]
                                 time += return_cost
                                 if epilogue_yp and self.yieldpoint_flag != 0:
                                     self.time = time
@@ -1094,6 +1065,7 @@ def _loop(self):  # noqa: C901 - deliberately one flat hot loop
                                     frame.pc = pc + 1
                                     self._take_yieldpoint(EPILOGUE)
                                     time = self.time
+                                value = locals_[faarg[pc]]
                                 dead = frames.pop()
                                 if not frames:
                                     result = value
@@ -1148,73 +1120,72 @@ def _loop(self):  # noqa: C901 - deliberately one flat hot loop
                         elif op == F_LOAD_LOAD_LT_JIF:
                             steps += 4
                             other, target = fbarg[pc]
-                            if locals_[faarg[pc]] < locals_[other]:
-                                pc += 4
-                            else:
+                            if locals_[faarg[pc]] >= locals_[other]:
                                 if target <= pc + 3 and steps >= max_steps:
                                     raise self._step_limit(
                                         time, steps, call_count, fused_n, deopts, frame, method, pc + 3
                                     )
                                 pc = target
+                                continue
+                            pc += 4
                         elif op == F_LOAD_PUSH_LT_JIF:
                             steps += 4
                             k, target = fbarg[pc]
-                            if locals_[faarg[pc]] < k:
-                                pc += 4
-                            else:
+                            if locals_[faarg[pc]] >= k:
                                 if target <= pc + 3 and steps >= max_steps:
                                     raise self._step_limit(
                                         time, steps, call_count, fused_n, deopts, frame, method, pc + 3
                                     )
                                 pc = target
+                                continue
+                            pc += 4
                         elif op == F_LOAD_PUSH_GT_JIF:
                             steps += 4
                             k, target = fbarg[pc]
-                            if locals_[faarg[pc]] > k:
-                                pc += 4
-                            else:
+                            if locals_[faarg[pc]] <= k:
                                 if target <= pc + 3 and steps >= max_steps:
                                     raise self._step_limit(
                                         time, steps, call_count, fused_n, deopts, frame, method, pc + 3
                                     )
                                 pc = target
+                                continue
+                            pc += 4
                         elif op == F_LOAD_LOAD_GT_JIF:
                             steps += 4
                             other, target = fbarg[pc]
-                            if locals_[faarg[pc]] > locals_[other]:
-                                pc += 4
-                            else:
+                            if locals_[faarg[pc]] <= locals_[other]:
                                 if target <= pc + 3 and steps >= max_steps:
                                     raise self._step_limit(
                                         time, steps, call_count, fused_n, deopts, frame, method, pc + 3
                                     )
                                 pc = target
+                                continue
+                            pc += 4
                         elif op == F_LOAD_PUSH_EQ_JIF:
                             steps += 4
                             k, target = fbarg[pc]
                             t0 = locals_[faarg[pc]]
-                            if isinstance(t0, int) and t0 == k:
-                                pc += 4
-                            else:
+                            if not isinstance(t0, int) or t0 != k:
                                 if target <= pc + 3 and steps >= max_steps:
                                     raise self._step_limit(
                                         time, steps, call_count, fused_n, deopts, frame, method, pc + 3
                                     )
                                 pc = target
+                                continue
+                            pc += 4
                         elif op == F_LOAD_PUSH_GE_JIF:
                             steps += 4
                             k, target = fbarg[pc]
-                            if locals_[faarg[pc]] >= k:
-                                pc += 4
-                            else:
+                            if locals_[faarg[pc]] < k:
                                 if target <= pc + 3 and steps >= max_steps:
                                     raise self._step_limit(
                                         time, steps, call_count, fused_n, deopts, frame, method, pc + 3
                                     )
                                 pc = target
+                                continue
+                            pc += 4
                         elif op == F_LOAD_PUSH_ADD_RET:
                             steps += 4
-                            value = locals_[faarg[pc]] + fbarg[pc]
                             time += return_cost
                             if epilogue_yp and self.yieldpoint_flag != 0:
                                 self.time = time
@@ -1222,6 +1193,7 @@ def _loop(self):  # noqa: C901 - deliberately one flat hot loop
                                 frame.pc = pc + 3
                                 self._take_yieldpoint(EPILOGUE)
                                 time = self.time
+                            value = locals_[faarg[pc]] + fbarg[pc]
                             dead = frames.pop()
                             if not frames:
                                 result = value
@@ -1239,48 +1211,48 @@ def _loop(self):  # noqa: C901 - deliberately one flat hot loop
                         elif op == F_LOAD_PUSH_LE_JIF:
                             steps += 4
                             k, target = fbarg[pc]
-                            if locals_[faarg[pc]] <= k:
-                                pc += 4
-                            else:
+                            if locals_[faarg[pc]] > k:
                                 if target <= pc + 3 and steps >= max_steps:
                                     raise self._step_limit(
                                         time, steps, call_count, fused_n, deopts, frame, method, pc + 3
                                     )
                                 pc = target
+                                continue
+                            pc += 4
                         elif op == F_LOAD_PUSH_NE_JIF:
                             steps += 4
                             k, target = fbarg[pc]
                             t0 = locals_[faarg[pc]]
-                            if not isinstance(t0, int) or t0 != k:
-                                pc += 4
-                            else:
+                            if isinstance(t0, int) and t0 == k:
                                 if target <= pc + 3 and steps >= max_steps:
                                     raise self._step_limit(
                                         time, steps, call_count, fused_n, deopts, frame, method, pc + 3
                                     )
                                 pc = target
+                                continue
+                            pc += 4
                         elif op == F_LOAD_LOAD_LE_JIF:
                             steps += 4
                             other, target = fbarg[pc]
-                            if locals_[faarg[pc]] <= locals_[other]:
-                                pc += 4
-                            else:
+                            if locals_[faarg[pc]] > locals_[other]:
                                 if target <= pc + 3 and steps >= max_steps:
                                     raise self._step_limit(
                                         time, steps, call_count, fused_n, deopts, frame, method, pc + 3
                                     )
                                 pc = target
+                                continue
+                            pc += 4
                         elif op == F_LOAD_LOAD_GE_JIF:
                             steps += 4
                             other, target = fbarg[pc]
-                            if locals_[faarg[pc]] >= locals_[other]:
-                                pc += 4
-                            else:
+                            if locals_[faarg[pc]] < locals_[other]:
                                 if target <= pc + 3 and steps >= max_steps:
                                     raise self._step_limit(
                                         time, steps, call_count, fused_n, deopts, frame, method, pc + 3
                                     )
                                 pc = target
+                                continue
+                            pc += 4
                         else:
                             break
 

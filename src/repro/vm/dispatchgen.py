@@ -8,32 +8,26 @@ generated loop or spec/loop drift cannot land silently) and prints the
 expected comparisons per dispatch; ``--measure`` re-counts the
 dispatches :data:`ARM_WEIGHTS` records.
 
-The generator is the single place dispatch semantics are spelled out:
+Every arm — raw, inline-cache and fused, data and control — comes from
+the one evaluator every other tier uses, :func:`repro.vm.optemplates.emit`,
+keyed by each opcode's :class:`~repro.bytecode.opcodes.OpSpec` row and
+run under :class:`ArmContext`: operands read at run time, the symbolic
+stack underflowing onto the real one, and the leave hooks of an arm
+(set ``pc``, switch frames, enter compiled code, raise).  A raw arm is
+the one-component case; a fused arm runs its components in order, with
+operand expressions from :data:`repro.vm.fuse.FUSED_LAYOUT`, the table
+the fuser packs operands with.  What the generator itself adds is:
 
-* **data arms**, raw and fused, come from the one evaluator every other
-  tier uses: :func:`repro.vm.optemplates.emit`, keyed by each opcode's
-  :class:`~repro.bytecode.opcodes.OpSpec` row, run under
-  :class:`ArmContext` (operands read at run time, the symbolic stack
-  underflowing onto the real one).  A raw arm is the one-component
-  case; a fused arm runs its components in order, with operand
-  expressions from :data:`repro.vm.fuse.FUSED_LAYOUT` — the same table
-  the fuser packs operands with, so handler and fuser cannot disagree,
-* **control and IC arms** (:data:`CONTROL_EMITTERS`) are spelled out
-  here: jump, branch, call and return from their specs (fault modes,
-  step-limit class), the IC call arms with the entry layouts from
-  :mod:`repro.vm.ic`,
-* **arm selection** is a comparison tree laid out from measured dispatch
+* **arm selection**, a comparison tree laid out from measured dispatch
   counts (:data:`ARM_WEIGHTS`, :func:`build_tree`): ``op < K`` splits
   over the opcode numbers down to short ``op == X`` chains, so a
-  dispatch pays about four tests on ``op`` instead of a walk down 73
-  ``elif`` arms, and a new arm costs one more leaf entry, not one more
-  test on every arm behind it,
-* **every fault and step-limit raise site** is emitted by exactly one
-  helper each (:func:`_fault_raise` / :func:`_step_limit_raise`), which
-  is what keeps the error-parity invariant — sync
-  :data:`~repro.bytecode.opcodes.FAULT_SYNCED_COUNTERS`, then raise
-  with the spec's exception class, message, and attributed pc — in one
-  place instead of ~20.
+  dispatch pays about four tests on ``op``, and a new arm costs one
+  more leaf entry, not one more test on every arm behind it,
+* **one raise site per kind** (:func:`_fault_raise` /
+  :func:`_step_limit_raise`), which keeps the error-parity invariant —
+  sync :data:`~repro.bytecode.opcodes.FAULT_SYNCED_COUNTERS`, then raise
+  with the spec's exception class, message and attributed pc — in one
+  place.
 
 Mid-group fused faults are *derived*, not hand-stated: the faulting
 component's offset attributes the pc, and the charge given back is the
@@ -47,14 +41,15 @@ import argparse
 import difflib
 import re
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 from typing import NamedTuple
 
-from repro.bytecode.opcodes import OPCODE_SPECS, FaultSpec, Op, spec_of
+from repro.bytecode.opcodes import OPCODE_SPECS, FaultSpec, Op
 from repro.vm import fuse as fusion
 from repro.vm import ic as icache
 from repro.vm import optemplates
-from repro.vm.optemplates import Atom
+from repro.vm.optemplates import Atom, Callee, bare
 
 #: Where the generated module lives.
 TARGET = Path(__file__).resolve().parent / "_dispatch.py"
@@ -148,12 +143,6 @@ ARM_WEIGHTS = {
     "F_LOAD_LOAD_GE_JIF": 0,
 }
 
-#: Opcodes that share one arm body (adjacent numbers, one ``or`` test).
-SHARED_ARMS = (
-    ("CALL_STATIC", "CALL_VIRTUAL"),
-    ("RETURN", "RETURN_VAL"),
-)
-
 #: fuse-module attribute name -> fused id, and back.
 _F_BY_NAME = {
     name: value
@@ -193,19 +182,11 @@ class Emitter:
         for line in text.strip("\n").split("\n"):
             self(line) if line.strip() else self()
 
-    class _Indent:
-        def __init__(self, em: "Emitter", n: int) -> None:
-            self.em = em
-            self.n = n
-
-        def __enter__(self) -> None:
-            self.em._depth += self.n
-
-        def __exit__(self, *exc) -> None:
-            self.em._depth -= self.n
-
-    def indent(self, n: int = 1) -> "_Indent":
-        return Emitter._Indent(self, n)
+    @contextmanager
+    def indent(self):
+        self._depth += 1
+        yield
+        self._depth -= 1
 
 
 def _message_literal(template: str, names: dict | None) -> str:
@@ -247,10 +228,6 @@ def _step_limit_raise(em: Emitter, pc_expr: str = "pc") -> None:
     with em.indent():
         em(f"time, steps, call_count, fused_n, deopts, frame, method, {pc_expr}")
     em(")")
-
-
-def _views_unpack_tuple(em: Emitter, source: str) -> None:
-    em(f"{', '.join(VIEW_LOCALS)} = {source}")
 
 
 # -- generated-module scaffolding ---------------------------------------------
@@ -358,7 +335,6 @@ OP_IC_CALL_VIRTUAL = icache.OP_IC_CALL_VIRTUAL
 OP_IC_CALL_STATIC = icache.OP_IC_CALL_STATIC
 LEAF_VOID = icache.LEAF_VOID
 LEAF_FAIL = icache.LEAF_FAIL
-POLY_LIMIT = icache.POLY_LIMIT
 locals_pad = icache.locals_pad
 flat_vtables = self.flat_vtables
 """
@@ -374,20 +350,6 @@ if paths is not None:
     jit_sig |= 2
 
 result = None
-jrec = method.jit
-if (
-    jrec is not None
-    and jrec.entry0
-    and jrec.sig == jit_sig
-    and self.yieldpoint_flag == 0
-    and time < next_tick
-):
-    frame.pc = pc
-    self.jit_entries += 1
-    time, steps, call_count = jrec.fn(
-        self, frame, time, steps, call_count, next_tick
-    )
-    pc = frame.pc
 """
 
 _RAW_HEAD = """
@@ -435,6 +397,25 @@ def _emit_preamble(em: Emitter) -> None:
         name = _attr_name(fid)
         em(f"{name} = fusion.{name}")
     em.raw(_PREAMBLE_JIT)
+    _emit_jit_entry(em, "jrec.entry0", ("frame.pc = pc", "self.jit_entries += 1"))
+
+
+def _emit_jit_entry(em: Emitter, entry_test: str, prelude, tail=()) -> None:
+    """Run ``method``'s compiled body from ``frame.pc`` when the hooks
+    match, no tick or yieldpoint is pending and ``entry_test`` says the
+    body can start there."""
+    em("jrec = method.jit")
+    em(
+        "if jrec is not None and jrec.sig == jit_sig and self.yieldpoint_flag == 0"
+        f" and time < next_tick and {entry_test}:"
+    )
+    with em.indent():
+        for line in prelude:
+            em(line)
+        em("time, steps, call_count = jrec.fn(self, frame, time, steps, call_count, next_tick)")
+        em("pc = frame.pc")
+        for line in tail:
+            em(line)
 
 
 def _attr_name(fid: int) -> str:
@@ -442,454 +423,6 @@ def _attr_name(fid: int) -> str:
         if value == fid:
             return name
     raise AssertionError(f"no fuse-module name for fused id {fid}")
-
-
-# -- control arms ------------------------------------------------------------
-
-
-def _emit_jump_arm(em: Emitter, _arm) -> None:
-    em("target = aarg[pc]")
-    em("if target <= pc:")
-    with em.indent():
-        em("# Loop backedge: a yieldpoint site in the Jikes")
-        em("# scheme, and a step-limit check site (the limit")
-        em("# must bind even when no timer ever fires).")
-        em("if steps >= max_steps:")
-        with em.indent():
-            _step_limit_raise(em)
-        em("if backedge_yp and self.yieldpoint_flag > 0:")
-        with em.indent():
-            em("self.time = time")
-            em("self.call_count = call_count")
-            em("frame.pc = pc")
-            em("self._take_yieldpoint(BACKEDGE)")
-            em("time = self.time")
-        em("if paths is not None:")
-        with em.indent():
-            em("# Unconditional back edge: record the path")
-            em("# and reset the register (may charge).")
-            em("self.time = time")
-            em("paths.on_jump_back(pc)")
-            em("time = self.time")
-        em("# On-stack replacement: hot loops whose frame")
-        em("# was entered before the body was compiled (or")
-        em("# that de-optimized earlier) re-enter generated")
-        em("# code at the loop head.")
-        em("jrec = method.jit")
-        em("if (")
-        with em.indent():
-            em("jrec is not None")
-            em("and jrec.sig == jit_sig")
-            em("and self.yieldpoint_flag == 0")
-            em("and time < next_tick")
-            em("and target in jrec.entries")
-        em("):")
-        with em.indent():
-            em("frame.pc = target")
-            em("self.jit_osr_entries += 1")
-            em("time, steps, call_count = jrec.fn(")
-            with em.indent():
-                em("self, frame, time, steps, call_count, next_tick")
-            em(")")
-            em("pc = frame.pc")
-            em("continue")
-    em("pc = target")
-
-
-def _emit_branch_arm(em: Emitter, arm) -> None:
-    spec = spec_of(Op[arm[0]])
-    taken_test = "== 0" if spec.arg == "false" else "!= 0"
-    em(f"if stack.pop() {taken_test}:")
-    with em.indent():
-        em("target = aarg[pc]")
-        em("if target <= pc and steps >= max_steps:")
-        with em.indent():
-            _step_limit_raise(em)
-        em("if paths is not None:")
-        with em.indent():
-            em("self.time = time")
-            em("paths.on_branch(pc, True)")
-            em("time = self.time")
-        em("pc = target")
-    em("else:")
-    with em.indent():
-        em("if paths is not None:")
-        with em.indent():
-            em("self.time = time")
-            em("paths.on_branch(pc, False)")
-            em("time = self.time")
-        em("pc += 1")
-
-
-# -- call machinery (shared by the raw and IC call arms) ----------------------
-
-_CALL_NOTIFY = """
-if hooked:
-    # Both hooks see the call site in baseline coordinates via
-    # the inline map (see Instr.origin), resolved once.
-    origin = origins[pc]
-    if origin is None:
-        caller_index = method.index
-        site_pc = pc
-    else:
-        caller_index, site_pc = origin
-    if observer is not None:
-        # Observers may charge vm.time (instrumented modes),
-        # so sync the cached counter around the call.
-        self.time = time
-        observer(caller_index, site_pc, callee_index)
-        time = self.time
-    if telemetry is not None:
-        # Zero virtual cost.
-        telemetry.on_call(time, caller_index, site_pc, callee_index)
-"""
-
-_PROLOGUE_AND_JIT = """
-if prologue_yp and self.yieldpoint_flag != 0:
-    self.time = time
-    self.call_count = call_count
-    self._take_yieldpoint(PROLOGUE)
-    time = self.time
-jrec = method.jit
-if (
-    jrec is not None
-    and jrec.entry0
-    and jrec.sig == jit_sig
-    and self.yieldpoint_flag == 0
-    and time < next_tick
-):
-    self.jit_entries += 1
-    time, steps, call_count = jrec.fn(
-        self, frame, time, steps, call_count, next_tick
-    )
-    pc = frame.pc
-"""
-
-
-def _stack_overflow_fault(em: Emitter, spec) -> None:
-    overflow = next(f for f in spec.faults if f.kind == "stack_overflow")
-    em("if len(frames) >= max_frames:")
-    with em.indent():
-        _fault_raise(em, overflow)
-
-
-def _emit_frame_switch(em: Emitter, *, nargs_expr: str, pad: bool) -> None:
-    em(f"base = len(stack) - {nargs_expr}")
-    em("new_locals = stack[base:]")
-    em("del stack[base:]")
-    if pad:
-        em("if pad:")
-        with em.indent():
-            em("new_locals.extend(pad)")
-    else:
-        em("if callee.num_locals > nargs:")
-        with em.indent():
-            em("new_locals.extend([0] * (callee.num_locals - nargs))")
-    em("frame.pc = pc + 1  # return address")
-    em("if pool:")
-    with em.indent():
-        em("frame = pool.pop()")
-        em("frame.method = callee")
-        em("frame.pc = 0")
-        em("frame.locals = new_locals")
-        em("frame.callsite_pc = pc")
-    em("else:")
-    with em.indent():
-        em("frame = Frame(callee, new_locals, pc)")
-    em("frames.append(frame)")
-    em("if paths is not None:")
-    with em.indent():
-        em("paths.on_call(callee)")
-    em("method = callee")
-    _views_unpack_tuple(em, "views")
-    em("stack = frame.stack")
-    em("locals_ = frame.locals")
-    em("pc = 0")
-    em.raw(_PROLOGUE_AND_JIT)
-
-
-def _emit_leaf_fastpath(em: Emitter, *, nargs_expr: str, cell: bool) -> None:
-    """Try the leaf calling sequence: run an accessor-like callee as a
-    host closure with no frame.  Emitted *after* the call is charged and
-    notified, so hooks fire once on either route and an observer's
-    charge is on the clock before the "could a tick land inside the
-    body" test.  The closure returns LEAF_FAIL before changing anything
-    on a would-be fault; the generic sequence that follows replays it."""
-    em("leaf = callee.leaf")
-    em("if (")
-    with em.indent():
-        em("leaf is not None")
-        if cell:
-            em("and cell is not None")
-        em("and paths is None")
-        em("and self.yieldpoint_flag == 0")
-        em(f"and time + leaf[{icache.L_COST}] < next_tick")
-        em("and len(frames) < max_frames")
-    em("):")
-    with em.indent():
-        em(f"base = len(stack) - {nargs_expr}")
-        em(f"value = leaf[{icache.L_FN}](stack, base)")
-        em("if value is not LEAF_FAIL:")
-        with em.indent():
-            em(f"time += leaf[{icache.L_COST}]")
-            em(f"steps += leaf[{icache.L_STEPS}]")
-            em("del stack[base:]")
-            em("if value is not LEAF_VOID:")
-            with em.indent():
-                em("stack.append(value)")
-            em("pc += 1")
-            em("continue")
-
-
-def _emit_call_arm(em: Emitter, _arm) -> None:
-    """The raw CALL_STATIC|CALL_VIRTUAL arm (un-quickened sites)."""
-    vspec = spec_of(Op.CALL_VIRTUAL)
-    em("if steps >= max_steps:")
-    with em.indent():
-        em("# Calls are the other place the step limit must")
-        em("# bind without a timer (recursion never crosses")
-        em("# a backedge).")
-        _step_limit_raise(em)
-    em("if op == OP_CALL_VIRTUAL:")
-    with em.indent():
-        em("argc = barg[pc]")
-        em("receiver = stack[-argc - 1]")
-        em("if receiver is None:")
-        with em.indent():
-            _fault_raise(em, vspec.faults[0])
-        em("try:")
-        with em.indent():
-            em("callee_index = vtables[receiver.class_index][aarg[pc]]")
-        em("except KeyError:")
-        with em.indent():
-            em("self._sync(")
-            with em.indent():
-                em("time, steps, call_count, fused_n, deopts, frame, pc")
-            em(")")
-            em("raise self._missing_selector(")
-            with em.indent():
-                em("receiver.class_index, aarg[pc], method, pc")
-            em(") from None")
-        em("callee = cache_methods[callee_index]")
-        em("nargs = argc + 1")
-        em("time += call_virtual_cost")
-        em("if ics is not None:")
-        with em.indent():
-            em("# First execution of this site under ICs:")
-            em("# build the cache entry and quicken it.")
-            em("self._quicken_virtual(")
-            with em.indent():
-                em("method, pc, receiver.class_index, callee, nargs")
-            em(")")
-    em("else:")
-    with em.indent():
-        em("callee = cache_methods[aarg[pc]]")
-        em("callee_index = callee.index")
-        em("nargs = barg[pc]")
-        em("time += call_static_cost")
-        em("if ics is not None:")
-        with em.indent():
-            em("self._quicken_static(method, pc, callee, nargs)")
-    em("call_count += 1")
-    em("if not seen[callee_index]:")
-    with em.indent():
-        em("seen[callee_index] = True")
-        em("self.methods_executed += 1")
-    em.raw(_CALL_NOTIFY)
-    _stack_overflow_fault(em, vspec)
-    em("views = callee.views")
-    _emit_frame_switch(em, nargs_expr="nargs", pad=False)
-
-
-def _emit_frame_pop(em: Emitter) -> None:
-    em("dead = frames.pop()")
-    em("if not frames:")
-    with em.indent():
-        em("result = value")
-        em("break")
-    em("del dead.stack[:]")
-    em("dead.locals = _FREED_LOCALS")
-    em("pool.append(dead)")
-    em("frame = frames[-1]")
-    em("method = frame.method")
-    _views_unpack_tuple(em, "method.views")
-    em("stack = frame.stack")
-    em("locals_ = frame.locals")
-    em("pc = frame.pc")
-
-
-def _emit_return_arm(em: Emitter, _arm) -> None:
-    em("time += return_cost")
-    em("if epilogue_yp and self.yieldpoint_flag != 0:")
-    with em.indent():
-        em("self.time = time")
-        em("self.call_count = call_count")
-        em("frame.pc = pc")
-        em("self._take_yieldpoint(EPILOGUE)")
-        em("time = self.time")
-    em("value = stack.pop() if op == OP_RETURN_VAL else None")
-    em("if paths is not None:")
-    with em.indent():
-        em("# Record the completed path (may charge the")
-        em("# record cost) before the frame dies.")
-        em("self.time = time")
-        em("paths.on_return(pc)")
-        em("time = self.time")
-    _emit_frame_pop(em)
-    em("if value is not None or op == OP_RETURN_VAL:")
-    with em.indent():
-        em("stack.append(value)")
-
-
-def _emit_ic_virtual_arm(em: Emitter, _arm) -> None:
-    vspec = spec_of(Op.CALL_VIRTUAL)
-    em("# Quickened virtual call.  Entry layout (repro.vm.ic):")
-    em("# [0]=nargs, [1..6]=slot0 (class, method, index,")
-    em("# views, pad, cell), [7..12]=slot1, [13]=overflow,")
-    em("# [14]=selector, [15]=state, [16]=cells, [17]=site.")
-    em("if steps >= max_steps:")
-    with em.indent():
-        _step_limit_raise(em)
-    em("entry = ics[pc]")
-    em("nargs = entry[0]")
-    em("receiver = stack[-nargs]")
-    em("if receiver is None:")
-    with em.indent():
-        _fault_raise(em, vspec.faults[0])
-    em("rclass = receiver.class_index")
-    em("if rclass == entry[1]:")
-    with em.indent():
-        em("cell = entry[6]")
-        em("callee = entry[2]")
-        em("callee_index = entry[3]")
-        em("views = entry[4]")
-        em("pad = entry[5]")
-    em("elif rclass == entry[7]:")
-    with em.indent():
-        em("cell = entry[12]")
-        em("callee = entry[8]")
-        em("callee_index = entry[9]")
-        em("views = entry[10]")
-        em("pad = entry[11]")
-    em("else:")
-    with em.indent():
-        em("# Both inline slots missed.  Overflow-bound")
-        em("# classes and megamorphic flat-table resolution")
-        em("# are handled here in the arm (not in the slow")
-        em("# path) so their callees still reach the leaf")
-        em("# fast path below; only binding a new class")
-        em("# leaves the loop.")
-        em("cell = None")
-        em("rest = entry[13]")
-        em("if rest is not None:")
-        with em.indent():
-            em("for r in rest:")
-            with em.indent():
-                em("if r[0] == rclass:")
-                with em.indent():
-                    em("self.ic_misses += 1")
-                    em("callee = r[1]")
-                    em("callee_index = r[2]")
-                    em("views = r[3]")
-                    em("pad = r[4]")
-                    em("cell = r[5]")
-                    em("break")
-        em("if cell is None:")
-        with em.indent():
-            em("if entry[15] > POLY_LIMIT:")
-            with em.indent():
-                em("# Megamorphic: resolve through the flat")
-                em("# selector-indexed tables, never growing")
-                em("# the cache.")
-                em("self.ic_misses += 1")
-                em("selector = entry[14]")
-                em("row = flat_vtables[rclass]")
-                em("callee_index = (")
-                with em.indent():
-                    em("row[selector] if selector < len(row) else -1")
-                em(")")
-                em("if callee_index < 0:")
-                with em.indent():
-                    em("self._sync(")
-                    with em.indent():
-                        em("time, steps, call_count, fused_n,")
-                        em("deopts, frame, pc,")
-                    em(")")
-                    em("raise self._missing_selector(")
-                    with em.indent():
-                        em("rclass, selector, method, pc")
-                    em(")")
-                em("callee = cache_methods[callee_index]")
-                em("cells = entry[16]")
-                em("cell = cells.get(rclass)")
-                em("if cell is None:")
-                with em.indent():
-                    em("cell = cells[rclass] = [0]")
-                em("if not seen[callee_index]:")
-                with em.indent():
-                    em("seen[callee_index] = True")
-                    em("self.methods_executed += 1")
-                em("views = callee.views")
-                em("pad = locals_pad(callee.num_locals, nargs)")
-            em("else:")
-            with em.indent():
-                em("# May raise (missing selector): sync the")
-                em("# counters first so the transcript is")
-                em("# exact; it's the bind slow path anyway.")
-                em("self._sync(")
-                with em.indent():
-                    em("time, steps, call_count, fused_n,")
-                    em("deopts, frame, pc,")
-                em(")")
-                em("callee, callee_index, views, pad = (")
-                with em.indent():
-                    em("self._ic_virtual_slow(")
-                    with em.indent():
-                        em("entry, rclass, method, pc")
-                    em(")")
-                em(")")
-    em("if cell is not None:")
-    with em.indent():
-        em("cell[0] += 1")
-    em("time += call_virtual_cost")
-    em("call_count += 1")
-    em.raw(_CALL_NOTIFY)
-    em("# Cache hits only: a freshly bound class takes the frame.")
-    _emit_leaf_fastpath(em, nargs_expr="nargs", cell=True)
-    _stack_overflow_fault(em, vspec)
-    _emit_frame_switch(em, nargs_expr="entry[0]", pad=True)
-
-
-def _emit_ic_static_arm(em: Emitter, _arm) -> None:
-    sspec = spec_of(Op.CALL_STATIC)
-    em("# Quickened static call: [method, index, views, pad,")
-    em("# nargs] — the target is a constant.")
-    em("if steps >= max_steps:")
-    with em.indent():
-        _step_limit_raise(em)
-    em("entry = ics[pc]")
-    em("callee = entry[0]")
-    em("callee_index = entry[1]")
-    em("time += call_static_cost")
-    em("call_count += 1")
-    em.raw(_CALL_NOTIFY)
-    _emit_leaf_fastpath(em, nargs_expr="entry[4]", cell=False)
-    _stack_overflow_fault(em, sspec)
-    em("views = entry[2]")
-    em("pad = entry[3]")
-    _emit_frame_switch(em, nargs_expr="entry[4]", pad=True)
-
-
-#: The arms this module spells out itself, by ``OpSpec.kind`` or IC
-#: opcode name; every other arm is data and comes from ``optemplates``.
-CONTROL_EMITTERS = {
-    "jump": _emit_jump_arm,
-    "branch": _emit_branch_arm,
-    "call": _emit_call_arm,
-    "return": _emit_return_arm,
-    "IC_CALL_VIRTUAL": _emit_ic_virtual_arm,
-    "IC_CALL_STATIC": _emit_ic_static_arm,
-}
 
 
 # -- data arms (optemplates under the interpreter's own context) --------------
@@ -935,21 +468,18 @@ def _mid_group_refund(idx: int, arity: int) -> tuple[str, str, str]:
     return time_expr, steps_expr, pc_expr
 
 
-#: optemplates' names for VM tables, as the loop's preamble binds them.
-_HOST_NAMES = {"vt": "vtables", "fd": "field_defaults", "out": "self.output"}
+#: optemplates' names for VM tables and loop state, as the preamble binds them.
+_HOST_NAMES = {
+    "vt": "vtables",
+    "fd": "field_defaults",
+    "out": "self.output",
+    "vm": "self",
+    "fv": "flat_vtables",
+    "methods": "cache_methods",
+}
 
 #: The deepest real operand of an arm that leaves nothing behind.
 _INLINE_POP = "stack.pop()"
-
-
-def _bare(expr: str) -> str:
-    """``expr`` without a pair of parentheses that encloses all of it."""
-    depth = 0
-    for i, ch in enumerate(expr):
-        depth += (ch == "(") - (ch == ")")
-        if depth == 0:
-            return expr[1:-1] if i and i == len(expr) - 1 else expr
-    return expr
 
 
 class _Operands(list):
@@ -981,25 +511,48 @@ class ArmContext(optemplates.EmitContext):
     arm consumes and whether it leaves a value behind, so every operand
     but the deepest is popped into a name where it is asked for, and the
     deepest is a ``stack[-1]`` peek the bottom result replaces in place —
-    or, when nothing comes back, an inline ``stack.pop()``."""
+    or, when nothing comes back, an inline ``stack.pop()``.  A call reads
+    its arguments off the real stack itself.
+
+    The arm leaves by setting ``pc`` (``continue`` past the rest of a
+    branch), by switching frames — a call's frame push, prologue and
+    entry into a compiled body, a return's pop — or by a raise.  A call
+    site's resolved cases bind one set of names and share the calling
+    sequence after them; a leaf callee runs frameless and ``continue``s,
+    anything else falls through to the generic sequence."""
+
+    yieldpoints = joins = True
+    hooked = "hooked"
+    quickens = "ics is not None"
 
     def __init__(self, em: Emitter, comps) -> None:
         self.em = em
+        self.comps = comps
         self.arity = len(comps)
         self.idx = 0  # the component being emitted
         depth = self.need = 0
         for comp in comps:
-            spec = spec_of(comp)
-            self.need += max(spec.pops - depth, 0)
-            depth = max(depth - spec.pops, 0) + spec.pushes
+            spec = optemplates.spec_and_kind(comp)[0]
+            pops = spec.pops or 0
+            self.need += max(pops - depth, 0)
+            depth = max(depth - pops, 0) + (spec.pushes or 0)
         self.results = depth
         self.taken = self.tmps = 0
         #: The atom that is what the real ``stack[-1]`` still holds.
         self.inplace = None
         self.vstack = _Operands(self)
+        # Fused windows never hold control under a path tracker.
+        self.paths = "paths is not None" if self.arity == 1 else False
+
+    @property
+    def pc(self) -> str:
+        return f"pc + {self.idx}" if self.idx else "pc"
 
     def w(self, line: str) -> None:
         self.em(line)
+
+    def indented(self):
+        return self.em.indent()
 
     def new_tmp(self) -> str:
         self.tmps += 1
@@ -1058,7 +611,7 @@ class ArmContext(optemplates.EmitContext):
         for i, atom in enumerate(vstack):
             if atom.deps:
                 vstack[i] = self.pin_force(atom)
-        self.w(f"locals_[{slot}] = {_bare(self._forward(value, vstack))}")
+        self.w(f"locals_[{slot}] = {bare(self._forward(value, vstack))}")
 
     def guard(self, modes, vstack, operands) -> None:
         time_expr, steps_expr, pc_expr = _mid_group_refund(self.idx, self.arity)
@@ -1082,82 +635,215 @@ class ArmContext(optemplates.EmitContext):
             bottom = values.pop(0)
             if bottom is not self.inplace:
                 expr = self._forward(bottom, values)
-                inner = _bare(expr)
+                inner = bare(expr)
                 own = inner != expr and re.fullmatch(r"stack\[-1\] ([-+*]) (.+)", inner)
                 if own:
                     self.w(f"stack[-1] {own[1]}= {own[2]}")
                 else:
                     self.w(f"stack[-1] = {inner}")
         for i, value in enumerate(values):
-            self.w(f"stack.append({_bare(self._forward(value, values[i + 1 :]))})")
+            self.w(f"stack.append({bare(self._forward(value, values[i + 1 :]))})")
+
+    # -- how the arm leaves ------------------------------------------------
+
+    def next(self, vstack) -> None:
+        self.flush()
+        self.w(f"pc += {self.arity}")
+
+    def goto(self, target, vstack) -> None:
+        self.flush()
+        self.w(f"pc = {target}")
+        self.w("continue")
+
+    def target(self, a) -> str:
+        if a.isidentifier():
+            return a
+        self.w(f"target = {a}")
+        return "target"
+
+    def step_limit(self, when=None) -> None:
+        self.w(f"if {when} and steps >= max_steps:" if when else "if steps >= max_steps:")
+        with self.em.indent():
+            _step_limit_raise(self.em, self.pc)
+
+    def _switch(self, method: str, views: str, pc: str) -> None:
+        """Make ``frame`` the running activation of ``method``."""
+        self.w(f"method = {method}")
+        self.w(f"{', '.join(VIEW_LOCALS)} = {views}")
+        self.w("stack = frame.stack")
+        self.w("locals_ = frame.locals")
+        self.w(f"pc = {pc}")
+
+    def _sync(self) -> None:
+        self.w(f"self._sync(time, steps, call_count, fused_n, deopts, frame, {self.pc})")
+
+    def jit_entry(self, target) -> None:
+        # On-stack replacement: a loop whose frame was entered before its
+        # body was compiled (or that de-optimized) re-enters at its head.
+        _emit_jit_entry(
+            self.em,
+            f"{target} in jrec.entries",
+            (f"frame.pc = {target}", "self.jit_osr_entries += 1"),
+            ("continue",),
+        )
+
+    def returning(self, value, vstack):
+        yield
+
+    def charge_fixed(self, key: str, calls: int = 0) -> None:
+        self.w(f"time += {key}")
+        if calls:
+            self.w("call_count += 1")
+
+    def commit(self, *lines) -> None:
+        for line in lines:
+            self.w(line)
+
+    def commit_point(self) -> None:
+        pass
+
+    def pop_frame(self, value) -> None:
+        self.flush()
+        if value is not None:
+            self.w(f"value = {bare(value.expr)}")
+        self.w("dead = frames.pop()")
+        self.w("if not frames:")
+        self.w(f"    result = {'None' if value is None else 'value'}")
+        self.w("    break")
+        self.w("del dead.stack[:]")
+        self.w("dead.locals = _FREED_LOCALS")
+        self.w("pool.append(dead)")
+        self.w("frame = frames[-1]")
+        self._switch("frame.method", "method.views", "frame.pc")
+        if value is not None:
+            self.w("stack.append(value)")
+
+    def calling(self, spec, a, b, vstack):
+        entry = None
+        if self.comps[0] >= icache.IC_BASE:
+            self.w("entry = ics[pc]")
+            entry, b = "entry", f"entry[{icache.S_NARGS}]"
+        if spec.arg == "virtual":
+            self.w(f"nargs = entry[{icache.V_NARGS}]" if entry else f"nargs = {b} + 1")
+            b = "nargs"
+        yield optemplates.Site(entry, b)
+
+    def receiver(self, site, vstack) -> str:
+        self.w(f"receiver = stack[-{site.nargs}]")
+        return "receiver"
+
+    def guards(self, site):
+        return [
+            (f"{site.entry}[{first}]", first)
+            for first in (icache.V_CLASS0, icache.V_CLASS1)
+        ]
+
+    def bind(self, site, callee: Callee) -> Callee:
+        for name, expr in zip(_BOUND, callee):
+            if expr is not None and expr != name:
+                self.w(f"{name} = {expr}")
+        cell = "cell" if callee.cell else None
+        return Callee(*_BOUND[:4], cell, cell and "cell is not None")
+
+    def resolves_miss(self, site) -> bool:
+        return True
+
+    @contextmanager
+    def bind_slow(self, site, rclass, cond):
+        # Binding a new class grows the cache: the interpreter's slow
+        # path, counters synced first (it may raise a missing selector).
+        self.w(f"if {cond}:")
+        with self.em.indent():
+            self.w("cell = None")
+            self._sync()
+            self.w(
+                f"callee, callee_index, views, pad = self._ic_virtual_slow("
+                f"{site.entry}, {rclass}, method, {self.pc})"
+            )
+        self.w("else:")
+        with self.em.indent():
+            yield
+
+    def missing_selector(self, test, rclass, selector) -> None:
+        self.w(f"if {test}:")
+        with self.em.indent():
+            self._sync()
+            self.w(f"raise self._missing_selector({rclass}, {selector}, method, {self.pc})")
+
+    def leaf(self, site, callee: Callee):
+        """A quickened site whose callee has a leaf template runs it as a
+        host closure with no frame.  It comes after the call is charged
+        and notified, so hooks fire once on either route and an
+        observer's charge is on the clock before the tick test; a cache
+        miss the slow path just bound takes the frame.  A closure
+        returns LEAF_FAIL before changing anything on a would-be fault,
+        and the generic sequence after it replays the call.  A raw site
+        quickens itself for next time and takes the frame."""
+        if site.entry is not None:
+            self.w("leaf = callee.leaf")
+            self.w("if (")
+            self.w("    leaf is not None")
+            if callee.hit:
+                self.w(f"    and {callee.hit}")
+            self.w("    and paths is None")
+            self.w("    and self.yieldpoint_flag == 0")
+            self.w(f"    and time + leaf[{icache.L_COST}] < next_tick")
+            self.w("    and len(frames) < max_frames")
+            self.w("):")
+            with self.em.indent():
+                self.w(f"base = len(stack) - {site.nargs}")
+                self.w(f"value = leaf[{icache.L_FN}](stack, base)")
+                self.w("if value is not LEAF_FAIL:")
+                with self.em.indent():
+                    self.w(f"time += leaf[{icache.L_COST}]")
+                    self.w(f"steps += leaf[{icache.L_STEPS}]")
+                    self.w("del stack[base:]")
+                    self.w("if value is not LEAF_VOID:")
+                    self.w("    stack.append(value)")
+                    self.w("pc += 1")
+                    self.w("continue")
+        return optemplates.GO_ON
+    def room(self, spec) -> None:
+        overflow = next(f for f in spec.faults if f.kind == "stack_overflow")
+        self.guard([(overflow, "len(frames) >= max_frames", {})], [], ())
+
+    def new_locals(self, site, callee: Callee) -> str:
+        self.w(f"base = len(stack) - {site.nargs}")
+        self.w("new_locals = stack[base:]")
+        self.w("del stack[base:]")
+        self.w("if pad:")
+        self.w("    new_locals.extend(pad)")
+        self.w("frame.pc = pc + 1  # return address")
+        return "new_locals"
+
+    def enter(self, site, callee: Callee) -> None:
+        self._switch(callee.method, callee.views, "0")
+        optemplates.take_yieldpoint(self, "PROLOGUE")
+        _emit_jit_entry(self.em, "jrec.entry0", ("self.jit_entries += 1",))
 
 
-def _emit_components(em: Emitter, comps, opnd: dict, b=None) -> ArmContext:
-    """Run ``comps`` through the evaluator up to a control tail, which is
-    the caller's: it pops what the tail consumes off ``ctx.vstack``."""
+#: The names a call site binds its callee's fields to, in Callee order.
+_BOUND = ("callee", "callee_index", "views", "pad", "cell")
+
+
+def _emit_arm_body(em: Emitter, name: str) -> None:
+    """One arm: a raw opcode, an IC call or a superinstruction's
+    components, every one through the evaluator; a data arm then falls
+    through to the next instruction."""
+    number = OPCODE_NUMBERS[name]
+    if name in _F_BY_NAME:
+        comps, opnd, unpack = _operand_exprs(number)
+        em(f"steps += {len(comps)}")
+        if unpack:
+            em(unpack)
+        b = None
+    else:
+        comps, opnd, b = [number], {0: "aarg[pc]"}, "barg[pc]"
     ctx = ArmContext(em, comps)
     for ctx.idx, comp in enumerate(comps):
-        if spec_of(comp).kind in optemplates.CONTROL_KINDS:
-            assert ctx.idx == len(comps) - 1, "control is fused only as a tail"
-            break
         optemplates.emit(ctx, comp, opnd.get(ctx.idx), b, ctx.vstack)
-    return ctx
-
-
-def _emit_raw_arm_body(em: Emitter, arm: tuple[str, ...]) -> None:
-    name = arm[0]
-    key = name if name.startswith("IC_") else spec_of(Op[name]).kind
-    if key in CONTROL_EMITTERS:
-        CONTROL_EMITTERS[key](em, arm)
-    else:
-        assert len(arm) == 1, "data arms are not shared"
-        _emit_components(em, [Op[name]], {0: "aarg[pc]"}, "barg[pc]").flush()
-        em("pc += 1")
-
-
-def _emit_fused_arm_body(em: Emitter, arm: tuple[str, ...]) -> None:
-    (name,) = arm
-    comps, opnd, unpack = _operand_exprs(_F_BY_NAME[name])
-    arity = len(comps)
-    tail = spec_of(comps[-1])
-    em(f"steps += {arity}")
-    if unpack:
-        em(unpack)
-    ctx = _emit_components(em, comps, opnd)
-    if tail.kind not in optemplates.CONTROL_KINDS:
-        ctx.flush()
-        em(f"pc += {arity}")
-        return
-    top = ctx.vstack.pop()
-    assert not ctx.vstack, "a control tail leaves nothing on the symbolic stack"
-    ctx.flush()
-    if tail.kind == "branch":
-        # JUMP_IF_FALSE: fall through while the value is true.
-        assert tail.arg == "false"
-        em(f"if {_bare(top.cond or top.expr + ' != 0')}:")
-        with em.indent():
-            em(f"pc += {arity}")
-        em("else:")
-        with em.indent():
-            if opnd[arity - 1] != "target":
-                em(f"target = {opnd[arity - 1]}")
-            em(f"if target <= pc + {arity - 1} and steps >= max_steps:")
-            with em.indent():
-                _step_limit_raise(em, pc_expr=f"pc + {arity - 1}")
-            em("pc = target")
-    else:
-        # RETURN_VAL: the shared epilogue / frame-pop sequence.
-        em(f"value = {_bare(top.expr)}")
-        em("time += return_cost")
-        em("if epilogue_yp and self.yieldpoint_flag != 0:")
-        with em.indent():
-            em("self.time = time")
-            em("self.call_count = call_count")
-            em(f"frame.pc = pc + {arity - 1}")
-            em("self._take_yieldpoint(EPILOGUE)")
-            em("time = self.time")
-        _emit_frame_pop(em)
-        em("stack.append(value)")
+    if optemplates.spec_and_kind(comps[-1])[1] not in optemplates.CONTROL_KINDS:
+        ctx.next(ctx.vstack)
 
 
 # -- loop assembly ------------------------------------------------------------
@@ -1195,10 +881,10 @@ _UNKNOWN_SUPER = FaultSpec(
 
 class Leaf(NamedTuple):
     """An ``if/elif`` chain of ``op == X`` tests, heaviest arm first,
-    whose ``else`` is the unknown-opcode exit.  An arm is the tuple of
-    opcode names that share its body."""
+    whose ``else`` is the unknown-opcode exit; an arm is named by the
+    one opcode it serves."""
 
-    arms: tuple[tuple[str, ...], ...]
+    arms: tuple[str, ...]
 
 
 class Split(NamedTuple):
@@ -1221,42 +907,27 @@ def _check_coverage() -> None:
         f"{set(_F_BY_NAME.values()) ^ set(fusion.FUSED_COMPONENTS)}"
     )
     assert len(set(OPCODE_NUMBERS.values())) == len(OPCODE_NUMBERS), "opcode number clash"
-    for arm in SHARED_ARMS:
-        numbers = sorted(OPCODE_NUMBERS[name] for name in arm)
-        assert numbers == list(range(numbers[0], numbers[0] + len(arm))), (
-            f"shared arm {arm} is not a run of adjacent numbers"
-        )
 
 
-def _weight(*names: str) -> int:
+def _weight(name: str) -> int:
     """Tree weight of an arm.  A zero count weighs 1, so a run of
     never-measured arms is split evenly, not chained without bound."""
-    return sum(max(ARM_WEIGHTS[name], 1) for name in names)
+    return max(ARM_WEIGHTS[name], 1)
 
 
-def _arms(raw: bool) -> list[tuple[str, ...]]:
+def _arms(raw: bool) -> list[str]:
     """The raw+IC or the fused arms in opcode-number order."""
-    shared = {}
-    for arm in SHARED_ARMS:
-        arm = tuple(sorted(arm, key=lambda name: (-_weight(name), OPCODE_NUMBERS[name])))
-        shared.update(dict.fromkeys(arm, arm))
-    arms: list[tuple[str, ...]] = []
-    for name in sorted(OPCODE_NUMBERS, key=OPCODE_NUMBERS.get):
-        arm = shared.get(name, (name,))
-        if (OPCODE_NUMBERS[name] < fusion.FUSE_BASE) == raw and arm not in arms:
-            arms.append(arm)
-    return arms
+    return [
+        name
+        for name in sorted(OPCODE_NUMBERS, key=OPCODE_NUMBERS.get)
+        if (OPCODE_NUMBERS[name] < fusion.FUSE_BASE) == raw
+    ]
 
 
 def _chain(arms) -> tuple[int, Leaf]:
     """``arms`` as one leaf, and the weighted ``op == X`` tests it costs."""
-    chain = sorted(arms, key=lambda arm: (-_weight(*arm), OPCODE_NUMBERS[arm[0]]))
-    tests = cost = 0
-    for arm in chain:
-        for name in arm:
-            tests += 1
-            cost += tests * _weight(name)
-    return cost, Leaf(tuple(chain))
+    chain = sorted(arms, key=lambda name: (-_weight(name), OPCODE_NUMBERS[name]))
+    return sum(i * _weight(name) for i, name in enumerate(chain, 1)), Leaf(tuple(chain))
 
 
 def build_tree(raw: bool) -> "Split | Leaf":
@@ -1274,17 +945,17 @@ def build_tree(raw: bool) -> "Split | Leaf":
         for lo in range(len(arms) - span + 1):
             hi = lo + span
             choice = _chain(arms[lo:hi])
-            entered = sum(_weight(*arm) for arm in arms[lo:hi])
+            entered = sum(_weight(name) for name in arms[lo:hi])
             for mid in range(lo + 1, hi):
                 cost = entered + best[lo, mid][0] + best[mid, hi][0]
                 if cost < choice[0]:
-                    pivot = min(OPCODE_NUMBERS[name] for name in arms[mid])
+                    pivot = OPCODE_NUMBERS[arms[mid]]
                     choice = (cost, Split(pivot, best[lo, mid][1], best[mid, hi][1]))
             best[lo, hi] = choice
     return best[0, len(arms)][1]
 
 
-def tree_path(node: "Split | Leaf", number: int) -> tuple[tuple[str, ...] | None, int]:
+def tree_path(node: "Split | Leaf", number: int) -> tuple[str | None, int]:
     """Walk ``node`` as the generated code does for opcode ``number``:
     the arm reached (``None`` for the unknown-opcode exit) and the
     comparisons on ``op`` spent getting there."""
@@ -1292,11 +963,10 @@ def tree_path(node: "Split | Leaf", number: int) -> tuple[tuple[str, ...] | None
     while isinstance(node, Split):
         tests += 1
         node = node.below if number < node.pivot else node.above
-    for arm in node.arms:
-        for name in arm:
-            tests += 1
-            if OPCODE_NUMBERS[name] == number:
-                return arm, tests
+    for name in node.arms:
+        tests += 1
+        if OPCODE_NUMBERS[name] == number:
+            return name, tests
     return None, tests
 
 
@@ -1320,12 +990,10 @@ def _emit_tree(em: Emitter, node: "Split | Leaf") -> None:
         with em.indent():
             _emit_tree(em, node.above)
         return
-    for i, arm in enumerate(node.arms):
-        fused = arm[0] in _F_BY_NAME
-        test = " or ".join(f"op == {name if fused else 'OP_' + name}" for name in arm)
-        em(f"{'elif' if i else 'if'} {test}:")
+    for i, name in enumerate(node.arms):
+        em(f"{'elif' if i else 'if'} op == {name if name in _F_BY_NAME else 'OP_' + name}:")
         with em.indent():
-            (_emit_fused_arm_body if fused else _emit_raw_arm_body)(em, arm)
+            _emit_arm_body(em, name)
     em("else:")
     with em.indent():
         em("break")

@@ -154,10 +154,11 @@ def guard_classes(entry: list):
     the cells' counts at the time of the call (bind order on a tie).
 
     Only the two inline slots export guards.  Overflow-bound and
-    megamorphic receivers are looked up at run time by the tail the
-    compiler emits after the guards at a site that has any
-    (``entry[V_STATE] >= 3``, see ``_emit_poly_tail``); a class the site
-    has yet to bind takes the guard-miss exit and replays through the
+    megamorphic receivers are looked up at run time, after the guards,
+    by the miss path of the ``ic_call_virtual`` template
+    (repro.vm.optemplates) at a site that has any (``entry[V_STATE] >=
+    3``); a class the site has yet to bind takes the guard-miss exit and
+    replays through the
     interpreter's bind slow path, which owns state promotion.  The
     class index is baked into generated code as a constant and the cell
     preloaded; the method is re-read through ``entry[method_slot]`` so

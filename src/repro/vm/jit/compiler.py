@@ -3,10 +3,16 @@
 The compiler walks a method's *quickened* stream (``fops``: fused heads,
 IC call opcodes), expands superinstruction heads back
 into their raw components through :data:`repro.vm.fuse.FUSED_COMPONENTS`
-(one template per component, operands and costs taken from the raw
-parallel arrays at the interior slots), and emits straight-line Python
-for each basic block with the operand stack flattened into Python
-locals.  The generated function has the shape::
+(operands and costs taken from the raw parallel arrays at the interior
+slots), and emits straight-line Python for each basic block with the
+operand stack flattened into Python locals.  Every instruction, data
+and control, is written by :func:`repro.vm.optemplates.emit` with the
+:class:`_Compiler` as its context: the interpreter's own arms come from
+the same templates, so the calling sequence, its order and its
+bookkeeping are written once, and the compiler supplies only how a
+body *leaves* — a jump to another block, a baked guard, a leaf expanded
+or called, a direct call, a direct return, or an exit.  The generated
+function has the shape::
 
     def _jit_<index>(vm, frame, time, steps, call_count, next_tick, ...):
         _stack = frame.stack
@@ -48,12 +54,13 @@ run.  The exit taxonomy:
   yieldpoint, path record, frame pop).
 
 **Direct calls.**  A call site whose callee has a body of its own (no
-leaf template, same hook signature, enterable at pc 0) performs the
-interpreter's calling sequence in generated code — charge, pooled
+leaf template, same hook signature, enterable at pc 0) runs the
+``call`` templates' calling sequence in generated code — charge, pooled
 ``Frame`` on ``vm.frames`` — and calls the callee's ``fn`` with
-``_d + 1``.  A body entered that way executes its ``RETURN`` itself and
-hands ``(time, steps, call_count, value, leaf calls, direct calls)``
-back to a caller that carries on in generated code.  The interpreter
+``_d + 1`` (:meth:`_Compiler.enter`).  A body entered that way
+executes its ``RETURN`` itself (:meth:`_Compiler.pop_frame`) and hands
+``(time, steps, call_count, value, leaf calls, direct calls)`` back to
+a caller that carries on in generated code.  The interpreter
 can only resume the frame it entered, so a nested activation that must
 hand back does not leave its frame for it: :func:`_hand_back` pops the
 frame and parks its state in ``method.jit`` as a one-shot resume
@@ -77,24 +84,27 @@ recompile-on-IC-growth policy.
 
 **Polymorphic sites.**  A site with overflow bindings or gone
 megamorphic (``entry[V_STATE] >= 3`` in the snapshot) follows its two
-guards with a run-time tail, :meth:`_Compiler._emit_poly_tail`: the
-interpreter's inline-cache miss arm — overflow search, flat-table
-lookup — ending in the same leaf or direct calling sequence a guarded
-target gets, with the miss counted after the last exit.  It reads the
-live entry, so a class bound after compile needs no new code; sites
-below that state keep a plain guard exit and cost no extra source.
+guards with a run-time tail: the ``ic_call_virtual`` template's miss
+path — overflow search, flat-table lookup — which the interpreter's arm
+runs too, ending in the leaf or direct calling sequence a guarded
+target gets, with the miss counted at the commit point after the last
+exit (:meth:`_Compiler.commit_point`).  It reads the live entry, so a
+class bound after compile needs no new code; sites below that state
+keep a plain guard exit and cost no extra source.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from dataclasses import dataclass
 from time import perf_counter
 
-from repro.bytecode.opcodes import SPEC_BY_OP, STACK_EFFECT, Op
+from repro.bytecode.opcodes import SPEC_BY_OP, STACK_EFFECT
 from repro.vm import fuse
 from repro.vm import ic as icmod
 from repro.vm import optemplates
 from repro.vm.interpreter import _FREED_LOCALS, Frame
-from repro.vm.optemplates import Atom
+from repro.vm.optemplates import Atom, Callee
 from repro.vm.values import HeapArray, HeapObject
 
 #: Bail out of compiling methods longer than this many instructions.
@@ -114,16 +124,6 @@ _STACK_EFFECT: dict[int, int] = {
     int(op): effect for op, effect in STACK_EFFECT.items() if effect is not None
 }
 
-# Control opcodes: the compiler owns block structure, call sites and
-# exits; every other opcode goes through repro.vm.optemplates.
-_OP_JUMP = int(Op.JUMP)
-_OP_JIF = int(Op.JUMP_IF_FALSE)
-_OP_JIT = int(Op.JUMP_IF_TRUE)
-_OP_CALL_STATIC = int(Op.CALL_STATIC)
-_OP_CALL_VIRTUAL = int(Op.CALL_VIRTUAL)
-_OP_RETURN = int(Op.RETURN)
-_OP_RETURN_VAL = int(Op.RETURN_VAL)
-
 #: Exit counter on the VM -> the kind its sites carry in
 #: :attr:`JitCode.exit_table`; a body's exit tail knows the kinds by
 #: their position here.
@@ -134,8 +134,14 @@ _EXIT_KINDS = {
     "jit_return_exits": "return",
 }
 
+#: Indentation by block depth (``w`` runs once per generated line).
+_PADS = tuple("    " * depth for depth in range(64))
+
 #: Heap classes generated code instantiates, baked in by name.
 _HEAP_CLASSES = {"HeapObject": HeapObject, "HeapArray": HeapArray}
+
+#: The VM and the direct-call frame machinery, as a body names them.
+_FRAME_NAMES = {"vm": "vm", "frame": "_f", "pool": "_pool", "frames": "_frames"}
 
 
 def jit_sig(inline_leaves: bool, emit_paths: bool) -> int:
@@ -180,6 +186,7 @@ def ic_signature(method) -> tuple:
     return tuple(sig)
 
 
+@dataclass(slots=True, eq=False)
 class JitCode:
     """One compiled body, installed on ``CompiledMethod.jit``.
 
@@ -198,44 +205,21 @@ class JitCode:
     ``exit_counts`` holds, index for index, how often each was taken
     (the shared exit tail bumps it)."""
 
-    __slots__ = (
-        "fn",
-        "entry0",
-        "entries",
-        "sig",
-        "ic_sig",
-        "source",
-        "fused_expanded",
-        "inline_sites",
-        "exit_sites",
-        "direct_sites",
-        "poly_sites",
-        "direct",
-        "pad",
-        "exit_table",
-        "exit_counts",
-    )
-
-    def __init__(
-        self, fn, entry0, entries, sig, ic_sig=None, source=None,
-        fused_expanded=0, inline_sites=0, exit_sites=0, direct_sites=0,
-        poly_sites=0, direct=None, pad=(), exit_table=(), exit_counts=(),
-    ):
-        self.fn = fn
-        self.entry0 = entry0
-        self.entries = entries
-        self.sig = sig
-        self.ic_sig = ic_sig
-        self.source = source
-        self.fused_expanded = fused_expanded
-        self.inline_sites = inline_sites
-        self.exit_sites = exit_sites
-        self.direct_sites = direct_sites
-        self.poly_sites = poly_sites
-        self.direct = direct
-        self.pad = pad
-        self.exit_table = exit_table
-        self.exit_counts = exit_counts
+    fn: object
+    entry0: bool
+    entries: object
+    sig: int
+    ic_sig: object = None
+    source: str | None = None
+    fused_expanded: int = 0
+    inline_sites: int = 0
+    exit_sites: int = 0
+    direct_sites: int = 0
+    poly_sites: int = 0
+    direct: object = None
+    pad: tuple = ()
+    exit_table: tuple = ()
+    exit_counts: object = ()
 
 
 def _hand_back(vm, frame, time, steps, call_count) -> None:
@@ -299,7 +283,7 @@ class _InlineLeaf(optemplates.EmitContext):
         self.locals[slot] = self.pin(value)
 
     def fault(self, cond, vstack, operands):
-        self.compiler._exit_if(cond, self.pc, self.caller_vstack, "jit_guard_exits")
+        self.compiler._exit(self.pc, self.caller_vstack, "jit_guard_exits", cond=cond)
 
 
 class _Compiler(optemplates.EmitContext):
@@ -345,31 +329,52 @@ class _Compiler(optemplates.EmitContext):
         self.zero_progress: set[int] = set()
         self.cur_leader = 0
         self.arm_progress = False
-        self._branch_atom: Atom | None = None
-        #: (pc, giveback) of the op being templated, for ``fault``.
+        self.paths = emit_paths
+        #: The op being templated: its pc, (pc, giveback) for ``fault``,
+        #: and its inline-cache entry.
+        self.pc = 0
         self._site: tuple = (0, None)
+        self._entry = None
+        #: A call or return sequence in progress: the op's own dispatch
+        #: charge and all it has not charged yet, the stack an exit hands
+        #: back, the compile-time callee of the case being emitted, and
+        #: its bookkeeping.
+        self._head = self._due = None
+        self._live: list = []
+        self._args: list = []
+        self._tres = None
+        self._direct: list = []
+        self._known = None
+        self._commits: dict = {}
+        self._slow = None
+        self._ended = False
 
     # -- small emission helpers -------------------------------------------------
 
     def w(self, line: str) -> None:
-        self.lines.append("    " * self.indent + line)
+        self.lines.append(_PADS[self.indent] + line)
 
     def new_tmp(self) -> str:
         name = f"t{self.tmp}"
         self.tmp += 1
         return name
 
-    def fault(self, cond, vstack, operands) -> None:
+    def guard(self, modes, vstack, operands) -> None:
         pc, giveback = self._site
-        self._exit_if(
-            cond, pc, vstack + list(operands), "jit_guard_exits", giveback
-        )
+        cond = " or ".join([test for _, test, _ in modes])
+        self._exit(pc, vstack + list(operands), "jit_guard_exits", giveback, cond)
 
     def name(self, what: str) -> str:
+        if what in _FRAME_NAMES:
+            return _FRAME_NAMES[what]
         if what in _HEAP_CLASSES:
             return self._bake(what, _HEAP_CLASSES[what])
+        if what == "Frame":
+            return self._bake("_Frame", Frame)
+        if what == "methods":
+            return self._bake("_m", self.cache.methods)
         self.uses.add(what)
-        return "_" + what
+        return "_p" if what == "paths" else "_" + what
 
     def charge(self, expr: str) -> None:
         self.w(f"time += {expr}")
@@ -380,26 +385,32 @@ class _Compiler(optemplates.EmitContext):
 
     # -- exits ------------------------------------------------------------------
 
-    def _exit(self, pc: int, vstack, counter: str, giveback=None) -> None:
+    def _exit(self, pc: int, vstack, counter: str, giveback=None, cond=None) -> None:
         """Hand control back to the interpreter at instruction ``pc``
         with the counters charged exactly through the instructions that
         completed (``giveback`` refunds a pre-charged segment suffix).
 
-        The site names its resume pc, live operand stack and index in
-        the body's exit table and leaves the arm loop; counting the
-        exit — against the site and in the VM's ``counter`` — and
-        materializing the frame is the same for every exit of a body
-        and is emitted once, after the loop (:meth:`_exit_tail`)."""
+        The site names its live operand stack and its index in the
+        body's exit table, which holds its resume pc and kind, and
+        leaves the arm loop; counting the exit — against the site and in
+        the VM's ``counter`` — and materializing the frame is the same
+        for every exit of a body and is emitted once, after the loop
+        (:meth:`_exit_tail`).  A ``cond`` makes the exit conditional.
+        (Exits are most of what a body is made of, so their lines are
+        written here directly.)"""
+        pad, lines = _PADS[self.indent], self.lines
+        if cond is not None:
+            lines.append(f"{pad}if {cond}:")
+            pad += "    "
         if giveback is not None:
             gcost, gsteps = giveback
             if gcost:
-                self.w(f"time -= {gcost}")
-            self.w(f"steps -= {gsteps}")
-        exprs = "".join(f"{a.expr}, " for a in vstack)
-        key = (pc, _EXIT_KINDS[counter])
-        index = self.exit_index.setdefault(key, len(self.exit_index))
-        self.w(f"_xp, _xs, _xk = {pc}, ({exprs}), {index}")
-        self.w("break")
+                lines.append(f"{pad}time -= {gcost}")
+            lines.append(f"{pad}steps -= {gsteps}")
+        exprs = "".join([f"{a.expr}, " for a in vstack])
+        index = self.exit_index.setdefault((pc, _EXIT_KINDS[counter]), len(self.exit_index))
+        lines.append(f"{pad}_xs, _xk = ({exprs}), {index}")
+        lines.append(f"{pad}break")
 
     def _exit_tail(self) -> list[str]:
         """What every exit of the body runs after leaving the arm loop:
@@ -412,6 +423,7 @@ class _Compiler(optemplates.EmitContext):
         self.exit_counts = [0] * len(self.exit_index)
         self._bake("_xc", self.exit_counts)
         self._bake("_xt", tuple(kinds.index(kind) for _pc, kind in self.exit_index))
+        self._bake("_xpc", tuple(pc for pc, _kind in self.exit_index))
         tail = ["    _xc[_xk] += 1", "    _xn = _xt[_xk]"]
         for number, counter in enumerate(_EXIT_KINDS):
             tail.append(f"    {'elif' if number else 'if'} _xn == {number}:")
@@ -420,7 +432,7 @@ class _Compiler(optemplates.EmitContext):
         if n:
             names = ", ".join(f"l{i}" for i in range(n))
             tail.append(f"    _L[:] = ({names},)")
-        tail.append("    frame.pc = _xp")
+        tail.append("    frame.pc = _xpc[_xk]")
         tail.append("    _stack.extend(_xs)")
         if self.has_calls:
             tail.append("    vm.jit_leaf_calls += _leaf")
@@ -432,11 +444,9 @@ class _Compiler(optemplates.EmitContext):
         tail.append("    return (time, steps, call_count)")
         return tail
 
-    def _exit_if(self, cond: str, pc: int, vstack, counter: str, giveback=None) -> None:
-        self.w(f"if {cond}:")
-        self.indent += 1
-        self._exit(pc, vstack, counter, giveback)
-        self.indent -= 1
+    def _leave(self, cond: str, counter: str) -> None:
+        """Exit at the call or return being emitted when ``cond`` holds."""
+        self._exit(self.pc, self._live, counter, cond=cond)
 
     def _goto(self, target: int, vstack) -> None:
         """Jump to another arm, materializing the symbolic stack into
@@ -454,8 +464,9 @@ class _Compiler(optemplates.EmitContext):
     # -- analysis ---------------------------------------------------------------
 
     def _decode(self) -> None:
-        """Expand the quickened stream to per-pc raw records
-        ``(op, a, b, cost, ic_entry)``; fused heads go through
+        """Expand the quickened stream to per-pc records ``(op, a, b,
+        cost, ic_entry, spec)``, an IC opcode kept with its call's spec
+        row; fused heads go through
         :data:`fuse.FUSED_COMPONENTS` (template reuse — the per-raw-op
         templates below serve fused and unfused streams alike)."""
         m = self.method
@@ -475,27 +486,31 @@ class _Compiler(optemplates.EmitContext):
                     p = pc + off
                     if comp != ops[p]:
                         raise _Bail("fused components drifted from raw stream")
-                    recs[p] = (comp, a[p], b[p], costs[p], None)
+                    recs[p] = (comp, a[p], b[p], costs[p], None, SPEC_BY_OP[comp])
                 self.fused_expanded += 1
                 pc += len(comps)
                 continue
-            op, entry = f, None
-            if f == icmod.OP_IC_CALL_VIRTUAL:
-                op, entry = _OP_CALL_VIRTUAL, m.ics[pc]
-            elif f == icmod.OP_IC_CALL_STATIC:
-                op, entry = _OP_CALL_STATIC, m.ics[pc]
-            recs[pc] = (op, a[pc], b[pc], costs[pc], entry)
+            if f >= icmod.IC_BASE:
+                entry, spec = m.ics[pc], optemplates.spec_and_kind(f)[0]
+            else:
+                entry, spec = None, SPEC_BY_OP[f]
+            recs[pc] = (f, a[pc], b[pc], costs[pc], entry, spec)
             pc += 1
         self.recs = recs
 
-    def _selector_returns(self, selector: int):
-        shapes = self._sel_rv
-        return shapes[selector] if selector < len(shapes) else None
+    def _call_shape(self, spec, a, b, entry) -> tuple:
+        """A call site's argument count and whether it leaves a result;
+        ``None`` for a virtual selector of no single return shape, a site
+        that always exits, so its arm ends there."""
+        if spec.arg == "virtual":
+            shapes = self._sel_rv
+            return b + 1, shapes[a] if a < len(shapes) else None
+        index = a if entry is None else entry[icmod.S_INDEX]
+        return b, self.program.functions[index].returns_value
 
     def _analyze(self) -> None:
         """Reachability + stack-depth pass; finds block leaders and the
         backward-jump targets eligible for OSR entry (depth 0)."""
-        program = self.program
         recs = self.recs
         depth: dict[int, int] = {0: 0}
         work = [0]
@@ -507,30 +522,22 @@ class _Compiler(optemplates.EmitContext):
             rec = recs[pc]
             if rec is None:  # pragma: no cover - fused interior unreachable
                 raise _Bail("jump into fused interior")
-            op, a, b, _cost, _entry = rec
+            op, a, b, _cost, entry, spec = rec
             succs: list[tuple[int, int]] = []
-            if op == _OP_JUMP:
+            if spec.kind == "jump":
                 jump_targets.add(a)
                 succs.append((a, d))
                 if a <= pc:
                     osr.add(a)
-            elif op == _OP_JIF or op == _OP_JIT:
+            elif spec.kind == "branch":
                 jump_targets.add(a)
                 succs.append((a, d - 1))
                 succs.append((pc + 1, d - 1))
-            elif op == _OP_RETURN or op == _OP_RETURN_VAL:
-                pass
-            elif op == _OP_CALL_STATIC:
-                idx = a if _entry is None else _entry[icmod.S_INDEX]
-                rv = program.functions[idx].returns_value
-                succs.append((pc + 1, d - b + (1 if rv else 0)))
-            elif op == _OP_CALL_VIRTUAL:
-                rv = self._selector_returns(a)
-                # Unknown return shape → the site always exits to the
-                # interpreter, so the arm ends there: no successor.
+            elif spec.kind == "call":
+                nargs, rv = self._call_shape(spec, a, b, entry)
                 if rv is not None:
-                    succs.append((pc + 1, d - (b + 1) + (1 if rv else 0)))
-            else:
+                    succs.append((pc + 1, d - nargs + (1 if rv else 0)))
+            elif spec.kind != "return":
                 succs.append((pc + 1, d + _STACK_EFFECT[op]))
             for target, nd in succs:
                 if nd < 0 or target >= len(recs):
@@ -560,65 +567,27 @@ class _Compiler(optemplates.EmitContext):
                 self._flush(seg, vstack)
                 self._goto(pc, vstack)
                 return
-            op, a, b, cost, entry = self.recs[pc]
-            if op == _OP_RETURN or op == _OP_RETURN_VAL:
+            op, a, b, cost, entry, spec = self.recs[pc]
+            kind = spec.kind
+            if kind in ("call", "return"):
+                # Charged by their own sequence, not by a segment.
                 self._flush(seg, vstack)
-                if not self.arm_progress:
-                    self.zero_progress.add(leader)
-                self.exit_sites += 1
-                if self.inline_leaves:
-                    self._emit_direct_return(pc, op, cost, vstack)
-                self._exit(pc, vstack, "jit_return_exits")
-                return
-            if op == _OP_CALL_STATIC or op == _OP_CALL_VIRTUAL:
-                self._flush(seg, vstack)
-                seg = []
-                if not self._emit_call(pc, op, a, b, cost, entry, vstack):
+                self.pc, self._site, self._entry = pc, (pc, None), entry
+                self._ended = kind == "return"
+                optemplates.emit(self, op, a, b, vstack)
+                if self._ended:
                     if not self.arm_progress:
                         self.zero_progress.add(leader)
                     return
                 pc += 1
                 continue
             seg.append(pc)
-            if op == _OP_JUMP:
+            if kind in ("jump", "branch") or spec.dyn_cost is not None:
+                # Control, or a run-time charge the next lumped tick
+                # guard must see, ends the segment.
                 self._flush(seg, vstack)
-                seg = []
-                if a <= pc and self.emit_paths:
-                    self.uses.add("paths")
-                    self.w("vm.time = time")
-                    self.w(f"_p.on_jump_back({pc})")
-                    self.w("time = vm.time")
-                self._goto(a, vstack)
-                return
-            if op == _OP_JIF or op == _OP_JIT:
-                self._flush(seg, vstack)
-                seg = []
-                atom = self._branch_atom
-                self._branch_atom = None
-                if op == _OP_JIF:
-                    taken = atom.ncond if atom.ncond else f"{atom.expr} == 0"
-                else:
-                    taken = atom.cond if atom.cond else f"{atom.expr} != 0"
-                self.w(f"if {taken}:")
-                self.indent += 1
-                if self.emit_paths:
-                    self.uses.add("paths")
-                    self.w("vm.time = time")
-                    self.w(f"_p.on_branch({pc}, True)")
-                    self.w("time = vm.time")
-                self._goto(a, vstack)
-                self.indent -= 1
-                if self.emit_paths:
-                    self.w("vm.time = time")
-                    self.w(f"_p.on_branch({pc}, False)")
-                    self.w("time = vm.time")
-                pc += 1
-                continue
-            if SPEC_BY_OP[op].dyn_cost is not None:
-                # A run-time charge ends the segment: the next lumped
-                # tick guard must see it.
-                self._flush(seg, vstack)
-                seg = []
+                if kind == "jump":
+                    return
             pc += 1
 
     def _flush(self, seg: list[int], vstack) -> None:
@@ -630,10 +599,10 @@ class _Compiler(optemplates.EmitContext):
         recs = self.recs
         total_cost = sum(recs[p][3] for p in seg)
         total_steps = len(seg)
-        self._exit_if(
-            f"time + {total_cost} >= next_tick or "
-            f"steps + {total_steps} >= {self.max_steps}",
+        self._exit(
             seg[0], vstack, "jit_deopts",
+            cond=f"time + {total_cost} >= next_tick or "
+            f"steps + {total_steps} >= {self.max_steps}",
         )
         if total_cost:
             self.w(f"time += {total_cost}")
@@ -642,311 +611,239 @@ class _Compiler(optemplates.EmitContext):
         suffix_cost = total_cost
         suffix_steps = total_steps
         for p in seg:
-            op, a, b, cost, _entry = recs[p]
-            if op == _OP_JIF or op == _OP_JIT:
-                self._branch_atom = vstack.pop()
-            elif op != _OP_JUMP:
-                # A fault exit refunds the pre-charged segment suffix.
-                self._site = (p, (suffix_cost, suffix_steps))
-                optemplates.emit(self, op, a, b, vstack)
+            op, a, b, cost, _entry, _spec = recs[p]
+            # A fault exit refunds the pre-charged segment suffix.
+            self.pc, self._site = p, (p, (suffix_cost, suffix_steps))
+            optemplates.emit(self, op, a, b, vstack)
             suffix_cost -= cost
             suffix_steps -= 1
         del seg[:]
 
-    # -- call sites -------------------------------------------------------------
+    # -- how a body leaves: the control templates' hooks ------------------------
 
-    def _emit_call(self, pc, op, a, b, cost, entry, vstack) -> bool:
-        """Emit one call site.  Leaf-eligible targets are inlined per
-        guarded receiver slot — pure leaf bodies expand textually into
-        the caller, the rest call the compiled leaf closure (the
-        interpreter's frame-free fast path) — targets without a leaf
-        template are entered directly when they have a body, a virtual
-        site past its two guards resolves the rest at run time
-        (:meth:`_emit_poly_tail`), and everything else exits to the
-        interpreter.  Returns True when the arm continues past the
-        site."""
-        w = self.w
-        virtual = op == _OP_CALL_VIRTUAL
-        nargs = b + 1 if virtual else b
-        if virtual:
-            rv = self._selector_returns(a)
-        else:
-            idx = a if entry is None else entry[icmod.S_INDEX]
-            rv = self.program.functions[idx].returns_value
-        always_exit = (
-            not self.inline_leaves
-            or (virtual and entry is None)
-            or (virtual and rv is None)
-        )
-        if always_exit:
+    def target(self, a):
+        return a
+
+    def goto(self, target, vstack) -> None:
+        self._goto(target, vstack)
+
+    def next(self, vstack) -> None:
+        pass
+
+    def jit_entry(self, target) -> None:
+        pass
+
+    def step_limit(self, when=None) -> None:
+        # Only a call is not in a segment, whose lumped guard covers it.
+        if self._head is not None:
+            self._leave(f"steps + 1 >= {self.max_steps}", "jit_deopts")
+
+    def charge_fixed(self, key: str, calls: int = 0) -> None:
+        # Once per resolved case, each of which runs its own sequence.
+        self._due = self._head + getattr(self, key)
+
+    def commit(self, *lines) -> None:
+        self._commits[lines] = None
+
+    def commit_point(self) -> None:
+        """Where a call's bookkeeping lands: after its last exit, so a
+        call the interpreter replays is counted once, by it.  A line
+        several resolved cases ask for is written once."""
+        for lines in self._commits:
+            for line in lines:
+                self.w(line)
+        self._commits = {}
+
+    def returning(self, value, vstack):
+        """A body entered directly returns to its caller itself, after
+        the dispatch head's tick test (the interpreter checks no step
+        limit at a return); every other activation exits and the
+        interpreter returns."""
+        pc, cost = self.pc, self.recs[self.pc][3]
+        self.exit_sites += 1
+        self._live = vstack + ([value] if value is not None else [])
+        if self.inline_leaves:
+            self.w("if _d:")
+            with self.indented():
+                head = f"time + {cost}" if cost else "time"
+                self._leave(f"{head} >= next_tick", "jit_deopts")
+                self._head = cost
+                yield
+                self._head = None
+        self._exit(pc, self._live, "jit_return_exits")
+
+    def pop_frame(self, value) -> None:
+        counts = "_leaf, _dc" if self.has_calls else "0, 0"
+        result = "None" if value is None else value.expr
+        self.w(f"return (time + {self._due}, steps + 1, call_count, {result}, {counts})")
+
+    def calling(self, spec, a, b, vstack):
+        """Run the site in generated code unless a hook is attached or
+        the site is an unquickened or unknown-shape virtual: then it is a
+        call exit."""
+        pc, entry = self.pc, self._entry
+        nargs, rv = self._call_shape(spec, a, b, entry)
+        if not self.inline_leaves or rv is None or (spec.arg == "virtual" and entry is None):
             self.exit_sites += 1
             self._exit(pc, vstack, "jit_call_exits")
-            return False
+            self._ended = True
+            return
         self.uses.add("room")
         self._bake("_LF", icmod.LEAF_FAIL)
-        csc = cost + (self.call_virtual_cost if virtual else self.call_static_cost)
-        # The interpreter's dispatch charges one step at the call pc and
-        # its arm raises StepLimit on the incremented count; mirror the
-        # check (uncharged de-opt → exact replay).
-        self._exit_if(f"steps + 1 >= {self.max_steps}", pc, vstack, "jit_deopts")
-        # Pin compound argument atoms up front: every guard branch below
-        # must see the same caller stack (a temp emitted inside one
-        # branch would be unbound along the others).
+        # Pin compound argument atoms up front: every guard branch must
+        # see the same caller stack.
         for i in range(len(vstack) - nargs, len(vstack)):
             vstack[i] = self.pin(vstack[i])
-        tres = self.new_tmp() if rv else None
-        if virtual:
-            recv = vstack[-nargs]
-            ename = self._bake(f"_e{pc}", entry)
-            guards = icmod.guard_classes(entry)
-            if not guards:  # pragma: no cover - quickened entries bind slot 0
-                self.exit_sites += 1
-                self._exit(pc, vstack, "jit_call_exits")
-                return False
-            self._exit_if(f"{recv.expr} is None", pc, vstack, "jit_guard_exits")
-            w(f"_rc = {recv.expr}.class_index")
-            direct = []
-            for i, (class_index, method_slot, cell) in enumerate(guards):
-                kw = "if" if i == 0 else "elif"
-                cname = self._bake(f"_c{i}_{pc}", cell)
-                w(f"{kw} _rc == {class_index}:")
-                self.indent += 1
-                direct.append(self._emit_callee(
-                    pc, vstack, nargs, entry[method_slot],
-                    f"{ename}[{method_slot}]", cname, csc, tres, rv,
-                    raw_static=None, tag=f"{i}_{pc}",
-                ))
-                self.indent -= 1
-            w("else:")
-            self.indent += 1
-            if entry[icmod.V_STATE] >= 3:
-                self._emit_poly_tail(pc, vstack, nargs, ename, a, csc, tres)
-            else:
-                self._exit(pc, vstack, "jit_guard_exits")
-            self.indent -= 1
-        elif entry is not None:
-            ename = self._bake(f"_e{pc}", entry)
-            direct = [self._emit_callee(
-                pc, vstack, nargs, entry[icmod.S_METHOD],
-                f"{ename}[{icmod.S_METHOD}]", None, csc, tres, rv,
-                raw_static=None, tag=f"s{pc}",
-            )]
-        else:
-            self._bake("_m", self.cache.methods)
-            direct = [self._emit_callee(
-                pc, vstack, nargs, self.cache.methods[a], f"_m[{a}]",
-                None, csc, tres, rv, raw_static=a, tag=f"s{pc}",
-            )]
+        self._args = vstack[len(vstack) - nargs:]
+        self._tres = self.new_tmp() if rv else None
+        self._live, self._head, self._direct = vstack, self.recs[pc][3], []
+        ename = None if entry is None else self._bake(f"_e{pc}", entry)
+        yield optemplates.Site(ename, nargs)
+        self._head = None
         # Counted per site: a two-guard site with one target of each
         # kind is both an inlined and a direct call site.
-        self.direct_sites += any(direct)
-        self.inline_sites += not all(direct)
+        self.direct_sites += any(self._direct)
+        self.inline_sites += not all(self._direct)
         if nargs:
             del vstack[len(vstack) - nargs:]
         if rv:
-            vstack.append(Atom(tres, simple=True))
+            vstack.append(Atom(self._tres, simple=True))
         self.arm_progress = True
+
+    def receiver(self, site, vstack) -> str:
+        return vstack[-site.nargs].expr
+
+    def guards(self, site):
+        """The site's bound inline slots as baked guards, hottest class
+        first."""
+        return [(klass, slot - 1) for klass, slot, _cell in icmod.guard_classes(self._entry)]
+
+    def bind(self, site, callee):
+        entry, pc = self._entry, self.pc
+        if callee.slot is not None:
+            self._known = entry[callee.slot]
+            cell = callee.cell and self._bake(
+                f"_c{callee.slot}_{pc}", entry[callee.slot + icmod.V_CELL0 - icmod.V_METHOD0]
+            )
+            self.w(f"callee = {callee.method}")
+            return Callee("callee", callee.index, cell=cell, hit=bool(cell))
+        if site.entry is None:  # a raw static site: the target is constant
+            self._known = self.cache.methods[callee.index]
+            self.w(f"callee = {callee.method}")
+            return Callee("callee", callee.index)
+        # Resolved at run time (the polymorphic tail): an overflow row,
+        # or the names a flat-table lookup has bound already.
+        self._known = None
+        names = ("callee", "callee_index", "cell")
+        exprs = (callee.method, callee.index, callee.cell)
+        if exprs != names:
+            self.w(f"{', '.join(names)} = {', '.join(exprs)}")
+        return Callee(*names[:2], cell="cell", hit=True)
+
+    def resolves_miss(self, site) -> bool:
+        """A site with overflow rows or gone megamorphic keeps its misses
+        in generated code; below that a miss is a guard exit."""
+        if self._entry[icmod.V_STATE] < 3:
+            self._exit(self.pc, self._live, "jit_guard_exits")
+            return False
+        self.poly_sites += 1
+        self.commit("vm.jit_poly_calls += 1")
         return True
 
-    def _emit_callee(
-        self, pc, vstack, nargs, callee, resolver, cellname, csc, tres, rv,
-        raw_static, tag,
-    ) -> bool:
-        """Emit the body of one guarded call target, leaving the result
-        (if any) in ``tres``; True when the target is entered directly.
+    @contextmanager
+    def bind_slow(self, site, rclass, cond):
+        # Binding changes IC state and belongs to the interpreter, as
+        # does raising a missing selector: one exit, once the flat table
+        # has been read, serves both.
+        self._slow = cond
+        yield
 
-        When the target's leaf template is pure — it never writes the
-        heap — the body is expanded textually into the caller (same
-        evaluator, :class:`_InlineLeaf` context) under an identity guard
-        on the baked leaf tuple, eliding the closure call (and its
-        argument tuple) entirely.  The identity guard also keeps adaptive
-        recompiles honest: a replaced callee publishes a fresh leaf
-        tuple, so the site exits until the manager re-jits the caller.
-        Other leaf targets go through the generic guarded leaf-template
-        call, and a target with no template at all is entered directly
-        (:meth:`_emit_direct`)."""
-        w = self.w
-        w(f"_c = {resolver}")
-        leaf = callee.leaf
-        args = vstack[len(vstack) - nargs:] if nargs else []
+    def missing_selector(self, test, rclass, selector) -> None:
+        self._leave(f"{self._slow} or {test}", "jit_guard_exits")
+
+    def leaf(self, site, callee):
+        """A leaf target runs here: a pure body expanded into the caller
+        under an identity guard on the baked leaf tuple (a replaced
+        callee publishes a fresh one, so the site exits until the caller
+        is recompiled), any other through its closure.  A target with no
+        leaf template is entered directly; one resolved at run time is
+        tested for a leaf then."""
+        known = self._known
+        if known is None:
+            self.w(f"_lf = {callee.method}.leaf")
+            self.w("if _lf is not None:")
+            with self.indented():
+                self._leaf_closure("not _room")
+            self.w("else:")
+            return self.indented()  # the direct call goes in the ``else``
+        leaf = known.leaf
+        self._direct.append(leaf is None)
         if leaf is None:
-            self._emit_direct(pc, vstack, args, csc, tres)
-        elif optemplates.PURE_LEAF_OPS.issuperset(leaf[icmod.L_OPS]):
-            lname = self._bake(f"_lf{tag}", leaf)
-            self._exit_if(
-                f"_c.leaf is not {lname} or not _room", pc, vstack, "jit_call_exits"
-            )
-            self._exit_if(
-                f"time + {csc + leaf[icmod.L_COST]} >= next_tick",
-                pc, vstack, "jit_deopts",
-            )
-            ctx = _InlineLeaf(self, pc, vstack, args, leaf[icmod.L_NUM_LOCALS])
+            return optemplates.GO_ON
+        if optemplates.PURE_LEAF_OPS.issuperset(leaf[icmod.L_OPS]):
+            lname = self._bake(f"_lf{len(self._direct)}_{self.pc}", leaf)
+            self._leave(f"{callee.method}.leaf is not {lname} or not _room", "jit_call_exits")
+            due = self._due + leaf[icmod.L_COST]
+            self._leave(f"time + {due} >= next_tick", "jit_deopts")
+            ctx = _InlineLeaf(self, self.pc, self._live, self._args, leaf[icmod.L_NUM_LOCALS])
             ts: list[Atom] = []
             for lop, la in zip(leaf[icmod.L_OPS], leaf[icmod.L_A]):
                 optemplates.emit(ctx, lop, la, None, ts)
-            w(f"time += {csc + leaf[icmod.L_COST]}")
-            w(f"steps += {1 + leaf[icmod.L_STEPS]}")
-            if rv:
-                w(f"{tres} = {ts.pop().expr}")
-            w("call_count += 1")
-            w("_leaf += 1")
+            self.w(f"time += {due}")
+            self.w(f"steps += {1 + leaf[icmod.L_STEPS]}")
+            if self._tres:
+                self.w(f"{self._tres} = {ts.pop().expr}")
+            self.w("call_count += 1")
+            self.w("_leaf += 1")
         else:
-            w("_lf = _c.leaf")
-            self._emit_leaf_call(
-                pc, vstack, args, csc, tres, "_lf is None or not _room"
-            )
-        if cellname is not None:
-            w(f"{cellname}[0] += 1")
-        if raw_static is not None:
-            # Raw static site: the interpreter's raw arm would mark the
-            # callee executed; the quickened arms never reach here first.
-            self.uses.add("seen")
-            w(f"if not _seen[{raw_static}]:")
-            w(f"    _seen[{raw_static}] = True")
-            w("    vm.methods_executed += 1")
-        return leaf is None
+            self.w(f"_lf = {callee.method}.leaf")
+            self._leaf_closure("_lf is None or not _room")
+        return optemplates.RAN
 
-    def _emit_leaf_call(self, pc, vstack, args, csc, tres, unfit) -> None:
-        """Call the leaf closure in ``_lf`` — the interpreter's
-        frame-free fast path — unless ``unfit`` (a call exit), a tick
-        falls inside the call (deopt) or the closure would fault (guard
-        exit; it has changed nothing)."""
-        w = self.w
-        arglist = "".join(f"{x.expr}, " for x in args)
-        t = tres or self.new_tmp()
-        self._exit_if(unfit, pc, vstack, "jit_call_exits")
-        self._exit_if(
-            f"time + {csc} + _lf[{icmod.L_COST}] >= next_tick",
-            pc, vstack, "jit_deopts",
-        )
-        w(f"{t} = _lf[{icmod.L_FN}](({arglist}), 0)")
-        self._exit_if(f"{t} is _LF", pc, vstack, "jit_guard_exits")
-        w(f"time += {csc} + _lf[{icmod.L_COST}]")
-        w(f"steps += 1 + _lf[{icmod.L_STEPS}]")
-        w("call_count += 1")
-        w("_leaf += 1")
+    def _leaf_closure(self, unfit: str) -> None:
+        """Call the leaf closure in ``_lf`` unless ``unfit`` (a call
+        exit), a tick falls inside the call (deopt) or the closure would
+        fault (guard exit; it has changed nothing)."""
+        due, t = self._due, self._tres or self.new_tmp()
+        arglist = "".join(f"{x.expr}, " for x in self._args)
+        self._leave(unfit, "jit_call_exits")
+        self._leave(f"time + {due} + _lf[{icmod.L_COST}] >= next_tick", "jit_deopts")
+        self.w(f"{t} = _lf[{icmod.L_FN}](({arglist}), 0)")
+        self._leave(f"{t} is _LF", "jit_guard_exits")
+        self.w(f"time += {due} + _lf[{icmod.L_COST}]")
+        self.w(f"steps += 1 + _lf[{icmod.L_STEPS}]")
+        self.w("call_count += 1")
+        self.w("_leaf += 1")
 
-    def _emit_poly_tail(self, pc, vstack, nargs, ename, selector, csc, tres) -> None:
-        """A receiver class neither baked guard matched, at a site that
-        has overflow bindings or is megamorphic: the interpreter's
-        ``OP_IC_CALL_VIRTUAL`` miss arm in generated code.
+    def room(self, spec) -> None:
+        pass  # the entry test below reads ``_go``
 
-        Resolve the callee — the overflow row bound to the class, else
-        the flat dispatch table once the site is megamorphic — and call
-        it the way a guarded target is called, as a leaf closure or
-        directly.  A class the site could still bind is a guard exit
-        (binding changes IC state and belongs to the interpreter), and
-        so is a class without the selector (the interpreter raises).
-        What the arm counts for a miss is counted after the last exit,
-        so a call the interpreter replays is counted once, by it.  Only
-        the megamorphic receiver cell is created up front, where the
-        arm would, which keeps the site's cells in the interpreter's
-        order under nesting; an exit leaves it at zero for the replay
-        to bump, and every reader of the cells skips zeros."""
-        w = self.w
-        self.poly_sites += 1
-        self.uses.update(("seen", "fv"))
-        methods = self._bake("_m", self.cache.methods)
-        w(f"for _t in {ename}[{icmod.V_REST}]:")
-        w("    if _t[0] == _rc:")
-        w("        _c, _ci, _cell = _t[1], _t[2], _t[5]")
-        w("        break")
-        w("else:")
-        self.indent += 1
-        w("_row = _fv[_rc]")
-        w(f"_ci = _row[{selector}] if {selector} < len(_row) else -1")
-        self._exit_if(
-            f"{ename}[{icmod.V_STATE}] <= {icmod.POLY_LIMIT} or _ci < 0",
-            pc, vstack, "jit_guard_exits",
-        )
-        w(f"_c = {methods}[_ci]")
-        w(f"_cells = {ename}[{icmod.V_CELLS}]")
-        w("_cell = _cells.get(_rc)")
-        w("if _cell is None:")
-        w("    _cell = _cells[_rc] = [0]")
-        self.indent -= 1
-        args = vstack[len(vstack) - nargs:]
-        w("_lf = _c.leaf")
-        w("if _lf is None:")
-        self.indent += 1
-        self._emit_direct(pc, vstack, args, csc, tres)
-        self.indent -= 1
-        w("else:")
-        self.indent += 1
-        self._emit_leaf_call(pc, vstack, args, csc, tres, "not _room")
-        self.indent -= 1
-        w("vm.ic_misses += 1")
-        w("vm.jit_poly_calls += 1")
-        w("_cell[0] += 1")
-        # Overflow rows were marked when they were bound; the flat
-        # table can name a method nothing has called yet.
-        w("if not _seen[_ci]:")
-        w("    _seen[_ci] = True")
-        w("    vm.methods_executed += 1")
-
-    def _emit_direct(self, pc, vstack, args, csc, tres) -> None:
-        """The interpreter's non-leaf calling sequence, then the
-        callee's body called as a host function (``_c`` is resolved).
-
-        Every guard comes before the first charge, so each is an exact
-        replay point, and the counters stay the caller's own until the
-        callee returns them: a callee that hands back (None, see
-        :func:`_hand_back`) leaves an ordinary call exit at this pc.
-        The callee's frame is popped here, on the side that pushed
-        it."""
-        w = self.w
+    def new_locals(self, site, callee) -> str:
+        """Every test before the first charge, so each is an exact replay
+        point; past them the charged time is below the tick, which is
+        what entering a body requires."""
         self.uses.add("direct")
-        fl = self._bake("_FL", _FREED_LOCALS)
-        frame_cls = self._bake("_Frame", Frame)
-        w("_j = _c.jit")
-        self._exit_if(
-            "_j is None or _j.direct is None or not _go",
-            pc, vstack, "jit_call_exits",
-        )
-        # Past this guard the charged time is below the tick, which is
-        # what entering a body requires; a tick inside the call charge
-        # belongs to the callee's first instruction in a frame the
-        # interpreter pushes.
-        self._exit_if(f"time + {csc} >= next_tick", pc, vstack, "jit_deopts")
-        new_locals = "[" + "".join(f"{x.expr}, " for x in args) + "*_j.pad]"
-        w("if _pool:")
-        w("    _f = _pool.pop()")
-        w("    _f.method = _c")
-        w("    _f.pc = 0")
-        w(f"    _f.locals = {new_locals}")
-        w(f"    _f.callsite_pc = {pc}")
-        w("else:")
-        w(f"    _f = {frame_cls}(_c, {new_locals}, {pc})")
-        w("_frames.append(_f)")
-        w(
-            f"_r = _j.direct(vm, _f, time + {csc}, steps + 1, call_count + 1,"
+        self.w(f"_j = {callee.method}.jit")
+        self._leave("_j is None or _j.direct is None or not _go", "jit_call_exits")
+        self._leave(f"time + {self._due} >= next_tick", "jit_deopts")
+        return "[" + "".join(f"{x.expr}, " for x in self._args) + "*_j.pad]"
+
+    def enter(self, site, callee) -> None:
+        """Call the callee's body with this caller's counters; a callee
+        that hands back (None, see :func:`_hand_back`) leaves an
+        ordinary call exit here.  The frame is popped on the side that
+        pushed it."""
+        self.w(
+            f"_r = _j.direct(vm, _f, time + {self._due}, steps + 1, call_count + 1,"
             " next_tick, _d + 1)"
         )
-        self._exit_if("_r is None", pc, vstack, "jit_call_exits")
-        w("_frames.pop()")
-        w(f"_f.locals = {fl}")
-        w("_pool.append(_f)")
-        w(f"time, steps, call_count, {tres or '_'}, _nl, _nd = _r")
-        w("_leaf += _nl")
-        w("_dc += _nd + 1")
-
-    def _emit_direct_return(self, pc, op, cost, vstack) -> None:
-        """``RETURN`` of a directly entered activation: the dispatch
-        head's tick test, then the return charge and the value handed
-        to the caller together with this activation's call counts.
-        The interpreter checks no step limit at a return and the
-        yieldpoint flag is clear wherever generated code runs."""
-        self.w("if _d:")
-        self.indent += 1
-        head = f"time + {cost}" if cost else "time"
-        self._exit_if(f"{head} >= next_tick", pc, vstack, "jit_deopts")
-        value = vstack[-1].expr if op == _OP_RETURN_VAL else "None"
-        counts = "_leaf, _dc" if self.has_calls else "0, 0"
-        self.w(
-            f"return (time + {cost + self.return_cost}, steps + 1, call_count,"
-            f" {value}, {counts})"
-        )
-        self.indent -= 1
+        self._leave("_r is None", "jit_call_exits")
+        self.w("_frames.pop()")
+        self.w(f"_f.locals = {self._bake('_FL', _FREED_LOCALS)}")
+        self.w("_pool.append(_f)")
+        self.w(f"time, steps, call_count, {self._tres or '_'}, _nl, _nd = _r")
+        self.w("_leaf += _nl")
+        self.w("_dc += _nd + 1")
 
     # -- assembly ---------------------------------------------------------------
 
@@ -958,7 +855,7 @@ class _Compiler(optemplates.EmitContext):
         # counters: a loop can run an inlined call and later leave
         # through an exit emitted *before* that call site.
         self.has_calls = self.inline_leaves and any(
-            rec is not None and rec[0] in (_OP_CALL_STATIC, _OP_CALL_VIRTUAL)
+            rec is not None and rec[5].kind == "call"
             for rec in self.recs
         )
         for leader in sorted(self.leaders):

@@ -1,9 +1,9 @@
 """One symbolic-stack evaluator for host code generated from bytecode.
 
-Every place the VM turns a data opcode into host Python *text* — the
+Every place the VM turns an opcode into host Python *text* — the
 template JIT's method bodies, its textual expansion of a leaf callee at
 the call site, the inline caches' frameless leaf closures, and the
-interpreter's own raw and fused dispatch arms
+interpreter's own raw, inline-cache and fused dispatch arms
 (:mod:`repro.vm.dispatchgen`) — goes through :func:`emit`, which is
 keyed by the opcode's :class:`~repro.bytecode.opcodes.OpSpec` row
 (``kind``/``arg``/``faults``) and executes it against a list of
@@ -12,17 +12,23 @@ differs between the four users is stated by an :class:`EmitContext`:
 how a local is read and written, what an operand is, where a statement
 goes, and what a fault precondition does.
 
-Control opcodes (jumps, branches, calls, returns) are not data and stay
-with the consumer that owns the control flow.  The import-time check at
-the bottom keeps the split honest: every ``OpSpec.kind`` is either
-templated here or in :data:`CONTROL_KINDS`, and every fault mode a
-templated row lists has a precondition test.  The leaf-eligible opcode
+Control is templated too: jump, branch, return, the raw call and the
+two inline-cache calls (:data:`CONTROL_KINDS`).  Their templates own the
+calling sequence — step-limit checks, receiver resolution, charges, call
+hooks, the leaf attempt, the pooled frame push, the return epilogue and
+every counter — and ask the context (the interpreter's arm or a JIT
+body) only how it leaves.  The import-time check at the bottom keeps
+the table honest: every ``OpSpec.kind`` has a template and every fault
+mode of a data row has a precondition test.  The leaf-eligible opcode
 sets the IC and JIT consult are computed from the same table.
 """
 
 from __future__ import annotations
 
-from repro.bytecode.opcodes import OPCODE_SPECS, SPEC_BY_OP, OpSpec
+from contextlib import nullcontext
+from typing import NamedTuple
+
+from repro.bytecode.opcodes import OPCODE_SPECS, SPEC_BY_OP, Op, OpSpec
 
 
 class Atom:
@@ -66,13 +72,31 @@ class EmitContext:
 
     The defaults describe a function whose locals are host variables
     named ``<local_prefix><slot>`` and whose heap writes happen in
-    program order; a context overrides what it does differently."""
+    program order; a context overrides what it does differently.
+
+    A context that runs control templates also supplies how it leaves
+    (``goto``, ``next``, ``pop_frame``, ``leaf``, ``enter``, the exits
+    behind ``guard`` and ``missing_selector``), how a call site finds its
+    callee (``guards``, ``bind``, ``bind_slow``, ``resolves_miss``) and
+    when bookkeeping lands (``charge_fixed``, ``commit``,
+    ``commit_point``); the templates below say what each one is asked.
+    ``pc`` is the current instruction's pc; ``paths``, ``hooked``,
+    ``quickens`` and ``yieldpoints`` say whether path hooks, call hooks,
+    raw-call quickening and yieldpoints run (a run-time condition, or
+    ``False``: never); ``joins`` says a site's resolved cases share one
+    calling sequence rather than each running its own."""
 
     local_prefix = "l"
+    paths = hooked = quickens = joins = yieldpoints = False
+    indent = 0
 
     def w(self, line: str) -> None:
         """Emit one statement at the current position."""
         raise NotImplementedError
+
+    def indented(self) -> "_Indented":
+        """``with ctx.indented():`` writes one block level deeper."""
+        return _Indented(self)
 
     def new_tmp(self) -> str:
         raise NotImplementedError
@@ -139,6 +163,24 @@ class EmitContext:
         )
 
 
+#: What ``ctx.leaf`` returns once the callee has run (``as done`` is
+#: true) or when the generic sequence follows.
+RAN, GO_ON = nullcontext(True), nullcontext(False)
+
+
+class _Indented:
+    __slots__ = ("ctx",)
+
+    def __init__(self, ctx) -> None:
+        self.ctx = ctx
+
+    def __enter__(self) -> None:
+        self.ctx.indent += 1
+
+    def __exit__(self, *exc) -> None:
+        self.ctx.indent -= 1
+
+
 # -- the templates: one function per OpSpec.kind -------------------------------
 
 #: kind -> (template, leaf class).  The leaf class says where the kind
@@ -149,8 +191,10 @@ class EmitContext:
 #: bodies only).
 TEMPLATES: dict = {}
 
-#: Kinds that transfer control; their consumers handle them.
-CONTROL_KINDS = frozenset({"jump", "branch", "call", "return"})
+#: Kinds that transfer control, including the two inline-cache calls.
+CONTROL_KINDS = frozenset(
+    {"jump", "branch", "call", "return", "ic_call_virtual", "ic_call_static"}
+)
 
 #: FaultSpec.kind -> precondition over the op's subject expressions.
 _FAULT_TESTS = {
@@ -413,13 +457,329 @@ def _print(ctx, spec, a, b, vstack):
     ctx.w(f"{ctx.name('out')}.append({vstack.pop().expr})")
 
 
+# -- control: the calling sequence, written once ---------------------------------
+#
+# A control template owns the order and the bookkeeping of its sequence;
+# the context supplies only how it leaves (see EmitContext).  The
+# interpreter's arm leaves by frame switch, ``continue`` or a raise, a
+# JIT body by jumping to a block, a baked guard, an expanded or called
+# leaf, a direct call or an exit to the interpreter.
+
+
+def _ic():
+    from repro.vm import ic  # ic builds its leaf closures with this module
+
+    return ic
+
+
+def bare(expr: str) -> str:
+    """``expr`` without a pair of parentheses that encloses all of it."""
+    if not expr.startswith("("):
+        return expr
+    depth = 0
+    for i, ch in enumerate(expr):
+        depth += (ch == "(") - (ch == ")")
+        if depth == 0:
+            return expr[1:-1] if i and i == len(expr) - 1 else expr
+    return expr
+
+
+def _when(ctx, cond):
+    """``for _ in _when(ctx, cond):`` runs its body under ``cond``: not at
+    all when it is false, unguarded when it is ``True``, else inside an
+    emitted ``if``."""
+    if cond is True:
+        yield
+    elif cond:
+        ctx.w(f"if {bare(cond)}:")
+        with ctx.indented():
+            yield
+
+
+def _backward(ctx, target):
+    return target <= ctx.pc if isinstance(target, int) else f"{target} <= {ctx.pc}"
+
+
+def _path(ctx, call: str, sync: bool = True) -> None:
+    """A path-profiling hook; ``sync`` for one that may charge."""
+    if not ctx.paths:
+        return
+    for _ in _when(ctx, ctx.paths):
+        vm = ctx.name("vm")
+        if sync:
+            ctx.w(f"{vm}.time = time")
+        ctx.w(f"{ctx.name('paths')}.{call}")
+        if sync:
+            ctx.w(f"time = {vm}.time")
+
+
+def take_yieldpoint(ctx, kind: str, pc=None) -> None:
+    """A Jikes yieldpoint (``BACKEDGE``, ``PROLOGUE``, ``EPILOGUE``),
+    counters synced around a handler that may charge; a backedge is not
+    taken inside an open CBS window (flag -1).  Generated code never
+    runs with the flag set."""
+    if not ctx.yieldpoints:
+        return
+    test = "> 0" if kind == "BACKEDGE" else "!= 0"
+    ctx.w(f"if {kind.lower()}_yp and self.yieldpoint_flag {test}:")
+    with ctx.indented():
+        ctx.w("self.time = time")
+        ctx.w("self.call_count = call_count")
+        if pc is not None:
+            ctx.w(f"frame.pc = {pc}")
+        ctx.w(f"self._take_yieldpoint({kind})")
+        ctx.w("time = self.time")
+
+
+@_template("jump")
+def _jump(ctx, spec, a, b, vstack):
+    target = ctx.target(a)
+    for _ in _when(ctx, _backward(ctx, target)):
+        # The step limit must bind even when no timer ever fires.
+        ctx.step_limit()
+        take_yieldpoint(ctx, "BACKEDGE", ctx.pc)
+        _path(ctx, f"on_jump_back({ctx.pc})")
+        ctx.jit_entry(target)
+    ctx.goto(target, vstack)
+
+
+@_template("branch")
+def _branch(ctx, spec, a, b, vstack):
+    value = vstack.pop()
+    if spec.arg == "false":
+        taken = value.ncond or f"{value.expr} == 0"
+    else:
+        taken = value.cond or f"{value.expr} != 0"
+    for _ in _when(ctx, taken):
+        target = ctx.target(a)
+        ctx.step_limit(_backward(ctx, target))
+        _path(ctx, f"on_branch({ctx.pc}, True)")
+        ctx.goto(target, vstack)
+    _path(ctx, f"on_branch({ctx.pc}, False)")
+    ctx.next(vstack)
+
+
+@_template("return")
+def _return(ctx, spec, a, b, vstack):
+    value = vstack.pop() if spec.arg == "value" else None
+    for _ in ctx.returning(value, vstack):
+        ctx.charge_fixed("return_cost")
+        take_yieldpoint(ctx, "EPILOGUE", ctx.pc)
+        # Record the completed path (may charge) before the frame dies.
+        _path(ctx, f"on_return({ctx.pc})")
+        ctx.pop_frame(value)
+
+
+class Site(NamedTuple):
+    """A call site as its context reads it: the cache entry (``None`` at
+    a raw site) and the argument count."""
+
+    entry: object
+    nargs: object
+
+
+class Callee(NamedTuple):
+    """One way a call site resolved its target: expressions for the
+    ``CompiledMethod``, its index, views tuple, locals pad and receiver
+    cell.  ``hit`` is the condition under which ``cell`` counts the call
+    (the interpreter's bind path leaves it ``None``); ``slot`` is the
+    entry index the method was read from, for a context that bakes it."""
+
+    method: object
+    index: object = None
+    views: object = None
+    pad: object = None
+    cell: object = None
+    hit: object = False
+    slot: object = None
+
+
+def _slot(entry, first: int) -> Callee:
+    """The five fields of a cache slot, starting at entry index ``first``."""
+    return Callee(
+        f"{entry}[{first}]", f"{entry}[{first + 1}]", f"{entry}[{first + 2}]",
+        f"{entry}[{first + 3}]", f"{entry}[{first + 4}]", slot=first,
+    )
+
+
+def _looked_up(site, method="callee", index="callee_index", cell=None) -> Callee:
+    """A callee found outside the cache: views and pad from the method."""
+    pad = f"locals_pad(callee.num_locals, {site.nargs})"
+    return Callee(method, index, "callee.views", pad, cell)
+
+
+def _mark_seen(ctx, index) -> None:
+    seen = ctx.name("seen")
+    ctx.commit(
+        f"if not {seen}[{index}]:",
+        f"    {seen}[{index}] = True",
+        f"    {ctx.name('vm')}.methods_executed += 1",
+    )
+
+
+def _notify(ctx, index) -> None:
+    """The call hooks see the site in baseline coordinates via the
+    inline map (see Instr.origin), resolved once."""
+    if not ctx.hooked:
+        return
+    for _ in _when(ctx, ctx.hooked):
+        ctx.w(f"origin = origins[{ctx.pc}]")
+        ctx.w("if origin is None:")
+        ctx.w("    caller_index = method.index")
+        ctx.w(f"    site_pc = {ctx.pc}")
+        ctx.w("else:")
+        ctx.w("    caller_index, site_pc = origin")
+        ctx.w("if observer is not None:")
+        # Observers may charge (instrumented modes): sync around the call.
+        ctx.w("    self.time = time")
+        ctx.w(f"    observer(caller_index, site_pc, {index})")
+        ctx.w("    time = self.time")
+        ctx.w("if telemetry is not None:")
+        ctx.w(f"    telemetry.on_call(time, caller_index, site_pc, {index})")
+
+
+def _invoke(ctx, spec, site, callee: Callee) -> None:
+    """Charge and notify the call, then run the callee: as a frameless
+    leaf where the context can, else in a pooled frame."""
+    for _ in _when(ctx, callee.hit):
+        ctx.commit(f"{callee.cell}[0] += 1")
+    ctx.charge_fixed(f"call_{spec.arg}_cost", calls=1)
+    _notify(ctx, callee.index)
+    with ctx.leaf(site, callee) as done:
+        if not done:
+            ctx.room(spec)
+            new_locals = ctx.new_locals(site, callee)
+            frame, pool = ctx.name("frame"), ctx.name("pool")
+            ctx.w(f"if {pool}:")
+            ctx.w(f"    {frame} = {pool}.pop()")
+            ctx.w(f"    {frame}.method = {callee.method}")
+            ctx.w(f"    {frame}.pc = 0")
+            ctx.w(f"    {frame}.locals = {new_locals}")
+            ctx.w(f"    {frame}.callsite_pc = {ctx.pc}")
+            ctx.w("else:")
+            ctx.w(f"    {frame} = {ctx.name('Frame')}({callee.method}, {new_locals}, {ctx.pc})")
+            ctx.w(f"{ctx.name('frames')}.append({frame})")
+            _path(ctx, f"on_call({callee.method})", sync=False)
+            ctx.enter(site, callee)
+    ctx.commit_point()
+
+
+def _flat_lookup(ctx, rclass, selector) -> None:
+    """``callee`` from the flat selector-indexed tables, or the
+    no-such-method leave."""
+    if not isinstance(selector, int):  # read more than once
+        ctx.w(f"selector = {selector}")
+        selector = "selector"
+    ctx.w(f"row = {ctx.name('fv')}[{rclass}]")
+    ctx.w(f"callee_index = row[{selector}] if {selector} < len(row) else -1")
+    ctx.missing_selector("callee_index < 0", rclass, selector)
+    ctx.w(f"callee = {ctx.name('methods')}[callee_index]")
+
+
+def _receiver_class(ctx, spec, site, vstack) -> str:
+    receiver = ctx.receiver(site, vstack)
+    ctx.guard([(spec.faults[0], f"{receiver} is None", {})], vstack, ())
+    ctx.w(f"rclass = {receiver}.class_index")
+    return "rclass"
+
+
+@_template("call")
+def _call(ctx, spec, a, b, vstack):
+    """An unquickened site: resolve, quicken it for next time, call."""
+    for site in ctx.calling(spec, a, b, vstack):
+        ctx.step_limit()
+        if spec.arg == "virtual":
+            rclass = _receiver_class(ctx, spec, site, vstack)
+            _flat_lookup(ctx, rclass, a)
+            callee = ctx.bind(site, _looked_up(site))
+            quicken = f"_quicken_virtual(method, {ctx.pc}, {rclass}, callee, {site.nargs})"
+        else:
+            callee = ctx.bind(site, _looked_up(site, f"{ctx.name('methods')}[{a}]", a))
+            quicken = f"_quicken_static(method, {ctx.pc}, callee, {site.nargs})"
+        for _ in _when(ctx, ctx.quickens):
+            ctx.w(f"{ctx.name('vm')}.{quicken}")
+        _mark_seen(ctx, callee.index)
+        _invoke(ctx, spec, site, callee)
+
+
+@_template("ic_call_static")
+def _ic_call_static(ctx, spec, a, b, vstack):
+    for site in ctx.calling(spec, a, b, vstack):
+        ctx.step_limit()
+        callee = _slot(site.entry, _ic().S_METHOD)._replace(cell=None)
+        _invoke(ctx, spec, site, ctx.bind(site, callee))
+
+
+@_template("ic_call_virtual")
+def _ic_call_virtual(ctx, spec, a, b, vstack):
+    """Receiver class against the cache's inline slots, then its
+    overflow rows, then — once megamorphic — the flat tables."""
+    ic = _ic()
+    for site in ctx.calling(spec, a, b, vstack):
+        ctx.step_limit()
+        rclass = _receiver_class(ctx, spec, site, vstack)
+        entry = site.entry
+        for i, (klass, first) in enumerate(ctx.guards(site)):
+            ctx.w(f"{'elif' if i else 'if'} {rclass} == {klass}:")
+            with ctx.indented():
+                callee = ctx.bind(site, _slot(entry, first + 1))
+                if not ctx.joins:
+                    _invoke(ctx, spec, site, callee)
+        ctx.w("else:")
+        with ctx.indented():
+            if ctx.resolves_miss(site):
+                ctx.w(f"for r in {entry}[{ic.V_REST}] or ():")
+                ctx.w(f"    if r[0] == {rclass}:")
+                with ctx.indented(), ctx.indented():
+                    ctx.commit(f"{ctx.name('vm')}.ic_misses += 1")
+                    callee = ctx.bind(site, Callee(*(f"r[{k}]" for k in range(1, 6))))
+                    ctx.w("break")
+                ctx.w("else:")
+                with ctx.indented(), ctx.bind_slow(
+                    site, rclass, f"{entry}[{ic.V_STATE}] <= {ic.POLY_LIMIT}"
+                ):
+                    ctx.commit(f"{ctx.name('vm')}.ic_misses += 1")
+                    _flat_lookup(ctx, rclass, a)
+                    # Created where the interpreter creates it, so the
+                    # site's cells keep one insertion order.
+                    ctx.w(f"cells = {entry}[{ic.V_CELLS}]")
+                    ctx.w(f"cell = cells.get({rclass})")
+                    ctx.w("if cell is None:")
+                    ctx.w(f"    cell = cells[{rclass}] = [0]")
+                    _mark_seen(ctx, "callee_index")
+                    callee = ctx.bind(site, _looked_up(site, cell="cell"))
+                if not ctx.joins:
+                    _invoke(ctx, spec, site, callee)
+        if ctx.joins:
+            _invoke(ctx, spec, site, callee)
+
+
 # -- spec-keyed entry points ---------------------------------------------------
 
+class _SpecTable(dict):
+    """Opcode -> (spec row, template kind).  An inline-cache call opcode
+    runs its own template under the row of the call it quickens; those
+    two rows are added on first use, because repro.vm.ic, which numbers
+    them, imports this module."""
+
+    def __missing__(self, op):
+        ic = _ic()
+        self[ic.OP_IC_CALL_VIRTUAL] = (SPEC_BY_OP[Op.CALL_VIRTUAL], "ic_call_virtual")
+        self[ic.OP_IC_CALL_STATIC] = (SPEC_BY_OP[Op.CALL_STATIC], "ic_call_static")
+        if op not in self:
+            raise KeyError(f"no template for opcode {op}")
+        return self[op]
+
+
+_SPEC_AND_KIND = _SpecTable((int(spec.op), (spec, spec.kind)) for spec in OPCODE_SPECS)
+spec_and_kind = _SPEC_AND_KIND.__getitem__
+
+
 def emit(ctx: EmitContext, op: int, a, b, vstack: list) -> None:
-    """Execute data opcode ``op`` symbolically: update ``vstack`` and
-    emit whatever statements and fault exits the op needs to ``ctx``."""
-    spec = SPEC_BY_OP[op]
-    TEMPLATES[spec.kind][0](ctx, spec, a, b, vstack)
+    """Execute opcode ``op`` symbolically: update ``vstack`` and emit
+    whatever statements, fault exits and leaves the op needs to ``ctx``."""
+    spec, kind = _SPEC_AND_KIND[op]
+    TEMPLATES[kind][0](ctx, spec, a, b, vstack)
 
 
 def _ops_where(accept) -> frozenset:
@@ -427,17 +787,16 @@ def _ops_where(accept) -> frozenset:
 
 
 def _check_coverage() -> None:
-    """Every opcode kind is templated or control, never both, and every
-    fault mode of a templated row has a precondition test."""
+    """Every opcode kind is templated, control kinds among them, and
+    every fault mode of a data row has a precondition test."""
     kinds = {spec.kind for spec in OPCODE_SPECS}
-    stray = (kinds ^ (TEMPLATES.keys() | CONTROL_KINDS)) | (
-        TEMPLATES.keys() & CONTROL_KINDS
+    assert kinds | CONTROL_KINDS == TEMPLATES.keys(), (
+        f"op kinds without a template: {sorted(kinds - TEMPLATES.keys())}"
     )
-    assert not stray, f"op kinds neither templated nor control: {sorted(stray)}"
     untested = {
         f.kind
         for spec in OPCODE_SPECS
-        if spec.kind in TEMPLATES
+        if spec.kind not in CONTROL_KINDS
         for f in spec.faults
     } - _FAULT_TESTS.keys()
     assert not untested, f"fault modes without a precondition: {sorted(untested)}"

@@ -172,7 +172,7 @@ def test_receivers_invariant_catches_a_tail_that_forgets_to_count(monkeypatch):
     emit = jit_compiler._Compiler.w
     monkeypatch.setattr(
         jit_compiler._Compiler, "w",
-        lambda self, line: None if line == "_cell[0] += 1" else emit(self, line),
+        lambda self, line: None if line == "cell[0] += 1" else emit(self, line),
     )
     violations = check_program(compile_source(POLYMORPHIC), **CAMPAIGN_OVERRIDES)
     assert violations

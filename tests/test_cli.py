@@ -100,11 +100,21 @@ def test_compile_error_reported(tmp_path):
             "expression nested too deeply",
         ),
         ("def main() { var x = ²; }", "1:22: unexpected character '²'"),
+        # Nesting the parser admits, which the type checker (four host
+        # frames per level to the parser's two) used to overflow on.
+        (
+            "def main() { var x = " + "1 + (" * 250 + "1" + ")" * 250 + "; print(x); }",
+            "expression nested too deeply",
+        ),
+        (
+            "def main() { var x = " + "-" * 900 + "1; print(x); }",
+            "expression nested too deeply",
+        ),
     ],
-    ids=["deep-nesting", "non-ascii-digit"],
+    ids=["deep-nesting", "non-ascii-digit", "deep-binary-past-the-parser", "deep-negation"],
 )
 def test_hostile_source_is_a_one_line_diagnostic_not_a_traceback(tmp_path, source, diagnostic):
-    """Both used to escape as host exceptions (RecursionError, ValueError)."""
+    """Each used to escape as a host exception (RecursionError, ValueError)."""
     path = tmp_path / "hostile.mini"
     path.write_text(source, encoding="utf-8")
     with pytest.raises(SystemExit) as info:

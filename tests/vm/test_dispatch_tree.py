@@ -7,8 +7,8 @@ weights, so these tests check the generator's own account of it
 real loop into every number no arm owns.  What an arm body *does* is
 not this file's business: ``test_fused_arms.py``, the identity suites,
 the corpus replay and the fuzz matrix (tests/fuzz, CI's ``fuzz-smoke``)
-hold that.  Where a body *comes from* is: the routing test below proves
-every data arm is written by ``optemplates.emit``.
+hold that.  Where a body *comes from* is: the routing tests below prove
+every arm, data and control, is written by ``optemplates.emit``.
 """
 
 from __future__ import annotations
@@ -17,12 +17,14 @@ import pytest
 
 import re
 
+from repro.benchsuite import program_for
 from repro.bytecode.assembler import assemble
-from repro.bytecode.opcodes import OPCODE_SPECS, spec_of
+from repro.bytecode.opcodes import OPCODE_SPECS
 from repro.vm import dispatchgen, fuse, ic, optemplates
 from repro.vm.config import jikes_config
 from repro.vm.errors import VMError
 from repro.vm.interpreter import Interpreter
+from repro.vm.jit import compiler as jit_compiler
 
 NUMBERS = dispatchgen.OPCODE_NUMBERS
 TREES = {True: dispatchgen.build_tree(raw=True), False: dispatchgen.build_tree(raw=False)}
@@ -46,10 +48,10 @@ def test_weights_cover_every_opcode_exactly_once():
 @pytest.mark.parametrize("name", sorted(NUMBERS, key=NUMBERS.get))
 def test_every_opcode_reaches_exactly_its_own_arm(name):
     arm, tests = dispatchgen.tree_path(_tree_for(NUMBERS[name]), NUMBERS[name])
-    assert arm is not None and name in arm
+    assert arm == name
     assert tests >= 1
     # No other arm's test mentions this opcode.
-    owners = [a for tree in TREES.values() for a in _leaf_arms(tree) if name in a]
+    owners = [a for tree in TREES.values() for a in _leaf_arms(tree) if a == name]
     assert owners == [arm]
 
 
@@ -73,7 +75,7 @@ def test_split_constants_partition_the_number_line():
                 walk(node.below, lo, node.pivot - 1)
                 walk(node.above, node.pivot, hi)
             else:
-                numbers = [NUMBERS[name] for arm in node.arms for name in arm]
+                numbers = [NUMBERS[name] for name in node.arms]
                 assert all(lo <= n <= hi for n in numbers)
                 leaves.append(numbers)
 
@@ -113,62 +115,130 @@ def test_check_prints_the_expected_comparisons(capsys):
     assert f"{recomputed:.2f} expected comparisons per dispatch" in capsys.readouterr().out
 
 
-# -- routing: every data arm is written by the one evaluator --------------------
+# -- routing: every arm is written by the one evaluator -------------------------
 
 
-def _arm_bodies(source: str) -> dict[str, str]:
-    """Opcode name -> the text of the arm that owns it."""
+def arm_spans(source: str) -> dict[str, range]:
+    """Opcode name -> the 1-based line numbers of the arm that owns it."""
     lines = source.split("\n")
-    bodies: dict[str, str] = {}
+    spans: dict[str, range] = {}
     for i, line in enumerate(lines):
-        test = re.fullmatch(r"( *)(?:el)?if (op == \w+(?: or op == \w+)*):", line)
+        test = re.fullmatch(r"( *)(?:el)?if op == (?:OP_)?(\w+):", line)
         if test is None:
             continue
         end = i + 1
         while not lines[end].strip() or lines[end].startswith(test[1] + " "):
             end += 1
-        for name in re.findall(r"op == (?:OP_)?(\w+)", test[2]):
-            # The first match is the arm; a later one is a test inside
-            # a shared arm's body.
-            bodies.setdefault(name, "\n".join(lines[i + 1 : end]))
-    return bodies
+        spans[test[2]] = range(i + 2, end + 1)
+    return spans
+
+
+def _arm_bodies(source: str) -> dict[str, str]:
+    """Opcode name -> the text of the arm that owns it."""
+    lines = source.split("\n")
+    return {
+        name: "\n".join(lines[span.start - 1 : span.stop - 1])
+        for name, span in arm_spans(source).items()
+    }
+
+
+def _kinds(number: int) -> list[str]:
+    comps = fuse.FUSED_COMPONENTS.get(number, (number,))
+    return [optemplates.spec_and_kind(comp)[1] for comp in comps]
 
 
 @pytest.fixture
 def marked_templates(monkeypatch):
-    """Every template also writes a comment naming its kind."""
+    """Every template, data and control, also writes a comment naming
+    its kind and the pc it was emitted for."""
     for kind, (template, leaf) in list(optemplates.TEMPLATES.items()):
 
         def marked(ctx, spec, a, b, vstack, _template=template, _kind=kind):
-            ctx.w(f"# via optemplates: {_kind}.")
+            ctx.w(f"# via optemplates: {_kind}. @{getattr(ctx, 'pc', '')}")
             _template(ctx, spec, a, b, vstack)
 
         monkeypatch.setitem(optemplates.TEMPLATES, kind, (marked, leaf))
 
 
-def test_every_data_arm_is_emitted_by_optemplates(marked_templates):
+def test_every_arm_is_emitted_by_optemplates(marked_templates):
+    """Raw data and control arms, the two IC arms and every fused arm —
+    its ``*_JIF`` / ``*_RET`` tail included — carry exactly the markers
+    of their components' kinds, in order."""
     bodies = _arm_bodies(dispatchgen.generate_source())
     assert set(bodies) == set(NUMBERS)
-    for spec in OPCODE_SPECS:
-        marks = re.findall(r"# via optemplates: (\w+)\.", bodies[spec.op.name])
-        expected = [spec.kind] if spec.kind in optemplates.TEMPLATES else []
-        assert marks == expected, spec.op.name
-    for fid, comps in fuse.FUSED_COMPONENTS.items():
-        marks = re.findall(
-            r"# via optemplates: (\w+)\.", bodies[dispatchgen._attr_name(fid)]
+    for name, number in NUMBERS.items():
+        marks = re.findall(r"# via optemplates: (\w+)\.", bodies[name])
+        assert marks == _kinds(number), name
+    assert {kind for number in NUMBERS.values() for kind in _kinds(number)} == set(
+        optemplates.TEMPLATES
+    )
+
+
+@pytest.mark.parametrize("bench", ["javac", "jess"])
+def test_every_jit_control_site_is_emitted_by_optemplates(marked_templates, bench):
+    """Each compiled body of a benchsuite run, recompiled: every call,
+    return, jump and branch its analysis reaches carries exactly one
+    marker of its kind, at its pc."""
+    program = program_for(bench, "tiny")
+    vm = Interpreter(program, jikes_config(jit=True))
+    vm.run()
+    bodies = {method.index: method for method, _code in vm.jit_bodies}
+    assert bodies
+    seen = set()
+    for method in bodies.values():
+        compiler = jit_compiler._Compiler(
+            method, program, vm.code_cache, vm.config, True, False
         )
-        kinds = [spec_of(comp).kind for comp in comps]
-        assert marks == [k for k in kinds if k in optemplates.TEMPLATES], fid
-    for name in ("IC_CALL_VIRTUAL", "IC_CALL_STATIC"):
-        assert "# via optemplates" not in bodies[name]
+        compiler.compile()
+        marks = re.findall(r"# via optemplates: (\w+)\. @(\d+)", "\n".join(compiler.lines))
+        control = sorted(
+            (kind, int(pc)) for kind, pc in marks if kind in optemplates.CONTROL_KINDS
+        )
+        expected = sorted(
+            (kind, pc)
+            for pc in compiler.depth
+            for kind in [optemplates.spec_and_kind(compiler.recs[pc][0])[1]]
+            if kind in optemplates.CONTROL_KINDS
+        )
+        assert control == expected, method.function.qualified_name
+        seen.update(kind for kind, _pc in control)
+    assert {"jump", "branch", "return", "ic_call_virtual"} <= seen
 
 
-def test_the_generator_spells_out_only_control_and_ic_arms():
-    assert set(dispatchgen.CONTROL_EMITTERS) == optemplates.CONTROL_KINDS | {
-        name for name in NUMBERS if name.startswith("IC_")
-    }
-    for kind in optemplates.TEMPLATES:
-        assert kind not in dispatchgen.CONTROL_EMITTERS
+#: What an arm may hold that no template wrote: a fused head's step
+#: count and operand unpack, and a data arm's write-back and ``pc`` step.
+_ARM_FRAME = re.compile(
+    r"steps \+= \d+|\w+, \w+ = fbarg\[pc\]|pc \+= \d+"
+    r"|stack\[-1\] [-+*]?= .+|stack\.append\(.+\)"
+)
+
+
+def test_the_generator_writes_no_arm_body_itself(monkeypatch):
+    """Tag every line written while a template runs — the context's own
+    leaves included — and the rest of each arm is only its frame."""
+    depth = [0]
+    for kind, (template, leaf) in list(optemplates.TEMPLATES.items()):
+
+        def tagged(ctx, spec, a, b, vstack, _template=template):
+            depth[0] += 1
+            try:
+                _template(ctx, spec, a, b, vstack)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setitem(optemplates.TEMPLATES, kind, (tagged, leaf))
+    write = dispatchgen.Emitter.__call__
+    monkeypatch.setattr(
+        dispatchgen.Emitter,
+        "__call__",
+        lambda em, line="": write(em, f"{line}  # T" if line and depth[0] else line),
+    )
+    bodies = _arm_bodies(dispatchgen.generate_source())
+    for name, body in bodies.items():
+        for line in body.split("\n"):
+            text = line.strip()
+            if text and not text.endswith("# T"):
+                assert _ARM_FRAME.fullmatch(text), (name, text)
 
 
 def test_generation_is_byte_identical_once_the_templates_are_restored():
