@@ -174,8 +174,14 @@ IC_SPEEDUP_FLOORS = {"jess": 1.25, "calls": 0.95}
 #: Absolute floors on the JIT-on/JIT-off throughput ratio (both sides
 #: fused+IC).  The arith/calls floors are the level-3 acceptance
 #: criterion — the template JIT must at least double throughput on both
-#: a straight-line kernel and a call-heavy one.
-JIT_SPEEDUP_FLOORS = {"arith": 2.0, "calls": 2.0}
+#: a straight-line kernel and a call-heavy one — over the interpreter
+#: that criterion was set against: each is 2.0 over the interpreter's
+#: gain since, ``fused_steps_per_sec`` 1.246x on arith and 1.061x on
+#: calls when the superinstructions became measured (medians of three
+#: alternating full runs, ``jit_steps_per_sec`` 0.97x / 0.98x; the
+#: kernels read 3.37-3.50x and 2.71-2.74x, from 4.32-4.43x and
+#: 2.87-2.97x).
+JIT_SPEEDUP_FLOORS = {"arith": 1.61, "calls": 1.89}
 
 #: ROADMAP item 2's floors for a call site past its two baked guards:
 #: overflow (4 classes) and megamorphic (16) receivers stay in generated
@@ -186,9 +192,12 @@ JIT_SPEEDUP_FLOORS = {"arith": 2.0, "calls": 2.0}
 #: ``fused_steps_per_sec`` rose 1.342x on virtcalls4 and 1.332x on
 #: virtcalls16 with ``jit_steps_per_sec`` at 1.00x / 1.04x, so each
 #: floor is the old one over that ratio (the kernels read 2.50-2.57x
-#: and 2.29-2.38x, from 3.41-3.45x and 2.92-3.22x).  The arith / calls
-#: floors above did not need it (4.2x and 2.8x against 2.0).
-JIT_FULL_RUN_FLOORS = {"virtcalls4": 1.86, "virtcalls16": 1.5}
+#: and 2.29-2.38x, from 3.41-3.45x and 2.92-3.22x).  The measured
+#: superinstruction table moved the interpreter again, 1.190x on
+#: virtcalls4 and 1.170x on virtcalls16 (``jit_steps_per_sec`` 1.00x /
+#: 1.00x; the kernels read 2.08-2.11x and 1.90-1.92x), and the floors
+#: followed: 1.86 / 1.190 and 1.5 / 1.170.
+JIT_FULL_RUN_FLOORS = {"virtcalls4": 1.56, "virtcalls16": 1.28}
 
 #: Host-timing configurations measured per repeat, interleaved.
 _CONFIGS = (
@@ -266,9 +275,9 @@ def check_against_baseline(
       amortized its host-side compile cost, so their ratios say
       nothing about a full run);
     * the absolute :data:`IC_SPEEDUP_FLOORS` (jess ≥ 1.25x etc.) and
-      :data:`JIT_SPEEDUP_FLOORS` (arith/calls ≥ 2x) hold regardless of
-      the baseline, and :data:`JIT_FULL_RUN_FLOORS` (virtcalls4 ≥ 1.86x,
-      virtcalls16 ≥ 1.5x) on a full run.
+      :data:`JIT_SPEEDUP_FLOORS` (arith ≥ 1.61x, calls ≥ 1.89x) hold
+      regardless of the baseline, and :data:`JIT_FULL_RUN_FLOORS`
+      (virtcalls4 ≥ 1.56x, virtcalls16 ≥ 1.28x) on a full run.
 
     Workload names are matched by kernel prefix so a ``--quick`` check
     (jess-tiny) can run against a full baseline (jess-small).

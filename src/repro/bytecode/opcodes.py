@@ -21,7 +21,8 @@ budget must bind.  Consumers:
   data opcode it or the inline caches' leaf closures turn into host text
   goes through one evaluator keyed by ``kind``/``arg``/``faults``
   (:mod:`repro.vm.optemplates`; control kinds stay with their consumer),
-* the superinstruction fuser checks its patterns against ``fusable``,
+* the superinstruction fuser checks its measured windows against
+  ``fusable``,
 * the disassembler's ``--spec`` view prints the rows next to the
   stream, and the fuzzer's spec-conformance cell replays programs on a
   reference executor built from nothing but this table.
@@ -150,8 +151,8 @@ class OpSpec:
     arg: str | None = None
     #: Guest fault modes, in the order the handler checks them.
     faults: tuple = ()
-    #: May appear as a superinstruction component (fuse._PATTERNS is
-    #: checked against this at import time).
+    #: Is a component of some measured superinstruction window
+    #: (repro.vm.fuse.WINDOWS is checked against this at import time).
     fusable: bool = False
     #: Inline-cache quickening class: the interpreter rewrites the
     #: site's ``fops`` slot to the matching IC opcode.
@@ -183,8 +184,8 @@ def _null(message: str) -> FaultSpec:
 OPCODE_SPECS: tuple[OpSpec, ...] = (
     OpSpec(Op.PUSH, 2, 0, 1, "push_const", fusable=True),
     OpSpec(Op.PUSH_NULL, 1, 0, 1, "push_null"),
-    OpSpec(Op.POP, 1, 1, 0, "pop"),
-    OpSpec(Op.DUP, 1, 1, 2, "dup"),
+    OpSpec(Op.POP, 1, 1, 0, "pop", fusable=True),
+    OpSpec(Op.DUP, 1, 1, 2, "dup", fusable=True),
     OpSpec(Op.LOAD, 2, 0, 1, "load", fusable=True),
     OpSpec(Op.STORE, 2, 1, 0, "store", fusable=True),
     OpSpec(Op.ADD, 1, 2, 1, "binop", "+", fusable=True),
@@ -193,6 +194,7 @@ OPCODE_SPECS: tuple[OpSpec, ...] = (
     OpSpec(
         Op.DIV, 1, 2, 1, "divmod", "div",
         faults=(FaultSpec("div_zero", "DivisionByZeroError", "division by zero"),),
+        fusable=True,
     ),
     OpSpec(
         Op.MOD, 1, 2, 1, "divmod", "mod",
@@ -202,7 +204,7 @@ OPCODE_SPECS: tuple[OpSpec, ...] = (
     OpSpec(Op.NEG, 1, 1, 1, "neg"),
     OpSpec(Op.NOT, 1, 1, 1, "not"),
     OpSpec(Op.LT, 1, 2, 1, "cmp", "<", fusable=True),
-    OpSpec(Op.LE, 1, 2, 1, "cmp", "<=", fusable=True),
+    OpSpec(Op.LE, 1, 2, 1, "cmp", "<="),
     OpSpec(Op.GT, 1, 2, 1, "cmp", ">", fusable=True),
     OpSpec(Op.GE, 1, 2, 1, "cmp", ">=", fusable=True),
     OpSpec(Op.EQ, 1, 2, 1, "eqcmp", "==", fusable=True),
@@ -245,15 +247,14 @@ OPCODE_SPECS: tuple[OpSpec, ...] = (
         quicken="call_virtual", step_limit="call", yieldpoint="prologue",
     ),
     OpSpec(Op.RETURN, 1, 0, 0, "return", "void", yieldpoint="epilogue"),
-    OpSpec(Op.RETURN_VAL, 1, 1, 0, "return", "value",
-           yieldpoint="epilogue", fusable=True),
+    OpSpec(Op.RETURN_VAL, 1, 1, 0, "return", "value", yieldpoint="epilogue"),
     OpSpec(Op.NEW, 3, 0, 1, "new"),
     OpSpec(Op.GETFIELD, 3, 1, 1, "getfield",
            faults=(_null("field read on null"),), fusable=True),
     OpSpec(Op.PUTFIELD, 3, 2, 0, "putfield",
-           faults=(_null("field write on null"),)),
+           faults=(_null("field write on null"),), fusable=True),
     OpSpec(Op.IS_EXACT, 3, 1, 1, "is_exact"),
-    OpSpec(Op.GUARD_METHOD, 4, 1, 1, "guard_method"),
+    OpSpec(Op.GUARD_METHOD, 4, 1, 1, "guard_method", fusable=True),
     OpSpec(
         Op.NEW_ARRAY, 1, 1, 1, "new_array",
         faults=(FaultSpec("negative_length", "VMError", "negative array length"),),
@@ -261,11 +262,11 @@ OPCODE_SPECS: tuple[OpSpec, ...] = (
     ),
     OpSpec(
         Op.ALOAD, 1, 2, 1, "aload",
-        faults=(_null("array read on null"), _BOUNDS),
+        faults=(_null("array read on null"), _BOUNDS), fusable=True,
     ),
     OpSpec(
         Op.ASTORE, 1, 3, 0, "astore",
-        faults=(_null("array write on null"), _BOUNDS),
+        faults=(_null("array write on null"), _BOUNDS), fusable=True,
     ),
     OpSpec(Op.ARRAY_LEN, 1, 1, 1, "array_len",
            faults=(_null("len() of null"),)),

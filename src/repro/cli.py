@@ -846,6 +846,7 @@ def _cmd_fuzz(args) -> int:
     import time
 
     from repro.fuzz.campaign import replay_corpus, run_campaign, save_reproducers
+    from repro.vm.fuse import FUSED_NAMES
 
     if args.replay:
         if not os.path.isdir(args.replay):
@@ -922,6 +923,9 @@ def _cmd_fuzz(args) -> int:
                     "direct_call_seeds": result.direct_call_seeds,
                     "unwind_seeds": result.unwind_seeds,
                     "poly_tail_seeds": result.poly_tail_seeds,
+                    "fused_reach": {
+                        FUSED_NAMES[fid]: seeds for fid, seeds in result.fused_reach.items()
+                    },
                     "wall_seconds": round(elapsed, 3),
                     "buckets": {
                         key: {
@@ -946,6 +950,13 @@ def _cmd_fuzz(args) -> int:
             f"polymorphic tails in {result.poly_tail_seeds} "
             f"of {result.checked} programs"
         )
+        reached = [fid for fid, seeds in result.fused_reach.items() if seeds]
+        print(
+            f"-- superinstruction reach: {len(reached)} of {len(result.fused_reach)} "
+            f"ids quickened in an executed method"
+        )
+        for fid, seeds in result.fused_reach.items():
+            print(f"   {FUSED_NAMES[fid]:<32} {seeds}")
         for key, reports in sorted(result.buckets.items()):
             seeds = [r["seed"] for r in reports]
             print(f"BUCKET {key}")

@@ -26,6 +26,7 @@ from repro.fuzz.shrink import shrink_lines
 from repro.fuzz.triage import invariant_key, triage_key
 from repro.harness.parallel import pmap
 from repro.telemetry.ring import FlightRecorder
+from repro.vm.fuse import FUSED_COMPONENTS
 
 #: Matrix overrides every campaign run uses: a small timer interval so
 #: even short programs cross several tick boundaries (stressing the
@@ -131,6 +132,11 @@ class CampaignResult:
     direct_call_seeds: int = 0
     unwind_seeds: int = 0
     poly_tail_seeds: int = 0
+    #: Superinstruction id -> seeds whose subject quickened it into a
+    #: method some cell executed (every id of the table, zeros included).
+    fused_reach: dict = field(
+        default_factory=lambda: dict.fromkeys(FUSED_COMPONENTS, 0)
+    )
 
     @property
     def violations(self) -> int:
@@ -197,6 +203,8 @@ def run_campaign(
         result.direct_call_seeds += report.get("jit_direct_calls", 0) > 0
         result.unwind_seeds += report.get("jit_unwinds", 0) > 0
         result.poly_tail_seeds += report.get("jit_poly_calls", 0) > 0
+        for fid in report.get("fused_ids", ()):
+            result.fused_reach[fid] += 1
         if report["status"] == "ok":
             result.ok += 1
         else:

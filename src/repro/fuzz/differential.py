@@ -43,6 +43,7 @@ from repro.fuzz.specexec import (
 )
 from repro.vm.config import config_named
 from repro.vm.errors import VMError
+from repro.vm.fuse import FUSE_BASE
 from repro.vm.interpreter import Interpreter
 from repro.vm.jit import JitManager
 
@@ -209,6 +210,9 @@ class RunRecord:
     jit_direct_calls: int = 0
     jit_unwinds: int = 0
     jit_poly_calls: int = 0
+    #: Superinstruction ids quickened into a method the run executed
+    #: (fused cells only): the campaign's per-id reach.
+    fused_ids: frozenset = frozenset()
 
 
 @dataclass
@@ -317,6 +321,14 @@ def run_cell(
     record.jit_direct_calls = vm.jit_direct_calls
     record.jit_unwinds = vm.jit_unwinds
     record.jit_poly_calls = vm.jit_poly_calls
+    if cell.fuse:
+        record.fused_ids = frozenset(
+            op
+            for method in vm.code_cache.methods
+            if vm._seen[method.index]
+            for op in method.fops
+            if op >= FUSE_BASE
+        )
     if cell.ic:
         record.receivers = sorted(
             (caller, pc, rclass, count[0])
@@ -410,7 +422,8 @@ def check_program(
     violations (empty list = the program is clean).
 
     ``coverage``, if given, receives the program's ``jit_direct_calls``,
-    ``jit_unwinds`` and ``jit_poly_calls`` summed over every cell.
+    ``jit_unwinds`` and ``jit_poly_calls`` summed over every cell, and
+    the ``fused_ids`` any cell reached.
 
     ``extra_checks``, if given, is called with the mapping of
     :class:`MatrixCell` → :class:`RunRecord` after each profiler group
@@ -431,6 +444,9 @@ def check_program(
                 coverage[name] = coverage.get(name, 0) + sum(
                     getattr(record, name) for record in records.values()
                 )
+            coverage["fused_ids"] = coverage.get("fused_ids", frozenset()).union(
+                *(record.fused_ids for record in records.values())
+            )
         for cell, record in records.items():
             if record.outcome == "host-crash":
                 violations.append(

@@ -6,7 +6,9 @@
 specs produce (the ``spec-smoke`` CI job runs this, so hand-edits to the
 generated loop or spec/loop drift cannot land silently) and prints the
 expected comparisons per dispatch; ``--measure`` re-counts the
-dispatches :data:`ARM_WEIGHTS` records.
+dispatches, re-picks the superinstruction windows from the counts
+(:data:`repro.vm.fuse.WINDOWS`) and prints them with the
+:data:`ARM_WEIGHTS` they imply.
 
 Every arm — raw, inline-cache and fused, data and control — comes from
 the one evaluator every other tier uses, :func:`repro.vm.optemplates.emit`,
@@ -15,8 +17,8 @@ run under :class:`ArmContext`: operands read at run time, the symbolic
 stack underflowing onto the real one, and the leave hooks of an arm
 (set ``pc``, switch frames, enter compiled code, raise).  A raw arm is
 the one-component case; a fused arm runs its components in order, with
-operand expressions from :data:`repro.vm.fuse.FUSED_LAYOUT`, the table
-the fuser packs operands with.  What the generator itself adds is:
+operand expressions from :data:`repro.vm.fuse.FUSED_OPERANDS`, the
+layout the fuser packs operands with.  What the generator itself adds is:
 
 * **arm selection**, a comparison tree laid out from measured dispatch
   counts (:data:`ARM_WEIGHTS`, :func:`build_tree`): ``op < K`` splits
@@ -61,94 +63,98 @@ VIEW_LOCALS = ("ops", "aarg", "barg", "costs", "faarg", "fbarg", "origins", "ics
 
 #: Measured dispatch counts per opcode, in parts per million of all
 #: dispatches: the 13 benchsuite programs at ``tiny``, each run plain,
-#: hooked and profile-optimised and each given equal weight.  The tree
-#: is laid out from this table; re-measure (never hand-edit) with
-#: ``python -m repro.vm.dispatchgen --measure`` and paste its output.
+#: hooked and profile-optimised and each given equal weight, with the
+#: measured windows fused.  The tree is laid out from this table;
+#: re-measure (never hand-edit) with ``python -m repro.vm.dispatchgen
+#: --measure`` and paste its output.
 ARM_WEIGHTS = {
-    "PUSH": 32808,
-    "PUSH_NULL": 3066,
-    "POP": 13593,
-    "DUP": 23049,
-    "LOAD": 54325,
-    "STORE": 25021,
-    "ADD": 18632,
-    "SUB": 9183,
-    "MUL": 5628,
-    "DIV": 4843,
-    "MOD": 15140,
+    "PUSH": 37364,
+    "PUSH_NULL": 3402,
+    "POP": 12802,
+    "DUP": 9147,
+    "LOAD": 32337,
+    "STORE": 45271,
+    "ADD": 14654,
+    "SUB": 10832,
+    "MUL": 8777,
+    "DIV": 2371,
+    "MOD": 2874,
     "NEG": 0,
-    "NOT": 93,
-    "LT": 11653,
-    "LE": 1237,
-    "GT": 2540,
-    "GE": 6653,
-    "EQ": 2644,
-    "NE": 1631,
-    "JUMP": 57179,
-    "JUMP_IF_FALSE": 39350,
-    "JUMP_IF_TRUE": 2249,
-    "CALL_STATIC": 33,
-    "CALL_VIRTUAL": 162,
-    "RETURN": 3862,
-    "RETURN_VAL": 10409,
-    "NEW": 3989,
-    "GETFIELD": 46280,
-    "PUTFIELD": 13225,
+    "NOT": 119,
+    "LT": 4050,
+    "LE": 1381,
+    "GT": 6086,
+    "GE": 4790,
+    "EQ": 3389,
+    "NE": 2078,
+    "JUMP": 76329,
+    "JUMP_IF_FALSE": 38583,
+    "JUMP_IF_TRUE": 2586,
+    "CALL_STATIC": 40,
+    "CALL_VIRTUAL": 201,
+    "RETURN": 4958,
+    "RETURN_VAL": 14694,
+    "NEW": 4797,
+    "GETFIELD": 8918,
+    "PUTFIELD": 3687,
     "IS_EXACT": 0,
-    "GUARD_METHOD": 4888,
-    "NEW_ARRAY": 380,
-    "ALOAD": 48375,
-    "ASTORE": 17840,
-    "ARRAY_LEN": 4015,
-    "PRINT": 21,
+    "GUARD_METHOD": 832,
+    "NEW_ARRAY": 451,
+    "ALOAD": 14968,
+    "ASTORE": 16499,
+    "ARRAY_LEN": 5154,
+    "PRINT": 28,
     "NOP": 0,
-    "IC_CALL_VIRTUAL": 30059,
-    "IC_CALL_STATIC": 1924,
-    "F_LOAD_LOAD": 85929,
-    "F_LOAD_PUSH": 13482,
-    "F_LOAD_ADD": 11806,
-    "F_LOAD_SUB": 2362,
-    "F_LOAD_MUL": 1154,
-    "F_LOAD_GETFIELD": 92702,
-    "F_PUSH_STORE": 4566,
-    "F_PUSH_ADD": 12575,
-    "F_PUSH_SUB": 2799,
-    "F_PUSH_MUL": 4285,
-    "F_PUSH_MOD": 37863,
-    "F_STORE_LOAD": 60655,
-    "F_LT_JIF": 22203,
-    "F_LE_JIF": 0,
-    "F_GT_JIF": 106,
-    "F_GE_JIF": 2922,
-    "F_EQ_JIF": 7035,
-    "F_NE_JIF": 6987,
-    "F_LOAD_RET": 1741,
-    "F_LOAD_PUSH_ADD": 835,
-    "F_LOAD_PUSH_SUB": 6848,
-    "F_LOAD_PUSH_MUL": 15727,
-    "F_LOAD_LOAD_ADD": 2708,
-    "F_PUSH_ADD_STORE": 10948,
-    "F_LOAD_GETFIELD_STORE": 3726,
-    "F_LOAD_PUSH_ADD_STORE": 34617,
-    "F_LOAD_PUSH_ADD_RET": 99,
-    "F_LOAD_PUSH_LT_JIF": 8172,
-    "F_LOAD_PUSH_LE_JIF": 0,
-    "F_LOAD_PUSH_GT_JIF": 2951,
-    "F_LOAD_PUSH_GE_JIF": 624,
-    "F_LOAD_PUSH_EQ_JIF": 1421,
-    "F_LOAD_PUSH_NE_JIF": 0,
-    "F_LOAD_LOAD_LT_JIF": 22148,
-    "F_LOAD_LOAD_LE_JIF": 0,
-    "F_LOAD_LOAD_GT_JIF": 2028,
-    "F_LOAD_LOAD_GE_JIF": 0,
+    "IC_CALL_VIRTUAL": 38510,
+    "IC_CALL_STATIC": 2262,
+    "F_LOAD_GETFIELD_LOAD": 60149,
+    "F_LOAD_PUSH_ADD_STORE": 60816,
+    "F_LOAD_LOAD": 48835,
+    "F_LOAD_PUSH": 18301,
+    "F_ADD_PUSH_MOD_STORE": 24673,
+    "F_LT_JIF": 26585,
+    "F_LOAD_LOAD_GETFIELD": 33387,
+    "F_LOAD_GETFIELD": 30429,
+    "F_LOAD_LOAD_LT_JIF": 30401,
+    "F_ALOAD_STORE_LOAD": 5672,
+    "F_LOAD_GETFIELD_LOAD_GETFIELD": 19825,
+    "F_LOAD_PUSH_MUL": 11310,
+    "F_LOAD_PUSH_MOD": 20211,
+    "F_MOD_ALOAD_GETFIELD_PUSH": 7461,
+    "F_STORE_DUP_GUARD_METHOD_JIF": 5584,
+    "F_GE_DUP_JIF": 8677,
+    "F_PUSH_MOD": 6570,
+    "F_PUSH_ADD_PUTFIELD": 6498,
+    "F_LOAD_PUSH_LT_JIF": 13807,
+    "F_LT_DUP_JIF": 6034,
+    "F_EQ_JIF": 9727,
+    "F_ALOAD_MUL_PUSH_DIV": 4357,
+    "F_PUSH_SUB_ALOAD_ASTORE": 4266,
+    "F_SUB_STORE": 10236,
+    "F_POP_LOAD_LOAD_LT": 4947,
+    "F_LOAD_ADD_LOAD": 5425,
+    "F_LOAD_PUSH_MUL_PUSH": 10412,
+    "F_NE_JIF": 8124,
+    "F_ALOAD_LOAD_LOAD": 8202,
+    "F_LOAD_PUSH_GT_JIF": 4464,
+    "F_ADD_STORE": 8984,
+    "F_LOAD_LOAD_PUTFIELD": 6467,
+    "F_SUB_ALOAD_LOAD": 3016,
+    "F_ALOAD_STORE_LOAD_LOAD": 15169,
+    "F_LOAD_LOAD_PUSH_MOD": 6711,
+    "F_LOAD_LOAD_ALOAD_ASTORE": 2856,
+    "F_STORE_LOAD_LOAD_GETFIELD": 6196,
 }
 
-#: fuse-module attribute name -> fused id, and back.
-_F_BY_NAME = {
-    name: value
-    for name, value in vars(fusion).items()
-    if name.startswith("F_") and isinstance(value, int)
-}
+
+def arm_name(window) -> str:
+    """The loop's name for a superinstruction arm: ``F_`` and its component
+    opcodes, a ``JUMP_IF_FALSE`` tail spelled ``JIF`` (``F_LT_JIF``)."""
+    return "F_" + "_".join(Op(op).name for op in window).replace("JUMP_IF_FALSE", "JIF")
+
+
+#: Arm name of each superinstruction -> its fused id.
+_F_BY_NAME = {arm_name(seq): fid for fid, seq in fusion.FUSED_COMPONENTS.items()}
 
 #: Every dispatchable opcode number, by the name ARM_WEIGHTS keys it with.
 OPCODE_NUMBERS = {
@@ -239,8 +245,8 @@ _MODULE_DOC = (
     + """Generated dispatch loop for the Mini VM interpreter — DO NOT EDIT.
 
 This file is produced from the declarative opcode specs
-(repro.bytecode.opcodes.OPCODE_SPECS), the superinstruction layout table
-(repro.vm.fuse.FUSED_LAYOUT), and the inline-cache entry layouts
+(repro.bytecode.opcodes.OPCODE_SPECS), the measured superinstruction
+table (repro.vm.fuse.WINDOWS), and the inline-cache entry layouts
 (repro.vm.ic) by
 
     python -m repro.vm.dispatchgen --write
@@ -393,9 +399,8 @@ def _emit_preamble(em: Emitter) -> None:
     em()
     em("# Superinstruction constants (see repro.vm.fuse).")
     em("FUSE_BASE = fusion.FUSE_BASE")
-    for fid, _seq, _layout, _guard in fusion._PATTERNS:
-        name = _attr_name(fid)
-        em(f"{name} = fusion.{name}")
+    for name, fid in _F_BY_NAME.items():
+        em(f"{name} = FUSE_BASE + {fid - fusion.FUSE_BASE}")
     em.raw(_PREAMBLE_JIT)
     _emit_jit_entry(em, "jrec.entry0", ("frame.pc = pc", "self.jit_entries += 1"))
 
@@ -418,43 +423,22 @@ def _emit_jit_entry(em: Emitter, entry_test: str, prelude, tail=()) -> None:
             em(line)
 
 
-def _attr_name(fid: int) -> str:
-    for name, value in _F_BY_NAME.items():
-        if value == fid:
-            return name
-    raise AssertionError(f"no fuse-module name for fused id {fid}")
-
-
 # -- data arms (optemplates under the interpreter's own context) --------------
 
-_ROLE_NAMES = {
-    Op.PUSH: "k",
-    Op.STORE: "dst",
-    Op.LOAD: "other",
-    Op.GETFIELD: "offset",
-    Op.JUMP_IF_FALSE: "target",
-}
-
-
 def _operand_exprs(fid: int):
-    """comp index -> source expression for its ``a`` operand, plus the
-    unpack statement when several operands ride in the ``fb`` tuple.
-    Derived from the very layout rows the fuser packs operands with."""
-    comps = [Op(c) for c in fusion.FUSED_COMPONENTS[fid]]
-    fa_desc, fb_desc = fusion.FUSED_LAYOUT[fid]
-    opnd: dict[int, str] = {}
-    unpack = None
-    if fa_desc is not None:
-        opnd[int(fa_desc[1:])] = "faarg[pc]"
-    if isinstance(fb_desc, tuple):
-        names = [_ROLE_NAMES[comps[int(d[1:])]] for d in fb_desc]
-        assert len(set(names)) == len(names), f"operand-name clash in {fid}"
-        for d, name in zip(fb_desc, names):
-            opnd[int(d[1:])] = name
-        unpack = f"{', '.join(names)} = fbarg[pc]"
-    elif fb_desc is not None:
-        opnd[int(fb_desc[1:])] = "fbarg[pc]"
-    return comps, opnd, unpack
+    """``(field, component)`` -> the source expression the arm reads that
+    operand from, plus the unpack statement when several ride in the
+    ``fb`` tuple, each named by its field and component (``a1``, ``b1``).
+    Derived from the very layout the fuser packs operands with."""
+    packed = fusion.FUSED_OPERANDS[fid]
+    exprs = dict(zip(packed[:1], ["faarg[pc]"]))
+    rest = packed[1:]
+    if len(rest) == 1:
+        exprs[rest[0]] = "fbarg[pc]"
+        return exprs, None
+    names = [f"{field}{comp}" for field, comp in rest]
+    exprs.update(zip(rest, names))
+    return exprs, f"{', '.join(names)} = fbarg[pc]" if names else None
 
 
 def _mid_group_refund(idx: int, arity: int) -> tuple[str, str, str]:
@@ -624,25 +608,34 @@ class ArmContext(optemplates.EmitContext):
                     self.w("# (the raw run never reached them).")
                 _fault_raise(self.em, fault, pc_expr, time_expr, steps_expr, names)
 
-    def flush(self) -> None:
+    def flush(self, live=()) -> None:
         """Write the symbolic stack back: the bottom value over the
         peeked ``stack[-1]`` (in place when it is that slot's own binop,
-        not at all when it is that slot, untouched), the rest appended."""
+        not at all when it is that slot, untouched), the rest appended.
+        ``live`` are atoms still to be read after the write-back."""
         assert self.taken == self.need, "an opcode popped less than its spec row says"
         values = list(self.vstack)
         del self.vstack[:]
         if self.inplace is not None:
             bottom = values.pop(0)
             if bottom is not self.inplace:
-                expr = self._forward(bottom, values)
+                expr = self._forward(bottom, [*values, *live])
                 inner = bare(expr)
                 own = inner != expr and re.fullmatch(r"stack\[-1\] ([-+*]) (.+)", inner)
                 if own:
                     self.w(f"stack[-1] {own[1]}= {own[2]}")
                 else:
                     self.w(f"stack[-1] = {inner}")
+            self.inplace = None
         for i, value in enumerate(values):
-            self.w(f"stack.append({bare(self._forward(value, values[i + 1 :]))})")
+            self.w(f"stack.append({bare(self._forward(value, [*values[i + 1 :], *live]))})")
+
+    def settle(self) -> None:
+        """Write back every value beneath the top one, so a branch tail
+        that leaves them behind leaves them on either way out."""
+        top = self.vstack.pop()
+        self.flush((top,))
+        self.vstack.append(top)
 
     # -- how the arm leaves ------------------------------------------------
 
@@ -832,17 +825,22 @@ def _emit_arm_body(em: Emitter, name: str) -> None:
     through to the next instruction."""
     number = OPCODE_NUMBERS[name]
     if name in _F_BY_NAME:
-        comps, opnd, unpack = _operand_exprs(number)
+        comps = fusion.FUSED_COMPONENTS[number]
+        exprs, unpack = _operand_exprs(number)
         em(f"steps += {len(comps)}")
         if unpack:
             em(unpack)
-        b = None
     else:
-        comps, opnd, b = [number], {0: "aarg[pc]"}, "barg[pc]"
+        comps, exprs = [number], {("a", 0): "aarg[pc]", ("b", 0): "barg[pc]"}
     ctx = ArmContext(em, comps)
     for ctx.idx, comp in enumerate(comps):
-        optemplates.emit(ctx, comp, opnd.get(ctx.idx), b, ctx.vstack)
-    if optemplates.spec_and_kind(comps[-1])[1] not in optemplates.CONTROL_KINDS:
+        kind = optemplates.spec_and_kind(comp)[1]
+        if kind == "branch" and len(ctx.vstack) > 1:
+            ctx.settle()
+        optemplates.emit(
+            ctx, comp, exprs.get(("a", ctx.idx)), exprs.get(("b", ctx.idx)), ctx.vstack
+        )
+    if kind not in optemplates.CONTROL_KINDS:
         ctx.next(ctx.vstack)
 
 
@@ -901,10 +899,6 @@ def _check_coverage() -> None:
     assert set(ARM_WEIGHTS) == set(OPCODE_NUMBERS), (
         "ARM_WEIGHTS does not cover the opcode set exactly: "
         f"{set(ARM_WEIGHTS) ^ set(OPCODE_NUMBERS)}"
-    )
-    assert set(_F_BY_NAME.values()) == set(fusion.FUSED_COMPONENTS), (
-        "fuse-module names do not cover the fuse table exactly: "
-        f"{set(_F_BY_NAME.values()) ^ set(fusion.FUSED_COMPONENTS)}"
     )
     assert len(set(OPCODE_NUMBERS.values())) == len(OPCODE_NUMBERS), "opcode number clash"
 
@@ -1008,6 +1002,7 @@ def _emit_loop(em: Emitter, counting: bool) -> None:
             em("op = ops[pc]")
             if counting:
                 em("_hist[op] += 1")
+                em("_per_pc[method][pc] += 1")
             em("if op < FUSE_BASE:")
             with em.indent():
                 em.raw(_RAW_HEAD)
@@ -1033,9 +1028,9 @@ def _emit_loop(em: Emitter, counting: bool) -> None:
 
 
 def generate_source(*, counting: bool = False) -> str:
-    """The text of :mod:`repro.vm._dispatch`.  ``counting`` adds the one
-    ``_hist[op] += 1`` line ``--measure`` counts dispatches with; that
-    variant is exec'd from memory and never written anywhere."""
+    """The text of :mod:`repro.vm._dispatch`.  ``counting`` adds the two
+    lines ``--measure`` counts dispatches with, per opcode and per pc;
+    that variant is exec'd from memory and never written anywhere."""
     _check_coverage()
     em = Emitter()
     em.raw(_MODULE_DOC)
@@ -1047,21 +1042,30 @@ def generate_source(*, counting: bool = False) -> str:
     return "\n".join(em.lines).rstrip("\n") + "\n"
 
 
-# -- measuring the weights ----------------------------------------------------
+# -- measuring the weights and the windows ---------------------------------------
 
 
-def measure_weights() -> tuple[dict[str, int], list[str]]:
-    """Count dispatches per opcode over the benchsuite and return the
-    table to commit as :data:`ARM_WEIGHTS` plus the arms nothing ran.
+class _PerPc(dict):
+    """CompiledMethod -> its dispatch count per pc, made on first use."""
+
+    def __missing__(self, method):
+        counts = self[method] = [0] * len(method.ops)
+        return counts
+
+
+def _count_benchsuite():
+    """Per benchsuite program: the dispatches of each opcode, and for each
+    placement run (:func:`repro.vm.fuse.runs`) the program dispatched, its
+    raw dispatch count per pc.  Runs with the same opcodes (and the same
+    zero immediates, which the fuser's divisor guard reads) are merged:
+    ``(ops, zeros) -> [code, counts]``.
 
     All 13 programs at ``tiny``, each three ways — plain
     ``jikes_config()``, hooked as the harness's table cells are
     (exhaustive + CBS(3, 16) on level-0 code) and the profile-optimised
     rerun (``NewJikesInliner`` plans from that CBS profile) — on a
-    counting copy of the generated loop.  A program's three histograms
-    are summed and scaled to the same total, so a long-running program
-    weighs no more than a short one.
-    """
+    counting copy of the generated loop, with fusion off: the counts are
+    the raw stream's, whatever table is committed."""
     from repro.adaptive.modes import jit_only_cache
     from repro.benchsuite import benchmark_names, program_for
     from repro.inlining.new_inliner import NewJikesInliner
@@ -1072,42 +1076,156 @@ def measure_weights() -> tuple[dict[str, int], list[str]]:
     from repro.vm.config import jikes_config
 
     hist = [0] * 256
+    per_pc = _PerPc()
     namespace: dict = {}
     exec(compile(generate_source(counting=True), "<dispatchgen --measure>", "exec"), namespace)
     namespace.update(
-        Frame=interpreter.Frame, _FREED_LOCALS=interpreter._FREED_LOCALS, _hist=hist
+        Frame=interpreter.Frame,
+        _FREED_LOCALS=interpreter._FREED_LOCALS,
+        _hist=hist,
+        _per_pc=per_pc,
     )
-    config = jikes_config()
+    config = jikes_config(fuse=False)
 
     def counted(program, cache=None):
         vm = interpreter.Interpreter(program, config, cache)
         vm._loop = namespace["_loop"].__get__(vm)
         return vm
 
-    names = sorted(OPCODE_NUMBERS, key=OPCODE_NUMBERS.get)
-    share = dict.fromkeys(names, 0.0)
+    def level0(program):
+        return jit_only_cache(program, config.cost_model, level=0, fuse=False)
+
+    programs = []
     for bench in benchmark_names():
         program = program_for(bench, "tiny")
         hist[:] = [0] * len(hist)
+        per_pc.clear()
         counted(program).run()
-        hooked = counted(program, jit_only_cache(program, config.cost_model, level=0))
+        hooked = counted(program, level0(program))
         ExhaustiveProfiler().install(hooked)
         cbs = CBSProfiler(stride=3, samples_per_tick=16)
         hooked.attach_profiler(cbs)
         hooked.run()
-        rerun = counted(program, jit_only_cache(program, config.cost_model, level=0))
+        rerun = counted(program, level0(program))
         policy = NewJikesInliner(program)
         for function in program.functions:
             plan = policy.plan_for(function.index, cbs.dcg)
             if not plan.is_empty():
                 rerun.code_cache.install(optimize_function(program, plan).function, 2)
         rerun.run()
-        total = sum(hist)
-        for name in names:
-            share[name] += hist[OPCODE_NUMBERS[name]] / total
-    programs = len(benchmark_names())
-    weights = {name: round(1_000_000 * share[name] / programs) for name in names}
-    return weights, [name for name in names if share[name] == 0]
+        runs: dict = {}
+        for method, counts in per_pc.items():
+            code, ops = method.code, method.ops
+            for start, end in fusion.runs(code):
+                if end - start < 2 or not counts[start]:
+                    continue  # only the head leads into a run
+                zeros = tuple(
+                    pc - start
+                    for pc in range(start, end)
+                    if ops[pc] == Op.PUSH and code[pc].a == 0
+                )
+                merged = runs.setdefault(
+                    (tuple(ops[start:end]), zeros), [code[start:end], [0] * (end - start)]
+                )
+                merged[1] = [x + y for x, y in zip(merged[1], counts[start:end])]
+        programs.append((list(hist), runs))
+    return programs
+
+
+def _saved(by_head, ops, code, counts) -> float:
+    """Dispatches the matcher saves on one run: each group dispatches once
+    where its components dispatched one by one."""
+    return sum(
+        sum(counts[head:stop]) - counts[head]
+        for head, _fid, stop in fusion.groups(by_head, code, ops, 0, len(ops))
+    )
+
+
+def _choose_windows(programs) -> dict[tuple[int, ...], int]:
+    """Greedy: each round, the fusion-legal window of two to four ops that
+    saves the most dispatches when :func:`repro.vm.fuse.groups` runs over
+    the counts with it added to those already chosen (each program's
+    counts scaled by its total, so every program weighs the same); stop
+    at ``MAX_WINDOWS`` or below ``MIN_SAVING_PPM``.  Window -> its saving
+    in parts per million of all unfused dispatches."""
+    runs: dict = {}
+    for hist, program_runs in programs:
+        scale = 1_000_000 / (sum(hist) * len(programs))
+        for key, (code, counts) in program_runs.items():
+            merged = runs.setdefault(key, [code, [0.0] * len(counts)])
+            merged[1] = [x + y * scale for x, y in zip(merged[1], counts)]
+    where: dict = {}  # window -> the runs it occurs in
+    for key in runs:
+        ops = key[0]
+        for width in (2, 3, 4):
+            for i in range(len(ops) - width + 1):
+                where.setdefault(ops[i : i + width], {})[key] = None
+    within: dict = {}  # run -> the windows occurring in it
+    for window, keys in where.items():
+        for key in keys:
+            within.setdefault(key, []).append(window)
+
+    # A window's gain is the sum of what it adds on each run it occurs in;
+    # choosing one changes only the runs it occurs in, so only the
+    # windows sharing one of those are re-simulated, and only there.
+    chosen: dict[tuple[int, ...], int] = {}
+    adds = {
+        (window, key): _saved(fusion.index([window]), key[0], *runs[key])
+        for window, keys in where.items()
+        for key in keys
+    }
+    gain = {window: sum(adds[window, key] for key in keys) for window, keys in where.items()}
+    while gain and len(chosen) < fusion.MAX_WINDOWS:
+        best = max(gain, key=lambda window: (round(gain[window]), window))
+        if round(gain[best]) < fusion.MIN_SAVING_PPM:
+            break
+        chosen[best] = round(gain.pop(best))
+        touched = set()
+        for key in where[best]:
+            now = _saved(fusion.index(chosen), key[0], *runs[key])
+            for window in within[key]:
+                if window in gain:
+                    with_it = _saved(fusion.index([*chosen, window]), key[0], *runs[key])
+                    adds[window, key] = with_it - now
+                    touched.add(window)
+        for window in touched:
+            gain[window] = sum(adds[window, key] for key in where[window])
+    return chosen
+
+
+def measure_weights() -> tuple[dict[str, int], dict[tuple[str, ...], int], list[str]]:
+    """Count dispatches over the benchsuite, choose the superinstruction
+    windows from the counts and return the tables to commit —
+    :data:`ARM_WEIGHTS` and :data:`repro.vm.fuse.WINDOWS` — plus the arms
+    nothing ran.
+
+    The weights are the chosen table's: the raw counts with every group
+    the matcher forms counted once, as its superinstruction, in parts per
+    million of each program's dispatches, averaged over the programs.
+    """
+    programs = _count_benchsuite()
+    windows = _choose_windows(programs)
+    by_head = fusion.index(windows)
+    raw = sorted(
+        (name for name, number in OPCODE_NUMBERS.items() if number < fusion.FUSE_BASE),
+        key=OPCODE_NUMBERS.get,
+    )
+    fused = [arm_name(window) for window in windows]
+    share = dict.fromkeys([*raw, *fused], 0.0)
+    for hist, runs in programs:
+        counts = {name: hist[OPCODE_NUMBERS[name]] for name in raw}
+        counts.update(dict.fromkeys(fused, 0))
+        for (ops, _zeros), (code, per_pc) in runs.items():
+            for head, fid, stop in fusion.groups(by_head, code, ops, 0, len(ops)):
+                for pc in range(head, stop):
+                    counts[Op(ops[pc]).name] -= per_pc[pc]
+                counts[fused[fid - fusion.FUSE_BASE]] += per_pc[head]
+        total = sum(counts.values())
+        for name, count in counts.items():
+            share[name] += count / total
+    weights = {name: round(1_000_000 * s / len(programs)) for name, s in share.items()}
+    table = {tuple(Op(op).name for op in window): ppm for window, ppm in windows.items()}
+    return weights, table, [name for name, s in share.items() if s == 0]
 
 
 def main(argv=None) -> int:
@@ -1127,11 +1245,18 @@ def main(argv=None) -> int:
     mode.add_argument(
         "--measure",
         action="store_true",
-        help="count dispatches per opcode over the benchsuite and print ARM_WEIGHTS",
+        help="count dispatches over the benchsuite and print the superinstruction "
+        "windows and ARM_WEIGHTS they imply",
     )
     args = parser.parse_args(argv)
     if args.measure:
-        weights, never = measure_weights()
+        weights, windows, never = measure_weights()
+        print("# repro/vm/fuse.py")
+        print("WINDOWS = {")
+        for window, ppm in windows.items():
+            print(f"    ({', '.join(f'{name!r}' for name in window)}): {ppm},")
+        print("}")
+        print("# repro/vm/dispatchgen.py")
         print("ARM_WEIGHTS = {")
         for name, weight in weights.items():
             print(f'    "{name}": {weight},')

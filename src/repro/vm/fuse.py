@@ -4,22 +4,37 @@ The interpreter's dominant host-level cost is dispatch: one trip around
 the ``while`` loop per bytecode.  Following Piumarta & Riccardi's
 selective inlining (PLDI 1998) and Brunthaler's interpreter quickening
 (ECOOP 2010), :func:`fuse_method` rewrites a compiled method's flat
-opcode array so that frequent adjacent pairs/triples/quads dispatch as a
-single *superinstruction* with a handler that does the combined work —
-``LOAD x; PUSH k; ADD; STORE y`` becomes one ``locals[y] = locals[x] + k``.
+opcode array so that frequent adjacent windows of two to four
+instructions dispatch as a single *superinstruction* whose handler does
+the combined work.
+
+**The windows are measured, not written.**  ``python -m
+repro.vm.dispatchgen --measure`` counts the dispatches of every pc of
+the 13 benchsuite programs (plain, hooked and profile-optimised, each
+program weighing the same), enumerates every window the placement rule
+below allows, and picks greedily: each round adds the window that saves
+the most dispatches when this module's own matcher (:func:`groups`)
+runs over the counts with it, until :data:`MAX_WINDOWS` are chosen or
+the best one left saves under :data:`MIN_SAVING_PPM`.  The choice is
+committed as :data:`WINDOWS`, beside what each window saved.  Ids,
+names, the packed operand layout and the zero-divisor guard are derived
+from the components' :class:`~repro.bytecode.opcodes.OpSpec` rows, and
+so is every dispatch arm (:mod:`repro.vm.dispatchgen`); a tier-1 test
+fails when the committed table is not what measurement prints.
 
 Fusion is a pure dispatch-level rewrite; it must be **unobservable** in
 everything the paper measures (virtual time, timer ticks, yieldpoints,
 step counts, DCG edges, telemetry).  Two rules guarantee that:
 
-1. *Placement.*  A group never crosses a jump target (control cannot
-   enter its interior), never contains a call or an unconditional jump
-   (the yieldpoint-bearing / frame-switching instructions), and keeps
-   its components' combined virtual cost: ``fcosts[head]`` is the sum of
-   the member costs, so a group charges exactly what its members would.
-   Conditional jumps and ``RETURN_VAL`` may appear only as the *last*
-   component, with the handler replicating the raw instruction's
-   epilogue-yieldpoint / step-limit behavior exactly.
+1. *Placement* (:func:`runs`).  A group never crosses a jump target
+   (control cannot enter its interior), never contains a call, a
+   ``JUMP``, a ``RETURN`` or an op with a run-time charge (the
+   yieldpoint-bearing, frame-switching or ``dyn_cost`` instructions),
+   and keeps its components' combined virtual cost: ``fcosts[head]`` is
+   the sum of the member costs, so a group charges exactly what its
+   members would.  Conditional jumps and ``RETURN_VAL`` may appear only
+   as the *last* component, with the handler replicating the raw
+   instruction's epilogue-yieldpoint / step-limit behavior exactly.
 
 2. *Tick boundaries.*  The unfused interpreter checks ``time >=
    next_tick`` after every instruction; a tick therefore fires inside a
@@ -50,247 +65,201 @@ from the unfused path, guest-visible ``VMError`` behavior does not.
 
 from __future__ import annotations
 
-from repro.bytecode.opcodes import FUSABLE_OPS, Op, jump_targets
+from repro.bytecode.opcodes import FUSABLE_OPS, OPCODE_SPECS, SPEC_BY_OP, Op, jump_targets
 
 #: First superinstruction id; everything below is a raw :class:`Op`.
 FUSE_BASE = 100
+#: The greedy choice stops at this many windows ...
+MAX_WINDOWS = 37
+#: ... or when the best window left saves fewer dispatches than this, in
+#: parts per million.
+MIN_SAVING_PPM = 1000
 
-# -- pairs ------------------------------------------------------------------
-F_LOAD_LOAD = 100       # LOAD x; LOAD y
-F_LOAD_PUSH = 101       # LOAD x; PUSH k
-F_LOAD_ADD = 102        # LOAD x; ADD
-F_LOAD_SUB = 103        # LOAD x; SUB
-F_LOAD_MUL = 104        # LOAD x; MUL
-F_LOAD_GETFIELD = 105   # LOAD x; GETFIELD f
-F_PUSH_STORE = 106      # PUSH k; STORE y
-F_PUSH_ADD = 107        # PUSH k; ADD
-F_PUSH_SUB = 108        # PUSH k; SUB
-F_PUSH_MUL = 109        # PUSH k; MUL
-F_PUSH_MOD = 110        # PUSH k; MOD        (k != 0, checked at fuse time)
-F_STORE_LOAD = 111      # STORE x; LOAD y
-F_LT_JIF = 112          # LT; JUMP_IF_FALSE t
-F_LE_JIF = 113
-F_GT_JIF = 114
-F_GE_JIF = 115
-F_EQ_JIF = 116
-F_NE_JIF = 117
-F_LOAD_RET = 118        # LOAD x; RETURN_VAL
+#: The measured table: component names -> dispatches the window saved
+#: when it was chosen, in parts per million of all unfused dispatches
+#: (the 13 benchsuite programs at ``tiny``, plain, hooked and
+#: profile-optimised, each program weighing the same).  Window ``i`` is
+#: superinstruction ``FUSE_BASE + i``.  Re-measure (never hand-edit) with
+#: ``python -m repro.vm.dispatchgen --measure`` and paste its output.
+WINDOWS = {
+    ("LOAD", "GETFIELD", "LOAD"): 87970,
+    ("LOAD", "PUSH", "ADD", "STORE"): 79653,
+    ("LOAD", "LOAD"): 63052,
+    ("LOAD", "PUSH"): 35738,
+    ("ADD", "PUSH", "MOD", "STORE"): 31873,
+    ("LT", "JUMP_IF_FALSE"): 30646,
+    ("LOAD", "LOAD", "GETFIELD"): 20671,
+    ("LOAD", "GETFIELD"): 15098,
+    ("LOAD", "LOAD", "LT", "JUMP_IF_FALSE"): 12775,
+    ("ALOAD", "STORE", "LOAD"): 11150,
+    ("LOAD", "GETFIELD", "LOAD", "GETFIELD"): 9949,
+    ("LOAD", "PUSH", "MUL"): 9448,
+    ("LOAD", "PUSH", "MOD"): 9015,
+    ("MOD", "ALOAD", "GETFIELD", "PUSH"): 8650,
+    ("STORE", "DUP", "GUARD_METHOD", "JUMP_IF_FALSE"): 8438,
+    ("GE", "DUP", "JUMP_IF_FALSE"): 8012,
+    ("PUSH", "MOD"): 6428,
+    ("PUSH", "ADD", "PUTFIELD"): 6159,
+    ("LOAD", "PUSH", "LT", "JUMP_IF_FALSE"): 6081,
+    ("LT", "DUP", "JUMP_IF_FALSE"): 5826,
+    ("EQ", "JUMP_IF_FALSE"): 5279,
+    ("ALOAD", "MUL", "PUSH", "DIV"): 5099,
+    ("PUSH", "SUB", "ALOAD", "ASTORE"): 4993,
+    ("SUB", "STORE"): 4461,
+    ("POP", "LOAD", "LOAD", "LT"): 4330,
+    ("LOAD", "ADD", "LOAD"): 4305,
+    ("LOAD", "PUSH", "MUL", "PUSH"): 4245,
+    ("NE", "JUMP_IF_FALSE"): 4224,
+    ("ALOAD", "LOAD", "LOAD"): 3995,
+    ("LOAD", "PUSH", "GT", "JUMP_IF_FALSE"): 3488,
+    ("ADD", "STORE"): 3464,
+    ("LOAD", "LOAD", "PUTFIELD"): 3182,
+    ("SUB", "ALOAD", "LOAD"): 3042,
+    ("ALOAD", "STORE", "LOAD", "LOAD"): 3021,
+    ("LOAD", "LOAD", "PUSH", "MOD"): 2981,
+    ("LOAD", "LOAD", "ALOAD", "ASTORE"): 2911,
+    ("STORE", "LOAD", "LOAD", "GETFIELD"): 2805,
+}
 
-# -- triples ----------------------------------------------------------------
-F_LOAD_PUSH_ADD = 130   # LOAD x; PUSH k; ADD
-F_LOAD_PUSH_SUB = 131
-F_LOAD_PUSH_MUL = 132
-F_LOAD_LOAD_ADD = 133   # LOAD x; LOAD y; ADD
-F_PUSH_ADD_STORE = 134  # PUSH k; ADD; STORE y
-F_LOAD_GETFIELD_STORE = 135  # LOAD x; GETFIELD f; STORE y
+# -- placement ------------------------------------------------------------------
 
-# -- quads ------------------------------------------------------------------
-F_LOAD_PUSH_ADD_STORE = 150  # LOAD x; PUSH k; ADD; STORE y
-F_LOAD_PUSH_ADD_RET = 151    # LOAD x; PUSH k; ADD; RETURN_VAL
-F_LOAD_PUSH_LT_JIF = 152     # LOAD x; PUSH k; LT; JUMP_IF_FALSE t
-F_LOAD_PUSH_LE_JIF = 153
-F_LOAD_PUSH_GT_JIF = 154
-F_LOAD_PUSH_GE_JIF = 155
-F_LOAD_PUSH_EQ_JIF = 156
-F_LOAD_PUSH_NE_JIF = 157
-F_LOAD_LOAD_LT_JIF = 158     # LOAD x; LOAD y; LT; JUMP_IF_FALSE t
-F_LOAD_LOAD_LE_JIF = 159
-F_LOAD_LOAD_GT_JIF = 160
-F_LOAD_LOAD_GE_JIF = 161
-
-
-def _nonzero_push(group) -> bool:
-    return group[0].a != 0
-
-
-#: (fused id, component opcodes, operand layout, optional guard).
-#:
-#: The *layout* declares where the group head's packed ``(fa, fb)``
-#: operands come from: ``"a0"``..``"a3"`` names component *i*'s ``a``
-#: operand, ``None`` means unused, and a tuple packs several operands
-#: into one slot (unpacked once per dispatch, no allocation).  The
-#: layout is data, not code, so the dispatch-arm generator
-#: (:mod:`repro.vm.dispatchgen`) reads the very same rows to know which
-#: expression each generated fused handler must substitute for a
-#: component's operand — the fuser and the handlers cannot drift apart.
-_PATTERNS = [
-    # pairs
-    (F_LOAD_LOAD, (Op.LOAD, Op.LOAD), ("a0", "a1"), None),
-    (F_LOAD_PUSH, (Op.LOAD, Op.PUSH), ("a0", "a1"), None),
-    (F_LOAD_ADD, (Op.LOAD, Op.ADD), ("a0", None), None),
-    (F_LOAD_SUB, (Op.LOAD, Op.SUB), ("a0", None), None),
-    (F_LOAD_MUL, (Op.LOAD, Op.MUL), ("a0", None), None),
-    (F_LOAD_GETFIELD, (Op.LOAD, Op.GETFIELD), ("a0", "a1"), None),
-    (F_PUSH_STORE, (Op.PUSH, Op.STORE), ("a0", "a1"), None),
-    (F_PUSH_ADD, (Op.PUSH, Op.ADD), ("a0", None), None),
-    (F_PUSH_SUB, (Op.PUSH, Op.SUB), ("a0", None), None),
-    (F_PUSH_MUL, (Op.PUSH, Op.MUL), ("a0", None), None),
-    (F_PUSH_MOD, (Op.PUSH, Op.MOD), ("a0", None), _nonzero_push),
-    (F_STORE_LOAD, (Op.STORE, Op.LOAD), ("a0", "a1"), None),
-    (F_LT_JIF, (Op.LT, Op.JUMP_IF_FALSE), ("a1", None), None),
-    (F_LE_JIF, (Op.LE, Op.JUMP_IF_FALSE), ("a1", None), None),
-    (F_GT_JIF, (Op.GT, Op.JUMP_IF_FALSE), ("a1", None), None),
-    (F_GE_JIF, (Op.GE, Op.JUMP_IF_FALSE), ("a1", None), None),
-    (F_EQ_JIF, (Op.EQ, Op.JUMP_IF_FALSE), ("a1", None), None),
-    (F_NE_JIF, (Op.NE, Op.JUMP_IF_FALSE), ("a1", None), None),
-    (F_LOAD_RET, (Op.LOAD, Op.RETURN_VAL), ("a0", None), None),
-    # triples
-    (F_LOAD_PUSH_ADD, (Op.LOAD, Op.PUSH, Op.ADD), ("a0", "a1"), None),
-    (F_LOAD_PUSH_SUB, (Op.LOAD, Op.PUSH, Op.SUB), ("a0", "a1"), None),
-    (F_LOAD_PUSH_MUL, (Op.LOAD, Op.PUSH, Op.MUL), ("a0", "a1"), None),
-    (F_LOAD_LOAD_ADD, (Op.LOAD, Op.LOAD, Op.ADD), ("a0", "a1"), None),
-    (F_PUSH_ADD_STORE, (Op.PUSH, Op.ADD, Op.STORE), ("a0", "a2"), None),
-    (
-        F_LOAD_GETFIELD_STORE,
-        (Op.LOAD, Op.GETFIELD, Op.STORE),
-        ("a0", ("a1", "a2")),
-        None,
-    ),
-    # quads
-    (
-        F_LOAD_PUSH_ADD_STORE,
-        (Op.LOAD, Op.PUSH, Op.ADD, Op.STORE),
-        ("a0", ("a1", "a3")),
-        None,
-    ),
-    (
-        F_LOAD_PUSH_ADD_RET,
-        (Op.LOAD, Op.PUSH, Op.ADD, Op.RETURN_VAL),
-        ("a0", "a1"),
-        None,
-    ),
-    (
-        F_LOAD_PUSH_LT_JIF,
-        (Op.LOAD, Op.PUSH, Op.LT, Op.JUMP_IF_FALSE),
-        ("a0", ("a1", "a3")),
-        None,
-    ),
-    (
-        F_LOAD_PUSH_LE_JIF,
-        (Op.LOAD, Op.PUSH, Op.LE, Op.JUMP_IF_FALSE),
-        ("a0", ("a1", "a3")),
-        None,
-    ),
-    (
-        F_LOAD_PUSH_GT_JIF,
-        (Op.LOAD, Op.PUSH, Op.GT, Op.JUMP_IF_FALSE),
-        ("a0", ("a1", "a3")),
-        None,
-    ),
-    (
-        F_LOAD_PUSH_GE_JIF,
-        (Op.LOAD, Op.PUSH, Op.GE, Op.JUMP_IF_FALSE),
-        ("a0", ("a1", "a3")),
-        None,
-    ),
-    (
-        F_LOAD_PUSH_EQ_JIF,
-        (Op.LOAD, Op.PUSH, Op.EQ, Op.JUMP_IF_FALSE),
-        ("a0", ("a1", "a3")),
-        None,
-    ),
-    (
-        F_LOAD_PUSH_NE_JIF,
-        (Op.LOAD, Op.PUSH, Op.NE, Op.JUMP_IF_FALSE),
-        ("a0", ("a1", "a3")),
-        None,
-    ),
-    (
-        F_LOAD_LOAD_LT_JIF,
-        (Op.LOAD, Op.LOAD, Op.LT, Op.JUMP_IF_FALSE),
-        ("a0", ("a1", "a3")),
-        None,
-    ),
-    (
-        F_LOAD_LOAD_LE_JIF,
-        (Op.LOAD, Op.LOAD, Op.LE, Op.JUMP_IF_FALSE),
-        ("a0", ("a1", "a3")),
-        None,
-    ),
-    (
-        F_LOAD_LOAD_GT_JIF,
-        (Op.LOAD, Op.LOAD, Op.GT, Op.JUMP_IF_FALSE),
-        ("a0", ("a1", "a3")),
-        None,
-    ),
-    (
-        F_LOAD_LOAD_GE_JIF,
-        (Op.LOAD, Op.LOAD, Op.GE, Op.JUMP_IF_FALSE),
-        ("a0", ("a1", "a3")),
-        None,
-    ),
-]
-
-
-def _pick_operand(desc, group):
-    if desc is None:
-        return None
-    if isinstance(desc, tuple):
-        return tuple(group[int(d[1:])].a for d in desc)
-    return group[int(desc[1:])].a
-
-
-def _make_builder(layout):
-    fa_desc, fb_desc = layout
-
-    def build(group):
-        return _pick_operand(fa_desc, group), _pick_operand(fb_desc, group)
-
-    return build
-
-#: fused id -> human-readable name (for the disassembler and tests).
-FUSED_NAMES: dict[int, str] = {}
-#: fused id -> number of raw instructions the superinstruction covers.
-FUSED_ARITY: dict[int, int] = {}
-#: fused id -> the declarative ``(fa, fb)`` operand layout from
-#: ``_PATTERNS``; the dispatch-arm generator substitutes these when
-#: expanding a superinstruction's component semantics.
-FUSED_LAYOUT: dict[int, tuple] = {}
-
-# Head opcode -> candidate patterns, longest first (greedy matching
-# prefers the widest superinstruction at each position).
-_BY_HEAD: dict[int, list] = {}
-for _fid, _seq, _layout, _guard in _PATTERNS:
-    for _op in _seq:
-        if _op not in FUSABLE_OPS:  # pragma: no cover - table typo
-            raise AssertionError(
-                f"pattern {_fid} uses {_op.name}, which the opcode spec "
-                "does not declare fusable"
-            )
-    _name = "_".join(op.name for op in _seq)
-    if FUSED_NAMES.get(_fid) is not None:  # pragma: no cover - table typo
-        raise AssertionError(f"duplicate fused id {_fid}")
-    FUSED_NAMES[_fid] = _name
-    FUSED_ARITY[_fid] = len(_seq)
-    FUSED_LAYOUT[_fid] = _layout
-    _BY_HEAD.setdefault(int(_seq[0]), []).append(
-        (tuple(int(op) for op in _seq), _fid, _make_builder(_layout), _guard)
+#: Where an opcode may sit in a window: anywhere, only last (a
+#: conditional jump, ``RETURN_VAL``), or nowhere (calls, ``JUMP``,
+#: ``RETURN``, run-time charged ops).
+_ANYWHERE, _LAST = "anywhere", "last"
+PLACEMENT: dict[int, str | None] = {
+    int(spec.op): (
+        None
+        if spec.kind in ("call", "jump") or spec.dyn_cost
+        or (spec.kind == "return" and spec.arg == "void")
+        else _LAST if spec.kind in ("branch", "return")
+        else _ANYWHERE
     )
-for _cands in _BY_HEAD.values():
-    _cands.sort(key=lambda cand: -len(cand[0]))
+    for spec in OPCODE_SPECS
+}
 
-#: Fused ids whose handlers transfer control (conditional branch or
-#: return tails).  When the code cache compiles *path-instrumentable*
-#: code (``VMConfig.paths``) these are excluded, so every branch and
-#: return executes through a raw/IC dispatch arm that carries a
-#: Ball-Larus hook — fusion stays time-transparent either way, only
-#: the host-level dispatch counts change.
-_CONTROL_OPS = frozenset(
-    {int(Op.JUMP_IF_FALSE), int(Op.JUMP_IF_TRUE), int(Op.RETURN), int(Op.RETURN_VAL)}
-)
-CONTROL_FUSED_IDS = frozenset(
-    _fid
-    for _fid, _seq, _layout, _guard in _PATTERNS
-    if any(int(_op) in _CONTROL_OPS for _op in _seq)
-)
+
+def runs(code):
+    """The maximal ``(start, end)`` stretches of ``code`` a window may
+    lie in: each starts at a jump target or after an op no window holds,
+    and ends before the next such point or after a last-only op."""
+    targets = jump_targets(code)
+    start = 0
+    for pc, instr in enumerate(code):
+        if pc in targets and pc > start:
+            yield start, pc
+            start = pc
+        place = PLACEMENT[instr.op]
+        if place != _ANYWHERE:
+            end = pc if place is None else pc + 1
+            if end > start:
+                yield start, end
+            start = pc + 1
+    if start < len(code):
+        yield start, len(code)
+
+
+# -- the table, derived ---------------------------------------------------------
+
+
+def operands(seq) -> tuple[tuple[str, int], ...]:
+    """The ``(field, component)`` operands a group head packs, in order:
+    the ``a`` of every component whose encoding carries one (``size`` > 1)
+    and ``GUARD_METHOD``'s ``b`` (``size`` 4).  The first goes in ``fa``,
+    the rest in ``fb`` (a tuple when there are several)."""
+    packed = []
+    for i, op in enumerate(seq):
+        size = SPEC_BY_OP[op].size
+        if size > 1:
+            packed.append(("a", i))
+        if size > 3:
+            packed.append(("b", i))
+    return tuple(packed)
+
+
+def divisor_pushes(seq) -> tuple[int, ...]:
+    """Offsets of the ``PUSH``es feeding a component with a ``div_zero``
+    fault.  A zero immediate there keeps the window raw, so the raw
+    handler is the one that faults."""
+    return tuple(
+        i
+        for i in range(len(seq) - 1)
+        if seq[i] == Op.PUSH
+        and any(f.kind == "div_zero" for f in SPEC_BY_OP[seq[i + 1]].faults)
+    )
+
+
+def index(windows) -> dict[int, list]:
+    """Head opcode -> ``(components, fused id, divisor offsets, control)``
+    for each of ``windows`` (window ``i`` is id ``FUSE_BASE + i``),
+    longest first: the matcher prefers the widest window at a pc."""
+    by_head: dict[int, list] = {}
+    for i, seq in enumerate(windows):
+        seq = tuple(int(op) for op in seq)
+        control = PLACEMENT[seq[-1]] == _LAST
+        by_head.setdefault(seq[0], []).append((seq, FUSE_BASE + i, divisor_pushes(seq), control))
+    for cands in by_head.values():
+        cands.sort(key=lambda cand: -len(cand[0]))
+    return by_head
+
+
+def groups(by_head, code, ops, start, end, control=True):
+    """Greedy longest-first matching over ``ops[start:end]``, one of
+    :func:`runs`: ``(head, fused id, stop)`` per group formed."""
+    pc = start
+    while pc < end:
+        for seq, fid, divisors, tail in by_head.get(ops[pc], ()):
+            stop = pc + len(seq)
+            if (
+                stop <= end
+                and (control or not tail)
+                and tuple(ops[pc:stop]) == seq
+                and all(code[pc + i].a != 0 for i in divisors)
+            ):
+                yield pc, fid, stop
+                pc = stop
+                break
+        else:
+            pc += 1
+
+
+_COMPONENTS = [tuple(Op[name] for name in names) for names in WINDOWS]
+_BY_HEAD = index(_COMPONENTS)
 
 #: fused id -> raw component opcodes.  The template JIT expands a
 #: quickened head back into its components and reuses the per-raw-op
 #: templates, so one emitter serves fused and unfused streams alike;
 #: the dispatch-arm generator derives each fused handler the same way.
 FUSED_COMPONENTS: dict[int, tuple[int, ...]] = {
-    _fid: tuple(int(_op) for _op in _seq) for _fid, _seq, _layout, _guard in _PATTERNS
+    FUSE_BASE + i: tuple(int(op) for op in seq) for i, seq in enumerate(_COMPONENTS)
 }
+#: fused id -> human-readable name (for the disassembler and tests).
+FUSED_NAMES: dict[int, str] = {
+    FUSE_BASE + i: "_".join(names) for i, names in enumerate(WINDOWS)
+}
+#: fused id -> number of raw instructions the superinstruction covers.
+FUSED_ARITY: dict[int, int] = {fid: len(seq) for fid, seq in FUSED_COMPONENTS.items()}
+#: fused id -> the ``(field, component)`` operands its head packs; the
+#: dispatch-arm generator reads the same rows the fuser packs with.
+FUSED_OPERANDS: dict[int, tuple] = {
+    fid: operands(seq) for fid, seq in FUSED_COMPONENTS.items()
+}
+#: Fused ids whose handlers transfer control (conditional branch or
+#: return tails).  When the code cache compiles *path-instrumentable*
+#: code (``VMConfig.paths``) these are excluded, so every branch and
+#: return executes through a raw/IC dispatch arm that carries a
+#: Ball-Larus hook — fusion stays time-transparent either way, only
+#: the host-level dispatch counts change.
+CONTROL_FUSED_IDS = frozenset(
+    fid for fid, seq in FUSED_COMPONENTS.items() if PLACEMENT[seq[-1]] == _LAST
+)
+
+_used = {op for seq in _COMPONENTS for op in seq}
+if _used != FUSABLE_OPS:  # pragma: no cover - table edit
+    raise AssertionError(
+        "OpSpec.fusable must mark exactly the ops the measured windows use: "
+        f"{sorted(op.name for op in _used ^ FUSABLE_OPS)}"
+    )
 
 
 def fuse_method(code, ops, costs, control: bool = True):
@@ -303,46 +272,23 @@ def fuse_method(code, ops, costs, control: bool = True):
     their raw contents for the de-quickened slow path), ``sites`` is the
     number of groups formed, and ``span`` the raw instructions they
     cover.  Returns ``None`` when nothing fuses.  With
-    ``control=False`` only control-free patterns are considered (see
+    ``control=False`` only control-free windows are considered (see
     :data:`CONTROL_FUSED_IDS`).
     """
-    n = len(ops)
-    targets = jump_targets(code)
-    fops = list(ops)
-    fcosts = list(costs)
-    fa: list = [None] * n
-    fb: list = [None] * n
-    sites = 0
-    span = 0
-    pc = 0
-    while pc < n:
-        candidates = _BY_HEAD.get(ops[pc])
-        if candidates is None:
-            pc += 1
-            continue
-        for seq, fid, build, guard in candidates:
-            if not control and fid in CONTROL_FUSED_IDS:
-                continue
-            end = pc + len(seq)
-            if end > n or tuple(ops[pc:end]) != seq:
-                continue
-            # Control may branch to the head but never into the interior.
-            if any(p in targets for p in range(pc + 1, end)):
-                continue
-            group = code[pc:end]
-            if guard is not None and not guard(group):
-                continue
+    fops, fcosts = list(ops), list(costs)
+    fa: list = [None] * len(ops)
+    fb: list = [None] * len(ops)
+    sites = span = 0
+    for start, end in runs(code):
+        for pc, fid, stop in groups(_BY_HEAD, code, ops, start, end, control):
             fops[pc] = fid
-            fcosts[pc] = sum(costs[pc:end])
-            operands = build(group)
-            fa[pc] = operands[0]
-            fb[pc] = operands[1]
+            fcosts[pc] = sum(costs[pc:stop])
+            packed = [getattr(code[pc + i], field) for field, i in FUSED_OPERANDS[fid]]
+            fa[pc] = packed[0] if packed else None
+            rest = packed[1:]
+            fb[pc] = rest[0] if len(rest) == 1 else tuple(rest) or None
             sites += 1
-            span += end - pc
-            pc = end
-            break
-        else:
-            pc += 1
+            span += stop - pc
     if sites == 0:
         return None
     return fops, fcosts, fa, fb, sites, span

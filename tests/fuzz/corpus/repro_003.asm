@@ -1,10 +1,12 @@
 # kind: asm
 # triage: error-sync|NullPointerError
-# Null receiver inside a LOAD;GETFIELD;STORE window that quickens to
-# F_LOAD_GETFIELD_STORE (the PUSH 1; POP breaks the preceding pair so
-# the triple forms).  The superinstruction charges the whole window up
-# front; pre-fix the null fault kept the trailing STORE's cost and step
-# the raw run never executed, and skipped the counter sync entirely.
+# Null receiver inside a LOAD;GETFIELD;STORE window that quickened to
+# one superinstruction in the hand-picked table of the time (the
+# PUSH 1; POP broke the preceding pair so the triple formed; the
+# measured table fuses LOAD;GETFIELD here).  The superinstruction
+# charges the whole window up front; pre-fix the null fault kept the
+# trailing STORE's cost and step the raw run never executed, and
+# skipped the counter sync entirely.
 class P fields v
 func main/0 locals=2 void
   PUSH 101

@@ -104,3 +104,17 @@ def run_transcript(program, config: VMConfig, prepare=None):
         "methods": vm.methods_executed,
         "error": error,
     }
+
+
+def fused_id(*names: str) -> int:
+    """The superinstruction id of the measured window with these
+    components (ids follow the measured order, so tests never hard-code
+    one)."""
+    from repro.bytecode.opcodes import Op
+    from repro.vm.fuse import FUSED_COMPONENTS
+
+    comps = tuple(int(Op[name]) for name in names)
+    for fid, window in FUSED_COMPONENTS.items():
+        if window == comps:
+            return fid
+    raise LookupError(f"{'; '.join(names)} is not a measured window")

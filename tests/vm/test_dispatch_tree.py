@@ -38,7 +38,7 @@ def test_weights_cover_every_opcode_exactly_once():
     expected = (
         [spec.op.name for spec in OPCODE_SPECS]
         + ["IC_CALL_VIRTUAL", "IC_CALL_STATIC"]
-        + [dispatchgen._attr_name(fid) for fid in fuse.FUSED_COMPONENTS]
+        + [dispatchgen.arm_name(seq) for seq in fuse.FUSED_COMPONENTS.values()]
     )
     assert sorted(dispatchgen.ARM_WEIGHTS) == sorted(expected)
     assert NUMBERS["IC_CALL_STATIC"] == ic.OP_IC_CALL_STATIC
@@ -113,6 +113,16 @@ def test_check_prints_the_expected_comparisons(capsys):
     assert recomputed <= 6.5
     assert dispatchgen.main(["--check"]) == 0
     assert f"{recomputed:.2f} expected comparisons per dispatch" in capsys.readouterr().out
+
+
+def test_committed_tables_are_what_measurement_prints():
+    """``dispatchgen --measure`` is deterministic: the windows it picks
+    and the arm weights it derives for them are exactly what is
+    committed, in order.  A hand-edited row, or a codegen or inliner
+    change that moves the counts, fails here until re-measured."""
+    weights, windows, _never = dispatchgen.measure_weights()
+    assert list(windows.items()) == list(fuse.WINDOWS.items())
+    assert list(weights.items()) == list(dispatchgen.ARM_WEIGHTS.items())
 
 
 # -- routing: every arm is written by the one evaluator -------------------------
@@ -208,7 +218,7 @@ def test_every_jit_control_site_is_emitted_by_optemplates(marked_templates, benc
 #: What an arm may hold that no template wrote: a fused head's step
 #: count and operand unpack, and a data arm's write-back and ``pc`` step.
 _ARM_FRAME = re.compile(
-    r"steps \+= \d+|\w+, \w+ = fbarg\[pc\]|pc \+= \d+"
+    r"steps \+= \d+|\w+(?:, \w+)+ = fbarg\[pc\]|pc \+= \d+"
     r"|stack\[-1\] [-+*]?= .+|stack\.append\(.+\)"
 )
 

@@ -8,13 +8,14 @@ care here — a superinstruction charges its whole group's cost up front,
 so a fault from an interior component must give back the charge for the
 components the raw run never executed.
 
-The ``F_PUSH_MOD`` tests hand-patch the quickened view's operand array
+The ``PUSH; MOD`` tests hand-patch the quickened view's operand array
 to smuggle a zero divisor past the fuse-time guard: hand-assembled (or
 future) pipelines can produce such streams, and the handler must fault
 exactly like the raw ``MOD`` — not crash the host with a Python
-``ZeroDivisionError``.  Pre-fix, the handler had no zero check at all
-and the fused ``F_LOAD_GETFIELD_STORE`` null path overcharged the
-transcript by the trailing ``STORE``'s cost and step.
+``ZeroDivisionError``.  The null-receiver tests hold a ``GETFIELD``
+fault, inside a window and at its end, to the raw run's charge.  Superinstructions
+are found by their components (:func:`tests.helpers.fused_id`), never by
+a hard-coded id: the table is measured.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from repro.frontend.codegen import compile_source
 from repro.profiling.cbs import CBSProfiler
 from repro.vm.config import jikes_config
 from repro.vm.errors import DivisionByZeroError, NullPointerError
-from repro.vm.fuse import F_LOAD_GETFIELD_STORE, F_PUSH_MOD
 from repro.vm.interpreter import Interpreter
+from tests.helpers import fused_id
 
 CONFIGS = [
     pytest.param(False, False, id="raw"),
@@ -110,10 +111,10 @@ def test_div_zero_identical_with_profiler_attached():
     assert len(transcripts) == 1
 
 
-# -- F_PUSH_MOD with a zero divisor (hand-patched quickened stream) -----------
+# -- PUSH; MOD with a zero divisor (hand-patched quickened stream) ------------
 
 #: ``PUSH 23; PUSH k; MOD`` — the leading PUSH blocks LOAD_PUSH fusion,
-#: so the tail quickens to F_PUSH_MOD when k != 0.
+#: so the tail quickens to PUSH_MOD when k != 0.
 PUSH_MOD = """
 func main/0 locals=1 void
   PUSH 23
@@ -126,12 +127,12 @@ end
 
 
 def _patched_push_mod_vm():
-    """A VM whose main has a genuine F_PUSH_MOD superinstruction with
+    """A VM whose main has a genuine PUSH_MOD superinstruction with
     its immediate patched to zero, bypassing the fuse-time guard."""
     program = assemble(PUSH_MOD.format(k=4))
     vm = Interpreter(program, jikes_config(fuse=True, ic=False))
     method = vm.code_cache.current(program.entry_index)
-    pcs = [pc for pc, op in enumerate(method.fops) if op == F_PUSH_MOD]
+    pcs = [pc for pc, op in enumerate(method.fops) if op == fused_id("PUSH", "MOD")]
     assert pcs, "PUSH;MOD failed to quicken — test premise broken"
     method.fa[pcs[0]] = 0
     return vm
@@ -143,7 +144,7 @@ def test_fused_push_mod_zero_matches_raw_handler():
         patched.run()
 
     # Reference: the same stream written with a real zero.  The
-    # fuse-time guard refuses F_PUSH_MOD, so the raw MOD handler faults.
+    # fuse-time guard refuses PUSH_MOD, so the raw MOD handler faults.
     raw_program = assemble(PUSH_MOD.format(k=0))
     raw_vm = Interpreter(raw_program, jikes_config(fuse=True, ic=False))
     with pytest.raises(DivisionByZeroError) as raw_info:
@@ -161,13 +162,31 @@ def test_zero_push_mod_never_quickens():
     program = assemble(PUSH_MOD.format(k=0))
     vm = Interpreter(program, jikes_config(fuse=True, ic=False))
     method = vm.code_cache.current(program.entry_index)
-    assert F_PUSH_MOD not in list(method.fops)
+    assert fused_id("PUSH", "MOD") not in list(method.fops)
 
 
-# -- F_LOAD_GETFIELD_STORE faulting on a null receiver ------------------------
+# -- LOAD; GETFIELD; LOAD faulting on a null receiver ---------------------------
 
-#: ``PUSH 1; POP`` breaks the STORE;LOAD pair so the following
-#: LOAD;GETFIELD;STORE window quickens into the triple.
+#: ``NOP`` fences the LOAD;GETFIELD;LOAD window so it quickens alone.
+NULL_FIELD_LOAD = """
+class P fields v
+func main/0 locals=2 void
+  PUSH 101
+  PRINT
+  PUSH_NULL
+  STORE 0
+  NOP
+  LOAD 0
+  GETFIELD P.v
+  LOAD 1
+  NOP
+  RETURN
+end
+"""
+
+
+#: The first table's ``LOAD; GETFIELD; STORE`` shape: ``PUSH 1; POP``
+#: fences it, and it now quickens to ``LOAD; GETFIELD`` and a raw ``STORE``.
 NULL_FIELD_STORE = """
 class P fields v
 func main/0 locals=2 void
@@ -185,14 +204,11 @@ end
 """
 
 
-def test_fused_getfield_store_null_matches_raw():
-    """The triple's head charges LOAD+GETFIELD+STORE up front; a null
-    fault at the interior GETFIELD must refund the STORE the raw run
-    never reached."""
-    program = assemble(NULL_FIELD_STORE)
+def _assert_null_field_matches_raw(source, window):
+    program = assemble(source)
     fused_vm = Interpreter(program, jikes_config(fuse=True, ic=False))
     method = fused_vm.code_cache.current(program.entry_index)
-    assert F_LOAD_GETFIELD_STORE in list(method.fops)
+    assert fused_id(*window) in list(method.fops)
 
     transcripts = {
         _fail(program, NullPointerError, fuse, ic)
@@ -203,3 +219,16 @@ def test_fused_getfield_store_null_matches_raw():
     transcript = transcripts.pop()
     assert transcript[4] == (101,)
     assert transcript[5] > 0
+
+
+def test_fused_getfield_null_matches_raw():
+    """The triple's head charges LOAD+GETFIELD+LOAD up front; a null
+    fault at the interior GETFIELD must refund the LOAD the raw run
+    never reached."""
+    _assert_null_field_matches_raw(NULL_FIELD_LOAD, ("LOAD", "GETFIELD", "LOAD"))
+
+
+def test_fused_getfield_store_null_matches_raw():
+    """A null fault at the last component of a group, with the raw
+    ``STORE`` after it never reached, charges what the raw run does."""
+    _assert_null_field_matches_raw(NULL_FIELD_STORE, ("LOAD", "GETFIELD"))

@@ -13,21 +13,13 @@ import pytest
 
 from repro.benchsuite.suite import BENCHMARKS, program_for
 from repro.bytecode.instr import Instr
-from repro.bytecode.opcodes import Op, jump_targets
+from repro.bytecode.opcodes import OPCODE_SPECS, Op, jump_targets, spec_of
 from repro.frontend.codegen import compile_source
+from repro.vm import fuse
 from repro.vm.costmodel import jikes_cost_model
-from repro.vm.fuse import (
-    FUSE_BASE,
-    FUSED_ARITY,
-    FUSED_NAMES,
-    F_LOAD_PUSH_ADD_STORE,
-    F_LOAD_PUSH_LT_JIF,
-    F_PUSH_MOD,
-    F_PUSH_STORE,
-    _PATTERNS,
-    fuse_method,
-)
+from repro.vm.fuse import FUSE_BASE, FUSED_ARITY, FUSED_COMPONENTS, FUSED_NAMES, fuse_method
 from repro.vm.runtime import CompiledMethod
+from tests.helpers import fused_id
 
 
 def _fuse(code, costs=None):
@@ -45,7 +37,7 @@ def test_quad_match_with_operands_and_summed_cost():
         Instr(Op.STORE, 3),
     ]
     fops, fcosts, fa, fb, sites, span = _fuse(code, costs=[1, 1, 1, 1])
-    assert fops[0] == F_LOAD_PUSH_ADD_STORE
+    assert fops[0] == fused_id("LOAD", "PUSH", "ADD", "STORE")
     assert fcosts[0] == 4
     assert (fa[0], fb[0]) == (2, (5, 3))
     assert sites == 1 and span == 4
@@ -55,69 +47,109 @@ def test_quad_match_with_operands_and_summed_cost():
     assert fcosts[1:] == [1, 1, 1]
 
 
-def test_greedy_prefers_longest_pattern():
-    # LOAD; PUSH; LT; JUMP_IF_FALSE could match LOAD_PUSH (pair) but the
-    # quad must win.
-    code = [
-        Instr(Op.LOAD, 0),
-        Instr(Op.PUSH, 10),
-        Instr(Op.LT),
-        Instr(Op.JUMP_IF_FALSE, 9),
+def _groups(windows, code):
+    by_head = fuse.index([tuple(Op[name] for name in w) for w in windows])
+    ops = [int(instr.op) for instr in code]
+    return [
+        (pc, fid - FUSE_BASE, stop)
+        for start, end in fuse.runs(code)
+        for pc, fid, stop in fuse.groups(by_head, code, ops, start, end)
     ]
-    fops, _, fa, fb, sites, span = _fuse(code)
-    assert fops[0] == F_LOAD_PUSH_LT_JIF
-    assert (fa[0], fb[0]) == (0, (10, 9))
-    assert (sites, span) == (1, 4)
+
+
+def test_greedy_prefers_longest_pattern():
+    # LOAD; PUSH; LT; JUMP_IF_FALSE could match the pair, but the quad
+    # wins whatever order the table lists them in.
+    code = [Instr(Op.LOAD, 0), Instr(Op.PUSH, 10), Instr(Op.LT), Instr(Op.JUMP_IF_FALSE, 9)]
+    pair, quad = ("LOAD", "PUSH"), ("LOAD", "PUSH", "LT", "JUMP_IF_FALSE")
+    assert _groups([pair, quad], code) == [(0, 1, 4)]
+    assert _groups([quad, pair], code) == [(0, 0, 4)]
+
+
+def test_placement_runs_split_at_targets_calls_and_tails():
+    code = [
+        Instr(Op.PUSH, 1),  # 0
+        Instr(Op.STORE, 0),  # 1
+        Instr(Op.LOAD, 0),  # 2  jump target: a run starts here
+        Instr(Op.JUMP_IF_FALSE, 2),  # 3  a last-only op ends its run
+        Instr(Op.LOAD, 0),  # 4
+        Instr(Op.CALL_STATIC, 0, 1),  # 5  in no run
+        Instr(Op.NEW_ARRAY),  # 6  run-time charged: in no run
+        Instr(Op.RETURN),  # 7  in no run
+    ]
+    assert list(fuse.runs(code)) == [(0, 2), (2, 4), (4, 5)]
+    # A window may end at the branch, never run past it or into a target.
+    assert _groups([("STORE", "LOAD"), ("LOAD", "JUMP_IF_FALSE")], code) == [(2, 1, 4)]
+
+
+def _plain_window():
+    """A measured window with no last-only op and no divisor guard."""
+    return next(
+        (fid, seq)
+        for fid, seq in FUSED_COMPONENTS.items()
+        if fuse.PLACEMENT[seq[-1]] == "anywhere" and not fuse.divisor_pushes(seq)
+    )
 
 
 def test_jump_target_interior_blocks_fusion():
-    # The same window, but pc 1 is a jump target: fusing across it would
-    # skip the group head when the jump lands mid-group.
-    code = [
-        Instr(Op.PUSH, 1),
-        Instr(Op.STORE, 0),
-        Instr(Op.JUMP, 1),
-    ]
+    # A branch landing mid-window would skip the group head.
+    fid, seq = _plain_window()
+    code = [Instr(op, 1) for op in seq] + [Instr(Op.JUMP, 1)]
     assert 1 in jump_targets(code)
-    result = _fuse(code)
-    assert result is None  # PUSH;STORE straddles the target; JUMP is unfusable
+    fused = _fuse(code)
+    assert fused is None or fused[0][0] != fid
 
 
 def test_jump_target_at_head_is_fusable():
     # A branch landing *on* the group head is fine — the whole group
     # executes from its start.
-    code = [
-        Instr(Op.PUSH, 1),
-        Instr(Op.STORE, 0),
-        Instr(Op.JUMP, 0),
-    ]
-    fops, _, _, _, sites, _ = _fuse(code)
-    assert fops[0] == F_PUSH_STORE
-    assert sites == 1
+    fid, seq = _plain_window()
+    fops, _, _, _, sites, _ = _fuse([Instr(op, 1) for op in seq] + [Instr(Op.JUMP, 0)])
+    assert fops[0] == fid
+    assert sites >= 1
 
 
 def test_push_zero_mod_guard():
-    fused = _fuse([Instr(Op.PUSH, 3), Instr(Op.MOD)])
-    assert fused is not None and fused[0][0] == F_PUSH_MOD
-    # PUSH 0; MOD must stay raw so the fused handler can assume a
-    # nonzero divisor (DivisionByZeroError comes from the raw path).
-    assert _fuse([Instr(Op.PUSH, 0), Instr(Op.MOD)]) is None
+    """A ``PUSH`` feeding a divide must be nonzero for its window to fuse
+    (the raw handler is the one that faults), in every window that has
+    one."""
+    guarded = {fid: seq for fid, seq in FUSED_COMPONENTS.items() if fuse.divisor_pushes(seq)}
+    assert guarded
+    for fid, seq in guarded.items():
+        (divisor,) = fuse.divisor_pushes(seq)
+        code = [Instr(op, 3) for op in seq]
+        assert _fuse(code)[0][0] == fid
+        code[divisor] = Instr(Op.PUSH, 0)
+        fused = _fuse(code)
+        assert fused is None or fused[0][0] != fid, FUSED_NAMES[fid]
 
 
 def test_no_match_returns_none():
-    assert _fuse([Instr(Op.PUSH, 1), Instr(Op.PRINT), Instr(Op.RETURN)]) is None
+    assert _fuse([Instr(Op.NOP), Instr(Op.PRINT), Instr(Op.RETURN)]) is None
 
 
 def test_pattern_table_consistency():
-    seen = set()
-    for fid, seq, build, _guard in _PATTERNS:
-        assert fid >= FUSE_BASE
-        assert fid not in seen
-        seen.add(fid)
-        assert FUSED_ARITY[fid] == len(seq)
-        assert FUSED_NAMES[fid] == "_".join(op.name for op in seq)
-        # Every component opcode is a raw opcode, below the fused range.
-        assert all(int(op) < FUSE_BASE for op in seq)
+    """Ids, names, arity, the packed operands and the ``fusable`` flags
+    all follow from ``WINDOWS``, and every window obeys the placement
+    rule and saved something when it was chosen."""
+    assert 0 < len(fuse.WINDOWS) <= fuse.MAX_WINDOWS
+    for i, (names, saving) in enumerate(fuse.WINDOWS.items()):
+        fid = FUSE_BASE + i
+        seq = tuple(Op[name] for name in names)
+        assert FUSED_COMPONENTS[fid] == seq
+        assert FUSED_ARITY[fid] == len(seq) in (2, 3, 4)
+        assert FUSED_NAMES[fid] == "_".join(names)
+        assert saving >= fuse.MIN_SAVING_PPM
+        places = [fuse.PLACEMENT[op] for op in seq]
+        assert None not in places and "last" not in places[:-1], names
+        assert fuse.FUSED_OPERANDS[fid] == tuple(
+            (field, i)
+            for i, op in enumerate(seq)
+            for field, size in (("a", 2), ("b", 4))
+            if spec_of(op).size >= size
+        )
+    used = {op for seq in FUSED_COMPONENTS.values() for op in seq}
+    assert used == {spec.op for spec in OPCODE_SPECS if spec.fusable}
 
 
 def _structurally_sound(method: CompiledMethod, code) -> None:

@@ -2,22 +2,36 @@
 
 The fused twin of ``test_optemplates.py``.  A fused arm of the generated
 loop is its components run through :mod:`repro.vm.optemplates` under
-``dispatchgen.ArmContext``; ``dispatchgen --measure`` lists fused arms no
-benchsuite program dispatches, so this file is the net under their
-text.  For each id in ``fuse.FUSED_COMPONENTS`` a ``subject`` method
-holds exactly that window between two ``NOP`` fences (``NOP`` is not
-fusable, so no neighbour joins the group and no longer pattern matches)
-and is called in a loop with a rising first int operand, which takes a
-``cmp`` + ``JUMP_IF_FALSE`` tail both ways.  Fused (with and without
-inline caches), unfused and :func:`run_spec_reference` must agree on
-output, virtual time, steps, ticks, calls and the fault tuple
+``dispatchgen.ArmContext``; the windows are whatever ``dispatchgen
+--measure`` chose, so each test program is built from the window's
+components and their ``OpSpec`` rows alone, by the typed symbolic run
+the fuzzer's window shape uses (:class:`repro.fuzz.genasm.Window`).
+
+For each id in ``fuse.FUSED_COMPONENTS`` a ``subject`` method holds
+exactly that window between two ``NOP`` fences (``NOP`` is in no
+window, so no neighbour joins the group and no longer window matches).
+The typed run says what each operand must be — an int, a ``Point``,
+an array of ints or of points, an array to store into — and every
+operand the window finds on the stack or ``LOAD``s arrives as its own
+parameter of ``subject``.  ``main`` calls it in a
+loop with a rising first int, which takes a ``cmp`` + ``JUMP_IF_FALSE``
+tail both ways.  Fused (with and without inline caches), unfused and
+:func:`run_spec_reference` must agree on output, virtual time, steps,
+ticks, calls and the fault tuple
 
 * plain,
 * under a timer interval that lands a tick on every component of the
   window that can take one (the de-quicken path), and
 * with a last call that drives each faultable component into each of
   its fault modes (the mid-group refund: the attributed pc, and the
-  trailing components' charge given back).
+  trailing components' charge given back).  The bad argument is found
+  by trying each parameter against a small pool of bad values.
+
+The first, hand-picked table's windows that measurement dropped stay
+under test by their names: whatever of the measured table matches
+inside one quickens, and the loop must still run the shape like the
+spec, with a tick on each of its components and a fault in each of
+its faultable ones.
 """
 
 from __future__ import annotations
@@ -26,6 +40,7 @@ import pytest
 
 from repro.bytecode.assembler import assemble
 from repro.bytecode.opcodes import Op, spec_of
+from repro.fuzz.genasm import FIRST, LENGTH, MID, Window
 from repro.fuzz.specexec import run_spec_reference
 from repro.vm import fuse
 from repro.vm.config import config_named
@@ -33,131 +48,228 @@ from repro.vm.interpreter import Interpreter
 from tests.helpers import run_transcript
 
 CALLS = 24
-#: subject's locals: 0 = a Point with x == 5 (null on a faulting last
-#: call), 1 = the rising int, 2 = the int 2, 3 = scratch (STORE target).
-OBJ, RISING, TWO, SCRATCH = range(4)
 
-#: Real operands the window finds on the stack, by scenario: the slots
-#: ``subject`` loads before the leading fence.
-INTS = (RISING, TWO)
-SCENARIOS = {"ints": INTS}
-EQ_SCENARIOS = {"ints": INTS, "same-object": (OBJ, OBJ), "object-int": (OBJ, RISING)}
+#: main's locals: every argument ``subject`` is ever passed.  ``hollow``
+#: is a Point with ``x`` 0 and null ``p``/``arr``; ``zeros``/``nulls``
+#: are arrays of zeros and of nulls.
+POOL = (
+    "point", "rising", "mid", "ints", "points", "sink", "null", "zero",
+    "big", "hollow", "empty", "zeros", "nulls", "i",
+)
+SLOT = {name: slot for slot, name in enumerate(POOL)}
+#: Parameter type -> its argument on an ordinary call.
+GOOD = {"obj": "point", "ints": "ints", "points": "points", "sink": "sink"}
+#: Parameter type -> the bad arguments a faulting last call tries.
+BAD = {
+    "int": ("zero", "big"),
+    "obj": ("null", "hollow"),
+    "ints": ("null", "empty", "zeros"),
+    "points": ("null", "empty", "nulls"),
+    "sink": ("null", "empty"),
+}
+ERRORS = {
+    "null": "NullPointerError",
+    "bounds": "ArrayBoundsError",
+    "div_zero": "DivisionByZeroError",
+}
+#: Arguments for the untyped parameters (``EQ``/``NE`` operands).
+SCENARIOS = {"ints": ("rising", "mid")}
+EQ_SCENARIOS = {**SCENARIOS, "same-object": ("point", "point"), "object-int": ("point", "rising")}
 
 
-def _window(fid: int) -> tuple[list[str], int, int]:
-    """The window's assembler lines, the real operands it consumes and
-    the values it leaves behind."""
-    comps = [Op(c) for c in fuse.FUSED_COMPONENTS[fid]]
-    lines, loads = [], 0
-    need = depth = 0
-    for i, comp in enumerate(comps):
-        spec = spec_of(comp)
-        need += max(spec.pops - depth, 0)
-        depth = max(depth - spec.pops, 0) + spec.pushes
-        if comp == Op.LOAD:
-            getfield_next = i + 1 < len(comps) and comps[i + 1] == Op.GETFIELD
-            lines.append(f"LOAD {OBJ if getfield_next else INTS[loads]}")
-            loads += not getfield_next
-        elif comp == Op.PUSH:
-            lines.append("PUSH 3")
-        elif comp == Op.STORE:
-            lines.append(f"STORE {SCRATCH}")
-        elif comp == Op.GETFIELD:
-            lines.append("GETFIELD 0")
-        elif comp == Op.JUMP_IF_FALSE:
-            lines.append("JUMP_IF_FALSE taken")
+#: The first fused table, picked by hand before the table was measured.
+FIRST_TABLE = (
+    *((head, tail) for head in ("LOAD", "PUSH") for tail in ("ADD", "SUB", "MUL")),
+    ("LOAD", "LOAD"), ("LOAD", "PUSH"), ("LOAD", "GETFIELD"), ("PUSH", "STORE"),
+    ("PUSH", "MOD"), ("STORE", "LOAD"), ("LOAD", "RETURN_VAL"),
+    *((cmp, "JUMP_IF_FALSE") for cmp in ("LT", "LE", "GT", "GE", "EQ", "NE")),
+    ("LOAD", "PUSH", "ADD"), ("LOAD", "PUSH", "SUB"), ("LOAD", "PUSH", "MUL"),
+    ("LOAD", "LOAD", "ADD"), ("PUSH", "ADD", "STORE"), ("LOAD", "GETFIELD", "STORE"),
+    ("LOAD", "PUSH", "ADD", "STORE"), ("LOAD", "PUSH", "ADD", "RETURN_VAL"),
+    *(("LOAD", "PUSH", cmp, "JUMP_IF_FALSE") for cmp in ("LT", "LE", "GT", "GE", "EQ", "NE")),
+    *(("LOAD", "LOAD", cmp, "JUMP_IF_FALSE") for cmp in ("LT", "LE", "GT", "GE")),
+)
+#: Window -> its superinstruction id; a dropped window has none.
+FIDS = {names: fuse.FUSE_BASE + i for i, names in enumerate(fuse.WINDOWS)}
+#: Every window under test: the measured table's, then the dropped ones.
+SUBJECTS = (*fuse.WINDOWS, *(names for names in FIRST_TABLE if names not in FIDS))
+
+
+def _window(names) -> Window:
+    return Window(tuple(Op[name] for name in names))
+
+
+def _name(names) -> str:
+    return "_".join(names)
+
+
+def _untyped(window: Window) -> bool:
+    return any(window.type_of(value) == "any" for value in window.sources)
+
+
+def _arguments(window: Window, scenario: str = "ints") -> list[tuple[str, str]]:
+    """``(type, argument)`` per parameter of ``subject``, one per source
+    of the window.  The first int rises; a comparing window gets MID for
+    its other ints, any other window the rising int again."""
+    compares = {"cmp", "eqcmp"} & {spec_of(comp).kind for comp in window.comps}
+    ints = iter(("rising", *["mid" if compares else "rising"] * 4))
+    free = iter(EQ_SCENARIOS[scenario])
+    arguments = []
+    for value in window.sources:
+        kind = window.type_of(value)
+        if kind == "any":
+            arguments.append((kind, next(free)))
+        elif kind == "int":
+            arguments.append((kind, next(ints)))
         else:
-            lines.append(comp.name)
-    return lines, need, depth
+            arguments.append((kind, GOOD[kind]))
+    return arguments
 
 
-def _program(fid: int, reals, fault: str | None, window=None):
-    lines, need, results = window or _window(fid)
-    tail = spec_of(fuse.FUSED_COMPONENTS[fid][-1]).kind
-    returns = tail == "return"
+def _program(window: Window, scenario="ints", last=None, zero_push=None):
+    """The program, ``subject``'s index and the pc of the window's head.
+    ``last`` = ``(parameter, argument)`` adds one more call with that
+    argument swapped in."""
+    params = _arguments(window, scenario)
+    returns = window.tail == "return"
+    slots = range(len(params))
+    scratch = len(params)
+    ints_at = {n for n, (_type, name) in enumerate(params) if name in ("rising", "mid")}
+    epilogue = window.epilogue(ints_at, scratch)
     subject = [
         # PRINT keeps subject a real frame: a leaf template would run
         # it as a closure and never dispatch the window.
         "PUSH 7", "PRINT",
-        *(f"LOAD {slot}" for slot in reals[len(reals) - need:]),
-        "NOP", *lines,
+        *(f"LOAD {slot}" for slot in range(len(window.reals))),
+        "NOP", *window.lines(slots, scratch, "Point", "taken", zero_push),
     ]
     if not returns:
-        subject += [
-            "NOP", *(["PRINT"] * results),
-            f"LOAD {SCRATCH}", "PRINT", "PUSH 1", "PRINT", "RETURN",
+        subject += ["NOP", *epilogue, "PUSH 1", "PRINT", "RETURN"]
+    if window.tail == "branch":
+        subject += ["label taken", *epilogue, "PUSH 2", "PRINT", "RETURN"]
+
+    def call(swap=None):
+        args = [name for _type, name in params]
+        if swap is not None:
+            args[swap[0]] = swap[1]
+        return [
+            *(f"LOAD {SLOT[name]}" for name in args),
+            f"CALL_STATIC subject {len(params)}",
+            *(["PRINT"] if returns else []),
         ]
-    if tail == "branch":
-        subject += ["label taken", "PUSH 2", "PRINT", "RETURN"]
-    last_call = []
-    if fault == "null":
-        last_call = ["PUSH_NULL", "PUSH 1", "PUSH 2", "CALL_STATIC subject 3",
-                     *(["PRINT"] if returns else [])]
+
+    def local(name, *init):
+        return [*init, f"STORE {SLOT[name]}"]
+
+    def fill(array, *value):
+        return [f"LOAD {SLOT[array]}", f"LOAD {SLOT['i']}", *value, "ASTORE"]
+
+    main = [
+        *local("point", "NEW Point"),
+        *local("hollow", "NEW Point"),
+        *local("ints", f"PUSH {LENGTH}", "NEW_ARRAY"),
+        *local("points", f"PUSH {LENGTH}", "NEW_ARRAY"),
+        *local("nulls", f"PUSH {LENGTH}", "NEW_ARRAY"),
+        *local("zeros", f"PUSH {LENGTH}", "NEW_ARRAY"),
+        *local("sink", f"PUSH {LENGTH}", "NEW_ARRAY"),
+        *local("empty", "PUSH 0", "NEW_ARRAY"),
+        *local("null", "PUSH_NULL"),
+        *local("zero", "PUSH 0"),
+        *local("big", "PUSH 999"),
+        *local("mid", f"PUSH {MID}"),
+        *local("i", "PUSH 0"),
+        "LOAD 0", "PUSH 5", "PUTFIELD Point.x",
+        "LOAD 0", "LOAD 0", "PUTFIELD Point.p",
+        "LOAD 0", f"LOAD {SLOT['ints']}", "PUTFIELD Point.arr",
+        "LOAD 0", "PUSH 0", "PUTFIELD Point.w",
+        f"LOAD {SLOT['hollow']}", "PUSH_NULL", "PUTFIELD Point.p",
+        f"LOAD {SLOT['hollow']}", "PUSH_NULL", "PUTFIELD Point.arr",
+        "label fill",
+        *fill("ints", f"LOAD {SLOT['i']}", "PUSH 1", "ADD"),
+        *fill("points", "LOAD 0"),
+        *fill("nulls", "PUSH_NULL"),
+        *local("i", f"LOAD {SLOT['i']}", "PUSH 1", "ADD"),
+        f"LOAD {SLOT['i']}", f"PUSH {LENGTH}", "LT", "JUMP_IF_TRUE fill",
+        *local("rising", f"PUSH {FIRST}"),
+        "label loop",
+        *call(),
+        *local("rising", f"LOAD {SLOT['rising']}", "PUSH 1", "ADD"),
+        f"LOAD {SLOT['rising']}", f"PUSH {FIRST + CALLS}", "LT", "JUMP_IF_TRUE loop",
+        *(call(last) if last is not None else []),
+        "RETURN",
+    ]
     text = "\n".join(
         [
-            "class Point fields x",
-            f"func subject/3 locals=4{'' if returns else ' void'}",
+            "class Point fields x p arr w",
+            "method Point.m/1 locals=1",
+            "  PUSH 1",
+            "  RETURN_VAL",
+            "end",
+            f"func subject/{len(params)} locals={len(params) + 1}{'' if returns else ' void'}",
             *(line if line.startswith("label") else f"  {line}" for line in subject),
             "end",
-            "func main/0 locals=2 void",
-            "  NEW Point", "  STORE 0", "  LOAD 0", "  PUSH 5", "  PUTFIELD 0",
-            "label loop",
-            "  LOAD 0", "  LOAD 1", "  PUSH 2", "  CALL_STATIC subject 3",
-            *(["  PRINT"] if returns else []),
-            "  LOAD 1", "  PUSH 1", "  ADD", "  STORE 1",
-            "  LOAD 1", f"  PUSH {CALLS}", "  LT", "  JUMP_IF_TRUE loop",
-            *(f"  {line}" for line in last_call),
-            "  RETURN",
+            f"func main/0 locals={len(POOL)} void",
+            *(line if line.startswith("label") else f"  {line}" for line in main),
             "end",
         ]
     )
     program = assemble(text)
-    head = 2 + need + 1  # PUSH, PRINT, the loads, the fence
+    head = 2 + len(window.reals) + 1  # PUSH, PRINT, the loads, the fence
     return program, program.function_index("subject"), head
 
 
-def _assert_conforms(fid, program, subject, head, fused=True, **overrides):
+def _assert_conforms(names, program, subject, head, fused=True, **overrides):
     expected = run_spec_reference(
         program, config_named("jikes", fuse=False, ic=False, **overrides)
     )
     for flags in ({"fuse": False, "ic": False}, {"ic": False}, {"ic": True}):
         vm, got = run_transcript(program, config_named("jikes", **flags, **overrides))
         assert got == expected, flags
-        if flags.get("fuse", True):
+        if flags.get("fuse", True) and names in FIDS:
             fops = vm.code_cache.methods[subject].fops
-            assert (fops[head] == fid) == fused, fuse.FUSED_NAMES[fid]
+            assert (fops[head] == FIDS[names]) == fused, _name(names)
     return expected, vm  # the fully quickened VM
 
 
+def _grouped(program, subject, head, arity) -> set[int]:
+    """The window's pcs that the fused loop runs inside a superinstruction:
+    all of them for a measured window, those of the sub-windows the
+    measured table matches for a dropped one."""
+    fops = Interpreter(program, config_named("jikes")).code_cache.methods[subject].fops
+    grouped = set()
+    for pc in range(head, head + arity):
+        if fops[pc] in fuse.FUSED_ARITY:
+            grouped.update(range(pc, pc + fuse.FUSED_ARITY[fops[pc]]))
+    return grouped & set(range(head, head + arity))
+
+
 def _params():
-    for fid, comps in fuse.FUSED_COMPONENTS.items():
-        eq = any(spec_of(c).kind == "eqcmp" for c in comps)
-        real_operands = _window(fid)[1]
-        scenarios = EQ_SCENARIOS if eq and real_operands else SCENARIOS
-        for label, reals in scenarios.items():
-            yield pytest.param(fid, reals, id=f"{fuse.FUSED_NAMES[fid]}-{label}")
+    for names in SUBJECTS:
+        scenarios = EQ_SCENARIOS if _untyped(_window(names)) else SCENARIOS
+        for label in scenarios:
+            yield pytest.param(names, label, id=f"{_name(names)}-{label}")
 
 
-@pytest.mark.parametrize("fid,reals", _params())
-def test_fused_arm_conforms_to_spec(fid, reals):
-    program, subject, head = _program(fid, reals, None)
-    expected, _vm = _assert_conforms(fid, program, subject, head)
+@pytest.mark.parametrize("names,scenario", _params())
+def test_fused_arm_conforms_to_spec(names, scenario):
+    program, subject, head = _program(_window(names), scenario)
+    expected, _vm = _assert_conforms(names, program, subject, head)
     assert expected["error"] is None
 
 
-@pytest.mark.parametrize("fid", fuse.FUSED_COMPONENTS, ids=fuse.FUSED_NAMES.get)
-def test_tick_on_every_component_dequickens_identically(fid):
+@pytest.mark.parametrize("names", SUBJECTS, ids=_name)
+def test_tick_on_every_component_dequickens_identically(names):
     """Some interval puts a tick on every component of the window whose
     charge can cross the boundary; under it the fused loop de-quickens
-    and the transcript still matches."""
-    program, subject, head = _program(fid, INTS, None)
+    every grouped one and the transcript still matches."""
+    program, subject, head = _program(_window(names))
     raw_costs = Interpreter(program, config_named("jikes")).code_cache.methods[subject].costs
     wanted = {
         head + off
-        for off in range(fuse.FUSED_ARITY[fid])
+        for off in range(len(names))
         if raw_costs[head + off] > 0
     }
-    for interval in (17, 19, 23, 29, 31, 37, 41, 43):
+    for interval in (17, 19, 23, 29, 31, 37, 41, 43, 47, 53):
         landed = set()
 
         def hook(vm):
@@ -175,37 +287,54 @@ def test_tick_on_every_component_dequickens_identically(fid):
     else:
         pytest.fail(f"no interval landed a tick on each of {sorted(wanted)}")
     _expected, vm = _assert_conforms(
-        fid, program, subject, head, timer_interval=interval
+        names, program, subject, head, timer_interval=interval
     )
-    assert vm.fusion_deopts >= len(wanted)
+    assert vm.fusion_deopts >= len(wanted & _grouped(program, subject, head, len(names)))
     assert vm.fused_dispatches > 0
 
 
 def _fault_params():
-    for fid, comps in fuse.FUSED_COMPONENTS.items():
-        for off, comp in enumerate(comps):
-            for fault in spec_of(comp).faults:
+    for names in SUBJECTS:
+        for off, name in enumerate(names):
+            # The offset joins the id only when the op occurs twice.
+            where = f"@{off}" if names.count(name) > 1 else ""
+            for fault in spec_of(Op[name]).faults:
                 yield pytest.param(
-                    fid, off, fault.kind,
-                    id=f"{fuse.FUSED_NAMES[fid]}-{Op(comp).name}-{fault.kind}",
+                    names, off, fault.kind,
+                    id=f"{_name(names)}-{name}{where}-{fault.kind}",
                 )
 
 
-@pytest.mark.parametrize("fid,off,kind", _fault_params())
-def test_mid_group_fault_refunds_the_trailing_components(fid, off, kind):
-    if kind == "div_zero":
-        # The fuser's guard keeps ``PUSH 0; MOD`` out of F_PUSH_MOD, so
-        # the mode is unreachable in the fused arm: the window stays raw
-        # and faults exactly like the reference.
-        window = (["PUSH 0", "MOD"], 1, 1)
-        program, subject, head = _program(fid, INTS, None, window)
-        expected, _vm = _assert_conforms(fid, program, subject, head, fused=False)
-        assert expected["error"][0] == "DivisionByZeroError"
+def _faulting_call(window: Window, off: int, kind: str):
+    """The first ``(parameter, bad argument)`` whose last call faults
+    with ``kind`` at component ``off`` of the window."""
+    for index, (type_, _good) in enumerate(_arguments(window)):
+        for bad in BAD.get(type_, ()):
+            program, _subject, head = _program(window, last=(index, bad))
+            _vm, got = run_transcript(program, config_named("jikes", fuse=False, ic=False))
+            if got["error"] and got["error"][0] == ERRORS[kind] and got["error"][2:] == (
+                "subject", head + off
+            ):
+                return index, bad
+    raise AssertionError(f"no bad argument faults {kind} at component {off}")
+
+
+@pytest.mark.parametrize("names,off,kind", _fault_params())
+def test_mid_group_fault_refunds_the_trailing_components(names, off, kind):
+    window = _window(names)
+    if kind == "div_zero" and off - 1 in fuse.divisor_pushes(window.comps):
+        # The fuser's guard keeps ``PUSH 0`` feeding a divide out of the
+        # window, so the mode is unreachable in the fused arm: the window
+        # stays raw and faults exactly like the reference.
+        program, subject, head = _program(window, zero_push=off - 1)
+        expected, _vm = _assert_conforms(names, program, subject, head, fused=False)
+        assert expected["error"][0] == ERRORS[kind]
+        assert expected["error"][2:] == ("subject", head + off)
         return
-    program, subject, head = _program(fid, INTS, kind)
-    expected, vm = _assert_conforms(fid, program, subject, head)
+    program, subject, head = _program(window, last=_faulting_call(window, off, kind))
+    expected, vm = _assert_conforms(names, program, subject, head)
     name, _message, function, pc = expected["error"]
-    assert name == "NullPointerError"
+    assert name == ERRORS[kind]
     assert (function, pc) == ("subject", head + off)
     # The head charged the whole group up front; ``time`` and ``steps``
     # equal to the reference's say the fault gave the rest back.
@@ -214,4 +343,5 @@ def test_mid_group_fault_refunds_the_trailing_components(fid, off, kind):
 
 def test_every_faultable_component_is_covered():
     kinds = {p.values[2] for p in _fault_params()}
-    assert kinds == {"null", "div_zero"}, "a new fault mode needs a scenario here"
+    assert kinds <= set(ERRORS), "a new fault mode needs a scenario here"
+    assert kinds == {"null", "div_zero", "bounds"}
