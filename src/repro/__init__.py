@@ -21,31 +21,23 @@ Quickstart::
     print(vm.profiler.dcg.describe(program))
 """
 
-from repro.frontend.codegen import compile_program, compile_source
-from repro.profiling.cbs import CBSProfiler
-from repro.profiling.dcg import DCG
-from repro.profiling.exhaustive import ExhaustiveProfiler
-from repro.profiling.metrics import accuracy, overlap
-from repro.profiling.timer_sampler import TimerProfiler
-from repro.telemetry import Tracer
-from repro.vm.config import j9_config, jikes_config
-from repro.vm.interpreter import Interpreter, run_program
+from repro._lazy import exports
 
-__version__ = "1.0.0"
-
-__all__ = [
-    "CBSProfiler",
-    "DCG",
-    "ExhaustiveProfiler",
-    "Interpreter",
-    "TimerProfiler",
-    "Tracer",
-    "__version__",
-    "accuracy",
-    "compile_program",
-    "compile_source",
-    "j9_config",
-    "jikes_config",
-    "overlap",
-    "run_program",
-]
+__getattr__, __dir__, __all__ = exports(
+    __name__,
+    {
+        "compile_program": ".frontend.codegen",
+        "compile_source": ".frontend.codegen",
+        "CBSProfiler": ".profiling.cbs",
+        "DCG": ".profiling.dcg",
+        "ExhaustiveProfiler": ".profiling.exhaustive",
+        "accuracy": ".profiling.metrics",
+        "overlap": ".profiling.metrics",
+        "TimerProfiler": ".profiling.timer_sampler",
+        "Tracer": ".telemetry.tracer",
+        "j9_config": ".vm.config",
+        "jikes_config": ".vm.config",
+        "Interpreter": ".vm.interpreter",
+        "run_program": ".vm.interpreter",
+    },
+)

@@ -1,14 +1,15 @@
 """The adaptive optimization system: sampling-driven recompilation."""
 
-from repro.adaptive.controller import AdaptiveConfig, AdaptiveSystem, CompilationEvent
-from repro.adaptive.modes import jit_only_cache
-from repro.adaptive.organizer import DecayingDCGOrganizer, HotMethodOrganizer
+from repro._lazy import exports
 
-__all__ = [
-    "AdaptiveConfig",
-    "AdaptiveSystem",
-    "CompilationEvent",
-    "DecayingDCGOrganizer",
-    "HotMethodOrganizer",
-    "jit_only_cache",
-]
+__getattr__, __dir__, __all__ = exports(
+    __name__,
+    {
+        "AdaptiveConfig": ".controller",
+        "AdaptiveSystem": ".controller",
+        "CompilationEvent": ".controller",
+        "jit_only_cache": ".modes",
+        "DecayingDCGOrganizer": ".organizer",
+        "HotMethodOrganizer": ".organizer",
+    },
+)

@@ -1,27 +1,20 @@
 """Benchmark programs written in Mini, mirroring the paper's suite."""
 
-from repro.benchsuite.generator import GeneratorConfig, generate_program, generate_source
-from repro.benchsuite.suite import (
-    ADVERSARIAL,
-    BENCHMARKS,
-    Benchmark,
-    SIZES,
-    benchmark_names,
-    clear_cache,
-    get_benchmark,
-    program_for,
-)
+from repro._lazy import exports
 
-__all__ = [
-    "ADVERSARIAL",
-    "BENCHMARKS",
-    "Benchmark",
-    "GeneratorConfig",
-    "SIZES",
-    "benchmark_names",
-    "clear_cache",
-    "generate_program",
-    "generate_source",
-    "get_benchmark",
-    "program_for",
-]
+__getattr__, __dir__, __all__ = exports(
+    __name__,
+    {
+        "GeneratorConfig": ".generator",
+        "generate_program": ".generator",
+        "generate_source": ".generator",
+        "ADVERSARIAL": ".suite",
+        "BENCHMARKS": ".suite",
+        "Benchmark": ".suite",
+        "SIZES": ".suite",
+        "benchmark_names": ".suite",
+        "clear_cache": ".suite",
+        "get_benchmark": ".suite",
+        "program_for": ".suite",
+    },
+)

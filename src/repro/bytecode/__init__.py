@@ -1,30 +1,27 @@
 """Mini VM bytecode: instruction set, containers, assembler, verifier."""
 
-from repro.bytecode.assembler import Assembler, AssemblerError, assemble
-from repro.bytecode.disassembler import disassemble, disassemble_function
-from repro.bytecode.function import FunctionInfo
-from repro.bytecode.instr import Instr
-from repro.bytecode.opcodes import CALL_OPS, JUMP_OPS, OPCODE_SIZE, Op, TERMINATOR_OPS
-from repro.bytecode.program import ClassInfo, Program, ProgramError
-from repro.bytecode.verifier import VerifyError, verify_function, verify_program
+from repro._lazy import exports
 
-__all__ = [
-    "Assembler",
-    "AssemblerError",
-    "CALL_OPS",
-    "ClassInfo",
-    "FunctionInfo",
-    "Instr",
-    "JUMP_OPS",
-    "OPCODE_SIZE",
-    "Op",
-    "Program",
-    "ProgramError",
-    "TERMINATOR_OPS",
-    "VerifyError",
-    "assemble",
-    "disassemble",
-    "disassemble_function",
-    "verify_function",
-    "verify_program",
-]
+__getattr__, __dir__, __all__ = exports(
+    __name__,
+    {
+        "Assembler": ".assembler",
+        "AssemblerError": ".assembler",
+        "assemble": ".assembler",
+        "disassemble": ".disassembler",
+        "disassemble_function": ".disassembler",
+        "FunctionInfo": ".function",
+        "Instr": ".instr",
+        "CALL_OPS": ".opcodes",
+        "JUMP_OPS": ".opcodes",
+        "OPCODE_SIZE": ".opcodes",
+        "Op": ".opcodes",
+        "TERMINATOR_OPS": ".opcodes",
+        "ClassInfo": ".program",
+        "Program": ".program",
+        "ProgramError": ".program",
+        "VerifyError": ".verifier",
+        "verify_function": ".verifier",
+        "verify_program": ".verifier",
+    },
+)

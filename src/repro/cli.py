@@ -73,24 +73,14 @@ import argparse
 import os
 import sys
 
-from repro.adaptive.controller import AdaptiveSystem
-from repro.adaptive.modes import jit_only_cache
-from repro.bytecode.disassembler import disassemble
-from repro.frontend.codegen import compile_source
-from repro.lang.errors import MiniError
-from repro.inlining.new_inliner import NewJikesInliner
-from repro.profiling.cbs import SKIP_POLICIES, CBSProfiler
-from repro.profiling.exhaustive import ExhaustiveProfiler
-from repro.profiling.loops import CBSLoopProfiler
-from repro.profiling.serialize import ProfileFormatError, load_profile, save_profile
-from repro.profiling.timer_sampler import TimerProfiler
-from repro.profiling.whaley import WhaleyProfiler
-from repro.vm.config import config_named
-from repro.vm.errors import VMError
-from repro.vm.interpreter import Interpreter
+# Only what build_parser needs; each command imports its own layers.
+from repro.profiling.cbs import SKIP_POLICIES
 
 
 def _load(path: str):
+    from repro.frontend.codegen import compile_source
+    from repro.lang.errors import MiniError
+
     try:
         with open(path) as handle:
             source = handle.read()
@@ -103,6 +93,11 @@ def _load(path: str):
 
 
 def _profiler_for(args):
+    from repro.profiling.cbs import CBSProfiler
+    from repro.profiling.loops import CBSLoopProfiler
+    from repro.profiling.timer_sampler import TimerProfiler
+    from repro.profiling.whaley import WhaleyProfiler
+
     # --seed omitted → keep each profiler class's own default seed.
     seeded = {} if args.seed is None else {"seed": args.seed}
     if args.profile == "cbs":
@@ -125,6 +120,16 @@ def _profiler_for(args):
 
 
 def _cmd_run(args) -> int:
+    from repro.adaptive.controller import AdaptiveConfig, AdaptiveSystem
+    from repro.adaptive.modes import jit_only_cache
+    from repro.inlining.new_inliner import NewJikesInliner
+    from repro.profiling.exhaustive import ExhaustiveProfiler
+    from repro.profiling.loops import CBSLoopProfiler
+    from repro.profiling.serialize import ProfileFormatError, load_profile, save_profile
+    from repro.vm.config import config_named
+    from repro.vm.errors import VMError
+    from repro.vm.interpreter import Interpreter
+
     program = _load(args.file)
     # Adaptive runs promote to the template JIT from the controller
     # (path-hot level-2 methods first) instead of the plain-run
@@ -201,8 +206,6 @@ def _cmd_run(args) -> int:
         vm.attach_profiler(profiler)
     adaptive = None
     if args.adaptive:
-        from repro.adaptive.controller import AdaptiveConfig
-
         adaptive = AdaptiveSystem(
             program,
             NewJikesInliner(program),
@@ -837,6 +840,8 @@ def _cmd_disasm(args) -> int:
 
         print(disassemble_spec(program), end="")
     else:
+        from repro.bytecode.disassembler import disassemble
+
         print(disassemble(program))
     return 0
 

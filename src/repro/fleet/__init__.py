@@ -16,32 +16,25 @@ See docs/FLEET.md for the protocol, repository layout, warm-start
 semantics, and failure modes.
 """
 
-from repro.fleet.client import FleetPublisher, fetch_snapshot, parse_address
-from repro.fleet.merge import AggregateProfile, MergeError, MergePolicy
-from repro.fleet.protocol import (
-    MAX_MESSAGE_BYTES,
-    PROTOCOL_VERSION,
-    ProtocolError,
-    encode_message,
-    decode_payload,
-)
-from repro.fleet.repository import ProfileRepository, RepositoryError
-from repro.fleet.service import FleetService, run_service
+from repro._lazy import exports
 
-__all__ = [
-    "AggregateProfile",
-    "FleetPublisher",
-    "FleetService",
-    "MAX_MESSAGE_BYTES",
-    "MergeError",
-    "MergePolicy",
-    "PROTOCOL_VERSION",
-    "ProfileRepository",
-    "ProtocolError",
-    "RepositoryError",
-    "decode_payload",
-    "encode_message",
-    "fetch_snapshot",
-    "parse_address",
-    "run_service",
-]
+__getattr__, __dir__, __all__ = exports(
+    __name__,
+    {
+        "FleetPublisher": ".client",
+        "fetch_snapshot": ".client",
+        "parse_address": ".client",
+        "AggregateProfile": ".merge",
+        "MergeError": ".merge",
+        "MergePolicy": ".merge",
+        "MAX_MESSAGE_BYTES": ".protocol",
+        "PROTOCOL_VERSION": ".protocol",
+        "ProtocolError": ".protocol",
+        "encode_message": ".protocol",
+        "decode_payload": ".protocol",
+        "ProfileRepository": ".repository",
+        "RepositoryError": ".repository",
+        "FleetService": ".service",
+        "run_service": ".service",
+    },
+)

@@ -1,18 +1,17 @@
 """Semantic analysis and code generation for Mini."""
 
-from repro.frontend.codegen import compile_program, compile_source
-from repro.frontend.hierarchy import build_class_table
-from repro.frontend.symbols import ClassTable, FunctionTable, MethodSig, Scope
-from repro.frontend.typecheck import CheckedProgram, typecheck
+from repro._lazy import exports
 
-__all__ = [
-    "CheckedProgram",
-    "ClassTable",
-    "FunctionTable",
-    "MethodSig",
-    "Scope",
-    "build_class_table",
-    "compile_program",
-    "compile_source",
-    "typecheck",
-]
+__getattr__, __dir__, __all__ = exports(
+    __name__,
+    {
+        "compile_program": ".codegen",
+        "compile_source": ".codegen",
+        "build_class_table": ".hierarchy",
+        "ClassTable": ".symbols",
+        "FunctionTable": ".symbols",
+        "MethodSig": ".symbols",
+        "Scope": ".symbols",
+        "CheckedProgram": ".typecheck",
+    },
+)

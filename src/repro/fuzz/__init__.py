@@ -26,25 +26,23 @@ Shrunk reproducers for every violation found live under
 ``tests/fuzz/corpus/`` and are replayed by CI on every push.
 """
 
-from repro.fuzz.campaign import FuzzSpec, fuzz_one, replay_corpus, run_campaign
-from repro.fuzz.differential import MatrixCell, RunRecord, Violation, check_program
-from repro.fuzz.genasm import generate_asm
-from repro.fuzz.genprog import generate_mini
-from repro.fuzz.shrink import shrink_lines
-from repro.fuzz.triage import opcode_signature, triage_key
+from repro._lazy import exports
 
-__all__ = [
-    "FuzzSpec",
-    "MatrixCell",
-    "RunRecord",
-    "Violation",
-    "check_program",
-    "fuzz_one",
-    "generate_asm",
-    "generate_mini",
-    "opcode_signature",
-    "replay_corpus",
-    "run_campaign",
-    "shrink_lines",
-    "triage_key",
-]
+__getattr__, __dir__, __all__ = exports(
+    __name__,
+    {
+        "FuzzSpec": ".campaign",
+        "fuzz_one": ".campaign",
+        "replay_corpus": ".campaign",
+        "run_campaign": ".campaign",
+        "MatrixCell": ".differential",
+        "RunRecord": ".differential",
+        "Violation": ".differential",
+        "check_program": ".differential",
+        "generate_asm": ".genasm",
+        "generate_mini": ".genprog",
+        "shrink_lines": ".shrink",
+        "opcode_signature": ".triage",
+        "triage_key": ".triage",
+    },
+)

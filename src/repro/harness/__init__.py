@@ -1,21 +1,16 @@
 """Experiment harnesses regenerating every table and figure."""
 
-from repro.harness.runner import (
-    BaselineResult,
-    ProfiledRun,
-    SteadyStateResult,
-    clear_baseline_cache,
-    measure_baseline,
-    measure_profiler,
-    run_steady_state,
-)
+from repro._lazy import exports
 
-__all__ = [
-    "BaselineResult",
-    "ProfiledRun",
-    "SteadyStateResult",
-    "clear_baseline_cache",
-    "measure_baseline",
-    "measure_profiler",
-    "run_steady_state",
-]
+__getattr__, __dir__, __all__ = exports(
+    __name__,
+    {
+        "BaselineResult": ".runner",
+        "ProfiledRun": ".runner",
+        "SteadyStateResult": ".runner",
+        "clear_baseline_cache": ".runner",
+        "measure_baseline": ".runner",
+        "measure_profiler": ".runner",
+        "run_steady_state": ".runner",
+    },
+)

@@ -1,19 +1,18 @@
 """Inlining policies: static, old Jikes, new Jikes, and J9."""
 
-from repro.inlining.j9_inliner import J9Inliner
-from repro.inlining.new_inliner import NewJikesInliner
-from repro.inlining.old_inliner import OldJikesInliner
-from repro.inlining.policy import BudgetConfig, InlinerPolicy, SiteDecision
-from repro.inlining.static_heur import StaticSizePolicy, TRIVIAL_SIZE, TrivialOnlyPolicy
+from repro._lazy import exports
 
-__all__ = [
-    "BudgetConfig",
-    "InlinerPolicy",
-    "J9Inliner",
-    "NewJikesInliner",
-    "OldJikesInliner",
-    "SiteDecision",
-    "StaticSizePolicy",
-    "TRIVIAL_SIZE",
-    "TrivialOnlyPolicy",
-]
+__getattr__, __dir__, __all__ = exports(
+    __name__,
+    {
+        "J9Inliner": ".j9_inliner",
+        "NewJikesInliner": ".new_inliner",
+        "OldJikesInliner": ".old_inliner",
+        "BudgetConfig": ".policy",
+        "InlinerPolicy": ".policy",
+        "SiteDecision": ".policy",
+        "StaticSizePolicy": ".static_heur",
+        "TRIVIAL_SIZE": ".static_heur",
+        "TrivialOnlyPolicy": ".static_heur",
+    },
+)

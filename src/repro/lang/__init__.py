@@ -1,19 +1,19 @@
 """Front end of the Mini language: lexer, parser, and AST."""
 
-from repro.lang.errors import LexError, MiniError, ParseError, SourceLocation, TypeError_
-from repro.lang.lexer import tokenize
-from repro.lang.parser import Parser, parse
-from repro.lang.printer import print_expr, print_program
+from repro._lazy import exports
 
-__all__ = [
-    "LexError",
-    "MiniError",
-    "ParseError",
-    "Parser",
-    "SourceLocation",
-    "TypeError_",
-    "parse",
-    "print_expr",
-    "print_program",
-    "tokenize",
-]
+__getattr__, __dir__, __all__ = exports(
+    __name__,
+    {
+        "LexError": ".errors",
+        "MiniError": ".errors",
+        "ParseError": ".errors",
+        "SourceLocation": ".errors",
+        "TypeError_": ".errors",
+        "tokenize": ".lexer",
+        "Parser": ".parser",
+        "parse": ".parser",
+        "print_expr": ".printer",
+        "print_program": ".printer",
+    },
+)

@@ -1,33 +1,22 @@
 """The optimizing tier: inlining transform, CHA, cleanup passes."""
 
-from repro.opt.cha import ClassHierarchyAnalysis
-from repro.opt.constfold import fold_constants
-from repro.opt.dce import eliminate_dead_code
-from repro.opt.inline import (
-    DEVIRTUALIZE,
-    DIRECT,
-    GUARDED,
-    InlineDecision,
-    InlineError,
-    InlinePlan,
-    InlineTransform,
-)
-from repro.opt.peephole import peephole
-from repro.opt.pipeline import OptimizationResult, cleanup, optimize_function
+from repro._lazy import exports
 
-__all__ = [
-    "ClassHierarchyAnalysis",
-    "DEVIRTUALIZE",
-    "DIRECT",
-    "GUARDED",
-    "InlineDecision",
-    "InlineError",
-    "InlinePlan",
-    "InlineTransform",
-    "OptimizationResult",
-    "cleanup",
-    "eliminate_dead_code",
-    "fold_constants",
-    "optimize_function",
-    "peephole",
-]
+__getattr__, __dir__, __all__ = exports(
+    __name__,
+    {
+        "ClassHierarchyAnalysis": ".cha",
+        "fold_constants": ".constfold",
+        "eliminate_dead_code": ".dce",
+        "DEVIRTUALIZE": ".inline",
+        "DIRECT": ".inline",
+        "GUARDED": ".inline",
+        "InlineDecision": ".inline",
+        "InlineError": ".inline",
+        "InlinePlan": ".inline",
+        "InlineTransform": ".inline",
+        "OptimizationResult": ".pipeline",
+        "cleanup": ".pipeline",
+        "optimize_function": ".pipeline",
+    },
+)

@@ -2,61 +2,38 @@
 baseline it is compared against (exhaustive, timer, code patching,
 Whaley), the DCG/CCT data structures, and the accuracy metrics."""
 
-from repro.profiling.cbs import CBSProfiler, SKIP_POLICIES
-from repro.profiling.cct import CallingContextTree, CCTNode, context_overlap
-from repro.profiling.dcg import DCG, Edge
-from repro.profiling.exhaustive import ExhaustiveProfiler, INSTRUMENTATION_COST
-from repro.profiling.hardware import HardwareCallSampler
-from repro.profiling.loops import CBSLoopProfiler
-from repro.profiling.metrics import (
-    accuracy,
-    edge_coverage,
-    hot_edge_precision,
-    hot_edge_recall,
-    hot_edges,
-    overlap,
-    weight_rank_correlation,
-)
-from repro.profiling.patching import CodePatchingProfiler
-from repro.profiling.receivers import ReceiverProfile
-from repro.profiling.serialize import (
-    ProfileFormatError,
-    ProfileMismatchWarning,
-    dcg_from_dict,
-    dcg_to_dict,
-    load_profile,
-    save_profile,
-)
-from repro.profiling.timer_sampler import TimerProfiler
-from repro.profiling.whaley import WhaleyProfiler
+from repro._lazy import exports
 
-__all__ = [
-    "CBSLoopProfiler",
-    "CBSProfiler",
-    "CCTNode",
-    "CallingContextTree",
-    "CodePatchingProfiler",
-    "DCG",
-    "Edge",
-    "ExhaustiveProfiler",
-    "HardwareCallSampler",
-    "INSTRUMENTATION_COST",
-    "ProfileFormatError",
-    "ProfileMismatchWarning",
-    "ReceiverProfile",
-    "SKIP_POLICIES",
-    "TimerProfiler",
-    "WhaleyProfiler",
-    "accuracy",
-    "context_overlap",
-    "edge_coverage",
-    "hot_edge_precision",
-    "hot_edge_recall",
-    "hot_edges",
-    "dcg_from_dict",
-    "dcg_to_dict",
-    "load_profile",
-    "overlap",
-    "save_profile",
-    "weight_rank_correlation",
-]
+__getattr__, __dir__, __all__ = exports(
+    __name__,
+    {
+        "CBSProfiler": ".cbs",
+        "SKIP_POLICIES": ".cbs",
+        "CallingContextTree": ".cct",
+        "CCTNode": ".cct",
+        "context_overlap": ".cct",
+        "DCG": ".dcg",
+        "Edge": ".dcg",
+        "ExhaustiveProfiler": ".exhaustive",
+        "INSTRUMENTATION_COST": ".exhaustive",
+        "HardwareCallSampler": ".hardware",
+        "CBSLoopProfiler": ".loops",
+        "accuracy": ".metrics",
+        "edge_coverage": ".metrics",
+        "hot_edge_precision": ".metrics",
+        "hot_edge_recall": ".metrics",
+        "hot_edges": ".metrics",
+        "overlap": ".metrics",
+        "weight_rank_correlation": ".metrics",
+        "CodePatchingProfiler": ".patching",
+        "ReceiverProfile": ".receivers",
+        "ProfileFormatError": ".serialize",
+        "ProfileMismatchWarning": ".serialize",
+        "dcg_from_dict": ".serialize",
+        "dcg_to_dict": ".serialize",
+        "load_profile": ".serialize",
+        "save_profile": ".serialize",
+        "TimerProfiler": ".timer_sampler",
+        "WhaleyProfiler": ".whaley",
+    },
+)

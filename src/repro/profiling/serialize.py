@@ -44,9 +44,12 @@ import math
 import os
 import tempfile
 import warnings
+from typing import TYPE_CHECKING
 
-from repro.bytecode.program import Program
 from repro.profiling.dcg import DCG
+
+if TYPE_CHECKING:
+    from repro.bytecode.program import Program
 
 FORMAT_VERSION = 3
 

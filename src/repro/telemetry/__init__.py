@@ -23,81 +23,49 @@ format, and :mod:`~repro.telemetry.httpapi` serves ``/metrics``,
 (``serve --http-port``) and long VM runs (``run --metrics-port``).
 """
 
-from repro.telemetry.events import (
-    EVENT_TYPES,
-    CallTraced,
-    Event,
-    FleetMerge,
-    FleetPublish,
-    InlineDecisionEvent,
-    Recompilation,
-    ScopeBegin,
-    ScopeEnd,
-    StackSample,
-    TimerTick,
-    WarmStart,
-    WindowClose,
-    WindowOpen,
-    YieldpointTaken,
+from repro._lazy import exports
+
+__getattr__, __dir__, __all__ = exports(
+    __name__,
+    {
+        "EVENT_TYPES": ".events",
+        "CallTraced": ".events",
+        "Event": ".events",
+        "FleetMerge": ".events",
+        "FleetPublish": ".events",
+        "InlineDecisionEvent": ".events",
+        "Recompilation": ".events",
+        "ScopeBegin": ".events",
+        "ScopeEnd": ".events",
+        "StackSample": ".events",
+        "TimerTick": ".events",
+        "WarmStart": ".events",
+        "WindowClose": ".events",
+        "WindowOpen": ".events",
+        "YieldpointTaken": ".events",
+        "FORMATS": ".exporters",
+        "LoadedTrace": ".exporters",
+        "TraceFormatError": ".exporters",
+        "chrome_trace_events": ".exporters",
+        "export": ".exporters",
+        "export_chrome": ".exporters",
+        "export_jsonl": ".exporters",
+        "load_trace": ".exporters",
+        "stitch_chrome_traces": ".exporters",
+        "Counter": ".metrics",
+        "Gauge": ".metrics",
+        "Histogram": ".metrics",
+        "MetricsRegistry": ".metrics",
+        "PromFormatError": ".promfmt",
+        "render_registry": ".promfmt",
+        "validate_text": ".promfmt",
+        "FlightRecorder": ".ring",
+        "ScopeTimer": ".scopes",
+        "trace_scope": ".scopes",
+        "summarize_trace": ".summary",
+        "Tracer": ".tracer",
+        # httpapi imports asyncio (~45 ms); only processes that serve HTTP pay.
+        "HttpServerThread": ".httpapi",
+        "ObservabilityHTTP": ".httpapi",
+    },
 )
-from repro.telemetry.exporters import (
-    FORMATS,
-    LoadedTrace,
-    TraceFormatError,
-    chrome_trace_events,
-    export,
-    export_chrome,
-    export_jsonl,
-    load_trace,
-    stitch_chrome_traces,
-)
-from repro.telemetry.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.telemetry.promfmt import PromFormatError, render_registry, validate_text
-from repro.telemetry.ring import FlightRecorder
-from repro.telemetry.scopes import ScopeTimer, trace_scope
-from repro.telemetry.summary import summarize_trace
-from repro.telemetry.tracer import Tracer
-
-
-def __getattr__(name: str):
-    # httpapi imports asyncio (~45 ms); only processes that serve HTTP pay.
-    if name in ("HttpServerThread", "ObservabilityHTTP"):
-        from repro.telemetry import httpapi
-
-        return getattr(httpapi, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-__all__ = [
-    "EVENT_TYPES",
-    "CallTraced",
-    "Counter",
-    "Event",
-    "FORMATS",
-    "FleetMerge",
-    "FleetPublish",
-    "Gauge",
-    "Histogram",
-    "InlineDecisionEvent",
-    "LoadedTrace",
-    "MetricsRegistry",
-    "Recompilation",
-    "ScopeBegin",
-    "ScopeEnd",
-    "ScopeTimer",
-    "StackSample",
-    "TimerTick",
-    "TraceFormatError",
-    "Tracer",
-    "WarmStart",
-    "WindowClose",
-    "WindowOpen",
-    "YieldpointTaken",
-    "chrome_trace_events",
-    "export",
-    "export_chrome",
-    "export_jsonl",
-    "load_trace",
-    "summarize_trace",
-    "trace_scope",
-]

@@ -1,54 +1,36 @@
 """The Mini virtual machine: interpreter, cost model, configurations."""
 
-from repro.vm.config import VMConfig, config_named, j9_config, jikes_config
-from repro.vm.costmodel import CostModel, j9_cost_model, jikes_cost_model
-from repro.vm.errors import (
-    ArrayBoundsError,
-    DivisionByZeroError,
-    NullPointerError,
-    StackOverflowError_,
-    StepLimitExceeded,
-    VMError,
-)
-from repro.vm.interpreter import Frame, Interpreter, run_program
-from repro.vm.runtime import CodeCache, CompiledMethod
-from repro.vm.values import HeapArray, HeapObject
-from repro.vm.yieldpoint import (
-    BACKEDGE,
-    EPILOGUE,
-    PROLOGUE,
-    Profiler,
-    YP_ALL,
-    YP_CBS,
-    YP_NONE,
-)
+from repro._lazy import exports
 
-__all__ = [
-    "ArrayBoundsError",
-    "BACKEDGE",
-    "CodeCache",
-    "CompiledMethod",
-    "CostModel",
-    "DivisionByZeroError",
-    "EPILOGUE",
-    "Frame",
-    "HeapArray",
-    "HeapObject",
-    "Interpreter",
-    "NullPointerError",
-    "PROLOGUE",
-    "Profiler",
-    "StackOverflowError_",
-    "StepLimitExceeded",
-    "VMConfig",
-    "VMError",
-    "YP_ALL",
-    "YP_CBS",
-    "YP_NONE",
-    "config_named",
-    "j9_config",
-    "j9_cost_model",
-    "jikes_config",
-    "jikes_cost_model",
-    "run_program",
-]
+__getattr__, __dir__, __all__ = exports(
+    __name__,
+    {
+        "VMConfig": ".config",
+        "config_named": ".config",
+        "j9_config": ".config",
+        "jikes_config": ".config",
+        "CostModel": ".costmodel",
+        "j9_cost_model": ".costmodel",
+        "jikes_cost_model": ".costmodel",
+        "ArrayBoundsError": ".errors",
+        "DivisionByZeroError": ".errors",
+        "NullPointerError": ".errors",
+        "StackOverflowError_": ".errors",
+        "StepLimitExceeded": ".errors",
+        "VMError": ".errors",
+        "Frame": ".interpreter",
+        "Interpreter": ".interpreter",
+        "run_program": ".interpreter",
+        "CodeCache": ".runtime",
+        "CompiledMethod": ".runtime",
+        "HeapArray": ".values",
+        "HeapObject": ".values",
+        "BACKEDGE": ".yieldpoint",
+        "EPILOGUE": ".yieldpoint",
+        "PROLOGUE": ".yieldpoint",
+        "Profiler": ".yieldpoint",
+        "YP_ALL": ".yieldpoint",
+        "YP_CBS": ".yieldpoint",
+        "YP_NONE": ".yieldpoint",
+    },
+)

@@ -8,26 +8,19 @@ the template does not inline — always at an instruction boundary with
 bit-exact counters.
 """
 
-from repro.vm.jit.compiler import (
-    JIT_MAX_CODE,
-    JitCode,
-    compile_into,
-    compile_method,
-    exit_sites,
-    ic_signature,
-    jit_sig,
-    vm_jit_sig,
-)
-from repro.vm.jit.manager import JitManager
+from repro._lazy import exports
 
-__all__ = [
-    "JIT_MAX_CODE",
-    "JitCode",
-    "JitManager",
-    "compile_into",
-    "compile_method",
-    "exit_sites",
-    "ic_signature",
-    "jit_sig",
-    "vm_jit_sig",
-]
+__getattr__, __dir__, __all__ = exports(
+    __name__,
+    {
+        "JIT_MAX_CODE": ".compiler",
+        "JitCode": ".compiler",
+        "compile_into": ".compiler",
+        "compile_method": ".compiler",
+        "exit_sites": ".compiler",
+        "ic_signature": ".compiler",
+        "jit_sig": ".compiler",
+        "vm_jit_sig": ".compiler",
+        "JitManager": ".manager",
+    },
+)
