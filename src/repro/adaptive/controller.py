@@ -15,6 +15,10 @@ Levels:
 A method already at level 2 is *re*-optimized when its sample count has
 doubled since its last compile, so maturing profiles can revise early
 inlining decisions — this is where profile accuracy pays off or hurts.
+
+Level 3, the template JIT, is not the controller's: with
+``VMConfig.jit`` the JIT manager's trampoline (repro.vm.jit.manager)
+compiles hot methods, and every method installed here goes back on it.
 """
 
 from __future__ import annotations
@@ -54,13 +58,6 @@ class AdaptiveConfig:
     #: paper's accuracy experiments use undecayed cumulative profiles).
     dcg_decay_factor: float = 1.0
     dcg_decay_period: int = 100
-    #: Level 3: template-JIT the hottest level-2 methods to generated
-    #: host code (see repro.vm.jit).  Host-level only — level 3 charges
-    #: no compile time and emits no CompilationEvent, because the JIT
-    #: must keep observables bit-identical with interpreted runs.
-    jit: bool = False
-    #: Method samples required before a level-2 method is JIT-compiled.
-    level3_samples: int = 48
 
 
 @dataclass
@@ -99,7 +96,6 @@ class AdaptiveSystem:
         self._compiles: dict[int, int] = {}
         self._last_plan: dict[int, object] = {}  # sticky level-2 plans
         self._decay_organizer = None
-        self._jit_attempts: dict[int, int] = {}
 
     def install(self, vm) -> None:
         if vm.tick_hook is not None:
@@ -207,54 +203,6 @@ class AdaptiveSystem:
                 last = self._last_compile_samples.get(function_index, samples)
                 if samples >= last * config.reoptimize_growth:
                     self._recompile(vm, function_index, 2)
-        if config.jit:
-            self._consider_jit(vm)
-
-    def _consider_jit(self, vm) -> None:
-        """Level-3 promotion: template-JIT mature level-2 methods.
-
-        Candidates are ordered hottest-first — by observed path heat
-        when a path tracker is attached (the Ball-Larus profile knows
-        which loops actually run), otherwise by sample count.  A method
-        whose level-2 plan was just reinstalled (fresh
-        :class:`CompiledMethod`, ``jit`` is None) or whose inline caches
-        moved since its guards were baked is re-JITted; attempts are
-        capped per function like the plain-run manager's."""
-        from repro.vm.jit.compiler import compile_into, ic_signature, vm_jit_sig
-        from repro.vm.jit.manager import MAX_ATTEMPTS
-
-        profiler = vm.profiler
-        config = self.config
-        cache = vm.code_cache
-        tracker = vm.path_tracker
-        path_totals = (
-            tracker.profile.function_totals() if tracker is not None else {}
-        )
-        candidates = []
-        for function_index, samples in profiler.method_samples.items():
-            if samples < config.level3_samples:
-                continue
-            if cache.opt_level(function_index) < 2:
-                continue
-            heat = path_totals.get(function_index, 0) or samples
-            candidates.append((heat, function_index))
-        sig = vm_jit_sig(vm)
-        for _heat, function_index in sorted(
-            candidates, key=lambda item: (-item[0], item[1])
-        ):
-            method = cache.methods[function_index]
-            jrec = method.jit
-            if (
-                jrec is not None
-                and jrec.sig == sig
-                and jrec.ic_sig == ic_signature(method)
-            ):
-                continue
-            tries = self._jit_attempts.get(function_index, 0)
-            if tries >= MAX_ATTEMPTS:
-                continue
-            self._jit_attempts[function_index] = tries + 1
-            compile_into(vm, method)
 
     def _recompile(self, vm, function_index: int, level: int) -> None:
         if self._compiles.get(function_index, 0) >= self.config.max_compiles_per_method:
@@ -276,10 +224,6 @@ class AdaptiveSystem:
             self._last_plan[function_index] = plan
         result = optimize_function(self.program, plan)
         vm.code_cache.install(result.function, level)
-        # A replaced body starts over at level 3: the fresh CompiledMethod
-        # has no JIT record, and its new shape deserves a new attempt
-        # budget.
-        self._jit_attempts.pop(function_index, None)
         self._compiles[function_index] = self._compiles.get(function_index, 0) + 1
         self._last_compile_samples[function_index] = profiler.method_samples.get(
             function_index, 0

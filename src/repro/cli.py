@@ -120,7 +120,7 @@ def _profiler_for(args):
 
 
 def _cmd_run(args) -> int:
-    from repro.adaptive.controller import AdaptiveConfig, AdaptiveSystem
+    from repro.adaptive.controller import AdaptiveSystem
     from repro.adaptive.modes import jit_only_cache
     from repro.inlining.new_inliner import NewJikesInliner
     from repro.profiling.exhaustive import ExhaustiveProfiler
@@ -131,16 +131,15 @@ def _cmd_run(args) -> int:
     from repro.vm.interpreter import Interpreter
 
     program = _load(args.file)
-    # Adaptive runs promote to the template JIT from the controller
-    # (path-hot level-2 methods first) instead of the plain-run
-    # counting trampoline, so the config flag stays off there.
-    adaptive_mode = args.adaptive or args.warm_start
+    # Plain and adaptive runs alike reach the template JIT through its
+    # counting trampoline; methods the adaptive controller reinstalls
+    # go back on it.
     config = config_named(
         args.vm,
         fuse=not args.no_fuse,
         ic=not args.no_ic,
         paths=args.paths is not None,
-        jit=not args.no_jit and not adaptive_mode,
+        jit=not args.no_jit,
     )
 
     cache = jit_only_cache(
@@ -148,15 +147,6 @@ def _cmd_run(args) -> int:
         ic=config.ic, paths=config.paths,
     )
     vm = Interpreter(program, config, cache)
-
-    path_tracker = None
-    if args.paths is not None:
-        from repro.profiling.paths import PathTracker
-
-        path_tracker = PathTracker(
-            mode=args.paths, stride=args.stride, samples_per_tick=args.samples
-        )
-        vm.attach_paths(path_tracker)
 
     tracer = None
     if args.trace:
@@ -206,11 +196,7 @@ def _cmd_run(args) -> int:
         vm.attach_profiler(profiler)
     adaptive = None
     if args.adaptive:
-        adaptive = AdaptiveSystem(
-            program,
-            NewJikesInliner(program),
-            AdaptiveConfig(jit=not args.no_jit),
-        )
+        adaptive = AdaptiveSystem(program, NewJikesInliner(program))
         adaptive.install(vm)
         if profiler is None:
             print(
@@ -221,6 +207,16 @@ def _cmd_run(args) -> int:
             args.profile = "cbs"
             profiler = _profiler_for(args)
             vm.attach_profiler(profiler)
+
+    path_tracker = None
+    if args.paths is not None:
+        from repro.profiling.paths import PathTracker
+
+        # After the adaptive system, which must own the tick hook first.
+        path_tracker = PathTracker(
+            mode=args.paths, stride=args.stride, samples_per_tick=args.samples
+        )
+        vm.attach_paths(path_tracker)
 
     if args.warm_start:
         # Best-effort: an unreachable server or unusable snapshot means
@@ -695,7 +691,7 @@ def _cmd_bench(args) -> int:
     import json
     import time
 
-    from repro.benchsuite.suite import BENCHMARKS
+    from repro.benchsuite.suite import BENCHMARKS, SIZES
     from repro.harness.parallel import PROFILER_FACTORIES, SweepCell, run_sweep
     from repro.harness.report import render_table
 
@@ -713,7 +709,16 @@ def _cmd_bench(args) -> int:
             f"unknown profiler(s): {', '.join(bad)} "
             f"(available: {', '.join(sorted(PROFILER_FACTORIES))})"
         )
-    seeds = [int(s) for s in args.seeds.split(",")]
+    if args.size not in SIZES:
+        raise SystemExit(
+            f"unknown size: {args.size} (available: {', '.join(SIZES)})"
+        )
+    try:
+        seeds = [int(s) for s in args.seeds.split(",")]
+    except ValueError:
+        raise SystemExit(
+            f"bad --seeds {args.seeds!r} (expected comma-separated integers)"
+        )
 
     cells: list[SweepCell] = []
     for name in names:

@@ -396,12 +396,6 @@ class PathProfile:
     def __len__(self) -> int:
         return len(self.counts)
 
-    def function_totals(self) -> dict:
-        totals: dict = {}
-        for (function, _pid), count in self.counts.items():
-            totals[function] = totals.get(function, 0) + count
-        return totals
-
     def hot_paths(self, count: int = 10) -> list:
         """The ``count`` hottest ``((function, path_id), count)`` rows."""
         rows = sorted(self.counts.items(), key=lambda item: (-item[1], item[0]))

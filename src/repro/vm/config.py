@@ -68,8 +68,7 @@ class VMConfig:
     #: generated Python with de-optimization back to the interpreter.
     #: Host-level like fusion and ICs — JIT-on and JIT-off runs are
     #: bit-identical in output, virtual time, steps, ticks, and
-    #: profiles.  Off by default; adaptive runs promote through the
-    #: controller instead (AdaptiveConfig.jit).
+    #: profiles.  Off by default.
     jit: bool = False
 
     def replace(self, **kwargs) -> "VMConfig":

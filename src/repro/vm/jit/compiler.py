@@ -165,13 +165,18 @@ def vm_jit_sig(vm) -> int:
 
 
 def ic_signature(method) -> tuple:
-    """Snapshot of the method's quickened call sites (pc, IC state).
+    """Snapshot of the method's quickened call sites (pc, IC state, and
+    the leaf template of each callee in the cache's inline slots).
 
     The manager recompiles when this changes: a newly quickened site, a
     second receiver class (one more guard worth baking) or a third (the
     site gets its polymorphic tail).  States from 3 up read alike — the
     tail looks overflow and megamorphic receivers up at run time, so
-    further growth needs no new code."""
+    further growth needs no new code.  A callee that
+    ``CodeCache.install`` replaced carries a new leaf template, and a
+    pure one baked into this body would fail its identity guard at
+    every call; the template's ``id`` cannot be reused while the body
+    that baked it is alive."""
     ics = method.ics
     if ics is None:
         return ()
@@ -180,10 +185,19 @@ def ic_signature(method) -> tuple:
         if entry is None:
             continue
         if icmod.entry_is_virtual(entry):
-            sig.append((pc, min(entry[icmod.V_STATE], 3)))
+            sig.append((
+                pc,
+                min(entry[icmod.V_STATE], 3),
+                _leaf_id(entry[icmod.V_METHOD0]),
+                _leaf_id(entry[icmod.V_METHOD1]),
+            ))
         else:
-            sig.append((pc, -1))
+            sig.append((pc, -1, _leaf_id(entry[icmod.S_METHOD])))
     return tuple(sig)
+
+
+def _leaf_id(method) -> int:
+    return 0 if method is None else id(method.leaf)
 
 
 @dataclass(slots=True, eq=False)
@@ -191,7 +205,7 @@ class JitCode:
     """One compiled body, installed on ``CompiledMethod.jit``.
 
     ``source`` is None on the records that stand where a body would:
-    the plain-run manager's counting trampoline (repro.vm.jit.manager)
+    the JIT manager's counting trampoline (repro.vm.jit.manager)
     until the method proves hot, and the one-shot resume record of
     :func:`_hand_back`.
 

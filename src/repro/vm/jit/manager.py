@@ -1,4 +1,4 @@
-"""Plain-run JIT policy: count on a trampoline, compile what gets hot.
+"""Level-3 JIT policy: count on a trampoline, compile what gets hot.
 
 Jikes RVM's lazy-compilation trampoline, applied to level 3.  At
 ``attach()`` every method gets one shared stub :class:`JitCode` whose
@@ -15,17 +15,17 @@ the current pc is one of its entries.  A method the compiler refuses
 loses its stub for good; a method nobody calls costs nothing.
 
 The tick hook keeps the refresh role only, over the methods actually
-compiled: a site that quickens (or grows its second or third receiver
-class) after compile is recompiled against the fresh IC snapshot, and
-methods that
-``CodeCache.install`` replaced since the last tick go back on the
+compiled: a method with a site that quickens (or grows its second or
+third receiver class), or whose callee ``CodeCache.install`` replaced,
+after compile is recompiled against the fresh IC snapshot, and methods
+that ``CodeCache.install`` replaced since the last tick go back on the
 trampoline.  All of it is host work on the host clock — like fusion
 planning it charges no virtual time and emits no events, so observables
 stay bit-identical with ``--no-jit``.
 
-Adaptive runs skip this manager entirely: `adaptive/controller.py`
-promotes individual level-2 methods through :func:`compile_into`
-(path-hot first) from its own tick hook.
+Adaptive runs use this manager too: the bodies the adaptive controller
+installs at levels 1 and 2 are such replacements, so each goes back on
+the trampoline and earns level 3 by the same count.
 """
 
 from __future__ import annotations
@@ -49,8 +49,9 @@ PROMOTE_THRESHOLD = 32
 #: refreshes).  One site asks for at most two refreshes — its second
 #: receiver class, then its third, which brings the polymorphic tail;
 #: ``ic_signature`` reads every later state alike — so the bound only
-#: binds on a method whose sites keep quickening or growing tick after
-#: tick, and bounds the host-side work spent on it.
+#: binds on a method whose sites keep quickening or growing, or whose
+#: callees keep being reinstalled, and bounds the host-side work spent
+#: on it.
 MAX_ATTEMPTS = 4
 
 _OP_JUMP = int(Op.JUMP)
@@ -74,7 +75,7 @@ def _trampoline(vm, frame, time, steps, call_count, next_tick):
     osr = frame.pc != 0 or not method.jit.entry0
     manager = vm.jit_manager
     if manager is None:
-        # A stub left on a shared cache by an earlier plain run; nobody
+        # A stub left on a shared cache by an earlier JIT run; nobody
         # here will ever promote it.
         method.jit = None
     else:

@@ -296,8 +296,8 @@ class CodeCache:
 
     def jit_methods(self) -> tuple[int, int]:
         """``(compiled, eligible)``: current methods running a level-3
-        body, and those plus the ones still counting on the plain-run
-        trampoline (a method the compiler refused holds neither)."""
+        body, and those plus the ones still counting on the JIT
+        manager's trampoline (a method the compiler refused holds neither)."""
         compiled = eligible = 0
         for method in self.methods:
             jrec = method.jit

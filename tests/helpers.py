@@ -71,7 +71,7 @@ def receiver_mix_source(
 
 
 def force_jit(vm: Interpreter) -> Interpreter:
-    """Attach a plain-run JIT manager that promotes at first entry.
+    """Attach a JIT manager that promotes at first entry.
 
     Identity suites on tiny programs use this so they keep proving
     generated code against the interpreter; at the product threshold

@@ -1,5 +1,7 @@
 """CLI tests (repro-mini)."""
 
+import re
+
 import pytest
 
 from repro.cli import main
@@ -64,13 +66,34 @@ def test_run_on_j9(program_file, capsys):
     assert capsys.readouterr().out.strip() == "40000"
 
 
-def test_run_adaptive(program_file, capsys):
+def _run_line(err):
+    return next(line for line in err.splitlines() if line.startswith("-- steps="))
+
+
+@pytest.mark.parametrize("profile", ["cbs", "timer"])
+def test_run_adaptive(program_file, profile, capsys):
+    """Adaptive runs reach the template JIT, and stay bit-identical to
+    ``--no-jit``."""
+    argv = ["run", program_file, "--adaptive", "--profile", profile, "--stats"]
+    assert main(argv) == 0
+    jit = capsys.readouterr()
+    assert jit.out.strip() == "40000"
+    assert "compile_time=" in jit.err
+    compiles = re.search(r"^-- jit: compiles=(\d+) ", jit.err, re.M)
+    assert compiles and int(compiles.group(1)) > 0
+    assert main(argv + ["--no-jit"]) == 0
+    plain = capsys.readouterr()
+    assert plain.out == jit.out
+    assert _run_line(plain.err) == _run_line(jit.err)
+
+
+def test_run_adaptive_with_path_tracker(program_file, capsys):
     assert main(
-        ["run", program_file, "--adaptive", "--profile", "cbs", "--stats"]
+        ["run", program_file, "--adaptive", "--paths", "cbs", "--stats"]
     ) == 0
     captured = capsys.readouterr()
     assert captured.out.strip() == "40000"
-    assert "compile_time=" in captured.err
+    assert "-- paths: mode=cbs" in captured.err
 
 
 def test_run_opt_level_1(program_file, capsys):
@@ -525,6 +548,16 @@ def test_bench_rejects_unknown_benchmark():
 def test_bench_rejects_unknown_profiler():
     with pytest.raises(SystemExit, match="unknown profiler"):
         main(["bench", "--benchmarks", "jess", "--profilers", "gprof"])
+
+
+def test_bench_rejects_non_integer_seed():
+    with pytest.raises(SystemExit, match="comma-separated integers"):
+        main(["bench", "--benchmarks", "jess", "--seeds", "1,x"])
+
+
+def test_bench_rejects_unknown_size():
+    with pytest.raises(SystemExit, match=r"unknown size: huge \(available: tiny, small, large"):
+        main(["bench", "--benchmarks", "jess", "--size", "huge"])
 
 
 # -- report on damaged traces -------------------------------------------------------

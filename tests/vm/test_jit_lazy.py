@@ -1,4 +1,4 @@
-"""Promotion policy of the plain-run JIT: a counting trampoline, not
+"""Promotion policy of the JIT: a counting trampoline, not
 compile-everything-at-attach.
 
 ``test_jit_deopt.py`` proves generated code against the interpreter
@@ -329,8 +329,7 @@ def test_attach_keeps_current_bodies_and_restubs_stale_ones():
 
 
 def test_leftover_stub_without_a_manager_removes_itself():
-    """A run that does no plain-run promotion (JIT off, or adaptive) on
-    a cache an earlier JIT run stubbed."""
+    """A run with the JIT off on a cache an earlier JIT run stubbed."""
     program = compile_source(SHARED.format(calls=PROMOTE_THRESHOLD - 2))
     cache = shared_cache(program)
     first = run(program, JIT, cache)
@@ -422,6 +421,51 @@ def test_direct_call_site_never_enters_a_replaced_callees_body():
     assert compiled(fresh) and fresh.jit.direct is not None
     assert vm.jit_call_exits > seen["call_exits"]  # exits while it re-earned a body
     assert vm.jit_direct_calls > seen["direct_calls"] + 1000  # then direct again
+    assert_exit_accounting(vm)
+
+    plain = Interpreter(program, PLAIN)
+    plain.tick_hook = lambda vm: vm.ticks == 3 and vm.code_cache.install(function, 0)
+    plain.run()
+    assert observables(vm) == observables(plain)
+
+
+LEAF_REPLACED = """
+def step(x: int): int { return (x * 7 + 3) % 9973; }
+def main() {
+  var t = 0;
+  for (var i = 0; i < 60000; i = i + 1) { t = step(t); }
+  print(t);
+}
+"""
+
+
+def test_replacing_an_inlined_leaf_recompiles_its_caller():
+    """``main``'s body expands the pure leaf ``step`` under an identity
+    guard on ``step``'s template.  ``CodeCache.install`` gives ``step``
+    a new template — what the adaptive controller does at every level-1
+    or level-2 install — so the next tick recompiles ``main`` against
+    it; the stale guard would make every later call a call exit."""
+    program = compile_source(LEAF_REPLACED)
+    function = program.function_named("step")
+    seen = {}
+
+    def replace_once(vm):
+        if vm.ticks == 3:
+            main = method_named(vm, "main")
+            assert compiled(main)
+            seen["main"] = main.jit
+            seen["leaf_calls"] = vm.jit_leaf_calls
+            vm.code_cache.install(function, 0)
+
+    vm = Interpreter(program, JIT)
+    vm.tick_hook = replace_once
+    vm.run()
+    assert vm.ticks > 6 and seen["leaf_calls"] > 1000
+    main = method_named(vm, "main")
+    assert main.jit is not seen["main"]
+    assert main.jit.ic_sig == ic_signature(main)
+    assert vm.jit_call_exits < 5
+    assert vm.jit_leaf_calls > seen["leaf_calls"] + 20_000
     assert_exit_accounting(vm)
 
     plain = Interpreter(program, PLAIN)
