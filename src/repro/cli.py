@@ -410,40 +410,26 @@ def _cmd_run(args) -> int:
             f"compile_time={vm.code_cache.compile_time}",
             file=sys.stderr,
         )
-        print(
-            f"-- fusion: sites={vm.code_cache.fused_sites} "
-            f"dispatches={vm.fused_dispatches} deopts={vm.fusion_deopts}",
-            file=sys.stderr,
-        )
-        if vm.code_cache.ic:
-            print(
-                f"-- ic: sites={vm.code_cache.ic_sites} "
-                f"static_sites={vm.code_cache.ic_static_sites} "
-                f"megamorphic={vm.code_cache.megamorphic_sites} "
-                f"misses={vm.ic_misses} transitions={vm.ic_transitions} "
-                f"receiver_calls={vm.code_cache.receiver_cell_total()}",
-                file=sys.stderr,
+        from repro.telemetry import hostcounters
+
+        values = hostcounters.read(vm)
+
+        def tier_line(tier: str, head: str = "") -> None:
+            fields = " ".join(
+                f"{row.suffix}={hostcounters.shown(row, values[row.name])}"
+                for row in hostcounters.tier_rows(tier)
             )
+            print(f"-- {tier}: {head}{fields}", file=sys.stderr)
+
+        tier_line("fusion")
+        if vm.code_cache.ic:
+            tier_line("ic")
         else:
             print("-- ic: disabled (--no-ic)", file=sys.stderr)
         if args.no_jit:
             print("-- jit: disabled (--no-jit)", file=sys.stderr)
         else:
-            compiled, eligible = vm.code_cache.jit_methods()
-            print(
-                f"-- jit: compiles={vm.jit_compiles} "
-                f"methods={compiled}/{eligible} "
-                f"compile_s={vm.jit_compile_s:.4f} "
-                f"entries={vm.jit_entries} osr={vm.jit_osr_entries} "
-                f"deopts={vm.jit_deopts} guard_exits={vm.jit_guard_exits} "
-                f"call_exits={vm.jit_call_exits} "
-                f"return_exits={vm.jit_return_exits} "
-                f"leaf_calls={vm.jit_leaf_calls} "
-                f"direct_calls={vm.jit_direct_calls} "
-                f"poly_calls={vm.jit_poly_calls} "
-                f"unwinds={vm.jit_unwinds}",
-                file=sys.stderr,
-            )
+            tier_line("jit")
             from repro.vm.jit import exit_sites
 
             for name, pc, kind, count in exit_sites(vm)[:5]:
@@ -451,13 +437,7 @@ def _cmd_run(args) -> int:
                     f"-- jit exit: {name}@{pc} {kind} x{count}", file=sys.stderr
                 )
         if path_tracker is not None:
-            s = path_tracker.summary()
-            print(
-                f"-- paths: mode={s['mode']} total={s['total']} "
-                f"distinct={s['distinct']} increments={s['increments']} "
-                f"windows={s['windows']}",
-                file=sys.stderr,
-            )
+            tier_line("paths", f"mode={path_tracker.mode} ")
         if publisher is not None:
             print(
                 f"-- fleet: batches_sent={publisher.batches_sent} "
@@ -998,6 +978,26 @@ def _cmd_check(args) -> int:
     return 0
 
 
+def _int_between(low: int, high: int | None, what: str):
+    """An argparse ``type`` accepting integers in ``[low, high]``; any
+    other value exits 2 with a message naming the flag."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low or (high is not None and value > high):
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_between(1, None, "a positive integer")
+_port = _int_between(0, 65535, "a port number in 0-65535")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="repro-mini", description=__doc__)
     commands = parser.add_subparsers(dest="command", required=True)
@@ -1031,7 +1031,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--publish-every",
-        type=int,
+        type=_positive_int,
         default=50,
         metavar="K",
         help="batch a delta every K virtual-timer ticks (default 50)",
@@ -1049,8 +1049,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="seed the adaptive optimizer from the fleet's aggregated "
         "profile before running (implies --adaptive; needs --publish)",
     )
-    run.add_argument("--stride", type=int, default=3)
-    run.add_argument("--samples", type=int, default=16)
+    run.add_argument("--stride", type=_positive_int, default=3)
+    run.add_argument("--samples", type=_positive_int, default=16)
     run.add_argument(
         "--skip-policy",
         choices=list(SKIP_POLICIES),
@@ -1065,7 +1065,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--context-depth",
-        type=int,
+        type=_positive_int,
         default=1,
         help="CBS calling-context depth (>1 records a CCT alongside the DCG)",
     )
@@ -1113,7 +1113,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--metrics-port",
-        type=int,
+        type=_port,
         default=None,
         metavar="P",
         help="serve /metrics, /healthz, and /status on 127.0.0.1:P while "
@@ -1138,7 +1138,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument(
         "--port",
-        type=int,
+        type=_port,
         default=8957,
         help="TCP port to listen on (0 picks an ephemeral port)",
     )
@@ -1178,7 +1178,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--http-port",
-        type=int,
+        type=_port,
         default=None,
         metavar="P",
         help="also serve /metrics, /healthz, and /status on --host:P "
@@ -1293,8 +1293,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument("--size", default="small")
     bench.add_argument("--vm", choices=["jikes", "j9"], default="jikes")
-    bench.add_argument("--stride", type=int, default=3)
-    bench.add_argument("--samples", type=int, default=16)
+    bench.add_argument("--stride", type=_positive_int, default=3)
+    bench.add_argument("--samples", type=_positive_int, default=16)
     bench.add_argument(
         "--jobs",
         type=int,

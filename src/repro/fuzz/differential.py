@@ -34,6 +34,7 @@ from repro.profiling.exhaustive import ExhaustiveProfiler
 from repro.profiling.paths import PathTracker
 from repro.profiling.timer_sampler import TimerProfiler
 from repro.telemetry.exporters import jsonl_lines
+from repro.telemetry.hostcounters import HOST_TIERS
 from repro.telemetry.ring import FlightRecorder
 from repro.telemetry.tracer import Tracer
 from repro.fuzz.specexec import (
@@ -238,15 +239,7 @@ class Violation:
 def _strip_host_metrics(snapshot: dict) -> dict:
     """Drop the metric keys host-level optimizations are allowed to
     differ on (the same exemption the identity test suites grant)."""
-    return {
-        k: v
-        for k, v in snapshot.items()
-        if not (
-            k.startswith("fusion.")
-            or k.startswith("ic.")
-            or k.startswith("jit.")
-        )
-    }
+    return {k: v for k, v in snapshot.items() if k.partition(".")[0] not in HOST_TIERS}
 
 
 def run_cell(

@@ -10,6 +10,7 @@ trace stripped of its footer still reports.
 from __future__ import annotations
 
 from repro.telemetry.exporters import LoadedTrace
+from repro.telemetry.hostcounters import TIERS, shown, tier_rows
 
 
 def _render_table(headers, rows, title=None):
@@ -25,6 +26,17 @@ def _metric_value(trace: LoadedTrace, name: str):
     if metric is None:
         return None
     return metric.get("value")
+
+
+def _host_tiers(trace: LoadedTrace) -> dict:
+    """``{tier: [(row, value), ...]}`` for each host-counter tier that
+    ran, i.e. has a non-zero row (every traced run registers them all)."""
+    tiers = {}
+    for tier in TIERS:
+        values = [(row, _metric_value(trace, row.name) or 0) for row in tier_rows(tier)]
+        if any(value for _, value in values):
+            tiers[tier] = values
+    return tiers
 
 
 def _count(trace: LoadedTrace, event_name: str, counts: dict) -> int:
@@ -73,55 +85,9 @@ def pipeline_rows(trace: LoadedTrace) -> list[list[object]]:
     if accepted or rejected or "inline_decision" in counts:
         rows.append(["inline decisions accepted", accepted])
         rows.append(["inline decisions rejected", rejected])
-    fused = _metric_value(trace, "fusion.dispatches")
-    if fused:
-        rows.append(["fused dispatches", fused])
-        rows.append(["fusion deopts", _metric_value(trace, "fusion.deopts") or 0])
-        rows.append(["fusion sites", _metric_value(trace, "fusion.sites") or 0])
-    ic_hits = _metric_value(trace, "ic.hits") or 0
-    ic_misses = _metric_value(trace, "ic.misses") or 0
-    if ic_hits or ic_misses:
-        rows.append(["ic hits", ic_hits])
-        rows.append(["ic misses", ic_misses])
-        rows.append(["ic transitions", _metric_value(trace, "ic.transitions") or 0])
-        rows.append(["ic sites", _metric_value(trace, "ic.sites") or 0])
-        megamorphic = _metric_value(trace, "ic.megamorphic_sites")
-        if megamorphic:
-            rows.append(["ic megamorphic sites", megamorphic])
-    jit_compiles = _metric_value(trace, "jit.compiles")
-    if jit_compiles:
-        rows.append(["jit compiles", jit_compiles])
-        rows.append(
-            [
-                "jit methods compiled/eligible",
-                f"{_metric_value(trace, 'jit.methods_compiled') or 0}"
-                f"/{_metric_value(trace, 'jit.methods_eligible') or 0}",
-            ]
-        )
-        rows.append(
-            ["jit compile_s", f"{_metric_value(trace, 'jit.compile_s') or 0:.4f}"]
-        )
-        rows.append(
-            [
-                "jit entries",
-                (_metric_value(trace, "jit.entries") or 0)
-                + (_metric_value(trace, "jit.osr_entries") or 0),
-            ]
-        )
-        rows.append(["jit deopts", _metric_value(trace, "jit.deopts") or 0])
-        rows.append(
-            ["jit guard exits", _metric_value(trace, "jit.guard_exits") or 0]
-        )
-    paths_total = _metric_value(trace, "paths.total")
-    if paths_total:
-        rows.append(["path records", paths_total])
-        rows.append(["distinct paths", _metric_value(trace, "paths.distinct") or 0])
-        rows.append(
-            ["path edge increments", _metric_value(trace, "paths.increments") or 0]
-        )
-        windows = _metric_value(trace, "paths.windows")
-        if windows:
-            rows.append(["path windows", windows])
+    for rows_of_tier in _host_tiers(trace).values():
+        for row, value in rows_of_tier:
+            rows.append([row.label or f"{row.tier} {row.suffix}", shown(row, value)])
     publishes = metric_or_count("fleet.publishes", "fleet_publish")
     if publishes:
         rows.append(["fleet batches published", publishes])
@@ -190,10 +156,10 @@ def summary_dict(trace: LoadedTrace, histograms: bool = True) -> dict:
 
     Backs ``repro-mini report --json``: the ``pipeline`` rows are the
     exact (label, value) pairs the text table renders (sub-rows keep
-    their indentation so the mirror is lossless), and the dedicated
-    ``paths``/``jit`` objects repeat the Ball-Larus and template-JIT
-    figures under stable keys so CI can assert on them without parsing
-    table text.
+    their indentation so the mirror is lossless), and one object per
+    host-counter tier that ran (``fusion``, ``ic``, ``jit``, ``paths``)
+    repeats every row's figure keyed by its suffix, so scripts can
+    assert on them without parsing table text.
     """
     data: dict = {
         "format": trace.format,
@@ -201,34 +167,8 @@ def summary_dict(trace: LoadedTrace, histograms: bool = True) -> dict:
         "pipeline": [[label, value] for label, value in pipeline_rows(trace)],
         "windows": [list(row) for row in window_rows(trace)],
     }
-    # Truthy gate, matching the table: the counter exists (at zero) on
-    # every traced run; only a run that recorded paths gets the section.
-    paths_total = _metric_value(trace, "paths.total")
-    if paths_total:
-        data["paths"] = {
-            "total": paths_total,
-            "distinct": _metric_value(trace, "paths.distinct") or 0,
-            "increments": _metric_value(trace, "paths.increments") or 0,
-            "windows": _metric_value(trace, "paths.windows") or 0,
-        }
-    jit_compiles = _metric_value(trace, "jit.compiles")
-    if jit_compiles:
-        data["jit"] = {
-            "compiles": jit_compiles,
-            "entries": _metric_value(trace, "jit.entries") or 0,
-            "osr_entries": _metric_value(trace, "jit.osr_entries") or 0,
-            "deopts": _metric_value(trace, "jit.deopts") or 0,
-            "guard_exits": _metric_value(trace, "jit.guard_exits") or 0,
-            "call_exits": _metric_value(trace, "jit.call_exits") or 0,
-            "return_exits": _metric_value(trace, "jit.return_exits") or 0,
-            "leaf_calls": _metric_value(trace, "jit.leaf_calls") or 0,
-            "direct_calls": _metric_value(trace, "jit.direct_calls") or 0,
-            "unwinds": _metric_value(trace, "jit.unwinds") or 0,
-            "poly_calls": _metric_value(trace, "jit.poly_calls") or 0,
-            "methods_compiled": _metric_value(trace, "jit.methods_compiled") or 0,
-            "methods_eligible": _metric_value(trace, "jit.methods_eligible") or 0,
-            "compile_s": _metric_value(trace, "jit.compile_s") or 0,
-        }
+    for tier, rows_of_tier in _host_tiers(trace).items():
+        data[tier] = {row.suffix: value for row, value in rows_of_tier}
     if histograms:
         data["histograms"] = {
             name: snapshot

@@ -34,6 +34,7 @@ from repro.telemetry.events import (
     WindowOpen,
     YieldpointTaken,
 )
+from repro.telemetry.hostcounters import COUNTER, HOST_COUNTERS
 from repro.telemetry.metrics import MetricsRegistry
 from repro.vm.yieldpoint import KIND_NAMES
 
@@ -109,88 +110,13 @@ class Tracer:
         self._fleet_server_dead = metrics.gauge(
             "fleet.server_dead", "1 when the publisher declared the server dead"
         )
-        self._fused_dispatches = metrics.counter(
-            "fusion.dispatches", "superinstruction dispatches executed"
-        )
-        self._fusion_deopts = metrics.counter(
-            "fusion.deopts", "fused groups re-executed step-wise at a tick boundary"
-        )
-        self._fused_sites = metrics.gauge(
-            "fusion.sites", "superinstruction sites compiled by the code cache"
-        )
-        self._ic_hits = metrics.counter(
-            "ic.hits", "virtual calls dispatched through an inline-cache binding"
-        )
-        self._ic_misses = metrics.counter(
-            "ic.misses", "inline-cache slow-path dispatches (including quickening)"
-        )
-        self._ic_transitions = metrics.counter(
-            "ic.transitions", "inline-cache state growths (mono→poly→megamorphic)"
-        )
-        self._ic_sites = metrics.gauge(
-            "ic.sites", "virtual call sites quickened with an inline cache"
-        )
-        self._ic_megamorphic = metrics.gauge(
-            "ic.megamorphic_sites", "inline-cache sites that overflowed to megamorphic"
-        )
-        self._jit_compiles = metrics.counter(
-            "jit.compiles", "methods compiled to generated Python (opt level 3)"
-        )
-        self._jit_entries = metrics.counter(
-            "jit.entries", "method entries that ran the compiled body"
-        )
-        self._jit_osr_entries = metrics.counter(
-            "jit.osr_entries", "loop backedges that re-entered a compiled body"
-        )
-        self._jit_deopts = metrics.counter(
-            "jit.deopts", "de-optimizations at tick/step boundaries"
-        )
-        self._jit_guard_exits = metrics.counter(
-            "jit.guard_exits", "IC guard misses and fault-precondition exits"
-        )
-        self._jit_call_exits = metrics.counter(
-            "jit.call_exits", "exits at call sites the template cannot inline"
-        )
-        self._jit_return_exits = metrics.counter(
-            "jit.return_exits", "exits at returns (interpreter pops the frame)"
-        )
-        self._jit_leaf_calls = metrics.counter(
-            "jit.leaf_calls", "leaf-template calls inlined inside compiled bodies"
-        )
-        self._jit_direct_calls = metrics.counter(
-            "jit.direct_calls",
-            "calls from one compiled body into another, returned in generated code",
-        )
-        self._jit_unwinds = metrics.counter(
-            "jit.unwinds",
-            "directly entered activations handed back to the interpreter",
-        )
-        self._jit_poly_calls = metrics.counter(
-            "jit.poly_calls",
-            "overflow/megamorphic calls completed by a site's polymorphic tail",
-        )
-        self._jit_methods_compiled = metrics.gauge(
-            "jit.methods_compiled", "methods running a compiled body at run end"
-        )
-        self._jit_methods_eligible = metrics.gauge(
-            "jit.methods_eligible",
-            "methods compiled or still counting on the promotion trampoline",
-        )
-        self._jit_compile_s = metrics.counter(
-            "jit.compile_s", "host wall seconds spent in the template compiler"
-        )
-        self._paths_total = metrics.counter(
-            "paths.total", "Ball-Larus path records collected"
-        )
-        self._paths_distinct = metrics.gauge(
-            "paths.distinct", "distinct (function, path id) pairs observed"
-        )
-        self._paths_increments = metrics.counter(
-            "paths.increments", "charged path edge-counter increments"
-        )
-        self._paths_windows = metrics.counter(
-            "paths.windows", "CBS path-sampling windows opened"
-        )
+        #: Per host-counter row, its metric's update: add a delta or set.
+        self._host = {
+            row.name: metrics.counter(row.name, row.help).inc
+            if row.kind == COUNTER
+            else metrics.gauge(row.name, row.help).set
+            for row in HOST_COUNTERS
+        }
         self._samples_per_window = metrics.histogram(
             "cbs.samples_per_window",
             SAMPLES_PER_WINDOW_BUCKETS,
@@ -242,111 +168,21 @@ class Tracer:
         if self.trace_calls:
             self.events.append(CallTraced(ts, caller, callsite_pc, callee))
 
-    def on_fusion_summary(self, dispatches: int, deopts: int, sites: int) -> None:
-        """Record one run's superinstruction statistics.
-
-        Metrics only, deliberately no events: fusion is a host-level
-        dispatch strategy, and the *event stream* of a fused run must
-        stay byte-identical to the unfused run it mirrors.  Dispatch and
-        deopt figures arrive as per-run deltas (counters accumulate over
-        a steady-state sequence); ``sites`` is the code cache's running
-        total, so it lands in a gauge.
+    def on_host_counters(self, values: dict) -> None:
+        """Record one run's :mod:`~repro.telemetry.hostcounters`: each
+        counter row's delta, each gauge row's run-end value.  Metrics
+        only, never events: a run's event stream stays byte-identical
+        with fusion, caches, the JIT or a charge-free path tracker off.
         """
-        self._fused_dispatches.inc(dispatches)
-        self._fusion_deopts.inc(deopts)
-        self._fused_sites.set(sites)
-
-    def on_ic_summary(
-        self,
-        hits: int,
-        misses: int,
-        transitions: int,
-        sites: int,
-        megamorphic_sites: int,
-    ) -> None:
-        """Record one run's inline-cache statistics.
-
-        Same shape and rationale as :meth:`on_fusion_summary`: metrics
-        only, never events, so an IC-on run's event stream stays
-        byte-identical to the IC-off run.  Hit/miss/transition figures
-        are per-run deltas; the site counts are code-cache running
-        totals and land in gauges.
-        """
-        self._ic_hits.inc(hits)
-        self._ic_misses.inc(misses)
-        self._ic_transitions.inc(transitions)
-        self._ic_sites.set(sites)
-        self._ic_megamorphic.set(megamorphic_sites)
-
-    def on_jit_summary(
-        self,
-        compiles: int,
-        entries: int,
-        osr_entries: int,
-        deopts: int,
-        guard_exits: int,
-        call_exits: int,
-        return_exits: int,
-        leaf_calls: int,
-        direct_calls: int,
-        unwinds: int,
-        methods_compiled: int,
-        methods_eligible: int,
-        compile_s: float,
-        poly_calls: int,
-    ) -> None:
-        """Record one run's template-JIT statistics.
-
-        Same shape and rationale as :meth:`on_fusion_summary`: metrics
-        only, never events, so a JIT-on run's event stream stays
-        byte-identical to the JIT-off run.  The counters are per-run
-        deltas; every entry pairs with exactly one exit, so
-        ``entries + osr_entries == deopts + guard_exits + call_exits +
-        return_exits`` for any completed run.  The method counts are the
-        code cache's population at run end and land in gauges;
-        ``compile_s`` is host wall time, the one figure here that does
-        not repeat from run to run.
-        """
-        self._jit_compiles.inc(compiles)
-        self._jit_entries.inc(entries)
-        self._jit_osr_entries.inc(osr_entries)
-        self._jit_deopts.inc(deopts)
-        self._jit_guard_exits.inc(guard_exits)
-        self._jit_call_exits.inc(call_exits)
-        self._jit_return_exits.inc(return_exits)
-        self._jit_leaf_calls.inc(leaf_calls)
-        self._jit_direct_calls.inc(direct_calls)
-        self._jit_unwinds.inc(unwinds)
-        self._jit_poly_calls.inc(poly_calls)
-        self._jit_methods_compiled.set(methods_compiled)
-        self._jit_methods_eligible.set(methods_eligible)
-        self._jit_compile_s.inc(compile_s)
+        host = self._host
+        for name, value in values.items():
+            host[name](value)
 
     def on_paths_summary(self, tracker) -> None:
-        """Record one run's Ball-Larus path-profiling statistics.
-
-        Metrics always; a ``paths_summary`` *event* only when the
-        tracker charges virtual time.  A charge-free tracker is a pure
-        rider — its run must keep a byte-identical event stream to a
-        tracker-less run (the differential fuzzer's identity cells
-        depend on it), so only the host-side metrics move.
-        """
+        """A charged path tracker's run, as a ``paths_summary`` event."""
         s = tracker.summary()
-        self._paths_total.inc(s["total"])
-        self._paths_distinct.set(s["distinct"])
-        self._paths_increments.inc(s["increments"])
-        self._paths_windows.inc(s["windows"])
-        if tracker.charge:
-            self.events.append(
-                PathsSummary(
-                    self.clock(),
-                    s["mode"],
-                    s["total"],
-                    s["distinct"],
-                    s["increments"],
-                    s["windows"],
-                )
-            )
+        fields = (s[key] for key in ("mode", "total", "distinct", "increments", "windows"))
+        self.events.append(PathsSummary(self.clock(), *fields))
 
     # -- profiler-facing hook methods ---------------------------------------------
 

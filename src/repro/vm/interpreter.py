@@ -50,6 +50,7 @@ tracer share it) plus one ``is not None`` check per tick/yieldpoint.
 from __future__ import annotations
 
 from repro.bytecode.program import Program
+from repro.telemetry import hostcounters
 from repro.vm import ic as icache
 from repro.vm.config import VMConfig, jikes_config
 from repro.vm.errors import StepLimitExceeded, VMError
@@ -132,40 +133,10 @@ class Interpreter:
         self._seen = [False] * len(program.functions)
         self.methods_executed = 0
 
-        # Host-level dispatch statistics (no virtual-time effect).
-        self.fused_dispatches = 0
-        self.fusion_deopts = 0
-        #: Inline-cache slow-path dispatches (includes the first, raw
-        #: execution of each site that quickens it) and slot binds
-        #: beyond a site's first (mono→poly growth and the poly→mega
-        #: overflow).
-        self.ic_misses = 0
-        self.ic_transitions = 0
-        #: Opt-level-3 template JIT statistics (repro.vm.jit) — host
-        #: level like the fusion/IC counters above.  Every entry pairs
-        #: with exactly one exit: entries + osr_entries ==
-        #: deopts + guard_exits + call_exits + return_exits.
-        self.jit_compiles = 0
-        #: Host seconds spent in the template compiler (wall clock, so
-        #: it never repeats exactly; no virtual-time effect).
-        self.jit_compile_s = 0.0
-        self.jit_entries = 0
-        self.jit_osr_entries = 0
-        self.jit_deopts = 0
-        self.jit_guard_exits = 0
-        self.jit_call_exits = 0
-        self.jit_return_exits = 0
-        self.jit_leaf_calls = 0
-        #: Calls a compiled caller made into a compiled callee's body
-        #: and got back from, all inside generated code; and directly
-        #: entered activations that handed back to the interpreter
-        #: instead (each then shows up as one replayed entry).
-        self.jit_direct_calls = 0
-        self.jit_unwinds = 0
-        #: Calls generated code completed through a site's polymorphic
-        #: tail: an overflow-bound or megamorphic receiver that stayed
-        #: in the tier (each is also one of ``ic_misses``).
-        self.jit_poly_calls = 0
+        # Host-level dispatch statistics (no virtual-time effect): the
+        # fusion, inline-cache and JIT counters of the host-counter table.
+        for attr in hostcounters.VM_ATTRS:
+            setattr(self, attr, 0)
         #: ``(method, JitCode)`` for every body this VM compiled,
         #: replaced ones included: the per-site exit counts.
         self.jit_bodies: list = []
@@ -319,6 +290,13 @@ class Interpreter:
         return exc(message, method.function.qualified_name, pc)
 
     # -- inline caches (host-level; see repro.vm.ic) -----------------------------
+
+    @property
+    def ic_hits(self) -> int:
+        """Virtual calls an inline-cache binding dispatched: every call
+        the receiver cells counted, less the slow-path misses."""
+        cache = self.code_cache
+        return cache.receiver_cell_total() - self.ic_misses if cache.ic else 0
 
     def _missing_selector(self, class_index, selector, method, pc) -> VMError:
         """Build the no-such-method error for a failed virtual dispatch
@@ -482,26 +460,8 @@ class Interpreter:
 
             self.jit_manager = JitManager(self)
             self.jit_manager.attach()
-        fused_before = self.fused_dispatches
-        deopts_before = self.fusion_deopts
-        misses_before = self.ic_misses
-        transitions_before = self.ic_transitions
-        jit_before = (
-            self.jit_compiles,
-            self.jit_entries,
-            self.jit_osr_entries,
-            self.jit_deopts,
-            self.jit_guard_exits,
-            self.jit_call_exits,
-            self.jit_return_exits,
-            self.jit_leaf_calls,
-            self.jit_direct_calls,
-            self.jit_unwinds,
-            self.jit_compile_s,
-            self.jit_poly_calls,
-        )
-        cache = self.code_cache
-        ic_calls_before = cache.receiver_cell_total() if cache.ic else 0
+        telemetry = self.telemetry
+        before = hostcounters.read(self) if telemetry is not None else None
         try:
             return self._loop()
         except VMError as error:
@@ -512,41 +472,10 @@ class Interpreter:
             self.finished = True
             if self.flight is not None:
                 self.flight.on_run_end(self)
-            if self.telemetry is not None:
-                self.telemetry.on_fusion_summary(
-                    self.fused_dispatches - fused_before,
-                    self.fusion_deopts - deopts_before,
-                    self.code_cache.fused_sites,
-                )
-                misses = self.ic_misses - misses_before
-                ic_calls = (
-                    cache.receiver_cell_total() - ic_calls_before if cache.ic else 0
-                )
-                self.telemetry.on_ic_summary(
-                    max(0, ic_calls - misses),
-                    misses,
-                    self.ic_transitions - transitions_before,
-                    cache.ic_sites,
-                    cache.megamorphic_sites,
-                )
-                if self.path_tracker is not None:
-                    self.telemetry.on_paths_summary(self.path_tracker)
-                self.telemetry.on_jit_summary(
-                    self.jit_compiles - jit_before[0],
-                    self.jit_entries - jit_before[1],
-                    self.jit_osr_entries - jit_before[2],
-                    self.jit_deopts - jit_before[3],
-                    self.jit_guard_exits - jit_before[4],
-                    self.jit_call_exits - jit_before[5],
-                    self.jit_return_exits - jit_before[6],
-                    self.jit_leaf_calls - jit_before[7],
-                    self.jit_direct_calls - jit_before[8],
-                    self.jit_unwinds - jit_before[9],
-                    *cache.jit_methods(),
-                    self.jit_compile_s - jit_before[10],
-                    self.jit_poly_calls - jit_before[11],
-                )
-
+            if telemetry is not None:
+                telemetry.on_host_counters(hostcounters.per_run(before, self))
+                if self.path_tracker is not None and self.path_tracker.charge:
+                    telemetry.on_paths_summary(self.path_tracker)
 
 
 def run_program(program: Program, config: VMConfig | None = None) -> Interpreter:

@@ -307,6 +307,9 @@ class CodeCache:
                     compiled += 1
         return compiled, eligible
 
+    jit_methods_compiled = property(lambda self: self.jit_methods()[0])
+    jit_methods_eligible = property(lambda self: self.jit_methods()[1])
+
     def current(self, index: int) -> CompiledMethod:
         return self.methods[index]
 

@@ -98,7 +98,7 @@ def test_json_is_valid_on_bad_file(tmp_path, capsys):
 def test_jit_section_carries_every_counter(program_file, tmp_path, capsys):
     """The tracer is an observation hook, so a traced run's calls all
     exit and the in-tier call counters read 0 — but the keys are what
-    CI's jit-smoke reads, and they must all be there."""
+    scripts read, and they must all be there."""
     trace = _trace(program_file, tmp_path)
     capsys.readouterr()
     jit = _report_json(capsys, trace)["jit"]

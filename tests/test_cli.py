@@ -475,7 +475,7 @@ def test_stats_jit_line_counts_polymorphic_tails_and_names_exit_sites(tmp_path, 
     exits = sum(
         counts[key] for key in ("deopts", "guard_exits", "call_exits", "return_exits")
     )
-    assert sum(taken) <= exits == counts["entries"] + counts["osr"]
+    assert sum(taken) <= exits == counts["entries"] + counts["osr_entries"]
     assert main(["run", str(path), "--stats", "--no-jit"]) == 0
     assert "jit exit" not in capsys.readouterr().err
 
@@ -685,3 +685,33 @@ def test_disasm_paths_view(program_file, capsys):
     assert "acyclic paths" in out and "branch increments placed" in out
     with pytest.raises(SystemExit, match="separate views"):
         main(["disasm", program_file, "--paths", "--fused"])
+
+
+# -- numeric flag ranges ------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["run", "{F}", "--profile", "cbs", "--samples", "0"], "--samples"),
+        (["run", "{F}", "--profile", "cbs", "--stride", "0"], "--stride"),
+        (["run", "{F}", "--profile", "cbs", "--context-depth", "0"], "--context-depth"),
+        (["run", "{F}", "--profile", "loops", "--samples", "0"], "--samples"),
+        (["run", "{F}", "--profile", "loops", "--stride", "-2"], "--stride"),
+        (["run", "{F}", "--paths", "cbs", "--stride", "0"], "--stride"),
+        (["bench", "--profilers", "cbs", "--samples", "0"], "--samples"),
+        (["run", "{F}", "--publish", "127.0.0.1:9", "--publish-every", "0"], "--publish-every"),
+        (["run", "{F}", "--metrics-port", "99999"], "--metrics-port"),
+        (["serve", "--port", "99999"], "--port"),
+        (["serve", "--http-port", "70000"], "--http-port"),
+        (["serve", "--port", "-1"], "--port"),
+    ],
+)
+def test_out_of_range_numeric_flags_exit_2_naming_the_flag(program_file, argv, flag, capsys):
+    argv = [program_file if arg == "{F}" else arg for arg in argv]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: expected a " in err
+    assert "Traceback" not in err

@@ -118,3 +118,20 @@ def test_charged_tracker_emits_paths_summary_event():
     assert len(summaries) == 1
     assert summaries[0].args()["mode"] == "mincov"
     assert summaries[0].args()["total"] == tracker.records
+
+
+def test_path_metrics_are_per_run_deltas():
+    """Like every other host counter, ``paths.*`` counters add one run's
+    delta per ``run()``, so after two runs the tracer's totals are the
+    tracker's own (not the sum of its cumulative figures)."""
+    program = program_for("jess", "tiny")
+    for mode in PATH_MODES:
+        tracker = PathTracker(mode=mode, charge=False, stride=1)
+        tracer = Tracer()
+        vm = _run(program, paths=True, tracker=tracker, tracer=tracer)
+        vm.run()
+        summary = tracker.summary()
+        assert summary["total"] > 0, mode
+        snapshot = tracer.metrics.snapshot()
+        for key in ("total", "increments", "windows", "distinct"):
+            assert snapshot[f"paths.{key}"]["value"] == summary[key], (mode, key)
