@@ -16,9 +16,6 @@ Usage::
     repro-mini serve [--host H] [--port P] [--root DIR] [--decay F]
                      [--rate R] [--burst B]
                      [--http-port P] [--trace FILE]
-    repro-mini fleet-bench [--publishers N] [--batches B] [--edges E]
-                           [--jobs J] [--quick] [--json]
-                           [--write PATH] [--check PATH]
     repro-mini top HOST:PORT [--interval S] [--once]
     repro-mini report trace_file [--json] [--no-histograms]
     repro-mini bench [--benchmarks a,b] [--profilers cbs,timer] [--seeds 1,2]
@@ -70,6 +67,7 @@ faults.  See docs/OBSERVABILITY.md.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -540,13 +538,6 @@ def _cmd_serve(args) -> int:
     return 0
 
 
-def _cmd_fleet_bench(args) -> int:
-    """Load-test the fleet service: throughput, latency, zero edge loss."""
-    from repro.fleet.bench import run_fleet_bench
-
-    return run_fleet_bench(args)
-
-
 def _cmd_top(args) -> int:
     """Poll a fleet service's ``/status`` endpoint into a terminal view."""
     import http.client
@@ -978,24 +969,35 @@ def _cmd_check(args) -> int:
     return 0
 
 
-def _int_between(low: int, high: int | None, what: str):
-    """An argparse ``type`` accepting integers in ``[low, high]``; any
-    other value exits 2 with a message naming the flag."""
+def _checked(convert, accepts, what: str):
+    """An argparse ``type`` accepting the values ``convert`` parses and
+    ``accepts`` admits; any other value exits 2 with a message naming
+    the flag."""
 
-    def parse(text: str) -> int:
+    def parse(text: str):
         try:
-            value = int(text)
+            value = convert(text)
         except ValueError:
             value = None
-        if value is None or value < low or (high is not None and value > high):
+        if value is None or not accepts(value):
             raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
         return value
 
     return parse
 
 
-_positive_int = _int_between(1, None, "a positive integer")
-_port = _int_between(0, 65535, "a port number in 0-65535")
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
+_positive_int = _checked(int, lambda value: value >= 1, "a positive integer")
+_port = _checked(int, lambda value: 0 <= value <= 65535, "a port number in 0-65535")
+_positive_float = _checked(_finite_float, lambda value: value > 0, "a finite number > 0")
+_burst = _checked(_finite_float, lambda value: value >= 1, "a finite number >= 1")
+_decay = _checked(_finite_float, lambda value: 0 < value <= 1, "a number in (0, 1]")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1150,20 +1152,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--decay",
-        type=float,
+        type=_decay,
         default=1.0,
         help="per-epoch weight decay in (0, 1]; 1.0 disables aging",
     )
     serve.add_argument(
         "--max-edges",
-        type=int,
+        type=_positive_int,
         default=None,
         metavar="N",
         help="prune persisted snapshots to the N heaviest edges",
     )
     serve.add_argument(
         "--rate",
-        type=float,
+        type=_positive_float,
         default=None,
         metavar="R",
         help="per-client token-bucket limit: R publishes/sec (busy replies "
@@ -1171,7 +1173,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--burst",
-        type=float,
+        type=_burst,
         default=None,
         metavar="B",
         help="token-bucket burst depth for --rate (default max(2R, 8))",
@@ -1204,7 +1206,7 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("address", metavar="HOST:PORT", help="observability address")
     top.add_argument(
         "--interval",
-        type=float,
+        type=_positive_float,
         default=2.0,
         metavar="S",
         help="seconds between polls (default 2)",
@@ -1213,47 +1215,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--once", action="store_true", help="print one snapshot and exit"
     )
     top.set_defaults(handler=_cmd_top)
-
-    fleet_bench = commands.add_parser(
-        "fleet-bench",
-        help="replay synthetic publishers against a live fleet service; "
-        "report throughput, latency and edge loss",
-    )
-    fleet_bench.add_argument(
-        "--publishers", type=int, default=1000, help="synthetic publishers"
-    )
-    fleet_bench.add_argument(
-        "--batches", type=int, default=4, help="delta batches per publisher"
-    )
-    fleet_bench.add_argument(
-        "--edges", type=int, default=20, help="edges per delta batch"
-    )
-    fleet_bench.add_argument(
-        "--programs", type=int, default=32, help="distinct program fingerprints"
-    )
-    fleet_bench.add_argument(
-        "--jobs", type=int, default=8, help="concurrent load connections"
-    )
-    fleet_bench.add_argument(
-        "--quick", action="store_true", help="small fleet, fewer connections"
-    )
-    fleet_bench.add_argument(
-        "--json", action="store_true", help="print the summary as JSON"
-    )
-    fleet_bench.add_argument(
-        "--write", metavar="PATH", help="write the summary JSON to PATH"
-    )
-    fleet_bench.add_argument(
-        "--check", metavar="PATH", help="gate the run against a baseline JSON"
-    )
-    fleet_bench.add_argument(
-        "--max-regress",
-        type=float,
-        default=0.15,
-        help="allowed fractional throughput / p99 regression vs a baseline "
-        "of the same shape (default 0.15)",
-    )
-    fleet_bench.set_defaults(handler=_cmd_fleet_bench)
 
     report = commands.add_parser(
         "report", help="summarize a telemetry trace written by run --trace"

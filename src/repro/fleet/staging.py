@@ -24,16 +24,20 @@ from __future__ import annotations
 import time
 
 
+def _check_limits(rate: float, burst: float) -> None:
+    if not rate > 0:
+        raise ValueError(f"rate must be positive, not {rate!r}")
+    if not burst >= 1:
+        raise ValueError(f"burst must be >= 1, not {burst!r}")
+
+
 class TokenBucket:
     """A classic token bucket: ``rate`` tokens/second, ``burst`` deep."""
 
     __slots__ = ("rate", "burst", "tokens", "updated")
 
     def __init__(self, rate: float, burst: float, now: float | None = None):
-        if rate <= 0:
-            raise ValueError("rate must be positive")
-        if burst < 1:
-            raise ValueError("burst must be >= 1")
+        _check_limits(rate, burst)
         self.rate = float(rate)
         self.burst = float(burst)
         self.tokens = float(burst)
@@ -68,6 +72,9 @@ class RateLimiter:
     def __init__(self, rate: float, burst: float | None = None):
         self.rate = float(rate)
         self.burst = float(burst) if burst is not None else max(2.0 * rate, 8.0)
+        # Here, not at the first publish: a bad limit would otherwise
+        # raise inside the service's publish handler on every frame.
+        _check_limits(self.rate, self.burst)
         self._buckets: dict[str, TokenBucket] = {}
 
     def check(self, run_id, now: float | None = None) -> float:

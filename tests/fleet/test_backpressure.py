@@ -9,6 +9,8 @@ dead-server detection and never tear down the connection.
 import asyncio
 from types import SimpleNamespace
 
+import pytest
+
 from repro.fleet.client import FleetPublisher
 from repro.fleet.merge import MergePolicy
 from repro.fleet.protocol import publish_message, read_message, write_message
@@ -56,6 +58,16 @@ def test_rate_limiter_is_per_client():
     assert limiter.check("a", now=0.0) == 0.0
     assert limiter.check("a", now=0.0) > 0.0  # a exhausted its bucket
     assert limiter.check("b", now=0.0) == 0.0  # b is unaffected
+
+
+def test_rate_limiter_rejects_bad_limits_at_construction(tmp_path):
+    """A limit no bucket can hold fails when the limiter is built, not
+    inside the publish handler of every frame."""
+    for rate, burst in ((-1.0, None), (0.0, 4.0), (float("nan"), None), (5.0, 0.5)):
+        with pytest.raises(ValueError, match="rate|burst"):
+            RateLimiter(rate, burst)
+    with pytest.raises(ValueError, match="rate must be positive"):
+        FleetService(ProfileRepository(str(tmp_path)), rate=-1.0)
 
 
 def test_rate_limiter_evicts_stalest_client():

@@ -314,16 +314,25 @@ def test_serve_rejects_bad_root(tmp_path):
         main(["serve", "--root", str(blocker / "sub"), "--port", "0"])
 
 
-@pytest.mark.parametrize("command", ["serve", "fleet-bench"])
+@pytest.mark.parametrize("command", ["serve"])
 def test_workers_flag_is_gone(command, tmp_path, capsys):
     """One fleet topology: ``--workers`` is an argparse usage error."""
-    argv = [command, "--workers", "2"]
-    if command == "serve":
-        argv[1:1] = ["--root", str(tmp_path), "--port", "0"]
     with pytest.raises(SystemExit) as exit_info:
-        main(argv)
+        main([command, "--root", str(tmp_path), "--port", "0", "--workers", "2"])
     assert exit_info.value.code == 2
     assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
+
+def test_fleet_bench_is_an_invalid_command(capsys):
+    """The service is measured by the perf spine's ``fleet_mixed``
+    workload alone: the old load-harness subcommand is not a choice."""
+    from repro.cli import build_parser
+
+    with pytest.raises(SystemExit) as exit_info:
+        main(["fleet-bench"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'fleet-bench'" in capsys.readouterr().err
+    assert "fleet-bench" not in build_parser().format_help()
 
 
 def test_cbs_knobs_reach_the_profiler():
@@ -705,9 +714,29 @@ def test_disasm_paths_view(program_file, capsys):
         (["serve", "--port", "99999"], "--port"),
         (["serve", "--http-port", "70000"], "--http-port"),
         (["serve", "--port", "-1"], "--port"),
+        (["serve", "--rate", "-1"], "--rate"),
+        (["serve", "--rate", "0"], "--rate"),
+        (["serve", "--rate", "nan"], "--rate"),
+        (["serve", "--rate", "5", "--burst", "0.5"], "--burst"),
+        (["serve", "--decay", "0"], "--decay"),
+        (["serve", "--decay", "1.5"], "--decay"),
+        (["serve", "--max-edges", "0"], "--max-edges"),
+        (["top", "127.0.0.1:1", "--interval", "-1"], "--interval"),
+        (["top", "127.0.0.1:1", "--interval", "inf"], "--interval"),
     ],
 )
-def test_out_of_range_numeric_flags_exit_2_naming_the_flag(program_file, argv, flag, capsys):
+def test_out_of_range_numeric_flags_exit_2_naming_the_flag(
+    program_file, argv, flag, capsys, monkeypatch
+):
+    # A value the parser lets through must fail here, not start a
+    # server or a polling loop.
+    import repro.cli as cli
+
+    def reached(args):
+        raise AssertionError(f"{flag} was accepted")
+
+    monkeypatch.setattr(cli, "_cmd_serve", reached)
+    monkeypatch.setattr(cli, "_cmd_top", reached)
     argv = [program_file if arg == "{F}" else arg for arg in argv]
     with pytest.raises(SystemExit) as exit_info:
         main(argv)
