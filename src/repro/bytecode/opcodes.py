@@ -28,8 +28,9 @@ budget must bind.  Consumers:
   reference executor built from nothing but this table.
 
 Editing a handler without editing the spec (or vice versa) is caught by
-the ``spec-smoke`` CI job (regeneration must be a no-op) and by the
-differential fuzz matrix (observable behavior must stay bit-identical).
+``tests/vm/test_dispatch_tree.py`` (regeneration must be a no-op) and by
+the differential fuzz matrix (observable behavior must stay
+bit-identical).
 """
 
 from __future__ import annotations

@@ -138,3 +138,21 @@ class DCG:
                 f"{weight:.0f} ({fraction:.1f}%)"
             )
         return "\n".join(lines)
+
+
+class CountedDCG(DCG):
+    """A DCG whose recorder may bump :meth:`edges` in place.
+
+    The total weight is not kept beside the edges but summed from them
+    on every read, so a hot-path recorder pays one dict update per
+    sample and nothing else.  For whole-number weights the sum is exact
+    and equals what :meth:`DCG.record` would have accumulated.
+    """
+
+    @property
+    def _total(self) -> float:
+        return sum(self._edges.values())
+
+    @_total.setter
+    def _total(self, value: float) -> None:
+        pass  # always derived from the edges

@@ -7,10 +7,10 @@ table (repro.vm.fuse.WINDOWS), and the inline-cache entry layouts
 
     python -m repro.vm.dispatchgen --write
 
-Hand edits are overwritten on the next regeneration, and the spec-smoke
-CI job fails if this file differs from what the specs produce.  To
-change dispatch behavior, edit the specs or the generator templates and
-regenerate; see docs/OPCODES.md.
+Hand edits are overwritten on the next regeneration, and
+tests/vm/test_dispatch_tree.py fails if this file differs from what the
+specs produce.  To change dispatch behavior, edit the specs or the
+generator templates and regenerate; see docs/OPCODES.md.
 
 repro.vm.interpreter imports ``_loop`` from here and installs it as
 ``Interpreter._loop`` (it also injects ``Frame`` and ``_FREED_LOCALS``

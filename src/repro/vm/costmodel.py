@@ -19,6 +19,9 @@ from dataclasses import dataclass, field, replace
 
 from repro.bytecode.opcodes import Op
 
+#: Length of a dense opcode-indexed table: one slot per opcode number.
+OP_TABLE_SIZE = max(int(op) for op in Op) + 1
+
 #: Baseline per-opcode costs (virtual units).
 _DEFAULT_OP_COSTS: dict[Op, int] = {
     Op.PUSH: 1,
@@ -119,8 +122,7 @@ class CostModel:
 
     def cost_array(self) -> list[int]:
         """Dense opcode-indexed cost lookup for the interpreter hot loop."""
-        size = max(int(op) for op in Op) + 1
-        table = [0] * size
+        table = [0] * OP_TABLE_SIZE
         for op, cost in self.op_costs.items():
             table[int(op)] = cost
         return table

@@ -3,12 +3,12 @@
 ``python -m repro.vm.dispatchgen --write`` regenerates
 :mod:`repro.vm._dispatch` (the committed file holding ``_loop``);
 ``--check`` exits nonzero if the committed file differs from what the
-specs produce (the ``spec-smoke`` CI job runs this, so hand-edits to the
-generated loop or spec/loop drift cannot land silently) and prints the
-expected comparisons per dispatch; ``--measure`` re-counts the
-dispatches, re-picks the superinstruction windows from the counts
-(:data:`repro.vm.fuse.WINDOWS`) and prints them with the
-:data:`ARM_WEIGHTS` they imply.
+specs produce (``tests/vm/test_dispatch_tree.py`` runs this, so
+hand-edits to the generated loop or spec/loop drift cannot land
+silently) and prints the expected comparisons per dispatch;
+``--measure`` re-counts the dispatches, re-picks the superinstruction
+windows from the counts (:data:`repro.vm.fuse.WINDOWS`) and prints them
+with the :data:`ARM_WEIGHTS` they imply.
 
 Every arm — raw, inline-cache and fused, data and control — comes from
 the one evaluator every other tier uses, :func:`repro.vm.optemplates.emit`,
@@ -251,10 +251,10 @@ table (repro.vm.fuse.WINDOWS), and the inline-cache entry layouts
 
     python -m repro.vm.dispatchgen --write
 
-Hand edits are overwritten on the next regeneration, and the spec-smoke
-CI job fails if this file differs from what the specs produce.  To
-change dispatch behavior, edit the specs or the generator templates and
-regenerate; see docs/OPCODES.md.
+Hand edits are overwritten on the next regeneration, and
+tests/vm/test_dispatch_tree.py fails if this file differs from what the
+specs produce.  To change dispatch behavior, edit the specs or the
+generator templates and regenerate; see docs/OPCODES.md.
 
 repro.vm.interpreter imports ``_loop`` from here and installs it as
 ``Interpreter._loop`` (it also injects ``Frame`` and ``_FREED_LOCALS``

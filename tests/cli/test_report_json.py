@@ -1,10 +1,10 @@
 """``repro-mini report --json`` — the machine-readable summary.
 
-The JSON form is what CI consumes (the paths-smoke job asserts the
-paths section advances), so it must mirror the table output: same
-pipeline labels and values, a ``paths`` object exactly when the run
-collected path profiles, and histogram presence tracking the
-``--no-histograms`` flag.
+The JSON form is what scripts consume (tests/cli/test_paths_smoke.py
+asserts the paths section advances), so it must mirror the table
+output: same pipeline labels and values, a ``paths`` object exactly
+when the run collected path profiles, and histogram presence tracking
+the ``--no-histograms`` flag.
 """
 
 from __future__ import annotations

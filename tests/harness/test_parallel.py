@@ -18,6 +18,7 @@ from repro.harness.parallel import (
     run_cell,
     run_sweep,
 )
+from repro.harness.runner import measure_baseline
 
 
 def _square(x: int) -> int:
@@ -65,6 +66,24 @@ def test_run_cell_returns_scalars():
     assert result.cell == cell
     assert result.time > 0
     assert 0.0 <= result.accuracy <= 100.0
+
+
+def test_exhaustive_cell_runs():
+    """The perfect profiler as a sweep cell: it grades itself 100 %,
+    costs nothing uncharged, and counts every call it recorded."""
+    result = run_cell(SweepCell(benchmark="jess", size="tiny", profiler="exhaustive"))
+    assert result.accuracy == 100.0
+    assert result.overhead_percent == 0.0
+    assert result.samples == measure_baseline("jess", "tiny").perfect_dcg.total_weight > 0
+    charged = run_cell(
+        SweepCell(
+            benchmark="jess", size="tiny", profiler="exhaustive",
+            profiler_args=(("charge_costs", True),),
+        )
+    )
+    assert charged.accuracy == 100.0
+    assert charged.overhead_percent > 0.0
+    assert charged.samples == result.samples
 
 
 def test_sweep_identical_for_any_job_count():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.profiling.dcg import DCG
+from repro.profiling.dcg import DCG, CountedDCG
 
 
 def test_record_and_total():
@@ -128,3 +128,18 @@ def test_describe_renders():
     dcg.record(0, 3, 1, 4.0)
     text = dcg.describe()
     assert "1 edges" in text and "@pc=3" in text
+
+
+def test_counted_dcg_total_is_the_sum_of_its_edges():
+    dcg = CountedDCG()
+    edges = dcg.edges()
+    edges[(0, 1, 2)] = 3.0
+    edges[(0, 4, 5)] = 1.0
+    assert dcg.total_weight == 4.0
+    dcg.record(0, 1, 2)
+    dcg.merge(dcg.copy())
+    assert dcg.edge_weight((0, 1, 2)) == 8.0
+    assert dcg.total_weight == 10.0
+    assert dcg.weight_fraction((0, 4, 5)) == 0.2
+    dcg.clear()
+    assert dcg.total_weight == 0.0 and dcg.edges() is edges

@@ -527,6 +527,16 @@ def test_bench_table_output(capsys):
     assert "2 cells" in out
 
 
+def test_bench_exhaustive_profiler(capsys):
+    assert main(
+        ["bench", "--benchmarks", "jess", "--profilers", "exhaustive", "--size", "tiny"]
+    ) == 0
+    out = capsys.readouterr().out
+    assert "exhaustive" in out
+    assert "100.00" in out
+    assert "1 cells" in out
+
+
 def test_bench_json_deterministic_across_jobs(capsys):
     import json as json_mod
 
