@@ -80,9 +80,9 @@ def _load(path: str):
     from repro.lang.errors import MiniError
 
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             source = handle.read()
-    except OSError as error:
+    except (OSError, UnicodeDecodeError) as error:
         raise SystemExit(f"cannot read {path}: {error}")
     try:
         return compile_source(source, filename=path)

@@ -23,7 +23,7 @@ from repro.bytecode.opcodes import Op
 from repro.bytecode.program import ClassInfo, Program
 from repro.bytecode.verifier import verify_program
 from repro.lang import ast_nodes as ast
-from repro.lang.errors import ParseError, SourceLocation, TypeError_
+from repro.lang.errors import ParseError
 from repro.lang.parser import parse
 from repro.frontend.typecheck import CheckedProgram, typecheck
 
@@ -50,20 +50,20 @@ def compile_source(source: str, filename: str = "<string>") -> Program:
         raise ParseError("expression nested too deeply", _deepest(tree)) from None
 
 
-def _deepest(tree) -> SourceLocation:
-    """The location of the most deeply nested node, found without
-    recursing."""
-    depth, location = -1, None
+def _deepest(tree) -> ast.Located | None:
+    """The most deeply nested node, found without recursing (the error
+    resolves the location of this one node only)."""
+    depth, deepest = -1, None
     work = [(tree, 0)]
     while work:
         node, level = work.pop()
         if isinstance(node, (list, tuple)):
             work.extend((child, level) for child in node)
         elif is_dataclass(node):
-            if level > depth and getattr(node, "location", None) is not None:
-                depth, location = level, node.location
+            if level > depth and isinstance(node, ast.Located):
+                depth, deepest = level, node
             work.extend((getattr(node, f.name), level + 1) for f in fields(node))
-    return location
+    return deepest
 
 
 class _CodeGenerator:
@@ -229,35 +229,16 @@ class _FunctionEmitter:
         self._info.num_locals = max(self._next_slot, self._info.num_params)
 
     # -- statements ----------------------------------------------------------------------
+    #
+    # ``_stmt`` and ``_expr`` dispatch on the node's exact class through
+    # ``_STMT`` and ``_EXPR``; the parser builds no other node classes.
 
     def _stmt(self, stmt: ast.Stmt) -> None:
-        if isinstance(stmt, ast.VarDecl):
-            self._expr(stmt.initializer)
-            slot = self._declare(stmt.name)
-            self._emit(Op.STORE, slot)
-        elif isinstance(stmt, ast.Assign):
-            self._assign(stmt)
-        elif isinstance(stmt, ast.ExprStmt):
-            self._expr(stmt.expr)
-            if stmt.expr.inferred_type != ast.VOID:
-                self._emit(Op.POP)
-        elif isinstance(stmt, ast.If):
-            self._if(stmt)
-        elif isinstance(stmt, ast.While):
-            self._while(stmt)
-        elif isinstance(stmt, ast.Return):
-            if stmt.value is None:
-                self._emit(Op.RETURN)
-            else:
-                self._expr(stmt.value)
-                self._emit(Op.RETURN_VAL)
-        elif isinstance(stmt, ast.Block):
-            self._push_scope()
-            for inner in stmt.body:
-                self._stmt(inner)
-            self._pop_scope()
-        else:  # pragma: no cover
-            raise TypeError_(f"cannot generate {type(stmt).__name__}", stmt.location)
+        self._STMT[stmt.__class__](self, stmt)
+
+    def _var_decl(self, stmt: ast.VarDecl) -> None:
+        self._expr(stmt.initializer)
+        self._emit(Op.STORE, self._declare(stmt.name))
 
     def _assign(self, stmt: ast.Assign) -> None:
         target = stmt.target
@@ -271,28 +252,26 @@ class _FunctionEmitter:
             assert isinstance(receiver_type, ast.ClassType)
             offset = self._gen.field_offset(receiver_type.name, target.field_name)
             self._emit(Op.PUTFIELD, offset)
-        elif isinstance(target, ast.IndexExpr):
+        else:  # IndexExpr: the parser admits no other target
             self._expr(target.array)
             self._expr(target.index)
             self._expr(stmt.value)
             self._emit(Op.ASTORE)
-        else:  # pragma: no cover
-            raise TypeError_("invalid assignment target", stmt.location)
+
+    def _expr_stmt(self, stmt: ast.ExprStmt) -> None:
+        self._expr(stmt.expr)
+        result = stmt.expr.inferred_type
+        if result is not ast.VOID and result != ast.VOID:
+            self._emit(Op.POP)
 
     def _if(self, stmt: ast.If) -> None:
         self._expr(stmt.condition)
         jump_to_else = self._emit(Op.JUMP_IF_FALSE)
-        self._push_scope()
-        for inner in stmt.then_body:
-            self._stmt(inner)
-        self._pop_scope()
+        self._scoped(stmt.then_body)
         if stmt.else_body:
             jump_to_end = self._emit(Op.JUMP)
             self._patch(jump_to_else, self._here())
-            self._push_scope()
-            for inner in stmt.else_body:
-                self._stmt(inner)
-            self._pop_scope()
+            self._scoped(stmt.else_body)
             self._patch(jump_to_end, self._here())
         else:
             self._patch(jump_to_else, self._here())
@@ -301,56 +280,71 @@ class _FunctionEmitter:
         loop_start = self._here()
         self._expr(stmt.condition)
         jump_out = self._emit(Op.JUMP_IF_FALSE)
-        self._push_scope()
-        for inner in stmt.body:
-            self._stmt(inner)
-        self._pop_scope()
+        self._scoped(stmt.body)
         self._emit(Op.JUMP, loop_start)  # the backedge
         self._patch(jump_out, self._here())
+
+    def _return(self, stmt: ast.Return) -> None:
+        if stmt.value is None:
+            self._emit(Op.RETURN)
+        else:
+            self._expr(stmt.value)
+            self._emit(Op.RETURN_VAL)
+
+    def _block(self, stmt: ast.Block) -> None:
+        self._scoped(stmt.body)
+
+    def _scoped(self, body: list[ast.Stmt]) -> None:
+        self._push_scope()
+        for inner in body:
+            self._stmt(inner)
+        self._pop_scope()
+
+    _STMT = {
+        ast.VarDecl: _var_decl,
+        ast.Assign: _assign,
+        ast.ExprStmt: _expr_stmt,
+        ast.If: _if,
+        ast.While: _while,
+        ast.Return: _return,
+        ast.Block: _block,
+    }
 
     # -- expressions -----------------------------------------------------------------------
 
     def _expr(self, expr: ast.Expr) -> None:
-        if isinstance(expr, ast.IntLiteral):
-            self._emit(Op.PUSH, expr.value)
-        elif isinstance(expr, ast.BoolLiteral):
-            self._emit(Op.PUSH, 1 if expr.value else 0)
-        elif isinstance(expr, ast.NullLiteral):
-            self._emit(Op.PUSH_NULL)
-        elif isinstance(expr, ast.ThisExpr):
-            self._emit(Op.LOAD, 0)
-        elif isinstance(expr, ast.NameExpr):
-            self._emit(Op.LOAD, self._slots[expr.name])
-        elif isinstance(expr, ast.FieldAccess):
-            self._expr(expr.receiver)
-            receiver_type = expr.receiver.inferred_type
-            assert isinstance(receiver_type, ast.ClassType)
-            offset = self._gen.field_offset(receiver_type.name, expr.field_name)
-            self._emit(Op.GETFIELD, offset)
-        elif isinstance(expr, ast.IndexExpr):
-            self._expr(expr.array)
-            self._expr(expr.index)
-            self._emit(Op.ALOAD)
-        elif isinstance(expr, ast.UnaryOp):
-            self._expr(expr.operand)
-            self._emit(Op.NEG if expr.op == "-" else Op.NOT)
-        elif isinstance(expr, ast.BinaryOp):
-            self._binary(expr)
-        elif isinstance(expr, ast.CallExpr):
-            self._call(expr)
-        elif isinstance(expr, ast.MethodCall):
-            self._expr(expr.receiver)
-            for arg in expr.args:
-                self._expr(arg)
-            sid = self._gen.selector(expr.method_name, len(expr.args))
-            self._emit(Op.CALL_VIRTUAL, sid, len(expr.args))
-        elif isinstance(expr, ast.NewObject):
-            self._new_object(expr)
-        elif isinstance(expr, ast.NewArray):
-            self._expr(expr.length)
-            self._emit(Op.NEW_ARRAY)
-        else:  # pragma: no cover
-            raise TypeError_(f"cannot generate {type(expr).__name__}", expr.location)
+        self._EXPR[expr.__class__](self, expr)
+
+    def _int_literal(self, expr: ast.IntLiteral) -> None:
+        self._emit(Op.PUSH, expr.value)
+
+    def _bool_literal(self, expr: ast.BoolLiteral) -> None:
+        self._emit(Op.PUSH, 1 if expr.value else 0)
+
+    def _null_literal(self, expr: ast.NullLiteral) -> None:
+        self._emit(Op.PUSH_NULL)
+
+    def _this(self, expr: ast.ThisExpr) -> None:
+        self._emit(Op.LOAD, 0)
+
+    def _name(self, expr: ast.NameExpr) -> None:
+        self._emit(Op.LOAD, self._slots[expr.name])
+
+    def _field_access(self, expr: ast.FieldAccess) -> None:
+        self._expr(expr.receiver)
+        receiver_type = expr.receiver.inferred_type
+        assert isinstance(receiver_type, ast.ClassType)
+        offset = self._gen.field_offset(receiver_type.name, expr.field_name)
+        self._emit(Op.GETFIELD, offset)
+
+    def _index(self, expr: ast.IndexExpr) -> None:
+        self._expr(expr.array)
+        self._expr(expr.index)
+        self._emit(Op.ALOAD)
+
+    def _unary(self, expr: ast.UnaryOp) -> None:
+        self._expr(expr.operand)
+        self._emit(Op.NEG if expr.op == "-" else Op.NOT)
 
     _BINARY_OPS = {
         "+": Op.ADD,
@@ -367,25 +361,36 @@ class _FunctionEmitter:
     }
 
     def _binary(self, expr: ast.BinaryOp) -> None:
-        if expr.op == "&&":
-            self._expr(expr.left)
-            self._emit(Op.DUP)
-            short = self._emit(Op.JUMP_IF_FALSE)
-            self._emit(Op.POP)
-            self._expr(expr.right)
-            self._patch(short, self._here())
-            return
-        if expr.op == "||":
-            self._expr(expr.left)
-            self._emit(Op.DUP)
-            short = self._emit(Op.JUMP_IF_TRUE)
-            self._emit(Op.POP)
-            self._expr(expr.right)
-            self._patch(short, self._here())
-            return
-        self._expr(expr.left)
-        self._expr(expr.right)
-        self._emit(self._BINARY_OPS[expr.op])
+        # A left-deep chain ``a + b + ... + z`` is walked with a loop, so
+        # its length costs no host stack (see ``_Checker._infer_binary``);
+        # the code is what recursing into each left operand would emit.
+        spine = []
+        while expr.__class__ is ast.BinaryOp:
+            spine.append(expr)
+            expr = expr.left
+        self._expr(expr)
+        for node in reversed(spine):
+            op = node.op
+            if op == "&&" or op == "||":
+                self._emit(Op.DUP)
+                short = self._emit(Op.JUMP_IF_FALSE if op == "&&" else Op.JUMP_IF_TRUE)
+                self._emit(Op.POP)
+                self._expr(node.right)
+                self._patch(short, self._here())
+            else:
+                self._expr(node.right)
+                self._emit(self._BINARY_OPS[op])
+
+    def _method_call(self, expr: ast.MethodCall) -> None:
+        self._expr(expr.receiver)
+        for arg in expr.args:
+            self._expr(arg)
+        sid = self._gen.selector(expr.method_name, len(expr.args))
+        self._emit(Op.CALL_VIRTUAL, sid, len(expr.args))
+
+    def _new_array(self, expr: ast.NewArray) -> None:
+        self._expr(expr.length)
+        self._emit(Op.NEW_ARRAY)
 
     def _call(self, expr: ast.CallExpr) -> None:
         if expr.name == "print":
@@ -410,3 +415,19 @@ class _FunctionEmitter:
                 self._expr(arg)
             sid = self._gen.selector("init", len(expr.args))
             self._emit(Op.CALL_VIRTUAL, sid, len(expr.args))
+
+    _EXPR = {
+        ast.IntLiteral: _int_literal,
+        ast.BoolLiteral: _bool_literal,
+        ast.NullLiteral: _null_literal,
+        ast.ThisExpr: _this,
+        ast.NameExpr: _name,
+        ast.FieldAccess: _field_access,
+        ast.IndexExpr: _index,
+        ast.UnaryOp: _unary,
+        ast.BinaryOp: _binary,
+        ast.CallExpr: _call,
+        ast.MethodCall: _method_call,
+        ast.NewObject: _new_object,
+        ast.NewArray: _new_array,
+    }

@@ -21,7 +21,7 @@ def build_class_table(program: ast.Program) -> ClassTable:
     decls: dict[str, ast.ClassDecl] = {}
     for decl in program.classes:
         if decl.name in decls:
-            raise TypeError_(f"duplicate class {decl.name!r}", decl.location)
+            raise TypeError_(f"duplicate class {decl.name!r}", decl)
         decls[decl.name] = decl
 
     order = _topo_sort(decls)
@@ -48,7 +48,7 @@ def _topo_sort(decls: dict[str, ast.ClassDecl]) -> list[str]:
             if decl.superclass not in decls:
                 raise TypeError_(
                     f"class {name!r} extends unknown class {decl.superclass!r}",
-                    decl.location,
+                    decl,
                 )
             visit(decl.superclass)
         color[name] = 2
@@ -64,7 +64,7 @@ def _analyze_class(decl: ast.ClassDecl, table: ClassTable) -> ClassSymbol:
 
     super_symbol = None
     if decl.superclass is not None:
-        super_symbol = table.require(decl.superclass, decl.location)
+        super_symbol = table.require(decl.superclass, decl)
         symbol.all_fields.update(super_symbol.all_fields)
         symbol.all_methods.update(super_symbol.all_methods)
 
@@ -72,13 +72,13 @@ def _analyze_class(decl: ast.ClassDecl, table: ClassTable) -> ClassSymbol:
         if field_decl.name in symbol.own_fields:
             raise TypeError_(
                 f"duplicate field {field_decl.name!r} in class {decl.name!r}",
-                field_decl.location,
+                field_decl,
             )
         if field_decl.name in symbol.all_fields:
             raise TypeError_(
                 f"field {field_decl.name!r} in class {decl.name!r} shadows an "
                 f"inherited field",
-                field_decl.location,
+                field_decl,
             )
         symbol.own_fields[field_decl.name] = field_decl.type
         symbol.all_fields[field_decl.name] = field_decl.type
@@ -89,7 +89,7 @@ def _analyze_class(decl: ast.ClassDecl, table: ClassTable) -> ClassSymbol:
             raise TypeError_(
                 f"duplicate method {method.name!r}/{len(method.params)} in class "
                 f"{decl.name!r}",
-                method.location,
+                method,
             )
         sig = MethodSig(
             name=method.name,
@@ -102,7 +102,7 @@ def _analyze_class(decl: ast.ClassDecl, table: ClassTable) -> ClassSymbol:
             raise TypeError_(
                 f"method {decl.name}.{method.name} overrides "
                 f"{inherited.owner}.{inherited.name} with an incompatible signature",
-                method.location,
+                method,
             )
         symbol.own_methods[key] = sig
         symbol.all_methods[key] = sig

@@ -4,6 +4,10 @@ Semantic types reuse the syntactic :mod:`repro.lang.ast_nodes` type
 expressions (they are frozen dataclasses with structural equality), so no
 separate type universe is needed; this module supplies assignability and
 lookup on top of them.
+
+Functions that may reject a program take ``where``: the token or AST node
+(or a :class:`~repro.lang.errors.SourceLocation`) to report at.  Its line
+and column are resolved only if an error is raised.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.lang import ast_nodes as ast
-from repro.lang.errors import SourceLocation, TypeError_
+from repro.lang.errors import TypeError_
 
 
 @dataclass(frozen=True)
@@ -66,10 +70,10 @@ class ClassTable:
     def get(self, name: str) -> ClassSymbol | None:
         return self._classes.get(name)
 
-    def require(self, name: str, location: SourceLocation | None = None) -> ClassSymbol:
+    def require(self, name: str, where=None) -> ClassSymbol:
         symbol = self._classes.get(name)
         if symbol is None:
-            raise TypeError_(f"unknown class {name!r}", location)
+            raise TypeError_(f"unknown class {name!r}", where)
         return symbol
 
     def __contains__(self, name: str) -> bool:
@@ -94,9 +98,9 @@ class FunctionTable:
     def __init__(self) -> None:
         self._functions: dict[str, MethodSig] = {}
 
-    def add(self, sig: MethodSig, location: SourceLocation | None = None) -> None:
+    def add(self, sig: MethodSig, where=None) -> None:
         if sig.name in self._functions:
-            raise TypeError_(f"duplicate function {sig.name!r}", location)
+            raise TypeError_(f"duplicate function {sig.name!r}", where)
         self._functions[sig.name] = sig
 
     def get(self, name: str) -> MethodSig | None:
@@ -113,11 +117,9 @@ class Scope:
         self._parent = parent
         self._bindings: dict[str, tuple[int, ast.TypeExpr]] = {}
 
-    def declare(
-        self, name: str, slot: int, type_: ast.TypeExpr, location: SourceLocation
-    ) -> None:
+    def declare(self, name: str, slot: int, type_: ast.TypeExpr, where) -> None:
         if name in self._bindings:
-            raise TypeError_(f"variable {name!r} already declared in this scope", location)
+            raise TypeError_(f"variable {name!r} already declared in this scope", where)
         self._bindings[name] = (slot, type_)
 
     def lookup(self, name: str) -> tuple[int, ast.TypeExpr] | None:
@@ -140,7 +142,7 @@ def is_reference(type_: ast.TypeExpr) -> bool:
 
 def assignable(target: ast.TypeExpr, value: ast.TypeExpr, classes: ClassTable) -> bool:
     """Is a value of type ``value`` assignable to a slot of type ``target``?"""
-    if target == value:
+    if target is value or target == value:
         return True
     if isinstance(value, ast.NullType):
         return is_reference(target)
@@ -149,11 +151,9 @@ def assignable(target: ast.TypeExpr, value: ast.TypeExpr, classes: ClassTable) -
     return False
 
 
-def check_type_exists(
-    type_: ast.TypeExpr, classes: ClassTable, location: SourceLocation
-) -> None:
+def check_type_exists(type_: ast.TypeExpr, classes: ClassTable, where) -> None:
     """Reject type expressions naming unknown classes."""
     if isinstance(type_, ast.ClassType):
-        classes.require(type_.name, location)
+        classes.require(type_.name, where)
     elif isinstance(type_, ast.ArrayType):
-        check_type_exists(type_.element, classes, location)
+        check_type_exists(type_.element, classes, where)

@@ -1,9 +1,12 @@
 """Abstract syntax tree for the Mini language.
 
-The AST is deliberately plain: frozen-ish dataclasses with a ``location``
-for error reporting.  Type information is attached by the type checker
-(see :mod:`repro.frontend.typecheck`) via the mutable ``inferred_type``
-slot on expressions.
+The AST is deliberately plain: frozen-ish dataclasses, each holding the
+``token`` it was parsed at for error reporting.  ``node.location``
+resolves that token's line and column when it is read (see
+:mod:`repro.lang.errors`), so building a tree costs no positions.  Type
+information is attached by the type checker (see
+:mod:`repro.frontend.typecheck`) via the mutable ``inferred_type`` slot
+on expressions.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.lang.errors import SourceLocation
+from repro.lang.tokens import Token
 
 # ---------------------------------------------------------------------------
 # Types (as written in source; resolution happens in the frontend)
@@ -71,15 +75,31 @@ NULL = NullType()
 
 
 # ---------------------------------------------------------------------------
+# Nodes with a source position
+# ---------------------------------------------------------------------------
+
+
+class Located:
+    """Gives a node with a ``token`` field its ``location``, resolved from
+    that token each time it is read."""
+
+    __slots__ = ()
+
+    @property
+    def location(self) -> SourceLocation:
+        return self.token.location  # type: ignore[attr-defined]
+
+
+# ---------------------------------------------------------------------------
 # Expressions
 # ---------------------------------------------------------------------------
 
 
 @dataclass
-class Expr:
+class Expr(Located):
     """Base class for expressions.  ``inferred_type`` is set by typecheck."""
 
-    location: SourceLocation
+    token: Token
     inferred_type: TypeExpr | None = field(default=None, init=False, compare=False)
 
 
@@ -182,8 +202,8 @@ class NewArray(Expr):
 
 
 @dataclass
-class Stmt:
-    location: SourceLocation
+class Stmt(Located):
+    token: Token
 
 
 @dataclass
@@ -233,46 +253,46 @@ class Block(Stmt):
 
 
 @dataclass
-class Param:
+class Param(Located):
     name: str
     type: TypeExpr
-    location: SourceLocation
+    token: Token
 
 
 @dataclass
-class MethodDecl:
+class MethodDecl(Located):
     name: str
     params: list[Param]
     return_type: TypeExpr
     body: list[Stmt]
-    location: SourceLocation
+    token: Token
 
 
 @dataclass
-class FieldDecl:
+class FieldDecl(Located):
     name: str
     type: TypeExpr
-    location: SourceLocation
+    token: Token
 
 
 @dataclass
-class ClassDecl:
+class ClassDecl(Located):
     name: str
     superclass: str | None
     fields: list[FieldDecl]
     methods: list[MethodDecl]
-    location: SourceLocation
+    token: Token
 
 
 @dataclass
-class FunctionDecl:
+class FunctionDecl(Located):
     """A top-level (static) function."""
 
     name: str
     params: list[Param]
     return_type: TypeExpr
     body: list[Stmt]
-    location: SourceLocation
+    token: Token
 
 
 @dataclass

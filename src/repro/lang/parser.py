@@ -50,9 +50,46 @@ rest of the pipeline only sees the core statement forms.
 from __future__ import annotations
 
 from repro.lang import ast_nodes as ast
-from repro.lang.errors import ParseError, SourceLocation
+from repro.lang.errors import ParseError
 from repro.lang.lexer import tokenize
 from repro.lang.tokens import FIXED_TOKENS, Token, TokenKind
+
+# On CPython 3.11 every ``TokenKind.X`` goes through the enum metaclass's
+# attribute hook (~100 ns), and the parser names several kinds per token:
+# each kind it uses is bound to a module global once, here.
+_ASSIGN = TokenKind.ASSIGN
+_COLON = TokenKind.COLON
+_COMMA = TokenKind.COMMA
+_DOT = TokenKind.DOT
+_EOF = TokenKind.EOF
+_IDENT = TokenKind.IDENT
+_INT = TokenKind.INT
+_KW_BOOL = TokenKind.KW_BOOL
+_KW_CLASS = TokenKind.KW_CLASS
+_KW_DEF = TokenKind.KW_DEF
+_KW_ELSE = TokenKind.KW_ELSE
+_KW_EXTENDS = TokenKind.KW_EXTENDS
+_KW_FALSE = TokenKind.KW_FALSE
+_KW_FOR = TokenKind.KW_FOR
+_KW_IF = TokenKind.KW_IF
+_KW_INT = TokenKind.KW_INT
+_KW_NEW = TokenKind.KW_NEW
+_KW_NULL = TokenKind.KW_NULL
+_KW_RETURN = TokenKind.KW_RETURN
+_KW_THIS = TokenKind.KW_THIS
+_KW_TRUE = TokenKind.KW_TRUE
+_KW_VAR = TokenKind.KW_VAR
+_KW_VOID = TokenKind.KW_VOID
+_KW_WHILE = TokenKind.KW_WHILE
+_LBRACE = TokenKind.LBRACE
+_LBRACKET = TokenKind.LBRACKET
+_LPAREN = TokenKind.LPAREN
+_MINUS = TokenKind.MINUS
+_NOT = TokenKind.NOT
+_RBRACE = TokenKind.RBRACE
+_RBRACKET = TokenKind.RBRACKET
+_RPAREN = TokenKind.RPAREN
+_SEMI = TokenKind.SEMI
 
 #: Binary operator token → (binding power, operator text).
 _BINARY: dict[TokenKind, tuple[int, str]] = {
@@ -83,9 +120,7 @@ class Parser:
     def _expect(self, kind: TokenKind) -> Token:
         token = self._tokens[self._pos]
         if token.kind is not kind:
-            raise ParseError(
-                f"expected {kind.value!r}, found {token}", token.location
-            )
+            raise ParseError(f"expected {kind.value!r}, found {token}", token)
         self._pos += 1
         return token
 
@@ -100,15 +135,12 @@ class Parser:
         """Consume ``'[' ']'``, an array-type suffix, if next."""
         tokens, pos = self._tokens, self._pos
         if (
-            tokens[pos].kind is TokenKind.LBRACKET  # so tokens[pos + 1] exists
-            and tokens[pos + 1].kind is TokenKind.RBRACKET
+            tokens[pos].kind is _LBRACKET  # so tokens[pos + 1] exists
+            and tokens[pos + 1].kind is _RBRACKET
         ):
             self._pos += 2
             return True
         return False
-
-    def _loc(self) -> SourceLocation:
-        return self._tokens[self._pos].location
 
     # -- top level ----------------------------------------------------------
 
@@ -116,64 +148,62 @@ class Parser:
         classes: list[ast.ClassDecl] = []
         functions: list[ast.FunctionDecl] = []
         try:
-            while not self._at(TokenKind.EOF):
-                if self._at(TokenKind.KW_CLASS):
+            while not self._at(_EOF):
+                if self._at(_KW_CLASS):
                     classes.append(self._parse_class())
-                elif self._at(TokenKind.KW_DEF):
+                elif self._at(_KW_DEF):
                     functions.append(self._parse_function())
                 else:
+                    unexpected = self._peek()
                     raise ParseError(
-                        f"expected 'class' or 'def' at top level, found {self._peek()}",
-                        self._loc(),
+                        f"expected 'class' or 'def' at top level, found {unexpected}",
+                        unexpected,
                     )
         except RecursionError:
-            raise ParseError("expression nested too deeply", self._loc()) from None
+            raise ParseError("expression nested too deeply", self._peek()) from None
         return ast.Program(classes=classes, functions=functions)
 
     def _parse_class(self) -> ast.ClassDecl:
-        location = self._loc()
-        self._expect(TokenKind.KW_CLASS)
-        name = self._expect(TokenKind.IDENT).value
+        token = self._expect(_KW_CLASS)
+        name = self._expect(_IDENT).value
         superclass = None
-        if self._match(TokenKind.KW_EXTENDS):
-            superclass = self._expect(TokenKind.IDENT).value
-        self._expect(TokenKind.LBRACE)
+        if self._match(_KW_EXTENDS):
+            superclass = self._expect(_IDENT).value
+        self._expect(_LBRACE)
         fields: list[ast.FieldDecl] = []
         methods: list[ast.MethodDecl] = []
-        while not self._match(TokenKind.RBRACE):
-            if self._at(TokenKind.KW_VAR):
+        while not self._match(_RBRACE):
+            if self._at(_KW_VAR):
                 fields.append(self._parse_field())
-            elif self._at(TokenKind.KW_DEF):
+            elif self._at(_KW_DEF):
                 methods.append(self._parse_method())
             else:
+                unexpected = self._peek()
                 raise ParseError(
-                    f"expected 'var' or 'def' in class body, found {self._peek()}",
-                    self._loc(),
+                    f"expected 'var' or 'def' in class body, found {unexpected}", unexpected
                 )
         return ast.ClassDecl(
             name=name,
             superclass=superclass,
             fields=fields,
             methods=methods,
-            location=location,
+            token=token,
         )
 
     def _parse_field(self) -> ast.FieldDecl:
-        location = self._loc()
-        self._expect(TokenKind.KW_VAR)
-        name = self._expect(TokenKind.IDENT).value
-        self._expect(TokenKind.COLON)
+        token = self._expect(_KW_VAR)
+        name = self._expect(_IDENT).value
+        self._expect(_COLON)
         type_ = self._parse_type()
-        self._expect(TokenKind.SEMI)
-        return ast.FieldDecl(name=name, type=type_, location=location)
+        self._expect(_SEMI)
+        return ast.FieldDecl(name=name, type=type_, token=token)
 
     def _parse_method(self) -> ast.MethodDecl:
-        location = self._loc()
-        self._expect(TokenKind.KW_DEF)
-        name = self._expect(TokenKind.IDENT).value
+        token = self._expect(_KW_DEF)
+        name = self._expect(_IDENT).value
         params = self._parse_params()
         return_type: ast.TypeExpr = ast.VOID
-        if self._match(TokenKind.COLON):
+        if self._match(_COLON):
             return_type = self._parse_type(allow_void=True)
         body = self._parse_block_body()
         return ast.MethodDecl(
@@ -181,7 +211,7 @@ class Parser:
             params=params,
             return_type=return_type,
             body=body,
-            location=location,
+            token=token,
         )
 
     def _parse_function(self) -> ast.FunctionDecl:
@@ -191,159 +221,152 @@ class Parser:
             params=method.params,
             return_type=method.return_type,
             body=method.body,
-            location=method.location,
+            token=method.token,
         )
 
     def _parse_params(self) -> list[ast.Param]:
-        self._expect(TokenKind.LPAREN)
+        self._expect(_LPAREN)
         params: list[ast.Param] = []
-        if not self._at(TokenKind.RPAREN):
+        if not self._at(_RPAREN):
             while True:
-                location = self._loc()
-                name = self._expect(TokenKind.IDENT).value
-                self._expect(TokenKind.COLON)
+                token = self._expect(_IDENT)
+                self._expect(_COLON)
                 type_ = self._parse_type()
-                params.append(ast.Param(name=name, type=type_, location=location))
-                if not self._match(TokenKind.COMMA):
+                params.append(ast.Param(name=token.value, type=type_, token=token))
+                if not self._match(_COMMA):
                     break
-        self._expect(TokenKind.RPAREN)
+        self._expect(_RPAREN)
         return params
 
     def _parse_type(self, allow_void: bool = False) -> ast.TypeExpr:
         token = self._peek()
         base: ast.TypeExpr
-        if token.kind is TokenKind.KW_INT:
+        if token.kind is _KW_INT:
             base = ast.INT
-        elif token.kind is TokenKind.KW_BOOL:
+        elif token.kind is _KW_BOOL:
             base = ast.BOOL
-        elif token.kind is TokenKind.KW_VOID:
+        elif token.kind is _KW_VOID:
             if not allow_void:
-                raise ParseError("'void' is only valid as a return type", token.location)
+                raise ParseError("'void' is only valid as a return type", token)
             base = ast.VOID
-        elif token.kind is TokenKind.IDENT:
+        elif token.kind is _IDENT:
             base = ast.ClassType(token.value)
         else:
-            raise ParseError(f"expected a type, found {token}", token.location)
+            raise ParseError(f"expected a type, found {token}", token)
         self._pos += 1
         while self._match_empty_brackets():
             if base is ast.VOID:
-                raise ParseError("array of void is not a type", token.location)
+                raise ParseError("array of void is not a type", token)
             base = ast.ArrayType(base)
         return base
 
     # -- statements ---------------------------------------------------------
 
     def _parse_block_body(self) -> list[ast.Stmt]:
-        self._expect(TokenKind.LBRACE)
+        self._expect(_LBRACE)
         body: list[ast.Stmt] = []
-        while not self._match(TokenKind.RBRACE):
+        while not self._match(_RBRACE):
             body.append(self._parse_stmt())
         return body
 
     def _parse_stmt(self) -> ast.Stmt:
-        if self._at(TokenKind.KW_VAR):
+        if self._at(_KW_VAR):
             return self._parse_vardecl()
-        if self._at(TokenKind.KW_IF):
+        if self._at(_KW_IF):
             return self._parse_if()
-        if self._at(TokenKind.KW_WHILE):
+        if self._at(_KW_WHILE):
             return self._parse_while()
-        if self._at(TokenKind.KW_FOR):
+        if self._at(_KW_FOR):
             return self._parse_for()
-        if self._at(TokenKind.KW_RETURN):
+        if self._at(_KW_RETURN):
             return self._parse_return()
-        if self._at(TokenKind.LBRACE):
-            location = self._loc()
-            return ast.Block(location=location, body=self._parse_block_body())
+        if self._at(_LBRACE):
+            return ast.Block(token=self._peek(), body=self._parse_block_body())
         stmt = self._parse_simple()
-        self._expect(TokenKind.SEMI)
+        self._expect(_SEMI)
         return stmt
 
     def _parse_vardecl(self) -> ast.VarDecl:
-        location = self._loc()
-        self._expect(TokenKind.KW_VAR)
-        name = self._expect(TokenKind.IDENT).value
+        token = self._expect(_KW_VAR)
+        name = self._expect(_IDENT).value
         declared_type = None
-        if self._match(TokenKind.COLON):
+        if self._match(_COLON):
             declared_type = self._parse_type()
-        self._expect(TokenKind.ASSIGN)
+        self._expect(_ASSIGN)
         initializer = self.parse_expr()
-        self._expect(TokenKind.SEMI)
+        self._expect(_SEMI)
         return ast.VarDecl(
-            location=location,
+            token=token,
             name=name,
             declared_type=declared_type,
             initializer=initializer,
         )
 
     def _parse_if(self) -> ast.If:
-        location = self._loc()
-        self._expect(TokenKind.KW_IF)
-        self._expect(TokenKind.LPAREN)
+        token = self._expect(_KW_IF)
+        self._expect(_LPAREN)
         condition = self.parse_expr()
-        self._expect(TokenKind.RPAREN)
+        self._expect(_RPAREN)
         then_body = self._stmt_as_body()
         else_body: list[ast.Stmt] = []
-        if self._match(TokenKind.KW_ELSE):
+        if self._match(_KW_ELSE):
             else_body = self._stmt_as_body()
         return ast.If(
-            location=location,
+            token=token,
             condition=condition,
             then_body=then_body,
             else_body=else_body,
         )
 
     def _parse_while(self) -> ast.While:
-        location = self._loc()
-        self._expect(TokenKind.KW_WHILE)
-        self._expect(TokenKind.LPAREN)
+        token = self._expect(_KW_WHILE)
+        self._expect(_LPAREN)
         condition = self.parse_expr()
-        self._expect(TokenKind.RPAREN)
+        self._expect(_RPAREN)
         body = self._stmt_as_body()
-        return ast.While(location=location, condition=condition, body=body)
+        return ast.While(token=token, condition=condition, body=body)
 
     def _parse_for(self) -> ast.Stmt:
         """Parse a C-style ``for`` and desugar to a block + while loop."""
-        location = self._loc()
-        self._expect(TokenKind.KW_FOR)
-        self._expect(TokenKind.LPAREN)
+        token = self._expect(_KW_FOR)
+        self._expect(_LPAREN)
 
         init: ast.Stmt | None = None
-        if not self._at(TokenKind.SEMI):
-            if self._at(TokenKind.KW_VAR):
+        if not self._at(_SEMI):
+            if self._at(_KW_VAR):
                 init = self._parse_vardecl()  # consumes the ';'
             else:
                 init = self._parse_simple()
-                self._expect(TokenKind.SEMI)
+                self._expect(_SEMI)
         else:
-            self._expect(TokenKind.SEMI)
+            self._expect(_SEMI)
 
-        if self._at(TokenKind.SEMI):
-            condition: ast.Expr = ast.BoolLiteral(location=self._loc(), value=True)
+        if self._at(_SEMI):
+            condition: ast.Expr = ast.BoolLiteral(token=self._peek(), value=True)
         else:
             condition = self.parse_expr()
-        self._expect(TokenKind.SEMI)
+        self._expect(_SEMI)
 
         update: ast.Stmt | None = None
-        if not self._at(TokenKind.RPAREN):
+        if not self._at(_RPAREN):
             update = self._parse_simple()
-        self._expect(TokenKind.RPAREN)
+        self._expect(_RPAREN)
 
         body = self._stmt_as_body()
         if update is not None:
             body = body + [update]
-        loop = ast.While(location=location, condition=condition, body=body)
+        loop = ast.While(token=token, condition=condition, body=body)
         if init is not None:
-            return ast.Block(location=location, body=[init, loop])
+            return ast.Block(token=token, body=[init, loop])
         return loop
 
     def _parse_return(self) -> ast.Return:
-        location = self._loc()
-        self._expect(TokenKind.KW_RETURN)
+        token = self._expect(_KW_RETURN)
         value = None
-        if not self._at(TokenKind.SEMI):
+        if not self._at(_SEMI):
             value = self.parse_expr()
-        self._expect(TokenKind.SEMI)
-        return ast.Return(location=location, value=value)
+        self._expect(_SEMI)
+        return ast.Return(token=token, value=value)
 
     def _stmt_as_body(self) -> list[ast.Stmt]:
         """Parse one statement; flatten a braced block into its statements."""
@@ -354,14 +377,14 @@ class Parser:
 
     def _parse_simple(self) -> ast.Stmt:
         """Parse an assignment or a bare expression statement (no ';')."""
-        location = self._loc()
+        token = self._peek()
         expr = self.parse_expr()
-        if self._match(TokenKind.ASSIGN):
+        if self._match(_ASSIGN):
             if not isinstance(expr, (ast.NameExpr, ast.FieldAccess, ast.IndexExpr)):
-                raise ParseError("invalid assignment target", location)
+                raise ParseError("invalid assignment target", token)
             value = self.parse_expr()
-            return ast.Assign(location=location, target=expr, value=value)
-        return ast.ExprStmt(location=location, expr=expr)
+            return ast.Assign(token=token, target=expr, value=value)
+        return ast.ExprStmt(token=token, expr=expr)
 
     # -- expressions ---------------------------------------------------------
 
@@ -377,106 +400,104 @@ class Parser:
             self._pos += 1
             power, op = binding
             right = self.parse_expr(power + 1)
-            left = ast.BinaryOp(location=token.location, op=op, left=left, right=right)
+            left = ast.BinaryOp(token=token, op=op, left=left, right=right)
 
     def _parse_operand(self) -> ast.Expr:
         """``unary``: a prefix operator and its operand, or a primary
         followed by its postfix chain."""
         token = self._tokens[self._pos]
         kind = token.kind
-        location = token.location
-        if kind is TokenKind.IDENT:
+        if kind is _IDENT:
             self._pos += 1
-            if self._at(TokenKind.LPAREN):
+            if self._at(_LPAREN):
                 args = self._parse_args()
-                expr: ast.Expr = ast.CallExpr(location=location, name=token.value, args=args)
+                expr: ast.Expr = ast.CallExpr(token=token, name=token.value, args=args)
             else:
-                expr = ast.NameExpr(location=location, name=token.value)
-        elif kind is TokenKind.INT:
+                expr = ast.NameExpr(token=token, name=token.value)
+        elif kind is _INT:
             self._pos += 1
-            expr = ast.IntLiteral(location=location, value=token.value)
-        elif kind is TokenKind.LPAREN:
+            expr = ast.IntLiteral(token=token, value=token.value)
+        elif kind is _LPAREN:
             self._pos += 1
             expr = self.parse_expr()
-            self._expect(TokenKind.RPAREN)
-        elif kind is TokenKind.MINUS or kind is TokenKind.NOT:
+            self._expect(_RPAREN)
+        elif kind is _MINUS or kind is _NOT:
             self._pos += 1
             operand = self._parse_operand()
-            return ast.UnaryOp(location=location, op=kind.value, operand=operand)
-        elif kind is TokenKind.KW_THIS:
+            return ast.UnaryOp(token=token, op=kind.value, operand=operand)
+        elif kind is _KW_THIS:
             self._pos += 1
-            expr = ast.ThisExpr(location=location)
-        elif kind is TokenKind.KW_TRUE or kind is TokenKind.KW_FALSE:
+            expr = ast.ThisExpr(token=token)
+        elif kind is _KW_TRUE or kind is _KW_FALSE:
             self._pos += 1
-            expr = ast.BoolLiteral(location=location, value=kind is TokenKind.KW_TRUE)
-        elif kind is TokenKind.KW_NULL:
+            expr = ast.BoolLiteral(token=token, value=kind is _KW_TRUE)
+        elif kind is _KW_NULL:
             self._pos += 1
-            expr = ast.NullLiteral(location=location)
-        elif kind is TokenKind.KW_NEW:
+            expr = ast.NullLiteral(token=token)
+        elif kind is _KW_NEW:
             expr = self._parse_new()
         else:
-            raise ParseError(f"expected an expression, found {token}", location)
+            raise ParseError(f"expected an expression, found {token}", token)
 
         while True:
             token = self._tokens[self._pos]
-            if token.kind is TokenKind.DOT:
+            if token.kind is _DOT:
                 self._pos += 1
-                name = self._expect(TokenKind.IDENT).value
-                if self._at(TokenKind.LPAREN):
+                name = self._expect(_IDENT).value
+                if self._at(_LPAREN):
                     args = self._parse_args()
                     expr = ast.MethodCall(
-                        location=token.location,
+                        token=token,
                         receiver=expr,
                         method_name=name,
                         args=args,
                     )
                 else:
                     expr = ast.FieldAccess(
-                        location=token.location, receiver=expr, field_name=name
+                        token=token, receiver=expr, field_name=name
                     )
-            elif token.kind is TokenKind.LBRACKET:
+            elif token.kind is _LBRACKET:
                 self._pos += 1
                 index = self.parse_expr()
-                self._expect(TokenKind.RBRACKET)
-                expr = ast.IndexExpr(location=token.location, array=expr, index=index)
+                self._expect(_RBRACKET)
+                expr = ast.IndexExpr(token=token, array=expr, index=index)
             else:
                 return expr
 
     def _parse_args(self) -> list[ast.Expr]:
-        self._expect(TokenKind.LPAREN)
+        self._expect(_LPAREN)
         args: list[ast.Expr] = []
-        if not self._at(TokenKind.RPAREN):
+        if not self._at(_RPAREN):
             while True:
                 args.append(self.parse_expr())
-                if not self._match(TokenKind.COMMA):
+                if not self._match(_COMMA):
                     break
-        self._expect(TokenKind.RPAREN)
+        self._expect(_RPAREN)
         return args
 
     def _parse_new(self) -> ast.Expr:
-        location = self._loc()
-        self._expect(TokenKind.KW_NEW)
-        token = self._peek()
-        if token.kind in (TokenKind.KW_INT, TokenKind.KW_BOOL):
-            base: ast.TypeExpr = ast.INT if token.kind is TokenKind.KW_INT else ast.BOOL
+        token = self._expect(_KW_NEW)
+        kind = self._peek().kind
+        if kind is _KW_INT or kind is _KW_BOOL:
+            base: ast.TypeExpr = ast.INT if kind is _KW_INT else ast.BOOL
             self._pos += 1
-            return self._parse_new_array(location, base)
-        name = self._expect(TokenKind.IDENT).value
-        if self._at(TokenKind.LBRACKET):
-            return self._parse_new_array(location, ast.ClassType(name))
+            return self._parse_new_array(token, base)
+        name = self._expect(_IDENT).value
+        if self._at(_LBRACKET):
+            return self._parse_new_array(token, ast.ClassType(name))
         args = self._parse_args()
-        return ast.NewObject(location=location, class_name=name, args=args)
+        return ast.NewObject(token=token, class_name=name, args=args)
 
     def _parse_new_array(
-        self, location: SourceLocation, base: ast.TypeExpr
+        self, token: Token, base: ast.TypeExpr
     ) -> ast.NewArray:
-        self._expect(TokenKind.LBRACKET)
+        self._expect(_LBRACKET)
         length = self.parse_expr()
-        self._expect(TokenKind.RBRACKET)
+        self._expect(_RBRACKET)
         element: ast.TypeExpr = base
         while self._match_empty_brackets():
             element = ast.ArrayType(element)
-        return ast.NewArray(location=location, element_type=element, length=length)
+        return ast.NewArray(token=token, element_type=element, length=length)
 
 
 def parse(source: str, filename: str = "<string>") -> ast.Program:

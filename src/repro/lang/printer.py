@@ -125,11 +125,7 @@ def _expr_parts(expr: ast.Expr) -> tuple[str, int]:
         operand = print_expr(expr.operand, _UNARY_PRECEDENCE + 1)
         return f"{expr.op}{operand}", _UNARY_PRECEDENCE
     if isinstance(expr, ast.BinaryOp):
-        precedence = ast.BINARY_PRECEDENCE[expr.op]
-        left = print_expr(expr.left, precedence)
-        # Left-associative grammar: the right operand needs one more level.
-        right = print_expr(expr.right, precedence + 1)
-        return f"{left} {expr.op} {right}", precedence
+        return _binary_parts(expr)
     if isinstance(expr, ast.CallExpr):
         args = ", ".join(print_expr(a) for a in expr.args)
         return f"{expr.name}({args})", atom
@@ -150,3 +146,26 @@ def _expr_parts(expr: ast.Expr) -> tuple[str, int]:
             suffix += "[]"
         return f"new {base}[{print_expr(expr.length)}]{suffix}", atom
     raise TypeError(f"cannot print expression {type(expr).__name__}")
+
+
+def _binary_parts(expr: ast.BinaryOp) -> tuple[str, int]:
+    """A binary operator chain, its left spine walked with a loop so that a
+    chain of any length prints without recursing once per operator."""
+    spine = []
+    while isinstance(expr, ast.BinaryOp):
+        spine.append(expr)
+        expr = expr.left
+    text, precedence = _expr_parts(expr)
+    parts = [text]
+    opened = 0
+    for node in reversed(spine):
+        outer = ast.BINARY_PRECEDENCE[node.op]
+        if precedence < outer:
+            # Parenthesise everything so far; every ``(`` of the left
+            # spine opens at the very start of the text.
+            opened += 1
+            parts.append(")")
+        # Left-associative grammar: the right operand needs one more level.
+        parts.append(f" {node.op} {print_expr(node.right, outer + 1)}")
+        precedence = outer
+    return "(" * opened + "".join(parts), precedence

@@ -1,11 +1,16 @@
-"""Token kinds and the token record produced by the lexer."""
+"""Token kinds and the token record produced by the lexer.
+
+A token carries its offset into the shared :class:`~repro.lang.errors.Source`
+it was lexed from, not a line and column: ``token.location`` works those
+out when it is read, which on a program that compiles is never.
+"""
 
 from __future__ import annotations
 
 import enum
 from typing import NamedTuple
 
-from repro.lang.errors import SourceLocation
+from repro.lang.errors import Source, SourceLocation
 
 
 class TokenKind(enum.Enum):
@@ -65,6 +70,11 @@ class TokenKind(enum.Enum):
 
     EOF = "<eof>"
 
+    # Members are singletons compared by identity, so an identity hash
+    # agrees with ``==``; it spares the parser's operator-table lookup a
+    # call to ``Enum.__hash__``, which is Python code.
+    __hash__ = object.__hash__
+
 
 #: Source text of every keyword, operator and punctuation mark → its kind.
 FIXED_TOKENS: dict[str, TokenKind] = {
@@ -79,12 +89,19 @@ class Token(NamedTuple):
 
     ``value`` holds the identifier text for :data:`TokenKind.IDENT` and the
     integer value (as ``int``) for :data:`TokenKind.INT`; it is ``None`` for
-    all other kinds.
+    all other kinds.  ``offset`` is where the token's text starts in
+    ``source.text``.
     """
 
     kind: TokenKind
     value: object
-    location: SourceLocation
+    offset: int
+    source: Source
+
+    @property
+    def location(self) -> SourceLocation:
+        """Line, column and filename of the token's first character."""
+        return self.source.location(self.offset)
 
     def __str__(self) -> str:
         if self.value is not None:

@@ -4,7 +4,7 @@ A *ratio* of two timings taken in the same process, interleaved, so the
 runner's speed cancels (ROADMAP item 1: never compare seconds across
 machines).  Twice the classes is twice the tokens; anything super-linear
 in the lexer, parser, type checker, code generator or verifier pushes
-the ratio above 2.  CI runs this in the ``vm-perf`` job.
+the ratio above 2.  Tier-1 runs it: ``slow`` is not deselected there.
 """
 
 import gc

@@ -78,7 +78,8 @@ def test_fixpoint_on_benchmark_suite(name):
 
 
 def without_locations(node):
-    """An AST as nested tuples, every ``location`` dropped."""
+    """An AST as nested tuples, every node's ``token`` (its source
+    position) dropped."""
     if isinstance(node, list):
         return [without_locations(child) for child in node]
     if not dataclasses.is_dataclass(node):
@@ -86,7 +87,7 @@ def without_locations(node):
     return (type(node).__name__,) + tuple(
         (field.name, without_locations(getattr(node, field.name)))
         for field in dataclasses.fields(node)
-        if field.name != "location"
+        if field.name != "token"
     )
 
 
