@@ -385,6 +385,7 @@ def disassemble_spec(program: Program) -> str:
     round-trippable.
     """
     from repro.bytecode.opcodes import spec_of
+    from repro.vm.fuse import FUSABLE_OPS
 
     lines: list[str] = []
     per_kind: dict[str, int] = {}
@@ -408,7 +409,7 @@ def disassemble_spec(program: Program) -> str:
             if spec.faults:
                 fault_sites += 1
                 notes.append("faults=" + ",".join(f.kind for f in spec.faults))
-            if spec.fusable:
+            if spec.op in FUSABLE_OPS:
                 notes.append("fusable")
             if spec.quicken:
                 notes.append(f"quicken={spec.quicken}")

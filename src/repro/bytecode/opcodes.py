@@ -10,8 +10,8 @@ Every structural fact about an opcode lives in exactly one place: its
 stack effect (pops/pushes), the abstract encoded size, the semantic
 *kind* that drives code generation, the fault modes (exception class,
 message, and the counter-sync obligation every raise site carries), the
-fusability and inline-cache quickening class, and where the step-limit
-budget must bind.  Consumers:
+inline-cache quickening class, and where the step-limit budget must
+bind.  Consumers:
 
 * the interpreter's dispatch loop is *generated* from these specs
   (:mod:`repro.vm.dispatchgen` writes :mod:`repro.vm._dispatch`),
@@ -21,8 +21,8 @@ budget must bind.  Consumers:
   data opcode it or the inline caches' leaf closures turn into host text
   goes through one evaluator keyed by ``kind``/``arg``/``faults``
   (:mod:`repro.vm.optemplates`; control kinds stay with their consumer),
-* the superinstruction fuser checks its measured windows against
-  ``fusable``,
+* the superinstruction fuser derives its placement rule and each
+  window's operand layout and zero-divisor guard here,
 * the disassembler's ``--spec`` view prints the rows next to the
   stream, and the fuzzer's spec-conformance cell replays programs on a
   reference executor built from nothing but this table.
@@ -152,9 +152,6 @@ class OpSpec:
     arg: str | None = None
     #: Guest fault modes, in the order the handler checks them.
     faults: tuple = ()
-    #: Is a component of some measured superinstruction window
-    #: (repro.vm.fuse.WINDOWS is checked against this at import time).
-    fusable: bool = False
     #: Inline-cache quickening class: the interpreter rewrites the
     #: site's ``fops`` slot to the matching IC opcode.
     quicken: str | None = None  # "call_virtual" | "call_static"
@@ -183,40 +180,38 @@ def _null(message: str) -> FaultSpec:
 #: numbers, laid out from measured counts) is a generator concern, not
 #: a spec concern (see repro.vm.dispatchgen.ARM_WEIGHTS / build_tree).
 OPCODE_SPECS: tuple[OpSpec, ...] = (
-    OpSpec(Op.PUSH, 2, 0, 1, "push_const", fusable=True),
+    OpSpec(Op.PUSH, 2, 0, 1, "push_const"),
     OpSpec(Op.PUSH_NULL, 1, 0, 1, "push_null"),
-    OpSpec(Op.POP, 1, 1, 0, "pop", fusable=True),
-    OpSpec(Op.DUP, 1, 1, 2, "dup", fusable=True),
-    OpSpec(Op.LOAD, 2, 0, 1, "load", fusable=True),
-    OpSpec(Op.STORE, 2, 1, 0, "store", fusable=True),
-    OpSpec(Op.ADD, 1, 2, 1, "binop", "+", fusable=True),
-    OpSpec(Op.SUB, 1, 2, 1, "binop", "-", fusable=True),
-    OpSpec(Op.MUL, 1, 2, 1, "binop", "*", fusable=True),
+    OpSpec(Op.POP, 1, 1, 0, "pop"),
+    OpSpec(Op.DUP, 1, 1, 2, "dup"),
+    OpSpec(Op.LOAD, 2, 0, 1, "load"),
+    OpSpec(Op.STORE, 2, 1, 0, "store"),
+    OpSpec(Op.ADD, 1, 2, 1, "binop", "+"),
+    OpSpec(Op.SUB, 1, 2, 1, "binop", "-"),
+    OpSpec(Op.MUL, 1, 2, 1, "binop", "*"),
     OpSpec(
         Op.DIV, 1, 2, 1, "divmod", "div",
         faults=(FaultSpec("div_zero", "DivisionByZeroError", "division by zero"),),
-        fusable=True,
     ),
     OpSpec(
         Op.MOD, 1, 2, 1, "divmod", "mod",
         faults=(FaultSpec("div_zero", "DivisionByZeroError", "division by zero"),),
-        fusable=True,
     ),
     OpSpec(Op.NEG, 1, 1, 1, "neg"),
     OpSpec(Op.NOT, 1, 1, 1, "not"),
-    OpSpec(Op.LT, 1, 2, 1, "cmp", "<", fusable=True),
+    OpSpec(Op.LT, 1, 2, 1, "cmp", "<"),
     OpSpec(Op.LE, 1, 2, 1, "cmp", "<="),
-    OpSpec(Op.GT, 1, 2, 1, "cmp", ">", fusable=True),
-    OpSpec(Op.GE, 1, 2, 1, "cmp", ">=", fusable=True),
-    OpSpec(Op.EQ, 1, 2, 1, "eqcmp", "==", fusable=True),
-    OpSpec(Op.NE, 1, 2, 1, "eqcmp", "!=", fusable=True),
+    OpSpec(Op.GT, 1, 2, 1, "cmp", ">"),
+    OpSpec(Op.GE, 1, 2, 1, "cmp", ">="),
+    OpSpec(Op.EQ, 1, 2, 1, "eqcmp", "=="),
+    OpSpec(Op.NE, 1, 2, 1, "eqcmp", "!="),
     OpSpec(
         Op.JUMP, 3, 0, 0, "jump",
         step_limit="backward", yieldpoint="backedge",
     ),
     OpSpec(
         Op.JUMP_IF_FALSE, 3, 1, 0, "branch", "false",
-        step_limit="backward", fusable=True,
+        step_limit="backward",
     ),
     OpSpec(Op.JUMP_IF_TRUE, 3, 1, 0, "branch", "true", step_limit="backward"),
     OpSpec(
@@ -251,11 +246,11 @@ OPCODE_SPECS: tuple[OpSpec, ...] = (
     OpSpec(Op.RETURN_VAL, 1, 1, 0, "return", "value", yieldpoint="epilogue"),
     OpSpec(Op.NEW, 3, 0, 1, "new"),
     OpSpec(Op.GETFIELD, 3, 1, 1, "getfield",
-           faults=(_null("field read on null"),), fusable=True),
+           faults=(_null("field read on null"),)),
     OpSpec(Op.PUTFIELD, 3, 2, 0, "putfield",
-           faults=(_null("field write on null"),), fusable=True),
+           faults=(_null("field write on null"),)),
     OpSpec(Op.IS_EXACT, 3, 1, 1, "is_exact"),
-    OpSpec(Op.GUARD_METHOD, 4, 1, 1, "guard_method", fusable=True),
+    OpSpec(Op.GUARD_METHOD, 4, 1, 1, "guard_method"),
     OpSpec(
         Op.NEW_ARRAY, 1, 1, 1, "new_array",
         faults=(FaultSpec("negative_length", "VMError", "negative array length"),),
@@ -263,11 +258,11 @@ OPCODE_SPECS: tuple[OpSpec, ...] = (
     ),
     OpSpec(
         Op.ALOAD, 1, 2, 1, "aload",
-        faults=(_null("array read on null"), _BOUNDS), fusable=True,
+        faults=(_null("array read on null"), _BOUNDS),
     ),
     OpSpec(
         Op.ASTORE, 1, 3, 0, "astore",
-        faults=(_null("array write on null"), _BOUNDS), fusable=True,
+        faults=(_null("array write on null"), _BOUNDS),
     ),
     OpSpec(Op.ARRAY_LEN, 1, 1, 1, "array_len",
            faults=(_null("len() of null"),)),
@@ -334,6 +329,3 @@ STACK_EFFECT: dict[Op, int | None] = {
 #: ``None`` for calls (argc-dependent).  The verifier's "depth never
 #: negative" check reads this.
 POPS: dict[Op, int | None] = {spec.op: spec.pops for spec in OPCODE_SPECS}
-
-#: Opcodes the superinstruction fuser may use as group components.
-FUSABLE_OPS = frozenset(spec.op for spec in OPCODE_SPECS if spec.fusable)

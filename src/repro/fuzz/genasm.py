@@ -557,9 +557,14 @@ class Window:
         for an operand only ``EQ``/``NE`` read."""
         if value.want == "array":
             aload = next(
-                off for off, comp in enumerate(self.comps)
-                if comp == Op.ALOAD and self.popped[off][0] is value
+                (
+                    off for off, comp in enumerate(self.comps)
+                    if comp == Op.ALOAD and self.popped[off][0] is value
+                ),
+                None,
             )
+            if aload is None:  # only its length is read
+                return "ints"
             return "points" if self.made[aload].want == "obj" else "ints"
         if value.want is None and value.consumers and set(value.consumers) == {"eqcmp"}:
             return "any"
@@ -577,9 +582,10 @@ class Window:
 
     def lines(self, slots, scratch, cls, taken, zero_push=None) -> list[str]:
         """The window's assembler lines: ``LOAD``s from their source's
-        slot, ``STORE``s to ``scratch``, fields and the guarded method
-        of class ``cls``, a branch to label ``taken``; ``PUSH`` 16 when
-        it is compared, else 3 (0 at offset ``zero_push``)."""
+        slot, ``STORE``s to ``scratch``, fields, the guarded method and
+        allocations of class ``cls``, a branch to label ``taken``;
+        ``PUSH`` 16 when it is compared, else 3 (0 at offset
+        ``zero_push``)."""
         loads = iter(slots[len(self.reals) :])
         lines = []
         for off, comp in enumerate(self.comps):
@@ -598,6 +604,8 @@ class Window:
                 lines.append(f"PUTFIELD {cls}.w")
             elif comp == Op.GUARD_METHOD:
                 lines.append(f"GUARD_METHOD m 0 {cls}.m")
+            elif comp == Op.NEW:
+                lines.append(f"NEW {cls}")
             elif spec_of(comp).kind == "branch":
                 lines.append(f"{comp.name} {taken}")
             else:

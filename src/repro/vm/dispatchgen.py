@@ -31,10 +31,12 @@ layout the fuser packs operands with.  What the generator itself adds is:
   with the spec's exception class, message and attributed pc — in one
   place.
 
-Mid-group fused faults are *derived*, not hand-stated: the faulting
-component's offset attributes the pc, and the charge given back is the
-sum of the trailing components' raw costs (the raw run never reached
-them), so a fused fault transcript is bit-identical to the raw run's.
+Mid-group fused faults are *derived*, not hand-stated: a fused arm
+records the fault and its component's offset and leaves the loop, and
+one tail after it (:data:`_GROUP_FAULT`) attributes the pc from the
+offset and gives back the trailing components' raw costs and steps (the
+raw run never reached them), so a fused fault transcript is
+bit-identical to the raw run's.
 """
 
 from __future__ import annotations
@@ -68,82 +70,105 @@ VIEW_LOCALS = ("ops", "aarg", "barg", "costs", "faarg", "fbarg", "origins", "ics
 #: re-measure (never hand-edit) with ``python -m repro.vm.dispatchgen
 #: --measure`` and paste its output.
 ARM_WEIGHTS = {
-    "PUSH": 37364,
-    "PUSH_NULL": 3402,
-    "POP": 12802,
-    "DUP": 9147,
-    "LOAD": 32337,
-    "STORE": 45271,
-    "ADD": 14654,
-    "SUB": 10832,
-    "MUL": 8777,
-    "DIV": 2371,
-    "MOD": 2874,
+    "PUSH": 26899,
+    "PUSH_NULL": 2,
+    "POP": 9849,
+    "DUP": 4011,
+    "LOAD": 26592,
+    "STORE": 47238,
+    "ADD": 16898,
+    "SUB": 8690,
+    "MUL": 12992,
+    "DIV": 1663,
+    "MOD": 3585,
     "NEG": 0,
-    "NOT": 119,
-    "LT": 4050,
-    "LE": 1381,
-    "GT": 6086,
-    "GE": 4790,
-    "EQ": 3389,
-    "NE": 2078,
-    "JUMP": 76329,
-    "JUMP_IF_FALSE": 38583,
-    "JUMP_IF_TRUE": 2586,
-    "CALL_STATIC": 40,
-    "CALL_VIRTUAL": 201,
-    "RETURN": 4958,
-    "RETURN_VAL": 14694,
-    "NEW": 4797,
-    "GETFIELD": 8918,
-    "PUTFIELD": 3687,
+    "NOT": 157,
+    "LT": 3083,
+    "LE": 509,
+    "GT": 4499,
+    "GE": 2265,
+    "EQ": 4093,
+    "NE": 3261,
+    "JUMP": 101208,
+    "JUMP_IF_FALSE": 39912,
+    "JUMP_IF_TRUE": 2006,
+    "CALL_STATIC": 52,
+    "CALL_VIRTUAL": 253,
+    "RETURN": 6354,
+    "RETURN_VAL": 19013,
+    "NEW": 135,
+    "GETFIELD": 6102,
+    "PUTFIELD": 4458,
     "IS_EXACT": 0,
-    "GUARD_METHOD": 832,
-    "NEW_ARRAY": 451,
-    "ALOAD": 14968,
-    "ASTORE": 16499,
-    "ARRAY_LEN": 5154,
-    "PRINT": 28,
+    "GUARD_METHOD": 783,
+    "NEW_ARRAY": 540,
+    "ALOAD": 6652,
+    "ASTORE": 3181,
+    "ARRAY_LEN": 4403,
+    "PRINT": 35,
     "NOP": 0,
-    "IC_CALL_VIRTUAL": 38510,
-    "IC_CALL_STATIC": 2262,
-    "F_LOAD_GETFIELD_LOAD": 60149,
-    "F_LOAD_PUSH_ADD_STORE": 60816,
-    "F_LOAD_LOAD": 48835,
-    "F_LOAD_PUSH": 18301,
-    "F_ADD_PUSH_MOD_STORE": 24673,
-    "F_LT_JIF": 26585,
-    "F_LOAD_LOAD_GETFIELD": 33387,
-    "F_LOAD_GETFIELD": 30429,
-    "F_LOAD_LOAD_LT_JIF": 30401,
-    "F_ALOAD_STORE_LOAD": 5672,
-    "F_LOAD_GETFIELD_LOAD_GETFIELD": 19825,
-    "F_LOAD_PUSH_MUL": 11310,
-    "F_LOAD_PUSH_MOD": 20211,
-    "F_MOD_ALOAD_GETFIELD_PUSH": 7461,
-    "F_STORE_DUP_GUARD_METHOD_JIF": 5584,
-    "F_GE_DUP_JIF": 8677,
-    "F_PUSH_MOD": 6570,
-    "F_PUSH_ADD_PUTFIELD": 6498,
-    "F_LOAD_PUSH_LT_JIF": 13807,
-    "F_LT_DUP_JIF": 6034,
-    "F_EQ_JIF": 9727,
-    "F_ALOAD_MUL_PUSH_DIV": 4357,
-    "F_PUSH_SUB_ALOAD_ASTORE": 4266,
-    "F_SUB_STORE": 10236,
-    "F_POP_LOAD_LOAD_LT": 4947,
-    "F_LOAD_ADD_LOAD": 5425,
-    "F_LOAD_PUSH_MUL_PUSH": 10412,
-    "F_NE_JIF": 8124,
-    "F_ALOAD_LOAD_LOAD": 8202,
-    "F_LOAD_PUSH_GT_JIF": 4464,
-    "F_ADD_STORE": 8984,
-    "F_LOAD_LOAD_PUTFIELD": 6467,
-    "F_SUB_ALOAD_LOAD": 3016,
-    "F_ALOAD_STORE_LOAD_LOAD": 15169,
-    "F_LOAD_LOAD_PUSH_MOD": 6711,
-    "F_LOAD_LOAD_ALOAD_ASTORE": 2856,
-    "F_STORE_LOAD_LOAD_GETFIELD": 6196,
+    "IC_CALL_VIRTUAL": 48382,
+    "IC_CALL_STATIC": 2939,
+    "F_LOAD_GETFIELD_LOAD": 37599,
+    "F_LOAD_PUSH_ADD_STORE": 58501,
+    "F_LOAD_LOAD": 46709,
+    "F_LOAD_PUSH": 26439,
+    "F_ADD_PUSH_MOD_STORE": 9873,
+    "F_LT_JIF": 4546,
+    "F_LOAD_LOAD_GETFIELD": 9793,
+    "F_LOAD_GETFIELD_MOD_ALOAD_GETFIELD_PUSH_LT_JIF": 9175,
+    "F_LOAD_LOAD_LT_JIF": 40232,
+    "F_LOAD_GETFIELD": 18055,
+    "F_LOAD_PUSH_MUL_PUSH_ADD_PUSH_MOD_STORE": 11220,
+    "F_ALOAD_STORE_LOAD": 10577,
+    "F_PUSH_SUB_ALOAD_ASTORE_LOAD_PUSH_SUB_STORE": 7000,
+    "F_LOAD_GETFIELD_LOAD_GETFIELD": 11023,
+    "F_LOAD_PUSH_MOD": 17796,
+    "F_MUL_LOAD_ADD_LOAD_ADD_PUSH_MOD_STORE": 6917,
+    "F_ALOAD_MUL_PUSH_DIV_ADD_STORE": 7149,
+    "F_STORE_DUP_GUARD_METHOD_JIF": 7195,
+    "F_GE_DUP_JIF": 5869,
+    "F_LOAD_LOAD_GETFIELD_LT_JIF": 19186,
+    "F_ASTORE_LOAD_PUSH_ADD_STORE": 8666,
+    "F_LOAD_LOAD_GETFIELD_PUSH_ADD_PUTFIELD": 6888,
+    "F_LOAD_GETFIELD_LOAD_ALOAD_LOAD_LOAD": 9028,
+    "F_PUSH_MOD": 8738,
+    "F_LOAD_LOAD_GETFIELD_LOAD_LOAD_SUB_ALOAD_LOAD": 3943,
+    "F_LOAD_PUSH_LT_JIF": 15486,
+    "F_LOAD_GETFIELD_PUSH_NULL_EQ_JIF": 4736,
+    "F_LT_DUP_JIF": 8868,
+    "F_LOAD_GETFIELD_LOAD_ALOAD_STORE_LOAD_LOAD": 8291,
+    "F_STORE_LOAD_LOAD_GETFIELD_NE_JIF": 4841,
+    "F_LOAD_LOAD_GETFIELD_LOAD_ALOAD_LOAD_GETFIELD_LOAD": 7149,
+    "F_LOAD_GETFIELD_LOAD_NE_JIF": 6079,
+    "F_POP_LOAD_GETFIELD_LOAD_GETFIELD_ALOAD_PUSH": 4993,
+    "F_PUSH_EQ_JIF": 5535,
+    "F_POP_LOAD_LOAD_LT": 5911,
+    "F_LOAD_LOAD_PUSH_MOD_ADD": 6132,
+    "F_LOAD_SUB_ALOAD_ASTORE_LOAD_LOAD_SUB_STORE": 1710,
+    "F_LOAD_PUSH_GT_JIF": 7319,
+    "F_ALOAD_STORE_LOAD_LOAD_GE_DUP_JIF": 4750,
+    "F_LOAD_LOAD_PUTFIELD": 8216,
+    "F_STORE_STORE_STORE_LOAD_GETFIELD_JIF": 2091,
+    "F_POP_LOAD_LOAD_PUSH_SUB_LT": 2566,
+    "F_LOAD_LOAD_PUSH_LOAD_LOAD_ADD_PUSH_MOD": 2552,
+    "F_ALOAD_STORE_LOAD_LOAD_GETFIELD_PUSH_ADD_PUTFIELD": 1903,
+    "F_STORE_LOAD_LOAD_MUL_PUSH_DIV_LOAD_LOAD": 1325,
+    "F_LOAD_LOAD_ALOAD_ASTORE_LOAD_PUSH_ADD_STORE": 4179,
+    "F_LOAD_PUSH_MUL_LOAD_GETFIELD_LOAD_GETFIELD_ALOAD": 2904,
+    "F_LOAD_PUSH_MOD_ASTORE_LOAD_PUSH_ADD_STORE": 7978,
+    "F_MUL_LOAD_ADD_PUSH_MOD_STORE": 3912,
+    "F_PUSH_STORE": 7629,
+    "F_NEW_DUP": 5982,
+    "F_LOAD_LOAD_GT_JIF": 3379,
+    "F_STORE_LOAD_PUSH_GE_JIF": 1767,
+    "F_LOAD_GETFIELD_LOAD_LOAD_GETFIELD_LOAD": 8710,
+    "F_LOAD_GETFIELD_LOAD_GETFIELD_SUB": 5329,
+    "F_LOAD_GETFIELD_LOAD_GETFIELD_ARRAY_LEN_GE_JIF": 1916,
+    "F_LOAD_PUSH_EQ_JIF": 2324,
+    "F_STORE_LOAD_PUSH_LE_DUP_JUMP_IF_TRUE": 1318,
+    "F_LOAD_GETFIELD_STORE": 5189,
+    "F_LOAD_LOAD_SUB_STORE_LOAD_PUSH_LT_JIF": 2221,
 }
 
 
@@ -206,26 +231,21 @@ def _message_literal(template: str, names: dict | None) -> str:
     return f'f"{template}"'
 
 
-def _fault_raise(
-    em: Emitter,
-    fault,
-    pc_expr: str = "pc",
-    time_expr: str = "time",
-    steps_expr: str = "steps",
-    names: dict | None = None,
-) -> None:
+def _fault_raise(em: Emitter, error: str, message: str, pc_expr: str = "pc") -> None:
     """THE fault raise site.  Every guest fault in the generated loop is
-    emitted here: one ``raise self._fault(...)`` carrying the spec's
-    exception class and message plus the full counter sync
+    emitted here: one ``raise self._fault(...)`` carrying the exception
+    class and message (source expressions) plus the full counter sync
     (FAULT_SYNCED_COUNTERS — _fault writes them all back)."""
     em(f"raise self._fault(")
     with em.indent():
-        em(f"{fault.error}, {_message_literal(fault.message, names)},")
-        em(
-            f"{time_expr}, {steps_expr}, call_count, fused_n, deopts, "
-            f"frame, method, {pc_expr}"
-        )
+        em(f"{error}, {message},")
+        em(f"time, steps, call_count, fused_n, deopts, frame, method, {pc_expr}")
     em(")")
+
+
+def _spec_raise(em: Emitter, fault, names: dict | None = None) -> None:
+    """Raise ``fault`` (a FaultSpec) at ``pc``."""
+    _fault_raise(em, fault.error, _message_literal(fault.message, names))
 
 
 def _step_limit_raise(em: Emitter, pc_expr: str = "pc") -> None:
@@ -331,6 +351,9 @@ deopts = self.fusion_deopts
 #: a fused group; reset when the tick fires.  The tick always
 #: fires inside the group, so this never survives a frame switch.
 dequickened = False
+#: (exception class, message, component) of a fused arm's guest fault,
+#: which the arm leaves the loop to raise.
+fault = None
 """
 
 _PREAMBLE_IC = """
@@ -439,17 +462,6 @@ def _operand_exprs(fid: int):
     names = [f"{field}{comp}" for field, comp in rest]
     exprs.update(zip(rest, names))
     return exprs, f"{', '.join(names)} = fbarg[pc]" if names else None
-
-
-def _mid_group_refund(idx: int, arity: int) -> tuple[str, str, str]:
-    """Fault attribution for component ``idx`` of an ``arity``-wide
-    group: the pc of the faulting component, and the head's up-front
-    charge minus the trailing components the raw run never reached."""
-    trailing = list(range(idx + 1, arity))
-    time_expr = "time" + "".join(f" - costs[pc + {j}]" for j in trailing)
-    steps_expr = f"steps - {len(trailing)}" if trailing else "steps"
-    pc_expr = f"pc + {idx}" if idx else "pc"
-    return time_expr, steps_expr, pc_expr
 
 
 #: optemplates' names for VM tables and loop state, as the preamble binds them.
@@ -598,15 +610,16 @@ class ArmContext(optemplates.EmitContext):
         self.w(f"locals_[{slot}] = {bare(self._forward(value, vstack))}")
 
     def guard(self, modes, vstack, operands) -> None:
-        time_expr, steps_expr, pc_expr = _mid_group_refund(self.idx, self.arity)
         for fault, test, names in modes:
             self.w(f"if {test}:")
             with self.em.indent():
-                if self.idx + 1 < self.arity:
-                    self.w("# Fault mid-group: attribute the raw pc and")
-                    self.w("# give back the trailing components' charge")
-                    self.w("# (the raw run never reached them).")
-                _fault_raise(self.em, fault, pc_expr, time_expr, steps_expr, names)
+                if self.arity == 1:
+                    _spec_raise(self.em, fault, names)
+                else:
+                    # The loop's one group-fault tail raises it.
+                    message = _message_literal(fault.message, names)
+                    self.w(f"fault = {fault.error}, {message}, {self.idx}")
+                    self.w("break")
 
     def flush(self, live=()) -> None:
         """Write the symbolic stack back: the bottom value over the
@@ -866,6 +879,18 @@ time += cost
 fused_n += 1
 """
 
+#: A superinstruction faulted at component ``off``.  Its head charged
+#: the whole group up front; the raw run never reached the trailing
+#: components, so their charge and steps are given back and the fault
+#: is attributed to the component's own pc — a fused fault transcript
+#: is bit-identical to the raw run's.
+_GROUP_FAULT = """
+error, message, off = fault
+for cost in costs[pc + off + 1 : pc + fusion.FUSED_ARITY[op]]:
+    time -= cost
+    steps -= 1
+"""
+
 #: No arm owns the number.  Every tree leaf ends in ``else: break`` and
 #: the raise sits once per path after the loop, not once per leaf.  The
 #: verifier (raw) and the fuse/loop agreement test (fused) keep both
@@ -1014,11 +1039,16 @@ def _emit_loop(em: Emitter, counting: bool) -> None:
         em()
         em("if frames:")
         with em.indent():
-            em("# A tree leaf's ``else: break``: no arm owns ``op``.")
+            em("# A tree leaf's ``else: break`` (no arm owns ``op``), or a")
+            em("# superinstruction's guest fault.")
             em("if op < FUSE_BASE:")
             with em.indent():
-                _fault_raise(em, _UNKNOWN_OPCODE)
-            _fault_raise(em, _UNKNOWN_SUPER)
+                _spec_raise(em, _UNKNOWN_OPCODE)
+            em("if fault is None:")
+            with em.indent():
+                _spec_raise(em, _UNKNOWN_SUPER)
+            em.raw(_GROUP_FAULT)
+            _fault_raise(em, "error", "message", "pc + off")
         em("self.time = time")
         em("self.steps = steps")
         em("self.call_count = call_count")
@@ -1132,61 +1162,98 @@ def _count_benchsuite():
     return programs
 
 
-def _saved(by_head, ops, code, counts) -> float:
-    """Dispatches the matcher saves on one run: each group dispatches once
-    where its components dispatched one by one."""
-    return sum(
-        sum(counts[head:stop]) - counts[head]
-        for head, _fid, stop in fusion.groups(by_head, code, ops, 0, len(ops))
-    )
+def _walk(by_head, code, ops, counts, pc=0, extra=(), wide=0):
+    """The matcher's walk over one run from ``pc`` (what
+    :func:`repro.vm.fuse.groups` does, plus a window of width ``wide``
+    that matches at the pcs in ``extra``): the saving of each group it
+    forms, in order, and each pc it stops at -> ``(groups formed before,
+    width matched there)``, width 1 where none matched."""
+    gains: list = []
+    stops: dict = {}
+    end = len(ops)
+    while pc < end:
+        width = 1
+        for seq, _fid, divisors, _tail in by_head.get(ops[pc], ()):
+            stop = pc + len(seq)
+            if (
+                stop <= end
+                and tuple(ops[pc:stop]) == seq
+                and all(code[pc + i].a != 0 for i in divisors)
+            ):
+                width = len(seq)
+                break
+        if wide > width and pc in extra:
+            width = wide
+        stops[pc] = (len(gains), width)
+        if width > 1:
+            gains.append(sum(counts[pc : pc + width]) - counts[pc])
+        pc += width
+    return gains, stops
 
 
 def _choose_windows(programs) -> dict[tuple[int, ...], int]:
-    """Greedy: each round, the fusion-legal window of two to four ops that
-    saves the most dispatches when :func:`repro.vm.fuse.groups` runs over
-    the counts with it added to those already chosen (each program's
-    counts scaled by its total, so every program weighs the same); stop
-    at ``MAX_WINDOWS`` or below ``MIN_SAVING_PPM``.  Window -> its saving
-    in parts per million of all unfused dispatches."""
+    """Greedy: each round, the fusion-legal window of two to
+    ``MAX_WIDTH`` ops that saves the most dispatches when
+    :func:`repro.vm.fuse.groups` runs over the counts with it added to
+    those already chosen (each program's counts scaled by its total, so
+    every program weighs the same); stop at ``MAX_WINDOWS`` or below
+    ``MIN_SAVING_PPM``.  Window -> its saving in parts per million of
+    all unfused dispatches."""
     runs: dict = {}
     for hist, program_runs in programs:
         scale = 1_000_000 / (sum(hist) * len(programs))
         for key, (code, counts) in program_runs.items():
             merged = runs.setdefault(key, [code, [0.0] * len(counts)])
             merged[1] = [x + y * scale for x, y in zip(merged[1], counts)]
-    where: dict = {}  # window -> the runs it occurs in
+    where: dict = {}  # window -> run -> the pcs the matcher may form it at
     for key in runs:
         ops = key[0]
-        for width in (2, 3, 4):
-            for i in range(len(ops) - width + 1):
-                where.setdefault(ops[i : i + width], {})[key] = None
+        for width in range(2, fusion.MAX_WIDTH + 1):
+            for pc in range(len(ops) - width + 1):
+                where.setdefault(ops[pc : pc + width], {}).setdefault(key, []).append(pc)
     within: dict = {}  # run -> the windows occurring in it
     for window, keys in where.items():
-        for key in keys:
+        divisors = fusion.divisor_pushes(window)
+        for key, at in keys.items():
+            code = runs[key][0]
+            at[:] = [pc for pc in at if all(code[pc + i].a != 0 for i in divisors)]
             within.setdefault(key, []).append(window)
 
     # A window's gain is the sum of what it adds on each run it occurs in;
     # choosing one changes only the runs it occurs in, so only the
-    # windows sharing one of those are re-simulated, and only there.
+    # windows sharing one of those are re-evaluated, and only there.  The
+    # matcher's walk with the chosen windows is kept per run: a candidate
+    # changes it only from the first pc the walk stops at where the
+    # candidate matches wider, so only the rest is walked again.
     chosen: dict[tuple[int, ...], int] = {}
-    adds = {
-        (window, key): _saved(fusion.index([window]), key[0], *runs[key])
-        for window, keys in where.items()
-        for key in keys
-    }
+    by_head = fusion.index(chosen)
+    walks = {key: _walk(by_head, runs[key][0], key[0], runs[key][1]) for key in runs}
+
+    def added(window, key):
+        """What ``window`` adds to the chosen windows' saving on run ``key``."""
+        gains, stops = walks[key]
+        at = where[window][key]
+        for pc in at:
+            if pc in stops and stops[pc][1] < len(window):
+                code, counts = runs[key]
+                rest, _stops = _walk(by_head, code, key[0], counts, pc, at, len(window))
+                return sum(gains[: stops[pc][0]] + rest) - sum(gains)
+        return 0.0
+
+    adds = {(window, key): added(window, key) for window, keys in where.items() for key in keys}
     gain = {window: sum(adds[window, key] for key in keys) for window, keys in where.items()}
     while gain and len(chosen) < fusion.MAX_WINDOWS:
         best = max(gain, key=lambda window: (round(gain[window]), window))
         if round(gain[best]) < fusion.MIN_SAVING_PPM:
             break
         chosen[best] = round(gain.pop(best))
+        by_head = fusion.index(chosen)
         touched = set()
         for key in where[best]:
-            now = _saved(fusion.index(chosen), key[0], *runs[key])
+            walks[key] = _walk(by_head, runs[key][0], key[0], runs[key][1])
             for window in within[key]:
                 if window in gain:
-                    with_it = _saved(fusion.index([*chosen, window]), key[0], *runs[key])
-                    adds[window, key] = with_it - now
+                    adds[window, key] = added(window, key)
                     touched.add(window)
         for window in touched:
             gain[window] = sum(adds[window, key] for key in where[window])
@@ -1254,7 +1321,8 @@ def main(argv=None) -> int:
         print("# repro/vm/fuse.py")
         print("WINDOWS = {")
         for window, ppm in windows.items():
-            print(f"    ({', '.join(f'{name!r}' for name in window)}): {ppm},")
+            names = ", ".join(f'"{name}"' for name in window)
+            print(f"    ({names}): {ppm},")
         print("}")
         print("# repro/vm/dispatchgen.py")
         print("ARM_WEIGHTS = {")

@@ -4,9 +4,9 @@ The interpreter's dominant host-level cost is dispatch: one trip around
 the ``while`` loop per bytecode.  Following Piumarta & Riccardi's
 selective inlining (PLDI 1998) and Brunthaler's interpreter quickening
 (ECOOP 2010), :func:`fuse_method` rewrites a compiled method's flat
-opcode array so that frequent adjacent windows of two to four
-instructions dispatch as a single *superinstruction* whose handler does
-the combined work.
+opcode array so that frequent adjacent windows of two to
+:data:`MAX_WIDTH` instructions dispatch as a single *superinstruction*
+whose handler does the combined work.
 
 **The windows are measured, not written.**  ``python -m
 repro.vm.dispatchgen --measure`` counts the dispatches of every pc of
@@ -19,8 +19,11 @@ the best one left saves under :data:`MIN_SAVING_PPM`.  The choice is
 committed as :data:`WINDOWS`, beside what each window saved.  Ids,
 names, the packed operand layout and the zero-divisor guard are derived
 from the components' :class:`~repro.bytecode.opcodes.OpSpec` rows, and
-so is every dispatch arm (:mod:`repro.vm.dispatchgen`); a tier-1 test
-fails when the committed table is not what measurement prints.
+so is every dispatch arm (:mod:`repro.vm.dispatchgen`) and the set of
+opcodes any window uses (:data:`FUSABLE_OPS`); a tier-1 test fails when
+the committed table is not what measurement prints.  Every window is
+one more arm in the generated loop, so :data:`MAX_WINDOWS` is set by
+the loop's size: each process without a bytecode cache compiles it.
 
 Fusion is a pure dispatch-level rewrite; it must be **unobservable** in
 everything the paper measures (virtual time, timer ticks, yieldpoints,
@@ -65,12 +68,15 @@ from the unfused path, guest-visible ``VMError`` behavior does not.
 
 from __future__ import annotations
 
-from repro.bytecode.opcodes import FUSABLE_OPS, OPCODE_SPECS, SPEC_BY_OP, Op, jump_targets
+from repro.bytecode.opcodes import OPCODE_SPECS, SPEC_BY_OP, Op, jump_targets
 
 #: First superinstruction id; everything below is a raw :class:`Op`.
 FUSE_BASE = 100
-#: The greedy choice stops at this many windows ...
-MAX_WINDOWS = 37
+#: The widest window measurement considers, in instructions.
+MAX_WIDTH = 8
+#: The greedy choice stops at this many windows (the generated loop
+#: grows by one arm per window; docs/PERFORMANCE.md, "Eight wide") ...
+MAX_WINDOWS = 60
 #: ... or when the best window left saves fewer dispatches than this, in
 #: parts per million.
 MIN_SAVING_PPM = 1000
@@ -89,36 +95,59 @@ WINDOWS = {
     ("ADD", "PUSH", "MOD", "STORE"): 31873,
     ("LT", "JUMP_IF_FALSE"): 30646,
     ("LOAD", "LOAD", "GETFIELD"): 20671,
-    ("LOAD", "GETFIELD"): 15098,
+    ("LOAD", "GETFIELD", "MOD", "ALOAD", "GETFIELD", "PUSH", "LT", "JUMP_IF_FALSE"): 17300,
     ("LOAD", "LOAD", "LT", "JUMP_IF_FALSE"): 12775,
+    ("LOAD", "GETFIELD"): 12214,
+    ("LOAD", "PUSH", "MUL", "PUSH", "ADD", "PUSH", "MOD", "STORE"): 11892,
     ("ALOAD", "STORE", "LOAD"): 11150,
+    ("PUSH", "SUB", "ALOAD", "ASTORE", "LOAD", "PUSH", "SUB", "STORE"): 9985,
     ("LOAD", "GETFIELD", "LOAD", "GETFIELD"): 9949,
-    ("LOAD", "PUSH", "MUL"): 9448,
     ("LOAD", "PUSH", "MOD"): 9015,
-    ("MOD", "ALOAD", "GETFIELD", "PUSH"): 8650,
+    ("MUL", "LOAD", "ADD", "LOAD", "ADD", "PUSH", "MOD", "STORE"): 8609,
+    ("ALOAD", "MUL", "PUSH", "DIV", "ADD", "STORE"): 8498,
     ("STORE", "DUP", "GUARD_METHOD", "JUMP_IF_FALSE"): 8438,
     ("GE", "DUP", "JUMP_IF_FALSE"): 8012,
+    ("LOAD", "LOAD", "GETFIELD", "LT", "JUMP_IF_FALSE"): 7257,
+    ("ASTORE", "LOAD", "PUSH", "ADD", "STORE"): 7132,
+    ("LOAD", "LOAD", "GETFIELD", "PUSH", "ADD", "PUTFIELD"): 6955,
+    ("LOAD", "GETFIELD", "LOAD", "ALOAD", "LOAD", "LOAD"): 6867,
     ("PUSH", "MOD"): 6428,
-    ("PUSH", "ADD", "PUTFIELD"): 6159,
+    ("LOAD", "LOAD", "GETFIELD", "LOAD", "LOAD", "SUB", "ALOAD", "LOAD"): 6083,
     ("LOAD", "PUSH", "LT", "JUMP_IF_FALSE"): 6081,
+    ("LOAD", "GETFIELD", "PUSH_NULL", "EQ", "JUMP_IF_FALSE"): 5874,
     ("LT", "DUP", "JUMP_IF_FALSE"): 5826,
-    ("EQ", "JUMP_IF_FALSE"): 5279,
-    ("ALOAD", "MUL", "PUSH", "DIV"): 5099,
-    ("PUSH", "SUB", "ALOAD", "ASTORE"): 4993,
-    ("SUB", "STORE"): 4461,
+    ("LOAD", "GETFIELD", "LOAD", "ALOAD", "STORE", "LOAD", "LOAD"): 5637,
+    ("STORE", "LOAD", "LOAD", "GETFIELD", "NE", "JUMP_IF_FALSE"): 5132,
+    ("LOAD", "LOAD", "GETFIELD", "LOAD", "ALOAD", "LOAD", "GETFIELD", "LOAD"): 5099,
+    ("LOAD", "GETFIELD", "LOAD", "NE", "JUMP_IF_FALSE"): 5026,
+    ("POP", "LOAD", "GETFIELD", "LOAD", "GETFIELD", "ALOAD", "PUSH"): 4518,
+    ("PUSH", "EQ", "JUMP_IF_FALSE"): 4377,
     ("POP", "LOAD", "LOAD", "LT"): 4330,
-    ("LOAD", "ADD", "LOAD"): 4305,
-    ("LOAD", "PUSH", "MUL", "PUSH"): 4245,
-    ("NE", "JUMP_IF_FALSE"): 4224,
-    ("ALOAD", "LOAD", "LOAD"): 3995,
+    ("LOAD", "LOAD", "PUSH", "MOD", "ADD"): 4201,
+    ("LOAD", "SUB", "ALOAD", "ASTORE", "LOAD", "LOAD", "SUB", "STORE"): 3957,
     ("LOAD", "PUSH", "GT", "JUMP_IF_FALSE"): 3488,
-    ("ADD", "STORE"): 3464,
+    ("ALOAD", "STORE", "LOAD", "LOAD", "GE", "DUP", "JUMP_IF_FALSE"): 3293,
     ("LOAD", "LOAD", "PUTFIELD"): 3182,
-    ("SUB", "ALOAD", "LOAD"): 3042,
-    ("ALOAD", "STORE", "LOAD", "LOAD"): 3021,
-    ("LOAD", "LOAD", "PUSH", "MOD"): 2981,
-    ("LOAD", "LOAD", "ALOAD", "ASTORE"): 2911,
-    ("STORE", "LOAD", "LOAD", "GETFIELD"): 2805,
+    ("STORE", "STORE", "STORE", "LOAD", "GETFIELD", "JUMP_IF_FALSE"): 3108,
+    ("POP", "LOAD", "LOAD", "PUSH", "SUB", "LT"): 3066,
+    ("LOAD", "LOAD", "PUSH", "LOAD", "LOAD", "ADD", "PUSH", "MOD"): 3049,
+    ("ALOAD", "STORE", "LOAD", "LOAD", "GETFIELD", "PUSH", "ADD", "PUTFIELD"): 3046,
+    ("STORE", "LOAD", "LOAD", "MUL", "PUSH", "DIV", "LOAD", "LOAD"): 2981,
+    ("LOAD", "LOAD", "ALOAD", "ASTORE", "LOAD", "PUSH", "ADD", "STORE"): 2911,
+    ("LOAD", "PUSH", "MUL", "LOAD", "GETFIELD", "LOAD", "GETFIELD", "ALOAD"): 2681,
+    ("LOAD", "PUSH", "MOD", "ASTORE", "LOAD", "PUSH", "ADD", "STORE"): 2619,
+    ("MUL", "LOAD", "ADD", "PUSH", "MOD", "STORE"): 2611,
+    ("PUSH", "STORE"): 2579,
+    ("NEW", "DUP"): 2532,
+    ("LOAD", "LOAD", "GT", "JUMP_IF_FALSE"): 2408,
+    ("STORE", "LOAD", "PUSH", "GE", "JUMP_IF_FALSE"): 2385,
+    ("LOAD", "GETFIELD", "LOAD", "LOAD", "GETFIELD", "LOAD"): 2324,
+    ("LOAD", "GETFIELD", "LOAD", "GETFIELD", "SUB"): 2311,
+    ("LOAD", "GETFIELD", "LOAD", "GETFIELD", "ARRAY_LEN", "GE", "JUMP_IF_FALSE"): 2302,
+    ("LOAD", "PUSH", "EQ", "JUMP_IF_FALSE"): 2266,
+    ("STORE", "LOAD", "PUSH", "LE", "DUP", "JUMP_IF_TRUE"): 2180,
+    ("LOAD", "GETFIELD", "STORE"): 2166,
+    ("LOAD", "LOAD", "SUB", "STORE", "LOAD", "PUSH", "LT", "JUMP_IF_FALSE"): 2156,
 }
 
 # -- placement ------------------------------------------------------------------
@@ -254,12 +283,8 @@ CONTROL_FUSED_IDS = frozenset(
     fid for fid, seq in FUSED_COMPONENTS.items() if PLACEMENT[seq[-1]] == _LAST
 )
 
-_used = {op for seq in _COMPONENTS for op in seq}
-if _used != FUSABLE_OPS:  # pragma: no cover - table edit
-    raise AssertionError(
-        "OpSpec.fusable must mark exactly the ops the measured windows use: "
-        f"{sorted(op.name for op in _used ^ FUSABLE_OPS)}"
-    )
+#: The opcodes some measured window uses (``disasm --spec`` notes them).
+FUSABLE_OPS = frozenset(op for seq in _COMPONENTS for op in seq)
 
 
 def fuse_method(code, ops, costs, control: bool = True):

@@ -31,33 +31,33 @@ from tests.vm.test_dispatch_tree import arm_spans
 ARM_SIZES = {
     "JUMP": 121,
     ("LOAD", "PUSH", "ADD", "STORE"): 26,
-    ("LOAD", "GETFIELD", "LOAD"): 66,
-    ("LOAD", "LOAD"): 30,
-    "STORE": 15,
-    "JUMP_IF_FALSE": 72,
     "IC_CALL_VIRTUAL": 620,
-    "PUSH": 14,
-    ("LOAD", "LOAD", "GETFIELD"): 60,
-    "LOAD": 16,
-    ("LOAD", "GETFIELD"): 46,
+    "STORE": 15,
+    ("LOAD", "LOAD"): 30,
     ("LOAD", "LOAD", "LT", "JUMP_IF_FALSE"): 55,
-    ("LT", "JUMP_IF_FALSE"): 55,
-    ("ADD", "PUSH", "MOD", "STORE"): 86,
-    ("LOAD", "PUSH", "MOD"): 72,
-    ("LOAD", "GETFIELD", "LOAD", "GETFIELD"): 101,
+    "JUMP_IF_FALSE": 72,
+    ("LOAD", "GETFIELD", "LOAD"): 48,
+    "PUSH": 14,
+    "LOAD": 16,
     ("LOAD", "PUSH"): 28,
-    "ASTORE": 82,
-    ("ALOAD", "STORE", "LOAD", "LOAD"): 144,
-    "ALOAD": 78,
+    ("LOAD", "LOAD", "GETFIELD", "LT", "JUMP_IF_FALSE"): 72,
     "RETURN_VAL": 109,
+    ("LOAD", "GETFIELD"): 36,
+    ("LOAD", "PUSH", "MOD"): 62,
     "ADD": 21,
     ("LOAD", "PUSH", "LT", "JUMP_IF_FALSE"): 53,
+    "MUL": 21,
+    ("LOAD", "PUSH", "MUL", "PUSH", "ADD", "PUSH", "MOD", "STORE"): 68,
+    ("LOAD", "GETFIELD", "LOAD", "GETFIELD"): 67,
+    ("ALOAD", "STORE", "LOAD"): 76,
+    ("ADD", "PUSH", "MOD", "STORE"): 68,
     "POP": 11,
-    ("LOAD", "PUSH", "MUL"): 24,
+    ("LOAD", "LOAD", "GETFIELD"): 50,
     "SUB": 21,
-    ("LOAD", "PUSH", "MUL", "PUSH"): 34,
-    ("SUB", "STORE"): 26,
+    "ALOAD": 78,
     "RETURN": 98,
+    ("LT", "JUMP_IF_FALSE"): 55,
+    "ASTORE": 82,
     "IC_CALL_STATIC": 360,
     "CALL_VIRTUAL": 375,
     "CALL_STATIC": 309,

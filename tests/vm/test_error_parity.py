@@ -186,7 +186,9 @@ end
 
 
 #: The first table's ``LOAD; GETFIELD; STORE`` shape: ``PUSH 1; POP``
-#: fences it, and it now quickens to ``LOAD; GETFIELD`` and a raw ``STORE``.
+#: fences it, and it quickens to the one superinstruction ``LOAD;
+#: GETFIELD; STORE``; a ``NOP`` at ``{fence}`` leaves ``LOAD; GETFIELD``
+#: and two raw ops.
 NULL_FIELD_STORE = """
 class P fields v
 func main/0 locals=2 void
@@ -198,7 +200,7 @@ func main/0 locals=2 void
   POP
   LOAD 0
   GETFIELD P.v
-  STORE 1
+  {fence}STORE 1
   RETURN
 end
 """
@@ -231,4 +233,14 @@ def test_fused_getfield_null_matches_raw():
 def test_fused_getfield_store_null_matches_raw():
     """A null fault at the last component of a group, with the raw
     ``STORE`` after it never reached, charges what the raw run does."""
-    _assert_null_field_matches_raw(NULL_FIELD_STORE, ("LOAD", "GETFIELD"))
+    _assert_null_field_matches_raw(
+        NULL_FIELD_STORE.format(fence="NOP\n  "), ("LOAD", "GETFIELD")
+    )
+
+
+def test_fused_getfield_store_null_refunds_the_store():
+    """The whole shape fused: the fault at the interior ``GETFIELD``
+    gives back the ``STORE`` the head charged up front."""
+    _assert_null_field_matches_raw(
+        NULL_FIELD_STORE.format(fence=""), ("LOAD", "GETFIELD", "STORE")
+    )

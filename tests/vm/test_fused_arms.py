@@ -27,11 +27,12 @@ ticks, calls and the fault tuple
   trailing components' charge given back).  The bad argument is found
   by trying each parameter against a small pool of bad values.
 
-The first, hand-picked table's windows that measurement dropped stay
-under test by their names: whatever of the measured table matches
-inside one quickens, and the loop must still run the shape like the
-spec, with a tick on each of its components and a fault in each of
-its faultable ones.
+The windows of earlier tables that measurement dropped — the first,
+hand-picked table's and the four-wide measured one's — stay under test
+by their names: whatever of the measured table matches inside one
+quickens, and the loop must still run the shape like the spec, with a
+tick on each of its components and a fault in each of its faultable
+ones.
 """
 
 from __future__ import annotations
@@ -50,11 +51,14 @@ from tests.helpers import run_transcript
 CALLS = 24
 
 #: main's locals: every argument ``subject`` is ever passed.  ``hollow``
-#: is a Point with ``x`` 0 and null ``p``/``arr``; ``zeros``/``nulls``
-#: are arrays of zeros and of nulls.
+#: is a Point with ``x`` 0 and null ``p``/``arr``; ``far`` is a Point
+#: whose ``x`` indexes past every array, whose ``p`` is itself and whose
+#: ``arr`` is empty, so an index or an array a window reads from a field
+#: can be out of bounds; ``zeros``/``nulls`` are arrays of zeros and of
+#: nulls.
 POOL = (
     "point", "rising", "mid", "ints", "points", "sink", "null", "zero",
-    "big", "hollow", "empty", "zeros", "nulls", "i",
+    "big", "hollow", "empty", "zeros", "nulls", "i", "far",
 )
 SLOT = {name: slot for slot, name in enumerate(POOL)}
 #: Parameter type -> its argument on an ordinary call.
@@ -62,7 +66,7 @@ GOOD = {"obj": "point", "ints": "ints", "points": "points", "sink": "sink"}
 #: Parameter type -> the bad arguments a faulting last call tries.
 BAD = {
     "int": ("zero", "big"),
-    "obj": ("null", "hollow"),
+    "obj": ("null", "hollow", "far"),
     "ints": ("null", "empty", "zeros"),
     "points": ("null", "empty", "nulls"),
     "sink": ("null", "empty"),
@@ -89,10 +93,20 @@ FIRST_TABLE = (
     *(("LOAD", "PUSH", cmp, "JUMP_IF_FALSE") for cmp in ("LT", "LE", "GT", "GE", "EQ", "NE")),
     *(("LOAD", "LOAD", cmp, "JUMP_IF_FALSE") for cmp in ("LT", "LE", "GT", "GE")),
 )
+#: The windows of two to four ops the eight-wide measurement dropped.
+FOUR_WIDE_TABLE = (
+    ("LOAD", "PUSH", "MUL"), ("MOD", "ALOAD", "GETFIELD", "PUSH"),
+    ("PUSH", "ADD", "PUTFIELD"), ("EQ", "JUMP_IF_FALSE"), ("ALOAD", "MUL", "PUSH", "DIV"),
+    ("PUSH", "SUB", "ALOAD", "ASTORE"), ("SUB", "STORE"), ("LOAD", "ADD", "LOAD"),
+    ("LOAD", "PUSH", "MUL", "PUSH"), ("NE", "JUMP_IF_FALSE"), ("ALOAD", "LOAD", "LOAD"),
+    ("ADD", "STORE"), ("SUB", "ALOAD", "LOAD"), ("ALOAD", "STORE", "LOAD", "LOAD"),
+    ("LOAD", "LOAD", "PUSH", "MOD"), ("LOAD", "LOAD", "ALOAD", "ASTORE"),
+    ("STORE", "LOAD", "LOAD", "GETFIELD"),
+)
 #: Window -> its superinstruction id; a dropped window has none.
 FIDS = {names: fuse.FUSE_BASE + i for i, names in enumerate(fuse.WINDOWS)}
 #: Every window under test: the measured table's, then the dropped ones.
-SUBJECTS = (*fuse.WINDOWS, *(names for names in FIRST_TABLE if names not in FIDS))
+SUBJECTS = tuple(dict.fromkeys((*fuse.WINDOWS, *FIRST_TABLE, *FOUR_WIDE_TABLE)))
 
 
 def _window(names) -> Window:
@@ -167,6 +181,7 @@ def _program(window: Window, scenario="ints", last=None, zero_push=None):
     main = [
         *local("point", "NEW Point"),
         *local("hollow", "NEW Point"),
+        *local("far", "NEW Point"),
         *local("ints", f"PUSH {LENGTH}", "NEW_ARRAY"),
         *local("points", f"PUSH {LENGTH}", "NEW_ARRAY"),
         *local("nulls", f"PUSH {LENGTH}", "NEW_ARRAY"),
@@ -184,6 +199,9 @@ def _program(window: Window, scenario="ints", last=None, zero_push=None):
         "LOAD 0", "PUSH 0", "PUTFIELD Point.w",
         f"LOAD {SLOT['hollow']}", "PUSH_NULL", "PUTFIELD Point.p",
         f"LOAD {SLOT['hollow']}", "PUSH_NULL", "PUTFIELD Point.arr",
+        f"LOAD {SLOT['far']}", "PUSH 999", "PUTFIELD Point.x",
+        f"LOAD {SLOT['far']}", f"LOAD {SLOT['far']}", "PUTFIELD Point.p",
+        f"LOAD {SLOT['far']}", f"LOAD {SLOT['empty']}", "PUTFIELD Point.arr",
         "label fill",
         *fill("ints", f"LOAD {SLOT['i']}", "PUSH 1", "ADD"),
         *fill("points", "LOAD 0"),
