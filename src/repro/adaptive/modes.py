@@ -23,7 +23,6 @@ def jit_only_cache(
     level: int = 0,
     fuse: bool = True,
     ic: bool = True,
-    paths: bool = False,
 ) -> CodeCache:
     """A code cache with every method precompiled at ``level``.
 
@@ -33,10 +32,9 @@ def jit_only_cache(
 
     ``fuse`` and ``ic`` control superinstruction fusion and inline
     caches (host-level dispatch only; never affect calling behavior or
-    profiles).  ``paths`` compiles path-instrumentable code (see
-    :mod:`repro.profiling.paths`).
+    profiles).
     """
-    cache = CodeCache(program, cost_model, fuse=fuse, ic=ic, paths=paths)
+    cache = CodeCache(program, cost_model, fuse=fuse, ic=ic)
     if level == 0:
         policy = TrivialOnlyPolicy(program)
     elif level == 1:

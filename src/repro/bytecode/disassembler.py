@@ -185,80 +185,6 @@ def disassemble_ic(program: Program) -> str:
     return "\n".join(lines) + "\n"
 
 
-def disassemble_paths(program: Program) -> str:
-    """Render the Ball-Larus path view of every method.
-
-    Shows what the path profiler derives from each baseline method
-    before any execution: the CFG blocks, every numbered DAG edge with
-    its increment value, the back edges (and their dummy-edge rewrite),
-    the total acyclic path count, and — when the minimum-coverage
-    placement applies — which edges are chords (instrumented) versus
-    spanning-tree edges (free).  Debugging aid for the path subsystem
-    (``repro-mini disasm --paths``); not assembler round-trippable.
-    """
-    # Imported lazily, like the other special views: a debugging view
-    # over the profiling layer, not part of the assembler round-trip.
-    from repro.profiling.paths import PATH_LIMIT, numbering_for_code
-    from repro.profiling.pathplace import place_counters
-
-    lines: list[str] = []
-    total_paths = 0
-    total_edges = 0
-    total_chords = 0
-    overflowed = 0
-    for function in program.functions:
-        numbering = numbering_for_code(function.code)
-        if numbering.overflow:
-            overflowed += 1
-            lines.append(
-                f"{function.qualified_name}/{function.num_params}: "
-                f"path space exceeds {PATH_LIMIT}; not instrumented"
-            )
-            lines.append("")
-            continue
-        placement = place_counters(numbering)
-        chords = placement.chords if placement is not None else None
-        # Only forward-branch chords cost a runtime increment; back-edge
-        # and return increments fold into records that happen anyway.
-        branches = [e for e in numbering.edges if e.kind == "branch"]
-        chord_count = (
-            sum(1 for e in branches if e.id in chords)
-            if chords is not None
-            else len(branches)
-        )
-        total_paths += numbering.num_paths
-        total_edges += len(numbering.edges)
-        total_chords += chord_count
-        lines.append(
-            f"{function.qualified_name}/{function.num_params}: "
-            f"{len(numbering.blocks)} blocks, {numbering.num_paths} paths, "
-            f"{len(numbering.back_edges)} back edges, "
-            f"{chord_count}/{len(branches)} branch increments placed"
-        )
-        for node, (start, end) in enumerate(numbering.blocks, start=1):
-            lines.append(f"  block {node}: pc {start}..{end}")
-        names = {numbering.entry: "ENTRY", numbering.exit: "EXIT"}
-        for edge in numbering.edges:
-            u = names.get(edge.u, f"b{edge.u}")
-            v = names.get(edge.v, f"b{edge.v}")
-            key = "" if edge.key is None else f" key={edge.key}"
-            mark = ""
-            if chords is not None and edge.kind not in ("fall", "jump"):
-                mark = "  [chord]" if edge.id in chords else "  [tree]"
-            lines.append(
-                f"  edge {u}->{v}  {edge.kind}{key}  val={edge.val}{mark}"
-            )
-        lines.append("")
-    summary = (
-        f"total: {total_paths} acyclic paths, {total_edges} DAG edges, "
-        f"{total_chords} branch increments placed"
-    )
-    if overflowed:
-        summary += f", {overflowed} method(s) over the path limit"
-    lines.append(summary)
-    return "\n".join(lines) + "\n"
-
-
 def describe_method_plan(function: FunctionInfo, program: Program) -> str:
     """One-line compilation plan for a method: what each tier of the
     execution stack (baseline, fusion, inline caches, leaf template,
@@ -290,12 +216,7 @@ def describe_method_plan(function: FunctionInfo, program: Program) -> str:
     if method.leaf is not None:
         parts.append("leaf template")
     code = compile_method(
-        method,
-        program,
-        cache,
-        jikes_config(jit=True),
-        inline_leaves=True,
-        emit_paths=False,
+        method, program, cache, jikes_config(jit=True), inline_leaves=True
     )
     if code is None:
         parts.append("jit ineligible")
@@ -337,14 +258,7 @@ def disassemble_jit(program: Program) -> str:
     skipped = 0
     for function in program.functions:
         method = cache.methods[function.index]
-        code = compile_method(
-            method,
-            program,
-            cache,
-            config,
-            inline_leaves=True,
-            emit_paths=False,
-        )
+        code = compile_method(method, program, cache, config, inline_leaves=True)
         if code is None:
             skipped += 1
             lines.append(

@@ -6,7 +6,6 @@ Usage::
                                 [--stride N] [--samples N] [--skip-policy P]
                                 [--seed N] [--context-depth N] [--adaptive]
                                 [--opt {0,1}] [--no-fuse] [--no-ic] [--no-jit]
-                                [--paths exhaustive|mincov|cbs]
                                 [--stats] [--dcg]
                                 [--trace FILE] [--trace-format jsonl|chrome]
                                 [--publish HOST:PORT] [--publish-every K]
@@ -20,7 +19,7 @@ Usage::
     repro-mini report trace_file [--json] [--no-histograms]
     repro-mini bench [--benchmarks a,b] [--profilers cbs,timer] [--seeds 1,2]
                      [--size S] [--vm jikes|j9] [--jobs N] [--json]
-    repro-mini disasm program.mini [--fused | --ic | --paths | --jit | --spec]
+    repro-mini disasm program.mini [--fused | --ic | --jit | --spec]
                                    [--method N]
     repro-mini check program.mini
     repro-mini fuzz [--seeds N] [--jobs K] [--start S] [--vm jikes|j9]
@@ -49,12 +48,6 @@ the interpreter at tick boundaries and guard failures, keeping every
 observable bit-identical.  ``--no-jit`` turns it off, ``--stats``
 prints the ``jit:`` counter line, and ``disasm --jit`` shows the
 generated code.  See docs/JIT.md.
-
-``run --paths MODE`` attaches the Ball-Larus path profiler: every
-acyclic (back-edge-truncated) intraprocedural path is numbered and
-counted — exhaustively, with minimum-coverage counter placement
-(``mincov``), or sampled in CBS windows (``cbs``).  Path rows ride in
-saved profiles.  See docs/PATHS.md.
 
 Live observability: ``serve --http-port`` and ``run --metrics-port``
 expose ``/metrics`` (Prometheus text), ``/healthz``, and ``/status``;
@@ -136,13 +129,11 @@ def _cmd_run(args) -> int:
         args.vm,
         fuse=not args.no_fuse,
         ic=not args.no_ic,
-        paths=args.paths is not None,
         jit=not args.no_jit,
     )
 
     cache = jit_only_cache(
-        program, config.cost_model, level=args.opt, fuse=config.fuse,
-        ic=config.ic, paths=config.paths,
+        program, config.cost_model, level=args.opt, fuse=config.fuse, ic=config.ic
     )
     vm = Interpreter(program, config, cache)
 
@@ -205,16 +196,6 @@ def _cmd_run(args) -> int:
             args.profile = "cbs"
             profiler = _profiler_for(args)
             vm.attach_profiler(profiler)
-
-    path_tracker = None
-    if args.paths is not None:
-        from repro.profiling.paths import PathTracker
-
-        # After the adaptive system, which must own the tick hook first.
-        path_tracker = PathTracker(
-            mode=args.paths, stride=args.stride, samples_per_tick=args.samples
-        )
-        vm.attach_paths(path_tracker)
 
     if args.warm_start:
         # Best-effort: an unreachable server or unusable snapshot means
@@ -375,25 +356,15 @@ def _cmd_run(args) -> int:
         )
     if args.save_profile:
         source = profiler if profiler is not None else perfect
-        path_rows = path_tracker.profile if path_tracker is not None else None
-        if (source is None or isinstance(source, CBSLoopProfiler)) and (
-            path_rows is None
-        ):
+        if source is None or isinstance(source, CBSLoopProfiler):
             print(
-                "note: --save-profile needs a DCG profiler (cbs/timer), "
-                "--dcg, or --paths; nothing saved",
+                "note: --save-profile needs a DCG profiler (cbs/timer) "
+                "or --dcg; nothing saved",
                 file=sys.stderr,
             )
         else:
-            from repro.profiling.dcg import DCG
-
-            dcg = (
-                source.dcg
-                if source is not None and not isinstance(source, CBSLoopProfiler)
-                else DCG()
-            )
             try:
-                save_profile(dcg, program, args.save_profile, paths=path_rows)
+                save_profile(source.dcg, program, args.save_profile)
             except OSError as error:
                 print(
                     f"cannot write profile {args.save_profile}: {error}",
@@ -434,8 +405,6 @@ def _cmd_run(args) -> int:
                 print(
                     f"-- jit exit: {name}@{pc} {kind} x{count}", file=sys.stderr
                 )
-        if path_tracker is not None:
-            tier_line("paths", f"mode={path_tracker.mode} ")
         if publisher is not None:
             print(
                 f"-- fleet: batches_sent={publisher.batches_sent} "
@@ -460,9 +429,6 @@ def _cmd_run(args) -> int:
     elif args.dcg:
         print("-- exhaustive dynamic call graph:", file=sys.stderr)
         print(perfect.dcg.describe(program, limit=12), file=sys.stderr)
-    if path_tracker is not None:
-        print("-- path profile:", file=sys.stderr)
-        print(path_tracker.profile.describe(program, limit=8), file=sys.stderr)
     return 0
 
 
@@ -771,13 +737,10 @@ def _cmd_bench(args) -> int:
 
 def _cmd_disasm(args) -> int:
     program = _load(args.file)
-    if sum((args.fused, args.ic, args.paths, args.jit, args.spec)) > 1:
-        raise SystemExit(
-            "--fused, --ic, --paths, --jit, and --spec are separate views; "
-            "pick one"
-        )
+    if sum((args.fused, args.ic, args.jit, args.spec)) > 1:
+        raise SystemExit("--fused, --ic, --jit, and --spec are separate views; pick one")
     if args.method is not None:
-        if args.fused or args.ic or args.paths or args.jit or args.spec:
+        if args.fused or args.ic or args.jit or args.spec:
             raise SystemExit("--method applies to the plain bytecode view only")
         count = len(program.functions)
         if not 0 <= args.method < count:
@@ -803,10 +766,6 @@ def _cmd_disasm(args) -> int:
         from repro.bytecode.disassembler import disassemble_ic
 
         print(disassemble_ic(program), end="")
-    elif args.paths:
-        from repro.bytecode.disassembler import disassemble_paths
-
-        print(disassemble_paths(program), end="")
     elif args.jit:
         from repro.bytecode.disassembler import disassemble_jit
 
@@ -1092,14 +1051,6 @@ def build_parser() -> argparse.ArgumentParser:
         "bit-identical results, slower host execution)",
     )
     run.add_argument(
-        "--paths",
-        choices=["exhaustive", "mincov", "cbs"],
-        default=None,
-        metavar="MODE",
-        help="collect Ball-Larus path profiles (exhaustive, mincov, cbs); "
-        "bit-identical program results, charged instrumentation overhead",
-    )
-    run.add_argument(
         "--adaptive", action="store_true", help="enable adaptive recompilation"
     )
     run.add_argument("--stats", action="store_true", help="print VM statistics")
@@ -1287,12 +1238,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="disassemble only the function with index N",
-    )
-    disasm.add_argument(
-        "--paths",
-        action="store_true",
-        help="show the Ball-Larus path view: per-method CFG blocks, edge "
-        "increments, path counts, and minimum-coverage placement",
     )
     disasm.add_argument(
         "--jit",

@@ -116,7 +116,6 @@ class FleetPublisher:
         self._fingerprint = program.fingerprint()
         self._sent: dict[tuple[int, int, int], float] = {}
         self._sent_receivers: dict[tuple[int, int, int], int] = {}
-        self._sent_paths: dict[tuple[int, int], float] = {}
         self._ticks = 0
         self._seq = 0
         self._queue: queue.Queue = queue.Queue(maxsize=queue_size)
@@ -167,19 +166,17 @@ class FleetPublisher:
                 delta.append([names[caller], pc, names[callee], grown])
                 grown_weights[edge] = weight
         receivers, grown_counts = self._receiver_delta(vm)
-        paths, grown_paths = self._paths_delta(vm)
-        if not delta and not receivers and not paths:
+        if not delta and not receivers:
             return
         seq = self._seq
         self._seq += 1
         try:
-            self._queue.put_nowait(("delta", seq, delta, receivers, paths))
+            self._queue.put_nowait(("delta", seq, delta, receivers))
             self.batches_enqueued += 1
             # Only mark weights as handed off once the batch is queued,
             # so a dropped batch's growth rides along with the next one.
             sent.update(grown_weights)
             self._sent_receivers.update(grown_counts)
-            self._sent_paths.update(grown_paths)
         except queue.Full:
             self.batches_dropped += 1
         if self.telemetry is not None:
@@ -220,28 +217,6 @@ class FleetPublisher:
                     grown_counts[key] = count
         return rows, grown_counts
 
-    def _paths_delta(self, vm) -> tuple[list, dict]:
-        """Growth of the path tracker's profile since last handoff.
-
-        Wire rows are symbolic ``[function name, path_id, grown]`` (see
-        :mod:`repro.profiling.paths`); VMs running without a path
-        tracker publish no path rows.
-        """
-        tracker = getattr(vm, "path_tracker", None)
-        if tracker is None:
-            return [], {}
-        sent = self._sent_paths
-        names = self._names
-        rows = []
-        grown_counts = {}
-        for (function, pid), count in tracker.profile.counts.items():
-            key = (function, pid)
-            grown = count - sent.get(key, 0.0)
-            if grown > 0:
-                rows.append([names[function], pid, grown])
-                grown_counts[key] = count
-        return rows, grown_counts
-
     def close(self, timeout: float = 5.0) -> None:
         """Stop the worker, waiting up to ``timeout`` for the queue to
         drain.  Never raises; the worker is a daemon either way."""
@@ -274,7 +249,7 @@ class FleetPublisher:
                 item = self._queue.get()
                 if item is _CLOSE:
                     break
-                _, seq, delta, receivers, paths = item
+                _, seq, delta, receivers = item
                 if self.server_dead:
                     # Bounded revival: drop most batches cheaply, but
                     # every revive_every-th one spends a single probe
@@ -291,9 +266,7 @@ class FleetPublisher:
                     self.revivals += 1
                     failures = 0
                     dead_drops = 0
-                sock, status = self._send_with_retry(
-                    sock, seq, delta, receivers, paths
-                )
+                sock, status = self._send_with_retry(sock, seq, delta, receivers)
                 if status == "ack":
                     failures = 0
                     self.batches_sent += 1
@@ -316,9 +289,7 @@ class FleetPublisher:
                 except OSError:
                     pass
 
-    def _send_with_retry(
-        self, sock, seq: int, delta: list, receivers: list, paths: list
-    ):
+    def _send_with_retry(self, sock, seq: int, delta: list, receivers: list):
         """Try to deliver one batch; returns ``(socket, status)``.
 
         ``status`` is ``"ack"`` (delivered), ``"busy"`` (the server
@@ -333,7 +304,6 @@ class FleetPublisher:
             seq=seq,
             epoch=self.epoch,
             receivers=receivers,
-            paths=paths,
             trace_id=self.run_id,
             span_id=f"{self.run_id}:{seq}",
         )

@@ -37,6 +37,8 @@ NamedEdge = tuple[str, int, str]
 NamedReceiver = tuple[str, int, str]
 
 #: Symbolic Ball-Larus path key: (function qualified name, path id).
+#: No client publishes path rows any more; rows from older clients and
+#: snapshots are still merged, decayed and persisted like edges.
 NamedPath = tuple[str, int]
 
 

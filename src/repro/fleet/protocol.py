@@ -27,9 +27,11 @@ Client → server:
   per-site receiver-class counts the VM's inline caches accumulated
   since the last delta (see :mod:`repro.profiling.receivers`), keyed
   symbolically like edges so aggregates outlive any single build.
-  ``paths`` is likewise optional: Ball-Larus path-profile rows
-  (``[function, path_id, count]``, see :mod:`repro.profiling.paths`)
-  merged with the same decay and commutativity guarantees.
+  ``paths`` is optional too: ``[function, path_id, count]`` rows of a
+  Ball-Larus path profile.  No client sends them any more, but a frame
+  from an older one that does is still accepted, and its rows are
+  merged and snapshotted with the same decay and commutativity
+  guarantees.
   ``trace_id``/``span_id`` are optional trace-span coordinates: when a
   publisher stamps them, the server echoes them into its own telemetry
   (``fleet_merge`` events) so the client's and server's offline traces
@@ -95,7 +97,6 @@ def publish_message(
     seq: int = 0,
     epoch: int = 0,
     receivers: list | None = None,
-    paths: list | None = None,
     trace_id: str | None = None,
     span_id: str | None = None,
 ) -> dict:
@@ -110,8 +111,6 @@ def publish_message(
     }
     if receivers:
         message["receivers"] = receivers
-    if paths:
-        message["paths"] = paths
     if span_id is not None:
         message["trace_id"] = trace_id
         message["span_id"] = span_id

@@ -13,12 +13,9 @@ stream — must match bit-for-bit.  Across profiler groups only the
 time-independent observables must match: printed output, step count,
 call count, methods executed, and the guest-error transcript.
 
-Charge-free rider cells (the flight recorder, the Ball-Larus path
-tracker) claim zero virtual-time cost, so they must match their group
-reference bit-for-bit too; additionally the ``none`` group runs all
-three path-collection modes and checks the subsystem's own invariants
-(exhaustive == minimum-coverage exactly; CBS counts never exceed
-exhaustive's).
+The charge-free rider cell (the flight recorder) claims zero
+virtual-time cost, so it must match its group reference bit-for-bit
+too.
 
 A host-level Python exception escaping the interpreter (anything that
 is not a ``VMError``) is a violation by definition, whatever the cell.
@@ -31,7 +28,6 @@ from dataclasses import dataclass, field
 
 from repro.profiling.cbs import CBSProfiler
 from repro.profiling.exhaustive import ExhaustiveProfiler
-from repro.profiling.paths import PathTracker
 from repro.profiling.timer_sampler import TimerProfiler
 from repro.telemetry.exporters import jsonl_lines
 from repro.telemetry.hostcounters import HOST_TIERS
@@ -90,11 +86,6 @@ class MatrixCell:
     profiler: str
     telemetry: bool
     flight: bool = False
-    #: Ball-Larus path collection mode riding along charge-free
-    #: (``None`` = no path tracker).  A charge-free tracker claims zero
-    #: virtual-time cost, so its cell must match the group reference
-    #: bit-for-bit like the flight recorder's.
-    paths: str | None = None
     #: Template JIT on: hot bodies run as generated host code that must
     #: de-optimize back to bit-identical interpreter state, so a jit
     #: cell must match the group reference exactly like any other
@@ -117,8 +108,6 @@ class MatrixCell:
             parts.append("telemetry")
         if self.flight:
             parts.append("flight")
-        if self.paths:
-            parts.append(f"paths-{self.paths}")
         if self.jit:
             parts.append("jit-lazy" if self.lazy_jit else "jit")
         return "+".join(parts)
@@ -130,16 +119,12 @@ def matrix_cells(profiler: str) -> list[MatrixCell]:
     to compare event streams), the fully-featured corner again with
     the flight recorder attached — the recorder claims zero virtual-time
     cost, so that cell must match the others bit-for-bit, event lines
-    included — and a charge-free Ball-Larus path-tracker cell (same
-    zero-cost claim).  The ``none`` group carries all three path modes
-    so the exhaustive == mincov and CBS-subset invariants are checked
-    per program.  The template JIT joins as two more cells per group —
+    included.  The template JIT joins as three more cells per group —
     the fully-featured corner with the JIT on, silent and with
     telemetry (generated code must neither perturb observables nor
     emit events), both promoting at first entry, and a third at the
-    product promotion threshold — plus a JIT×paths cell in the ``none``
-    group for the path-instrumented code templates.  Eleven runs per
-    group (fourteen for ``none``).  ``cbs+instr`` is reduced to six:
+    product promotion threshold.  Ten runs per group.  ``cbs+instr``
+    is reduced to six:
     the square, the fully-featured telemetry corner and one JIT cell."""
     cells = [
         MatrixCell(fuse, ic, profiler, False)
@@ -153,16 +138,9 @@ def matrix_cells(profiler: str) -> list[MatrixCell]:
     cells.append(MatrixCell(False, False, profiler, True))
     cells.append(MatrixCell(True, True, profiler, True))
     cells.append(MatrixCell(True, True, profiler, True, flight=True))
-    cells.append(MatrixCell(True, True, profiler, False, paths="exhaustive"))
     cells.append(MatrixCell(True, True, profiler, False, jit=True))
     cells.append(MatrixCell(True, True, profiler, True, jit=True))
     cells.append(MatrixCell(True, True, profiler, False, jit=True, lazy_jit=True))
-    if profiler == "none":
-        cells.append(MatrixCell(True, True, profiler, False, paths="mincov"))
-        cells.append(MatrixCell(True, True, profiler, False, paths="cbs"))
-        cells.append(
-            MatrixCell(True, True, profiler, False, paths="cbs", jit=True)
-        )
     return cells
 
 
@@ -191,8 +169,6 @@ class RunRecord:
     host_error: str | None = None
     #: The flight recorder that rode along, when the cell had one.
     flight: object = None
-    #: ``{(function, path_id): count}`` when the cell had a path tracker.
-    paths: dict | None = None
     #: The exact receiver profile, ``(caller, pc, class, count)`` rows
     #: of the code cache's receiver cells in sorted order, when the cell
     #: has inline caches on — what the > 40 % guarded-inlining rule
@@ -263,8 +239,6 @@ def run_cell(
         # Construction is inside the net too: a program that blows up
         # the code cache at compile time is a host crash, not a test
         # harness error.
-        if cell.paths:
-            overrides = dict(overrides, paths=True)
         if cell.jit:
             overrides = dict(overrides, jit=True)
         config = config_named(vm_name, fuse=cell.fuse, ic=cell.ic, **overrides)
@@ -275,12 +249,6 @@ def run_cell(
                 profiler.install(vm)
             else:
                 vm.attach_profiler(profiler)
-        tracker = None
-        if cell.paths:
-            tracker = PathTracker(
-                mode=cell.paths, charge=False, stride=3, samples_per_tick=16
-            )
-            vm.attach_paths(tracker)
         tracer = Tracer() if cell.telemetry else None
         if tracer is not None:
             vm.attach_telemetry(tracer)
@@ -329,8 +297,6 @@ def run_cell(
             for rclass, count in cells.items()
         )
     record.dcg = [profiler.dcg.edges() for profiler in profilers]
-    if tracker is not None:
-        record.paths = dict(tracker.profile.counts)
     if tracer is not None:
         lines = jsonl_lines(tracer)
         record.event_lines = lines[:-1]
@@ -511,39 +477,6 @@ def check_program(
             violations.extend(
                 _check_spec_reference(program, reference, vm_name, overrides)
             )
-
-        path_records = {c.paths: r for c, r in records.items() if c.paths}
-        exhaustive = path_records.get("exhaustive")
-        mincov = path_records.get("mincov")
-        cbs_paths = path_records.get("cbs")
-        if exhaustive is not None and mincov is not None:
-            # Minimum-coverage placement recovers the *same* path ids
-            # with the same counts — not approximately, exactly.
-            if exhaustive.paths != mincov.paths:
-                violations.append(
-                    Violation(
-                        invariant="path-ids",
-                        cell=mincov.cell.describe(),
-                        reference=exhaustive.cell.describe(),
-                        detail=_diff("paths", exhaustive.paths, mincov.paths),
-                    )
-                )
-        if exhaustive is not None and cbs_paths is not None:
-            # Windowed sampling records a subset of what exhaustive saw.
-            excess = {
-                key: count
-                for key, count in (cbs_paths.paths or {}).items()
-                if count > (exhaustive.paths or {}).get(key, 0)
-            }
-            if excess:
-                violations.append(
-                    Violation(
-                        invariant="path-sampling",
-                        cell=cbs_paths.cell.describe(),
-                        reference=exhaustive.cell.describe(),
-                        detail=f"CBS path counts exceed exhaustive: {excess!r}",
-                    )
-                )
 
         telemetry_cells = [c for c in records if c.telemetry]
         if len(telemetry_cells) >= 2:

@@ -10,7 +10,6 @@ Usage::
     python -m repro.harness figure5-jikes [--quick]
     python -m repro.harness figure5-j9 [--quick]
     python -m repro.harness fleet [--quick]
-    python -m repro.harness paths [--quick] [--vm jikes|j9]
     python -m repro.harness all [--quick]
 """
 
@@ -21,7 +20,6 @@ import sys
 import time
 
 from repro.harness import figure1, figure5, fleet, table1, table2, table3
-from repro.harness import paths as paths_experiment
 from repro.harness.convergence import (
     compare_convergence,
     phase_change_study,
@@ -57,7 +55,6 @@ _EXPERIMENTS = {
     "figure5-jikes": lambda quick, vm, jobs: figure5.main(quick, "jikes", jobs=jobs),
     "figure5-j9": lambda quick, vm, jobs: figure5.main(quick, "j9", jobs=jobs),
     "fleet": lambda quick, vm, jobs: fleet.main(quick, vm),
-    "paths": lambda quick, vm, jobs: paths_experiment.main(quick, vm, jobs=jobs),
     "convergence": _convergence,
     "phase-change": _phase,
 }

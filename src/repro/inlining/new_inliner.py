@@ -34,8 +34,6 @@ class NewJikesInliner(InlinerPolicy):
         threshold_slope: float = 3000.0,
         max_size_threshold: int = 120,
         guarded_fraction: float = 0.40,
-        hot_path_fraction: float = 0.5,
-        hot_path_guarded_fraction: float = 0.25,
         cha=None,
         budget=None,
     ):
@@ -44,13 +42,6 @@ class NewJikesInliner(InlinerPolicy):
         self.threshold_slope = threshold_slope
         self.max_size_threshold = max_size_threshold
         self.guarded_fraction = guarded_fraction
-        #: Path-hotness signal (needs ``self.path_heat``): a call site
-        #: covered by at least ``hot_path_fraction`` of its caller's
-        #: recorded Ball-Larus paths relaxes the guarded-inlining
-        #: distribution bar to ``hot_path_guarded_fraction`` — the site
-        #: is on the method's hot path, so a 30% receiver still pays.
-        self.hot_path_fraction = hot_path_fraction
-        self.hot_path_guarded_fraction = hot_path_guarded_fraction
 
     def size_threshold(self, edge_weight_fraction: float) -> int:
         """The paper's linear function of edge hotness, bounded above."""
@@ -100,21 +91,13 @@ class NewJikesInliner(InlinerPolicy):
             return None
         # Every callee carrying >40% of this site's distribution is a
         # guarded-inline candidate (at most two can qualify); they form
-        # a guard chain, dominant first.  A site on the caller's hot
-        # observed path (path profile attached, coverage >= the hot
-        # fraction) uses the relaxed bar instead.
-        bar = self.guarded_fraction
-        on_hot_path = (
-            self.site_path_fraction(caller_index, pc) >= self.hot_path_fraction
-        )
-        if on_hot_path:
-            bar = self.hot_path_guarded_fraction
+        # a guard chain, dominant first.
         qualified = [
             callee
             for callee, weight in sorted(
                 distribution.items(), key=lambda item: -item[1]
             )
-            if weight / site_weight > bar
+            if weight / site_weight > self.guarded_fraction
         ]
         eligible = []
         for callee in qualified:
@@ -129,7 +112,5 @@ class NewJikesInliner(InlinerPolicy):
             self._trace(caller_index, pc, rejected, "guarded", False, reason)
             return None
         reason = f"distribution-dominant-{len(eligible)}-targets"
-        if on_hot_path:
-            reason += "-hot-path"
         self._trace(caller_index, pc, eligible[0], "guarded", True, reason)
         return SiteDecision(GUARDED, eligible[0], tuple(eligible[1:]))

@@ -84,11 +84,6 @@ class InlinerPolicy:
         #: in preference to the sampled DCG, and distribution-aware
         #: policies can decide sites even with no DCG at all.
         self.receiver_profile = None
-        #: Optional per-pc path heat decoded from a Ball-Larus path
-        #: profile (:class:`repro.profiling.paths.PathHeat`).  When set,
-        #: path-aware policies can tell call sites on the hot observed
-        #: paths of their caller from sites on cold ones.
-        self.path_heat = None
 
     # -- to be implemented by concrete policies ---------------------------------
 
@@ -210,14 +205,6 @@ class InlinerPolicy:
         if dcg is None:
             return 0.0
         return dcg.weight_fraction((caller_index, pc, callee_index))
-
-    def site_path_fraction(self, caller_index: int, pc: int) -> float:
-        """Fraction of the caller's recorded Ball-Larus paths covering
-        this call site (0.0 with no path profile attached)."""
-        heat = self.path_heat
-        if heat is None:
-            return 0.0
-        return heat.pc_fraction(caller_index, pc)
 
     def callee_size(self, callee_index: int) -> int:
         return self.program.functions[callee_index].bytecode_size()

@@ -15,18 +15,13 @@ Format (version 3)::
         {"caller": "Network.assert", "pc": 14,
          "callee": "ModNode.test", "weight": 123.0},
         ...
-      ],
-      "paths": [
-        ["Network.assert", 3, 1200],
-        ...
       ]
     }
 
-``paths`` is optional: Ball-Larus path-profile rows
-(``[qualified_name, path_id, count]``, see
-:mod:`repro.profiling.paths`) collected alongside the DCG.  Version 1
-files (no ``fingerprint``) and version 2 files (no ``paths``) still
-load.  When a fingerprint is
+Version 1 files (no ``fingerprint``) and version 2 files still load.
+Version 3 files written before path profiling was removed may carry a
+``paths`` section of Ball-Larus rows; it is ignored.  When a
+fingerprint is
 present and does not match the program the profile is being resolved
 against, lenient mode warns (:class:`ProfileMismatchWarning`) and
 resolves by name anyway — profiles are allowed to be stale — while
@@ -54,7 +49,7 @@ if TYPE_CHECKING:
 FORMAT_VERSION = 3
 
 #: Versions :func:`dcg_from_dict` accepts (v1 predates fingerprints,
-#: v2 predates path rows).
+#: v2 predates the optional path rows v3 loads and ignores).
 SUPPORTED_VERSIONS = (1, 2, 3)
 
 
@@ -66,13 +61,8 @@ class ProfileMismatchWarning(UserWarning):
     """A profile's fingerprint does not match the resolving program."""
 
 
-def dcg_to_dict(dcg: DCG, program: Program, paths=None) -> dict:
-    """Serialize ``dcg`` to a JSON-compatible dict with symbolic names.
-
-    ``paths`` is an optional :class:`repro.profiling.paths.PathProfile`
-    serialized alongside the edges as v3 ``[name, path_id, count]``
-    rows.
-    """
+def dcg_to_dict(dcg: DCG, program: Program) -> dict:
+    """Serialize ``dcg`` to a JSON-compatible dict with symbolic names."""
     edges = []
     for (caller, pc, callee), weight in sorted(dcg.edges().items()):
         edges.append(
@@ -83,14 +73,11 @@ def dcg_to_dict(dcg: DCG, program: Program, paths=None) -> dict:
                 "weight": weight,
             }
         )
-    data = {
+    return {
         "version": FORMAT_VERSION,
         "fingerprint": program.fingerprint(),
         "edges": edges,
     }
-    if paths is not None:
-        data["paths"] = paths.to_rows(program)
-    return data
 
 
 def dcg_from_dict(
@@ -146,45 +133,8 @@ def dcg_from_dict(
     return dcg
 
 
-def paths_from_dict(data: dict, program: Program, strict: bool = False):
-    """Resolve the optional v3 ``paths`` rows against ``program``.
-
-    Returns a :class:`repro.profiling.paths.PathProfile` (empty when
-    the profile predates v3 or carried no rows).  Malformed rows raise
-    :class:`ProfileFormatError`; rows naming unknown functions are
-    skipped in lenient mode and rejected in strict mode, matching the
-    edge-resolution contract.
-    """
-    from repro.profiling.paths import PathProfile
-
-    if not isinstance(data, dict) or data.get("version") not in SUPPORTED_VERSIONS:
-        raise ProfileFormatError(
-            f"unsupported profile format (expected version in {SUPPORTED_VERSIONS})"
-        )
-    rows = data.get("paths", [])
-    if not isinstance(rows, list):
-        raise ProfileFormatError("profile 'paths' must be a list of rows")
-    for row in rows:
-        if (
-            not isinstance(row, (list, tuple))
-            or len(row) != 3
-            or not isinstance(row[0], str)
-            or isinstance(row[1], bool)
-            or not isinstance(row[1], int)
-            or row[1] < 0
-            or isinstance(row[2], bool)
-            or not isinstance(row[2], int)
-            or row[2] < 0
-        ):
-            raise ProfileFormatError(f"malformed path row {row!r}")
-    try:
-        return PathProfile.from_rows(rows, program, strict=strict)
-    except ValueError as error:
-        raise ProfileFormatError(str(error)) from error
-
-
-def save_profile(dcg: DCG, program: Program, path: str, paths=None) -> None:
-    """Atomically write ``dcg`` (and optional path rows) to ``path``.
+def save_profile(dcg: DCG, program: Program, path: str) -> None:
+    """Atomically write ``dcg`` to ``path``.
 
     The profile is written to a temporary file in the same directory
     and renamed into place, so a crash mid-write never leaves a
@@ -196,7 +146,7 @@ def save_profile(dcg: DCG, program: Program, path: str, paths=None) -> None:
     )
     try:
         with os.fdopen(fd, "w") as handle:
-            json.dump(dcg_to_dict(dcg, program, paths=paths), handle, indent=1)
+            json.dump(dcg_to_dict(dcg, program), handle, indent=1)
         os.replace(tmp_path, path)
     except BaseException:
         try:
@@ -214,17 +164,3 @@ def load_profile(path: str, program: Program, strict: bool = False) -> DCG:
     except (OSError, json.JSONDecodeError) as error:
         raise ProfileFormatError(f"cannot load profile from {path}: {error}")
     return dcg_from_dict(data, program, strict)
-
-
-def load_profile_paths(path: str, program: Program, strict: bool = False):
-    """Read just the path rows of a profile written by :func:`save_profile`.
-
-    Returns an empty :class:`repro.profiling.paths.PathProfile` for v1/v2
-    files, so callers need no version check of their own.
-    """
-    try:
-        with open(path) as handle:
-            data = json.load(handle)
-    except (OSError, json.JSONDecodeError) as error:
-        raise ProfileFormatError(f"cannot load profile from {path}: {error}")
-    return paths_from_dict(data, program, strict)

@@ -340,44 +340,6 @@ class WarmStart(Event):
         return {"methods": self.methods, "edges": self.edges, "weight": self.weight}
 
 
-class PathsSummary(Event):
-    """End-of-run Ball-Larus path-profiling figures (charged runs only).
-
-    Emitted only when the attached :class:`repro.profiling.paths.PathTracker`
-    charges virtual time: a charge-free tracker must leave the event
-    stream byte-identical to a tracker-less run, so it records metrics
-    but never an event.
-    """
-
-    __slots__ = ("mode", "total", "distinct", "increments", "windows")
-    name = "paths_summary"
-
-    def __init__(
-        self,
-        ts: int,
-        mode: str,
-        total: int,
-        distinct: int,
-        increments: int,
-        windows: int,
-    ):
-        super().__init__(ts)
-        self.mode = mode
-        self.total = total
-        self.distinct = distinct
-        self.increments = increments
-        self.windows = windows
-
-    def args(self) -> dict:
-        return {
-            "mode": self.mode,
-            "total": self.total,
-            "distinct": self.distinct,
-            "increments": self.increments,
-            "windows": self.windows,
-        }
-
-
 class ScopeBegin(Event):
     """Start of a named duration scope (see :mod:`repro.telemetry.scopes`)."""
 
@@ -424,7 +386,6 @@ EVENT_TYPES = {
         FleetPublish,
         FleetMerge,
         WarmStart,
-        PathsSummary,
         ScopeBegin,
         ScopeEnd,
     )

@@ -1,7 +1,7 @@
-"""Host counters: the one table of fusion, IC, JIT and path metrics.
+"""Host counters: the one table of fusion, IC and JIT metrics.
 
 How the host ran the guest — superinstructions, inline caches, the
-template JIT, the Ball-Larus path tracker — one row per metric.  The
+template JIT — one row per metric.  The
 interpreter zeroes and reads the rows, the tracer registers them, and
 ``repro-mini report`` (text and ``--json``) and ``run --stats`` render
 every row of each tier that ran.  Counter rows are recorded as per-run
@@ -18,11 +18,10 @@ from typing import NamedTuple
 COUNTER = "counter"
 GAUGE = "gauge"
 
-#: Where a row's value is read: an ``Interpreter`` attribute, a
-#: ``CodeCache`` attribute, or a key of the path tracker's ``summary()``.
+#: Where a row's value is read: an ``Interpreter`` or a ``CodeCache``
+#: attribute.
 VM = "vm"
 CACHE = "cache"
-PATHS = "paths"
 
 
 class HostCounter(NamedTuple):
@@ -33,16 +32,13 @@ class HostCounter(NamedTuple):
     source: str
     attr: str
     help: str
-    #: ``report`` text label, where one is pinned; else "<tier> <suffix>".
-    label: str
 
 
-def _row(kind, name, source, help, attr="", label=""):
-    """A row whose attribute is, unless given, the name with "." -> "_"
-    (a path row's summary key is its suffix)."""
+def _row(kind, name, source, help, attr=""):
+    """A row whose attribute is, unless given, the name with "." -> "_"."""
     tier, _, suffix = name.partition(".")
-    attr = attr or (suffix if source == PATHS else name.replace(".", "_"))
-    return HostCounter(name, tier, suffix, kind, source, attr, help, label)
+    attr = attr or name.replace(".", "_")
+    return HostCounter(name, tier, suffix, kind, source, attr, help)
 
 
 _counter = partial(_row, COUNTER)
@@ -85,18 +81,13 @@ HOST_COUNTERS = (
            "methods compiled or still counting on the promotion trampoline"),
     # Host wall time: the one row that never repeats from run to run.
     _counter("jit.compile_s", VM, "host wall seconds spent in the template compiler"),
-    # Ball-Larus paths (repro.profiling.paths), only while a tracker is attached.
-    _counter("paths.total", PATHS, "Ball-Larus path records collected", label="path records"),
-    _gauge("paths.distinct", PATHS, "distinct (function, path id) pairs observed"),
-    _counter("paths.increments", PATHS, "charged path edge-counter increments"),
-    _counter("paths.windows", PATHS, "CBS path-sampling windows opened"),
 )
 
 TIERS = tuple(dict.fromkeys(row.tier for row in HOST_COUNTERS))
 
 #: Tiers that change how the host runs the guest, never what it
 #: computes, so their metrics may differ between otherwise bit-identical
-#: configurations.  Path metrics describe the guest's paths.
+#: configurations.
 HOST_TIERS = ("fusion", "ic", "jit")
 
 #: ``Interpreter`` attributes zeroed at construction (``ic_hits`` is a
@@ -105,17 +96,11 @@ VM_ATTRS = tuple(r.attr for r in HOST_COUNTERS if r.source == VM and r.attr != "
 
 
 def read(vm) -> dict:
-    """Every row's current value on ``vm``, by metric name (path rows
-    only while a tracker is attached)."""
-    tracker = vm.path_tracker
-    summary = tracker.summary() if tracker is not None else None
-    values = {}
-    for row in HOST_COUNTERS:
-        if row.source != PATHS:
-            values[row.name] = getattr(vm if row.source == VM else vm.code_cache, row.attr)
-        elif summary is not None:
-            values[row.name] = summary[row.attr]
-    return values
+    """Every row's current value on ``vm``, by metric name."""
+    return {
+        row.name: getattr(vm if row.source == VM else vm.code_cache, row.attr)
+        for row in HOST_COUNTERS
+    }
 
 
 def per_run(before: dict, vm) -> dict:
@@ -123,7 +108,7 @@ def per_run(before: dict, vm) -> dict:
     :func:`read` taken at run start), gauge rows as read now."""
     now = read(vm)
     for row in HOST_COUNTERS:
-        if row.kind == COUNTER and row.name in now:
+        if row.kind == COUNTER:
             now[row.name] -= before.get(row.name, 0)
     return now
 

@@ -87,7 +87,7 @@ def pipeline_rows(trace: LoadedTrace) -> list[list[object]]:
         rows.append(["inline decisions rejected", rejected])
     for rows_of_tier in _host_tiers(trace).values():
         for row, value in rows_of_tier:
-            rows.append([row.label or f"{row.tier} {row.suffix}", shown(row, value)])
+            rows.append([f"{row.tier} {row.suffix}", shown(row, value)])
     publishes = metric_or_count("fleet.publishes", "fleet_publish")
     if publishes:
         rows.append(["fleet batches published", publishes])
@@ -157,7 +157,7 @@ def summary_dict(trace: LoadedTrace, histograms: bool = True) -> dict:
     Backs ``repro-mini report --json``: the ``pipeline`` rows are the
     exact (label, value) pairs the text table renders (sub-rows keep
     their indentation so the mirror is lossless), and one object per
-    host-counter tier that ran (``fusion``, ``ic``, ``jit``, ``paths``)
+    host-counter tier that ran (``fusion``, ``ic``, ``jit``)
     repeats every row's figure keyed by its suffix, so scripts can
     assert on them without parsing table text.
     """

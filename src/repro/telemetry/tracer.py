@@ -23,7 +23,6 @@ from repro.telemetry.events import (
     FleetMerge,
     FleetPublish,
     InlineDecisionEvent,
-    PathsSummary,
     Recompilation,
     ScopeBegin,
     ScopeEnd,
@@ -172,17 +171,11 @@ class Tracer:
         """Record one run's :mod:`~repro.telemetry.hostcounters`: each
         counter row's delta, each gauge row's run-end value.  Metrics
         only, never events: a run's event stream stays byte-identical
-        with fusion, caches, the JIT or a charge-free path tracker off.
+        with fusion, caches or the JIT off.
         """
         host = self._host
         for name, value in values.items():
             host[name](value)
-
-    def on_paths_summary(self, tracker) -> None:
-        """A charged path tracker's run, as a ``paths_summary`` event."""
-        s = tracker.summary()
-        fields = (s[key] for key in ("mode", "total", "distinct", "increments", "windows"))
-        self.events.append(PathsSummary(self.clock(), *fields))
 
     # -- profiler-facing hook methods ---------------------------------------------
 

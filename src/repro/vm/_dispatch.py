@@ -49,7 +49,6 @@ def _loop(self):  # noqa: C901 - deliberately one flat hot loop
     observer = self.call_observer
     telemetry = self.telemetry
     hooked = observer is not None or telemetry is not None
-    paths = self.path_tracker
     seen = self._seen
     pool = self._frame_pool
 
@@ -206,11 +205,7 @@ def _loop(self):  # noqa: C901 - deliberately one flat hot loop
     # Opt-level-3 signature of this run's hook configuration (see
     # repro.vm.jit.compiler.jit_sig): compiled bodies are entered
     # only when they were generated for exactly these hooks.
-    jit_sig = (
-        1 if (observer is None and telemetry is None and paths is None) else 0
-    )
-    if paths is not None:
-        jit_sig |= 2
+    jit_sig = 0 if hooked else 1
 
     result = None
     jrec = method.jit
@@ -336,10 +331,6 @@ def _loop(self):  # noqa: C901 - deliberately one flat hot loop
                                 frame.pc = pc
                                 self._take_yieldpoint(BACKEDGE)
                                 time = self.time
-                            if paths is not None:
-                                self.time = time
-                                paths.on_jump_back(pc)
-                                time = self.time
                             jrec = method.jit
                             if jrec is not None and jrec.sig == jit_sig and self.yieldpoint_flag == 0 and time < next_tick and target in jrec.entries:
                                 frame.pc = target
@@ -356,16 +347,8 @@ def _loop(self):  # noqa: C901 - deliberately one flat hot loop
                                 raise self._step_limit(
                                     time, steps, call_count, fused_n, deopts, frame, method, pc
                                 )
-                            if paths is not None:
-                                self.time = time
-                                paths.on_branch(pc, True)
-                                time = self.time
                             pc = target
                             continue
-                        if paths is not None:
-                            self.time = time
-                            paths.on_branch(pc, False)
-                            time = self.time
                         pc += 1
                     elif op == OP_RETURN:
                         time += return_cost
@@ -374,10 +357,6 @@ def _loop(self):  # noqa: C901 - deliberately one flat hot loop
                             self.call_count = call_count
                             frame.pc = pc
                             self._take_yieldpoint(EPILOGUE)
-                            time = self.time
-                        if paths is not None:
-                            self.time = time
-                            paths.on_return(pc)
                             time = self.time
                         dead = frames.pop()
                         if not frames:
@@ -417,16 +396,8 @@ def _loop(self):  # noqa: C901 - deliberately one flat hot loop
                                 raise self._step_limit(
                                     time, steps, call_count, fused_n, deopts, frame, method, pc
                                 )
-                            if paths is not None:
-                                self.time = time
-                                paths.on_branch(pc, True)
-                                time = self.time
                             pc = target
                             continue
-                        if paths is not None:
-                            self.time = time
-                            paths.on_branch(pc, False)
-                            time = self.time
                         pc += 1
                     elif op == OP_CALL_VIRTUAL:
                         nargs = barg[pc] + 1
@@ -490,8 +461,6 @@ def _loop(self):  # noqa: C901 - deliberately one flat hot loop
                         else:
                             frame = Frame(callee, new_locals, pc)
                         frames.append(frame)
-                        if paths is not None:
-                            paths.on_call(callee)
                         method = callee
                         ops, aarg, barg, costs, faarg, fbarg, origins, ics = views
                         stack = frame.stack
@@ -556,8 +525,6 @@ def _loop(self):  # noqa: C901 - deliberately one flat hot loop
                         else:
                             frame = Frame(callee, new_locals, pc)
                         frames.append(frame)
-                        if paths is not None:
-                            paths.on_call(callee)
                         method = callee
                         ops, aarg, barg, costs, faarg, fbarg, origins, ics = views
                         stack = frame.stack
@@ -656,7 +623,6 @@ def _loop(self):  # noqa: C901 - deliberately one flat hot loop
                         if (
                             leaf is not None
                             and cell is not None
-                            and paths is None
                             and self.yieldpoint_flag == 0
                             and time + leaf[0] < next_tick
                             and len(frames) < max_frames
@@ -691,8 +657,6 @@ def _loop(self):  # noqa: C901 - deliberately one flat hot loop
                         else:
                             frame = Frame(callee, new_locals, pc)
                         frames.append(frame)
-                        if paths is not None:
-                            paths.on_call(callee)
                         method = callee
                         ops, aarg, barg, costs, faarg, fbarg, origins, ics = views
                         stack = frame.stack
@@ -715,10 +679,6 @@ def _loop(self):  # noqa: C901 - deliberately one flat hot loop
                             self.call_count = call_count
                             frame.pc = pc
                             self._take_yieldpoint(EPILOGUE)
-                            time = self.time
-                        if paths is not None:
-                            self.time = time
-                            paths.on_return(pc)
                             time = self.time
                         value = stack.pop()
                         dead = frames.pop()
@@ -822,7 +782,6 @@ def _loop(self):  # noqa: C901 - deliberately one flat hot loop
                         leaf = callee.leaf
                         if (
                             leaf is not None
-                            and paths is None
                             and self.yieldpoint_flag == 0
                             and time + leaf[0] < next_tick
                             and len(frames) < max_frames
@@ -857,8 +816,6 @@ def _loop(self):  # noqa: C901 - deliberately one flat hot loop
                         else:
                             frame = Frame(callee, new_locals, pc)
                         frames.append(frame)
-                        if paths is not None:
-                            paths.on_call(callee)
                         method = callee
                         ops, aarg, barg, costs, faarg, fbarg, origins, ics = views
                         stack = frame.stack

@@ -55,15 +55,6 @@ class VMConfig:
     #: the source of the exact receiver-type profile.
     ic: bool = True
 
-    #: Compile path-instrumentable code (see repro.profiling.paths):
-    #: the code cache excludes control-bearing superinstructions so
-    #: every branch/return executes through a hooked dispatch arm, and
-    #: ``Interpreter.attach_paths`` accepts a tracker.  Off by default;
-    #: with no tracker attached a paths-ready run stays bit-identical
-    #: in output, virtual time, steps, ticks, and profiles (fusion is
-    #: time-transparent whatever the pattern subset).
-    paths: bool = False
-
     #: Opt-level-3 template JIT (see repro.vm.jit): hot methods run as
     #: generated Python with de-optimization back to the interpreter.
     #: Host-level like fusion and ICs — JIT-on and JIT-off runs are

@@ -99,15 +99,6 @@ class CostModel:
     #: Timer-interrupt service (setting flags, bookkeeping), per tick.
     timer_service_cost: int = 10
 
-    #: Ball-Larus path profiling (repro.profiling.paths): one executed
-    #: edge-counter increment, and one path record (the counter-table
-    #: bump plus register reset at a back edge or method exit).
-    #: Exhaustive placement pays the edge cost at every observable
-    #: branch outcome; minimum-coverage placement only on spanning-tree
-    #: chords — the table-2 gap between the two modes.
-    path_edge_cost: int = 1
-    path_record_cost: int = 2
-
     #: Dynamic code patching (install/uninstall a listener), per patch
     #: (used by the Suganuma-style code-patching profiler).
     code_patch_cost: int = 400

@@ -316,7 +316,6 @@ field_defaults = self.class_field_defaults
 observer = self.call_observer
 telemetry = self.telemetry
 hooked = observer is not None or telemetry is not None
-paths = self.path_tracker
 seen = self._seen
 pool = self._frame_pool
 
@@ -372,11 +371,7 @@ _PREAMBLE_JIT = """
 # Opt-level-3 signature of this run's hook configuration (see
 # repro.vm.jit.compiler.jit_sig): compiled bodies are entered
 # only when they were generated for exactly these hooks.
-jit_sig = (
-    1 if (observer is None and telemetry is None and paths is None) else 0
-)
-if paths is not None:
-    jit_sig |= 2
+jit_sig = 0 if hooked else 1
 
 result = None
 """
@@ -537,8 +532,6 @@ class ArmContext(optemplates.EmitContext):
         #: The atom that is what the real ``stack[-1]`` still holds.
         self.inplace = None
         self.vstack = _Operands(self)
-        # Fused windows never hold control under a path tracker.
-        self.paths = "paths is not None" if self.arity == 1 else False
 
     @property
     def pc(self) -> str:
@@ -791,7 +784,6 @@ class ArmContext(optemplates.EmitContext):
             self.w("    leaf is not None")
             if callee.hit:
                 self.w(f"    and {callee.hit}")
-            self.w("    and paths is None")
             self.w("    and self.yieldpoint_flag == 0")
             self.w(f"    and time + leaf[{icache.L_COST}] < next_tick")
             self.w("    and len(frames) < max_frames")
@@ -1173,7 +1165,7 @@ def _walk(by_head, code, ops, counts, pc=0, extra=(), wide=0):
     end = len(ops)
     while pc < end:
         width = 1
-        for seq, _fid, divisors, _tail in by_head.get(ops[pc], ()):
+        for seq, _fid, divisors in by_head.get(ops[pc], ()):
             stop = pc + len(seq)
             if (
                 stop <= end

@@ -219,29 +219,27 @@ def divisor_pushes(seq) -> tuple[int, ...]:
 
 
 def index(windows) -> dict[int, list]:
-    """Head opcode -> ``(components, fused id, divisor offsets, control)``
+    """Head opcode -> ``(components, fused id, divisor offsets)``
     for each of ``windows`` (window ``i`` is id ``FUSE_BASE + i``),
     longest first: the matcher prefers the widest window at a pc."""
     by_head: dict[int, list] = {}
     for i, seq in enumerate(windows):
         seq = tuple(int(op) for op in seq)
-        control = PLACEMENT[seq[-1]] == _LAST
-        by_head.setdefault(seq[0], []).append((seq, FUSE_BASE + i, divisor_pushes(seq), control))
+        by_head.setdefault(seq[0], []).append((seq, FUSE_BASE + i, divisor_pushes(seq)))
     for cands in by_head.values():
         cands.sort(key=lambda cand: -len(cand[0]))
     return by_head
 
 
-def groups(by_head, code, ops, start, end, control=True):
+def groups(by_head, code, ops, start, end):
     """Greedy longest-first matching over ``ops[start:end]``, one of
     :func:`runs`: ``(head, fused id, stop)`` per group formed."""
     pc = start
     while pc < end:
-        for seq, fid, divisors, tail in by_head.get(ops[pc], ()):
+        for seq, fid, divisors in by_head.get(ops[pc], ()):
             stop = pc + len(seq)
             if (
                 stop <= end
-                and (control or not tail)
                 and tuple(ops[pc:stop]) == seq
                 and all(code[pc + i].a != 0 for i in divisors)
             ):
@@ -273,21 +271,11 @@ FUSED_ARITY: dict[int, int] = {fid: len(seq) for fid, seq in FUSED_COMPONENTS.it
 FUSED_OPERANDS: dict[int, tuple] = {
     fid: operands(seq) for fid, seq in FUSED_COMPONENTS.items()
 }
-#: Fused ids whose handlers transfer control (conditional branch or
-#: return tails).  When the code cache compiles *path-instrumentable*
-#: code (``VMConfig.paths``) these are excluded, so every branch and
-#: return executes through a raw/IC dispatch arm that carries a
-#: Ball-Larus hook — fusion stays time-transparent either way, only
-#: the host-level dispatch counts change.
-CONTROL_FUSED_IDS = frozenset(
-    fid for fid, seq in FUSED_COMPONENTS.items() if PLACEMENT[seq[-1]] == _LAST
-)
-
 #: The opcodes some measured window uses (``disasm --spec`` notes them).
 FUSABLE_OPS = frozenset(op for seq in _COMPONENTS for op in seq)
 
 
-def fuse_method(code, ops, costs, control: bool = True):
+def fuse_method(code, ops, costs):
     """Quicken one method's parallel arrays.
 
     ``code`` is the raw ``Instr`` list, ``ops``/``costs`` the unzipped
@@ -296,16 +284,14 @@ def fuse_method(code, ops, costs, control: bool = True):
     fused opcode, summed cost, and packed operands; interior slots keep
     their raw contents for the de-quickened slow path), ``sites`` is the
     number of groups formed, and ``span`` the raw instructions they
-    cover.  Returns ``None`` when nothing fuses.  With
-    ``control=False`` only control-free windows are considered (see
-    :data:`CONTROL_FUSED_IDS`).
+    cover.  Returns ``None`` when nothing fuses.
     """
     fops, fcosts = list(ops), list(costs)
     fa: list = [None] * len(ops)
     fb: list = [None] * len(ops)
     sites = span = 0
     for start, end in runs(code):
-        for pc, fid, stop in groups(_BY_HEAD, code, ops, start, end, control):
+        for pc, fid, stop in groups(_BY_HEAD, code, ops, start, end):
             fops[pc] = fid
             fcosts[pc] = sum(costs[pc:stop])
             packed = [getattr(code[pc + i], field) for field, i in FUSED_OPERANDS[fid]]

@@ -200,9 +200,8 @@ def describe_state(entry: list) -> str:
 # are promoted like any other method.  The IC arms first charge the
 # call and notify the hooks (call observer, telemetry) — so a hooked run
 # keeps this tier and an observer's own charge is already on the clock —
-# and only then pick it, requiring: no path tracker (it needs
-# on_call/on_return per frame), yieldpoint flag clear, no timer tick
-# inside the body's cost, and stack headroom; otherwise they fall
+# and only then pick it, requiring: yieldpoint flag clear, no timer
+# tick inside the body's cost, and stack headroom; otherwise they fall
 # through to the generic calling sequence.  A closure
 # changes nothing before its last fault guard has passed (heap writes
 # are deferred), so a potential fault (null field access, division by

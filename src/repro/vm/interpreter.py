@@ -109,7 +109,6 @@ class Interpreter:
                 self.config.cost_model,
                 fuse=self.config.fuse,
                 ic=self.config.ic,
-                paths=self.config.paths,
             )
         )
         self.vtables: list[dict[int, int]] = [cls.vtable for cls in program.classes]
@@ -149,7 +148,6 @@ class Interpreter:
         self.tick_hook = None  # called after profiler on each tick (adaptive system)
         self.telemetry = None  # structured event tracer (repro.telemetry.Tracer)
         self.flight = None  # flight recorder (repro.telemetry.ring.FlightRecorder)
-        self.path_tracker = None  # Ball-Larus collector (repro.profiling.paths)
 
     # -- hook management -------------------------------------------------------
 
@@ -181,26 +179,6 @@ class Interpreter:
         run-end snapshots from ``run()``."""
         self.flight = recorder
         self.chain_tick_hook(recorder.on_tick)
-
-    def attach_paths(self, tracker) -> None:
-        """Install a Ball-Larus path tracker (before ``run()``).
-
-        Requires a path-instrumentable code cache (``VMConfig.paths``
-        or ``CodeCache(paths=True)``): control-bearing superinstructions
-        are excluded at compile time, so every branch and return the
-        tracker must observe dispatches through a hooked raw/IC arm.
-        CBS-windowed trackers additionally chain onto the tick hook
-        (after any adaptive system, like the flight recorder).
-        """
-        if not self.code_cache.paths:
-            raise ValueError(
-                "path tracking needs a path-instrumentable code cache "
-                "(build the VM with config.replace(paths=True))"
-            )
-        self.path_tracker = tracker
-        tracker.attach(self)
-        if tracker.mode == "cbs":
-            self.chain_tick_hook(tracker.on_tick)
 
     def charge(self, units: int) -> None:
         """Advance virtual time (used by profiler handlers)."""
@@ -453,8 +431,6 @@ class Interpreter:
             self.methods_executed += 1
         frame = Frame(entry_method, [0] * entry_method.num_locals, -1)
         self.frames.append(frame)
-        if self.path_tracker is not None:
-            self.path_tracker.on_entry(entry_method)
         if self.config.jit and self.jit_manager is None:
             from repro.vm.jit import JitManager
 
@@ -474,8 +450,6 @@ class Interpreter:
                 self.flight.on_run_end(self)
             if telemetry is not None:
                 telemetry.on_host_counters(hostcounters.per_run(before, self))
-                if self.path_tracker is not None and self.path_tracker.charge:
-                    telemetry.on_paths_summary(self.path_tracker)
 
 
 def run_program(program: Program, config: VMConfig | None = None) -> Interpreter:

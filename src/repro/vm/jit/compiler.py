@@ -51,7 +51,7 @@ run.  The exit taxonomy:
 * **return exit** (``vm.jit_return_exits``) — an activation the
   interpreter entered reached a ``RETURN``/``RETURN_VAL``; the
   interpreter dispatches the return itself (return cost, epilogue
-  yieldpoint, path record, frame pop).
+  yieldpoint, frame pop).
 
 **Direct calls.**  A call site whose callee has a body of its own (no
 leaf template, same hook signature, enterable at pc 0) runs the
@@ -144,24 +144,18 @@ _HEAP_CLASSES = {"HeapObject": HeapObject, "HeapArray": HeapArray}
 _FRAME_NAMES = {"vm": "vm", "frame": "_f", "pool": "_pool", "frames": "_frames"}
 
 
-def jit_sig(inline_leaves: bool, emit_paths: bool) -> int:
+def jit_sig(inline_leaves: bool) -> int:
     """Encode the observation-hook configuration a body was compiled
     under; the interpreter refuses to enter a body whose signature does
     not match the current run's hooks."""
-    return (1 if inline_leaves else 0) | (2 if emit_paths else 0)
+    return 1 if inline_leaves else 0
 
 
 def vm_jit_sig(vm) -> int:
     """The signature the running interpreter requires (see
     :func:`jit_sig`): leaves inline only when no observation hook could
-    land inside a call, path hooks are emitted iff a tracker is
-    attached."""
-    inline = (
-        vm.call_observer is None
-        and vm.telemetry is None
-        and vm.path_tracker is None
-    )
-    return jit_sig(inline, vm.path_tracker is not None)
+    land inside a call."""
+    return jit_sig(vm.call_observer is None and vm.telemetry is None)
 
 
 def ic_signature(method) -> tuple:
@@ -305,13 +299,12 @@ class _Compiler(optemplates.EmitContext):
     locals are ``lN`` and a fault precondition is a guard exit at the
     faulting pc with the op's operands back on the stack."""
 
-    def __init__(self, method, program, cache, config, inline_leaves, emit_paths):
+    def __init__(self, method, program, cache, config, inline_leaves):
         self.method = method
         self.program = program
         self.cache = cache
         self.config = config
         self.inline_leaves = inline_leaves
-        self.emit_paths = emit_paths
 
         cost_model = config.cost_model
         entry_extra = (
@@ -343,7 +336,6 @@ class _Compiler(optemplates.EmitContext):
         self.zero_progress: set[int] = set()
         self.cur_leader = 0
         self.arm_progress = False
-        self.paths = emit_paths
         #: The op being templated: its pc, (pc, giveback) for ``fault``,
         #: and its inline-cache entry.
         self.pc = 0
@@ -388,7 +380,7 @@ class _Compiler(optemplates.EmitContext):
         if what == "methods":
             return self._bake("_m", self.cache.methods)
         self.uses.add(what)
-        return "_p" if what == "paths" else "_" + what
+        return "_" + what
 
     def charge(self, expr: str) -> None:
         self.w(f"time += {expr}")
@@ -902,8 +894,6 @@ class _Compiler(optemplates.EmitContext):
             preamble.append("    _fv = vm.flat_vtables")
         if "fd" in self.uses:
             preamble.append("    _fd = vm.class_field_defaults")
-        if "paths" in self.uses:
-            preamble.append("    _p = vm.path_tracker")
         if "room" in self.uses:
             preamble.append(f"    _room = len(vm.frames) < {self.max_frames}")
         if "direct" in self.uses:
@@ -940,7 +930,7 @@ class _Compiler(optemplates.EmitContext):
             fn=fn,
             entry0=entry0,
             entries=entries,
-            sig=jit_sig(self.inline_leaves, self.emit_paths),
+            sig=jit_sig(self.inline_leaves),
             ic_sig=ic_signature(method),
             source=source,
             fused_expanded=self.fused_expanded,
@@ -960,14 +950,16 @@ class _Compiler(optemplates.EmitContext):
 
 
 def compile_method(
-    method, program, cache, config, *, inline_leaves: bool, emit_paths: bool
+    method, program, cache, config, *, inline_leaves: bool, emit_paths: bool = False
 ) -> JitCode | None:
     """Template-compile one method; None when ineligible (too long,
-    irregular stack shape, or no entry point would make progress)."""
+    irregular stack shape, or no entry point would make progress).
+    No body carries path hooks: ``emit_paths`` stays only so that
+    callers passing False keep working, and True raises ValueError."""
+    if emit_paths:
+        raise ValueError("path hooks are not emitted: emit_paths must be False")
     try:
-        return _Compiler(
-            method, program, cache, config, inline_leaves, emit_paths
-        ).compile()
+        return _Compiler(method, program, cache, config, inline_leaves).compile()
     except _Bail:
         return None
 
@@ -1003,7 +995,6 @@ def compile_into(vm, method) -> bool:
         vm.code_cache,
         vm.config,
         inline_leaves=sig & 1 != 0,
-        emit_paths=sig & 2 != 0,
     )
     vm.jit_compile_s += perf_counter() - started
     if code is None:

@@ -80,14 +80,14 @@ class EmitContext:
     callee (``guards``, ``bind``, ``bind_slow``, ``resolves_miss``) and
     when bookkeeping lands (``charge_fixed``, ``commit``,
     ``commit_point``); the templates below say what each one is asked.
-    ``pc`` is the current instruction's pc; ``paths``, ``hooked``,
-    ``quickens`` and ``yieldpoints`` say whether path hooks, call hooks,
-    raw-call quickening and yieldpoints run (a run-time condition, or
-    ``False``: never); ``joins`` says a site's resolved cases share one
-    calling sequence rather than each running its own."""
+    ``pc`` is the current instruction's pc; ``hooked``, ``quickens``
+    and ``yieldpoints`` say whether call hooks, raw-call quickening and
+    yieldpoints run (a run-time condition, or ``False``: never);
+    ``joins`` says a site's resolved cases share one calling sequence
+    rather than each running its own."""
 
     local_prefix = "l"
-    paths = hooked = quickens = joins = yieldpoints = False
+    hooked = quickens = joins = yieldpoints = False
     indent = 0
 
     def w(self, line: str) -> None:
@@ -500,19 +500,6 @@ def _backward(ctx, target):
     return target <= ctx.pc if isinstance(target, int) else f"{target} <= {ctx.pc}"
 
 
-def _path(ctx, call: str, sync: bool = True) -> None:
-    """A path-profiling hook; ``sync`` for one that may charge."""
-    if not ctx.paths:
-        return
-    for _ in _when(ctx, ctx.paths):
-        vm = ctx.name("vm")
-        if sync:
-            ctx.w(f"{vm}.time = time")
-        ctx.w(f"{ctx.name('paths')}.{call}")
-        if sync:
-            ctx.w(f"time = {vm}.time")
-
-
 def take_yieldpoint(ctx, kind: str, pc=None) -> None:
     """A Jikes yieldpoint (``BACKEDGE``, ``PROLOGUE``, ``EPILOGUE``),
     counters synced around a handler that may charge; a backedge is not
@@ -538,7 +525,6 @@ def _jump(ctx, spec, a, b, vstack):
         # The step limit must bind even when no timer ever fires.
         ctx.step_limit()
         take_yieldpoint(ctx, "BACKEDGE", ctx.pc)
-        _path(ctx, f"on_jump_back({ctx.pc})")
         ctx.jit_entry(target)
     ctx.goto(target, vstack)
 
@@ -553,9 +539,7 @@ def _branch(ctx, spec, a, b, vstack):
     for _ in _when(ctx, taken):
         target = ctx.target(a)
         ctx.step_limit(_backward(ctx, target))
-        _path(ctx, f"on_branch({ctx.pc}, True)")
         ctx.goto(target, vstack)
-    _path(ctx, f"on_branch({ctx.pc}, False)")
     ctx.next(vstack)
 
 
@@ -565,8 +549,6 @@ def _return(ctx, spec, a, b, vstack):
     for _ in ctx.returning(value, vstack):
         ctx.charge_fixed("return_cost")
         take_yieldpoint(ctx, "EPILOGUE", ctx.pc)
-        # Record the completed path (may charge) before the frame dies.
-        _path(ctx, f"on_return({ctx.pc})")
         ctx.pop_frame(value)
 
 
@@ -659,7 +641,6 @@ def _invoke(ctx, spec, site, callee: Callee) -> None:
             ctx.w("else:")
             ctx.w(f"    {frame} = {ctx.name('Frame')}({callee.method}, {new_locals}, {ctx.pc})")
             ctx.w(f"{ctx.name('frames')}.append({frame})")
-            _path(ctx, f"on_call({callee.method})", sync=False)
             ctx.enter(site, callee)
     ctx.commit_point()
 

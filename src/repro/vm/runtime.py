@@ -73,7 +73,6 @@ class CompiledMethod:
         "num_locals",
         "returns_value",
         "size_bytes",
-        "pathinfo",
         "jit",
     )
 
@@ -84,7 +83,6 @@ class CompiledMethod:
         opt_level: int,
         fuse: bool = True,
         ic: bool = True,
-        paths: bool = False,
     ):
         self.function = function
         self.index = function.index
@@ -95,19 +93,10 @@ class CompiledMethod:
         cost_table = cost_model.cost_array()
         self.costs = [cost_table[op] for op in self.ops]
         self.origins = [instr.origin for instr in function.code]
-        #: Lazily built Ball-Larus numbering/tables cache (see
-        #: repro.profiling.paths.method_tables).
-        self.pathinfo: dict | None = None
         #: Opt-level-3 compiled body (repro.vm.jit.JitCode), installed
         #: by the JIT manager / adaptive controller.
         self.jit = None
-        if not fuse:
-            fused = None
-        else:
-            # Path-instrumentable code excludes control-bearing
-            # superinstructions so every branch/return dispatches
-            # through a hooked raw/IC arm.
-            fused = fuse_method(function.code, self.ops, self.costs, control=not paths)
+        fused = fuse_method(function.code, self.ops, self.costs) if fuse else None
         if fused is None:
             self.fops = self.ops
             self.fcosts = self.costs
@@ -188,15 +177,11 @@ class CodeCache:
         cost_model: CostModel,
         fuse: bool = True,
         ic: bool = True,
-        paths: bool = False,
     ):
         self._program = program
         self._cost_model = cost_model
         self.fuse = fuse
         self.ic = ic
-        #: True when compiled code is path-instrumentable (control-free
-        #: fusion subset; ``Interpreter.attach_paths`` requires it).
-        self.paths = paths
         self.compile_time = 0
         self.compile_count = 0
         #: Superinstruction sites / raw instructions covered, summed over
@@ -234,7 +219,6 @@ class CodeCache:
             opt_level,
             fuse=self.fuse,
             ic=self.ic,
-            paths=self.paths,
         )
         self.fused_sites += method.fused_sites
         self.fused_span += method.fused_span

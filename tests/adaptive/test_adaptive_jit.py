@@ -20,7 +20,6 @@ from repro.adaptive.modes import jit_only_cache
 from repro.benchsuite.suite import program_for
 from repro.inlining.new_inliner import NewJikesInliner
 from repro.profiling.cbs import CBSProfiler
-from repro.profiling.paths import PathTracker
 from repro.profiling.timer_sampler import TimerProfiler
 from repro.vm.config import config_named
 from repro.vm.interpreter import Interpreter
@@ -34,22 +33,15 @@ PROFILERS = {
 }
 
 
-def adaptive_run(program, vm_name, profiler, jit, paths=False):
-    config = config_named(
-        vm_name, jit=jit, paths=paths, timer_interval=TIMER_INTERVAL
-    )
+def adaptive_run(program, vm_name, profiler, jit):
+    config = config_named(vm_name, jit=jit, timer_interval=TIMER_INTERVAL)
     cache = jit_only_cache(
-        program, config.cost_model, level=0, fuse=config.fuse, ic=config.ic,
-        paths=paths,
+        program, config.cost_model, level=0, fuse=config.fuse, ic=config.ic
     )
     vm = Interpreter(program, config, cache)
     vm.attach_profiler(PROFILERS[profiler]())
     adaptive = AdaptiveSystem(program, NewJikesInliner(program))
     adaptive.install(vm)
-    tracker = None
-    if paths:
-        tracker = PathTracker(mode="cbs", stride=3, samples_per_tick=16)
-        vm.attach_paths(tracker)
     vm.run()
     observables = {
         "output": list(vm.output),
@@ -59,24 +51,23 @@ def adaptive_run(program, vm_name, profiler, jit, paths=False):
         "events": [
             (e.tick, e.function_index, e.level, e.inlines) for e in adaptive.events
         ],
-        "paths": tracker.profile.counts if tracker is not None else None,
     }
     return vm, observables
 
 
 CASES = [
-    pytest.param(vm_name, profiler, name, False, id=f"{vm_name}-{profiler}-{name}")
+    pytest.param(vm_name, profiler, name, id=f"{vm_name}-{profiler}-{name}")
     for vm_name in ("jikes", "j9")
     for profiler in ("cbs", "timer")
     for name in ("jess", "mtrt", "javac")
-] + [pytest.param("jikes", "cbs", "mtrt", True, id="jikes-cbs-mtrt-paths")]
+]
 
 
-@pytest.mark.parametrize("vm_name,profiler,name,paths", CASES)
-def test_adaptive_jit_run_is_bit_identical(vm_name, profiler, name, paths):
+@pytest.mark.parametrize("vm_name,profiler,name", CASES)
+def test_adaptive_jit_run_is_bit_identical(vm_name, profiler, name):
     program = program_for(name, "tiny")
-    jit_vm, jit_observed = adaptive_run(program, vm_name, profiler, True, paths)
-    plain_vm, plain_observed = adaptive_run(program, vm_name, profiler, False, paths)
+    jit_vm, jit_observed = adaptive_run(program, vm_name, profiler, True)
+    plain_vm, plain_observed = adaptive_run(program, vm_name, profiler, False)
     assert jit_observed == plain_observed
     assert jit_observed["events"], "the controller never recompiled"
     assert jit_vm.jit_compiles > 0

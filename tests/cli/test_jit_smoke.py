@@ -25,12 +25,12 @@ def _source(tmp_path, name):
     return str(path)
 
 
-def test_jit_and_no_jit_save_identical_cbs_and_path_profiles(tmp_path, capsys):
-    """With a CBS profiler and a CBS path tracker riding, program output
-    and the saved DCG+paths profile are byte-identical with the JIT on
-    and off, and the JIT run's report accounts every entry to an exit."""
+def test_jit_and_no_jit_save_identical_cbs_profiles(tmp_path, capsys):
+    """With a CBS profiler riding, program output and the saved profile
+    are byte-identical with the JIT on and off, and the JIT run's report
+    accounts every entry to an exit."""
     jess = _source(tmp_path, "jess")
-    riders = ["--paths", "cbs", "--profile", "cbs", "--seed", "7"]
+    riders = ["--profile", "cbs", "--seed", "7"]
     jit_profile, plain_profile = tmp_path / "jit.json", tmp_path / "plain.json"
     trace = str(tmp_path / "jit.jsonl")
     argv = ["run", jess, *riders, "--save-profile", str(jit_profile), "--trace", trace]

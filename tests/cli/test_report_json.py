@@ -1,10 +1,8 @@
 """``repro-mini report --json`` — the machine-readable summary.
 
-The JSON form is what scripts consume (tests/cli/test_paths_smoke.py
-asserts the paths section advances), so it must mirror the table
-output: same pipeline labels and values, a ``paths`` object exactly
-when the run collected path profiles, and histogram presence tracking
-the ``--no-histograms`` flag.
+The JSON form is what scripts consume, so it must mirror the table
+output: same pipeline labels and values, and histogram presence
+tracking the ``--no-histograms`` flag.
 """
 
 from __future__ import annotations
@@ -57,26 +55,6 @@ def test_json_mirrors_table_pipeline(program_file, tmp_path, capsys):
     for label, value in data["pipeline"]:
         assert label in table
         assert str(value) in table
-
-
-def test_json_paths_section_present_only_with_paths(
-    program_file, tmp_path, capsys
-):
-    plain = _trace(program_file, tmp_path)
-    capsys.readouterr()
-    assert "paths" not in _report_json(capsys, plain)
-
-    with_paths = _trace(program_file, tmp_path, "--paths", "exhaustive")
-    capsys.readouterr()
-    data = _report_json(capsys, with_paths)
-    paths = data["paths"]
-    assert set(paths) == {"total", "distinct", "increments", "windows"}
-    assert paths["total"] > 0
-    assert paths["distinct"] >= 1
-    # The table output carries the same numbers.
-    assert main(["report", with_paths]) == 0
-    table = capsys.readouterr().out
-    assert "path records" in table and str(paths["total"]) in table
 
 
 def test_json_histograms_follow_flag(program_file, tmp_path, capsys):

@@ -64,6 +64,18 @@ def eager_merge(stream, policy):
     return aggregate
 
 
+def old_client_publish(edges, receivers, paths, run_id, seq, epoch):
+    """A publish frame as a client from before path profiling was removed
+    sent it: Ball-Larus ``paths`` rows ride beside edges and receivers.
+    The service still accepts, merges and persists them."""
+    message = publish_message(
+        FP, edges, run_id=run_id, seq=seq, epoch=epoch, receivers=receivers
+    )
+    if paths:
+        message["paths"] = paths
+    return message
+
+
 def validated(delta):
     """The (epoch, edge_pairs, receiver_pairs, path_pairs) staging shape."""
     edges, receivers, paths, epoch, _run_id = delta
@@ -141,10 +153,7 @@ async def publish_all(address, stream, flush=False):
     for seq, (edges, receivers, paths, epoch, run_id) in enumerate(stream):
         await write_message(
             writer,
-            publish_message(
-                FP, edges, run_id=run_id, seq=seq, epoch=epoch,
-                receivers=receivers, paths=paths,
-            ),
+            old_client_publish(edges, receivers, paths, run_id, seq, epoch),
         )
         replies.append(await read_message(reader))
     if flush:
@@ -196,10 +205,7 @@ def test_every_service_partition_persists_the_reference_bytes(tmp_path):
         for seq, (edges, receivers, paths, epoch, run_id) in enumerate(stream):
             await write_message(
                 writer,
-                publish_message(
-                    FP, edges, run_id=run_id, seq=seq, epoch=epoch,
-                    receivers=receivers, paths=paths,
-                ),
+                old_client_publish(edges, receivers, paths, run_id, seq, epoch),
             )
             assert (await read_message(reader))["staged"] is True
             if mask & (1 << seq):

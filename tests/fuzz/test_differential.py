@@ -39,12 +39,12 @@ end
 
 def test_matrix_shape():
     cells = matrix_cells("none")
-    assert len(cells) == 14
+    assert len(cells) == 10
     assert sum(1 for c in cells if c.telemetry) == 4
     assert {
         (c.fuse, c.ic)
         for c in cells
-        if not c.telemetry and not c.paths and not c.jit
+        if not c.telemetry and not c.jit
     } == {
         (False, False), (False, True), (True, False), (True, True),
     }
@@ -52,23 +52,13 @@ def test_matrix_shape():
     assert len(flight_cells) == 1
     assert flight_cells[0].telemetry  # flight rides the fully-featured cell
     assert flight_cells[0].describe().endswith("+telemetry+flight")
-    # Path cells: every group carries an exhaustive rider; the "none"
-    # group adds the cheaper modes for the exhaustive==mincov and
-    # CBS-subset cross-checks, plus a paths+JIT cell.
-    assert [c.paths for c in cells if c.paths] == [
-        "exhaustive", "mincov", "cbs", "cbs",
-    ]
-    assert all(c.fuse and c.ic for c in cells if c.paths)
-    paths_cell = next(c for c in cells if c.paths == "mincov")
-    assert paths_cell.describe().endswith("paths-mincov")
-    # JIT cells ride the fully-featured corner: silent, with telemetry,
-    # and (in this group) with a CBS path tracker, all promoting at
-    # first entry; one more, silent, at the product threshold.
+    # JIT cells ride the fully-featured corner: silent and with
+    # telemetry, both promoting at first entry; one more, silent, at
+    # the product threshold.
     jit_cells = [c for c in cells if c.jit]
-    assert len(jit_cells) == 4
+    assert len(jit_cells) == 3
     assert all(c.fuse and c.ic for c in jit_cells)
     assert sum(1 for c in jit_cells if c.telemetry) == 1
-    assert sum(1 for c in jit_cells if c.paths == "cbs") == 1
     assert jit_cells[0].describe().endswith("+jit")
     lazy = [c for c in jit_cells if c.lazy_jit]
     assert len(lazy) == 1 and lazy[0].describe().endswith("+jit-lazy")
@@ -79,7 +69,7 @@ def test_matrix_shape():
         "fuse+ic+cbs+instr+telemetry", "fuse+ic+cbs+instr+jit",
     ]
     assert len(reduced) == 6
-    assert sum(len(matrix_cells(group)) for group in PROFILERS) == 53
+    assert sum(len(matrix_cells(group)) for group in PROFILERS) == 46
 
 
 CALLS = """

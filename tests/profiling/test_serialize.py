@@ -221,3 +221,39 @@ def test_offline_pgo_end_to_end(tmp_path):
     baseline.run()
     assert vm.output == baseline.output
     assert vm.time < baseline.time  # offline PGO paid off
+
+
+#: A v3 profile saved with Ball-Larus ``paths`` rows before path
+#: profiling was removed, for the program in :data:`V3_SOURCE`.
+V3_WITH_PATHS = os.path.join(os.path.dirname(__file__), "data", "v3_with_paths.json")
+V3_SOURCE = """
+class Shape {
+  def area(x: int): int { return x; }
+}
+class Square extends Shape {
+  def area(x: int): int { if (x % 3 == 0) { return x * x; } return x + 1; }
+}
+def pick(i: int): Shape {
+  if (i % 2 == 0) { return new Square(); }
+  return new Shape();
+}
+def main() {
+  var t = 0;
+  for (var i = 0; i < 40; i = i + 1) { t = t + pick(i).area(i); }
+  print(t);
+}
+"""
+
+
+def test_v3_path_rows_are_ignored_on_load(tmp_path):
+    program = compile_source(V3_SOURCE)
+    with open(V3_WITH_PATHS) as handle:
+        data = json.load(handle)
+    assert data["version"] == 3 and data["paths"]
+    assert data["fingerprint"] == program.fingerprint()
+    del data["paths"]
+    without = tmp_path / "without.json"
+    without.write_text(json.dumps(data))
+    loaded = load_profile(V3_WITH_PATHS, program, strict=True)
+    assert loaded.edges() == load_profile(str(without), program, strict=True).edges()
+    assert loaded.total_weight == 80.0

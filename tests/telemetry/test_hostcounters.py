@@ -1,4 +1,4 @@
-"""The host-counter table is the only list of fusion, IC, JIT and path
+"""The host-counter table is the only list of fusion, IC and JIT
 metrics: every row is documented, exists on a fresh VM, and reaches the
 tracer, ``report --json`` and ``run --stats`` with nothing else edited.
 """
@@ -11,7 +11,6 @@ from pathlib import Path
 
 from repro.cli import main
 from repro.frontend.codegen import compile_source
-from repro.profiling.paths import PathTracker
 from repro.telemetry.hostcounters import CACHE, HOST_COUNTERS, TIERS, VM
 from repro.telemetry.tracer import Tracer
 from repro.vm.config import jikes_config
@@ -43,20 +42,17 @@ def test_every_row_is_documented():
 
 def test_every_attribute_row_exists_on_a_fresh_interpreter():
     vm = Interpreter(compile_source(PROGRAM), jikes_config())
-    summary = PathTracker().summary()
     for row in HOST_COUNTERS:
         if row.source == VM:
             assert getattr(vm, row.attr) == 0, row.name
-        elif row.source == CACHE:
-            assert isinstance(getattr(vm.code_cache, row.attr), int), row.name
         else:
-            assert row.attr in summary, row.name
+            assert row.source == CACHE, row.name
+            assert isinstance(getattr(vm.code_cache, row.attr), int), row.name
 
 
 def test_every_row_reaches_every_consumer(tmp_path, capsys):
     program = compile_source(PROGRAM)
-    vm = Interpreter(program, jikes_config(paths=True, jit=True))
-    vm.attach_paths(PathTracker(mode="exhaustive"))
+    vm = Interpreter(program, jikes_config(jit=True))
     tracer = Tracer()
     vm.attach_telemetry(tracer)
     vm.run()
@@ -69,7 +65,7 @@ def test_every_row_reaches_every_consumer(tmp_path, capsys):
     source = tmp_path / "prog.mini"
     source.write_text(PROGRAM)
     trace = str(tmp_path / "trace.jsonl")
-    argv = ["run", str(source), "--paths", "exhaustive", "--trace", trace, "--stats"]
+    argv = ["run", str(source), "--trace", trace, "--stats"]
     assert main(argv) == 0
     err = capsys.readouterr().err
     stats = {

@@ -87,15 +87,6 @@ def test_run_adaptive(program_file, profile, capsys):
     assert _run_line(plain.err) == _run_line(jit.err)
 
 
-def test_run_adaptive_with_path_tracker(program_file, capsys):
-    assert main(
-        ["run", program_file, "--adaptive", "--paths", "cbs", "--stats"]
-    ) == 0
-    captured = capsys.readouterr()
-    assert captured.out.strip() == "40000"
-    assert "-- paths: mode=cbs" in captured.err
-
-
 def test_run_opt_level_1(program_file, capsys):
     assert main(["run", program_file, "--opt", "1"]) == 0
     assert capsys.readouterr().out.strip() == "40000"
@@ -685,27 +676,6 @@ def test_fuzz_replay_corpus(capsys):
     assert "reproducers clean" in captured.err
 
 
-# -- Ball-Larus paths ---------------------------------------------------------------
-
-
-def test_run_paths_output_identical_and_stats(program_file, capsys):
-    assert main(["run", program_file]) == 0
-    baseline = capsys.readouterr().out
-    for mode in ("exhaustive", "mincov", "cbs"):
-        assert main(["run", program_file, "--paths", mode, "--stats"]) == 0
-        captured = capsys.readouterr()
-        assert captured.out == baseline
-        assert f"-- paths: mode={mode} total=" in captured.err
-
-
-def test_disasm_paths_view(program_file, capsys):
-    assert main(["disasm", program_file, "--paths"]) == 0
-    out = capsys.readouterr().out
-    assert "acyclic paths" in out and "branch increments placed" in out
-    with pytest.raises(SystemExit, match="separate views"):
-        main(["disasm", program_file, "--paths", "--fused"])
-
-
 # -- numeric flag ranges ------------------------------------------------------------
 
 
@@ -717,7 +687,7 @@ def test_disasm_paths_view(program_file, capsys):
         (["run", "{F}", "--profile", "cbs", "--context-depth", "0"], "--context-depth"),
         (["run", "{F}", "--profile", "loops", "--samples", "0"], "--samples"),
         (["run", "{F}", "--profile", "loops", "--stride", "-2"], "--stride"),
-        (["run", "{F}", "--paths", "cbs", "--stride", "0"], "--stride"),
+        (["run", "{F}", "--profile", "timer", "--stride", "0"], "--stride"),
         (["bench", "--profilers", "cbs", "--samples", "0"], "--samples"),
         (["run", "{F}", "--publish", "127.0.0.1:9", "--publish-every", "0"], "--publish-every"),
         (["run", "{F}", "--metrics-port", "99999"], "--metrics-port"),

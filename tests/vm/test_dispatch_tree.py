@@ -197,9 +197,7 @@ def test_every_jit_control_site_is_emitted_by_optemplates(marked_templates, benc
     assert bodies
     seen = set()
     for method in bodies.values():
-        compiler = jit_compiler._Compiler(
-            method, program, vm.code_cache, vm.config, True, False
-        )
+        compiler = jit_compiler._Compiler(method, program, vm.code_cache, vm.config, True)
         compiler.compile()
         marks = re.findall(r"# via optemplates: (\w+)\. @(\d+)", "\n".join(compiler.lines))
         control = sorted(

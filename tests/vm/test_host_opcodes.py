@@ -46,15 +46,15 @@ MODES = ("plain", "hooked", "rerun")
 
 #: (program, mode) -> (guest steps, host opcodes) at ``tiny``.
 COUNTS = {
-    ("compress", "plain"): (130245, 3402475),  # 26.12 per step
-    ("compress", "hooked"): (130245, 3411406),  # 26.19
-    ("compress", "rerun"): (130264, 3402843),  # 26.12
-    ("xerces", "plain"): (131889, 3350001),  # 25.40
-    ("xerces", "hooked"): (131889, 3377912),  # 25.61
-    ("xerces", "rerun"): (131939, 3333026),  # 25.26
-    ("jess", "plain"): (57301, 1475092),  # 25.74
-    ("jess", "hooked"): (57301, 1636645),  # 28.56
-    ("jess", "rerun"): (63781, 2047653),  # 32.10
+    ("compress", "plain"): (130245, 3394694),  # 26.06 per step
+    ("compress", "hooked"): (130245, 3403587),  # 26.13
+    ("compress", "rerun"): (130264, 3395102),  # 26.06
+    ("xerces", "plain"): (131889, 3333546),  # 25.28
+    ("xerces", "hooked"): (131889, 3361415),  # 25.49
+    ("xerces", "rerun"): (131939, 3317255),  # 25.14
+    ("jess", "plain"): (57301, 1462841),  # 25.53
+    ("jess", "hooked"): (57301, 1624220),  # 28.35
+    ("jess", "rerun"): (63781, 2038226),  # 31.96
 }
 
 #: The same runs under the table this one replaced (37 windows of two

@@ -27,7 +27,6 @@ from repro.profiling.cbs import CBSProfiler
 from repro.profiling.exhaustive import ExhaustiveProfiler
 from repro.profiling.hardware import HardwareCallSampler
 from repro.profiling.patching import CodePatchingProfiler
-from repro.profiling.paths import PathTracker
 from repro.profiling.serialize import save_profile
 from repro.profiling.timer_sampler import TimerProfiler
 from repro.telemetry.exporters import export_jsonl
@@ -247,7 +246,6 @@ LEAF_HOOKS = {
     "patching": lambda vm: CodePatchingProfiler().install(vm),
     "hardware": lambda vm: HardwareCallSampler().install(vm),
     "tracer": lambda vm: vm.attach_telemetry(Tracer()),
-    "paths": lambda vm: vm.attach_paths(PathTracker(mode="exhaustive")),
 }
 
 
@@ -255,11 +253,10 @@ LEAF_HOOKS = {
 def test_leaf_tier_stays_engaged_under_hooks(hook):
     """Deterministic engagement check (no wall clock): count executions
     of the accessor's host closure.  Hooks are notified before the tier
-    is chosen, so none of them turns the leaf sequence off; only the
-    path tracker, which needs ``on_call``/``on_return`` per frame, does.
-    The timer never fires, so charged time cannot move a bailout."""
+    is chosen, so none of them turns the leaf sequence off.  The timer
+    never fires, so charged time cannot move a bailout."""
     program = compile_source(LEAF_LOOP)
-    config = jikes_config(timer_interval=10**9, paths=(hook == "paths"))
+    config = jikes_config(timer_interval=10**9)
     vm = Interpreter(program, config)
     method = vm.code_cache.methods[program.function_index("Point.getX")]
     closure = method.leaf[ic.L_FN]
@@ -277,7 +274,7 @@ def test_leaf_tier_stays_engaged_under_hooks(hook):
     assert vm.output == [1400]
     assert vm.ticks == 0
     # Every call but the first (which quickens the site) is a leaf call.
-    assert len(runs) == (0 if hook == "paths" else 199)
+    assert len(runs) == 199
 
 
 #: The soot/jess shape: a small accessor whose body branches forward.
