@@ -199,7 +199,7 @@ def describe_method_plan(function: FunctionInfo, program: Program) -> str:
     from repro.vm.runtime import CodeCache
 
     cache = CodeCache(program, jikes_cost_model(), fuse=True, ic=True)
-    method = cache.methods[function.index]
+    method = cache.current(function.index)
     parts = [f"baseline opt={method.opt_level}"]
     if method.fused_sites:
         parts.append(
@@ -257,7 +257,7 @@ def disassemble_jit(program: Program) -> str:
     compiled = 0
     skipped = 0
     for function in program.functions:
-        method = cache.methods[function.index]
+        method = cache.current(function.index)
         code = compile_method(method, program, cache, config, inline_leaves=True)
         if code is None:
             skipped += 1

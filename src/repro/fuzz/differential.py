@@ -285,8 +285,8 @@ def run_cell(
     if cell.fuse:
         record.fused_ids = frozenset(
             op
-            for method in vm.code_cache.methods
-            if vm._seen[method.index]
+            for method in vm.code_cache.built
+            if method is not None and vm._seen[method.index]
             for op in method.fops
             if op >= FUSE_BASE
         )

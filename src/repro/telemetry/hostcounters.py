@@ -46,8 +46,8 @@ _gauge = partial(_row, GAUGE)
 
 
 HOST_COUNTERS = (
-    # Superinstructions (repro.vm.fuse); sites sum every compilation.
-    _gauge("fusion.sites", CACHE, "superinstruction sites compiled by the code cache",
+    # Superinstructions (repro.vm.fuse); sites sum every method built.
+    _gauge("fusion.sites", CACHE, "superinstruction sites in the methods the code cache built",
            attr="fused_sites"),
     _counter("fusion.dispatches", VM, "superinstruction dispatches executed",
              attr="fused_dispatches"),

@@ -43,7 +43,8 @@ def _loop(self):  # noqa: C901 - deliberately one flat hot loop
     config = self.config
     cost_model = config.cost_model
     frames = self.frames
-    cache_methods = self.code_cache.methods
+    cache_methods = self.code_cache.built
+    cache_current = self.code_cache.current
     vtables = self.vtables
     field_defaults = self.class_field_defaults
     observer = self.call_observer
@@ -419,6 +420,8 @@ def _loop(self):  # noqa: C901 - deliberately one flat hot loop
                             self._sync(time, steps, call_count, fused_n, deopts, frame, pc)
                             raise self._missing_selector(rclass, selector, method, pc)
                         callee = cache_methods[callee_index]
+                        if callee is None:
+                            callee = cache_current(callee_index)
                         views = callee.views
                         pad = locals_pad(callee.num_locals, nargs)
                         if ics is not None:
@@ -481,8 +484,10 @@ def _loop(self):  # noqa: C901 - deliberately one flat hot loop
                             raise self._step_limit(
                                 time, steps, call_count, fused_n, deopts, frame, method, pc
                             )
-                        callee = cache_methods[aarg[pc]]
                         callee_index = aarg[pc]
+                        callee = cache_methods[callee_index]
+                        if callee is None:
+                            callee = cache_current(callee_index)
                         views = callee.views
                         pad = locals_pad(callee.num_locals, barg[pc])
                         if ics is not None:
@@ -593,6 +598,8 @@ def _loop(self):  # noqa: C901 - deliberately one flat hot loop
                                         self._sync(time, steps, call_count, fused_n, deopts, frame, pc)
                                         raise self._missing_selector(rclass, selector, method, pc)
                                     callee = cache_methods[callee_index]
+                                    if callee is None:
+                                        callee = cache_current(callee_index)
                                     cells = entry[16]
                                     cell = cells.get(rclass)
                                     if cell is None:

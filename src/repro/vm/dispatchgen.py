@@ -310,7 +310,8 @@ _PREAMBLE_STATE = """
 config = self.config
 cost_model = config.cost_model
 frames = self.frames
-cache_methods = self.code_cache.methods
+cache_methods = self.code_cache.built
+cache_current = self.code_cache.current
 vtables = self.vtables
 field_defaults = self.class_field_defaults
 observer = self.call_observer
@@ -467,6 +468,7 @@ _HOST_NAMES = {
     "vm": "self",
     "fv": "flat_vtables",
     "methods": "cache_methods",
+    "current": "cache_current",
 }
 
 #: The deepest real operand of an arm that leaves nothing behind.
@@ -1080,7 +1082,7 @@ def _count_benchsuite():
     placement run (:func:`repro.vm.fuse.runs`) the program dispatched, its
     raw dispatch count per pc.  Runs with the same opcodes (and the same
     zero immediates, which the fuser's divisor guard reads) are merged:
-    ``(ops, zeros) -> [code, counts]``.
+    ``(ops, zeros) -> [a operands, counts]``.
 
     All 13 programs at ``tiny``, each three ways — plain
     ``jikes_config()``, hooked as the harness's table cells are
@@ -1137,24 +1139,24 @@ def _count_benchsuite():
         rerun.run()
         runs: dict = {}
         for method, counts in per_pc.items():
-            code, ops = method.code, method.ops
-            for start, end in fusion.runs(code):
+            ops, a = method.ops, method.a
+            for start, end in fusion.runs(method.code):
                 if end - start < 2 or not counts[start]:
                     continue  # only the head leads into a run
                 zeros = tuple(
                     pc - start
                     for pc in range(start, end)
-                    if ops[pc] == Op.PUSH and code[pc].a == 0
+                    if ops[pc] == Op.PUSH and a[pc] == 0
                 )
                 merged = runs.setdefault(
-                    (tuple(ops[start:end]), zeros), [code[start:end], [0] * (end - start)]
+                    (tuple(ops[start:end]), zeros), [a[start:end], [0] * (end - start)]
                 )
                 merged[1] = [x + y for x, y in zip(merged[1], counts[start:end])]
         programs.append((list(hist), runs))
     return programs
 
 
-def _walk(by_head, code, ops, counts, pc=0, extra=(), wide=0):
+def _walk(trie, a, ops, counts, pc=0, extra=(), wide=0):
     """The matcher's walk over one run from ``pc`` (what
     :func:`repro.vm.fuse.groups` does, plus a window of width ``wide``
     that matches at the pcs in ``extra``): the saving of each group it
@@ -1164,16 +1166,8 @@ def _walk(by_head, code, ops, counts, pc=0, extra=(), wide=0):
     stops: dict = {}
     end = len(ops)
     while pc < end:
-        width = 1
-        for seq, _fid, divisors in by_head.get(ops[pc], ()):
-            stop = pc + len(seq)
-            if (
-                stop <= end
-                and tuple(ops[pc:stop]) == seq
-                and all(code[pc + i].a != 0 for i in divisors)
-            ):
-                width = len(seq)
-                break
+        found = fusion.match(trie, ops, a, pc, end)
+        width = 1 if found is None else found[1] - pc
         if wide > width and pc in extra:
             width = wide
         stops[pc] = (len(gains), width)
@@ -1194,8 +1188,8 @@ def _choose_windows(programs) -> dict[tuple[int, ...], int]:
     runs: dict = {}
     for hist, program_runs in programs:
         scale = 1_000_000 / (sum(hist) * len(programs))
-        for key, (code, counts) in program_runs.items():
-            merged = runs.setdefault(key, [code, [0.0] * len(counts)])
+        for key, (a, counts) in program_runs.items():
+            merged = runs.setdefault(key, [a, [0.0] * len(counts)])
             merged[1] = [x + y * scale for x, y in zip(merged[1], counts)]
     where: dict = {}  # window -> run -> the pcs the matcher may form it at
     for key in runs:
@@ -1207,8 +1201,8 @@ def _choose_windows(programs) -> dict[tuple[int, ...], int]:
     for window, keys in where.items():
         divisors = fusion.divisor_pushes(window)
         for key, at in keys.items():
-            code = runs[key][0]
-            at[:] = [pc for pc in at if all(code[pc + i].a != 0 for i in divisors)]
+            a = runs[key][0]
+            at[:] = [pc for pc in at if all(a[pc + i] != 0 for i in divisors)]
             within.setdefault(key, []).append(window)
 
     # A window's gain is the sum of what it adds on each run it occurs in;
@@ -1218,8 +1212,8 @@ def _choose_windows(programs) -> dict[tuple[int, ...], int]:
     # changes it only from the first pc the walk stops at where the
     # candidate matches wider, so only the rest is walked again.
     chosen: dict[tuple[int, ...], int] = {}
-    by_head = fusion.index(chosen)
-    walks = {key: _walk(by_head, runs[key][0], key[0], runs[key][1]) for key in runs}
+    trie = fusion.index(chosen)
+    walks = {key: _walk(trie, runs[key][0], key[0], runs[key][1]) for key in runs}
 
     def added(window, key):
         """What ``window`` adds to the chosen windows' saving on run ``key``."""
@@ -1227,8 +1221,8 @@ def _choose_windows(programs) -> dict[tuple[int, ...], int]:
         at = where[window][key]
         for pc in at:
             if pc in stops and stops[pc][1] < len(window):
-                code, counts = runs[key]
-                rest, _stops = _walk(by_head, code, key[0], counts, pc, at, len(window))
+                a, counts = runs[key]
+                rest, _stops = _walk(trie, a, key[0], counts, pc, at, len(window))
                 return sum(gains[: stops[pc][0]] + rest) - sum(gains)
         return 0.0
 
@@ -1239,10 +1233,10 @@ def _choose_windows(programs) -> dict[tuple[int, ...], int]:
         if round(gain[best]) < fusion.MIN_SAVING_PPM:
             break
         chosen[best] = round(gain.pop(best))
-        by_head = fusion.index(chosen)
+        trie = fusion.index(chosen)
         touched = set()
         for key in where[best]:
-            walks[key] = _walk(by_head, runs[key][0], key[0], runs[key][1])
+            walks[key] = _walk(trie, runs[key][0], key[0], runs[key][1])
             for window in within[key]:
                 if window in gain:
                     adds[window, key] = added(window, key)
@@ -1264,7 +1258,7 @@ def measure_weights() -> tuple[dict[str, int], dict[tuple[str, ...], int], list[
     """
     programs = _count_benchsuite()
     windows = _choose_windows(programs)
-    by_head = fusion.index(windows)
+    trie = fusion.index(windows)
     raw = sorted(
         (name for name, number in OPCODE_NUMBERS.items() if number < fusion.FUSE_BASE),
         key=OPCODE_NUMBERS.get,
@@ -1274,8 +1268,8 @@ def measure_weights() -> tuple[dict[str, int], dict[tuple[str, ...], int], list[
     for hist, runs in programs:
         counts = {name: hist[OPCODE_NUMBERS[name]] for name in raw}
         counts.update(dict.fromkeys(fused, 0))
-        for (ops, _zeros), (code, per_pc) in runs.items():
-            for head, fid, stop in fusion.groups(by_head, code, ops, 0, len(ops)):
+        for (ops, _zeros), (a, per_pc) in runs.items():
+            for head, fid, stop in fusion.groups(trie, ops, a, 0, len(ops)):
                 for pc in range(head, stop):
                     counts[Op(ops[pc]).name] -= per_pc[pc]
                 counts[fused[fid - fusion.FUSE_BASE]] += per_pc[head]

@@ -13,7 +13,7 @@ repro.vm.dispatchgen --measure`` counts the dispatches of every pc of
 the 13 benchsuite programs (plain, hooked and profile-optimised, each
 program weighing the same), enumerates every window the placement rule
 below allows, and picks greedily: each round adds the window that saves
-the most dispatches when this module's own matcher (:func:`groups`)
+the most dispatches when this module's own matcher (:func:`match`)
 runs over the counts with it, until :data:`MAX_WINDOWS` are chosen or
 the best one left saves under :data:`MIN_SAVING_PPM`.  The choice is
 committed as :data:`WINDOWS`, beside what each window saved.  Ids,
@@ -24,6 +24,13 @@ opcodes any window uses (:data:`FUSABLE_OPS`); a tier-1 test fails when
 the committed table is not what measurement prints.  Every window is
 one more arm in the generated loop, so :data:`MAX_WINDOWS` is set by
 the loop's size: each process without a bytecode cache compiles it.
+
+**One trie walk.**  :func:`index` builds a trie of the windows, and
+:func:`match` walks it down from a head once, keeping the longest window
+whose divisor ``PUSH``es are non-zero.  The trie holds only windows the
+placement rule allows, so a walk needs bounding by jump targets alone:
+:func:`fuse_method` walks each stretch between two of them, which is the
+placement runs and the greedy longest-first matching in one pass.
 
 Fusion is a pure dispatch-level rewrite; it must be **unobservable** in
 everything the paper measures (virtual time, timer ticks, yieldpoints,
@@ -68,7 +75,7 @@ from the unfused path, guest-visible ``VMError`` behavior does not.
 
 from __future__ import annotations
 
-from repro.bytecode.opcodes import OPCODE_SPECS, SPEC_BY_OP, Op, jump_targets
+from repro.bytecode.opcodes import JUMP_OPS, OPCODE_SPECS, SPEC_BY_OP, Op, jump_targets
 
 #: First superinstruction id; everything below is a raw :class:`Op`.
 FUSE_BASE = 100
@@ -218,40 +225,68 @@ def divisor_pushes(seq) -> tuple[int, ...]:
     )
 
 
-def index(windows) -> dict[int, list]:
-    """Head opcode -> ``(components, fused id, divisor offsets)``
-    for each of ``windows`` (window ``i`` is id ``FUSE_BASE + i``),
-    longest first: the matcher prefers the widest window at a pc."""
-    by_head: dict[int, list] = {}
+#: Key under which a trie node holds the window that ends there.
+_END = -1
+
+
+def index(windows) -> dict:
+    """The trie of ``windows`` (window ``i`` is id ``FUSE_BASE + i``):
+    one dict per node from opcode to child, and at the node where a
+    window ends, ``(fused id, divisor offsets)`` under ``_END``.
+
+    Every window must be one :func:`runs` could hold — two or more ops,
+    none without a placement, a last-only op only last — so a walk down
+    the trie never crosses a placement boundary; only jump targets are
+    left for the caller to bound it with."""
+    trie: dict = {}
     for i, seq in enumerate(windows):
         seq = tuple(int(op) for op in seq)
-        by_head.setdefault(seq[0], []).append((seq, FUSE_BASE + i, divisor_pushes(seq)))
-    for cands in by_head.values():
-        cands.sort(key=lambda cand: -len(cand[0]))
-    return by_head
+        places = [PLACEMENT[op] for op in seq]
+        if len(seq) < 2 or None in places or _LAST in places[:-1]:
+            raise ValueError(f"no run can hold window {seq}")
+        node = trie
+        for op in seq:
+            node = node.setdefault(op, {})
+        node[_END] = (FUSE_BASE + i, divisor_pushes(seq))
+    return trie
 
 
-def groups(by_head, code, ops, start, end):
-    """Greedy longest-first matching over ``ops[start:end]``, one of
-    :func:`runs`: ``(head, fused id, stop)`` per group formed."""
+def match(trie, ops, a, pc, end):
+    """The longest window of ``trie`` at ``pc`` that ends by ``end`` and
+    whose divisor ``PUSH``es (``a`` holds their immediates) are all
+    non-zero: ``(fused id, stop)``, or ``None``."""
+    found = None
+    node = trie.get(ops[pc])
+    stop = pc + 1
+    while node is not None:
+        window = node.get(_END)
+        if window is not None:
+            fid, divisors = window
+            if not divisors or all(a[pc + i] != 0 for i in divisors):
+                found = fid, stop
+        if stop == end:
+            break
+        node = node.get(ops[stop])
+        stop += 1
+    return found
+
+
+def groups(trie, ops, a, start, end):
+    """Greedy longest-first matching over ``ops[start:end]``, a stretch
+    no jump lands inside: ``(head, fused id, stop)`` per group formed."""
     pc = start
     while pc < end:
-        for seq, fid, divisors in by_head.get(ops[pc], ()):
-            stop = pc + len(seq)
-            if (
-                stop <= end
-                and tuple(ops[pc:stop]) == seq
-                and all(code[pc + i].a != 0 for i in divisors)
-            ):
-                yield pc, fid, stop
-                pc = stop
-                break
-        else:
-            pc += 1
+        if ops[pc] in trie:
+            found = match(trie, ops, a, pc, end)
+            if found is not None:
+                yield pc, found[0], found[1]
+                pc = found[1]
+                continue
+        pc += 1
 
 
 _COMPONENTS = [tuple(Op[name] for name in names) for names in WINDOWS]
-_BY_HEAD = index(_COMPONENTS)
+_TRIE = index(_COMPONENTS)
 
 #: fused id -> raw component opcodes.  The template JIT expands a
 #: quickened head back into its components and reuses the per-raw-op
@@ -275,31 +310,46 @@ FUSED_OPERANDS: dict[int, tuple] = {
 FUSABLE_OPS = frozenset(op for seq in _COMPONENTS for op in seq)
 
 
-def fuse_method(code, ops, costs):
+#: Raw opcodes whose ``a`` is a jump target, as plain ints.
+_JUMPS = frozenset(int(op) for op in JUMP_OPS)
+
+
+def fuse_method(ops, a, b, costs):
     """Quicken one method's parallel arrays.
 
-    ``code`` is the raw ``Instr`` list, ``ops``/``costs`` the unzipped
-    opcode/cost arrays.  Returns ``(fops, fcosts, fa, fb, sites, span)``
-    where the first four are same-length arrays (group heads hold the
-    fused opcode, summed cost, and packed operands; interior slots keep
-    their raw contents for the de-quickened slow path), ``sites`` is the
-    number of groups formed, and ``span`` the raw instructions they
+    ``ops``/``a``/``b``/``costs`` are the method's unzipped opcode,
+    operand and cost arrays.  Returns ``(fops, fcosts, fa, fb, sites,
+    span)`` where the first four are same-length arrays (group heads hold
+    the fused opcode, summed cost, and packed operands; interior slots
+    keep their raw contents for the de-quickened slow path), ``sites`` is
+    the number of groups formed, and ``span`` the raw instructions they
     cover.  Returns ``None`` when nothing fuses.
+
+    One pass: the stretches between jump targets are walked down the
+    trie in order, which is :func:`runs` and :func:`groups` at once
+    (the trie holds no window a placement boundary could split).
     """
+    n = len(ops)
+    targets = sorted({a[pc] for pc in range(n) if ops[pc] in _JUMPS})
     fops, fcosts = list(ops), list(costs)
-    fa: list = [None] * len(ops)
-    fb: list = [None] * len(ops)
+    fa: list = [None] * n
+    fb: list = [None] * n
+    fields = {"a": a, "b": b}
     sites = span = 0
-    for start, end in runs(code):
-        for pc, fid, stop in groups(_BY_HEAD, code, ops, start, end):
+    start = 0
+    for end in (*targets, n):
+        if not start < end <= n:
+            continue
+        for pc, fid, stop in groups(_TRIE, ops, a, start, end):
             fops[pc] = fid
             fcosts[pc] = sum(costs[pc:stop])
-            packed = [getattr(code[pc + i], field) for field, i in FUSED_OPERANDS[fid]]
+            packed = [fields[field][pc + i] for field, i in FUSED_OPERANDS[fid]]
             fa[pc] = packed[0] if packed else None
             rest = packed[1:]
             fb[pc] = rest[0] if len(rest) == 1 else tuple(rest) or None
             sites += 1
             span += stop - pc
+        start = end
     if sites == 0:
         return None
     return fops, fcosts, fa, fb, sites, span

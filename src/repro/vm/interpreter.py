@@ -354,7 +354,7 @@ class Interpreter:
         if callee_index < 0:
             raise self._missing_selector(rclass, selector, method, pc)
         cache = self.code_cache
-        callee = cache.methods[callee_index]
+        callee = cache.current(callee_index)
         cells = entry[icache.V_CELLS]
         cell = cells.get(rclass)
         if cell is None:

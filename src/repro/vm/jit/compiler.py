@@ -378,9 +378,20 @@ class _Compiler(optemplates.EmitContext):
         if what == "Frame":
             return self._bake("_Frame", Frame)
         if what == "methods":
-            return self._bake("_m", self.cache.methods)
+            return self._bake("_m", self.cache.built)
+        if what == "current":
+            return self._bake("_cur", self.cache.current)
         self.uses.add(what)
         return "_" + what
+
+    def current(self, index) -> None:
+        if not isinstance(index, int):
+            super().current(index)
+            return
+        # A constant target is built now, so the body never meets it
+        # unbuilt (an install replaces a version, it never unbuilds one).
+        self.cache.current(index)
+        self.w(f"callee = {self.name('methods')}[{index}]")
 
     def charge(self, expr: str) -> None:
         self.w(f"time += {expr}")
@@ -734,8 +745,7 @@ class _Compiler(optemplates.EmitContext):
             self.w(f"callee = {callee.method}")
             return Callee("callee", callee.index, cell=cell, hit=bool(cell))
         if site.entry is None:  # a raw static site: the target is constant
-            self._known = self.cache.methods[callee.index]
-            self.w(f"callee = {callee.method}")
+            self._known = self.cache.built[callee.index]
             return Callee("callee", callee.index)
         # Resolved at run time (the polymorphic tail): an overflow row,
         # or the names a flat-table lookup has bound already.

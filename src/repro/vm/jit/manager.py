@@ -1,13 +1,14 @@
 """Level-3 JIT policy: count on a trampoline, compile what gets hot.
 
 Jikes RVM's lazy-compilation trampoline, applied to level 3.  At
-``attach()`` every method gets one shared stub :class:`JitCode` whose
-``fn`` is :func:`_trampoline`; the dispatch arms already call
-``method.jit.fn`` at method entry and at backward jumps, so the stub
-sees exactly the two events that make a method hot and nothing else
-changes.  Each bounce bumps the method's counter and hands control
-straight back (``frame.pc`` untouched, counters untouched — the
-interpreter carries on as if no body were installed).  The bounce that
+``attach()`` every method built so far, and later each method as the
+code cache builds it on first entry, gets one shared stub
+:class:`JitCode` whose ``fn`` is :func:`_trampoline`; the dispatch
+arms already call ``method.jit.fn`` at method entry and at backward
+jumps, so the stub sees exactly the two events that make a method hot
+and nothing else changes.  Each bounce bumps the method's counter and
+hands control straight back (``frame.pc`` untouched, counters untouched
+— the interpreter carries on as if no body were installed).  The bounce that
 reaches :data:`PROMOTE_THRESHOLD` compiles the method — its inline
 caches have quickened by then, so the guards are baked from a warm
 snapshot the first time — installs the real body and tail-calls it when
@@ -144,21 +145,26 @@ class JitManager:
     def _stub_cold_methods(self) -> None:
         """Stub methods with no body, or one compiled under other
         hooks; adopt every other current body (an earlier run on a
-        shared cache may have left some) so its guards get refreshed."""
+        shared cache may have left some) so its guards get refreshed.
+        A method built later, on its first entry, is stubbed then."""
         cache = self.vm.code_cache
         self._installs = cache.compile_count
-        osr_only, entry_and_osr = self._stubs
-        sig = osr_only.sig
-        attempts = self.attempts
-        for method in cache.methods:
+        sig = self._stubs[0].sig
+        for method in cache.built:
+            if method is None:
+                continue
             jrec = method.jit
             if jrec is None or jrec.sig != sig:
-                if attempts.get(method, 0) < MAX_ATTEMPTS:
-                    method.jit = (
-                        osr_only if _loop_head_at_zero(method) else entry_and_osr
-                    )
+                self._stub(method)
             elif jrec.source is not None:
                 self.compiled[method] = None
+        cache.on_build = self._stub
+
+    def _stub(self, method) -> None:
+        """Put ``method`` on the trampoline unless it was given up on."""
+        if self.attempts.get(method, 0) < MAX_ATTEMPTS:
+            osr_only, entry_and_osr = self._stubs
+            method.jit = osr_only if _loop_head_at_zero(method) else entry_and_osr
 
     def on_tick(self, vm) -> None:
         cache = vm.code_cache

@@ -127,6 +127,14 @@ class EmitContext:
         """Host name of a VM table or heap class (method bodies only)."""
         raise NotImplementedError
 
+    def current(self, index) -> None:
+        """Bind ``callee`` to function ``index``'s current version, built
+        on its first entry (:meth:`repro.vm.runtime.CodeCache.current`,
+        its fast path inlined)."""
+        self.w(f"callee = {self.name('methods')}[{index}]")
+        self.w("if callee is None:")
+        self.w(f"    callee = {self.name('current')}({index})")
+
     def charge(self, expr: str) -> None:
         """Run-time virtual-time charge (method bodies only)."""
         raise NotImplementedError
@@ -654,7 +662,7 @@ def _flat_lookup(ctx, rclass, selector) -> None:
     ctx.w(f"row = {ctx.name('fv')}[{rclass}]")
     ctx.w(f"callee_index = row[{selector}] if {selector} < len(row) else -1")
     ctx.missing_selector("callee_index < 0", rclass, selector)
-    ctx.w(f"callee = {ctx.name('methods')}[callee_index]")
+    ctx.current("callee_index")
 
 
 def _receiver_class(ctx, spec, site, vstack) -> str:
@@ -675,7 +683,11 @@ def _call(ctx, spec, a, b, vstack):
             callee = ctx.bind(site, _looked_up(site))
             quicken = f"_quicken_virtual(method, {ctx.pc}, {rclass}, callee, {site.nargs})"
         else:
-            callee = ctx.bind(site, _looked_up(site, f"{ctx.name('methods')}[{a}]", a))
+            if not isinstance(a, int):  # read more than once
+                ctx.w(f"callee_index = {a}")
+                a = "callee_index"
+            ctx.current(a)
+            callee = ctx.bind(site, _looked_up(site, index=a))
             quicken = f"_quicken_static(method, {ctx.pc}, callee, {site.nargs})"
         for _ in _when(ctx, ctx.quickens):
             ctx.w(f"{ctx.name('vm')}.{quicken}")

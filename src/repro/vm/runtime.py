@@ -13,6 +13,12 @@ dispatches from, falling back to the raw arrays at tick boundaries.
 When fusion is disabled (``CodeCache(fuse=False)``) or finds nothing,
 the quickened views *are* the raw arrays, so the interpreter needs no
 mode check of its own.
+
+A method is built on its first entry, as Jikes RVM compiles a method on
+its first invocation: most functions of a program never run, and a
+build (unzipping, fusion, the leaf analysis) is host work only, so the
+cache charges the virtual compile time of every function up front and
+builds none.  :meth:`CodeCache.current` is the one way to a method.
 """
 
 from __future__ import annotations
@@ -83,20 +89,25 @@ class CompiledMethod:
         opt_level: int,
         fuse: bool = True,
         ic: bool = True,
+        *,
+        cost_table: list[int] | None = None,
+        size_bytes: int | None = None,
     ):
+        code = function.code
         self.function = function
         self.index = function.index
-        self.code = function.code
-        self.ops = [int(instr.op) for instr in function.code]
-        self.a = [instr.a for instr in function.code]
-        self.b = [instr.b for instr in function.code]
-        cost_table = cost_model.cost_array()
-        self.costs = [cost_table[op] for op in self.ops]
-        self.origins = [instr.origin for instr in function.code]
+        self.code = code
+        self.ops = ops = [int(instr.op) for instr in code]
+        self.a = [instr.a for instr in code]
+        self.b = [instr.b for instr in code]
+        if cost_table is None:
+            cost_table = cost_model.cost_array()
+        self.costs = [cost_table[op] for op in ops]
+        self.origins = [instr.origin for instr in code]
         #: Opt-level-3 compiled body (repro.vm.jit.JitCode), installed
         #: by the JIT manager / adaptive controller.
         self.jit = None
-        fused = fuse_method(function.code, self.ops, self.costs) if fuse else None
+        fused = fuse_method(ops, self.a, self.b, self.costs) if fuse else None
         if fused is None:
             self.fops = self.ops
             self.fcosts = self.costs
@@ -116,7 +127,9 @@ class CompiledMethod:
         self.opt_level = opt_level
         self.num_locals = function.num_locals
         self.returns_value = function.returns_value
-        self.size_bytes = function.bytecode_size()
+        self.size_bytes = (
+            function.bytecode_size() if size_bytes is None else size_bytes
+        )
         if ic:
             # Call sites quicken lazily (the interpreter rewrites
             # ``fops[pc]`` on first execution), so ``fops`` must be a
@@ -164,11 +177,16 @@ class CompiledMethod:
 class CodeCache:
     """Current executable version of every function in a program.
 
-    Also accounts "compilation time": each (re)compilation charges
-    ``compile_cost_per_byte[level] * bytecode_size`` to
-    :attr:`compile_time`, which the J9 experiments report on.  Fusion is
-    a host-level dispatch rewrite, not a guest optimization, so it
-    charges no compile time.
+    A function's level-0 version is built on its first entry, as Jikes
+    RVM compiles a method when it is first invoked: :attr:`built` holds
+    ``None`` until then, and every reader goes through :meth:`current`
+    (the dispatch loop and generated code inline its fast path, one
+    ``is None`` test).  Virtual "compilation time" is still charged for
+    every function at construction — ``compile_cost_per_byte[level] *
+    bytecode_size`` per function to :attr:`compile_time`, which the J9
+    experiments report on — so nothing guest-visible depends on which
+    methods were built.  Fusion is a host-level dispatch rewrite, not a
+    guest optimization, so it charges no compile time.
     """
 
     def __init__(
@@ -180,13 +198,18 @@ class CodeCache:
     ):
         self._program = program
         self._cost_model = cost_model
+        self._cost_table = cost_model.cost_array()
         self.fuse = fuse
         self.ic = ic
-        self.compile_time = 0
-        self.compile_count = 0
+        #: Bytecode size of each function's current version.
+        self._sizes = [function.bytecode_size() for function in program.functions]
+        self.compile_time = (
+            cost_model.compile_cost_per_byte.get(0, 2) * sum(self._sizes)
+        )
+        self.compile_count = len(self._sizes)
         #: Superinstruction sites / raw instructions covered, summed over
-        #: every compilation this cache ever performed (monotonic even
-        #: when installs replace earlier versions).
+        #: every method this cache ever built (monotonic even when
+        #: installs replace earlier versions).
         self.fused_sites = 0
         self.fused_span = 0
         #: Inline-cache population (see repro.vm.ic): quickened call
@@ -202,27 +225,44 @@ class CodeCache:
         #: callee function index -> cache entries bound to it, refreshed
         #: in place when :meth:`install` replaces that function.
         self.ic_deps: dict[int, list[list]] = {}
-        self.methods: list[CompiledMethod] = [
-            self._charge_and_compile(function, opt_level=0)
-            for function in program.functions
-        ]
+        #: Current version of each function, ``None`` until first entry.
+        self.built: list[CompiledMethod | None] = [None] * len(self._sizes)
+        #: Called with each method built on first entry (the JIT manager
+        #: puts it on its trampoline); ``None`` for no one.
+        self.on_build = None
 
-    def _charge_and_compile(
-        self, function: FunctionInfo, opt_level: int
-    ) -> CompiledMethod:
-        per_byte = self._cost_model.compile_cost_per_byte.get(opt_level, 2)
-        self.compile_time += per_byte * function.bytecode_size()
-        self.compile_count += 1
+    def _compile(self, function: FunctionInfo, opt_level: int) -> CompiledMethod:
         method = CompiledMethod(
             function,
             self._cost_model,
             opt_level,
             fuse=self.fuse,
             ic=self.ic,
+            cost_table=self._cost_table,
+            size_bytes=self._sizes[function.index],
         )
         self.fused_sites += method.fused_sites
         self.fused_span += method.fused_span
         return method
+
+    def current(self, index: int) -> CompiledMethod:
+        """Function ``index``'s current version, built on first entry."""
+        method = self.built[index]
+        if method is None:
+            method = self.built[index] = self._compile(
+                self._program.functions[index], 0
+            )
+            if self.on_build is not None:
+                self.on_build(method)
+        return method
+
+    def build_all(self) -> list[CompiledMethod]:
+        """Build every method not entered yet; the current versions."""
+        return [self.current(index) for index in range(len(self.built))]
+
+    #: Every current version, each built if it was not (disassembly,
+    #: tools and tests; the VM itself reads :meth:`current`).
+    methods = property(build_all)
 
     def install(self, function: FunctionInfo, opt_level: int) -> CompiledMethod:
         """Compile ``function`` at ``opt_level`` and make it current.
@@ -232,13 +272,16 @@ class CodeCache:
         version are repointed at the new one in place (in-flight frames
         keep executing the old code, but every *call* — cached or not —
         resolves to the current version, exactly like the raw dispatch
-        path reading ``cache.methods``); receiver counts live in shared
+        path reading :meth:`current`); receiver counts live in shared
         cells and are preserved.
         """
-        method = self._charge_and_compile(function, opt_level)
-        self.methods[function.index] = method
+        index = function.index
+        size = self._sizes[index] = function.bytecode_size()
+        self.compile_time += self._cost_model.compile_cost_per_byte.get(opt_level, 2) * size
+        self.compile_count += 1
+        method = self.built[index] = self._compile(function, opt_level)
         if self.ic:
-            self._refresh_ic_entries(function.index, method)
+            self._refresh_ic_entries(index, method)
         return method
 
     def _refresh_ic_entries(self, index: int, method: CompiledMethod) -> None:
@@ -283,8 +326,8 @@ class CodeCache:
         body, and those plus the ones still counting on the JIT
         manager's trampoline (a method the compiler refused holds neither)."""
         compiled = eligible = 0
-        for method in self.methods:
-            jrec = method.jit
+        for method in self.built:
+            jrec = None if method is None else method.jit
             if jrec is not None:
                 eligible += 1
                 if jrec.source is not None:
@@ -294,11 +337,9 @@ class CodeCache:
     jit_methods_compiled = property(lambda self: self.jit_methods()[0])
     jit_methods_eligible = property(lambda self: self.jit_methods()[1])
 
-    def current(self, index: int) -> CompiledMethod:
-        return self.methods[index]
-
     def opt_level(self, index: int) -> int:
-        return self.methods[index].opt_level
+        method = self.built[index]
+        return 0 if method is None else method.opt_level
 
     def total_code_size(self) -> int:
-        return sum(m.size_bytes for m in self.methods)
+        return sum(self._sizes)

@@ -26,7 +26,7 @@ def _fuse(code, costs=None):
     ops = [int(instr.op) for instr in code]
     if costs is None:
         costs = [1] * len(code)
-    return fuse_method(code, ops, costs)
+    return fuse_method(ops, [i.a for i in code], [i.b for i in code], costs)
 
 
 def test_quad_match_with_operands_and_summed_cost():
@@ -48,12 +48,13 @@ def test_quad_match_with_operands_and_summed_cost():
 
 
 def _groups(windows, code):
-    by_head = fuse.index([tuple(Op[name] for name in w) for w in windows])
+    trie = fuse.index([tuple(Op[name] for name in w) for w in windows])
     ops = [int(instr.op) for instr in code]
+    a = [instr.a for instr in code]
     return [
         (pc, fid - FUSE_BASE, stop)
         for start, end in fuse.runs(code)
-        for pc, fid, stop in fuse.groups(by_head, code, ops, start, end)
+        for pc, fid, stop in fuse.groups(trie, ops, a, start, end)
     ]
 
 
