@@ -325,9 +325,9 @@ def fuse_method(ops, a, b, costs):
     the number of groups formed, and ``span`` the raw instructions they
     cover.  Returns ``None`` when nothing fuses.
 
-    One pass: the stretches between jump targets are walked down the
-    trie in order, which is :func:`runs` and :func:`groups` at once
-    (the trie holds no window a placement boundary could split).
+    One pass: :func:`groups` runs over each stretch between jump
+    targets, which forms what it would over each of :func:`runs` (the
+    trie holds no window a placement boundary could split).
     """
     n = len(ops)
     targets = sorted({a[pc] for pc in range(n) if ops[pc] in _JUMPS})
