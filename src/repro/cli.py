@@ -341,19 +341,8 @@ def _cmd_run(args) -> int:
         dump_flight("requested via --flight-dump")
     if metrics_server is not None:
         metrics_server.stop()
-    if tracer is not None and args.trace:
-        from repro.telemetry import export
-
-        try:
-            export(tracer, args.trace, args.trace_format)
-        except OSError as error:
-            print(f"cannot write trace {args.trace}: {error}", file=sys.stderr)
-            return 1
-        print(
-            f"-- trace ({args.trace_format}, {len(tracer.events)} events) "
-            f"written to {args.trace}",
-            file=sys.stderr,
-        )
+    if tracer is not None and args.trace and not _export_trace(tracer, args):
+        return 1
     if args.save_profile:
         source = profiler if profiler is not None else perfect
         if source is None or isinstance(source, CBSLoopProfiler):
@@ -489,19 +478,26 @@ def _cmd_serve(args) -> int:
         raise SystemExit(f"cannot start fleet service: {error}")
     finally:
         if tracer is not None:
-            from repro.telemetry import export
-
-            try:
-                export(tracer, args.trace, args.trace_format)
-            except OSError as error:
-                print(f"cannot write trace {args.trace}: {error}", file=sys.stderr)
-            else:
-                print(
-                    f"-- trace ({args.trace_format}, {len(tracer.events)} events) "
-                    f"written to {args.trace}",
-                    file=sys.stderr,
-                )
+            _export_trace(tracer, args)
     return 0
+
+
+def _export_trace(tracer, args) -> bool:
+    """Write ``--trace`` in ``--trace-format`` and say so on stderr;
+    ``False``, after a one-line diagnostic, when it cannot be written."""
+    from repro.telemetry import export
+
+    try:
+        export(tracer, args.trace, args.trace_format)
+    except OSError as error:
+        print(f"cannot write trace {args.trace}: {error}", file=sys.stderr)
+        return False
+    print(
+        f"-- trace ({args.trace_format}, {len(tracer.events)} events) "
+        f"written to {args.trace}",
+        file=sys.stderr,
+    )
+    return True
 
 
 def _cmd_top(args) -> int:
@@ -960,6 +956,8 @@ _decay = _checked(_finite_float, lambda value: 0 < value <= 1, "a number in (0, 
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.telemetry.exporters import FORMATS
+
     parser = argparse.ArgumentParser(prog="repro-mini", description=__doc__)
     commands = parser.add_subparsers(dest="command", required=True)
 
@@ -1060,7 +1058,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--trace-format",
-        choices=["jsonl", "chrome"],
+        choices=FORMATS,
         default="jsonl",
         help="trace file format (chrome = trace_event JSON for chrome://tracing)",
     )
@@ -1145,7 +1143,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--trace-format",
-        choices=["jsonl", "chrome"],
+        choices=FORMATS,
         default="jsonl",
         help="trace file format for --trace",
     )

@@ -95,7 +95,11 @@ def dcg_from_dict(
         raise ProfileFormatError(
             f"unsupported profile format (expected version in {SUPPORTED_VERSIONS})"
         )
-    fingerprint = data.get("fingerprint")
+    fingerprint, entries = data.get("fingerprint"), data.get("edges", [])
+    if not isinstance(fingerprint, (str, type(None))):
+        raise ProfileFormatError("profile 'fingerprint' is not a string")
+    if not isinstance(entries, list):
+        raise ProfileFormatError("profile 'edges' is not a list")
     if fingerprint is not None and fingerprint != program.fingerprint():
         if strict:
             raise ProfileFormatError(
@@ -110,12 +114,14 @@ def dcg_from_dict(
         )
     index_by_name = {f.qualified_name: f.index for f in program.functions}
     dcg = DCG()
-    for entry in data.get("edges", []):
+    for entry in entries:
         try:
             caller_name = entry["caller"]
             callee_name = entry["callee"]
             pc = int(entry["pc"])
             weight = float(entry["weight"])
+            if not (isinstance(caller_name, str) and isinstance(callee_name, str)):
+                raise TypeError("function names must be strings")
         except (KeyError, TypeError, ValueError) as error:
             raise ProfileFormatError(f"malformed edge entry {entry!r}") from error
         caller = index_by_name.get(caller_name)

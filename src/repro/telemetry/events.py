@@ -6,13 +6,21 @@ small ``__slots__`` event object stamped with the VM's *virtual* time
 with the simulation the paper reasons about — when a window opened,
 which yieldpoint fired, where a sample landed.
 
-Each event class declares:
+An event kind is one class, and the class is its whole declaration:
 
 * ``name`` — the event-taxonomy name (stable; exporters and the
   ``repro-mini report`` summarizer key off it),
 * ``phase`` — the Chrome ``trace_event`` phase this event maps to
   (``"i"`` instant, ``"B"``/``"E"`` duration begin/end),
-* ``args()`` — the event's payload as a plain dict of JSON-able values.
+* ``lane`` — the Chrome thread ``(tid, name)`` it is drawn on,
+* ``__slots__`` — its payload, in constructor-argument order after
+  ``ts``; ``args()`` returns the slots in that order,
+* ``counter`` — the ``(metric name, help)`` of the tracer counter each
+  event bumps, or ``None``.
+
+The tracer registers the counters, the Chrome exporter reads the lanes
+and ``repro-mini report`` reads the counter names off these classes, so
+a new kind is one class here plus its ``Tracer.on_*`` hook.
 
 Events are cheap to construct but not free; emitting is always guarded
 by a ``tracer is not None`` check at the instrumentation site so the
@@ -26,14 +34,28 @@ from repro.vm.yieldpoint import KIND_NAMES
 #: Human-readable names for yieldpoint control-word states.
 FLAG_NAMES = {0: "YP_NONE", 1: "YP_ALL", -1: "YP_CBS"}
 
+#: Chrome trace lanes: one synthetic thread per pipeline layer so the
+#: timeline reads top-to-bottom as vm → profiler → adaptive → harness.
+VM_LANE = (1, "vm")
+PROFILER_LANE = (2, "profiler")
+ADAPTIVE_LANE = (3, "adaptive")
+HARNESS_LANE = (4, "harness")
+FLEET_LANE = (5, "fleet")
+
 
 class Event:
-    """Base class: a named, virtual-time-stamped occurrence."""
+    """Base class: a named, virtual-time-stamped occurrence.
+
+    ``Event(ts, *payload)`` fills the subclass's slots in order; slots
+    past the values given are ``None`` (the optional span coordinates).
+    """
 
     __slots__ = ("ts",)
 
     name = "event"
     phase = "i"  # Chrome trace_event phase
+    lane = VM_LANE
+    counter: tuple[str, str] | None = None
     #: Cross-process flow role: ``"start"``/``"finish"`` events carrying
     #: a ``span_id`` additionally emit a Chrome flow record, which is
     #: how one publish is followed from a VM's trace into the fleet
@@ -44,11 +66,25 @@ class Event:
     trace_id = None
     span_id = None
 
-    def __init__(self, ts: int):
+    def __init__(self, ts: int, *payload):
+        fields = self.__slots__
+        if len(payload) > len(fields):
+            raise TypeError(
+                f"{type(self).__name__} takes {len(fields)} payload values, "
+                f"got {len(payload)}"
+            )
+        for index, field in enumerate(fields):
+            setattr(self, field, payload[index] if index < len(payload) else None)
         self.ts = ts
 
     def args(self) -> dict:
-        return {}
+        """The payload as a dict of JSON-able values, in slot order
+        (span coordinates only when the event carries a span)."""
+        args = {field: getattr(self, field) for field in self.__slots__}
+        if self.span_id is None:
+            args.pop("trace_id", None)
+            args.pop("span_id", None)
+        return args
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         payload = ", ".join(f"{k}={v}" for k, v in self.args().items())
@@ -60,13 +96,7 @@ class TimerTick(Event):
 
     __slots__ = ("tick",)
     name = "timer_tick"
-
-    def __init__(self, ts: int, tick: int):
-        super().__init__(ts)
-        self.tick = tick
-
-    def args(self) -> dict:
-        return {"tick": self.tick}
+    counter = ("vm.ticks", "virtual timer interrupts")
 
 
 class YieldpointTaken(Event):
@@ -80,12 +110,7 @@ class YieldpointTaken(Event):
 
     __slots__ = ("kind", "flag_before", "flag_after")
     name = "yieldpoint"
-
-    def __init__(self, ts: int, kind: int, flag_before: int, flag_after: int):
-        super().__init__(ts)
-        self.kind = kind
-        self.flag_before = flag_before
-        self.flag_after = flag_after
+    counter = ("yieldpoints.taken", "yieldpoints taken (all kinds)")
 
     def args(self) -> dict:
         return {
@@ -101,13 +126,8 @@ class WindowOpen(Event):
     __slots__ = ("window",)
     name = "window_open"
     phase = "B"
-
-    def __init__(self, ts: int, window: int):
-        super().__init__(ts)
-        self.window = window
-
-    def args(self) -> dict:
-        return {"window": self.window}
+    lane = PROFILER_LANE
+    counter = ("cbs.windows_opened", "CBS profiling windows opened")
 
 
 class WindowClose(Event):
@@ -116,19 +136,8 @@ class WindowClose(Event):
     __slots__ = ("window", "samples", "duration")
     name = "window_close"
     phase = "E"
-
-    def __init__(self, ts: int, window: int, samples: int, duration: int):
-        super().__init__(ts)
-        self.window = window
-        self.samples = samples
-        self.duration = duration
-
-    def args(self) -> dict:
-        return {
-            "window": self.window,
-            "samples": self.samples,
-            "duration": self.duration,
-        }
+    lane = PROFILER_LANE
+    counter = ("cbs.windows_closed", "CBS profiling windows closed (budget exhausted)")
 
 
 class StackSample(Event):
@@ -136,21 +145,8 @@ class StackSample(Event):
 
     __slots__ = ("caller", "callsite_pc", "callee", "depth")
     name = "sample"
-
-    def __init__(self, ts: int, caller: int, callsite_pc: int, callee: int, depth: int):
-        super().__init__(ts)
-        self.caller = caller
-        self.callsite_pc = callsite_pc
-        self.callee = callee
-        self.depth = depth
-
-    def args(self) -> dict:
-        return {
-            "caller": self.caller,
-            "callsite_pc": self.callsite_pc,
-            "callee": self.callee,
-            "depth": self.depth,
-        }
+    lane = PROFILER_LANE
+    counter = ("samples.taken", "stack-walk samples recorded")
 
 
 class Recompilation(Event):
@@ -158,88 +154,27 @@ class Recompilation(Event):
 
     __slots__ = ("function", "level", "inlines", "size_before", "size_after")
     name = "recompile"
-
-    def __init__(
-        self,
-        ts: int,
-        function: int,
-        level: int,
-        inlines: int,
-        size_before: int,
-        size_after: int,
-    ):
-        super().__init__(ts)
-        self.function = function
-        self.level = level
-        self.inlines = inlines
-        self.size_before = size_before
-        self.size_after = size_after
-
-    def args(self) -> dict:
-        return {
-            "function": self.function,
-            "level": self.level,
-            "inlines": self.inlines,
-            "size_before": self.size_before,
-            "size_after": self.size_after,
-        }
+    lane = ADAPTIVE_LANE
+    counter = ("adaptive.recompilations", "adaptive recompilation decisions")
 
 
 class InlineDecisionEvent(Event):
-    """An inlining policy accepted or rejected a call site."""
+    """An inlining policy accepted or rejected a call site (counted as
+    ``inline.accepted`` or ``inline.rejected`` by the tracer)."""
 
     __slots__ = ("caller", "pc", "callee", "action", "accepted", "reason")
     name = "inline_decision"
-
-    def __init__(
-        self,
-        ts: int,
-        caller: int,
-        pc: int,
-        callee: int,
-        action: str,
-        accepted: bool,
-        reason: str,
-    ):
-        super().__init__(ts)
-        self.caller = caller
-        self.pc = pc
-        self.callee = callee
-        self.action = action
-        self.accepted = accepted
-        self.reason = reason
-
-    def args(self) -> dict:
-        return {
-            "caller": self.caller,
-            "pc": self.pc,
-            "callee": self.callee,
-            "action": self.action,
-            "accepted": self.accepted,
-            "reason": self.reason,
-        }
+    lane = ADAPTIVE_LANE
 
 
 class CallTraced(Event):
-    """One dynamic call (only emitted when ``Tracer.trace_calls`` is on;
-    by default calls are counted in the metrics registry, not traced,
-    to keep event volume bounded)."""
+    """One dynamic call.  Only emitted when ``Tracer.trace_calls`` is
+    on; the counter counts every call either way, so event volume stays
+    bounded by default."""
 
     __slots__ = ("caller", "callsite_pc", "callee")
     name = "call"
-
-    def __init__(self, ts: int, caller: int, callsite_pc: int, callee: int):
-        super().__init__(ts)
-        self.caller = caller
-        self.callsite_pc = callsite_pc
-        self.callee = callee
-
-    def args(self) -> dict:
-        return {
-            "caller": self.caller,
-            "callsite_pc": self.callsite_pc,
-            "callee": self.callee,
-        }
+    counter = ("calls.traced", "dynamic calls observed")
 
 
 class FleetPublish(Event):
@@ -255,30 +190,9 @@ class FleetPublish(Event):
 
     __slots__ = ("seq", "edges", "weight", "trace_id", "span_id")
     name = "fleet_publish"
+    lane = FLEET_LANE
+    counter = ("fleet.publishes", "DCG delta batches handed to the fleet publisher")
     flow = "start"
-
-    def __init__(
-        self,
-        ts: int,
-        seq: int,
-        edges: int,
-        weight: float,
-        trace_id: str | None = None,
-        span_id: str | None = None,
-    ):
-        super().__init__(ts)
-        self.seq = seq
-        self.edges = edges
-        self.weight = weight
-        self.trace_id = trace_id
-        self.span_id = span_id
-
-    def args(self) -> dict:
-        args = {"seq": self.seq, "edges": self.edges, "weight": self.weight}
-        if self.span_id is not None:
-            args["trace_id"] = self.trace_id
-            args["span_id"] = self.span_id
-        return args
 
 
 class FleetMerge(Event):
@@ -291,37 +205,9 @@ class FleetMerge(Event):
 
     __slots__ = ("fingerprint", "edges", "runs", "total_weight", "trace_id", "span_id")
     name = "fleet_merge"
+    lane = FLEET_LANE
+    counter = ("fleet.merges", "published deltas merged into fleet aggregates")
     flow = "finish"
-
-    def __init__(
-        self,
-        ts: int,
-        fingerprint: str,
-        edges: int,
-        runs: int,
-        total_weight: float,
-        trace_id: str | None = None,
-        span_id: str | None = None,
-    ):
-        super().__init__(ts)
-        self.fingerprint = fingerprint
-        self.edges = edges
-        self.runs = runs
-        self.total_weight = total_weight
-        self.trace_id = trace_id
-        self.span_id = span_id
-
-    def args(self) -> dict:
-        args = {
-            "fingerprint": self.fingerprint,
-            "edges": self.edges,
-            "runs": self.runs,
-            "total_weight": self.total_weight,
-        }
-        if self.span_id is not None:
-            args["trace_id"] = self.trace_id
-            args["span_id"] = self.span_id
-        return args
 
 
 class WarmStart(Event):
@@ -329,15 +215,8 @@ class WarmStart(Event):
 
     __slots__ = ("methods", "edges", "weight")
     name = "warm_start"
-
-    def __init__(self, ts: int, methods: int, edges: int, weight: float):
-        super().__init__(ts)
-        self.methods = methods
-        self.edges = edges
-        self.weight = weight
-
-    def args(self) -> dict:
-        return {"methods": self.methods, "edges": self.edges, "weight": self.weight}
+    lane = FLEET_LANE
+    counter = ("fleet.warm_starts", "adaptive controllers seeded from fleet profiles")
 
 
 class ScopeBegin(Event):
@@ -346,14 +225,10 @@ class ScopeBegin(Event):
     __slots__ = ("label", "extra")
     name = "scope_begin"
     phase = "B"
-
-    def __init__(self, ts: int, label: str, extra: dict | None = None):
-        super().__init__(ts)
-        self.label = label
-        self.extra = extra or {}
+    lane = HARNESS_LANE
 
     def args(self) -> dict:
-        return {"label": self.label, **self.extra}
+        return {"label": self.label, **(self.extra or {})}
 
 
 class ScopeEnd(Event):
@@ -362,31 +237,9 @@ class ScopeEnd(Event):
     __slots__ = ("label",)
     name = "scope_end"
     phase = "E"
-
-    def __init__(self, ts: int, label: str):
-        super().__init__(ts)
-        self.label = label
-
-    def args(self) -> dict:
-        return {"label": self.label}
+    lane = HARNESS_LANE
 
 
-#: name → class, for parsers that rehydrate events from JSONL.
-EVENT_TYPES = {
-    cls.name: cls
-    for cls in (
-        TimerTick,
-        YieldpointTaken,
-        WindowOpen,
-        WindowClose,
-        StackSample,
-        Recompilation,
-        InlineDecisionEvent,
-        CallTraced,
-        FleetPublish,
-        FleetMerge,
-        WarmStart,
-        ScopeBegin,
-        ScopeEnd,
-    )
-}
+#: name → class of every event kind: each subclass of :class:`Event`,
+#: in definition order.
+EVENT_TYPES = {cls.name: cls for cls in Event.__subclasses__()}

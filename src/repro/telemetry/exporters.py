@@ -22,6 +22,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from repro.telemetry.events import EVENT_TYPES
+
 FORMATS = ("jsonl", "chrome")
 
 JSONL_HEADER = {
@@ -31,24 +33,6 @@ JSONL_HEADER = {
     "clock": "virtual",
 }
 
-#: Chrome trace lanes: one synthetic thread per pipeline layer so the
-#: timeline reads top-to-bottom as vm → profiler → adaptive → harness.
-_LANES = {
-    "timer_tick": (1, "vm"),
-    "yieldpoint": (1, "vm"),
-    "call": (1, "vm"),
-    "window_open": (2, "profiler"),
-    "window_close": (2, "profiler"),
-    "sample": (2, "profiler"),
-    "recompile": (3, "adaptive"),
-    "inline_decision": (3, "adaptive"),
-    "scope_begin": (4, "harness"),
-    "scope_end": (4, "harness"),
-    "fleet_publish": (5, "fleet"),
-    "fleet_merge": (5, "fleet"),
-    "warm_start": (5, "fleet"),
-}
-_DEFAULT_LANE = (1, "vm")
 _PID = 1
 
 #: Chrome flow-event phases for the cross-process publish spans.
@@ -96,7 +80,7 @@ def chrome_trace_events(tracer) -> list[dict]:
             "args": {"name": "repro-mini virtual machine"},
         }
     ]
-    for tid, lane_name in sorted(set(_LANES.values())):
+    for tid, lane_name in sorted({cls.lane for cls in EVENT_TYPES.values()}):
         events.append(
             {
                 "name": "thread_name",
@@ -107,7 +91,7 @@ def chrome_trace_events(tracer) -> list[dict]:
             }
         )
     for event in tracer.events:
-        tid, _ = _LANES.get(event.name, _DEFAULT_LANE)
+        tid = event.lane[0]
         record = {
             "name": event.name,
             "cat": "repro",
@@ -219,6 +203,40 @@ class LoadedTrace:
         return counts
 
 
+def _event(record, default_ts=None) -> dict:
+    """One event record in the uniform shape; a record without a ``ts``
+    takes ``default_ts``, and is malformed when that is ``None``."""
+    if not isinstance(record, dict):
+        raise TraceFormatError("record is not a JSON object")
+    for key in ("name", "ts") if default_ts is None else ("name",):
+        if key not in record:
+            raise TraceFormatError(f"event record missing {key!r} field")
+    name, args = record["name"], record.get("args", {})
+    if not isinstance(name, str):
+        raise TraceFormatError("event 'name' is not a string")
+    if not isinstance(args, dict):
+        raise TraceFormatError(f"{name} event: 'args' is not a JSON object")
+    if name == "window_close" and not all(
+        isinstance(args.get(key, 0), (int, float)) for key in ("samples", "duration")
+    ):
+        raise TraceFormatError("window_close event with a non-numeric figure")
+    return {"name": name, "ts": record.get("ts", default_ts), "args": args}
+
+
+def _metrics(snapshot) -> dict:
+    """A metrics snapshot whose figures the summarizer can read."""
+    if not isinstance(snapshot, dict):
+        raise TraceFormatError("metrics are not a JSON object")
+    for name, metric in snapshot.items():
+        if not isinstance(metric, dict) or not isinstance(metric.get("value", 0), (int, float)):
+            raise TraceFormatError(f"metric {name!r} is malformed")
+        if metric.get("type") == "histogram" and not (
+            isinstance(metric.get("buckets"), dict) and "mean" in metric and "max" in metric
+        ):
+            raise TraceFormatError(f"histogram {name!r} is malformed")
+    return snapshot
+
+
 def _load_jsonl(lines: list[str]) -> LoadedTrace:
     trace = LoadedTrace(format="jsonl")
     for lineno, line in enumerate(lines, start=1):
@@ -233,66 +251,65 @@ def _load_jsonl(lines: list[str]) -> LoadedTrace:
             )
         if not isinstance(record, dict):
             raise TraceFormatError(f"line {lineno}: record is not a JSON object")
-        kind = record.get("record")
-        if kind == "event":
-            try:
-                trace.events.append(
-                    {
-                        "name": record["name"],
-                        "ts": record["ts"],
-                        "args": record.get("args", {}),
-                    }
-                )
-            except KeyError as error:
-                raise TraceFormatError(
-                    f"line {lineno}: event record missing {error} field"
-                )
-        elif kind == "metrics":
-            trace.metrics = record.get("metrics", {})
+        try:
+            kind = record.get("record")
+            if kind == "event":
+                trace.events.append(_event(record))
+            elif kind == "metrics":
+                trace.metrics = _metrics(record.get("metrics", {}))
+        except TraceFormatError as error:
+            raise TraceFormatError(f"line {lineno}: {error}")
     return trace
 
 
 def _load_chrome(document: dict) -> LoadedTrace:
     trace = LoadedTrace(format="chrome")
-    for record in document.get("traceEvents", []):
-        if record.get("ph") in ("M", "s", "t", "f"):
+    records = document["traceEvents"]
+    if not isinstance(records, list):
+        raise TraceFormatError("'traceEvents' is not a JSON array")
+    for index, record in enumerate(records):
+        if isinstance(record, dict) and record.get("ph") in ("M", "s", "t", "f"):
             continue  # metadata and flow decoration, not the event stream
-        trace.events.append(
-            {
-                "name": record["name"],
-                "ts": record.get("ts", 0),
-                "args": record.get("args", {}),
-            }
-        )
-    trace.metrics = document.get("otherData", {}).get("metrics", {})
+        try:
+            trace.events.append(_event(record, default_ts=0))
+        except TraceFormatError as error:
+            raise TraceFormatError(f"traceEvents[{index}]: {error}")
+    other = document.get("otherData", {})
+    if not isinstance(other, dict):
+        raise TraceFormatError("'otherData' is not a JSON object")
+    trace.metrics = _metrics(other.get("metrics", {}))
     return trace
 
 
 def load_trace(path: str) -> LoadedTrace:
-    """Read a trace file (auto-detecting JSONL vs. Chrome format)."""
+    """Read a trace file (auto-detecting JSONL vs. Chrome format).
+
+    Anything that is not a trace the summarizer can read raises
+    :class:`TraceFormatError` with a one-line message.
+    """
     try:
         with open(path) as handle:
             text = handle.read()
-    except OSError as error:
+    except (OSError, UnicodeDecodeError) as error:
         raise TraceFormatError(f"cannot read trace {path}: {error}")
     stripped = text.lstrip()
     if not stripped:
         raise TraceFormatError(f"{path}: empty file")
-    if stripped.startswith("{"):
-        try:
-            first = json.loads(stripped.splitlines()[0])
-        except json.JSONDecodeError:
-            first = None
+    if not stripped.startswith("{"):
+        raise TraceFormatError(f"{path}: unrecognized trace format")
+    try:
+        first = json.loads(stripped.splitlines()[0])
+    except json.JSONDecodeError:
+        first = None
+    try:
         if isinstance(first, dict) and first.get("format") == "repro-telemetry":
-            try:
-                return _load_jsonl(text.splitlines())
-            except TraceFormatError as error:
-                raise TraceFormatError(f"{path}: {error}")
+            return _load_jsonl(text.splitlines())
         try:
             document = json.loads(text)
         except json.JSONDecodeError as error:
-            raise TraceFormatError(f"{path}: not valid JSON ({error})")
+            raise TraceFormatError(f"not valid JSON ({error})")
         if "traceEvents" not in document:
-            raise TraceFormatError(f"{path}: JSON object without 'traceEvents'")
+            raise TraceFormatError("JSON object without 'traceEvents'")
         return _load_chrome(document)
-    raise TraceFormatError(f"{path}: unrecognized trace format")
+    except TraceFormatError as error:
+        raise TraceFormatError(f"{path}: {error}")

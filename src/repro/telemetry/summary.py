@@ -9,6 +9,7 @@ trace stripped of its footer still reports.
 
 from __future__ import annotations
 
+from repro.telemetry.events import EVENT_TYPES
 from repro.telemetry.exporters import LoadedTrace
 from repro.telemetry.hostcounters import TIERS, shown, tier_rows
 
@@ -39,10 +40,6 @@ def _host_tiers(trace: LoadedTrace) -> dict:
     return tiers
 
 
-def _count(trace: LoadedTrace, event_name: str, counts: dict) -> int:
-    return counts.get(event_name, 0)
-
-
 def pipeline_rows(trace: LoadedTrace) -> list[list[object]]:
     """(quantity, value) rows for the headline summary table."""
     counts = trace.counts_by_event()
@@ -51,18 +48,19 @@ def pipeline_rows(trace: LoadedTrace) -> list[list[object]]:
     for event in trace.events:
         if event["name"] == "yieldpoint":
             args = event["args"]
-            kind = args.get("kind", "?")
+            kind = str(args.get("kind", "?"))
             yp_kinds[kind] = yp_kinds.get(kind, 0) + 1
             arrow = f"{args.get('from', '?')} -> {args.get('to', '?')}"
             transitions[arrow] = transitions.get(arrow, 0) + 1
 
-    def metric_or_count(metric_name: str, event_name: str) -> int:
-        value = _metric_value(trace, metric_name)
-        return value if value is not None else _count(trace, event_name, counts)
+    def metric_or_count(event_name: str) -> int:
+        """The event's counter, or its event count in a trace without one."""
+        value = _metric_value(trace, EVENT_TYPES[event_name].counter[0])
+        return value if value is not None else counts.get(event_name, 0)
 
     rows: list[list[object]] = [
-        ["timer ticks", metric_or_count("vm.ticks", "timer_tick")],
-        ["yieldpoints taken", metric_or_count("yieldpoints.taken", "yieldpoint")],
+        ["timer ticks", metric_or_count("timer_tick")],
+        ["yieldpoints taken", metric_or_count("yieldpoint")],
     ]
     for kind in ("prologue", "epilogue", "backedge"):
         if kind in yp_kinds:
@@ -70,14 +68,14 @@ def pipeline_rows(trace: LoadedTrace) -> list[list[object]]:
     for arrow in sorted(transitions):
         rows.append([f"  {arrow}", transitions[arrow]])
     rows += [
-        ["windows opened", metric_or_count("cbs.windows_opened", "window_open")],
-        ["windows closed", metric_or_count("cbs.windows_closed", "window_close")],
-        ["samples taken", metric_or_count("samples.taken", "sample")],
+        ["windows opened", metric_or_count("window_open")],
+        ["windows closed", metric_or_count("window_close")],
+        ["samples taken", metric_or_count("sample")],
     ]
-    calls = _metric_value(trace, "calls.traced")
+    calls = _metric_value(trace, EVENT_TYPES["call"].counter[0])
     if calls:
         rows.append(["calls traced", calls])
-    recompiles = metric_or_count("adaptive.recompilations", "recompile")
+    recompiles = metric_or_count("recompile")
     if recompiles:
         rows.append(["recompilations", recompiles])
     accepted = _metric_value(trace, "inline.accepted") or 0
@@ -88,7 +86,7 @@ def pipeline_rows(trace: LoadedTrace) -> list[list[object]]:
     for rows_of_tier in _host_tiers(trace).values():
         for row, value in rows_of_tier:
             rows.append([f"{row.tier} {row.suffix}", shown(row, value)])
-    publishes = metric_or_count("fleet.publishes", "fleet_publish")
+    publishes = metric_or_count("fleet_publish")
     if publishes:
         rows.append(["fleet batches published", publishes])
         sent = _metric_value(trace, "fleet.batches_sent")
@@ -100,10 +98,10 @@ def pipeline_rows(trace: LoadedTrace) -> list[list[object]]:
             rows.append(["fleet edges delivered", _metric_value(trace, "fleet.edges_sent") or 0])
         if _metric_value(trace, "fleet.server_dead"):
             rows.append(["fleet server dead", 1])
-    merges = metric_or_count("fleet.merges", "fleet_merge")
+    merges = metric_or_count("fleet_merge")
     if merges:
         rows.append(["fleet deltas merged", merges])
-    warm_starts = metric_or_count("fleet.warm_starts", "warm_start")
+    warm_starts = metric_or_count("warm_start")
     if warm_starts:
         rows.append(["warm starts", warm_starts])
     return rows

@@ -19,6 +19,7 @@ hook in a local at loop entry, like the call observer.
 from __future__ import annotations
 
 from repro.telemetry.events import (
+    EVENT_TYPES,
     CallTraced,
     FleetMerge,
     FleetPublish,
@@ -36,6 +37,11 @@ from repro.telemetry.events import (
 from repro.telemetry.hostcounters import COUNTER, HOST_COUNTERS
 from repro.telemetry.metrics import MetricsRegistry
 from repro.vm.yieldpoint import KIND_NAMES
+
+
+def _no_counter() -> None:
+    """The counter bump of an event class that declares none."""
+
 
 #: Default histogram bucket bounds (inclusive upper edges).
 SAMPLES_PER_WINDOW_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128)
@@ -59,40 +65,22 @@ class Tracer:
         self.trace_calls = trace_calls
 
         metrics = self.metrics
-        # Pre-bound metrics so the per-event update is one method call.
-        self._ticks = metrics.counter("vm.ticks", "virtual timer interrupts")
-        self._yieldpoints = metrics.counter(
-            "yieldpoints.taken", "yieldpoints taken (all kinds)"
-        )
+        #: Per event class, the ``inc`` of the counter it declares (a
+        #: no-op for classes without one), bumped by :meth:`_emit`.
+        self._bump = {
+            cls: metrics.counter(*cls.counter).inc if cls.counter else _no_counter
+            for cls in EVENT_TYPES.values()
+        }
+        self._calls = self._bump[CallTraced]
         self._yp_by_kind = {
             kind: metrics.counter(f"yieldpoints.{name}", f"{name} yieldpoints taken")
             for kind, name in KIND_NAMES.items()
         }
-        self._windows_opened = metrics.counter(
-            "cbs.windows_opened", "CBS profiling windows opened"
-        )
-        self._windows_closed = metrics.counter(
-            "cbs.windows_closed", "CBS profiling windows closed (budget exhausted)"
-        )
-        self._samples = metrics.counter("samples.taken", "stack-walk samples recorded")
-        self._calls = metrics.counter("calls.traced", "dynamic calls observed")
-        self._recompilations = metrics.counter(
-            "adaptive.recompilations", "adaptive recompilation decisions"
-        )
         self._inline_accepted = metrics.counter(
             "inline.accepted", "call sites the inlining policy accepted"
         )
         self._inline_rejected = metrics.counter(
             "inline.rejected", "call sites the inlining policy rejected"
-        )
-        self._fleet_publishes = metrics.counter(
-            "fleet.publishes", "DCG delta batches handed to the fleet publisher"
-        )
-        self._fleet_merges = metrics.counter(
-            "fleet.merges", "published deltas merged into fleet aggregates"
-        )
-        self._warm_starts = metrics.counter(
-            "fleet.warm_starts", "adaptive controllers seeded from fleet profiles"
         )
         # Publisher outcome counters (worker-thread figures recorded at
         # close; metrics only, never events, so publishing configs keep
@@ -145,25 +133,28 @@ class Tracer:
         """Bind this tracer's clock to ``vm``'s virtual time."""
         self.clock = lambda: vm.time
 
+    def _emit(self, event) -> None:
+        """Bump the event's declared counter and append it to the log."""
+        self._bump[type(event)]()
+        self.events.append(event)
+
     # -- VM-facing hook methods (sites pass the virtual timestamp) ----------------
 
     def on_tick(self, ts: int, tick: int) -> None:
-        self._ticks.inc()
-        self.events.append(TimerTick(ts, tick))
+        self._emit(TimerTick(ts, tick))
 
     def on_yieldpoint(self, ts: int, kind: int, flag_before: int) -> YieldpointTaken:
         """Record a taken yieldpoint; returns the event so the caller
         can fill in ``flag_after`` once the profiler has handled it."""
-        self._yieldpoints.inc()
         by_kind = self._yp_by_kind.get(kind)
         if by_kind is not None:
             by_kind.inc()
         event = YieldpointTaken(ts, kind, flag_before, flag_before)
-        self.events.append(event)
+        self._emit(event)
         return event
 
     def on_call(self, ts: int, caller: int, callsite_pc: int, callee: int) -> None:
-        self._calls.inc()
+        self._calls()  # every call counts; only traced ones are events
         if self.trace_calls:
             self.events.append(CallTraced(ts, caller, callsite_pc, callee))
 
@@ -188,29 +179,26 @@ class Tracer:
         self._window_id += 1
         self._window_open_ts = ts
         self._window_samples = 0
-        self._windows_opened.inc()
-        self.events.append(WindowOpen(ts, self._window_id))
+        self._emit(WindowOpen(ts, self._window_id))
 
     def on_window_close(self, ts: int) -> None:
         if self._window_open_ts is None:
             return
         duration = ts - self._window_open_ts
         samples = self._window_samples
-        self._windows_closed.inc()
         self._samples_per_window.observe(samples)
         self._window_duration.observe(duration)
-        self.events.append(WindowClose(ts, self._window_id, samples, duration))
+        self._emit(WindowClose(ts, self._window_id, samples, duration))
         self._window_open_ts = None
         self._window_samples = 0
 
     def on_sample(
         self, ts: int, caller: int, callsite_pc: int, callee: int, depth: int
     ) -> None:
-        self._samples.inc()
         self._stack_depth.observe(depth)
         if self._window_open_ts is not None:
             self._window_samples += 1
-        self.events.append(StackSample(ts, caller, callsite_pc, callee, depth))
+        self._emit(StackSample(ts, caller, callsite_pc, callee, depth))
 
     # -- adaptive / inlining hook methods -------------------------------------------
 
@@ -223,10 +211,7 @@ class Tracer:
         size_before: int,
         size_after: int,
     ) -> None:
-        self._recompilations.inc()
-        self.events.append(
-            Recompilation(ts, function, level, inlines, size_before, size_after)
-        )
+        self._emit(Recompilation(ts, function, level, inlines, size_before, size_after))
 
     def on_inline_decision(
         self,
@@ -241,7 +226,7 @@ class Tracer:
             self._inline_accepted.inc()
         else:
             self._inline_rejected.inc()
-        self.events.append(
+        self._emit(
             InlineDecisionEvent(self.clock(), caller, pc, callee, action, accepted, reason)
         )
 
@@ -256,8 +241,7 @@ class Tracer:
         trace_id: str | None = None,
         span_id: str | None = None,
     ) -> None:
-        self._fleet_publishes.inc()
-        self.events.append(FleetPublish(ts, seq, edges, weight, trace_id, span_id))
+        self._emit(FleetPublish(ts, seq, edges, weight, trace_id, span_id))
 
     def on_fleet_merge(
         self,
@@ -268,8 +252,7 @@ class Tracer:
         trace_id: str | None = None,
         span_id: str | None = None,
     ) -> None:
-        self._fleet_merges.inc()
-        self.events.append(
+        self._emit(
             FleetMerge(
                 self.clock(), fingerprint, edges, runs, total_weight, trace_id, span_id
             )
@@ -287,19 +270,18 @@ class Tracer:
         self._fleet_server_dead.set(1 if server_dead else 0)
 
     def on_warm_start(self, ts: int, methods: int, edges: int, weight: float) -> None:
-        self._warm_starts.inc()
-        self.events.append(WarmStart(ts, methods, edges, weight))
+        self._emit(WarmStart(ts, methods, edges, weight))
 
     # -- scopes ----------------------------------------------------------------------
 
     def scope_begin(self, label: str, **extra) -> None:
         self._open_scopes.append(label)
-        self.events.append(ScopeBegin(self.clock(), label, extra or None))
+        self._emit(ScopeBegin(self.clock(), label, extra))
 
     def scope_end(self, label: str) -> None:
         if label in self._open_scopes:
             self._open_scopes.remove(label)
-        self.events.append(ScopeEnd(self.clock(), label))
+        self._emit(ScopeEnd(self.clock(), label))
 
     # -- lifecycle --------------------------------------------------------------------
 

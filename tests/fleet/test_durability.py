@@ -11,16 +11,9 @@ published weight, exactly (weights are small integers).
 
 from __future__ import annotations
 
-import os
-import re
-import select
 import signal
-import socket
-import subprocess
-import sys
 import time
 
-import repro
 from repro.fleet.protocol import (
     fetch_message,
     flush_message,
@@ -29,52 +22,10 @@ from repro.fleet.protocol import (
     send_message,
 )
 from repro.fleet.repository import ProfileRepository
-
-SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+from tests.fleet._served import Served
 
 FPS = [format(i, "x").rjust(8, "0") + "0" * 56 for i in range(6)]
 DELTAS = 60
-
-
-class Served:
-    """``repro-mini serve`` as a real process."""
-
-    def __init__(self, root):
-        command = [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
-                   "--root", str(root)]
-        self.process = subprocess.Popen(
-            command, stderr=subprocess.PIPE, text=True,
-            env=dict(os.environ, PYTHONPATH=SRC),
-        )
-        deadline = time.monotonic() + 60.0
-        self.address = None
-        #: Everything the service wrote to stderr after its readiness
-        #: line, available once :meth:`kill` has run.
-        self.log = ""
-        while self.address is None and time.monotonic() < deadline:
-            ready, _, _ = select.select([self.process.stderr], [], [], 1.0)
-            line = self.process.stderr.readline() if ready else ""
-            match = re.search(r"listening on ([\d.]+):(\d+)", line)
-            if match:
-                self.address = (match.group(1), int(match.group(2)))
-            elif ready and not line:
-                break  # the process died before listening
-        if self.address is None:
-            self.kill()
-            raise AssertionError("serve did not start listening")
-
-    def kill(self) -> None:
-        """``kill -9`` the service."""
-        self.process.kill()
-        self.process.wait(30)
-        if not self.process.stderr.closed:
-            self.log = self.process.stderr.read()
-            self.process.stderr.close()
-
-    def connect(self) -> socket.socket:
-        sock = socket.create_connection(self.address, timeout=30.0)
-        sock.settimeout(30.0)
-        return sock
 
 
 def publish_burst(sock) -> dict[str, int]:
@@ -122,7 +73,7 @@ def test_sigterm_stops_gracefully_and_loses_nothing(tmp_path):
     try:
         published = publish_burst(sock)
         server.process.send_signal(signal.SIGTERM)
-        returncode = server.process.wait(10)
+        returncode = server.process.wait(5)
         assert sock.recv(1) == b""  # the stopping server hung up on us
     finally:
         sock.close()

@@ -110,6 +110,42 @@ def test_malformed_edge_rejected():
         )
 
 
+@pytest.mark.parametrize(
+    "data, strict, message",
+    [
+        ({"version": 3, "edges": 5}, False, "'edges' is not a list"),
+        ({"version": 3, "fingerprint": 5, "edges": []}, True, "'fingerprint' is not a string"),
+        ({"version": 3, "fingerprint": [1], "edges": []}, False, "'fingerprint' is not a string"),
+        (
+            {"version": 1, "edges": [{"caller": ["main"], "pc": 0, "callee": "helper",
+                                      "weight": 1.0}]},
+            False,
+            "malformed",
+        ),
+    ],
+    ids=["edges-not-a-list", "fingerprint-not-a-string-strict", "fingerprint-not-a-string",
+         "caller-not-a-string"],
+)
+def test_malformed_profile_shapes_rejected(data, strict, message):
+    """Shapes that used to escape as ``TypeError`` from ``run
+    --load-profile`` and ``--warm-start`` (which catch only
+    ``ProfileFormatError``)."""
+    program, _ = collected()
+    with pytest.raises(ProfileFormatError, match=message):
+        dcg_from_dict(data, program, strict=strict)
+
+
+def test_load_profile_rejects_edges_that_are_not_a_list(tmp_path):
+    from repro.cli import main
+
+    source = tmp_path / "prog.mini"
+    source.write_text(SOURCE)
+    profile = tmp_path / "bad.json"
+    profile.write_text('{"version": 3, "edges": 5}')
+    with pytest.raises(SystemExit, match="'edges' is not a list"):
+        main(["run", str(source), "--load-profile", str(profile)])
+
+
 def test_negative_weight_rejected():
     program, _ = collected()
     data = {

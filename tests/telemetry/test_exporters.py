@@ -163,6 +163,62 @@ def test_load_trace_rejects_garbage(tmp_path):
     missing_key.write_text('{"foo": 1}')
     with pytest.raises(TraceFormatError):
         load_trace(str(missing_key))
+    not_utf8 = tmp_path / "bytes.json"
+    not_utf8.write_bytes(b'{"traceEvents": ["\xff"]}')
+    with pytest.raises(TraceFormatError, match="cannot read"):
+        load_trace(str(not_utf8))
+
+
+JSONL_HEAD = '{"record": "header", "format": "repro-telemetry", "version": 1}\n'
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"traceEvents": 5}',
+        '{"traceEvents": [7]}',
+        '{"traceEvents": [{"ph": "i", "ts": 1}]}',
+        '{"traceEvents": [{"name": 3, "ph": "i"}]}',
+        '{"traceEvents": [{"name": "sample", "ph": "i", "args": 5}]}',
+        '{"traceEvents": [], "otherData": 5}',
+        '{"traceEvents": [], "otherData": {"metrics": 5}}',
+        '{"traceEvents": [], "otherData": {"metrics": {"vm.ticks": 5}}}',
+        JSONL_HEAD + '{"record": "event", "name": "sample", "ts": 1, "args": [1]}\n',
+        JSONL_HEAD + '{"record": "metrics", "metrics": [1]}\n',
+        JSONL_HEAD + '{"record": "metrics", "metrics": {"vm.ticks": {"value": "x"}}}\n',
+        JSONL_HEAD + '{"record": "metrics", "metrics": {"h": {"type": "histogram"}}}\n',
+        JSONL_HEAD + '{"record": "event", "name": "window_close", "ts": 1, '
+        '"args": {"samples": "8"}}\n',
+    ],
+    ids=[
+        "chrome-events-not-a-list",
+        "chrome-record-not-an-object",
+        "chrome-record-without-name",
+        "chrome-name-not-a-string",
+        "chrome-args-not-an-object",
+        "chrome-otherdata-not-an-object",
+        "chrome-metrics-not-an-object",
+        "chrome-metric-not-an-object",
+        "jsonl-args-not-an-object",
+        "jsonl-metrics-not-an-object",
+        "jsonl-metric-value-not-a-number",
+        "jsonl-histogram-without-buckets",
+        "jsonl-window-figure-not-a-number",
+    ],
+)
+def test_load_trace_rejects_malformed_records(tmp_path, capsys, text):
+    """Each shape used to escape ``report`` as a Python traceback; now
+    the loader rejects it and ``report`` exits nonzero with one line."""
+    from repro.cli import main
+
+    path = tmp_path / "bad.trace"
+    path.write_text(text)
+    with pytest.raises(TraceFormatError):
+        load_trace(str(path))
+    with pytest.raises(SystemExit) as exit_info:
+        main(["report", str(path)])
+    message = str(exit_info.value.code)
+    assert message.startswith(str(path)) and "\n" not in message
 
 
 OLD_SHARDED_SERVE_TRACE = """\
