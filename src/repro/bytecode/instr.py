@@ -18,7 +18,7 @@ baseline code needs no map.
 
 from __future__ import annotations
 
-from repro.bytecode.opcodes import JUMP_OPS, Op
+from repro.bytecode.opcodes import Op
 
 
 class Instr:
@@ -41,10 +41,6 @@ class Instr:
 
     def copy(self) -> "Instr":
         return Instr(self.op, self.a, self.b, self.origin)
-
-    @property
-    def is_jump(self) -> bool:
-        return self.op in JUMP_OPS
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Instr):

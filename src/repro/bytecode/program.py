@@ -121,9 +121,6 @@ class Program:
             raise ProgramError(f"no class named {name!r}")
         return self.classes[index]
 
-    def has_class(self, name: str) -> bool:
-        return name in self._class_by_name
-
     def entry_function(self) -> FunctionInfo:
         if self.entry_index is None:
             raise ProgramError("program has no main() function")

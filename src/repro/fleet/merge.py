@@ -16,11 +16,14 @@ default ``decay=1.0`` this degenerates to plain summation.)  Decay
 factors that are negative powers of two — 0.5, 0.25 — are exact in
 binary floating point, which the determinism tests exploit.
 
-Edges are keyed symbolically (``caller name, pc, callee name``) exactly
-like serialized profiles, so an aggregate outlives any single build of
-the program; :meth:`AggregateProfile.to_dict` emits a version-2 profile
-dict (resolvable by :func:`repro.profiling.serialize.dcg_from_dict`)
-with a ``"fleet"`` metadata key.
+A delta carries two kinds of row, call-graph edges and inline-cache
+receiver counts, and both fold the same way.  Edges are keyed
+symbolically (``caller name, pc, callee name``) exactly like serialized
+profiles, so an aggregate outlives any single build of the program;
+:meth:`AggregateProfile.to_dict` emits a version-2 profile dict
+(resolvable by :func:`repro.profiling.serialize.dcg_from_dict`) with a
+``"fleet"`` metadata key.  Snapshots that older servers wrote with a
+``paths`` section of Ball-Larus rows load without it.
 """
 
 from __future__ import annotations
@@ -35,11 +38,6 @@ NamedEdge = tuple[str, int, str]
 
 #: Symbolic receiver key: (caller qualified name, callsite pc, receiver class name).
 NamedReceiver = tuple[str, int, str]
-
-#: Symbolic Ball-Larus path key: (function qualified name, path id).
-#: No client publishes path rows any more; rows from older clients and
-#: snapshots are still merged, decayed and persisted like edges.
-NamedPath = tuple[str, int]
 
 
 class MergeError(Exception):
@@ -66,28 +64,49 @@ class MergePolicy:
             raise ValueError("max_edges must be >= 1")
 
 
-def coalesce_validated(deltas) -> list[tuple[int, dict, dict, dict]]:
+def _validate_row(entry, what: str) -> tuple[tuple, float]:
+    """Validate one ``[name, pc, name, weight]`` wire row."""
+    try:
+        first, pc, second, weight = entry
+        key = (str(first), int(pc), str(second))
+        weight = float(weight)
+    except (TypeError, ValueError) as error:
+        raise MergeError(f"malformed {what} {entry!r}") from error
+    if not math.isfinite(weight) or weight < 0:
+        raise MergeError(f"bad weight in {what} {entry!r}")
+    return key, weight
+
+
+def validate_rows(rows, what: str) -> list[tuple[tuple, float]]:
+    """Validate wire rows (edges or receiver rows) into ``(key, weight)``
+    pairs, dropping zero weights; raises :class:`MergeError` on the
+    first malformed row."""
+    return [
+        (key, weight)
+        for key, weight in (_validate_row(entry, what) for entry in rows)
+        if weight
+    ]
+
+
+def coalesce_validated(deltas) -> list[tuple[int, dict, dict]]:
     """Sum validated deltas into per-epoch lumps ready for merging.
 
-    ``deltas`` is an iterable of ``(epoch, edge_pairs, receiver_pairs,
-    path_pairs)`` where each pair list is already validated ``(key,
-    weight)`` tuples (the shape the staging buffer holds).  Returns
-    ``[(epoch, edge_sums, receiver_sums, path_sums), ...]`` in
-    ascending epoch order — deterministic, and equivalent to any other
-    order by merge commutativity.
+    ``deltas`` is an iterable of ``(epoch, edge_pairs, receiver_pairs)``
+    where each pair list is what :func:`validate_rows` returns (the
+    shape the staging buffer holds).  Returns ``[(epoch, edge_sums,
+    receiver_sums), ...]`` in ascending epoch order — deterministic,
+    and equivalent to any other order by merge commutativity.
     """
-    by_epoch: dict[int, tuple[dict, dict, dict]] = {}
-    for epoch, edges, receivers, paths in deltas:
+    by_epoch: dict[int, tuple[dict, dict]] = {}
+    for epoch, edges, receivers in deltas:
         group = by_epoch.get(epoch)
         if group is None:
-            group = by_epoch[epoch] = ({}, {}, {})
-        edge_sums, receiver_sums, path_sums = group
+            group = by_epoch[epoch] = ({}, {})
+        edge_sums, receiver_sums = group
         for key, weight in edges:
             edge_sums[key] = edge_sums.get(key, 0.0) + weight
         for key, count in receivers:
             receiver_sums[key] = receiver_sums.get(key, 0.0) + count
-        for key, count in paths:
-            path_sums[key] = path_sums.get(key, 0.0) + count
     return [
         (epoch, *by_epoch[epoch]) for epoch in sorted(by_epoch)
     ]
@@ -103,7 +122,6 @@ class AggregateProfile:
         self.publishes = 0
         self._edges: dict[NamedEdge, float] = {}
         self._receivers: dict[NamedReceiver, float] = {}
-        self._paths: dict[NamedPath, float] = {}
         self._run_ids: set[str] = set()
         #: Runs folded into snapshots this aggregate was loaded from
         #: (their ids are not retained; see :meth:`from_dict`).
@@ -117,7 +135,6 @@ class AggregateProfile:
         epoch: int = 0,
         run_id: str | None = None,
         receivers: list | None = None,
-        paths: list | None = None,
     ) -> None:
         """Fold one published delta into the aggregate.
 
@@ -131,46 +148,18 @@ class AggregateProfile:
         ``edges`` is a list of ``[caller, pc, callee, weight]`` entries
         (the wire shape); ``receivers``, when present, is a list of
         ``[caller, pc, class_name, count]`` inline-cache receiver rows
-        folded the same way (same decay, same commutativity), and
-        ``paths`` a list of ``[function, path_id, count]`` Ball-Larus
-        rows likewise.  Raises :class:`MergeError` on malformed entries
-        without mutating the aggregate.
+        folded the same way (same decay, same commutativity).  Raises
+        :class:`MergeError` on malformed entries without mutating the
+        aggregate.
         """
-        validated = [
-            (key, weight)
-            for key, weight in (
-                self._validate_row(entry, "edge") for entry in edges
-            )
-            if weight
-        ]
-        validated_receivers = []
-        if receivers is not None:
-            validated_receivers = [
-                (key, count)
-                for key, count in (
-                    self._validate_row(entry, "receiver row")
-                    for entry in receivers
-                )
-                if count
-            ]
-        validated_paths = []
-        if paths is not None:
-            validated_paths = [
-                (key, count)
-                for key, count in (
-                    self._validate_path_row(entry, "path row")
-                    for entry in paths
-                )
-                if count
-            ]
+        validated = validate_rows(edges, "edge")
+        validated_receivers = validate_rows(receivers or (), "receiver row")
 
         scale = self._rebase(int(epoch))
         for key, weight in validated:
             self._edges[key] = self._edges.get(key, 0.0) + weight * scale
         for key, count in validated_receivers:
             self._receivers[key] = self._receivers.get(key, 0.0) + count * scale
-        for key, count in validated_paths:
-            self._paths[key] = self._paths.get(key, 0.0) + count * scale
         self.publishes += 1
         if run_id is not None:
             self._run_ids.add(str(run_id))
@@ -191,14 +180,12 @@ class AggregateProfile:
         decay).  ``publishes`` and ``run_ids`` carry the per-delta
         accounting the lump absorbed.
         """
-        for epoch, edges, receivers, paths in groups:
+        for epoch, edges, receivers in groups:
             scale = self._rebase(int(epoch))
             for key, weight in edges.items():
                 self._edges[key] = self._edges.get(key, 0.0) + weight * scale
             for key, count in receivers.items():
                 self._receivers[key] = self._receivers.get(key, 0.0) + count * scale
-            for key, count in paths.items():
-                self._paths[key] = self._paths.get(key, 0.0) + count * scale
         self.publishes += publishes
         for run_id in run_ids:
             self._run_ids.add(str(run_id))
@@ -216,38 +203,9 @@ class AggregateProfile:
         clone.publishes = self.publishes
         clone._edges = dict(self._edges)
         clone._receivers = dict(self._receivers)
-        clone._paths = dict(self._paths)
         clone._run_ids = set(self._run_ids)
         clone._base_runs = self._base_runs
         return clone
-
-    @staticmethod
-    def _validate_row(entry, what: str) -> tuple[tuple, float]:
-        """Validate one ``[name, pc, name, weight]`` wire row."""
-        try:
-            first, pc, second, weight = entry
-            key = (str(first), int(pc), str(second))
-            weight = float(weight)
-        except (TypeError, ValueError) as error:
-            raise MergeError(f"malformed {what} {entry!r}") from error
-        if not math.isfinite(weight) or weight < 0:
-            raise MergeError(f"bad weight in {what} {entry!r}")
-        return key, weight
-
-    @staticmethod
-    def _validate_path_row(entry, what: str) -> tuple[NamedPath, float]:
-        """Validate one ``[function, path_id, count]`` wire row."""
-        try:
-            name, pid, count = entry
-            key = (str(name), int(pid))
-            count = float(count)
-        except (TypeError, ValueError) as error:
-            raise MergeError(f"malformed {what} {entry!r}") from error
-        if key[1] < 0:
-            raise MergeError(f"negative path id in {what} {entry!r}")
-        if not math.isfinite(count) or count < 0:
-            raise MergeError(f"bad count in {what} {entry!r}")
-        return key, count
 
     def _rebase(self, epoch: int) -> float:
         """Advance the aggregate to ``max(self.epoch, epoch)`` and return
@@ -262,8 +220,6 @@ class AggregateProfile:
                 self._edges[key] *= aging
             for key in self._receivers:
                 self._receivers[key] *= aging
-            for key in self._paths:
-                self._paths[key] *= aging
             self.epoch = epoch
             return 1.0
         return decay ** (self.epoch - epoch)
@@ -289,10 +245,6 @@ class AggregateProfile:
     def receivers(self) -> dict[NamedReceiver, float]:
         """The raw symbolic receiver→count mapping (do not mutate)."""
         return self._receivers
-
-    def paths(self) -> dict[NamedPath, float]:
-        """The raw symbolic (function, path id)→count mapping (do not mutate)."""
-        return self._paths
 
     def receiver_distribution(self, caller: str, pc: int) -> dict[str, float]:
         """{class name: aggregated count} at one symbolic call site."""
@@ -337,16 +289,12 @@ class AggregateProfile:
                     self._receivers.items()
                 )
             ]
-        if self._paths:
-            snapshot["paths"] = [
-                [name, pid, count]
-                for (name, pid), count in sorted(self._paths.items())
-            ]
         return snapshot
 
     @classmethod
     def from_dict(cls, data: dict, policy: MergePolicy | None = None) -> "AggregateProfile":
-        """Rebuild an aggregate from a persisted snapshot."""
+        """Rebuild an aggregate from a persisted snapshot (a ``paths``
+        section is ignored)."""
         if not isinstance(data, dict) or not isinstance(data.get("edges"), list):
             raise MergeError("snapshot is not a profile dict")
         fingerprint = data.get("fingerprint")
@@ -372,14 +320,8 @@ class AggregateProfile:
         if not isinstance(receivers, list):
             raise MergeError("malformed snapshot receivers")
         for entry in receivers:
-            key, count = cls._validate_row(entry, "snapshot receiver row")
+            key, count = _validate_row(entry, "snapshot receiver row")
             aggregate._receivers[key] = (
                 aggregate._receivers.get(key, 0.0) + count
             )
-        paths = data.get("paths", [])
-        if not isinstance(paths, list):
-            raise MergeError("malformed snapshot paths")
-        for entry in paths:
-            key, count = cls._validate_path_row(entry, "snapshot path row")
-            aggregate._paths[key] = aggregate._paths.get(key, 0.0) + count
         return aggregate

@@ -5,8 +5,9 @@ length followed by that many bytes of UTF-8 JSON encoding a single
 object.  Every object carries ``"v"`` (protocol version) and ``"type"``
 (message kind).  Frames are small (deltas, not whole profiles) and
 bounded by :data:`MAX_MESSAGE_BYTES`; anything larger, truncated
-mid-frame, or non-JSON raises :class:`ProtocolError` — the server drops
-the connection, never its repository.
+mid-frame, non-JSON, or nested too deeply to parse raises
+:class:`ProtocolError` — the server drops the connection, never its
+repository.
 
 Message kinds
 -------------
@@ -27,11 +28,8 @@ Client → server:
   per-site receiver-class counts the VM's inline caches accumulated
   since the last delta (see :mod:`repro.profiling.receivers`), keyed
   symbolically like edges so aggregates outlive any single build.
-  ``paths`` is optional too: ``[function, path_id, count]`` rows of a
-  Ball-Larus path profile.  No client sends them any more, but a frame
-  from an older one that does is still accepted, and its rows are
-  merged and snapshotted with the same decay and commutativity
-  guarantees.
+  Older clients also sent a ``paths`` key of Ball-Larus path rows; the
+  server ignores it, whatever its value, and merges the rest.
   ``trace_id``/``span_id`` are optional trace-span coordinates: when a
   publisher stamps them, the server echoes them into its own telemetry
   (``fleet_merge`` events) so the client's and server's offline traces
@@ -176,7 +174,7 @@ def decode_payload(payload: bytes) -> dict:
     """Parse and validate one frame's payload."""
     try:
         message = json.loads(payload.decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as error:
         raise ProtocolError(f"undecodable message: {error}") from error
     if not isinstance(message, dict):
         raise ProtocolError("message is not a JSON object")
@@ -222,7 +220,7 @@ def extract_fingerprint(payload: bytes) -> str | None:
                 return candidate.decode("utf-8", "replace")
     try:
         message = json.loads(payload.decode())
-    except (UnicodeDecodeError, json.JSONDecodeError):
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError):
         return None
     if not isinstance(message, dict):
         return None

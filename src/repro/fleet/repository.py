@@ -10,10 +10,11 @@ Durability contract:
 * **Atomic writes.**  Snapshots are written to a temporary file in the
   repository directory and ``os.replace``d into place; a reader (or a
   crash) never observes a torn snapshot.
-* **Corruption recovery.**  A snapshot that fails to parse is
-  quarantined (renamed to ``<fingerprint>.json.corrupt``) and treated
-  as absent, so one bad file — a truncated disk, a partial copy — never
-  takes the service down or blocks future aggregation for that program.
+* **Corruption recovery.**  A snapshot that fails to parse (or nests
+  too deeply to parse) is quarantined (renamed to
+  ``<fingerprint>.json.corrupt``) and treated as absent, so one bad
+  file — a truncated disk, a partial copy — never takes the service
+  down or blocks future aggregation for that program.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ class ProfileRepository:
             return AggregateProfile.from_dict(data, self.policy)
         except FileNotFoundError:
             return None
-        except (OSError, json.JSONDecodeError, MergeError, ValueError):
+        except (OSError, json.JSONDecodeError, RecursionError, MergeError, ValueError):
             self._quarantine(path)
             return None
 

@@ -63,6 +63,7 @@ from repro.fleet.merge import (
     MergeError,
     MergePolicy,
     coalesce_validated,
+    validate_rows,
 )
 from repro.fleet.protocol import (
     ProtocolError,
@@ -449,18 +450,15 @@ class FleetService:
         is rejected in its own reply — but the merge is deferred to the
         drain task.  Both backpressure checks precede row validation: a
         ``busy`` reply means the delta was *not* staged and the client
-        must retry it.
+        must retry it.  A ``paths`` key from an older client is ignored.
         """
         fingerprint = message.get("fingerprint")
         edges = message.get("edges")
         receivers = message.get("receivers")
-        paths = message.get("paths")
         if not isinstance(fingerprint, str) or not isinstance(edges, list):
             return self._reject("publish needs a fingerprint and an edge list")
         if receivers is not None and not isinstance(receivers, list):
             return self._reject("receivers must be a list when present")
-        if paths is not None and not isinstance(paths, list):
-            return self._reject("paths must be a list when present")
         try:
             epoch = int(message.get("epoch", 0))
         except (TypeError, ValueError):
@@ -482,29 +480,8 @@ class FleetService:
             self._m_busy.inc()
             return busy_message(0.05)
         try:
-            validated_edges = [
-                (key, weight)
-                for key, weight in (
-                    AggregateProfile._validate_row(entry, "edge") for entry in edges
-                )
-                if weight
-            ]
-            validated_receivers = [
-                (key, count)
-                for key, count in (
-                    AggregateProfile._validate_row(entry, "receiver row")
-                    for entry in receivers or ()
-                )
-                if count
-            ]
-            validated_paths = [
-                (key, count)
-                for key, count in (
-                    AggregateProfile._validate_path_row(entry, "path row")
-                    for entry in paths or ()
-                )
-                if count
-            ]
+            validated_edges = validate_rows(edges, "edge")
+            validated_receivers = validate_rows(receivers or (), "receiver row")
         except MergeError as error:
             return self._reject(str(error))
         span = None
@@ -515,7 +492,7 @@ class FleetService:
             epoch,
             validated_edges,
             validated_receivers,
-            validated_paths,
+            [],
             message.get("run_id"),
             span,
         )

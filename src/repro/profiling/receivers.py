@@ -76,9 +76,6 @@ class ReceiverProfile:
         """{class_index: count} at one site (empty if never executed)."""
         return self.sites.get((caller, pc), {})
 
-    def site_total(self, caller: int, pc: int) -> float:
-        return sum(self.site_counts(caller, pc).values())
-
     def total_calls(self) -> float:
         """Every virtual call the profile observed (exactness check:
         equals the VM's virtual-call count when snapshotted at exit)."""

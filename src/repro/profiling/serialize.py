@@ -167,6 +167,6 @@ def load_profile(path: str, program: Program, strict: bool = False) -> DCG:
     try:
         with open(path) as handle:
             data = json.load(handle)
-    except (OSError, json.JSONDecodeError) as error:
+    except (OSError, json.JSONDecodeError, RecursionError) as error:
         raise ProfileFormatError(f"cannot load profile from {path}: {error}")
     return dcg_from_dict(data, program, strict)

@@ -249,6 +249,8 @@ def _load_jsonl(lines: list[str]) -> LoadedTrace:
             raise TraceFormatError(
                 f"line {lineno}: truncated or corrupt record ({error.msg})"
             )
+        except RecursionError:
+            raise TraceFormatError(f"line {lineno}: record nested too deeply")
         if not isinstance(record, dict):
             raise TraceFormatError(f"line {lineno}: record is not a JSON object")
         try:
@@ -299,14 +301,14 @@ def load_trace(path: str) -> LoadedTrace:
         raise TraceFormatError(f"{path}: unrecognized trace format")
     try:
         first = json.loads(stripped.splitlines()[0])
-    except json.JSONDecodeError:
+    except (json.JSONDecodeError, RecursionError):
         first = None
     try:
         if isinstance(first, dict) and first.get("format") == "repro-telemetry":
             return _load_jsonl(text.splitlines())
         try:
             document = json.loads(text)
-        except json.JSONDecodeError as error:
+        except (json.JSONDecodeError, RecursionError) as error:
             raise TraceFormatError(f"not valid JSON ({error})")
         if "traceEvents" not in document:
             raise TraceFormatError("JSON object without 'traceEvents'")

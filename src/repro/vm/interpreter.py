@@ -227,12 +227,7 @@ class Interpreter:
         keeps ``vm.time``/``vm.steps`` accurate for the caller even
         though the loop aborts mid-dispatch.
         """
-        self.time = time
-        self.steps = steps
-        self.call_count = call_count
-        self.fused_dispatches = fused_n
-        self.fusion_deopts = deopts
-        frame.pc = pc
+        self._sync(time, steps, call_count, fused_n, deopts, frame, pc)
         return StepLimitExceeded(
             f"exceeded {self.config.max_steps} interpreted instructions",
             method.function.qualified_name,

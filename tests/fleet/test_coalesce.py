@@ -10,14 +10,21 @@ rows *before* scaling distributes over the merge.  These tests hold
 that property bit-exactly — seeded random delta streams, every
 partition into coalesced lumps, byte-identical persisted snapshots —
 for integral weights under decay 1.0 and 0.5 (exact in binary
-floating point).
+floating point).  The streams carry Ball-Larus path rows as an older
+client sent them; the service tests publish them and the reference
+never sees them, so byte identity also proves they are ignored.
 """
 
 import asyncio
 import json
 import random
 
-from repro.fleet.merge import AggregateProfile, MergePolicy, coalesce_validated
+from repro.fleet.merge import (
+    AggregateProfile,
+    MergePolicy,
+    coalesce_validated,
+    validate_rows,
+)
 from repro.fleet.protocol import (
     fetch_message,
     flush_message,
@@ -57,17 +64,15 @@ def random_stream(rng, deltas: int, epochs: int = 3):
 
 def eager_merge(stream, policy):
     aggregate = AggregateProfile(FP, policy)
-    for edges, receivers, paths, epoch, run_id in stream:
-        aggregate.merge_delta(
-            edges, epoch=epoch, run_id=run_id, receivers=receivers, paths=paths
-        )
+    for edges, receivers, _paths, epoch, run_id in stream:
+        aggregate.merge_delta(edges, epoch=epoch, run_id=run_id, receivers=receivers)
     return aggregate
 
 
 def old_client_publish(edges, receivers, paths, run_id, seq, epoch):
     """A publish frame as a client from before path profiling was removed
     sent it: Ball-Larus ``paths`` rows ride beside edges and receivers.
-    The service still accepts, merges and persists them."""
+    The service acks the frame and ignores the rows."""
     message = publish_message(
         FP, edges, run_id=run_id, seq=seq, epoch=epoch, receivers=receivers
     )
@@ -77,14 +82,9 @@ def old_client_publish(edges, receivers, paths, run_id, seq, epoch):
 
 
 def validated(delta):
-    """The (epoch, edge_pairs, receiver_pairs, path_pairs) staging shape."""
-    edges, receivers, paths, epoch, _run_id = delta
-    return (
-        epoch,
-        [AggregateProfile._validate_row(e, "edge") for e in edges],
-        [AggregateProfile._validate_row(r, "receiver row") for r in receivers],
-        [AggregateProfile._validate_path_row(p, "path row") for p in paths],
-    )
+    """The (epoch, edge_pairs, receiver_pairs) staging shape."""
+    edges, receivers, _paths, epoch, _run_id = delta
+    return epoch, validate_rows(edges, "edge"), validate_rows(receivers, "receiver row")
 
 
 def coalesced_merge(stream, policy, partition):

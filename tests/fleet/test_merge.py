@@ -152,74 +152,3 @@ def test_policy_validation():
         MergePolicy(decay=1.5)
     with pytest.raises(ValueError):
         MergePolicy(max_edges=0)
-
-
-# -- Ball-Larus path rows ride the same merge ---------------------------------------
-
-
-def test_path_rows_accumulate():
-    aggregate = AggregateProfile(FP)
-    aggregate.merge_delta([], paths=[["main", 2, 5.0], ["A.f", 0, 1.0]])
-    aggregate.merge_delta([], paths=[["main", 2, 3.0]])
-    assert aggregate.paths() == {("main", 2): 8.0, ("A.f", 0): 1.0}
-
-
-def test_path_rows_decay_like_edges():
-    aggregate = AggregateProfile(FP, MergePolicy(decay=0.5))
-    aggregate.merge_delta([], epoch=0, paths=[["main", 2, 8.0]])
-    aggregate.merge_delta([], epoch=3, paths=[["main", 2, 8.0]])
-    assert aggregate.paths()[("main", 2)] == 8.0 + 1.0
-
-
-def test_path_rows_order_independent():
-    deltas = [
-        ([["main", 0, "A.f", 1.0]], [["main", 0, 4.0]], 0),
-        ([], [["main", 1, 2.0], ["A.f", 0, 8.0]], 1),
-        ([["A.f", 2, "helper", 2.0]], [["main", 0, 16.0]], 2),
-    ]
-
-    def merged(order):
-        aggregate = AggregateProfile(FP, MergePolicy(decay=0.5))
-        for index in order:
-            edges, paths, epoch = deltas[index]
-            aggregate.merge_delta(edges, epoch=epoch, paths=paths)
-        return aggregate
-
-    reference = merged(range(len(deltas)))
-    for order in itertools.permutations(range(len(deltas))):
-        aggregate = merged(order)
-        assert aggregate.paths() == reference.paths()
-        assert aggregate.edges() == reference.edges()
-
-
-def test_malformed_path_rows_rejected_without_mutation():
-    aggregate = AggregateProfile(FP)
-    aggregate.merge_delta([], paths=[["main", 0, 1.0]])
-    for bad in (
-        [["main", 0]],  # arity
-        [["main", "x", 1.0]],  # pid not an int
-        [["main", -1, 1.0]],  # negative pid
-        [["main", 0, -1.0]],  # negative count
-        [["main", 0, float("nan")]],
-        ["not-a-row"],
-    ):
-        with pytest.raises(MergeError):
-            aggregate.merge_delta([], paths=bad)
-    assert aggregate.paths() == {("main", 0): 1.0}
-    assert aggregate.publishes == 1
-
-
-def test_snapshot_roundtrips_path_rows():
-    aggregate = AggregateProfile(FP)
-    aggregate.merge_delta(
-        [["main", 0, "A.f", 2.0]], paths=[["main", 3, 7.0], ["A.f", 0, 1.0]]
-    )
-    snapshot = aggregate.to_dict()
-    assert snapshot["paths"] == [["A.f", 0, 1.0], ["main", 3, 7.0]]
-    restored = AggregateProfile.from_dict(snapshot)
-    assert restored.paths() == aggregate.paths()
-    # No paths merged → no section, and old snapshots load fine.
-    bare = AggregateProfile(FP)
-    bare.merge_delta([["main", 0, "A.f", 1.0]])
-    assert "paths" not in bare.to_dict()
-    assert AggregateProfile.from_dict(bare.to_dict()).paths() == {}

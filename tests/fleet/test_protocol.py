@@ -119,3 +119,20 @@ def test_async_read_truncated_frame_raises():
 def test_async_read_oversized_frame_raises():
     with pytest.raises(ProtocolError, match="too large"):
         _read_from_bytes(struct.pack(">I", MAX_MESSAGE_BYTES + 1))
+
+
+#: 100 000 nested arrays: 200 KB, far under the frame limit, and deeper
+#: than the JSON parser can recurse.
+DEEP = b"[" * 100_000 + b"]" * 100_000
+
+
+def test_decode_rejects_deep_nesting():
+    payload = b'{"v":1,"type":"publish","edges":' + DEEP + b"}"
+    assert len(payload) < MAX_MESSAGE_BYTES
+    with pytest.raises(ProtocolError, match="undecodable"):
+        decode_payload(payload)
+
+
+def test_extract_fingerprint_of_deep_nesting_is_none():
+    # No fingerprint key to scan for, so the fallback parse runs.
+    assert extract_fingerprint(DEEP) is None

@@ -29,7 +29,7 @@ def test_store_load_roundtrip(tmp_path):
 def test_store_bytes_match_the_streaming_encoder(tmp_path):
     """``store`` serialises with ``json.dumps`` (the C encoder); the
     file must stay byte-identical to the ``json.dump`` form it replaced,
-    on a snapshot with edges, receivers, paths and non-integral floats."""
+    on a snapshot with edges, receivers and non-integral floats."""
     import io
 
     aggregate = AggregateProfile(FP, MergePolicy(decay=0.5))
@@ -38,7 +38,6 @@ def test_store_bytes_match_the_streaming_encoder(tmp_path):
         epoch=0,
         run_id="r1",
         receivers=[["main", 0, "A", 3.0], ["main", 0, "B", 1.5]],
-        paths=[["main", 2, 7.0], ["A.f", 0, 1.0]],
     )
     aggregate.merge_delta([["main", 0, "A.f", 1e16]], epoch=2, run_id="r2")
     repo = ProfileRepository(str(tmp_path))
@@ -48,7 +47,7 @@ def test_store_bytes_match_the_streaming_encoder(tmp_path):
     json.dump(aggregate.to_dict(), streamed, separators=(",", ":"))
     assert stored == streamed.getvalue()
     snapshot = json.loads(stored)
-    assert snapshot["receivers"] and snapshot["paths"] and len(snapshot["edges"]) == 3
+    assert snapshot["receivers"] and len(snapshot["edges"]) == 3
 
 
 def test_load_absent_returns_none(tmp_path):
@@ -103,3 +102,12 @@ def test_policy_flows_into_loaded_aggregates(tmp_path):
     repo = ProfileRepository(str(tmp_path), policy)
     repo.store(make_aggregate())
     assert repo.load(FP).policy is policy
+
+
+def test_deeply_nested_snapshot_quarantined(tmp_path):
+    repo = ProfileRepository(str(tmp_path))
+    with open(repo.path_for(FP), "w") as handle:
+        handle.write('{"edges": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    assert repo.load(FP) is None
+    assert repo.quarantined == 1
+    assert os.path.exists(repo.path_for(FP) + ".corrupt")

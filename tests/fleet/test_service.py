@@ -1,6 +1,8 @@
 """Fleet service tests: concurrency, determinism, robustness."""
 
 import asyncio
+import gc
+import logging
 import socket
 import struct
 
@@ -169,6 +171,41 @@ def test_malformed_publish_gets_error_not_disconnect(tmp_path):
     assert ack["type"] == "ack"
     assert service.publishes_rejected == 1
     assert service.merges == 1
+
+
+def test_deeply_nested_frame_drops_its_connection_quietly(tmp_path, caplog):
+    """A frame nested deeper than the JSON parser can recurse is an
+    undecodable stream like any other: the service drops that
+    connection, logs nothing at ERROR, and serves the next client."""
+
+    async def go():
+        service = await start_service(tmp_path)
+        reader, writer = await asyncio.open_connection(*service.address)
+        payload = b'{"v":1,"type":"publish","edges":' + b"[" * 100_000 + b"]" * 100_000 + b"}"
+        writer.write(struct.pack(">I", len(payload)) + payload)
+        await writer.drain()
+        dropped = await read_message(reader)
+        writer.close()
+        await writer.wait_closed()
+        for _ in range(500):
+            if not service._handlers:
+                break
+            await asyncio.sleep(0.01)
+        assert not service._handlers
+        # A handler task that died with an exception nobody retrieved
+        # is reported when it is collected.
+        gc.collect()
+        reply = await request(
+            service.address, publish_message(FP, [["main", 0, "A.f", 2.0]], run_id="r")
+        )
+        await service.stop()
+        return dropped, reply
+
+    with caplog.at_level(logging.ERROR):
+        dropped, reply = run(go())
+    assert dropped is None
+    assert reply["type"] == "ack"
+    assert [record.getMessage() for record in caplog.records] == []
 
 
 @pytest.mark.parametrize("kind", ["shutdown", "status"])

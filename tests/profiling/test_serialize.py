@@ -293,3 +293,11 @@ def test_v3_path_rows_are_ignored_on_load(tmp_path):
     loaded = load_profile(V3_WITH_PATHS, program, strict=True)
     assert loaded.edges() == load_profile(str(without), program, strict=True).edges()
     assert loaded.total_weight == 80.0
+
+
+def test_load_profile_rejects_deep_nesting(tmp_path):
+    program, _ = collected()
+    path = tmp_path / "deep.json"
+    path.write_text('{"version": 3, "edges": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    with pytest.raises(ProfileFormatError, match="cannot load"):
+        load_profile(str(path), program)

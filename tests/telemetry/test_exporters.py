@@ -221,6 +221,32 @@ def test_load_trace_rejects_malformed_records(tmp_path, capsys, text):
     assert message.startswith(str(path)) and "\n" not in message
 
 
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"traceEvents": ' + DEEP + "}",
+        JSONL_HEAD + '{"record": "event", "name": "sample", "ts": 1, "args": ' + DEEP + "}\n",
+    ],
+    ids=["chrome", "jsonl-record"],
+)
+def test_load_trace_rejects_deep_nesting(tmp_path, text):
+    """Nesting deeper than the JSON parser can recurse is a malformed
+    trace, not a ``RecursionError``, in both formats."""
+    from repro.cli import main
+
+    path = tmp_path / "deep.trace"
+    path.write_text(text)
+    with pytest.raises(TraceFormatError):
+        load_trace(str(path))
+    with pytest.raises(SystemExit) as exit_info:
+        main(["report", str(path)])
+    message = str(exit_info.value.code)
+    assert message.startswith(str(path)) and "\n" not in message
+
+
 OLD_SHARDED_SERVE_TRACE = """\
 {"record": "header", "format": "repro-telemetry", "version": 1, "clock": "virtual"}
 {"record": "event", "name": "fleet_merge", "ts": 5, "args": {"fingerprint": "ab", "edges": 2, "runs": 1, "total_weight": 3.0}}
