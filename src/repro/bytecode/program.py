@@ -9,7 +9,6 @@ single-inheritance override semantics.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 from repro.bytecode.function import FunctionInfo
@@ -256,10 +255,17 @@ class Program:
         key serialized profiles and fleet aggregates to the program
         they were collected against.  Cached after first computation;
         call only on fully built programs.
+
+        ``hashlib`` is imported here, not at module top: it maps
+        OpenSSL's libcrypto (about 3.4 MB resident on x86-64 Linux),
+        and a plain run never saves, loads, publishes or warm-starts a
+        profile.
         """
         cached = getattr(self, "_fingerprint", None)
         if cached is not None:
             return cached
+        import hashlib
+
         digest = hashlib.sha256()
         for cls in self.classes:
             digest.update(f"C {cls.name}<{cls.super_name}\n".encode())

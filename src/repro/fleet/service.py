@@ -252,9 +252,16 @@ class FleetService:
         await self.drain()
 
     async def serve_forever(self) -> None:
+        """Serve (``start()`` already listens) until cancelled.
+
+        Awaits a bare future, not ``Server.serve_forever()``: cancelled,
+        that one closes the listener and awaits ``wait_closed()``, which
+        since Python 3.12.1 waits for every client to leave, so a
+        SIGTERM would park there and never reach :meth:`stop`, whose
+        :func:`close_server` is what hangs up on them.
+        """
         assert self._server is not None, "call start() first"
-        async with self._server:
-            await self._server.serve_forever()
+        await asyncio.get_running_loop().create_future()
 
     async def drain(self) -> None:
         """Merge everything staged and persist every dirty aggregate.

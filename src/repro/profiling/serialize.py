@@ -122,7 +122,7 @@ def dcg_from_dict(
             weight = float(entry["weight"])
             if not (isinstance(caller_name, str) and isinstance(callee_name, str)):
                 raise TypeError("function names must be strings")
-        except (KeyError, TypeError, ValueError) as error:
+        except (KeyError, TypeError, ValueError, OverflowError) as error:
             raise ProfileFormatError(f"malformed edge entry {entry!r}") from error
         caller = index_by_name.get(caller_name)
         callee = index_by_name.get(callee_name)
@@ -151,7 +151,7 @@ def save_profile(dcg: DCG, program: Program, path: str) -> None:
         prefix=os.path.basename(path) + ".", suffix=".tmp", dir=directory
     )
     try:
-        with os.fdopen(fd, "w") as handle:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
             json.dump(dcg_to_dict(dcg, program), handle, indent=1)
         os.replace(tmp_path, path)
     except BaseException:
@@ -165,8 +165,9 @@ def save_profile(dcg: DCG, program: Program, path: str) -> None:
 def load_profile(path: str, program: Program, strict: bool = False) -> DCG:
     """Read a profile written by :func:`save_profile`."""
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
-    except (OSError, json.JSONDecodeError, RecursionError) as error:
+    # ValueError covers JSONDecodeError and UnicodeDecodeError.
+    except (OSError, ValueError, RecursionError) as error:
         raise ProfileFormatError(f"cannot load profile from {path}: {error}")
     return dcg_from_dict(data, program, strict)

@@ -2,9 +2,12 @@
 
 import json
 import os
+import random
+import warnings
 
 import pytest
 
+from repro.benchsuite.suite import program_for
 from repro.frontend.codegen import compile_source
 from repro.profiling.dcg import DCG
 from repro.profiling.exhaustive import ExhaustiveProfiler
@@ -122,9 +125,16 @@ def test_malformed_edge_rejected():
             False,
             "malformed",
         ),
+        # json.loads reads 1e999 as inf, which int() cannot take.
+        (
+            {"version": 3, "edges": [{"caller": "main", "pc": float("inf"),
+                                      "callee": "helper", "weight": 1.0}]},
+            False,
+            "malformed",
+        ),
     ],
     ids=["edges-not-a-list", "fingerprint-not-a-string-strict", "fingerprint-not-a-string",
-         "caller-not-a-string"],
+         "caller-not-a-string", "pc-infinite"],
 )
 def test_malformed_profile_shapes_rejected(data, strict, message):
     """Shapes that used to escape as ``TypeError`` from ``run
@@ -301,3 +311,32 @@ def test_load_profile_rejects_deep_nesting(tmp_path):
     path.write_text('{"version": 3, "edges": ' + "[" * 100_000 + "]" * 100_000 + "}")
     with pytest.raises(ProfileFormatError, match="cannot load"):
         load_profile(str(path), program)
+
+
+def test_byte_mutants_load_or_raise_format_error(tmp_path):
+    """Every seeded corruption of a saved profile (invalid UTF-8 most of
+    all) either loads or raises ProfileFormatError, lenient and strict."""
+    program = program_for("jess", "tiny")
+    vm = Interpreter(program)
+    profiler = ExhaustiveProfiler()
+    profiler.install(vm)
+    vm.run()
+    saved = tmp_path / "jess.json"
+    save_profile(profiler.dcg, program, str(saved))
+    original = saved.read_bytes()
+    mutant = tmp_path / "mutant.json"
+    undecodable = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        data = bytearray(original)
+        for _ in range(rng.randint(1, 4)):
+            data[rng.randrange(len(data))] = rng.randrange(256)
+        mutant.write_bytes(bytes(data))
+        for strict in (False, True):
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    load_profile(str(mutant), program, strict=strict)
+            except ProfileFormatError as error:
+                undecodable += "codec can't decode" in str(error)
+    assert undecodable > 0  # the corpus does reach the UTF-8 decoder

@@ -225,6 +225,15 @@ def test_load_profile_corrupt_json(program_file, tmp_path):
         main(["run", program_file, "--load-profile", str(profile_path)])
 
 
+def test_load_profile_invalid_utf8_is_a_one_line_error(program_file, tmp_path):
+    profile_path = tmp_path / "bad.json"
+    profile_path.write_bytes(b'{"version": 3, "edges": [\xff]}')
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", program_file, "--load-profile", str(profile_path)])
+    message = str(excinfo.value.code)
+    assert message.startswith("cannot load profile") and "\n" not in message
+
+
 def test_save_profile_unwritable_path(program_file, capsys):
     assert main(
         [

@@ -4,8 +4,11 @@ The fleet service and client never run the VM, and the CLI's argument
 parser needs none of the subsystems its commands use.  Package
 ``__init__``s resolve their exports on first use (``repro._lazy``), so
 importing any of these entry points must stay clear of the layers
-below.  Each check runs in a new interpreter: the test process itself
-has long since imported everything.
+below.  A process that runs a guest program without saving, loading,
+publishing or warm-starting a profile never hashes it, so it must not
+map OpenSSL either (``hashlib`` loads ``_hashlib``).  Each check runs in
+a new interpreter: the test process itself has long since imported
+everything.
 """
 
 import json
@@ -29,18 +32,30 @@ VM_SIDE = (
     "repro.profiling.cbs",
 )
 
+#: OpenSSL's bindings: ``hashlib`` loads the first, ``ssl`` the second.
+OPENSSL = ("_hashlib", "_ssl")
 
-def modules_after(statement: str) -> set[str]:
-    code = f"import json, sys\n{statement}\nprint(json.dumps(sorted(sys.modules)))"
-    done = subprocess.run(
-        [sys.executable, "-c", code],
+#: sha256 of ``program_for("jess", "tiny")``.  Saved profiles and fleet
+#: aggregates are keyed by it: a change here orphans every one of them.
+JESS_TINY_FINGERPRINT = (
+    "8471d18df87f0342d58578327b0d8a89f1eee59c03d77186526fde026a505578"
+)
+
+
+def fresh(args: list[str]) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, *args],
         env=dict(os.environ, PYTHONPATH=SRC),
         capture_output=True,
         text=True,
         timeout=60,
         check=True,
     )
-    return set(json.loads(done.stdout))
+
+
+def modules_after(statement: str) -> set[str]:
+    code = f"import json, sys\n{statement}\nprint(json.dumps(sorted(sys.modules)))"
+    return set(json.loads(fresh(["-c", code]).stdout))
 
 
 def loaded_under(modules: set[str], prefixes) -> list[str]:
@@ -78,3 +93,30 @@ def test_cli_loads_no_command_layers_until_a_command_runs():
         "repro.vm.interpreter",
     )
     assert loaded_under(modules, forbidden) == []
+
+
+@pytest.mark.parametrize("entry", ["repro.vm.interpreter", "repro.frontend.codegen"])
+def test_vm_layers_do_not_load_openssl(entry):
+    modules = modules_after(f"import {entry}")
+    assert entry in modules
+    assert loaded_under(modules, OPENSSL) == []
+
+
+def test_plain_cli_run_does_not_load_openssl(tmp_path):
+    source = tmp_path / "hello.mini"
+    source.write_text("def main() { print(6 * 7); }\n")
+    done = fresh(["-X", "importtime", "-m", "repro.cli", "run", str(source)])
+    assert done.stdout == "42\n"
+    imported = {
+        line.rsplit("|", 1)[1].strip()
+        for line in done.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    assert "repro.vm.interpreter" in imported
+    assert loaded_under(imported, OPENSSL) == []
+
+
+def test_fingerprint_is_pinned():
+    from repro.benchsuite.suite import program_for
+
+    assert program_for("jess", "tiny").fingerprint() == JESS_TINY_FINGERPRINT
