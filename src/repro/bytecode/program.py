@@ -256,17 +256,26 @@ class Program:
         they were collected against.  Cached after first computation;
         call only on fully built programs.
 
-        ``hashlib`` is imported here, not at module top: it maps
-        OpenSSL's libcrypto (about 3.4 MB resident on x86-64 Linux),
-        and a plain run never saves, loads, publishes or warm-starts a
-        profile.
+        The digest is SHA-256 from CPython's built-in implementation
+        (``_sha2`` on 3.12+, ``_sha256`` on 3.10 and 3.11), imported
+        on first use: ``hashlib`` would load ``_hashlib`` and map
+        OpenSSL's libcrypto (about 3.4 MB resident on x86-64 Linux) in
+        every process that saves, loads, publishes or warm-starts a
+        profile.  The hex is the same either way; ``hashlib`` is the
+        fallback for an interpreter built without the module.
         """
         cached = getattr(self, "_fingerprint", None)
         if cached is not None:
             return cached
-        import hashlib
+        try:
+            from _sha2 import sha256
+        except ImportError:
+            try:
+                from _sha256 import sha256
+            except ImportError:
+                from hashlib import sha256
 
-        digest = hashlib.sha256()
+        digest = sha256()
         for cls in self.classes:
             digest.update(f"C {cls.name}<{cls.super_name}\n".encode())
         for function in self.functions:

@@ -13,20 +13,26 @@ Two layers:
   tracebacks); ``jobs > 1`` fans out over a ``ProcessPoolExecutor``
   using ``executor.map``, which preserves input order regardless of
   completion order.  Results are therefore byte-identical for any job
-  count.
+  count.  Workers are started with ``spawn`` on every platform: a
+  ``fork`` from a process with threads running can deadlock the child
+  (CPython 3.12+ warns about it), and one start method means one
+  behaviour everywhere.
 * :func:`run_sweep` — maps :func:`run_cell` over :class:`SweepCell`
   descriptions.  Cells and results are plain picklable dataclasses of
   scalars; profilers are named, not passed, and constructed inside the
   worker so nothing stateful crosses the process boundary.
 
 The per-run baseline cache in :mod:`repro.harness.runner` is
-per-process; workers each warm their own.  Sweeps are grouped by
+per-process: a spawned worker starts from a fresh import of the
+function's module and inherits nothing from the parent's caches, so
+each warms its own.  Sweeps are grouped by
 benchmark (the executor maps in input order with ``chunksize`` 1, so
 adjacent cells of one benchmark tend to land on warm workers).
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -53,7 +59,8 @@ def pmap(fn, items, jobs: int = 1) -> list:
     if jobs <= 1 or len(items) < 2:
         return [fn(item) for item in items]
     workers = min(jobs, len(items))
-    with ProcessPoolExecutor(max_workers=workers) as executor:
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as executor:
         return list(executor.map(fn, items, chunksize=1))
 
 

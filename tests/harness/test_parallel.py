@@ -3,9 +3,15 @@
 The contract under test: results are *identical* — same values, same
 order — for any ``jobs`` value, because ``executor.map`` preserves
 input order and every cell is deterministic and self-contained.
+Workers are spawned, never forked, so they share no state with the
+parent and no thread of the parent can deadlock them.
 """
 
 from __future__ import annotations
+
+import sys
+import threading
+import warnings
 
 import pytest
 
@@ -25,12 +31,44 @@ def _square(x: int) -> int:
     return x * x
 
 
+#: Rebound in the test process only; a worker that imports this module
+#: afresh reads the value assigned here.
+_STATE = "as imported"
+
+
+def _state(_item) -> str:
+    return _STATE
+
+
 def test_pmap_inline_matches_plain_map():
     assert pmap(_square, range(7), jobs=1) == [x * x for x in range(7)]
 
 
 def test_pmap_preserves_order_across_processes():
     assert pmap(_square, range(12), jobs=2) == [x * x for x in range(12)]
+
+
+def test_pmap_workers_start_from_a_fresh_import(monkeypatch):
+    # A forked worker would inherit the rebinding.
+    monkeypatch.setattr(sys.modules[__name__], "_STATE", "set in the parent")
+    assert pmap(_state, range(2), jobs=2) == ["as imported", "as imported"]
+
+
+def test_pmap_does_not_fork_a_threaded_process():
+    """CPython 3.12+ warns when a process with threads forks.  The
+    warning cannot be made an error (``os.fork`` swallows the
+    exception), so it is recorded and counted instead."""
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert pmap(_square, range(4), jobs=2) == [0, 1, 4, 9]
+    finally:
+        release.set()
+        thread.join()
+    assert [str(w.message) for w in caught if "fork()" in str(w.message)] == []
 
 
 def test_pmap_empty_and_single():
