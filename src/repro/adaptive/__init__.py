@@ -10,6 +10,5 @@ __getattr__, __dir__, __all__ = exports(
         "CompilationEvent": ".controller",
         "jit_only_cache": ".modes",
         "DecayingDCGOrganizer": ".organizer",
-        "HotMethodOrganizer": ".organizer",
     },
 )

@@ -23,7 +23,7 @@ compiles hot methods, and every method installed here goes back on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.bytecode.program import Program
 from repro.opt.inline import merge_plans

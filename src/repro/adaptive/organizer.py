@@ -1,37 +1,15 @@
 """Profile organizers (after Jikes RVM's adaptive-system organizers).
 
-The raw profilers accumulate method samples and DCG edges; organizers
-turn those into the decisions' inputs: a ranked hot-method list and an
-optionally decayed call graph.  Per the paper (§5.1), the organizers do
-not care whether samples came from timer-based or counter-based
+The raw profilers accumulate method samples and DCG edges; the
+organizer here turns the call graph into an optionally decayed one, an
+input to the controller's decisions.  Per the paper (§5.1), organizers
+do not care whether samples came from timer-based or counter-based
 listeners — they just process samples.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-
 from repro.profiling.dcg import DCG
-
-
-class HotMethodOrganizer:
-    """Ranks methods by accumulated samples."""
-
-    def __init__(self, method_samples: Counter):
-        self._samples = method_samples
-
-    def hot_methods(self, minimum_samples: int = 1) -> list[tuple[int, int]]:
-        """(function index, samples) pairs, hottest first."""
-        ranked = [
-            (index, count)
-            for index, count in self._samples.items()
-            if count >= minimum_samples
-        ]
-        ranked.sort(key=lambda item: -item[1])
-        return ranked
-
-    def samples_for(self, function_index: int) -> int:
-        return self._samples.get(function_index, 0)
 
 
 class DecayingDCGOrganizer:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.bytecode.instr import Instr
-from repro.bytecode.opcodes import CALL_OPS, OPCODE_SIZE, Op
+from repro.bytecode.opcodes import OPCODE_SIZE
 
 
 @dataclass
@@ -44,10 +44,6 @@ class FunctionInfo:
         """Abstract encoded size in bytes (input to inlining heuristics)."""
         return sum(OPCODE_SIZE[instr.op] for instr in self.code)
 
-    def call_sites(self) -> list[int]:
-        """Bytecode indices of all call instructions in this function."""
-        return [pc for pc, instr in enumerate(self.code) if instr.op in CALL_OPS]
-
     def copy_code(self) -> list[Instr]:
         """A deep copy of the instruction list (for optimizer rewrites)."""
         return [instr.copy() for instr in self.code]
@@ -57,13 +53,3 @@ class FunctionInfo:
             f"FunctionInfo({self.qualified_name}/{self.num_params}, "
             f"{len(self.code)} instrs)"
         )
-
-
-def make_trivial_return_zero(name: str) -> FunctionInfo:
-    """A helper used by tests: a static function returning the constant 0."""
-    return FunctionInfo(
-        name=name,
-        code=[Instr(Op.PUSH, 0), Instr(Op.RETURN_VAL)],
-        num_params=0,
-        num_locals=0,
-    )

@@ -229,18 +229,6 @@ class Program:
             self._selector_returns = shapes
         return shapes
 
-    def resolve_virtual(self, class_index: int, selector_id: int) -> int:
-        """Resolve a virtual dispatch to a function index."""
-        vtable = self.classes[class_index].vtable
-        target = vtable.get(selector_id)
-        if target is None:
-            name, argc = self.selectors[selector_id]
-            raise ProgramError(
-                f"class {self.classes[class_index].name!r} does not understand "
-                f"{name}/{argc}"
-            )
-        return target
-
     def is_subclass(self, class_index: int, ancestor_index: int) -> bool:
         return ancestor_index in self.classes[class_index].ancestors
 

@@ -1039,8 +1039,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-ic",
         action="store_true",
         help="disable polymorphic inline caches (dict-vtable dispatch; "
-        "bit-identical results, slower host execution, no exact "
-        "receiver profile)",
+        "bit-identical results, slower host execution)",
     )
     run.add_argument(
         "--no-jit",

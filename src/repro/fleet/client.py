@@ -112,10 +112,8 @@ class FleetPublisher:
         self.busy_wait_cap = busy_wait_cap
 
         self._names = [f.qualified_name for f in program.functions]
-        self._class_names = [c.name for c in program.classes]
         self._fingerprint = program.fingerprint()
         self._sent: dict[tuple[int, int, int], float] = {}
-        self._sent_receivers: dict[tuple[int, int, int], int] = {}
         self._ticks = 0
         self._seq = 0
         self._queue: queue.Queue = queue.Queue(maxsize=queue_size)
@@ -165,18 +163,16 @@ class FleetPublisher:
                 caller, pc, callee = edge
                 delta.append([names[caller], pc, names[callee], grown])
                 grown_weights[edge] = weight
-        receivers, grown_counts = self._receiver_delta(vm)
-        if not delta and not receivers:
+        if not delta:
             return
         seq = self._seq
         self._seq += 1
         try:
-            self._queue.put_nowait(("delta", seq, delta, receivers))
+            self._queue.put_nowait((seq, delta))
             self.batches_enqueued += 1
             # Only mark weights as handed off once the batch is queued,
             # so a dropped batch's growth rides along with the next one.
             sent.update(grown_weights)
-            self._sent_receivers.update(grown_counts)
         except queue.Full:
             self.batches_dropped += 1
         if self.telemetry is not None:
@@ -190,32 +186,6 @@ class FleetPublisher:
                 trace_id=self.run_id,
                 span_id=f"{self.run_id}:{seq}",
             )
-
-    def _receiver_delta(self, vm) -> tuple[list, dict]:
-        """Growth of the inline caches' receiver cells since last handoff.
-
-        Returns ``(wire rows, grown counts)``; rows are symbolic
-        ``[caller name, pc, class name, grown]`` so the aggregate
-        outlives any single build, exactly like DCG edges.  VMs running
-        with inline caches off simply publish no receiver rows.
-        """
-        cells = getattr(getattr(vm, "code_cache", None), "receiver_cells", None)
-        if not cells:
-            return [], {}
-        sent = self._sent_receivers
-        names = self._names
-        class_names = self._class_names
-        rows = []
-        grown_counts = {}
-        for (caller, pc), classes in cells.items():
-            for rclass, cell in classes.items():
-                count = cell[0]
-                key = (caller, pc, rclass)
-                grown = count - sent.get(key, 0)
-                if grown > 0:
-                    rows.append([names[caller], pc, class_names[rclass], grown])
-                    grown_counts[key] = count
-        return rows, grown_counts
 
     def close(self, timeout: float = 5.0) -> None:
         """Stop the worker, waiting up to ``timeout`` for the queue to
@@ -249,7 +219,7 @@ class FleetPublisher:
                 item = self._queue.get()
                 if item is _CLOSE:
                     break
-                _, seq, delta, receivers = item
+                seq, delta = item
                 if self.server_dead:
                     # Bounded revival: drop most batches cheaply, but
                     # every revive_every-th one spends a single probe
@@ -266,7 +236,7 @@ class FleetPublisher:
                     self.revivals += 1
                     failures = 0
                     dead_drops = 0
-                sock, status = self._send_with_retry(sock, seq, delta, receivers)
+                sock, status = self._send_with_retry(sock, seq, delta)
                 if status == "ack":
                     failures = 0
                     self.batches_sent += 1
@@ -289,7 +259,7 @@ class FleetPublisher:
                 except OSError:
                     pass
 
-    def _send_with_retry(self, sock, seq: int, delta: list, receivers: list):
+    def _send_with_retry(self, sock, seq: int, delta: list):
         """Try to deliver one batch; returns ``(socket, status)``.
 
         ``status`` is ``"ack"`` (delivered), ``"busy"`` (the server
@@ -303,7 +273,6 @@ class FleetPublisher:
             run_id=self.run_id,
             seq=seq,
             epoch=self.epoch,
-            receivers=receivers,
             trace_id=self.run_id,
             span_id=f"{self.run_id}:{seq}",
         )

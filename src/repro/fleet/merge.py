@@ -16,14 +16,14 @@ default ``decay=1.0`` this degenerates to plain summation.)  Decay
 factors that are negative powers of two — 0.5, 0.25 — are exact in
 binary floating point, which the determinism tests exploit.
 
-A delta carries two kinds of row, call-graph edges and inline-cache
-receiver counts, and both fold the same way.  Edges are keyed
-symbolically (``caller name, pc, callee name``) exactly like serialized
-profiles, so an aggregate outlives any single build of the program;
+A delta is a list of call-graph edges, keyed symbolically (``caller
+name, pc, callee name``) exactly like serialized profiles, so an
+aggregate outlives any single build of the program;
 :meth:`AggregateProfile.to_dict` emits a version-2 profile dict
 (resolvable by :func:`repro.profiling.serialize.dcg_from_dict`) with a
 ``"fleet"`` metadata key.  Snapshots that older servers wrote with a
-``paths`` section of Ball-Larus rows load without it.
+``paths`` section of Ball-Larus rows or a ``receivers`` section of
+inline-cache counts load without it.
 """
 
 from __future__ import annotations
@@ -35,9 +35,6 @@ from repro.profiling.serialize import FORMAT_VERSION
 
 #: Symbolic edge key: (caller qualified name, callsite pc, callee qualified name).
 NamedEdge = tuple[str, int, str]
-
-#: Symbolic receiver key: (caller qualified name, callsite pc, receiver class name).
-NamedReceiver = tuple[str, int, str]
 
 
 class MergeError(Exception):
@@ -64,52 +61,42 @@ class MergePolicy:
             raise ValueError("max_edges must be >= 1")
 
 
-def _validate_row(entry, what: str) -> tuple[tuple, float]:
-    """Validate one ``[name, pc, name, weight]`` wire row."""
-    try:
-        first, pc, second, weight = entry
-        key = (str(first), int(pc), str(second))
-        weight = float(weight)
-    except (TypeError, ValueError) as error:
-        raise MergeError(f"malformed {what} {entry!r}") from error
-    if not math.isfinite(weight) or weight < 0:
-        raise MergeError(f"bad weight in {what} {entry!r}")
-    return key, weight
+def validate_edges(rows) -> list[tuple[NamedEdge, float]]:
+    """Validate ``[caller, pc, callee, weight]`` wire rows into ``(key,
+    weight)`` pairs, dropping zero weights; raises :class:`MergeError`
+    on the first malformed row."""
+    validated = []
+    for entry in rows:
+        try:
+            caller, pc, callee, weight = entry
+            key = (str(caller), int(pc), str(callee))
+            weight = float(weight)
+        except (TypeError, ValueError) as error:
+            raise MergeError(f"malformed edge {entry!r}") from error
+        if not math.isfinite(weight) or weight < 0:
+            raise MergeError(f"bad weight in edge {entry!r}")
+        if weight:
+            validated.append((key, weight))
+    return validated
 
 
-def validate_rows(rows, what: str) -> list[tuple[tuple, float]]:
-    """Validate wire rows (edges or receiver rows) into ``(key, weight)``
-    pairs, dropping zero weights; raises :class:`MergeError` on the
-    first malformed row."""
-    return [
-        (key, weight)
-        for key, weight in (_validate_row(entry, what) for entry in rows)
-        if weight
-    ]
-
-
-def coalesce_validated(deltas) -> list[tuple[int, dict, dict]]:
+def coalesce_validated(deltas) -> list[tuple[int, dict]]:
     """Sum validated deltas into per-epoch lumps ready for merging.
 
-    ``deltas`` is an iterable of ``(epoch, edge_pairs, receiver_pairs)``
-    where each pair list is what :func:`validate_rows` returns (the
-    shape the staging buffer holds).  Returns ``[(epoch, edge_sums,
-    receiver_sums), ...]`` in ascending epoch order — deterministic,
-    and equivalent to any other order by merge commutativity.
+    ``deltas`` is an iterable of ``(epoch, edge_pairs)`` where the pair
+    list is what :func:`validate_edges` returns (the shape the staging
+    buffer holds).  Returns ``[(epoch, edge_sums), ...]`` in ascending
+    epoch order — deterministic, and equivalent to any other order by
+    merge commutativity.
     """
-    by_epoch: dict[int, tuple[dict, dict]] = {}
-    for epoch, edges, receivers in deltas:
-        group = by_epoch.get(epoch)
-        if group is None:
-            group = by_epoch[epoch] = ({}, {})
-        edge_sums, receiver_sums = group
+    by_epoch: dict[int, dict] = {}
+    for epoch, edges in deltas:
+        edge_sums = by_epoch.get(epoch)
+        if edge_sums is None:
+            edge_sums = by_epoch[epoch] = {}
         for key, weight in edges:
             edge_sums[key] = edge_sums.get(key, 0.0) + weight
-        for key, count in receivers:
-            receiver_sums[key] = receiver_sums.get(key, 0.0) + count
-    return [
-        (epoch, *by_epoch[epoch]) for epoch in sorted(by_epoch)
-    ]
+    return [(epoch, by_epoch[epoch]) for epoch in sorted(by_epoch)]
 
 
 class AggregateProfile:
@@ -121,7 +108,6 @@ class AggregateProfile:
         self.epoch = 0
         self.publishes = 0
         self._edges: dict[NamedEdge, float] = {}
-        self._receivers: dict[NamedReceiver, float] = {}
         self._run_ids: set[str] = set()
         #: Runs folded into snapshots this aggregate was loaded from
         #: (their ids are not retained; see :meth:`from_dict`).
@@ -130,11 +116,7 @@ class AggregateProfile:
     # -- merging ------------------------------------------------------------------
 
     def merge_delta(
-        self,
-        edges: list,
-        epoch: int = 0,
-        run_id: str | None = None,
-        receivers: list | None = None,
+        self, edges: list, epoch: int = 0, run_id: str | None = None
     ) -> None:
         """Fold one published delta into the aggregate.
 
@@ -146,20 +128,14 @@ class AggregateProfile:
         ``harness fleet`` experiment folds its runs with.
 
         ``edges`` is a list of ``[caller, pc, callee, weight]`` entries
-        (the wire shape); ``receivers``, when present, is a list of
-        ``[caller, pc, class_name, count]`` inline-cache receiver rows
-        folded the same way (same decay, same commutativity).  Raises
-        :class:`MergeError` on malformed entries without mutating the
-        aggregate.
+        (the wire shape).  Raises :class:`MergeError` on malformed
+        entries without mutating the aggregate.
         """
-        validated = validate_rows(edges, "edge")
-        validated_receivers = validate_rows(receivers or (), "receiver row")
+        validated = validate_edges(edges)
 
         scale = self._rebase(int(epoch))
         for key, weight in validated:
             self._edges[key] = self._edges.get(key, 0.0) + weight * scale
-        for key, count in validated_receivers:
-            self._receivers[key] = self._receivers.get(key, 0.0) + count * scale
         self.publishes += 1
         if run_id is not None:
             self._run_ids.add(str(run_id))
@@ -170,7 +146,7 @@ class AggregateProfile:
         """Fold pre-coalesced per-epoch lumps into the aggregate.
 
         ``groups`` is what :func:`coalesce_validated` returns: for each
-        epoch, row weights already summed per key.  Because the scale
+        epoch, edge weights already summed per key.  Because the scale
         factor a delta receives depends only on its own epoch stamp and
         the final maximum epoch — never on arrival order — summing
         same-epoch weights before scaling distributes over the merge,
@@ -180,12 +156,10 @@ class AggregateProfile:
         decay).  ``publishes`` and ``run_ids`` carry the per-delta
         accounting the lump absorbed.
         """
-        for epoch, edges, receivers in groups:
+        for epoch, edges in groups:
             scale = self._rebase(int(epoch))
             for key, weight in edges.items():
                 self._edges[key] = self._edges.get(key, 0.0) + weight * scale
-            for key, count in receivers.items():
-                self._receivers[key] = self._receivers.get(key, 0.0) + count * scale
         self.publishes += publishes
         for run_id in run_ids:
             self._run_ids.add(str(run_id))
@@ -202,7 +176,6 @@ class AggregateProfile:
         clone.epoch = self.epoch
         clone.publishes = self.publishes
         clone._edges = dict(self._edges)
-        clone._receivers = dict(self._receivers)
         clone._run_ids = set(self._run_ids)
         clone._base_runs = self._base_runs
         return clone
@@ -218,8 +191,6 @@ class AggregateProfile:
             aging = decay ** (epoch - self.epoch)
             for key in self._edges:
                 self._edges[key] *= aging
-            for key in self._receivers:
-                self._receivers[key] *= aging
             self.epoch = epoch
             return 1.0
         return decay ** (self.epoch - epoch)
@@ -242,18 +213,6 @@ class AggregateProfile:
         """The raw symbolic edge→weight mapping (do not mutate)."""
         return self._edges
 
-    def receivers(self) -> dict[NamedReceiver, float]:
-        """The raw symbolic receiver→count mapping (do not mutate)."""
-        return self._receivers
-
-    def receiver_distribution(self, caller: str, pc: int) -> dict[str, float]:
-        """{class name: aggregated count} at one symbolic call site."""
-        return {
-            rclass: count
-            for (c, p, rclass), count in self._receivers.items()
-            if c == caller and p == pc
-        }
-
     # -- snapshots ----------------------------------------------------------------
 
     def to_dict(self) -> dict:
@@ -268,7 +227,7 @@ class AggregateProfile:
             items.sort(key=lambda item: (-item[1], item[0]))
             items = items[:limit]
         items.sort(key=lambda item: item[0])
-        snapshot = {
+        return {
             "version": FORMAT_VERSION,
             "fingerprint": self.fingerprint,
             "edges": [
@@ -282,19 +241,11 @@ class AggregateProfile:
                 "total_weight": self.total_weight,
             },
         }
-        if self._receivers:
-            snapshot["receivers"] = [
-                [caller, pc, rclass, count]
-                for (caller, pc, rclass), count in sorted(
-                    self._receivers.items()
-                )
-            ]
-        return snapshot
 
     @classmethod
     def from_dict(cls, data: dict, policy: MergePolicy | None = None) -> "AggregateProfile":
-        """Rebuild an aggregate from a persisted snapshot (a ``paths``
-        section is ignored)."""
+        """Rebuild an aggregate from a persisted snapshot (a ``paths`` or
+        ``receivers`` section is ignored)."""
         if not isinstance(data, dict) or not isinstance(data.get("edges"), list):
             raise MergeError("snapshot is not a profile dict")
         fingerprint = data.get("fingerprint")
@@ -316,12 +267,4 @@ class AggregateProfile:
             if not math.isfinite(weight) or weight < 0:
                 raise MergeError(f"bad weight in snapshot edge {entry!r}")
             aggregate._edges[key] = aggregate._edges.get(key, 0.0) + weight
-        receivers = data.get("receivers", [])
-        if not isinstance(receivers, list):
-            raise MergeError("malformed snapshot receivers")
-        for entry in receivers:
-            key, count = _validate_row(entry, "snapshot receiver row")
-            aggregate._receivers[key] = (
-                aggregate._receivers.get(key, 0.0) + count
-            )
         return aggregate

@@ -19,17 +19,14 @@ Client → server:
       {"v": 1, "type": "publish", "fingerprint": "<sha256>",
        "run_id": "<opaque>", "seq": 0, "epoch": 0,
        "edges": [["Caller.name", pc, "Callee.name", weight], ...],
-       "receivers": [["Caller.name", pc, "ClassName", count], ...],
        "trace_id": "<run id>", "span_id": "<run id>:<seq>"}
 
   ``epoch`` is the client's profile age (newer epochs dominate under
   decay; see :mod:`repro.fleet.merge`); ``seq`` numbers the deltas of
-  one run for diagnostics.  ``receivers`` is optional: the exact
-  per-site receiver-class counts the VM's inline caches accumulated
-  since the last delta (see :mod:`repro.profiling.receivers`), keyed
-  symbolically like edges so aggregates outlive any single build.
-  Older clients also sent a ``paths`` key of Ball-Larus path rows; the
-  server ignores it, whatever its value, and merges the rest.
+  one run for diagnostics.  Older clients also sent a ``paths`` key
+  of Ball-Larus path rows and a ``receivers`` key of inline-cache
+  counts; the server ignores both, whatever their values, and merges
+  the edges.
   ``trace_id``/``span_id`` are optional trace-span coordinates: when a
   publisher stamps them, the server echoes them into its own telemetry
   (``fleet_merge`` events) so the client's and server's offline traces
@@ -94,7 +91,6 @@ def publish_message(
     run_id: str,
     seq: int = 0,
     epoch: int = 0,
-    receivers: list | None = None,
     trace_id: str | None = None,
     span_id: str | None = None,
 ) -> dict:
@@ -107,8 +103,6 @@ def publish_message(
         "epoch": epoch,
         "edges": edges,
     }
-    if receivers:
-        message["receivers"] = receivers
     if span_id is not None:
         message["trace_id"] = trace_id
         message["span_id"] = span_id
@@ -117,10 +111,6 @@ def publish_message(
 
 def fetch_message(fingerprint: str) -> dict:
     return {"v": PROTOCOL_VERSION, "type": "fetch", "fingerprint": fingerprint}
-
-
-def stats_message() -> dict:
-    return {"v": PROTOCOL_VERSION, "type": "stats"}
 
 
 def flush_message() -> dict:

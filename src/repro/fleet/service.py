@@ -63,7 +63,7 @@ from repro.fleet.merge import (
     MergeError,
     MergePolicy,
     coalesce_validated,
-    validate_rows,
+    validate_edges,
 )
 from repro.fleet.protocol import (
     ProtocolError,
@@ -457,15 +457,13 @@ class FleetService:
         is rejected in its own reply — but the merge is deferred to the
         drain task.  Both backpressure checks precede row validation: a
         ``busy`` reply means the delta was *not* staged and the client
-        must retry it.  A ``paths`` key from an older client is ignored.
+        must retry it.  A ``paths`` or ``receivers`` key from an older
+        client is ignored, whatever its value.
         """
         fingerprint = message.get("fingerprint")
         edges = message.get("edges")
-        receivers = message.get("receivers")
         if not isinstance(fingerprint, str) or not isinstance(edges, list):
             return self._reject("publish needs a fingerprint and an edge list")
-        if receivers is not None and not isinstance(receivers, list):
-            return self._reject("receivers must be a list when present")
         try:
             epoch = int(message.get("epoch", 0))
         except (TypeError, ValueError):
@@ -487,8 +485,7 @@ class FleetService:
             self._m_busy.inc()
             return busy_message(0.05)
         try:
-            validated_edges = validate_rows(edges, "edge")
-            validated_receivers = validate_rows(receivers or (), "receiver row")
+            validated_edges = validate_edges(edges)
         except MergeError as error:
             return self._reject(str(error))
         span = None
@@ -498,8 +495,8 @@ class FleetService:
             fingerprint,
             epoch,
             validated_edges,
-            validated_receivers,
-            [],
+            (),
+            (),
             message.get("run_id"),
             span,
         )

@@ -1,13 +1,13 @@
 """Delta staging and per-client rate accounting for the fleet service.
 
 The service's hot accept path does only three things with a publish
-frame: validate its edge and receiver rows, append them to this
-staging buffer, and ack.  A background drain task later takes whole
-fingerprints out of the buffer, coalesces their deltas into per-epoch
-lumps (:func:`repro.fleet.merge.coalesce_validated`) and merges each
-lump in one pass — merge commutativity makes the coalesced result
-identical to one-at-a-time merging, so early acks never change what
-the fleet eventually sees.
+frame: validate its edge rows, append them to this staging buffer, and
+ack.  A background drain task later takes whole fingerprints out of
+the buffer, coalesces their deltas into per-epoch lumps
+(:func:`repro.fleet.merge.coalesce_validated`) and merges each lump in
+one pass — merge commutativity makes the coalesced result identical to
+one-at-a-time merging, so early acks never change what the fleet
+eventually sees.
 
 Backpressure has two sources, both answered with a ``busy`` reply
 carrying ``retry_after`` (never a dropped connection):
@@ -102,7 +102,7 @@ class StagingBuffer:
         if max_staged_rows < 1:
             raise ValueError("max_staged_rows must be >= 1")
         self.max_staged_rows = max_staged_rows
-        #: fingerprint -> [(epoch, edge_pairs, receiver_pairs)]
+        #: fingerprint -> [(epoch, edge_pairs)]
         self._deltas: dict[str, list] = {}
         #: fingerprint -> {run_id} staged since the last drain
         self._run_ids: dict[str, set] = {}
@@ -129,18 +129,18 @@ class StagingBuffer:
         ``span`` is whatever the caller wants back from
         :meth:`take_spans` when the delta merges — the service stages
         the publish's trace coordinates so its telemetry can emit one
-        merge event per absorbed delta.  ``paths`` stays only because the
-        measurement spine passes ``[]`` there until its re-cut (ROADMAP
-        item 1); anything non-empty raises ValueError.
+        merge event per absorbed delta.  ``receivers`` and ``paths`` stay
+        only because the measurement spine passes ``[]`` there until its
+        re-cut (ROADMAP item 1); anything non-empty raises ValueError.
         """
-        if paths:
-            raise ValueError("path rows are not staged: paths must be empty")
-        self._deltas.setdefault(fingerprint, []).append((epoch, edges, receivers))
+        if receivers or paths:
+            raise ValueError("only edges are staged: receivers and paths must be empty")
+        self._deltas.setdefault(fingerprint, []).append((epoch, edges))
         if run_id is not None:
             self._run_ids.setdefault(fingerprint, set()).add(str(run_id))
         if span is not None:
             self._spans.setdefault(fingerprint, []).append(span)
-        self.staged_rows += len(edges) + len(receivers)
+        self.staged_rows += len(edges)
         self.staged_deltas += 1
         self.total_staged += 1
         return self.staged_deltas
@@ -174,8 +174,8 @@ class StagingBuffer:
         if not deltas:
             return None
         run_ids = self._run_ids.pop(fingerprint, set())
-        for _epoch, edges, receivers in deltas:
-            self.staged_rows -= len(edges) + len(receivers)
+        for _epoch, edges in deltas:
+            self.staged_rows -= len(edges)
         self.staged_deltas -= len(deltas)
         self.total_lumps += 1
         return deltas, run_ids, len(deltas)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from repro.adaptive.controller import AdaptiveConfig
 from repro.adaptive.modes import jit_only_cache
-from repro.benchsuite.suite import BENCHMARKS, program_for
+from repro.benchsuite.suite import program_for
 from repro.harness.parallel import pmap
 from repro.harness.report import render_bars, render_table
 from repro.harness.runner import run_steady_state

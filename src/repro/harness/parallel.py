@@ -16,7 +16,9 @@ Two layers:
   count.  Workers are started with ``spawn`` on every platform: a
   ``fork`` from a process with threads running can deadlock the child
   (CPython 3.12+ warns about it), and one start method means one
-  behaviour everywhere.
+  behaviour everywhere.  One pool per worker count lives for the
+  whole process, so a spawned worker pays its fresh import once, not
+  once per table; a pool a dead worker broke is dropped, never reused.
 * :func:`run_sweep` — maps :func:`run_cell` over :class:`SweepCell`
   descriptions.  Cells and results are plain picklable dataclasses of
   scalars; profilers are named, not passed, and constructed inside the
@@ -35,12 +37,18 @@ from __future__ import annotations
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 from repro.harness.runner import measure_profiler
 from repro.profiling.cbs import CBSProfiler
 from repro.profiling.exhaustive import ExhaustiveProfiler
 from repro.profiling.timer_sampler import TimerProfiler
+
+
+#: Worker count -> the process's pool of that size.  Workers spawn on
+#: demand, up to the count, and stop when the process exits.
+_POOLS: dict[int, ProcessPoolExecutor] = {}
 
 
 def pmap(fn, items, jobs: int = 1) -> list:
@@ -58,10 +66,16 @@ def pmap(fn, items, jobs: int = 1) -> list:
     items = list(items)
     if jobs <= 1 or len(items) < 2:
         return [fn(item) for item in items]
-    workers = min(jobs, len(items))
-    spawn = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as executor:
-        return list(executor.map(fn, items, chunksize=1))
+    pool = _POOLS.get(jobs)
+    if pool is None:
+        spawn = multiprocessing.get_context("spawn")
+        pool = _POOLS[jobs] = ProcessPoolExecutor(max_workers=jobs, mp_context=spawn)
+    try:
+        return list(pool.map(fn, items, chunksize=1))
+    except BrokenProcessPool:
+        _POOLS.pop(jobs, None)
+        pool.shutdown(wait=False)
+        raise
 
 
 #: Profiler factories by name.  Constructed inside the worker process;

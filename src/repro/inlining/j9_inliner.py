@@ -114,7 +114,7 @@ class J9Inliner(InlinerPolicy):
                     chosen = max(eligible, key=self.callee_size)
                     return SiteDecision(GUARDED, chosen)
             return None
-        distribution = self.site_distribution(caller_index, pc, dcg)
+        distribution = dcg.callsite_distribution(caller_index, pc)
         site_weight = sum(distribution.values())
         if site_weight == 0:
             return None

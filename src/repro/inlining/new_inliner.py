@@ -58,7 +58,11 @@ class NewJikesInliner(InlinerPolicy):
         static_target = self.static_callee(instr)
 
         if static_target is not None:
-            fraction = self.edge_fraction(caller_index, pc, static_target, dcg)
+            fraction = (
+                0.0
+                if dcg is None
+                else dcg.weight_fraction((caller_index, pc, static_target))
+            )
             if self.callee_size(static_target) <= self.size_threshold(fraction):
                 self._trace(
                     caller_index, pc, static_target, "direct", True,
@@ -77,14 +81,10 @@ class NewJikesInliner(InlinerPolicy):
             )
             return None
 
-        # Distribution-aware guarded inlining needs *some* profile of
-        # the site's receivers: the exact IC receiver profile when the
-        # VM collected one, else a sampled DCG.
-        if instr.op is not Op.CALL_VIRTUAL or (
-            dcg is None and self.receiver_profile is None
-        ):
+        # Distribution-aware guarded inlining needs the sampled DCG.
+        if instr.op is not Op.CALL_VIRTUAL or dcg is None:
             return None
-        distribution = self.site_distribution(caller_index, pc, dcg)
+        distribution = dcg.callsite_distribution(caller_index, pc)
         site_weight = sum(distribution.values())
         if site_weight == 0:
             self._trace(caller_index, pc, -1, "guarded", False, "no-site-samples")
@@ -101,7 +101,7 @@ class NewJikesInliner(InlinerPolicy):
         ]
         eligible = []
         for callee in qualified:
-            edge_fraction = self.edge_fraction(caller_index, pc, callee, dcg)
+            edge_fraction = dcg.weight_fraction((caller_index, pc, callee))
             if self.callee_size(callee) <= self.size_threshold(edge_fraction):
                 eligible.append(callee)
         if not eligible:

@@ -61,7 +61,7 @@ class OldJikesInliner(InlinerPolicy):
         # Truly polymorphic virtual site: only a hot edge can justify a
         # guarded inline; non-hot profile data is ignored by design.
         if instr.op is Op.CALL_VIRTUAL and dcg is not None:
-            distribution = self.site_distribution(caller_index, pc, dcg)
+            distribution = dcg.callsite_distribution(caller_index, pc)
             for callee_index in sorted(
                 distribution, key=distribution.get, reverse=True
             ):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from repro.bytecode.opcodes import Op
 from repro.bytecode.program import Program
 from repro.opt.cha import ClassHierarchyAnalysis
-from repro.opt.inline import DEVIRTUALIZE, DIRECT, GUARDED, InlineDecision, InlinePlan
+from repro.opt.inline import DEVIRTUALIZE, GUARDED, InlineDecision, InlinePlan
 from repro.profiling.dcg import DCG
 
 
@@ -78,12 +78,6 @@ class InlinerPolicy:
         #: Optional telemetry tracer; policies that explain their
         #: per-site decisions emit InlineDecisionEvent through it.
         self.telemetry = None
-        #: Optional exact receiver-type profile from the inline caches
-        #: (:class:`repro.profiling.receivers.ReceiverProfile`).  When
-        #: set, per-site distributions come from it — exact counts —
-        #: in preference to the sampled DCG, and distribution-aware
-        #: policies can decide sites even with no DCG at all.
-        self.receiver_profile = None
 
     # -- to be implemented by concrete policies ---------------------------------
 
@@ -175,36 +169,6 @@ class InlinerPolicy:
         if instr.op is Op.CALL_STATIC:
             return instr.a
         return self.cha.monomorphic_target(instr.a)
-
-    def site_distribution(
-        self, caller_index: int, pc: int, dcg: DCG | None
-    ) -> dict[int, float]:
-        receivers = self.receiver_profile
-        if receivers is not None:
-            distribution = receivers.callee_distribution(
-                self.program, caller_index, pc
-            )
-            if distribution:
-                return distribution
-        if dcg is None:
-            return {}
-        return dcg.callsite_distribution(caller_index, pc)
-
-    def edge_fraction(
-        self, caller_index: int, pc: int, callee_index: int, dcg: DCG | None
-    ) -> float:
-        """The edge's share of all observed calls: exact (receiver
-        profile) when available, sampled (DCG) otherwise."""
-        receivers = self.receiver_profile
-        if receivers is not None:
-            fraction = receivers.edge_weight_fraction(
-                self.program, caller_index, pc, callee_index
-            )
-            if fraction > 0.0:
-                return fraction
-        if dcg is None:
-            return 0.0
-        return dcg.weight_fraction((caller_index, pc, callee_index))
 
     def callee_size(self, callee_index: int) -> int:
         return self.program.functions[callee_index].bytecode_size()

@@ -35,7 +35,3 @@ class ClassHierarchyAnalysis:
 
     def is_monomorphic(self, selector_id: int) -> bool:
         return self.monomorphic_target(selector_id) is not None
-
-    def polymorphy(self, selector_id: int) -> int:
-        """Number of distinct implementations reachable by the selector."""
-        return len(self._targets.get(selector_id, ()))

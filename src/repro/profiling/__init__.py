@@ -24,7 +24,6 @@ __getattr__, __dir__, __all__ = exports(
         "hot_edge_recall": ".metrics",
         "hot_edges": ".metrics",
         "overlap": ".metrics",
-        "weight_rank_correlation": ".metrics",
         "CodePatchingProfiler": ".patching",
         "ReceiverProfile": ".receivers",
         "ProfileFormatError": ".serialize",

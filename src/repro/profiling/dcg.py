@@ -9,7 +9,7 @@ Program` and call sites are bytecode pcs in the caller.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 
 #: An edge: (caller function index, callsite pc, callee function index).
 Edge = tuple[int, int, int]
@@ -78,14 +78,6 @@ class DCG:
             if edge_caller == caller and pc == callsite_pc:
                 result[callee] = result.get(callee, 0.0) + weight
         return result
-
-    def callsites_in(self, caller: int) -> dict[int, dict[int, float]]:
-        """callsite pc → (callee → weight) for every profiled site in ``caller``."""
-        result: dict[int, dict[int, float]] = defaultdict(dict)
-        for (edge_caller, pc, callee), weight in self._edges.items():
-            if edge_caller == caller:
-                result[pc][callee] = result[pc].get(callee, 0.0) + weight
-        return dict(result)
 
     def callee_weights(self) -> Counter:
         """Total incoming weight per callee (method hotness)."""

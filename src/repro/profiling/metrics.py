@@ -12,13 +12,11 @@ edge ``e``.  The result lies in 0..100: 0 = no common information,
 100 = identical profiles.
 
 A handful of additional metrics beyond the paper (hot-edge recall/
-precision, rank correlation) support the extended analyses in
+precision, edge coverage) support the extended analyses in
 ``benchmarks/``.
 """
 
 from __future__ import annotations
-
-import math
 
 from repro.profiling.dcg import DCG
 
@@ -85,39 +83,3 @@ def edge_coverage(sampled: DCG, perfect: DCG) -> float:
     sampled_edges = sampled.edges()
     found = sum(1 for edge in perfect_edges if edge in sampled_edges)
     return found / len(perfect_edges)
-
-
-def weight_rank_correlation(sampled: DCG, perfect: DCG) -> float:
-    """Spearman rank correlation of edge weights over the union of edges
-    (absent edges count as weight 0; tied weights share their mean rank).
-    Returns 0.0 when degenerate: fewer than two edges, or constant
-    weights on either side."""
-    union = set(sampled.edges()) | set(perfect.edges())
-    if len(union) < 2:
-        return 0.0
-    ordered = sorted(union)
-    xs = _average_ranks([sampled.edge_weight(edge) for edge in ordered])
-    ys = _average_ranks([perfect.edge_weight(edge) for edge in ordered])
-    mean = (len(ordered) + 1) / 2  # of any 1-based rank vector
-    sxy = sum((x - mean) * (y - mean) for x, y in zip(xs, ys))
-    sxx = sum((x - mean) ** 2 for x in xs)
-    syy = sum((y - mean) ** 2 for y in ys)
-    if sxx == 0 or syy == 0:
-        return 0.0
-    return sxy / math.sqrt(sxx * syy)
-
-
-def _average_ranks(values: list[float]) -> list[float]:
-    """1-based ranks of ``values``; each run of equal values gets the
-    mean of the ranks it spans."""
-    order = sorted(range(len(values)), key=values.__getitem__)
-    ranks = [0.0] * len(values)
-    start = 0
-    while start < len(order):
-        end = start + 1
-        while end < len(order) and values[order[end]] == values[order[start]]:
-            end += 1
-        for index in order[start:end]:
-            ranks[index] = (start + end + 1) / 2
-        start = end
-    return ranks

@@ -4,20 +4,14 @@ The polymorphic inline caches (:mod:`repro.vm.ic`) count every virtual
 dispatch per (call site, receiver class) as a by-product of caching —
 the shared cells survive recompilation because they are keyed by
 *baseline* coordinates through the inline map.  A
-:class:`ReceiverProfile` snapshots those cells into an immutable,
-serializable profile that is **exact**: the counts sum to the number of
+:class:`ReceiverProfile` snapshots those cells into a profile that is
+**exact**: the counts sum to the number of
 virtual calls the run executed, with none of the sampling error the
 paper's CBS technique trades for low overhead.
 
-Three consumers:
-
-* the new Jikes inliner's >40% guarded-inlining rule
-  (:mod:`repro.inlining.new_inliner`) can draw a call site's receiver
-  distribution from here instead of (or in addition to) a sampled DCG,
-* the figure-5 harness compares CBS-sampled site distributions against
-  these exact ones (per-hot-site overlap),
-* the fleet protocol publishes receiver counts alongside DCG deltas so
-  aggregated profiles keep distribution shape.
+One consumer: the figure-5 harness compares CBS-sampled site
+distributions against these exact ones (per-hot-site overlap).  The
+inliner reads the sampled DCG only, as in the paper.
 
 Sites are keyed by baseline ``(function_index, pc)``; receiver classes
 by class index.  Callee-level views resolve receivers through the
@@ -30,18 +24,15 @@ from __future__ import annotations
 from repro.bytecode.opcodes import Op
 from repro.profiling.dcg import DCG
 
-#: (function_index, pc) of a baseline virtual call site.
-Site = tuple  # tuple[int, int]
-
 
 class ReceiverProfile:
     """Per-call-site receiver-class counts, exact by construction."""
 
     __slots__ = ("sites",)
 
-    def __init__(self, sites: dict | None = None):
+    def __init__(self, sites: dict):
         #: {(caller_index, pc): {class_index: count}}
-        self.sites: dict = sites if sites is not None else {}
+        self.sites = sites
 
     # -- construction -------------------------------------------------------------
 
@@ -55,31 +46,11 @@ class ReceiverProfile:
         }
         return cls({site: counts for site, counts in sites.items() if counts})
 
-    def copy(self) -> "ReceiverProfile":
-        return ReceiverProfile(
-            {site: dict(counts) for site, counts in self.sites.items()}
-        )
-
-    def merge(self, other: "ReceiverProfile", scale: float = 1.0) -> None:
-        """Accumulate another profile's counts (fleet aggregation)."""
-        for site, counts in other.sites.items():
-            mine = self.sites.setdefault(site, {})
-            for rclass, count in counts.items():
-                mine[rclass] = mine.get(rclass, 0) + count * scale
-
     # -- basic queries -------------------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self.sites)
 
     def site_counts(self, caller: int, pc: int) -> dict:
         """{class_index: count} at one site (empty if never executed)."""
         return self.sites.get((caller, pc), {})
-
-    def total_calls(self) -> float:
-        """Every virtual call the profile observed (exactness check:
-        equals the VM's virtual-call count when snapshotted at exit)."""
-        return sum(sum(counts.values()) for counts in self.sites.values())
 
     def hot_sites(self, count: int = 10) -> list:
         """The ``count`` highest-volume sites as ``(site, total)``."""
@@ -114,29 +85,6 @@ class ReceiverProfile:
                 distribution[callee] = distribution.get(callee, 0) + count
         return distribution
 
-    def edge_weight_fraction(
-        self, program, caller: int, pc: int, callee: int
-    ) -> float:
-        """This edge's share of every observed virtual call — the exact
-        analogue of ``DCG.weight_fraction`` for the inliner's linear
-        size threshold."""
-        total = self.total_calls()
-        if total == 0:
-            return 0.0
-        distribution = self.callee_distribution(program, caller, pc)
-        return distribution.get(callee, 0) / total
-
-    def to_dcg(self, program) -> DCG:
-        """The profile as a DCG (virtual edges only), for the shared
-        accuracy metrics."""
-        dcg = DCG()
-        for caller, pc in self.sites:
-            for callee, count in self.callee_distribution(
-                program, caller, pc
-            ).items():
-                dcg.record(caller, pc, callee, count)
-        return dcg
-
     # -- accuracy against sampled profiles ----------------------------------------
 
     def site_overlap(self, program, dcg: DCG, caller: int, pc: int) -> float:
@@ -159,44 +107,3 @@ class ReceiverProfile:
             p_sampled = sampled.get(callee, 0.0) / sampled_total
             shared += min(p_exact, p_sampled)
         return 100.0 * shared
-
-    # -- serialization (fleet wire format) -----------------------------------------
-
-    def to_rows(self) -> list:
-        """Flatten to ``[[caller, pc, class_index, count], ...]`` rows,
-        deterministically ordered — the fleet ``receivers`` field."""
-        rows = []
-        for site in sorted(self.sites):
-            caller, pc = site
-            counts = self.sites[site]
-            for rclass in sorted(counts):
-                rows.append([caller, pc, rclass, counts[rclass]])
-        return rows
-
-    @classmethod
-    def from_rows(cls, rows) -> "ReceiverProfile":
-        profile = cls()
-        for caller, pc, rclass, count in rows:
-            site = (int(caller), int(pc))
-            counts = profile.sites.setdefault(site, {})
-            counts[rclass] = counts.get(rclass, 0) + count
-        return profile
-
-    def describe(self, program=None, limit: int = 5) -> str:
-        lines = [
-            f"ReceiverProfile({len(self.sites)} sites, "
-            f"{self.total_calls():.0f} calls)"
-        ]
-        for site, total in self.hot_sites(limit):
-            caller, pc = site
-            name = (
-                program.functions[caller].qualified_name
-                if program is not None
-                else str(caller)
-            )
-            counts = self.sites[site]
-            shape = ", ".join(
-                f"{rclass}:{count}" for rclass, count in sorted(counts.items())
-            )
-            lines.append(f"  {name}@{pc}: {total:.0f} calls [{shape}]")
-        return "\n".join(lines)

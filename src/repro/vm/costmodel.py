@@ -118,11 +118,6 @@ class CostModel:
             table[int(op)] = cost
         return table
 
-    def with_op_cost(self, op: Op, cost: int) -> "CostModel":
-        costs = dict(self.op_costs)
-        costs[op] = cost
-        return replace(self, op_costs=costs)
-
 
 def jikes_cost_model() -> CostModel:
     """Cost preset for the Jikes-RVM-like configuration."""

@@ -33,8 +33,8 @@ tests/vm/test_ic_identity.py).
 As a by-product each cache counts calls per receiver class in shared
 cells keyed by *baseline* coordinates, surviving recompilation — an
 exact receiver-type profile (:class:`repro.profiling.receivers.
-ReceiverProfile`) that the inliner's >40% guarded-inlining rule and
-the figure-5 accuracy harness consume.
+ReceiverProfile`) that the figure-5 accuracy harness scores CBS
+against.
 
 Quickened opcode numbering: raw opcodes stop at 81 (``Op.NOP``) and
 superinstructions start at ``FUSE_BASE`` (100); inline caches take the
@@ -136,18 +136,6 @@ def entry_is_virtual(entry: list) -> bool:
     return len(entry) > S_NARGS + 1
 
 
-def virtual_entry_bindings(entry: list):
-    """Yield ``(class_index, function_index)`` for every bound slot."""
-    if entry[V_CLASS0] >= 0:
-        yield entry[V_CLASS0], entry[V_INDEX0]
-    if entry[V_CLASS1] >= 0:
-        yield entry[V_CLASS1], entry[V_INDEX1]
-    rest = entry[V_REST]
-    if rest:
-        for r in rest:
-            yield r[0], r[2]
-
-
 def guard_classes(entry: list):
     """Inline-slot guards for the template JIT: ``(class_index,
     method_slot, cell)`` per bound inline slot, hottest class first by
@@ -170,16 +158,6 @@ def guard_classes(entry: list):
         guards.append((entry[V_CLASS1], V_METHOD1, entry[V_CELL1]))
     guards.sort(key=lambda guard: -guard[2][0])
     return guards
-
-
-def describe_state(entry: list) -> str:
-    """Human label for ``disasm --ic`` / stats: mono, poly(k), mega."""
-    state = entry[V_STATE]
-    if state > POLY_LIMIT:
-        return "mega"
-    if state <= 1:
-        return "mono"
-    return f"poly({state})"
 
 
 # -- leaf-method calling sequence ----------------------------------------------

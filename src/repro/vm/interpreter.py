@@ -206,17 +206,6 @@ class Interpreter:
             return (caller.method.index, pc, callee.method.index)
         return (origin[0], origin[1], callee.method.index)
 
-    def stack_snapshot(self, max_depth: int | None = None) -> list[int]:
-        """Function indices from the top of stack downward."""
-        frames = self.frames
-        if max_depth is None:
-            return [frame.method.index for frame in reversed(frames)]
-        if max_depth <= 0:
-            return []
-        # Slice the deep end off *before* walking: profilers sample with
-        # small depth limits on arbitrarily deep stacks.
-        return [frame.method.index for frame in reversed(frames[-max_depth:])]
-
     def _step_limit(
         self, time, steps, call_count, fused_n, deopts, frame, method, pc
     ) -> StepLimitExceeded:

@@ -340,6 +340,3 @@ class CodeCache:
     def opt_level(self, index: int) -> int:
         method = self.built[index]
         return 0 if method is None else method.opt_level
-
-    def total_code_size(self) -> int:
-        return sum(self._sizes)

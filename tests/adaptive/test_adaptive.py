@@ -4,7 +4,7 @@ import pytest
 
 from repro.adaptive.controller import AdaptiveConfig, AdaptiveSystem
 from repro.adaptive.modes import jit_only_cache
-from repro.adaptive.organizer import DecayingDCGOrganizer, HotMethodOrganizer
+from repro.adaptive.organizer import DecayingDCGOrganizer
 from repro.frontend.codegen import compile_source
 from repro.profiling.cbs import CBSProfiler
 from repro.profiling.dcg import DCG
@@ -185,16 +185,6 @@ def test_jit_only_level1_faster_than_level0():
 
 
 # -- organizers --------------------------------------------------------------------
-
-
-def test_hot_method_organizer_ranks():
-    samples = Counter({3: 10, 1: 50, 2: 5})
-    organizer = HotMethodOrganizer(samples)
-    ranked = organizer.hot_methods()
-    assert ranked[0] == (1, 50)
-    assert organizer.hot_methods(minimum_samples=8) == [(1, 50), (3, 10)]
-    assert organizer.samples_for(2) == 5
-    assert organizer.samples_for(99) == 0
 
 
 def test_decaying_organizer_applies_decay_periodically():

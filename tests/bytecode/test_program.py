@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.bytecode.function import FunctionInfo, make_trivial_return_zero
+from repro.bytecode.function import FunctionInfo
 from repro.bytecode.instr import Instr
 from repro.bytecode.opcodes import Op
 from repro.bytecode.program import ClassInfo, Program, ProgramError
+from tests.helpers import make_trivial_return_zero
 
 
 def method(name, owner, returns_value=True):
@@ -61,17 +62,10 @@ def test_vtable_override():
     program, fa, fb, ga = build_hierarchy()
     sid_f = program.selector_id("f", 0)
     sid_g = program.selector_id("g", 0)
-    assert program.resolve_virtual(program.class_named("A").index, sid_f) == fa.index
-    assert program.resolve_virtual(program.class_named("B").index, sid_f) == fb.index
+    assert program.class_named("A").vtable[sid_f] == fa.index
+    assert program.class_named("B").vtable[sid_f] == fb.index
     # g is inherited.
-    assert program.resolve_virtual(program.class_named("B").index, sid_g) == ga.index
-
-
-def test_resolve_unknown_selector_raises():
-    program, *_ = build_hierarchy()
-    sid = program.selector_id("nope", 0)
-    with pytest.raises(ProgramError, match="does not understand"):
-        program.resolve_virtual(0, sid)
+    assert program.class_named("B").vtable[sid_g] == ga.index
 
 
 def test_field_layout_inherited_first():
@@ -122,23 +116,6 @@ def test_bytecode_size_uses_opcode_widths():
     f = make_trivial_return_zero("t")
     # PUSH = 2 bytes, RETURN_VAL = 1 byte.
     assert f.bytecode_size() == 3
-
-
-def test_call_sites_listing():
-    f = FunctionInfo(
-        "c",
-        [
-            Instr(Op.PUSH, 1),
-            Instr(Op.CALL_STATIC, 0, 0),
-            Instr(Op.POP),
-            Instr(Op.PUSH_NULL),
-            Instr(Op.CALL_VIRTUAL, 0, 0),
-            Instr(Op.RETURN_VAL),
-        ],
-        0,
-        0,
-    )
-    assert f.call_sites() == [1, 4]
 
 
 def test_total_bytecode_size():

@@ -10,9 +10,10 @@ rows *before* scaling distributes over the merge.  These tests hold
 that property bit-exactly — seeded random delta streams, every
 partition into coalesced lumps, byte-identical persisted snapshots —
 for integral weights under decay 1.0 and 0.5 (exact in binary
-floating point).  The streams carry Ball-Larus path rows as an older
-client sent them; the service tests publish them and the reference
-never sees them, so byte identity also proves they are ignored.
+floating point).  The streams carry Ball-Larus path rows and
+inline-cache receiver rows as older clients sent them; the service
+tests publish them and the reference never sees them, so byte identity
+also proves they are ignored.
 """
 
 import asyncio
@@ -23,7 +24,7 @@ from repro.fleet.merge import (
     AggregateProfile,
     MergePolicy,
     coalesce_validated,
-    validate_rows,
+    validate_edges,
 )
 from repro.fleet.protocol import (
     fetch_message,
@@ -65,26 +66,26 @@ def random_stream(rng, deltas: int, epochs: int = 3):
 def eager_merge(stream, policy):
     aggregate = AggregateProfile(FP, policy)
     for edges, receivers, _paths, epoch, run_id in stream:
-        aggregate.merge_delta(edges, epoch=epoch, run_id=run_id, receivers=receivers)
+        aggregate.merge_delta(edges, epoch=epoch, run_id=run_id)
     return aggregate
 
 
 def old_client_publish(edges, receivers, paths, run_id, seq, epoch):
-    """A publish frame as a client from before path profiling was removed
-    sent it: Ball-Larus ``paths`` rows ride beside edges and receivers.
-    The service acks the frame and ignores the rows."""
-    message = publish_message(
-        FP, edges, run_id=run_id, seq=seq, epoch=epoch, receivers=receivers
-    )
+    """A publish frame as older clients sent it: inline-cache
+    ``receivers`` rows and Ball-Larus ``paths`` rows ride beside the
+    edges.  The service acks the frame and ignores both."""
+    message = publish_message(FP, edges, run_id=run_id, seq=seq, epoch=epoch)
+    if receivers:
+        message["receivers"] = receivers
     if paths:
         message["paths"] = paths
     return message
 
 
 def validated(delta):
-    """The (epoch, edge_pairs, receiver_pairs) staging shape."""
-    edges, receivers, _paths, epoch, _run_id = delta
-    return epoch, validate_rows(edges, "edge"), validate_rows(receivers, "receiver row")
+    """The (epoch, edge_pairs) staging shape."""
+    edges, _receivers, _paths, epoch, _run_id = delta
+    return epoch, validate_edges(edges)
 
 
 def coalesced_merge(stream, policy, partition):

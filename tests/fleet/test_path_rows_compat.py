@@ -2,9 +2,9 @@
 
 No client publishes path rows any more.  A publish frame from an older
 client that carries a ``paths`` key, whatever its value, is acked and
-its edges and receivers merge; the key is ignored.  A snapshot an
-older server wrote with a ``paths`` section loads with its edges,
-receivers and metadata intact and is stored back without the section.
+its edges merge; the key is ignored.  A snapshot an older server
+wrote with a ``paths`` section loads with its edges and metadata intact
+and is stored back without the section.
 The staging buffer keeps an empty ``paths`` slot in :meth:`stage` for
 the measurement spine, which still passes ``[]`` there.
 """
@@ -40,11 +40,12 @@ def test_old_snapshot_with_path_rows_loads_and_round_trips(tmp_path):
     restored = repo.load(FP)
     assert repo.quarantined == 0
     assert restored.edges() == {("main", 4, "A.f"): 6.0}
-    assert restored.receivers() == {("main", 4, "A"): 5.0}
     assert (restored.runs, restored.publishes, restored.epoch) == (2, 3, 1)
     with open(repo.store(restored), "rb") as handle:
         first = handle.read()
-    assert json.loads(first) == {k: v for k, v in OLD_SNAPSHOT.items() if k != "paths"}
+    assert json.loads(first) == {
+        k: v for k, v in OLD_SNAPSHOT.items() if k not in ("paths", "receivers")
+    }
     with open(repo.store(repo.load(FP)), "rb") as handle:
         assert handle.read() == first
     # A section that is not even a list is ignored the same way.
@@ -70,10 +71,7 @@ def old_frames(path_values):
     """One frame per value of an older client's ``paths`` key."""
     frames = []
     for seq, rows in enumerate(path_values):
-        message = publish_message(
-            FP, [["main", 4, "A.f", 3.0]], run_id="old", seq=seq,
-            receivers=[["main", 4, "A", 1.0]],
-        )
+        message = publish_message(FP, [["main", 4, "A.f", 3.0]], run_id="old", seq=seq)
         message["paths"] = rows
         frames.append(message)
     return frames
@@ -86,7 +84,6 @@ def check_merged_without_paths(replies, root, count):
     assert snapshot["edges"] == [
         {"caller": "main", "pc": 4, "callee": "A.f", "weight": 3.0 * count}
     ]
-    assert snapshot["receivers"] == [["main", 4, "A", float(count)]]
     assert "paths" not in snapshot
     with open(root / f"{FP}.json") as handle:
         assert json.load(handle) == snapshot
@@ -132,6 +129,6 @@ def test_stage_takes_the_measurement_spines_call():
 
 def test_stage_refuses_path_rows():
     staging = StagingBuffer()
-    with pytest.raises(ValueError, match="paths must be empty"):
+    with pytest.raises(ValueError, match="receivers and paths must be empty"):
         staging.stage(FP, 0, [(("main", 4, "A.f"), 3.0)], [], [(("main", 3), 4.0)], "r1")
     assert len(staging) == 0 and staging.staged_rows == 0 and staging.take_all() == []

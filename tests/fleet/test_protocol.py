@@ -16,7 +16,6 @@ from repro.fleet.protocol import (
     fetch_message,
     publish_message,
     read_message,
-    stats_message,
 )
 
 
@@ -46,7 +45,7 @@ def test_extract_fingerprint_without_full_parse():
     payload = encode_message(publish_message(fp, [["m", 0, "f", 1.0]], "r1"))[4:]
     assert extract_fingerprint(payload) == fp
     # A fingerprint-free frame yields None; junk yields None.
-    assert extract_fingerprint(encode_message(stats_message())[4:]) is None
+    assert extract_fingerprint(encode_message({"v": PROTOCOL_VERSION, "type": "stats"})[4:]) is None
     assert extract_fingerprint(b"\xff\xfenot json") is None
     # A quote-bearing string value before the key cannot fool the scan:
     # quotes inside JSON strings are always escaped, forcing fallback.

@@ -1,102 +1,153 @@
-"""Fleet receiver rows: publish → merge → snapshot round-trip."""
+"""Inline-cache receiver rows from before the fleet stopped carrying them.
 
-import itertools
+No client publishes receiver rows any more, and no snapshot stores
+them.  A publish frame from an older client that carries a
+``receivers`` key, whatever its value, is acked and its edges merge;
+the key is ignored.  A snapshot an older server wrote with a
+``receivers`` section loads with its edges and metadata intact and is
+stored back without the section.  The staging buffer keeps an empty
+``receivers`` slot in :meth:`stage` for the measurement spine, which
+still passes ``[]`` there.
+"""
+
+import asyncio
+import json
 
 import pytest
 
-from repro.fleet.merge import AggregateProfile, MergeError, MergePolicy
-from repro.fleet.protocol import publish_message
+from repro.fleet import client
+from repro.fleet.merge import MergePolicy
+from repro.fleet.protocol import fetch_message, publish_message, read_message, write_message
+from repro.fleet.repository import ProfileRepository
+from repro.fleet.service import FleetService
+from repro.fleet.staging import StagingBuffer
+from repro.frontend.codegen import compile_source
+from repro.profiling.cbs import CBSProfiler
+from repro.vm.interpreter import Interpreter
+from tests.fleet._service_thread import ServiceThread
 
 FP = "ab" * 32
 
-ROWS = [
-    ["main", 4, "A", 30.0],
-    ["main", 4, "B", 10.0],
-    ["Worker.step", 9, "A", 5.0],
-]
+#: A snapshot as a server that still merged receiver rows stored it.
+OLD_SNAPSHOT = {
+    "version": 3,
+    "fingerprint": FP,
+    "edges": [{"caller": "main", "pc": 4, "callee": "A.f", "weight": 3.0}],
+    "fleet": {"runs": 1, "publishes": 1, "epoch": 0, "total_weight": 3.0},
+    "receivers": [["Worker.step", 9, "A", 5.0], ["main", 4, "A", 30.0]],
+}
+
+#: Values an older client's ``receivers`` key may hold: well-formed
+#: rows, other JSON types, and the malformed rows the service used to
+#: reject.
+RECEIVER_VALUES = {
+    "list": [["main", 4, "A", 30.0], ["main", 4, "B", 10.0]],
+    "string": "not rows",
+    "object": {"main": 4},
+    "null": None,
+    "malformed0": [["main", 4, "A"]],  # missing count
+    "malformed1": [["main", 4, "A", float("nan")]],
+    "malformed2": [["main", 4, "A", -1.0]],
+    "malformed3": [["main", "x", "A", 1.0]],
+    "malformed4": ["not-a-row"],
+}
 
 
-def test_publish_message_carries_receivers():
-    message = publish_message(FP, [["main", 4, "A.f", 3.0]], "r1", receivers=ROWS)
-    assert message["receivers"] == ROWS
-    # Omitted (not an empty list) when a delta has no receiver growth —
-    # old consumers never see the key.
-    bare = publish_message(FP, [["main", 4, "A.f", 3.0]], "r1")
-    assert "receivers" not in bare
-    empty = publish_message(FP, [["main", 4, "A.f", 3.0]], "r1", receivers=[])
-    assert "receivers" not in empty
+#: Two receiver classes at one hot virtual site.
+POLYMORPHIC = """
+class A { def f(): int { return 1; } }
+class B extends A { def f(): int { return 2; } }
+def main() {
+  var objs = new A[2];
+  objs[0] = new A();
+  objs[1] = new B();
+  var t = 0;
+  for (var i = 0; i < 20000; i = i + 1) { t = t + objs[i % 2].f(); }
+  print(t);
+}
+"""
 
 
-def test_merge_accumulates_receiver_counts():
-    aggregate = AggregateProfile(FP)
-    aggregate.merge_delta([["main", 4, "A.f", 3.0]], run_id="a", receivers=ROWS)
-    aggregate.merge_delta(
-        [], run_id="b", receivers=[["main", 4, "A", 10.0]]
-    )
-    assert aggregate.receivers()[("main", 4, "A")] == 40.0
-    assert aggregate.receiver_distribution("main", 4) == {"A": 40.0, "B": 10.0}
-    assert aggregate.receiver_distribution("main", 99) == {}
+def test_publisher_sends_edges_only(tmp_path, monkeypatch):
+    """The inline caches count receivers during the run; the frames the
+    publisher sends carry edges and nothing of those counts."""
+    sent = []
+    send = client.send_message
+
+    def recording_send(sock, message):
+        sent.append(message)
+        send(sock, message)
+
+    monkeypatch.setattr(client, "send_message", recording_send)
+    program = compile_source(POLYMORPHIC)
+    with ServiceThread(str(tmp_path / "repo")) as server:
+        publisher = client.FleetPublisher(server.address, program, every_ticks=2)
+        vm = Interpreter(program)
+        vm.attach_profiler(CBSProfiler(seed=5))
+        publisher.install(vm)
+        vm.run()
+        publisher.flush(vm)
+        publisher.close()
+    assert vm.code_cache.receiver_cell_total() > 0
+    assert publisher.batches_sent == len(sent) > 0
+    for message in sent:
+        assert message["type"] == "publish" and message["edges"]
+        assert "receivers" not in message
 
 
-def test_receiver_merge_is_order_independent():
-    deltas = [
-        ([["main", 4, "A", 8.0]], 0),
-        ([["main", 4, "B", 4.0]], 1),
-        ([["main", 4, "A", 2.0], ["Worker.step", 9, "A", 1.0]], 2),
+async def publish_then_fetch(root, frames):
+    service = FleetService(ProfileRepository(root, MergePolicy()))
+    await service.start("127.0.0.1", 0)
+    reader, writer = await asyncio.open_connection(*service.address)
+    replies = []
+    for message in frames + [fetch_message(FP)]:
+        await write_message(writer, message)
+        replies.append(await read_message(reader))
+    writer.close()
+    await writer.wait_closed()
+    await service.stop()
+    return replies
+
+
+@pytest.mark.parametrize("value", list(RECEIVER_VALUES.values()), ids=list(RECEIVER_VALUES))
+def test_publish_frame_with_any_receivers_value_is_acked_and_merged(tmp_path, value):
+    frames = []
+    for seq in range(2):
+        message = publish_message(FP, [["main", 4, "A.f", 3.0]], run_id="old", seq=seq)
+        message["receivers"] = value
+        frames.append(message)
+    root = tmp_path / "repo"
+    *acks, fetched = asyncio.run(publish_then_fetch(str(root), frames))
+    assert [ack["type"] for ack in acks] == ["ack", "ack"]
+    snapshot = fetched["snapshot"]
+    assert snapshot["edges"] == [
+        {"caller": "main", "pc": 4, "callee": "A.f", "weight": 6.0}
     ]
-
-    def merged(order):
-        aggregate = AggregateProfile(FP, MergePolicy(decay=0.5))
-        for index in order:
-            receivers, epoch = deltas[index]
-            aggregate.merge_delta(
-                [], epoch=epoch, run_id=f"run-{index}", receivers=receivers
-            )
-        return aggregate.receivers()
-
-    baseline = merged(range(len(deltas)))
-    for order in itertools.permutations(range(len(deltas))):
-        got = merged(order)
-        assert set(got) == set(baseline)
-        for key, value in baseline.items():
-            assert got[key] == pytest.approx(value)
-
-
-def test_receiver_decay_weights_newer_epochs_heavier():
-    aggregate = AggregateProfile(FP, MergePolicy(decay=0.5))
-    aggregate.merge_delta([], epoch=0, receivers=[["main", 4, "A", 8.0]])
-    aggregate.merge_delta([], epoch=1, receivers=[["main", 4, "B", 8.0]])
-    distribution = aggregate.receiver_distribution("main", 4)
-    assert distribution["B"] > distribution["A"]
-
-
-def test_snapshot_round_trips_receivers():
-    aggregate = AggregateProfile(FP)
-    aggregate.merge_delta([["main", 4, "A.f", 3.0]], run_id="a", receivers=ROWS)
-    snapshot = aggregate.to_dict()
-    assert snapshot["receivers"] == sorted(snapshot["receivers"])
-    restored = AggregateProfile.from_dict(snapshot)
-    assert restored.receivers() == aggregate.receivers()
-    # Aggregates that never saw receiver rows stay clean on the wire.
-    plain = AggregateProfile(FP)
-    plain.merge_delta([["main", 4, "A.f", 3.0]], run_id="a")
-    assert "receivers" not in plain.to_dict()
+    assert "receivers" not in snapshot
+    with open(root / f"{FP}.json") as handle:
+        assert json.load(handle) == snapshot
 
 
 @pytest.mark.parametrize(
-    "bad",
-    [
-        [["main", 4, "A"]],  # missing count
-        [["main", 4, "A", float("nan")]],
-        [["main", 4, "A", -1.0]],
-        [["main", "x", "A", 1.0]],
-        ["not-a-row"],
-    ],
+    "section", [OLD_SNAPSHOT["receivers"], "not rows", None], ids=["list", "string", "null"]
 )
-def test_malformed_receiver_rows_rejected_without_mutation(bad):
-    aggregate = AggregateProfile(FP)
-    aggregate.merge_delta([], run_id="a", receivers=[["main", 4, "A", 1.0]])
-    before = dict(aggregate.receivers())
-    with pytest.raises(MergeError):
-        aggregate.merge_delta([], run_id="b", receivers=bad)
-    assert aggregate.receivers() == before
+def test_old_snapshot_with_receivers_loads_and_is_stored_without_them(tmp_path, section):
+    repo = ProfileRepository(str(tmp_path))
+    with open(repo.path_for(FP), "w") as handle:
+        json.dump(dict(OLD_SNAPSHOT, receivers=section), handle)
+    restored = repo.load(FP)
+    assert repo.quarantined == 0
+    assert restored.edges() == {("main", 4, "A.f"): 3.0}
+    assert (restored.runs, restored.publishes, restored.epoch) == (1, 1, 0)
+    with open(repo.store(restored), "rb") as handle:
+        first = handle.read()
+    assert json.loads(first) == {k: v for k, v in OLD_SNAPSHOT.items() if k != "receivers"}
+    with open(repo.store(repo.load(FP)), "rb") as handle:
+        assert handle.read() == first
+
+
+def test_stage_refuses_receiver_rows():
+    staging = StagingBuffer()
+    with pytest.raises(ValueError, match="receivers and paths must be empty"):
+        staging.stage(FP, 0, [(("main", 4, "A.f"), 3.0)], [(("main", 4, "A"), 5.0)], [], "r1")
+    assert len(staging) == 0 and staging.staged_rows == 0 and staging.take_all() == []

@@ -29,7 +29,7 @@ def test_store_load_roundtrip(tmp_path):
 def test_store_bytes_match_the_streaming_encoder(tmp_path):
     """``store`` serialises with ``json.dumps`` (the C encoder); the
     file must stay byte-identical to the ``json.dump`` form it replaced,
-    on a snapshot with edges, receivers and non-integral floats."""
+    on a snapshot with edges and non-integral floats."""
     import io
 
     aggregate = AggregateProfile(FP, MergePolicy(decay=0.5))
@@ -37,7 +37,6 @@ def test_store_bytes_match_the_streaming_encoder(tmp_path):
         [["main", 0, "A.f", 4.0], ["A.f", 3, "B.g", 0.1], ["é", 1, 'q"uote', 1e-9]],
         epoch=0,
         run_id="r1",
-        receivers=[["main", 0, "A", 3.0], ["main", 0, "B", 1.5]],
     )
     aggregate.merge_delta([["main", 0, "A.f", 1e16]], epoch=2, run_id="r2")
     repo = ProfileRepository(str(tmp_path))
@@ -47,7 +46,7 @@ def test_store_bytes_match_the_streaming_encoder(tmp_path):
     json.dump(aggregate.to_dict(), streamed, separators=(",", ":"))
     assert stored == streamed.getvalue()
     snapshot = json.loads(stored)
-    assert snapshot["receivers"] and len(snapshot["edges"]) == 3
+    assert len(snapshot["edges"]) == 3
 
 
 def test_load_absent_returns_none(tmp_path):

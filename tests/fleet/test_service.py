@@ -10,11 +10,11 @@ import pytest
 
 from repro.fleet.merge import AggregateProfile, MergePolicy
 from repro.fleet.protocol import (
+    PROTOCOL_VERSION,
     fetch_message,
     flush_message,
     publish_message,
     read_message,
-    stats_message,
     write_message,
 )
 from repro.fleet.repository import ProfileRepository
@@ -22,6 +22,7 @@ from repro.fleet import service as service_module
 from repro.fleet.service import FleetService
 
 FP = "ef" * 32
+STATS = {"v": PROTOCOL_VERSION, "type": "stats"}
 
 
 def run(coro):
@@ -219,7 +220,7 @@ def test_retired_worker_kinds_are_unknown_messages(tmp_path, kind):
         reader, writer = await asyncio.open_connection(*service.address)
         await write_message(writer, {"v": 1, "type": kind})
         error = await read_message(reader)
-        await write_message(writer, stats_message())
+        await write_message(writer, STATS)
         stats = await read_message(reader)
         writer.close()
         await writer.wait_closed()
@@ -275,7 +276,7 @@ def test_stats(tmp_path):
         # flush is the barrier (its reply is the stats document); a plain
         # stats request after it reads the same settled counters.
         flushed = await request(service.address, flush_message())
-        reply = await request(service.address, stats_message())
+        reply = await request(service.address, STATS)
         await service.stop()
         return flushed, reply
 

@@ -4,18 +4,21 @@ The contract under test: results are *identical* — same values, same
 order — for any ``jobs`` value, because ``executor.map`` preserves
 input order and every cell is deterministic and self-contained.
 Workers are spawned, never forked, so they share no state with the
-parent and no thread of the parent can deadlock them.
+parent and no thread of the parent can deadlock them.  One pool per
+worker count serves every map of the process.
 """
 
 from __future__ import annotations
 
+import os
 import sys
 import threading
 import warnings
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from repro.harness import table1, table2
+from repro.harness import parallel, table1, table2
 from repro.harness.parallel import (
     PROFILER_FACTORIES,
     SweepCell,
@@ -38,6 +41,14 @@ _STATE = "as imported"
 
 def _state(_item) -> str:
     return _STATE
+
+
+def _pid(_item) -> int:
+    return os.getpid()
+
+
+def _die(_item) -> None:
+    os._exit(1)
 
 
 def test_pmap_inline_matches_plain_map():
@@ -69,6 +80,21 @@ def test_pmap_does_not_fork_a_threaded_process():
         release.set()
         thread.join()
     assert [str(w.message) for w in caught if "fork()" in str(w.message)] == []
+
+
+def test_pmap_reuses_one_pool_per_worker_count():
+    pmap(_square, range(4), jobs=2)
+    pool = parallel._POOLS[2]
+    workers = set(pool._processes)
+    assert set(pmap(_pid, range(8), jobs=2)) <= workers
+    assert parallel._POOLS[2] is pool
+
+
+def test_a_broken_pool_is_dropped_not_reused():
+    with pytest.raises(BrokenProcessPool):
+        pmap(_die, range(2), jobs=2)
+    assert 2 not in parallel._POOLS
+    assert pmap(_square, range(4), jobs=2) == [0, 1, 4, 9]
 
 
 def test_pmap_empty_and_single():

@@ -6,6 +6,9 @@ import functools
 
 from repro.benchsuite.generator import GeneratorConfig, generate_source
 from repro.benchsuite.suite import benchmark_names, get_benchmark
+from repro.bytecode.function import FunctionInfo
+from repro.bytecode.instr import Instr
+from repro.bytecode.opcodes import Op
 from repro.frontend.codegen import compile_source
 from repro.vm.config import VMConfig, jikes_config
 from repro.vm.errors import VMError
@@ -118,3 +121,13 @@ def fused_id(*names: str) -> int:
         if window == comps:
             return fid
     raise LookupError(f"{'; '.join(names)} is not a measured window")
+
+
+def make_trivial_return_zero(name: str) -> FunctionInfo:
+    """A static function returning the constant 0."""
+    return FunctionInfo(
+        name=name,
+        code=[Instr(Op.PUSH, 0), Instr(Op.RETURN_VAL)],
+        num_params=0,
+        num_locals=0,
+    )

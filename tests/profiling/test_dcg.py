@@ -55,15 +55,6 @@ def test_callsite_distribution():
     assert dist == {1: 3.0, 2: 1.0}
 
 
-def test_callsites_in():
-    dcg = DCG()
-    dcg.record(0, 7, 1)
-    dcg.record(0, 8, 2)
-    dcg.record(1, 3, 2)
-    sites = dcg.callsites_in(0)
-    assert set(sites) == {7, 8}
-
-
 def test_callee_weights():
     dcg = DCG()
     dcg.record(0, 1, 5, 2.0)

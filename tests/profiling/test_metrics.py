@@ -1,7 +1,5 @@
 """Accuracy metric tests, including hypothesis properties of overlap."""
 
-import math
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,7 +11,6 @@ from repro.profiling.metrics import (
     hot_edge_recall,
     hot_edges,
     overlap,
-    weight_rank_correlation,
 )
 
 
@@ -122,33 +119,3 @@ def test_edge_coverage():
     sampled = dcg_from({(0, 0, 1): 5.0})
     assert edge_coverage(sampled, perfect) == pytest.approx(1 / 3)
     assert edge_coverage(sampled, DCG()) == 1.0
-
-
-def test_rank_correlation_perfect_agreement():
-    a = dcg_from({(0, 0, 1): 1.0, (0, 1, 2): 2.0, (0, 2, 3): 3.0})
-    b = dcg_from({(0, 0, 1): 10.0, (0, 1, 2): 20.0, (0, 2, 3): 30.0})
-    assert weight_rank_correlation(a, b) == pytest.approx(1.0)
-
-
-def test_rank_correlation_inverted():
-    a = dcg_from({(0, 0, 1): 1.0, (0, 1, 2): 2.0, (0, 2, 3): 3.0})
-    b = dcg_from({(0, 0, 1): 3.0, (0, 1, 2): 2.0, (0, 2, 3): 1.0})
-    assert weight_rank_correlation(a, b) == pytest.approx(-1.0)
-
-
-def test_rank_correlation_degenerate():
-    a = dcg_from({(0, 0, 1): 1.0})
-    assert weight_rank_correlation(a, a.copy()) == 0.0
-
-
-def test_rank_correlation_ties_share_their_mean_rank():
-    # Ranks 1, 2.5, 2.5, 4 against 1, 2, 3, 4: rho = 4.5 / sqrt(4.5 * 5).
-    a = dcg_from({(0, 0, 1): 1.0, (0, 1, 2): 2.0, (0, 2, 3): 2.0, (0, 3, 4): 3.0})
-    b = dcg_from({(0, 0, 1): 1.0, (0, 1, 2): 2.0, (0, 2, 3): 3.0, (0, 3, 4): 4.0})
-    assert weight_rank_correlation(a, b) == pytest.approx(3 / math.sqrt(10))
-    # An edge absent from one side ranks as weight 0 there.
-    c = dcg_from({(0, 1, 2): 2.0, (0, 2, 3): 2.0, (0, 3, 4): 3.0})
-    assert weight_rank_correlation(c, b) == pytest.approx(3 / math.sqrt(10))
-    # Constant weights on one side: no ranking to correlate.
-    flat = dcg_from({edge: 5.0 for edge in b.edges()})
-    assert weight_rank_correlation(flat, b) == 0.0

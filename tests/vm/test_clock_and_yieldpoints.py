@@ -158,7 +158,8 @@ def test_stack_snapshot_and_current_edge():
             self.snapshots = []
 
         def handle_yieldpoint(self, vm, kind):
-            self.snapshots.append((vm.stack_snapshot(), vm.current_edge()))
+            stack = [frame.method.index for frame in reversed(vm.frames)]
+            self.snapshots.append((stack, vm.current_edge()))
             vm.yieldpoint_flag = YP_NONE
 
     program = compile_source(source)

@@ -1,24 +1,23 @@
 """Cost model and code cache tests."""
 
-from repro.bytecode.function import make_trivial_return_zero
+from dataclasses import replace
+
 from repro.bytecode.opcodes import Op
 from repro.frontend.codegen import compile_source
 from repro.vm.costmodel import CostModel, j9_cost_model, jikes_cost_model
 from repro.vm.interpreter import Interpreter
 from repro.vm.runtime import CodeCache, CompiledMethod
+from tests.helpers import make_trivial_return_zero
+
+
+def with_op_cost(model: CostModel, op: Op, cost: int) -> CostModel:
+    return replace(model, op_costs={**model.op_costs, op: cost})
 
 
 def test_cost_array_is_dense_and_complete():
     table = jikes_cost_model().cost_array()
     for op in Op:
         assert table[int(op)] == jikes_cost_model().op_costs[op]
-
-
-def test_with_op_cost_returns_new_model():
-    model = jikes_cost_model()
-    changed = model.with_op_cost(Op.ADD, 99)
-    assert changed.op_costs[Op.ADD] == 99
-    assert model.op_costs[Op.ADD] != 99  # original untouched
 
 
 def test_presets_differ():
@@ -67,17 +66,11 @@ def test_compile_time_charged_per_level():
     assert delta == model.compile_cost_per_byte[2] * g.bytecode_size()
 
 
-def test_total_code_size():
-    program = compile_source("def main() { print(1); }")
-    cache = CodeCache(program, jikes_cost_model())
-    assert cache.total_code_size() == sum(m.size_bytes for m in cache.methods)
-
-
 def test_costs_drive_virtual_time():
     # Same step count, different op costs => different virtual time.
     source = "def main() { var t = 0; for (var i = 0; i < 1000; i = i + 1) { t = t * 3; } print(t); }"
-    cheap = jikes_cost_model().with_op_cost(Op.MUL, 1)
-    pricey = jikes_cost_model().with_op_cost(Op.MUL, 50)
+    cheap = with_op_cost(jikes_cost_model(), Op.MUL, 1)
+    pricey = with_op_cost(jikes_cost_model(), Op.MUL, 50)
     from repro.vm.config import jikes_config
 
     vm1 = Interpreter(compile_source(source), jikes_config(cost_model=cheap))

@@ -58,6 +58,26 @@ def _virtual_entries(vm):
     return entries
 
 
+def _bindings(entry):
+    """``(class_index, function_index)`` for every bound slot."""
+    for klass, index in (
+        (entry[ic.V_CLASS0], entry[ic.V_INDEX0]),
+        (entry[ic.V_CLASS1], entry[ic.V_INDEX1]),
+    ):
+        if klass >= 0:
+            yield klass, index
+    for rest in entry[ic.V_REST] or ():
+        yield rest[0], rest[2]
+
+
+def _state(entry) -> str:
+    """mono, poly(k) or mega."""
+    state = entry[ic.V_STATE]
+    if state > ic.POLY_LIMIT:
+        return "mega"
+    return "mono" if state <= 1 else f"poly({state})"
+
+
 def _run(source, **overrides):
     program = compile_source(source)
     vm = Interpreter(program, jikes_config(**overrides))
@@ -74,7 +94,7 @@ def _run(source, **overrides):
 )
 def test_site_state_matches_receiver_mix(num_classes, expected):
     _, vm = _run(_poly_source(num_classes))
-    states = [ic.describe_state(e) for e in _virtual_entries(vm)]
+    states = [_state(e) for e in _virtual_entries(vm)]
     assert expected in states
     if num_classes > 1:
         assert vm.ic_transitions > 0
@@ -87,7 +107,7 @@ def test_site_state_matches_receiver_mix(num_classes, expected):
 def test_bindings_cover_every_receiver_class():
     program, vm = _run(_poly_source(4))
     entry = max(_virtual_entries(vm), key=lambda e: e[ic.V_STATE])
-    bound = {rclass for rclass, _ in ic.virtual_entry_bindings(entry)}
+    bound = {rclass for rclass, _ in _bindings(entry)}
     expected = {program.class_named(f"V{k}").index for k in range(4)}
     assert bound == expected
     # Two inline slots plus the overflow list hold the other two.
@@ -240,7 +260,7 @@ def test_counts_survive_caller_recompilation():
     vm.run()
     cache = vm.code_cache
     first = ReceiverProfile.from_cache(cache)
-    assert first.total_calls() == 64
+    assert cache.receiver_cell_total() == 64
     main_index = next(
         i for i, f in enumerate(program.functions) if f.qualified_name == "main"
     )
@@ -250,7 +270,7 @@ def test_counts_survive_caller_recompilation():
     cache.install(result.function, opt_level=1)
     vm.run()
     second = ReceiverProfile.from_cache(cache)
-    assert second.total_calls() == 2 * first.total_calls()
+    assert cache.receiver_cell_total() == 2 * 64
     assert set(second.sites) == set(first.sites)  # same baseline keys
     assert vm.output[0] == vm.output[1]
 
@@ -275,7 +295,7 @@ def test_callee_recompilation_repoints_bindings():
     bound = [
         entry
         for entry in _virtual_entries(vm)
-        for _, index in ic.virtual_entry_bindings(entry)
+        for _, index in _bindings(entry)
         if index == callee_index
     ]
     assert bound
