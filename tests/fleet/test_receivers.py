@@ -146,6 +146,25 @@ def test_old_snapshot_with_receivers_loads_and_is_stored_without_them(tmp_path, 
         assert handle.read() == first
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        [["main", 4, "A"]],  # missing count
+        [["main", 4, "A", float("nan")]],
+        [["main", 4, "A", -1.0]],
+        [["main", "x", "A", 1.0]],
+        ["not-a-row"],
+    ],
+)
+def test_malformed_receiver_rows_rejected_without_mutation(bad):
+    staging = StagingBuffer()
+    staging.stage(FP, 0, [(("main", 4, "A.f"), 3.0)], [], [], "a")
+    with pytest.raises(ValueError, match="receivers and paths must be empty"):
+        staging.stage(FP, 1, [(("main", 4, "A.f"), 1.0)], bad, [], "b")
+    assert (len(staging), staging.staged_rows) == (1, 1)
+    assert staging.take_all() == [(FP, [(0, [(("main", 4, "A.f"), 3.0)])], {"a"}, 1)]
+
+
 def test_stage_refuses_receiver_rows():
     staging = StagingBuffer()
     with pytest.raises(ValueError, match="receivers and paths must be empty"):
