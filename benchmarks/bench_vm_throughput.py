@@ -1,12 +1,9 @@
 """Raw substrate throughput — how fast the simulator itself runs.
 
 Not a paper experiment; tracks the interpreter's Python-level speed so
-regressions in the hot loop are caught.  Two entry points:
-
-* pytest-benchmark tests (normal repetition; they are cheap), fused and
-  unfused so the dispatch strategies are tracked separately;
-* a script mode emitting a machine-readable summary for the committed
-  ``BENCH_vm.json`` perf trajectory::
+regressions in the hot loop are caught.  Run as a script, it emits a
+machine-readable summary for the committed ``BENCH_vm.json`` perf
+trajectory::
 
       PYTHONPATH=src python benchmarks/bench_vm_throughput.py            # print
       PYTHONPATH=src python benchmarks/bench_vm_throughput.py --write BENCH_vm.json
@@ -25,11 +22,8 @@ import json
 import sys
 import time
 
-import pytest
-
 from repro.benchsuite.suite import program_for
 from repro.frontend.codegen import compile_source
-from repro.lang.parser import parse
 from repro.vm.config import jikes_config
 from repro.vm.interpreter import Interpreter
 
@@ -76,73 +70,6 @@ def virtcalls_source(num_classes: int, iterations: int = 12000) -> str:
     lines.append("  print(t);")
     lines.append("}")
     return "\n".join(lines)
-
-
-# -- pytest-benchmark entry points ----------------------------------------------------
-
-
-@pytest.fixture(params=[True, False], ids=["fused", "unfused"])
-def fuse(request):
-    return request.param
-
-
-def test_interpreter_arithmetic(benchmark, fuse):
-    program = compile_source(ARITH)
-
-    def run():
-        vm = Interpreter(program, jikes_config(fuse=fuse))
-        vm.run()
-        return vm
-
-    vm = benchmark(run)
-    benchmark.extra_info["mips"] = round(vm.steps / 1e6, 3)
-    benchmark.extra_info["fused_dispatches"] = vm.fused_dispatches
-
-
-def test_interpreter_calls(benchmark, fuse):
-    program = compile_source(CALLS)
-
-    def run():
-        vm = Interpreter(program, jikes_config(fuse=fuse))
-        vm.run()
-        return vm
-
-    vm = benchmark(run)
-    benchmark.extra_info["calls"] = vm.call_count
-
-
-@pytest.mark.parametrize("kernel", ["arith", "calls"])
-def test_interpreter_jit(benchmark, kernel):
-    program = compile_source(ARITH if kernel == "arith" else CALLS)
-
-    def run():
-        vm = Interpreter(program, jikes_config(jit=True))
-        vm.run()
-        return vm
-
-    vm = benchmark(run)
-    benchmark.extra_info["mips"] = round(vm.steps / 1e6, 3)
-    benchmark.extra_info["jit_entries"] = vm.jit_entries + vm.jit_osr_entries
-
-
-def test_compiler_frontend(benchmark):
-    from repro.benchsuite.suite import get_benchmark
-
-    source = get_benchmark("javac").source("tiny")
-
-    def compile_it():
-        return compile_source(source)
-
-    program = benchmark(compile_it)
-    benchmark.extra_info["functions"] = len(program.functions)
-
-
-def test_parser_only(benchmark):
-    from repro.benchsuite.suite import get_benchmark
-
-    source = get_benchmark("soot").source("tiny")
-    tree = benchmark(lambda: parse(source))
-    assert tree.classes
 
 
 # -- script mode: machine-readable summary / baseline gate ----------------------------

@@ -63,6 +63,7 @@ import argparse
 import math
 import os
 import sys
+import warnings
 
 # Only what build_parser needs; each command imports its own layers.
 from repro.profiling.cbs import SKIP_POLICIES
@@ -81,6 +82,17 @@ def _load(path: str):
         return compile_source(source, filename=path)
     except MiniError as error:
         raise SystemExit(f"compile error: {error}")
+
+
+def _resolve_profile(load, *args, **kwargs):
+    """``load(*args, **kwargs)``; a lenient fingerprint mismatch prints one
+    ``note:`` line, like every other warm-start outcome, not a raw warning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        dcg = load(*args, **kwargs)
+    for warning in caught:
+        print(f"note: {warning.message}", file=sys.stderr)
+    return dcg
 
 
 def _profiler_for(args):
@@ -149,7 +161,9 @@ def _cmd_run(args) -> int:
         from repro.opt.pipeline import optimize_function
 
         try:
-            offline = load_profile(args.load_profile, program, strict=args.strict)
+            offline = _resolve_profile(
+                load_profile, args.load_profile, program, strict=args.strict
+            )
         except ProfileFormatError as error:
             raise SystemExit(str(error))
         policy = NewJikesInliner(program)
@@ -213,7 +227,9 @@ def _cmd_run(args) -> int:
             )
         else:
             try:
-                warm_dcg = dcg_from_dict(snapshot, program, strict=args.strict)
+                warm_dcg = _resolve_profile(
+                    dcg_from_dict, snapshot, program, strict=args.strict
+                )
             except ProfileFormatError as error:
                 if args.strict:
                     raise SystemExit(f"warm-start profile rejected: {error}")

@@ -192,11 +192,12 @@ class FleetPublisher:
         drain.  Never raises; the worker is a daemon either way."""
         if self._worker is None:
             return
+        deadline = time.monotonic() + timeout
         try:
-            self._queue.put_nowait(_CLOSE)
+            self._queue.put(_CLOSE, timeout=timeout)
         except queue.Full:
             pass  # worker is far behind; daemon thread dies with the process
-        self._worker.join(timeout)
+        self._worker.join(max(0.0, deadline - time.monotonic()))
         self._worker = None
         if self.telemetry is not None:
             # Metrics only, no event: outcome counters are wall-clock

@@ -18,14 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.benchsuite.suite import program_for
-from repro.harness.runner import (
-    measure_baseline,
-    measure_profiler,
-    run_steady_state,
-)
+from repro.harness.runner import measure_profiler, run_steady_state
 from repro.profiling.cbs import CBSProfiler
 from repro.profiling.cct import context_overlap
-from repro.profiling.exhaustive import ExhaustiveProfiler
 from repro.profiling.timer_sampler import TimerProfiler
 from repro.adaptive.modes import jit_only_cache
 from repro.inlining.new_inliner import NewJikesInliner
@@ -114,14 +109,6 @@ def inliner_comparison(
     """Old vs new Jikes inliner, both fed the same CBS profile; speedups
     are relative to the old inliner with timer profiles (the pre-paper
     production configuration)."""
-    points = []
-    reference = {}
-    for name in benchmarks:
-        program = program_for(name, size)
-        reference[name] = run_steady_state(
-            name, size, "jikes", OldJikesInliner(program),
-            profiler=TimerProfiler(), iterations=iterations,
-        ).steady_time
     configurations = [
         ("old+timer", OldJikesInliner, TimerProfiler),
         ("old+cbs", OldJikesInliner,
@@ -130,20 +117,20 @@ def inliner_comparison(
         ("new+cbs", NewJikesInliner,
          lambda: CBSProfiler(stride=3, samples_per_tick=16)),
     ]
+    steady_times = {}
     for label, policy_class, profiler_factory in configurations:
-        speedups = []
-        for name in benchmarks:
-            program = program_for(name, size)
-            result = run_steady_state(
-                name, size, "jikes", policy_class(program),
+        steady_times[label] = [
+            run_steady_state(
+                name, size, "jikes", policy_class(program_for(name, size)),
                 profiler=profiler_factory(), iterations=iterations,
-            )
-            speedups.append(
-                100.0 * (reference[name] - result.steady_time) / result.steady_time
-            )
-        points.append(
-            AblationPoint(label, extra=sum(speedups) / len(speedups))
-        )
+            ).steady_time
+            for name in benchmarks
+        ]
+    reference = steady_times["old+timer"]
+    points = []
+    for label, times in steady_times.items():
+        speedups = [100.0 * (ref - t) / t for ref, t in zip(reference, times)]
+        points.append(AblationPoint(label, extra=sum(speedups) / len(speedups)))
     return points
 
 
@@ -157,7 +144,6 @@ def context_sensitivity_cost(
     the deeper walk buys.
     """
     points = []
-    baseline = measure_baseline(name, size)
     for depth in depths:
         profiler = CBSProfiler(stride=3, samples_per_tick=16, context_depth=depth)
         run = measure_profiler(name, size, profiler)
@@ -170,7 +156,6 @@ def context_sensitivity_cost(
                 f"depth={depth}", run.accuracy, run.overhead_percent, float(contexts)
             )
         )
-    del baseline
     return points
 
 
@@ -190,8 +175,6 @@ def context_profile_agreement(
             stride=3, samples_per_tick=16, context_depth=depth, seed=seed
         )
         vm.attach_profiler(profiler)
-        perfect = ExhaustiveProfiler()
-        perfect.install(vm)
         vm.run()
         profiles.append(profiler.cct.context_profile())
     return context_overlap(profiles[0], profiles[1])

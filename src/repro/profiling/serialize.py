@@ -104,7 +104,7 @@ def dcg_from_dict(
         if strict:
             raise ProfileFormatError(
                 "profile fingerprint does not match the program "
-                f"({fingerprint[:12]}… vs {program.fingerprint()[:12]}…)"
+                f"({fingerprint} vs {program.fingerprint()})"
             )
         warnings.warn(
             "profile was collected against a different build of the "

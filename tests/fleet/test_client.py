@@ -1,5 +1,6 @@
 """Publisher tests: non-perturbation, delivery, dead-server behavior."""
 
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -134,7 +135,13 @@ def test_dropped_batch_growth_rides_with_next(tmp_path):
         while not publisher._queue.empty():
             pass
         publisher._publish_delta(fake_vm)
+        worker = publisher._worker
+        # The queue may still be full here: close() must wait for the
+        # worker to take that batch, not out its whole timeout.
+        started = time.monotonic()
         publisher.close()
+        assert time.monotonic() - started < 1.0
+        assert not worker.is_alive()
         snapshot = fetch_snapshot(server.address, program.fingerprint())
     weights = [edge["weight"] for edge in snapshot["edges"]]
     assert weights == [7.0]

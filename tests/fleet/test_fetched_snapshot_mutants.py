@@ -27,19 +27,22 @@ import pytest
 from repro.fleet.client import fetch_snapshot
 from repro.fleet.protocol import (
     ProtocolError,
+    encode_message,
     fetch_message,
     publish_message,
     recv_message,
     send_message,
+    snapshot_message,
     staged_ack_message,
 )
 from repro.frontend.codegen import compile_source
 from repro.profiling.dcg import DCG
 from repro.profiling.exhaustive import ExhaustiveProfiler
-from repro.profiling.serialize import ProfileFormatError, dcg_from_dict
+from repro.profiling.serialize import ProfileFormatError, dcg_from_dict, dcg_to_dict
 from repro.vm.interpreter import Interpreter
 from tests.fleet._served import ENV
 from tests.fleet._service_thread import ServiceThread
+from tests.helpers import last_digit_mutant
 
 GUEST = """
 class A { def f(): int { return 1; } }
@@ -212,3 +215,35 @@ def test_warm_start_run_survives_fetched_mutants(served_mutants, tmp_path):
                 assert "-- warm start: " in run.stderr, where
             else:
                 assert "starting cold" in run.stderr, where
+
+
+def test_lenient_fingerprint_mismatch_is_one_note(tmp_path):
+    """A snapshot from another build of the program (its fingerprint's
+    last hex digit changed) still warm-starts a lenient run, and says so
+    in one ``note:`` line, not as a raw ``ProfileMismatchWarning``."""
+    program = compile_source(GUEST)
+    vm = Interpreter(program)
+    profiler = ExhaustiveProfiler()
+    profiler.install(vm)
+    vm.run()
+    snapshot = dcg_to_dict(profiler.dcg, program)
+    snapshot["fingerprint"] = last_digit_mutant(snapshot["fingerprint"])
+    stub = StubServer(encode_message(snapshot_message(snapshot)))
+    guest = tmp_path / "guest.mini"
+    guest.write_text(GUEST)
+    try:
+        run = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "run", str(guest), "--adaptive",
+             "--profile", "cbs", "--publish", "%s:%d" % stub.address, "--warm-start"],
+            env=ENV, capture_output=True, text=True, timeout=120,
+        )
+    finally:
+        stub.close()
+    assert run.returncode == 0, run.stderr
+    notes = [line for line in run.stderr.splitlines() if line.startswith("note:")]
+    assert notes == [
+        "note: profile was collected against a different build of the "
+        "program; resolving by name anyway"
+    ], run.stderr
+    assert "Warning" not in run.stderr
+    assert "-- warm start: " in run.stderr

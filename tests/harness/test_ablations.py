@@ -1,5 +1,5 @@
-"""Quick-path tests for the ablation harness (full runs live in
-benchmarks/bench_ablations.py)."""
+"""Quick-path tests for the ablation harness (the claims on its full
+slices are asserted in benchmarks/test_claims.py)."""
 
 from repro.harness.ablations import (
     AblationPoint,

@@ -16,6 +16,12 @@ from repro.vm.interpreter import Interpreter
 from repro.vm.jit import JitManager
 
 
+def last_digit_mutant(digest: str) -> str:
+    """``digest`` with its last hex digit changed, so any prefix of the
+    two reads the same."""
+    return digest[:-1] + ("0" if digest[-1] != "0" else "1")
+
+
 @functools.cache
 def front_end_corpus() -> dict[str, str]:
     """Name → source of every benchsuite program (``tiny``) plus 50

@@ -71,8 +71,9 @@ def test_for_prints_as_while():
 
 @pytest.mark.parametrize("name", benchmark_names())
 def test_fixpoint_on_benchmark_suite(name):
-    source = get_benchmark(name).source("tiny")
-    once = print_program(parse(source))
+    tree = parse(get_benchmark(name).source("tiny"))
+    assert tree.classes
+    once = print_program(tree)
     twice = print_program(parse(once))
     assert once == twice
 

@@ -20,6 +20,7 @@ from repro.profiling.serialize import (
     save_profile,
 )
 from repro.vm.interpreter import Interpreter
+from tests.helpers import last_digit_mutant
 
 SOURCE = """
 class A { def f(): int { return 1; } }
@@ -226,6 +227,15 @@ def test_fingerprint_mismatch_raises_strict():
     data = dcg_to_dict(dcg, program)
     with pytest.raises(ProfileFormatError, match="fingerprint"):
         dcg_from_dict(data, other, strict=True)
+
+
+def test_strict_mismatch_names_both_digests_in_full():
+    program, dcg = collected()
+    data = dcg_to_dict(dcg, program)
+    data["fingerprint"] = last_digit_mutant(program.fingerprint())
+    with pytest.raises(ProfileFormatError) as excinfo:
+        dcg_from_dict(data, program, strict=True)
+    assert f"({data['fingerprint']} vs {program.fingerprint()})" in str(excinfo.value)
 
 
 def test_save_profile_is_atomic(tmp_path):

@@ -5,7 +5,7 @@ import re
 import pytest
 
 from repro.cli import main
-from tests.helpers import receiver_mix_source
+from tests.helpers import last_digit_mutant, receiver_mix_source
 
 PROGRAM = """
 class Counter {
@@ -271,6 +271,50 @@ def test_load_profile_strict_accepts_matching(program_file, tmp_path, capsys):
     assert main(
         ["run", program_file, "--load-profile", profile_path, "--strict"]
     ) == 0
+
+
+@pytest.fixture
+def mismatched_profile(tmp_path):
+    """A profile whose fingerprint is PROGRAM's with the last hex digit
+    changed, and that fingerprint: ``(path, profile's, program's)``."""
+    import json
+
+    from repro.frontend.codegen import compile_source
+
+    real = compile_source(PROGRAM).fingerprint()
+    stale = last_digit_mutant(real)
+    path = tmp_path / "stale.json"
+    path.write_text(json.dumps({"version": 3, "fingerprint": stale, "edges": []}))
+    return str(path), stale, real
+
+
+def test_load_profile_strict_mismatch_names_both_digests(program_file, mismatched_profile):
+    path, stale, real = mismatched_profile
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", program_file, "--load-profile", path, "--strict"])
+    assert str(excinfo.value.code) == (
+        f"profile fingerprint does not match the program ({stale} vs {real})"
+    )
+
+
+def test_load_profile_lenient_mismatch_is_one_note(program_file, mismatched_profile):
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    done = subprocess.run(
+        [sys.executable, "-m", "repro.cli", "run", program_file,
+         "--load-profile", mismatched_profile[0]],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0 and done.stdout.strip() == "40000"
+    assert done.stderr.splitlines() == [
+        "note: profile was collected against a different build of the "
+        "program; resolving by name anyway"
+    ]
 
 
 def test_publish_dead_server_output_identical(program_file, capsys):
